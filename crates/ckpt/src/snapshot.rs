@@ -218,6 +218,8 @@ mod tests {
     fn roundtrip_is_exact() {
         let s = sample();
         assert_eq!(Snapshot::decode(&s.encode()).unwrap(), s);
+        // Format pin: the encoded bytes themselves, not just the round trip.
+        assert_eq!(fnv1a(&s.encode()), 0x42c2_c188_7fa9_52d1);
     }
 
     #[test]

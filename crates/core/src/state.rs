@@ -216,6 +216,11 @@ mod tests {
             &[Vec3::new(1.0, 2.0, 3.0), Vec3::new(11.9, 0.1, 6.0)],
             &[Vec3::new(0.01, -0.02, 0.003), Vec3::new(-0.001, 0.0, 0.07)],
         );
+        // Format pin: the encoded bytes themselves, not just the round trip.
+        assert_eq!(
+            anton_ckpt::fnv1a(st.to_bytes().as_ref()),
+            0x06c4_0763_e951_ce2f
+        );
         let restored = FixedState::from_bytes(st.to_bytes()).unwrap();
         assert_eq!(restored, st);
     }

@@ -572,6 +572,8 @@ pub(crate) mod tests {
         let q = populated();
         let bytes = q.encode();
         assert_eq!(bytes, q.encode(), "encoding must be deterministic");
+        // Format pin: the encoded bytes themselves, not just the round trip.
+        assert_eq!(anton_ckpt::fnv1a(&bytes), 0xbb2a_f263_066a_0ea1);
         let back = QueueState::decode(&bytes).unwrap();
         assert_eq!(back, q);
     }

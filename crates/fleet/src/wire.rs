@@ -524,6 +524,8 @@ mod tests {
     fn frame_roundtrip_is_exact() {
         let payload = Request::Submit(spec()).encode();
         let frame = encode_frame(FrameKind::Request, &payload);
+        // Format pin: the encoded bytes themselves, not just the round trip.
+        assert_eq!(fnv1a(&frame), 0x05d2_365e_68a2_1083);
         let (kind, body) = decode_frame(&frame).unwrap();
         assert_eq!(kind, FrameKind::Request);
         assert_eq!(body, &payload[..]);
@@ -639,9 +641,13 @@ mod tests {
             },
             Response::ShuttingDown,
         ];
+        let mut pin = anton_ckpt::Fnv64::new();
         for resp in resps {
+            pin.update(&resp.encode());
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
         }
+        // Format pin over every response encoding, in order.
+        assert_eq!(pin.finish(), 0x55b1_b7d1_dda6_57f3);
     }
 
     #[test]
