@@ -5,10 +5,8 @@
 //! Q(t), we detect transitions with a two-threshold (hysteresis) scheme so
 //! that barrier recrossings don't inflate the event count.
 
-use serde::{Deserialize, Serialize};
-
 /// Detected transitions.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FoldingEvents {
     /// Sample indices where a folding event completed (Q crossed up
     /// through the folded threshold from the unfolded state).

@@ -53,15 +53,6 @@ fn builder(dir: Option<&Path>) -> anton_core::SimulationBuilder {
     b
 }
 
-/// FNV-1a over the exact raw state bytes (workspace-canonical checksum).
-fn state_checksum(sim: &AntonSimulation) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in sim.state.to_bytes().as_slice() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from("target/ckpt_drill").join(name);
     let _ = std::fs::remove_dir_all(&dir);
@@ -157,7 +148,7 @@ fn kill_resume_leg(report: &mut Report, kill_cycle: usize, golden_final: u64, k:
         Ok(mut sim) => {
             let step_ok = sim.step_count() == kill_cycle as u64 * k;
             sim.run_cycles(CYCLES - kill_cycle);
-            let sum = state_checksum(&sim);
+            let sum = sim.state.checksum();
             report.record(
                 &format!("kill_at_cycle_{kill_cycle}"),
                 step_ok && sum == golden_final,
@@ -334,7 +325,7 @@ fn recovery_leg(report: &mut Report, golden_final: u64, k: u64) {
             let resumed_step = sim.step_count();
             let want_step = (newest_step / k - 1) * k;
             sim.run_cycles(CYCLES - (resumed_step / k) as usize);
-            let sum = state_checksum(&sim);
+            let sum = sim.state.checksum();
             report.record(
                 "recover_from_previous_valid",
                 resumed_step == want_step && sum == golden_final,
@@ -379,7 +370,7 @@ fn main() {
         let mut sim = builder(None).build();
         sim.run_cycles(CYCLES);
         battery_leg(&mut report, "golden_battery", &sim);
-        state_checksum(&sim)
+        sim.state.checksum()
     };
     println!("golden final checksum: {golden_final:016x}\n");
 

@@ -254,12 +254,11 @@ fn write_drill_json(views: &[JobStatusView], specs: &[JobSpec], path: &str) {
     s.push_str("  ],\n");
     // One pinned identity for the whole fleet: FNV-1a over the per-job
     // final checksums in schedule order.
-    let mut fleet_sum: u64 = 0xcbf29ce484222325;
+    let mut fleet_sum = anton_ckpt::Fnv64::new();
     for v in views {
-        for b in v.final_checksum.to_le_bytes() {
-            fleet_sum = (fleet_sum ^ b as u64).wrapping_mul(0x100000001b3);
-        }
+        fleet_sum.update(&v.final_checksum.to_le_bytes());
     }
+    let fleet_sum = fleet_sum.finish();
     s.push_str("  \"totals\": {");
     s.push_str(&format!(
         "\"jobs\": {}, \"cycles\": {}, \"preemptions\": {}, \"resumes\": {}, \"ckpt_bytes\": {}, \

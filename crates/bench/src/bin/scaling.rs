@@ -45,15 +45,6 @@ fn waterbox(full: bool) -> System {
     }
 }
 
-/// FNV-1a over the exact raw state bytes.
-fn state_checksum(sim: &AntonSimulation) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in sim.state.to_bytes().as_slice() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// One measured + modeled configuration.
 struct Row {
     nodes: usize,
@@ -314,7 +305,7 @@ fn traced_pass(sys: &System, cycles: usize) -> (Vec<TraceRow>, CkptStats) {
         out.push(TraceRow {
             nodes,
             threads,
-            checksum: state_checksum(&sim),
+            checksum: sim.state.checksum(),
             phases,
         });
     }
@@ -411,7 +402,7 @@ fn main() {
                 match_batches: sim.pipeline.counters.match_batches,
                 rebuild_steps: sim.pipeline.counters.rebuild_steps,
                 reuse_steps: sim.pipeline.counters.reuse_steps,
-                checksum: state_checksum(&sim),
+                checksum: sim.state.checksum(),
             };
             if let Some(rs) = sim.pipeline.rank_set() {
                 let c = &sim.pipeline.counters;

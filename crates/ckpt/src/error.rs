@@ -1,7 +1,8 @@
-//! Typed corruption and incompatibility errors, shared across the
-//! checkpoint stack: `anton-core::FixedState::from_bytes` returns the same
-//! enum as the file loader, so a caller sees one error vocabulary whether
-//! the damage is in the container or in the state payload.
+//! Typed corruption and incompatibility errors, shared by everything the
+//! codec decodes: `anton-core::FixedState::from_bytes` and the
+//! `anton-fleet` frame and record decoders return the same enum as the
+//! file loader, so a caller sees one error vocabulary whether the damage
+//! is in a container, a socket frame or a state payload.
 
 use std::fmt;
 
@@ -20,9 +21,11 @@ use std::fmt;
 pub enum CkptError {
     /// Fewer bytes than the fixed-size prefix being decoded requires.
     TooShort { needed: u64, got: u64 },
-    /// The 8-byte magic is not `ANTCKPT1`: not a checkpoint file at all.
+    /// The 8-byte magic is not the expected one (`ANTCKPT1` for a
+    /// checkpoint file, `ANTFLET1` for a fleet frame): not that format at
+    /// all.
     BadMagic,
-    /// A checkpoint from a different (future or retired) format version.
+    /// A frame from a different (future or retired) format version.
     BadVersion { got: u32, expected: u32 },
     /// A declared length disagrees with the bytes actually present.
     LengthMismatch {
@@ -93,7 +96,7 @@ impl fmt::Display for CkptError {
             CkptError::TooShort { needed, got } => {
                 write!(f, "input too short: need {needed} bytes, got {got}")
             }
-            CkptError::BadMagic => write!(f, "bad magic: not an anton-ckpt file"),
+            CkptError::BadMagic => write!(f, "bad magic: not the expected frame format"),
             CkptError::BadVersion { got, expected } => {
                 write!(f, "unsupported format version {got} (expected {expected})")
             }

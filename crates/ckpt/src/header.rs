@@ -1,11 +1,11 @@
-//! The fixed 64-byte file header. Layout (all integers little-endian; see
-//! DESIGN.md §12):
+//! The checkpoint file header: the sealed frame of [`crate::codec`]
+//! instantiated with three meta words — 64 bytes, all little-endian:
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic            b"ANTCKPT1"
-//!      8     4  version          u32 (currently 2)
-//!     12     4  flags            u32 (reserved, 0)
+//!      8     4  version          u32 (see [`VERSION`])
+//!     12     4  flags            u32 (the frame tag; reserved, 0)
 //!     16     8  step             u64 inner-step counter at capture
 //!     24     8  n_atoms          u64
 //!     32     8  fingerprint      u64 config fingerprint (see fingerprint.rs)
@@ -14,14 +14,11 @@
 //!     56     8  header_fnv       u64 FNV-1a of header bytes 0..56
 //! ```
 //!
-//! Every bit of the header is covered: a flip in the magic or version
-//! fields fails those explicit checks, a flip anywhere else (including in
-//! `header_fnv` itself) fails the header checksum. `header_fnv` is
-//! verified **before** `payload_len` is trusted, so a corrupted length
-//! can never direct the payload scan.
+//! Coverage and verification order are the codec's; nothing here checks a
+//! byte itself.
 
+use crate::codec::{FrameFormat, FrameHeader};
 use crate::error::CkptError;
-use crate::fnv::fnv1a;
 
 /// File magic: "ANTon ChecKPoinT", format generation 1.
 pub const MAGIC: [u8; 8] = *b"ANTCKPT1";
@@ -31,11 +28,9 @@ pub const MAGIC: [u8; 8] = *b"ANTCKPT1";
 /// reference-epoch section to the payload.
 pub const VERSION: u32 = 3;
 /// Total encoded header size in bytes.
-pub const HEADER_LEN: usize = 64;
-/// Byte range covered by `header_fnv`.
-const HASHED_LEN: usize = 56;
+pub const HEADER_LEN: usize = FrameFormat::<3>::HEADER_LEN;
 
-/// Decoded header fields (magic and checksums are handled by
+/// Decoded header fields (magic and `header_fnv` are handled by
 /// [`Header::encode`] / [`Header::decode`], not stored).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Header {
@@ -49,61 +44,55 @@ pub struct Header {
 }
 
 impl Header {
-    /// Encode to the canonical 64-byte layout, computing `header_fnv`.
-    pub fn encode(&self) -> [u8; HEADER_LEN] {
-        let mut b = [0u8; HEADER_LEN];
-        b[0..8].copy_from_slice(&MAGIC);
-        b[8..12].copy_from_slice(&self.version.to_le_bytes());
-        b[12..16].copy_from_slice(&self.flags.to_le_bytes());
-        b[16..24].copy_from_slice(&self.step.to_le_bytes());
-        b[24..32].copy_from_slice(&self.n_atoms.to_le_bytes());
-        b[32..40].copy_from_slice(&self.fingerprint.to_le_bytes());
-        b[40..48].copy_from_slice(&self.payload_len.to_le_bytes());
-        b[48..56].copy_from_slice(&self.payload_fnv.to_le_bytes());
-        let h = fnv1a(&b[..HASHED_LEN]);
-        b[56..64].copy_from_slice(&h.to_le_bytes());
-        b
+    fn format(version: u32) -> FrameFormat<3> {
+        FrameFormat {
+            magic: MAGIC,
+            version,
+        }
     }
 
-    /// Decode and fully verify a header from the start of `bytes`
-    /// (magic, version, then the header checksum — in that order).
+    fn frame(&self) -> FrameHeader<3> {
+        FrameHeader {
+            tag: self.flags,
+            meta: [self.step, self.n_atoms, self.fingerprint],
+            payload_len: self.payload_len,
+            payload_fnv: self.payload_fnv,
+        }
+    }
+
+    /// Encode to the canonical 64-byte layout, computing `header_fnv`.
+    pub fn encode(&self) -> [u8; HEADER_LEN] {
+        Self::format(self.version)
+            .encode_header(&self.frame())
+            .try_into()
+            .expect("a K = 3 frame header is HEADER_LEN bytes")
+    }
+
+    /// A complete current-version file image: header, then `payload`.
+    pub fn seal(step: u64, n_atoms: u64, fingerprint: u64, payload: &[u8]) -> Vec<u8> {
+        Self::format(VERSION).seal(0, [step, n_atoms, fingerprint], payload)
+    }
+
+    /// Decode and verify a header from the start of `bytes` (length,
+    /// magic, header checksum, version — in that order).
     pub fn decode(bytes: &[u8]) -> Result<Header, CkptError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(CkptError::TooShort {
-                needed: HEADER_LEN as u64,
-                got: bytes.len() as u64,
-            });
-        }
-        if bytes[0..8] != MAGIC {
-            return Err(CkptError::BadMagic);
-        }
-        let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-        let version = u32_at(8);
-        if version != VERSION {
-            return Err(CkptError::BadVersion {
-                got: version,
-                expected: VERSION,
-            });
-        }
-        let stored = u64_at(56);
-        let computed = fnv1a(&bytes[..HASHED_LEN]);
-        if stored != computed {
-            return Err(CkptError::ChecksumMismatch {
-                what: "header",
-                stored,
-                computed,
-            });
-        }
+        let (h, _) = Self::format(VERSION).open_header(bytes)?;
+        let [step, n_atoms, fingerprint] = h.meta;
         Ok(Header {
-            version,
-            flags: u32_at(12),
-            step: u64_at(16),
-            n_atoms: u64_at(24),
-            fingerprint: u64_at(32),
-            payload_len: u64_at(40),
-            payload_fnv: u64_at(48),
+            version: VERSION,
+            flags: h.tag,
+            step,
+            n_atoms,
+            fingerprint,
+            payload_len: h.payload_len,
+            payload_fnv: h.payload_fnv,
         })
+    }
+
+    /// Verify the bytes after the header against it: exact declared
+    /// length, then the payload checksum.
+    pub fn verify_payload(&self, body: &[u8]) -> Result<(), CkptError> {
+        self.frame().verify_payload(body)
     }
 }
 

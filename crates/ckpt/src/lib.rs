@@ -11,10 +11,13 @@
 //!
 //! The crate provides:
 //!
-//! * a versioned binary file format ([`header`]) in which **every bit of
-//!   the file is covered** by the magic/version check or one of two
-//!   FNV-1a checksums (header and payload), so any single bit flip or
-//!   truncation is detected at load time;
+//! * the workspace's one byte codec ([`codec`]): a little-endian
+//!   `Writer`/`Reader` cursor pair and one sealed-frame layout with one
+//!   verification ladder, in which **every bit is covered** by the magic
+//!   check or one of two FNV-1a checksums (header and payload), so any
+//!   single bit flip or truncation is detected at load time — the
+//!   checkpoint file header ([`header`]) and the `anton-fleet` socket
+//!   frame are its two instances;
 //! * the snapshot payload ([`snapshot`]): step counter, config
 //!   fingerprint, the engine's raw state bytes (opaque here — the engine
 //!   owns their interpretation), exchange counters, and trace
@@ -29,6 +32,7 @@
 //! the bottom of the workspace stack: `anton-core` depends on it, not the
 //! other way around. See DESIGN.md §12 for the format specification.
 
+pub mod codec;
 pub mod error;
 pub mod fingerprint;
 pub mod fnv;
@@ -36,6 +40,7 @@ pub mod header;
 pub mod snapshot;
 pub mod store;
 
+pub use codec::{FrameFormat, FrameHeader, Reader, Writer};
 pub use error::CkptError;
 pub use fingerprint::Fingerprint;
 pub use fnv::{fnv1a, Fnv64};

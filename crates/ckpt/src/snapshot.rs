@@ -17,9 +17,9 @@
 //! against the header's `n_atoms` on restore), keeping the dependency
 //! arrow pointing from the engine down to the format, never back.
 
+use crate::codec::{Reader, Writer};
 use crate::error::CkptError;
-use crate::fnv::fnv1a;
-use crate::header::{Header, HEADER_LEN, VERSION};
+use crate::header::{Header, HEADER_LEN};
 
 /// A complete, self-describing simulation snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,153 +46,62 @@ pub struct Snapshot {
     pub match_ref: Vec<u8>,
 }
 
-/// Little-endian u64 reader that tracks its own cursor.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u64(&mut self) -> Result<u64, CkptError> {
-        let end = self.pos + 8;
-        if end > self.bytes.len() {
-            return Err(CkptError::TooShort {
-                needed: end as u64,
-                got: self.bytes.len() as u64,
-            });
-        }
-        let v = u64::from_le_bytes(self.bytes[self.pos..end].try_into().unwrap());
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn take(&mut self, len: u64, what: &'static str) -> Result<&'a [u8], CkptError> {
-        let len_usize = usize::try_from(len).map_err(|_| CkptError::LengthMismatch {
-            what,
-            expected: len,
-            got: self.bytes.len() as u64,
-        })?;
-        let end = self
-            .pos
-            .checked_add(len_usize)
-            .ok_or(CkptError::LengthMismatch {
-                what,
-                expected: len,
-                got: self.bytes.len() as u64,
-            })?;
-        if end > self.bytes.len() {
-            return Err(CkptError::LengthMismatch {
-                what,
-                expected: len,
-                got: (self.bytes.len() - self.pos) as u64,
-            });
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-}
-
 impl Snapshot {
     /// Encode the payload section (everything after the header).
     fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
+        let mut w = Writer::with_capacity(
             8 + self.state.len() + 8 + self.counters.len() * 8 + 16 + 8 + self.match_ref.len(),
         );
-        out.extend_from_slice(&(self.state.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.state);
-        out.extend_from_slice(&(self.counters.len() as u64).to_le_bytes());
-        for w in &self.counters {
-            out.extend_from_slice(&w.to_le_bytes());
+        w.section(&self.state);
+        w.u64(self.counters.len() as u64);
+        for &c in &self.counters {
+            w.u64(c);
         }
-        out.extend_from_slice(&self.trace_dropped[0].to_le_bytes());
-        out.extend_from_slice(&self.trace_dropped[1].to_le_bytes());
-        out.extend_from_slice(&(self.match_ref.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.match_ref);
-        out
+        w.u64(self.trace_dropped[0]);
+        w.u64(self.trace_dropped[1]);
+        w.section(&self.match_ref);
+        w.finish()
     }
 
     /// Encode the complete file image: header followed by payload. The
     /// encoding is a pure function of the snapshot — byte-identical runs
     /// write byte-identical checkpoints.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let header = Header {
-            version: VERSION,
-            flags: 0,
-            step: self.step,
-            n_atoms: self.n_atoms,
-            fingerprint: self.fingerprint,
-            payload_len: payload.len() as u64,
-            payload_fnv: fnv1a(&payload),
-        };
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&header.encode());
-        out.extend_from_slice(&payload);
-        out
+        Header::seal(
+            self.step,
+            self.n_atoms,
+            self.fingerprint,
+            &self.encode_payload(),
+        )
     }
 
     /// Decode and fully verify a file image produced by [`Self::encode`].
     ///
-    /// Verification order: header (magic, version, header checksum), then
-    /// payload length against the bytes present (shorter → `Truncated`,
-    /// longer → `LengthMismatch`), then the payload checksum, then the
-    /// payload structure. No length field is trusted before the checksum
-    /// guarding it has been verified.
+    /// Verification order: the codec's frame ladder (header length, magic,
+    /// header checksum, version, then payload length against the bytes
+    /// present — shorter → `Truncated`, longer → `LengthMismatch` — then
+    /// the payload checksum), then the payload structure. No length field
+    /// is trusted before the checksum guarding it has been verified.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, CkptError> {
         let header = Header::decode(bytes)?;
         let body = &bytes[HEADER_LEN..];
-        if (body.len() as u64) < header.payload_len {
-            return Err(CkptError::Truncated {
-                expected: header.payload_len,
-                got: body.len() as u64,
-            });
-        }
-        if body.len() as u64 > header.payload_len {
-            return Err(CkptError::LengthMismatch {
-                what: "trailing bytes after payload",
-                expected: header.payload_len,
-                got: body.len() as u64,
-            });
-        }
-        let computed = fnv1a(body);
-        if computed != header.payload_fnv {
-            return Err(CkptError::ChecksumMismatch {
-                what: "payload",
-                stored: header.payload_fnv,
-                computed,
-            });
-        }
-        let mut r = Reader {
-            bytes: body,
-            pos: 0,
-        };
-        let state_len = r.u64()?;
-        let state = r.take(state_len, "state section")?.to_vec();
+        header.verify_payload(body)?;
+        let mut r = Reader::new(body);
+        let state = r.section()?.to_vec();
+        // The count is not trusted to size anything: the reads stop with
+        // a typed error at the first word that is not there.
         let n_words = r.u64()?;
-        let words = r.take(n_words.saturating_mul(8), "counter section")?;
-        let counters: Vec<u64> = words
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let dropped_spans = r.u64()?;
-        let dropped_counters = r.u64()?;
-        let match_ref_len = r.u64()?;
-        let match_ref = r.take(match_ref_len, "match-cache epoch section")?.to_vec();
-        if r.pos != body.len() {
-            return Err(CkptError::LengthMismatch {
-                what: "payload structure",
-                expected: r.pos as u64,
-                got: body.len() as u64,
-            });
-        }
+        let counters = (0..n_words).map(|_| r.u64()).collect::<Result<_, _>>()?;
+        let trace_dropped = [r.u64()?, r.u64()?];
+        let match_ref = r.section()?.to_vec();
+        r.expect_end("payload structure")?;
         Ok(Snapshot {
             step: header.step,
             fingerprint: header.fingerprint,
             n_atoms: header.n_atoms,
             state,
             counters,
-            trace_dropped: [dropped_spans, dropped_counters],
+            trace_dropped,
             match_ref,
         })
     }
@@ -201,6 +110,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv::fnv1a;
 
     fn sample() -> Snapshot {
         Snapshot {

@@ -4,10 +4,10 @@
 
 use crate::forces::{Decomposition, ForcePipeline, RawForces};
 use crate::pool::threads_from_env;
-use crate::state::{FixedState, FORCE_FRAC, VEL_FRAC};
+use crate::state::{positions_from_bytes, positions_to_bytes, FixedState, FORCE_FRAC, VEL_FRAC};
 use anton_ckpt::{CheckpointStore, CkptError, Fingerprint, Snapshot};
 use anton_fixpoint::rounding::rne_f64;
-use anton_fixpoint::{Fx32, FxVec3};
+use anton_forcefield::constraints::shake;
 use anton_forcefield::units::ACCEL;
 use anton_geometry::Vec3;
 use anton_machine::ExchangeCounters;
@@ -16,6 +16,11 @@ use anton_systems::velocities::init_velocities;
 use anton_systems::System;
 use anton_trace::{Phase, TraceSink, RANK_MAIN};
 use std::path::{Path, PathBuf};
+
+/// Relative SHAKE tolerance on each constrained distance.
+const SHAKE_TOL: f64 = 1e-10;
+/// SHAKE sweep cap per step.
+const SHAKE_MAX_ITERS: usize = 200;
 
 /// Temperature control.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -450,7 +455,15 @@ impl AntonSimulation {
             return;
         }
         let mut pos = self.state.decode_positions(&self.system.pbox);
-        anton_refmd_shake(&self.system, pos_ref, &mut pos);
+        shake(
+            &self.system.pbox,
+            groups,
+            &self.system.topology.mass,
+            pos_ref,
+            &mut pos,
+            SHAKE_TOL,
+            SHAKE_MAX_ITERS,
+        );
         // Write back: positions and constrained velocities.
         let e = self.system.pbox.edge();
         let dt = self.system.params.dt_fs;
@@ -634,20 +647,14 @@ impl AntonSimulation {
         // Match-cache reference epoch: the positions the displacement
         // monitor measures against. Restore rebuilds the cache at exactly
         // this epoch so the rebuild schedule continues bitwise.
-        let mut match_ref = Vec::with_capacity(self.pipeline.match_ref_positions().len() * 12);
-        for p in self.pipeline.match_ref_positions() {
-            for k in 0..3 {
-                match_ref.extend_from_slice(&p.0[k].raw().to_le_bytes());
-            }
-        }
         Snapshot {
             step: self.step,
             fingerprint: self.fingerprint,
             n_atoms: self.state.n_atoms() as u64,
-            state: self.state.to_bytes().to_vec(),
+            state: self.state.to_bytes(),
             counters: self.pipeline.counters.to_words().to_vec(),
             trace_dropped: [dropped_spans, dropped_counters],
-            match_ref,
+            match_ref: positions_to_bytes(self.pipeline.match_ref_positions()),
         }
     }
 
@@ -664,7 +671,7 @@ impl AntonSimulation {
                 expected: self.fingerprint,
             });
         }
-        let state = FixedState::from_bytes(bytes::Bytes::from(snap.state.clone()))?;
+        let state = FixedState::from_bytes(&snap.state)?;
         if state.n_atoms() as u64 != snap.n_atoms {
             return Err(CkptError::AtomCountMismatch {
                 expected: snap.n_atoms,
@@ -687,23 +694,7 @@ impl AntonSimulation {
         if snap.match_ref.is_empty() {
             self.pipeline.invalidate_match_cache();
         } else {
-            let n = self.state.n_atoms();
-            if snap.match_ref.len() != n * 12 {
-                return Err(CkptError::LengthMismatch {
-                    what: "match-cache epoch section",
-                    expected: (n * 12) as u64,
-                    got: snap.match_ref.len() as u64,
-                });
-            }
-            let ref_pos: Vec<FxVec3> = snap
-                .match_ref
-                .chunks_exact(12)
-                .map(|c| {
-                    FxVec3(core::array::from_fn(|k| {
-                        Fx32(i32::from_le_bytes(c[k * 4..k * 4 + 4].try_into().unwrap()))
-                    }))
-                })
-                .collect();
+            let ref_pos = positions_from_bytes(&snap.match_ref, self.state.n_atoms())?;
             self.pipeline.rebuild_match_cache_at(&self.system, &ref_pos);
         }
         self.refresh_all_forces();
@@ -833,39 +824,6 @@ impl AntonSimulation {
     /// The decoded positions (Å).
     pub fn positions_f64(&self) -> Vec<Vec3> {
         self.state.decode_positions(&self.system.pbox)
-    }
-}
-
-/// SHAKE over decoded positions (shared logic; lives here to avoid a
-/// dependency cycle with `anton-refmd`).
-fn anton_refmd_shake(sys: &System, pos_ref: &[Vec3], pos: &mut [Vec3]) {
-    let groups = &sys.topology.constraint_groups;
-    let mass = &sys.topology.mass;
-    for _ in 0..200 {
-        let mut converged = true;
-        for g in groups {
-            for &(i, j, d0) in &g.pairs {
-                let (i, j) = (i as usize, j as usize);
-                let d = sys.pbox.min_image(pos[i], pos[j]);
-                let r2 = d.norm2();
-                let diff = r2 - d0 * d0;
-                if diff.abs() > 2e-10 * d0 * d0 {
-                    converged = false;
-                    let d_ref = sys.pbox.min_image(pos_ref[i], pos_ref[j]);
-                    let (wi, wj) = (1.0 / mass[i], 1.0 / mass[j]);
-                    let denom = 2.0 * (wi + wj) * d_ref.dot(d);
-                    if denom.abs() < 1e-12 {
-                        continue;
-                    }
-                    let gamma = diff / denom;
-                    pos[i] -= d_ref * (gamma * wi);
-                    pos[j] += d_ref * (gamma * wj);
-                }
-            }
-        }
-        if converged {
-            break;
-        }
     }
 }
 

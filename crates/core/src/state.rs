@@ -1,5 +1,6 @@
 //! Fixed-point simulation state.
 
+use anton_ckpt::{CkptError, Reader, Writer};
 use anton_fixpoint::{Fx32, FxVec3, Q20};
 use anton_geometry::{PeriodicBox, Vec3};
 
@@ -133,26 +134,69 @@ impl FixedState {
     }
 }
 
+/// Encoded bytes per atom of a position block (`3 × i32`).
+const POS_BYTES: usize = 12;
+/// Encoded bytes per atom of a velocity block (`3 × i64`).
+const VEL_BYTES: usize = 24;
+
+/// Append `positions` as raw `n × 3 × i32` fraction bits: the layout of
+/// the state image's position block and of a checkpoint's match-cache
+/// reference-epoch section.
+fn write_positions(w: &mut Writer, positions: &[FxVec3]) {
+    for p in positions {
+        for a in p.0 {
+            w.i32(a.raw());
+        }
+    }
+}
+
+/// Read back `n` positions written by [`write_positions`].
+fn read_positions(r: &mut Reader<'_>, n: usize) -> Result<Vec<FxVec3>, CkptError> {
+    (0..n)
+        .map(|_| Ok(FxVec3([Fx32(r.i32()?), Fx32(r.i32()?), Fx32(r.i32()?)])))
+        .collect()
+}
+
+/// A standalone position block (a checkpoint's match-cache epoch section).
+pub fn positions_to_bytes(positions: &[FxVec3]) -> Vec<u8> {
+    let mut w = Writer::with_capacity(positions.len() * POS_BYTES);
+    write_positions(&mut w, positions);
+    w.finish()
+}
+
+/// Decode a [`positions_to_bytes`] block that must hold exactly `n` atoms.
+pub fn positions_from_bytes(data: &[u8], n: usize) -> Result<Vec<FxVec3>, CkptError> {
+    if data.len() != n * POS_BYTES {
+        return Err(CkptError::LengthMismatch {
+            what: "match-cache epoch section",
+            expected: (n * POS_BYTES) as u64,
+            got: data.len() as u64,
+        });
+    }
+    read_positions(&mut Reader::new(data), n)
+}
+
 impl FixedState {
     /// Serialize the exact raw state (for bit-exact checkpoints: restoring
     /// and continuing reproduces the uninterrupted trajectory bitwise —
     /// a direct corollary of the engine's determinism).
-    pub fn to_bytes(&self) -> bytes::Bytes {
-        use bytes::BufMut;
+    pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.n_atoms();
-        let mut buf = bytes::BytesMut::with_capacity(8 + n * (12 + 24));
-        buf.put_u64_le(n as u64);
-        for p in &self.positions {
-            for a in p.0 {
-                buf.put_i32_le(a.raw());
-            }
-        }
+        let mut w = Writer::with_capacity(8 + n * (POS_BYTES + VEL_BYTES));
+        w.u64(n as u64);
+        write_positions(&mut w, &self.positions);
         for v in &self.velocities {
-            for c in v {
-                buf.put_i64_le(*c);
+            for &c in v {
+                w.i64(c);
             }
         }
-        buf.freeze()
+        w.finish()
+    }
+
+    /// FNV-1a over [`Self::to_bytes`]: the trajectory identity every
+    /// golden test, bench row and fleet record compares.
+    pub fn checksum(&self) -> u64 {
+        anton_ckpt::fnv1a(&self.to_bytes())
     }
 
     /// Restore from [`Self::to_bytes`] output, with typed failures from
@@ -161,42 +205,27 @@ impl FixedState {
     /// atom count. (Magic, version, and checksums belong to the enclosing
     /// `anton-ckpt` container — this byte string is its raw payload, whose
     /// format predates the container and is checksummed by it.)
-    pub fn from_bytes(mut data: bytes::Bytes) -> Result<FixedState, anton_ckpt::CkptError> {
-        use anton_ckpt::CkptError;
-        use bytes::Buf;
-        if data.remaining() < 8 {
-            return Err(CkptError::TooShort {
-                needed: 8,
-                got: data.remaining() as u64,
-            });
-        }
-        let declared = data.get_u64_le();
+    pub fn from_bytes(data: &[u8]) -> Result<FixedState, CkptError> {
+        let mut r = Reader::new(data);
+        let declared = r.u64()?;
         // Atom-count consistency: the declared count must exactly account
         // for the bytes present (checked in u64 so an absurd count cannot
         // overflow the expected size).
-        match declared.checked_mul((12 + 24) as u64) {
-            Some(expected) if data.remaining() as u64 == expected => {}
+        match declared.checked_mul((POS_BYTES + VEL_BYTES) as u64) {
+            Some(expected) if r.remaining() as u64 == expected => {}
             expected => {
                 return Err(CkptError::LengthMismatch {
                     what: "state body",
                     expected: expected.unwrap_or(u64::MAX),
-                    got: data.remaining() as u64,
+                    got: r.remaining() as u64,
                 })
             }
         }
         let n = declared as usize;
-        let mut positions = Vec::with_capacity(n);
-        for _ in 0..n {
-            positions.push(FxVec3([
-                Fx32(data.get_i32_le()),
-                Fx32(data.get_i32_le()),
-                Fx32(data.get_i32_le()),
-            ]));
-        }
-        let mut velocities = Vec::with_capacity(n);
-        for _ in 0..n {
-            velocities.push([data.get_i64_le(), data.get_i64_le(), data.get_i64_le()]);
-        }
+        let positions = read_positions(&mut r, n)?;
+        let velocities = (0..n)
+            .map(|_| Ok([r.i64()?, r.i64()?, r.i64()?]))
+            .collect::<Result<_, CkptError>>()?;
         Ok(FixedState {
             positions,
             velocities,
@@ -221,15 +250,14 @@ mod tests {
             anton_ckpt::fnv1a(st.to_bytes().as_ref()),
             0x06c4_0763_e951_ce2f
         );
-        let restored = FixedState::from_bytes(st.to_bytes()).unwrap();
+        let restored = FixedState::from_bytes(&st.to_bytes()).unwrap();
         assert_eq!(restored, st);
     }
 
     #[test]
     fn from_bytes_rejects_malformed_with_typed_errors() {
-        use anton_ckpt::CkptError;
         assert!(matches!(
-            FixedState::from_bytes(bytes::Bytes::from_static(&[1, 2, 3])),
+            FixedState::from_bytes(&[1, 2, 3]),
             Err(CkptError::TooShort { needed: 8, got: 3 })
         ));
         let st = FixedState::from_f64(
@@ -237,10 +265,10 @@ mod tests {
             &[Vec3::new(1.0, 1.0, 1.0)],
             &[Vec3::ZERO],
         );
-        let mut truncated = st.to_bytes().to_vec();
+        let mut truncated = st.to_bytes();
         truncated.pop();
         assert!(matches!(
-            FixedState::from_bytes(bytes::Bytes::from(truncated)),
+            FixedState::from_bytes(&truncated),
             Err(CkptError::LengthMismatch {
                 what: "state body",
                 expected: 36,
@@ -249,17 +277,17 @@ mod tests {
         ));
         // Declared atom count disagreeing with the body is a length
         // mismatch too (consistency validation, not a silent truncation).
-        let mut wrong_count = st.to_bytes().to_vec();
+        let mut wrong_count = st.to_bytes();
         wrong_count[0] = 2;
         assert!(matches!(
-            FixedState::from_bytes(bytes::Bytes::from(wrong_count)),
+            FixedState::from_bytes(&wrong_count),
             Err(CkptError::LengthMismatch { expected: 72, .. })
         ));
         // An absurd count cannot overflow the expected-size arithmetic.
-        let mut absurd = st.to_bytes().to_vec();
+        let mut absurd = st.to_bytes();
         absurd[0..8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            FixedState::from_bytes(bytes::Bytes::from(absurd)),
+            FixedState::from_bytes(&absurd),
             Err(CkptError::LengthMismatch { .. })
         ));
     }

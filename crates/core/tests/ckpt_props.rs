@@ -34,7 +34,7 @@ proptest! {
         let st = state_from_raw(&pos[..n3], &vel[..n3]);
         let bytes = st.to_bytes();
         prop_assert_eq!(bytes.len(), 8 + st.n_atoms() * 36);
-        let restored = FixedState::from_bytes(bytes).unwrap();
+        let restored = FixedState::from_bytes(&bytes).unwrap();
         prop_assert_eq!(restored, st);
     }
 
@@ -60,10 +60,9 @@ proptest! {
         let n3 = (pos.len() / 3).min(vel.len() / 3) * 3;
         let st = state_from_raw(&pos[..n3], &vel[..n3]);
         prop_assume!(declared != st.n_atoms() as u64);
-        let mut bytes = st.to_bytes().to_vec();
+        let mut bytes = st.to_bytes();
         bytes[0..8].copy_from_slice(&declared.to_le_bytes());
-        let err = FixedState::from_bytes(bytes::Bytes::from(bytes))
-            .expect_err("wrong count must be detected");
+        let err = FixedState::from_bytes(&bytes).expect_err("wrong count must be detected");
         let is_length_mismatch =
             matches!(err, CkptError::LengthMismatch { what: "state body", .. });
         prop_assert!(is_length_mismatch, "unexpected error {}", err);
@@ -80,8 +79,7 @@ proptest! {
         let st = state_from_raw(&pos[..n3], &vel[..n3]);
         let full = st.to_bytes();
         let len = cut % full.len();
-        let err = FixedState::from_bytes(bytes::Bytes::from(full.as_slice()[..len].to_vec()))
-            .expect_err("truncation must be detected");
+        let err = FixedState::from_bytes(&full[..len]).expect_err("truncation must be detected");
         let is_typed = matches!(
             err,
             CkptError::TooShort { .. } | CkptError::LengthMismatch { .. }

@@ -7,14 +7,10 @@
 //! large number of very small messages — hundreds per node — which is only
 //! viable because Anton's inter-node latency is tens of nanoseconds.
 //!
-//! Two transforms share the pencil-exchange geometry:
-//!
-//! * [`DistributedFft3d`] — double precision, per-line arithmetic identical
-//!   to the serial [`crate::Fft3d`].
-//! * [`FxDistributedFft3d`] — the fixed-point transform the deterministic
-//!   GSE mesh phase runs on. Line transforms touch disjoint pencils, so the
-//!   output is bitwise equal to the serial three-pass transform for *every*
-//!   node grid — the distribution affects only who computes which line.
+//! [`FxDistributedFft3d`] is the fixed-point transform the deterministic
+//! GSE mesh phase runs on. Line transforms touch disjoint pencils, so the
+//! output is bitwise equal to the serial three-pass transform for *every*
+//! node grid — the distribution affects only who computes which line.
 //!
 //! The message pattern is a pure function of the mesh and node-grid
 //! geometry — it never depends on the data — so [`pencil_pass_stats`]
@@ -22,7 +18,6 @@
 //! `anton-machine`.
 
 use crate::fixed::{FxComplex, FxFft};
-use crate::{Complex, Fft1d};
 
 /// Per-pass communication statistics (gather + scatter of one axis pass).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -69,8 +64,7 @@ impl CommStats {
     }
 }
 
-/// Wire bytes per fixed-point mesh value (a complex 32+32-bit payload, the
-/// same footprint the f64 path models).
+/// Wire bytes per fixed-point mesh value (a complex 32+32-bit payload).
 pub const FX_BYTES_PER_POINT: u64 = 8;
 
 /// Static communication statistics of one axis pass of the pencil exchange:
@@ -149,110 +143,9 @@ fn assert_grid_divides(mesh: [usize; 3], nodes: [usize; 3]) {
 
 /// A 3D FFT distributed over a grid of `gx × gy × gz` nodes, mesh dimensions
 /// `nx × ny × nz` (each node dimension must divide the corresponding mesh
-/// dimension).
-#[derive(Clone, Debug)]
-pub struct DistributedFft3d {
-    mesh: [usize; 3],
-    nodes: [usize; 3],
-    plans: [Fft1d; 3],
-    /// Bytes per mesh point on the wire (Anton sends fixed-point values;
-    /// 8 covers a complex 32+32-bit payload).
-    pub bytes_per_point: u64,
-}
-
-impl DistributedFft3d {
-    pub fn new(mesh: [usize; 3], nodes: [usize; 3]) -> DistributedFft3d {
-        assert_grid_divides(mesh, nodes);
-        DistributedFft3d {
-            mesh,
-            nodes,
-            plans: [
-                Fft1d::new(mesh[0]),
-                Fft1d::new(mesh[1]),
-                Fft1d::new(mesh[2]),
-            ],
-            bytes_per_point: 8,
-        }
-    }
-
-    pub fn node_count(&self) -> usize {
-        self.nodes.iter().product()
-    }
-
-    /// Mesh points owned by each node.
-    pub fn points_per_node(&self) -> usize {
-        (self.mesh[0] / self.nodes[0])
-            * (self.mesh[1] / self.nodes[1])
-            * (self.mesh[2] / self.nodes[2])
-    }
-
-    /// Forward transform; returns communication statistics. `data` is the
-    /// full mesh, x-fastest. The arithmetic is identical to
-    /// [`crate::Fft3d::forward`], so the output is bitwise equal to the
-    /// serial transform; the distribution affects only the counted traffic.
-    pub fn forward(&self, data: &mut [Complex]) -> CommStats {
-        self.transform(data, true)
-    }
-
-    /// Inverse transform (with 1/N), plus communication statistics.
-    pub fn inverse(&self, data: &mut [Complex]) -> CommStats {
-        self.transform(data, false)
-    }
-
-    fn transform(&self, data: &mut [Complex], fwd: bool) -> CommStats {
-        let [nx, ny, nz] = self.mesh;
-        assert_eq!(data.len(), nx * ny * nz);
-        let mut stats = CommStats::default();
-        let mut line = vec![Complex::ZERO; nx.max(ny).max(nz)];
-        for axis in 0..3 {
-            self.axis_pass(data, &mut line, axis, fwd);
-            stats.passes[axis] =
-                pencil_pass_stats(self.mesh, self.nodes, self.bytes_per_point, axis);
-        }
-        stats
-    }
-
-    /// One axis pass: execute every line transform (same arithmetic as the
-    /// serial path; the message accounting is static, see
-    /// [`pencil_pass_stats`]).
-    fn axis_pass(&self, data: &mut [Complex], line: &mut [Complex], axis: usize, fwd: bool) {
-        let [nx, ny, _nz] = self.mesh;
-        let n_axis = self.mesh[axis];
-        let (u_axis, v_axis) = match axis {
-            0 => (1usize, 2usize),
-            1 => (0, 2),
-            _ => (0, 1),
-        };
-        let (nu, nv) = (self.mesh[u_axis], self.mesh[v_axis]);
-
-        for v in 0..nv {
-            for u in 0..nu {
-                let index = |t: usize| -> usize {
-                    let mut c = [0usize; 3];
-                    c[axis] = t;
-                    c[u_axis] = u;
-                    c[v_axis] = v;
-                    c[0] + nx * (c[1] + ny * c[2])
-                };
-                for (t, slot) in line[..n_axis].iter_mut().enumerate() {
-                    *slot = data[index(t)];
-                }
-                if fwd {
-                    self.plans[axis].forward(&mut line[..n_axis]);
-                } else {
-                    self.plans[axis].inverse(&mut line[..n_axis]);
-                }
-                for (t, slot) in line[..n_axis].iter().enumerate() {
-                    data[index(t)] = *slot;
-                }
-            }
-        }
-    }
-}
-
-/// The fixed-point counterpart of [`DistributedFft3d`]: the same pencil
-/// decomposition and message pattern, executing the per-line arithmetic of
-/// [`FxFft`] (`forward_scaled` = DFT/N, `inverse_scaled` = standard IDFT).
+/// dimension): the pencil decomposition and message pattern of
+/// [`pencil_pass_stats`], executing the per-line arithmetic of [`FxFft`]
+/// (`forward_scaled` = DFT/N, `inverse_scaled` = standard IDFT).
 /// Because every line is a disjoint pencil transformed by a pure integer
 /// dataflow, the result is bitwise equal to the serial three-pass transform
 /// regardless of the node grid — the invariance the deterministic GSE mesh
@@ -358,40 +251,14 @@ impl FxDistributedFft3d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Fft3d;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn matches_serial_bitwise() {
-        let mesh = [16usize, 16, 16];
-        let dist = DistributedFft3d::new(mesh, [4, 4, 4]);
-        let serial = Fft3d::new(mesh[0], mesh[1], mesh[2]);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(21);
-        let x: Vec<Complex> = (0..mesh.iter().product::<usize>())
-            .map(|_| Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
-            .collect();
-        let mut a = x.clone();
-        let mut b = x;
-        dist.forward(&mut a);
-        serial.forward(&mut b);
-        assert_eq!(
-            a.iter()
-                .map(|c| (c.re.to_bits(), c.im.to_bits()))
-                .collect::<Vec<_>>(),
-            b.iter()
-                .map(|c| (c.re.to_bits(), c.im.to_bits()))
-                .collect::<Vec<_>>()
-        );
-    }
 
     #[test]
     fn anton_config_sends_hundreds_of_messages_per_node() {
         // The paper's configuration: 32³ mesh over an 8×8×8 torus.
-        let dist = DistributedFft3d::new([32, 32, 32], [8, 8, 8]);
-        assert_eq!(dist.points_per_node(), 64);
-        let mut data = vec![Complex::ONE; 32 * 32 * 32];
-        let stats = dist.forward(&mut data);
-        let msgs = stats.messages_max_node();
+        let dist = FxDistributedFft3d::new([32, 32, 32], [8, 8, 8]);
+        assert_eq!(32 * 32 * 32 / dist.node_count(), 64, "mesh points per node");
+        let msgs = dist.stats().messages_max_node();
         // Forward pass alone: "hundreds per node" counting both FFTs; a
         // single transform should be in the high tens to low hundreds.
         assert!(
@@ -402,27 +269,10 @@ mod tests {
 
     #[test]
     fn single_node_sends_nothing() {
-        let dist = DistributedFft3d::new([8, 8, 8], [1, 1, 1]);
-        let mut data = vec![Complex::ONE; 512];
-        let stats = dist.forward(&mut data);
+        let dist = FxDistributedFft3d::new([8, 8, 8], [1, 1, 1]);
+        let stats = dist.stats();
         assert_eq!(stats.messages_max_node(), 0);
         assert_eq!(stats.passes[0].bytes_total, 0);
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let mesh = [8usize, 8, 8];
-        let dist = DistributedFft3d::new(mesh, [2, 2, 2]);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(22);
-        let x: Vec<Complex> = (0..512)
-            .map(|_| Complex::new(rng.gen::<f64>(), 0.0))
-            .collect();
-        let mut y = x.clone();
-        dist.forward(&mut y);
-        dist.inverse(&mut y);
-        for (a, b) in x.iter().zip(&y) {
-            assert!((*a - *b).norm2() < 1e-20);
-        }
     }
 
     /// Serial three-pass fixed transform mirroring the pre-distribution GSE
@@ -501,17 +351,20 @@ mod tests {
         }
     }
 
-    /// The fixed-point plan's static statistics equal the f64 path's counted
-    /// statistics — one shared message-pattern model.
+    /// The fixed-point plan's static statistics are the shared
+    /// message-pattern model, pass by pass, at the fixed-point wire width.
     #[test]
     fn fx_stats_match_f64_counted_stats() {
         let mesh = [16usize, 16, 16];
         for nodes in [[1usize, 1, 1], [2, 2, 2], [4, 4, 4], [4, 2, 1]] {
             let fx = FxDistributedFft3d::new(mesh, nodes);
-            let f64d = DistributedFft3d::new(mesh, nodes);
-            let mut data = vec![Complex::ONE; 16 * 16 * 16];
-            let counted = f64d.forward(&mut data);
-            assert_eq!(*fx.stats(), counted, "nodes {nodes:?}");
+            for axis in 0..3 {
+                assert_eq!(
+                    *fx.stats().pass(axis),
+                    pencil_pass_stats(mesh, nodes, FX_BYTES_PER_POINT, axis),
+                    "nodes {nodes:?} axis {axis}"
+                );
+            }
             if nodes == [1, 1, 1] {
                 assert_eq!(fx.stats().messages_total(), 0);
             } else {

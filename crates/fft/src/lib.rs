@@ -25,8 +25,7 @@ pub mod fixed;
 
 pub use complex::Complex;
 pub use distributed::{
-    pencil_pass_stats, CommStats, DistributedFft3d, FxDistributedFft3d, PassStats,
-    FX_BYTES_PER_POINT,
+    pencil_pass_stats, CommStats, FxDistributedFft3d, PassStats, FX_BYTES_PER_POINT,
 };
 pub use fft1d::Fft1d;
 pub use fft3d::Fft3d;

@@ -1,7 +1,6 @@
 //! 32-bit signed fraction in `[-1, 1)` with wrapping (periodic) arithmetic.
 
 use crate::rounding::rne_shr_i64;
-use serde::{Deserialize, Serialize};
 
 /// A 32-bit signed fixed-point fraction: `value = raw * 2^-31`, in `[-1, 1)`.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// boundary condition: subtracting two positions with [`Fx32::wrapping_sub`]
 /// yields the minimum-image displacement whenever the true separation is less
 /// than half a box edge.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Fx32(pub i32);
 
 impl Fx32 {

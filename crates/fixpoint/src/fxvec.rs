@@ -2,17 +2,16 @@
 //! displacement / force / velocity triples.
 
 use crate::{Fx32, Q};
-use serde::{Deserialize, Serialize};
 
 /// A position expressed as a per-axis fraction of the periodic box, one
 /// [`Fx32`] per axis. Wrapping arithmetic implements periodic boundary
 /// conditions exactly.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FxVec3(pub [Fx32; 3]);
 
 /// A Q-format vector (displacement in Å, force in kcal/mol/Å, velocity in
 /// Å/fs, ... depending on `FRAC`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct QVec3<const FRAC: u32>(pub [Q<FRAC>; 3]);
 
 impl FxVec3 {

@@ -1,7 +1,6 @@
 //! 64-bit Q-format fixed point with a const-generic fraction width.
 
 use crate::rounding::{rne_f64, rne_shr_i128};
-use serde::{Deserialize, Serialize};
 
 /// A signed Q-format fixed-point value with `FRAC` fraction bits stored in an
 /// `i64`: `value = raw * 2^-FRAC`.
@@ -10,13 +9,13 @@ use serde::{Deserialize, Serialize};
 /// rounds to nearest/even. Different physical quantities use different
 /// `FRAC` widths, mirroring how each datapath on the Anton ASIC was sized
 /// individually (paper Figure 4).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Q<const FRAC: u32>(pub i64);
 
 /// Virials / wide accumulators: Anton uses 86-bit accumulators for the tensor
 /// products of force and position (Figure 4c); we model them as `i128` with a
 /// fixed fraction width.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct Wide<const FRAC: u32>(pub i128);
 
 pub type Q16 = Q<16>;

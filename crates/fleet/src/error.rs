@@ -1,11 +1,14 @@
 //! The typed `anton-fleet` error vocabulary.
 //!
-//! Mirrors `anton-ckpt`'s contract: every failure mode a client or the
+//! Extends `anton-ckpt`'s contract: every failure mode a client or the
 //! daemon can hit is a named variant with a stable `kind()` tag, and the
 //! *corruption* subset (damaged wire frames or persisted queue records) is
 //! classified separately from incompatibility and plain I/O — the drill
 //! and the property suites assert on the classification, not on message
-//! strings.
+//! strings. Everything the byte codec can report (short input, bad magic,
+//! version, checksum or length) is a [`CkptError`] carried in
+//! [`FleetError::Ckpt`], whose `kind()` and classification pass straight
+//! through; the variants declared here are the fleet's own.
 
 use anton_ckpt::CkptError;
 use std::fmt;
@@ -13,26 +16,6 @@ use std::fmt;
 /// Why a fleet operation could not complete.
 #[derive(Debug)]
 pub enum FleetError {
-    /// Fewer bytes than the fixed-size prefix being decoded requires.
-    TooShort { needed: u64, got: u64 },
-    /// The 8-byte frame magic is not `ANTFLET1`: not a fleet frame at all.
-    BadMagic,
-    /// A frame or record from a different protocol/schema version.
-    BadVersion { got: u32, expected: u32 },
-    /// A stored FNV-1a checksum does not match the recomputed one.
-    ChecksumMismatch {
-        what: &'static str,
-        stored: u64,
-        computed: u64,
-    },
-    /// A declared length disagrees with the bytes actually present.
-    LengthMismatch {
-        what: &'static str,
-        expected: u64,
-        got: u64,
-    },
-    /// The stream/record ends before its declared payload does.
-    Truncated { expected: u64, got: u64 },
     /// A frame declares a payload larger than the protocol allows (refused
     /// before any allocation, so a corrupt length can never OOM the peer).
     FrameTooLarge { len: u64, max: u64 },
@@ -49,7 +32,8 @@ pub enum FleetError {
         wanted: &'static str,
         got: &'static str,
     },
-    /// Checkpoint-layer failure (job stores or persisted queue state).
+    /// Codec or checkpoint-layer failure: a damaged or incompatible wire
+    /// frame, queue record, job store or persisted queue state.
     Ckpt(CkptError),
     /// Underlying socket/filesystem error.
     Io(std::io::Error),
@@ -57,39 +41,27 @@ pub enum FleetError {
 
 impl FleetError {
     /// Short stable tag naming the variant (drill reports, tests, wire
-    /// error responses).
+    /// error responses). Codec and checkpoint errors report their own tag.
     pub fn kind(&self) -> &'static str {
         match self {
-            FleetError::TooShort { .. } => "too_short",
-            FleetError::BadMagic => "bad_magic",
-            FleetError::BadVersion { .. } => "bad_version",
-            FleetError::ChecksumMismatch { .. } => "checksum_mismatch",
-            FleetError::LengthMismatch { .. } => "length_mismatch",
-            FleetError::Truncated { .. } => "truncated",
             FleetError::FrameTooLarge { .. } => "frame_too_large",
             FleetError::BadTag { .. } => "bad_tag",
             FleetError::UnknownJob { .. } => "unknown_job",
             FleetError::SpecInvalid { .. } => "spec_invalid",
             FleetError::Remote { .. } => "remote",
             FleetError::UnexpectedResponse { .. } => "unexpected_response",
-            FleetError::Ckpt(_) => "ckpt",
+            FleetError::Ckpt(e) => e.kind(),
             FleetError::Io(_) => "io",
         }
     }
 
     /// True for variants that mean the *bytes* are damaged — a corrupted
     /// wire frame or persisted record — as opposed to valid-but-wrong
-    /// requests, incompatibility, or I/O failures. Checkpoint-layer errors
-    /// delegate to [`CkptError::is_corruption`].
+    /// requests, incompatibility, or I/O failures. Codec and checkpoint
+    /// errors delegate to [`CkptError::is_corruption`].
     pub fn is_corruption(&self) -> bool {
         match self {
-            FleetError::TooShort { .. }
-            | FleetError::BadMagic
-            | FleetError::ChecksumMismatch { .. }
-            | FleetError::LengthMismatch { .. }
-            | FleetError::Truncated { .. }
-            | FleetError::FrameTooLarge { .. }
-            | FleetError::BadTag { .. } => true,
+            FleetError::FrameTooLarge { .. } | FleetError::BadTag { .. } => true,
             FleetError::Ckpt(e) => e.is_corruption(),
             _ => false,
         }
@@ -99,33 +71,6 @@ impl FleetError {
 impl fmt::Display for FleetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FleetError::TooShort { needed, got } => {
-                write!(f, "input too short: need {needed} bytes, got {got}")
-            }
-            FleetError::BadMagic => write!(f, "bad magic: not an anton-fleet frame"),
-            FleetError::BadVersion { got, expected } => {
-                write!(
-                    f,
-                    "unsupported protocol version {got} (expected {expected})"
-                )
-            }
-            FleetError::ChecksumMismatch {
-                what,
-                stored,
-                computed,
-            } => write!(
-                f,
-                "{what} checksum mismatch: stored {stored:016x}, computed {computed:016x}"
-            ),
-            FleetError::LengthMismatch {
-                what,
-                expected,
-                got,
-            } => write!(f, "{what}: declared length {expected}, found {got}"),
-            FleetError::Truncated { expected, got } => write!(
-                f,
-                "truncated payload: declared {expected} bytes, found {got}"
-            ),
             FleetError::FrameTooLarge { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
             }
@@ -138,7 +83,7 @@ impl fmt::Display for FleetError {
             FleetError::UnexpectedResponse { wanted, got } => {
                 write!(f, "expected a {wanted} response, got {got}")
             }
-            FleetError::Ckpt(e) => write!(f, "checkpoint layer: {e}"),
+            FleetError::Ckpt(e) => e.fmt(f),
             FleetError::Io(e) => write!(f, "fleet i/o: {e}"),
         }
     }
@@ -147,7 +92,8 @@ impl fmt::Display for FleetError {
 impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            FleetError::Ckpt(e) => Some(e),
+            // Transparent: `Display` already is the inner error's.
+            FleetError::Ckpt(e) => e.source(),
             FleetError::Io(e) => Some(e),
             _ => None,
         }
@@ -172,30 +118,30 @@ mod tests {
 
     #[test]
     fn kinds_are_stable_and_corruption_is_classified() {
-        let c = FleetError::ChecksumMismatch {
-            what: "frame payload",
+        let c = FleetError::from(CkptError::ChecksumMismatch {
+            what: "payload",
             stored: 1,
             computed: 2,
-        };
+        });
         assert_eq!(c.kind(), "checksum_mismatch");
         assert!(c.is_corruption());
-        assert!(FleetError::BadMagic.is_corruption());
         assert!(FleetError::FrameTooLarge { len: 9, max: 8 }.is_corruption());
         let u = FleetError::UnknownJob { id: 7 };
         assert_eq!(u.kind(), "unknown_job");
         assert!(!u.is_corruption());
         assert!(!FleetError::SpecInvalid { reason: "x".into() }.is_corruption());
-        // Ckpt corruption classification passes through.
+        // Codec and checkpoint errors keep their own tag and classification.
         assert!(FleetError::Ckpt(CkptError::BadMagic).is_corruption());
+        assert_eq!(FleetError::Ckpt(CkptError::BadMagic).kind(), "bad_magic");
         assert!(!FleetError::Ckpt(CkptError::NotConfigured).is_corruption());
     }
 
     #[test]
     fn display_is_informative() {
-        let e = FleetError::Truncated {
+        let e = FleetError::from(CkptError::Truncated {
             expected: 100,
             got: 60,
-        };
+        });
         let s = e.to_string();
         assert!(s.contains("100") && s.contains("60"), "{s}");
         let r = FleetError::Remote {

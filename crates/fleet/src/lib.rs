@@ -38,4 +38,4 @@ pub use error::FleetError;
 pub use queue::{JobPhase, JobRecord, JobStatusView, PhaseTotals, QueueState, QueueStore};
 pub use scheduler::{state_checksum, Fleet, FleetConfig, RunMode};
 pub use spec::{JobId, JobSpec};
-pub use wire::{Reader, Request, Response, Writer};
+pub use wire::{Request, Response};

@@ -18,8 +18,8 @@
 
 use crate::error::FleetError;
 use crate::spec::{JobId, JobSpec};
-use crate::wire::{Reader, Writer};
-use anton_ckpt::{CheckpointStore, Fingerprint, Snapshot};
+use crate::wire::string_field;
+use anton_ckpt::{CheckpointStore, CkptError, Fingerprint, Reader, Snapshot, Writer};
 use anton_trace::Phase;
 use std::collections::BTreeMap;
 
@@ -156,7 +156,7 @@ impl JobStatusView {
     pub fn decode_from(r: &mut Reader<'_>) -> Result<JobStatusView, FleetError> {
         Ok(JobStatusView {
             id: JobId(r.u64()?),
-            name: r.str_field("job name")?,
+            name: string_field(r, "job name")?,
             phase: JobPhase::from_tag(r.u8()?)?,
             priority: r.u32()?,
             cycles_total: r.u64()?,
@@ -263,11 +263,12 @@ impl JobRecord {
         let battery_samples = r.u64()?;
         let n = r.u32()?;
         if n as usize > 1024 {
-            return Err(FleetError::LengthMismatch {
+            return Err(CkptError::LengthMismatch {
                 what: "phase accumulator list",
                 expected: n as u64,
                 got: 1024,
-            });
+            }
+            .into());
         }
         let mut phases = Vec::with_capacity(n as usize);
         for _ in 0..n {
@@ -368,19 +369,21 @@ impl QueueState {
         let mut r = Reader::new(bytes);
         let version = r.u32()?;
         if version != QUEUE_STATE_VERSION {
-            return Err(FleetError::BadVersion {
+            return Err(CkptError::BadVersion {
                 got: version,
                 expected: QUEUE_STATE_VERSION,
-            });
+            }
+            .into());
         }
         let revision = r.u64()?;
         let n = r.u64()?;
         if n > 1_000_000 {
-            return Err(FleetError::LengthMismatch {
+            return Err(CkptError::LengthMismatch {
                 what: "queue job count",
                 expected: n,
                 got: 1_000_000,
-            });
+            }
+            .into());
         }
         let mut jobs = BTreeMap::new();
         for _ in 0..n {
@@ -390,11 +393,12 @@ impl QueueState {
             if computed.0 != stored_id {
                 // The record's key must be the fingerprint of its own spec;
                 // disagreement means the bytes are damaged (or forged).
-                return Err(FleetError::ChecksumMismatch {
+                return Err(CkptError::ChecksumMismatch {
                     what: "job record id",
                     stored: stored_id,
                     computed: computed.0,
-                });
+                }
+                .into());
             }
             jobs.insert(computed, rec);
         }
@@ -419,19 +423,21 @@ impl QueueState {
     pub fn from_snapshot(snap: &Snapshot) -> Result<QueueState, FleetError> {
         let expected = queue_fingerprint();
         if snap.fingerprint != expected {
-            return Err(FleetError::ChecksumMismatch {
+            return Err(CkptError::ChecksumMismatch {
                 what: "queue snapshot fingerprint",
                 stored: snap.fingerprint,
                 computed: expected,
-            });
+            }
+            .into());
         }
         let state = QueueState::decode(&snap.state)?;
         if state.revision != snap.step {
-            return Err(FleetError::ChecksumMismatch {
+            return Err(CkptError::ChecksumMismatch {
                 what: "queue snapshot revision",
                 stored: snap.step,
                 computed: state.revision,
-            });
+            }
+            .into());
         }
         Ok(state)
     }

@@ -23,7 +23,7 @@ use crate::error::FleetError;
 use crate::queue::{JobPhase, JobRecord, JobStatusView, PhaseTotals, QueueState, QueueStore};
 use crate::spec::{JobId, JobSpec};
 use anton_analysis::battery::Verifier;
-use anton_ckpt::{fnv1a, CheckpointStore};
+use anton_ckpt::CheckpointStore;
 use anton_core::AntonSimulation;
 use anton_trace::phase_summary;
 use std::collections::BTreeSet;
@@ -67,7 +67,7 @@ impl FleetConfig {
 /// FNV-1a over the full fixed-point state image: the trajectory identity
 /// used everywhere a fleet run is compared against a solo run.
 pub fn state_checksum(sim: &AntonSimulation) -> u64 {
-    fnv1a(sim.state.to_bytes().as_ref())
+    sim.state.checksum()
 }
 
 /// Worker termination policy.

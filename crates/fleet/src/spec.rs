@@ -10,8 +10,8 @@
 //! the same specs in any arrival order agree on ids and schedule.
 
 use crate::error::FleetError;
-use crate::wire::{Reader, Writer};
-use anton_ckpt::{fnv1a, Fingerprint};
+use crate::wire::string_field;
+use anton_ckpt::{fnv1a, Fingerprint, Reader, Writer};
 use anton_core::{AntonSimulation, Decomposition, SimulationBuilder};
 use anton_forcefield::water::TIP3P;
 use anton_geometry::PeriodicBox;
@@ -200,7 +200,7 @@ impl JobSpec {
 
     pub fn decode_from(r: &mut Reader<'_>) -> Result<JobSpec, FleetError> {
         Ok(JobSpec {
-            name: r.str_field("job name")?,
+            name: string_field(r, "job name")?,
             n_waters: r.u32()?,
             box_edge: f64::from_bits(r.u64()?),
             placement_seed: r.u64()?,

@@ -2,31 +2,30 @@
 //! frames over a byte stream, and the request/response message vocabulary
 //! inside them.
 //!
-//! Frame layout (all integers little-endian, mirroring the `anton-ckpt`
-//! container discipline — every bit of a frame is covered by the magic
-//! check or one of two FNV-1a checksums):
+//! A frame is the sealed frame of [`anton_ckpt::codec`] with no meta
+//! words — 40 header bytes, all little-endian, every bit covered by the
+//! magic check or one of two FNV-1a checksums:
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"ANTFLET1"
 //! 8       4     protocol version (1)
-//! 12      4     frame kind (1 = request, 2 = response)
+//! 12      4     frame kind (the frame tag: 1 = request, 2 = response)
 //! 16      8     payload_len
 //! 24      8     payload FNV-1a
 //! 32      8     header FNV-1a (over bytes 0..32)
 //! 40      ...   payload
 //! ```
 //!
-//! Verification order on decode: length of the fixed header, magic, header
-//! checksum, version, kind, payload cap, payload length, payload checksum
-//! — no length field is trusted before the checksum guarding it has been
-//! verified, and the payload cap is enforced before any allocation so a
-//! damaged length can never balloon a peer.
+//! The codec owns the bytes and the verification ladder; this module adds
+//! only fleet policy, applied to the *verified* header before the payload
+//! is looked at: the kind vocabulary, and the payload cap — enforced
+//! before any allocation so a damaged length can never balloon a peer.
 
 use crate::error::FleetError;
 use crate::queue::{JobStatusView, PhaseTotals};
 use crate::spec::{JobId, JobSpec};
-use anton_ckpt::fnv1a;
+use anton_ckpt::{CkptError, FrameFormat, FrameHeader, Reader, Writer};
 use std::io::{Read, Write};
 
 /// Frame magic: `ANTFLET1`.
@@ -34,9 +33,14 @@ pub const MAGIC: [u8; 8] = *b"ANTFLET1";
 /// Wire protocol version.
 pub const VERSION: u32 = 1;
 /// Fixed frame header length in bytes.
-pub const FRAME_HEADER_LEN: usize = 40;
+pub const FRAME_HEADER_LEN: usize = FrameFormat::<0>::HEADER_LEN;
 /// Maximum payload a frame may declare (refused before allocation).
 pub const MAX_FRAME_PAYLOAD: u64 = 1 << 22;
+
+const FRAME: FrameFormat<0> = FrameFormat {
+    magic: MAGIC,
+    version: VERSION,
+};
 
 /// What a frame carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,205 +69,41 @@ impl FrameKind {
     }
 }
 
-/// Append-only little-endian encoder shared by every fleet codec.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    pub fn new() -> Writer {
-        Writer::default()
-    }
-
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Length-prefixed UTF-8 string field.
-    pub fn str_field(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        // detlint::allow(D8, reason = "the field is &str, so these bytes are UTF-8 — identical on every architecture; no integer layout is involved")
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Cursor-tracking little-endian decoder with typed errors.
-pub struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, len: usize, what: &'static str) -> Result<&'a [u8], FleetError> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .ok_or(FleetError::LengthMismatch {
-                what,
-                expected: len as u64,
-                got: self.bytes.len() as u64,
-            })?;
-        if end > self.bytes.len() {
-            return Err(FleetError::TooShort {
-                needed: end as u64,
-                got: self.bytes.len() as u64,
-            });
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> Result<u8, FleetError> {
-        Ok(self.take(1, "u8 field")?[0])
-    }
-
-    pub fn u32(&mut self) -> Result<u32, FleetError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, "u32 field")?.try_into().unwrap(),
-        ))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, FleetError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, "u64 field")?.try_into().unwrap(),
-        ))
-    }
-
-    /// Length-prefixed UTF-8 string field (capped at 4096 bytes).
-    pub fn str_field(&mut self, what: &'static str) -> Result<String, FleetError> {
-        let len = self.u32()? as usize;
-        if len > 4096 {
-            return Err(FleetError::LengthMismatch {
-                what,
-                expected: len as u64,
-                got: 4096,
-            });
-        }
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FleetError::BadTag {
-            what: "utf-8 string field",
-            got: 0,
-        })
-    }
-
-    /// Require that every byte has been consumed (trailing garbage in a
-    /// decoded message is corruption, not slack).
-    pub fn expect_end(&self, what: &'static str) -> Result<(), FleetError> {
-        if self.pos != self.bytes.len() {
-            return Err(FleetError::LengthMismatch {
-                what,
-                expected: self.pos as u64,
-                got: self.bytes.len() as u64,
-            });
-        }
-        Ok(())
-    }
+/// Decode a length-prefixed string field. The codec bounds it; that the
+/// bytes are UTF-8 is this vocabulary's rule.
+pub(crate) fn string_field(r: &mut Reader<'_>, what: &'static str) -> Result<String, FleetError> {
+    String::from_utf8(r.str_field(what)?.to_vec()).map_err(|_| FleetError::BadTag {
+        what: "utf-8 string field",
+        got: 0,
+    })
 }
 
 /// Encode one complete frame around `payload`.
 pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let mut head = Vec::with_capacity(FRAME_HEADER_LEN);
-    head.extend_from_slice(&MAGIC);
-    head.extend_from_slice(&VERSION.to_le_bytes());
-    head.extend_from_slice(&kind.tag().to_le_bytes());
-    head.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    head.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    let header_fnv = fnv1a(&head);
-    head.extend_from_slice(&header_fnv.to_le_bytes());
-    head.extend_from_slice(payload);
-    head
+    FRAME.seal(kind.tag(), [], payload)
+}
+
+/// Fleet policy on a header the codec has verified: a known kind, and a
+/// declared payload within the cap.
+fn admit(header: &FrameHeader<0>) -> Result<FrameKind, FleetError> {
+    let kind = FrameKind::from_tag(header.tag)?;
+    if header.payload_len > MAX_FRAME_PAYLOAD {
+        return Err(FleetError::FrameTooLarge {
+            len: header.payload_len,
+            max: MAX_FRAME_PAYLOAD,
+        });
+    }
+    Ok(kind)
 }
 
 /// Decode and fully verify a frame from an in-memory byte string. The
 /// image must contain exactly one frame (the stream reader below handles
 /// framing; this strict form is what the property corpus attacks).
 pub fn decode_frame(bytes: &[u8]) -> Result<(FrameKind, &[u8]), FleetError> {
-    if bytes.len() < FRAME_HEADER_LEN {
-        return Err(FleetError::TooShort {
-            needed: FRAME_HEADER_LEN as u64,
-            got: bytes.len() as u64,
-        });
-    }
-    let (kind, payload_len) = verify_header(bytes[..FRAME_HEADER_LEN].try_into().unwrap())?;
-    let body = &bytes[FRAME_HEADER_LEN..];
-    if (body.len() as u64) < payload_len {
-        return Err(FleetError::Truncated {
-            expected: payload_len,
-            got: body.len() as u64,
-        });
-    }
-    if body.len() as u64 > payload_len {
-        return Err(FleetError::LengthMismatch {
-            what: "trailing bytes after frame payload",
-            expected: payload_len,
-            got: body.len() as u64,
-        });
-    }
-    verify_payload(bytes[..FRAME_HEADER_LEN].try_into().unwrap(), body)?;
+    let (header, body) = FRAME.open_header(bytes)?;
+    let kind = admit(&header)?;
+    header.verify_payload(body)?;
     Ok((kind, body))
-}
-
-/// Verify the fixed header alone; returns (kind, payload_len).
-fn verify_header(head: &[u8; FRAME_HEADER_LEN]) -> Result<(FrameKind, u64), FleetError> {
-    if head[..8] != MAGIC {
-        return Err(FleetError::BadMagic);
-    }
-    let stored_header_fnv = u64::from_le_bytes(head[32..40].try_into().unwrap());
-    let computed = fnv1a(&head[..32]);
-    if computed != stored_header_fnv {
-        return Err(FleetError::ChecksumMismatch {
-            what: "frame header",
-            stored: stored_header_fnv,
-            computed,
-        });
-    }
-    let version = u32::from_le_bytes(head[8..12].try_into().unwrap());
-    if version != VERSION {
-        return Err(FleetError::BadVersion {
-            got: version,
-            expected: VERSION,
-        });
-    }
-    let kind = FrameKind::from_tag(u32::from_le_bytes(head[12..16].try_into().unwrap()))?;
-    let payload_len = u64::from_le_bytes(head[16..24].try_into().unwrap());
-    if payload_len > MAX_FRAME_PAYLOAD {
-        return Err(FleetError::FrameTooLarge {
-            len: payload_len,
-            max: MAX_FRAME_PAYLOAD,
-        });
-    }
-    Ok((kind, payload_len))
-}
-
-fn verify_payload(head: &[u8; FRAME_HEADER_LEN], payload: &[u8]) -> Result<(), FleetError> {
-    let stored = u64::from_le_bytes(head[24..32].try_into().unwrap());
-    let computed = fnv1a(payload);
-    if computed != stored {
-        return Err(FleetError::ChecksumMismatch {
-            what: "frame payload",
-            stored,
-            computed,
-        });
-    }
-    Ok(())
 }
 
 /// Read exactly one verified frame from a stream.
@@ -271,10 +111,11 @@ fn verify_payload(head: &[u8; FRAME_HEADER_LEN], payload: &[u8]) -> Result<(), F
 pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>), FleetError> {
     let mut head = [0u8; FRAME_HEADER_LEN];
     r.read_exact(&mut head)?;
-    let (kind, payload_len) = verify_header(&head)?;
-    let mut payload = vec![0u8; payload_len as usize];
+    let (header, _) = FRAME.open_header(&head)?;
+    let kind = admit(&header)?;
+    let mut payload = vec![0u8; header.payload_len as usize];
     r.read_exact(&mut payload)?;
-    verify_payload(&head, &payload)?;
+    header.verify_payload(&payload)?;
     Ok((kind, payload))
 }
 
@@ -454,11 +295,12 @@ impl Response {
             4 => {
                 let n = r.u64()?;
                 if n > 100_000 {
-                    return Err(FleetError::LengthMismatch {
+                    return Err(CkptError::LengthMismatch {
                         what: "job list",
                         expected: n,
                         got: 100_000,
-                    });
+                    }
+                    .into());
                 }
                 let mut views = Vec::with_capacity(n as usize);
                 for _ in 0..n {
@@ -470,11 +312,12 @@ impl Response {
                 let status = JobStatusView::decode_from(&mut r)?;
                 let n = r.u64()?;
                 if n > 1024 {
-                    return Err(FleetError::LengthMismatch {
+                    return Err(CkptError::LengthMismatch {
                         what: "phase totals",
                         expected: n,
                         got: 1024,
-                    });
+                    }
+                    .into());
                 }
                 let mut phases = Vec::with_capacity(n as usize);
                 for _ in 0..n {
@@ -483,8 +326,8 @@ impl Response {
                 Response::Summary { status, phases }
             }
             6 => Response::Error {
-                kind: r.str_field("error kind")?,
-                message: r.str_field("error message")?,
+                kind: string_field(&mut r, "error kind")?,
+                message: string_field(&mut r, "error message")?,
             },
             7 => Response::ShuttingDown,
             other => {
@@ -502,6 +345,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_ckpt::fnv1a;
 
     fn spec() -> JobSpec {
         JobSpec {
@@ -557,7 +401,7 @@ mod tests {
                 f[i] ^= 1 << bit;
                 let err = decode_frame(&f).expect_err("flip must be detected");
                 assert!(
-                    err.is_corruption() || matches!(err, FleetError::BadVersion { .. }),
+                    err.is_corruption() || err.kind() == "bad_version",
                     "byte {i} bit {bit}: unexpected {err}"
                 );
             }
@@ -570,10 +414,7 @@ mod tests {
         for len in 0..frame.len() {
             let err = decode_frame(&frame[..len]).expect_err("truncation must fail");
             assert!(
-                matches!(
-                    err,
-                    FleetError::TooShort { .. } | FleetError::Truncated { .. }
-                ),
+                matches!(err.kind(), "too_short" | "truncated"),
                 "len {len}: unexpected {err}"
             );
         }

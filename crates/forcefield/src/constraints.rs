@@ -1,10 +1,12 @@
 //! SHAKE/RATTLE distance constraints.
 //!
-//! The reference engine constrains bond lengths to hydrogens and rigid water
+//! Both engines constrain bond lengths to hydrogens and rigid water
 //! geometry exactly as the paper's simulations do ("bond lengths to hydrogen
 //! atoms were constrained", Table 4), which is what permits 2.5 fs steps.
+//! The solver lives beside [`ConstraintGroup`] so `anton-core` and
+//! `anton-refmd` run the same one.
 
-use anton_forcefield::topology::ConstraintGroup;
+use crate::topology::ConstraintGroup;
 use anton_geometry::{PeriodicBox, Vec3};
 
 /// Iterative SHAKE: adjust `pos` so every constrained distance matches its
@@ -91,7 +93,7 @@ pub fn rattle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anton_forcefield::water::TIP3P;
+    use crate::water::TIP3P;
 
     fn water_group() -> (Vec<Vec3>, ConstraintGroup, Vec<f64>) {
         let m = TIP3P;

@@ -7,11 +7,10 @@
 //! contribution must be subtracted as a *correction force* — on Anton this
 //! runs on the correction pipeline in the flexible subsystem.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// How 1-4 interactions are scaled.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExclusionPolicy {
     /// Multiplier on 1-4 electrostatics (AMBER: 1/1.2).
     pub elec_14: f64,
@@ -38,7 +37,7 @@ impl ExclusionPolicy {
 }
 
 /// Exclusion table: fully excluded pairs (1-2, 1-3) and scaled 1-4 pairs.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Exclusions {
     /// Sorted `(min, max)` excluded pairs.
     excluded: Vec<(u32, u32)>,

@@ -16,11 +16,14 @@
 //!   paper's evaluations, including the TIP4P virtual-site projection and
 //!   force redistribution.
 //! * [`topology`] — the flat system description consumed by the engines.
+//! * [`constraints`] — the SHAKE/RATTLE distance-constraint solver both
+//!   engines call.
 //!
 //! The synthetic parameter sets standing in for AMBER99SB / OPLS-AA (see
 //! DESIGN.md's substitution table) live in `anton-systems`.
 
 pub mod bonded;
+pub mod constraints;
 pub mod exclusions;
 pub mod lj;
 pub mod topology;

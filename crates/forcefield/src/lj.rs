@@ -1,13 +1,11 @@
 //! Lennard-Jones interactions.
 
-use serde::{Deserialize, Serialize};
-
 /// Precombined LJ coefficients for every ordered type pair:
 /// `U(r) = A/r¹² − B/r⁶` with `A = 4εσ¹²`, `B = 4εσ⁶`.
 ///
 /// Both engines look interactions up by `(type_i, type_j)`; combination
 /// (Lorentz–Berthelot: arithmetic σ, geometric ε) happens once at build time.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LjTable {
     n_types: usize,
     a: Vec<f64>,

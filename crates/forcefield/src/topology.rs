@@ -2,10 +2,9 @@
 
 use crate::exclusions::{ExclusionPolicy, Exclusions};
 use crate::lj::LjTable;
-use serde::{Deserialize, Serialize};
 
 /// A harmonic bond `U = k (r - r0)²` between atoms `i` and `j`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Bond {
     pub i: u32,
     pub j: u32,
@@ -16,7 +15,7 @@ pub struct Bond {
 }
 
 /// A harmonic angle `U = k (θ - θ0)²` centered on atom `j`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Angle {
     pub i: u32,
     pub j: u32,
@@ -28,7 +27,7 @@ pub struct Angle {
 }
 
 /// A periodic (proper or improper) dihedral `U = k (1 + cos(n φ - φ0))`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Dihedral {
     pub i: u32,
     pub j: u32,
@@ -46,7 +45,7 @@ pub struct Dihedral {
 /// water, bonds to hydrogen). Paper §3.2.4: Anton keeps all atoms of a
 /// constraint group on the same node and expands the NT import region to
 /// compensate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConstraintGroup {
     /// Constrained atom pairs with their target distances (Å).
     pub pairs: Vec<(u32, u32, f64)>,
@@ -65,7 +64,7 @@ impl ConstraintGroup {
 /// A virtual interaction site whose position is a fixed linear combination
 /// of three parent atoms (the TIP4P-Ew "M" site):
 /// `r_v = r_a + γ · ((r_b + r_c)/2 − r_a)`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VirtualSite {
     /// Index of the virtual particle.
     pub site: u32,
@@ -77,7 +76,7 @@ pub struct VirtualSite {
 
 /// The complete chemical-system description: per-atom parameters plus term
 /// lists. Positions/velocities live in the engines, not here.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     /// Masses (amu). Virtual sites carry zero mass.
     pub mass: Vec<f64>,

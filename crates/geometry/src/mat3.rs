@@ -2,10 +2,9 @@
 //! fitting (Kabsch, in `anton-analysis`) and the order-parameter tensor.
 
 use crate::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A row-major 3×3 matrix of `f64`.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Mat3(pub [[f64; 3]; 3]);
 
 impl Mat3 {

@@ -1,14 +1,13 @@
 //! Orthorhombic periodic boxes.
 
 use crate::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// An orthorhombic periodic simulation cell with edge lengths in Å.
 ///
 /// Anton's 512-node machines partition such a box 8×8×8 across the torus
 /// (paper §2.2); all chemical systems in the paper's evaluation are cubic or
 /// near-cubic orthorhombic cells.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PeriodicBox {
     edge: Vec3,
 }

@@ -1,10 +1,9 @@
 //! Small dense vectors.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 /// A 3-vector of `f64`, used throughout the floating-point reference paths.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct Vec3 {
     pub x: f64,
     pub y: f64,
@@ -12,7 +11,7 @@ pub struct Vec3 {
 }
 
 /// A 3-vector of `i32`, used for lattice/node/cell coordinates.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct IVec3 {
     pub x: i32,
     pub y: i32,

@@ -1,11 +1,9 @@
 //! Machine configuration constants (paper §2.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of an Anton machine. Defaults reflect the 512-node
 /// machines evaluated in the paper; node counts may be any power of two
 /// from 1 to 32,768 (§5.1).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MachineConfig {
     /// Number of nodes (power of two).
     pub nodes: usize,

@@ -13,7 +13,6 @@ use crate::perf::ExchangeCounters;
 use crate::topology::Torus;
 use anton_geometry::IVec3;
 use anton_nt::assign::{NodeGrid, NtAssignment};
-use serde::{Deserialize, Serialize};
 
 /// Wire bytes per imported atom position (3 × 32-bit fixed-point words).
 pub const POS_BYTES: u64 = 12;
@@ -26,7 +25,7 @@ pub const MESH_BYTES: u64 = 8;
 /// One directed import link: rank `dst` needs the atoms of the box owned by
 /// rank `src`, a dimension-order-routed `hops` away on the torus. The force
 /// reduction traverses the same link in reverse.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Link {
     pub src: u32,
     pub dst: u32,
@@ -36,7 +35,7 @@ pub struct Link {
 /// The static per-step exchange schedule of a node grid under the NT
 /// assignment: for every rank, the links over which it imports remote boxes
 /// (tower ∪ plate, home box excluded).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExchangePlan {
     grid: NodeGrid,
     /// `imports[rank]` — links with `dst == rank`, in deterministic
@@ -161,7 +160,7 @@ impl ExchangePlan {
 ///
 /// Like [`ExchangePlan`], the pattern is static: population shifts change
 /// nothing, so one plan meters every long-range step.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MeshExchange {
     ranks: u64,
     /// Mesh points in one rank's halo shell (dilated slab minus slab).

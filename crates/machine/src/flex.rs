@@ -5,10 +5,8 @@
 //! and 1-4 pairs. Cycle costs below are effective per-item costs at the
 //! 485 MHz flexible clock, calibrated jointly with the performance model.
 
-use serde::{Deserialize, Serialize};
-
 /// Effective cycle costs on the flexible subsystem.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FlexModel {
     /// Effective cycles per bonded term on a GC (evaluation + position
     /// gather + force scatter).

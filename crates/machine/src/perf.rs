@@ -21,10 +21,9 @@ use crate::config::MachineConfig;
 use crate::flex::FlexModel;
 use crate::topology::Torus;
 use anton_nt::regions::ImportRegions;
-use serde::{Deserialize, Serialize};
 
 /// Workload statistics of a chemical system + run parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SystemStats {
     pub n_atoms: usize,
     pub box_edge: [f64; 3],
@@ -74,7 +73,7 @@ impl SystemStats {
 /// (charge-halo exchange plus the distributed FFT's pencil messages on
 /// long-range steps). Hop-weighted byte counts capture link occupancy under
 /// dimension-order routing (a 3-hop message consumes three links' bandwidth).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ExchangeCounters {
     pub steps: u64,
     pub import_messages: u64,
@@ -299,7 +298,7 @@ pub fn modeled_burst_us(
 }
 
 /// Calibration constants (see module docs).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Calibration {
     /// Load-imbalance coefficient: factor = 1 + c/√(atoms per node).
     pub imbalance_coeff: f64,
@@ -344,7 +343,7 @@ impl Calibration {
 }
 
 /// Per-task and per-step times (µs), the Table 2 quantities.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StepBreakdown {
     pub import_us: f64,
     pub range_limited_us: f64,

@@ -8,10 +8,8 @@
 //! This model provides hop counts and transfer-time estimates used when
 //! reasoning about intra-node latency budgets.
 
-use serde::{Deserialize, Serialize};
-
 /// Ring stations, in their order around the ring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Station {
     Htis,
     Flex0,

@@ -11,7 +11,6 @@
 //! bit-reproducible, like the hardware.
 
 use anton_fixpoint::rounding::{rne_f64, rne_shr_i64};
-use serde::{Deserialize, Serialize};
 
 /// Exact `2^e` as an `f64`, built directly from the exponent field.
 ///
@@ -32,7 +31,7 @@ pub fn exp2i(e: i32) -> f64 {
 
 /// Tier layout: `(entries, domain_end)` pairs over the normalized domain
 /// `u = r²/r²_max ∈ [0, 1)`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TableSpec {
     pub tiers: Vec<(usize, f64)>,
     /// Mantissa width in bits (paper: 19–22 bit data paths).
@@ -98,7 +97,7 @@ impl TableSpec {
 /// power-of-two exponent (block floating point). The represented cubic is
 /// `p(t) = Σ coeffs[i]·2^(exponent)·tⁱ` with `t ∈ [0,1)` the position within
 /// the segment and mantissas scaled by `2^-(mantissa_bits-1)`.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Segment {
     pub coeffs: [i32; 4],
     pub exponent: i32,
@@ -122,7 +121,7 @@ struct FastTier {
 }
 
 /// A fitted, quantized function table over `u ∈ [0, 1)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FunctionTable {
     pub spec: TableSpec,
     pub segments: Vec<Segment>,
@@ -132,7 +131,6 @@ pub struct FunctionTable {
     /// power of two in Q31 (true for both shipped specs). Rebuilt by
     /// `fit`; deserialized tables fall back to the float lookup, which
     /// produces identical bits.
-    #[serde(skip)]
     fast: Option<Vec<FastTier>>,
 }
 

@@ -9,10 +9,9 @@
 //! convention and the tower/plate box enumeration engines iterate over.
 
 use anton_geometry::IVec3;
-use serde::{Deserialize, Serialize};
 
 /// The grid of nodes (home boxes). Anton's 512-node machine is 8×8×8.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeGrid {
     pub dims: IVec3,
 }
@@ -81,7 +80,7 @@ impl NodeGrid {
 
 /// The NT assignment for a node grid with tower half-range `zr` and plate
 /// half-range `xyr`, in box units (⌈cutoff+margin / box edge⌉).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NtAssignment {
     pub grid: NodeGrid,
     pub zr: i32,

@@ -6,10 +6,8 @@
 //! *worst-case* GC, which sets the bonded-phase critical path. The
 //! assignment is recomputed every ~100,000 steps as atoms drift.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of statically assigning weighted terms to the GCs of each node.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GcAssignment {
     /// `(node, gc)` per term, aligned with the input term list.
     pub placement: Vec<(u32, u8)>,

@@ -1,9 +1,9 @@
 //! The reference engine's integrator: velocity Verlet with impulse (r-RESPA)
 //! multiple time stepping, SHAKE/RATTLE, and Berendsen temperature control.
 
-use crate::constraints::{rattle, shake};
 use crate::forces::{Energies, ForceEvaluator};
 use crate::profile::TaskProfile;
+use anton_forcefield::constraints::{rattle, shake};
 use anton_forcefield::units::ACCEL;
 use anton_forcefield::water::{vsite_position, vsite_spread_force};
 use anton_geometry::Vec3;

@@ -7,11 +7,10 @@ use anton_forcefield::bonded;
 use anton_forcefield::water::{vsite_position, vsite_spread_force};
 use anton_geometry::{CellGrid, Vec3};
 use anton_systems::System;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Potential-energy breakdown of one evaluation (kcal/mol).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Energies {
     pub bonded: f64,
     /// Direct-space electrostatics + LJ under the cutoff.

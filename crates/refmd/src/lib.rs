@@ -17,7 +17,6 @@
 //! control (`engine`), and a Langevin integrator over pluggable force
 //! providers (`langevin`).
 
-pub mod constraints;
 pub mod engine;
 pub mod forces;
 pub mod langevin;

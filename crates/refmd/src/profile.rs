@@ -1,10 +1,8 @@
 //! Per-task wall-time accounting (the Table 2 x86 columns).
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated wall time per MD task, in seconds. Field names follow the
 /// rows of the paper's Table 2.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TaskProfile {
     /// Electrostatic + van der Waals pairs under the cutoff.
     pub range_limited_s: f64,

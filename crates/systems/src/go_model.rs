@@ -11,10 +11,9 @@
 //! contacts Q(t) that the paper's Figure 7 illustrates with snapshots.
 
 use anton_geometry::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A structure-based (Gō) model over Cα beads.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GoModel {
     /// Native Cα coordinates (Å).
     pub native: Vec<Vec3>,

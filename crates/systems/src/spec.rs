@@ -2,10 +2,9 @@
 
 use anton_forcefield::Topology;
 use anton_geometry::{PeriodicBox, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Tunable simulation parameters (paper Table 4 columns and §5.3).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RunParams {
     /// Range-limited cutoff radius (Å).
     pub cutoff: f64,
@@ -58,7 +57,7 @@ impl RunParams {
 use anton_forcefield::units::erfc as erfc_approx;
 
 /// A complete simulatable system.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct System {
     pub name: String,
     pub pbox: PeriodicBox,

@@ -58,16 +58,6 @@ fn golden_waterbox() -> System {
     }
 }
 
-/// FNV-1a over the exact raw state bytes (the same hash the scaling
-/// benchmark reports, so golden constants and bench rows cross-check).
-fn state_checksum(sim: &AntonSimulation) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in sim.state.to_bytes().as_slice() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Run the golden configuration and return the per-cycle checksum sequence.
 fn run_golden(nodes: usize, threads: usize, tracing: bool) -> Vec<u64> {
     let decomposition = if nodes == 1 {
@@ -85,7 +75,7 @@ fn run_golden(nodes: usize, threads: usize, tracing: bool) -> Vec<u64> {
     let sums = (0..CYCLES)
         .map(|_| {
             sim.run_cycles(1);
-            state_checksum(&sim)
+            sim.state.checksum()
         })
         .collect();
     // Every golden run also carries the full invariant battery: third law,
@@ -152,7 +142,7 @@ fn assert_resume_golden(nodes: usize) {
                     .build();
                 sim.run_cycles(CYCLES - 1);
                 assert_eq!(
-                    state_checksum(&sim),
+                    sim.state.checksum(),
                     GOLDEN_CYCLE_CHECKSUMS[CYCLES - 2],
                     "pre-interrupt state diverged: {ctx}"
                 );
@@ -180,7 +170,7 @@ fn assert_resume_golden(nodes: usize) {
             restored.assert_clean();
             sim.run_cycles(1);
             assert_eq!(
-                state_checksum(&sim),
+                sim.state.checksum(),
                 GOLDEN_FINAL_CHECKSUM,
                 "interrupt-and-resume diverged from golden: {ctx}"
             );
@@ -237,12 +227,8 @@ fn tracing_payload_is_deterministic_across_threads() {
             .build();
         sim.run_cycles(2);
         let buf = sim.trace().buf().expect("tracing was enabled");
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-            }
-        };
+        let mut h = anton_ckpt::Fnv64::new();
+        let mut mix = |x: u64| h.update(&x.to_le_bytes());
         for s in buf.spans() {
             mix(s.phase.index() as u64);
             mix(s.rank as u64);
@@ -258,7 +244,7 @@ fn tracing_payload_is_deterministic_across_threads() {
         }
         mix(buf.dropped_spans());
         mix(buf.dropped_counters());
-        h
+        h.finish()
     };
     let reference = payload_checksum(1);
     assert_eq!(payload_checksum(2), reference);

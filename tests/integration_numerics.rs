@@ -102,7 +102,7 @@ fn checkpoint_restart_continues_bitwise() {
     let snapshot = straight.state.to_bytes();
     straight.run_cycles(3);
 
-    let restored_state = anton_core::FixedState::from_bytes(snapshot).unwrap();
+    let restored_state = anton_core::FixedState::from_bytes(&snapshot).unwrap();
     let mut resumed = AntonSimulation::builder(sys)
         .velocities_from_temperature(300.0, 23) // placeholder; overwritten below
         .build();
