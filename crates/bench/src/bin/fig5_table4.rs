@@ -134,10 +134,11 @@ fn numerical_error(sys: &anton_systems::System, sim: &AntonSimulation) -> f64 {
     let top = &sys.topology;
     let mut exact = vec![Vec3::ZERO; sys.n_atoms()];
     let grid = CellGrid::build(&sys.pbox, &pos, sys.params.cutoff + 0.2);
+    let policy = top.exclusions.policy.unwrap();
     grid.for_each_pair_within(&pos, sys.params.cutoff + 0.2, |i, j, _d, _r2| {
-        if top.exclusions.is_excluded(i as u32, j as u32) {
+        let Some((se, sl)) = policy.scales(top.exclusions.class(i as u32, j as u32)) else {
             return;
-        }
+        };
         let d = state.delta_q20(pipe.half_edge_q20, i, j);
         let sum: i128 =
             d[0] as i128 * d[0] as i128 + d[1] as i128 * d[1] as i128 + d[2] as i128 * d[2] as i128;
@@ -147,12 +148,6 @@ fn numerical_error(sys: &anton_systems::System, sim: &AntonSimulation) -> f64 {
         }
         let ds = 1.0 / (1i64 << 20) as f64;
         let dv = Vec3::new(d[0] as f64 * ds, d[1] as f64 * ds, d[2] as f64 * ds);
-        let policy = top.exclusions.policy.unwrap();
-        let (se, sl) = if top.exclusions.is_14(i as u32, j as u32) {
-            (policy.elec_14, policy.lj_14)
-        } else {
-            (1.0, 1.0)
-        };
         let qq = top.charge[i] * top.charge[j] * se;
         let (a, b) = top.lj_table.coeffs(top.lj_type[i], top.lj_type[j]);
         let (f_over_r, _) = pipe.ppip.pair_exact(dv.norm2(), qq, a * sl, b * sl);

@@ -33,14 +33,17 @@ const TREND_PATH: &str = "results/PERF_trend.json";
 const MODELED_REL_TOL: f64 = 1e-6;
 const MEASURED_FACTOR: f64 = 50.0;
 
-/// Absolute ceiling on the smoke waterbox's single-rank step time. The
-/// persistent match cache plus the fused PPIP segment tables landed the
-/// reference machine at ~15-17 ms/step; the gap absorbs slower CI hosts
-/// while still failing loudly if the pipeline falls back off the cached
-/// batched path (~24 ms/step) or the fused tables regress (~21 ms/step).
-/// Mirrored by the inline assert in .github/workflows/ci.yml — keep in
-/// lockstep.
-const MS_PER_STEP_CEILING: f64 = 20.0;
+/// Absolute ceiling on the smoke waterbox's single-rank step time: the
+/// median of seven scaling runs on the reference machine (12.9 ms/step
+/// with the match stage on per-atom exclusion rows, half-reach subboxes
+/// and the two-pass filter) plus that series' noise floor, the 4.6 ms by
+/// which its worst run (17.5, the host's slow state) exceeded the median.
+/// It fails loudly if the pipeline falls back off the cached batched path
+/// (~24 ms/step) or the fused tables regress (~21 ms/step), and in the
+/// host's slow state also if the match stage returns to its old cost
+/// (+2 ms/step amortised). Mirrored by the inline assert in
+/// .github/workflows/ci.yml — keep in lockstep.
+const MS_PER_STEP_CEILING: f64 = 18.0;
 /// Atom count of the smoke geometry the ceiling is calibrated for.
 const CEILING_ATOMS: u64 = 1020;
 

@@ -5,13 +5,15 @@
 //! check and the exact cutoff test, and enter the evaluator as 8-wide
 //! bundles. This module is the software shape of that stage: a
 //! [`BatchQueue`] packs cutoff survivors into [`PairBatch`] lanes (with a
-//! geometry sidecar for the force scatter), and [`CellTiling`] is the
-//! static power-of-two cell decomposition the single-rank pipeline streams
-//! tile pairs from. Everything is allocation-free in steady state and
-//! bitwise deterministic: the queue records pairs in enumeration order,
-//! and batch lane order is the canonical force-merge order (detlint D5).
+//! geometry sidecar for the force scatter), [`CellTiling`] is the static
+//! power-of-two subbox decomposition the single-rank pipeline streams
+//! tile pairs from, and [`Q20Ladder`] is the one displacement/r² ladder
+//! both the match stage and the evaluator run. Everything is
+//! allocation-free in steady state and bitwise deterministic: the queue
+//! records pairs in enumeration order, and batch lane order is the
+//! canonical force-merge order (detlint D5).
 
-use anton_fixpoint::{FxVec3, QVec3, Q20};
+use anton_fixpoint::{rne_shr_i64, FxVec3, QVec3, Q20};
 use anton_machine::{PairBatch, MATCH_WIDTH};
 
 /// Counts of work streamed through one match pass (merged into
@@ -52,10 +54,10 @@ impl BatchMeta {
     };
 }
 
-/// An append-only queue of match batches, refilled every force evaluation
-/// (buffers retained across [`BatchQueue::begin`] calls). Pairs fill lanes
-/// in enumeration order; the final batch may be partial, its mask covering
-/// only the filled lanes.
+/// An append-only queue of match batches, refilled on every match-cache
+/// rebuild and replayed in between (buffers retained across
+/// [`BatchQueue::begin`] calls). Pairs fill lanes in enumeration order; the
+/// final batch may be partial, its mask covering only the filled lanes.
 #[derive(Debug, Default)]
 pub struct BatchQueue {
     batches: Vec<PairBatch>,
@@ -124,6 +126,76 @@ impl BatchQueue {
     }
 }
 
+/// The exact fixed-point minimum-image ladder of the pair phase, in 64-bit
+/// words: raw box-fraction deltas → per-axis Q20 displacement → Q20 r²,
+/// each step rounded to nearest/even once. The match stage and the
+/// evaluator both call [`Self::delta_r2`], so a lane's r² can never depend
+/// on which of them derived it.
+///
+/// 64 bits suffice because of the bound [`Self::new`] enforces: a fraction
+/// delta is an `i32` (|Δ| ≤ 2³¹) and every half-edge is below 2³⁰ in Q20
+/// (1024 Å), so `Δ·half_edge` stays within 2⁶¹, each displacement within
+/// 2³⁰, and the sum of three squares within 3·2⁶⁰ < 2⁶³.
+#[derive(Clone, Copy, Debug)]
+pub struct Q20Ladder {
+    half_edge: [i64; 3],
+}
+
+impl Q20Ladder {
+    /// Exclusive bound on a half-edge, raw Q20 (1024 Å).
+    pub const HALF_EDGE_BOUND: i64 = 1 << 30;
+
+    /// Panics when a half-edge is outside `(0, 1024 Å)`: beyond it the
+    /// 64-bit products would wrap and silently change forces.
+    pub fn new(half_edge_q20: [Q20; 3]) -> Q20Ladder {
+        let half_edge = half_edge_q20.map(|h| h.raw());
+        for h in half_edge {
+            assert!(
+                h > 0 && h < Self::HALF_EDGE_BOUND,
+                "box half-edge {h} (raw Q20) outside (0, 2^30): the pair ladder's \
+                 64-bit products need every half-edge under 1024 Å"
+            );
+        }
+        Q20Ladder { half_edge }
+    }
+
+    /// Minimum-image displacement `a − b` in Q20 Å and its r² in Q20 Å².
+    #[inline]
+    pub fn delta_r2(&self, a: [i32; 3], b: [i32; 3]) -> ([i64; 3], i64) {
+        let he = self.half_edge;
+        let axis = |k: usize| rne_shr_i64(i64::from(a[k].wrapping_sub(b[k])) * he[k], 31);
+        let d = [axis(0), axis(1), axis(2)];
+        (d, rne_shr_i64(d[0] * d[0] + d[1] * d[1] + d[2] * d[2], 20))
+    }
+
+    /// The match units' low-precision distance check: per-axis *floor*
+    /// displacements squared and summed, in Q40. Floor never exceeds the
+    /// exact ladder's round-to-nearest per axis, so (with the margin in
+    /// `ForcePipeline::r2_lb_max`) a pair this rejects is outside the
+    /// exact radius too. Straight-line integer code, so a row of
+    /// candidates runs without a data-dependent branch.
+    #[inline]
+    pub fn r2_lower_bound_q40(&self, a: [i32; 3], b: [i32; 3]) -> i64 {
+        let he = self.half_edge;
+        let axis = |k: usize| (i64::from(a[k].wrapping_sub(b[k]).unsigned_abs()) * he[k]) >> 31;
+        let l = [axis(0), axis(1), axis(2)];
+        l[0] * l[0] + l[1] * l[1] + l[2] * l[2]
+    }
+
+    /// The same ladder in 128-bit words with no operand bound: the oracle
+    /// the 64-bit form is pinned against.
+    #[cfg(test)]
+    pub(crate) fn delta_r2_i128(&self, a: [i32; 3], b: [i32; 3]) -> ([i64; 3], i64) {
+        use anton_fixpoint::rne_shr_i128;
+        let he = self.half_edge;
+        let axis =
+            |k: usize| rne_shr_i128(i128::from(a[k].wrapping_sub(b[k])) * i128::from(he[k]), 31);
+        let d = [axis(0), axis(1), axis(2)];
+        let sum: i128 = d.iter().map(|&c| i128::from(c) * i128::from(c)).sum();
+        (d, rne_shr_i128(sum, 20))
+    }
+}
+
 /// Guard (Å) subtracted from the pair-list slack before squaring the
 /// rebuild threshold: it absorbs every rounding between the monitor and
 /// the match ladder (Q20 half-ulps of the per-axis displacement decode
@@ -171,8 +243,8 @@ impl MatchCache {
     /// True when the cached batch structure may no longer cover the
     /// in-cutoff pair set: cold cache, atom count change, or some atom
     /// displaced by half the (guarded) slack since the reference. The
-    /// displacement ladder is operation-for-operation the match stage's
-    /// `delta_q20` arithmetic, so the decision is exact and reproducible.
+    /// displacement ladder rounds exactly as the pair phase's
+    /// [`Q20Ladder`] does, so the decision is exact and reproducible.
     pub fn needs_rebuild(&self, positions: &[FxVec3]) -> bool {
         if self.ref_pos.len() != positions.len() {
             return true;
@@ -210,16 +282,18 @@ impl MatchCache {
     }
 }
 
-/// Static power-of-two cell decomposition for the single-rank pipeline.
+/// Static power-of-two subbox decomposition for the single-rank pipeline.
 ///
 /// Per axis the cell count is the largest power of two whose cell width
-/// still covers `reach` (capped at 16 cells so the conservative pair list
-/// below stays small), so a particle's cell index is a plain shift of its
-/// raw fraction bits — no floating point between positions and tiles. The
-/// unordered cell-pair list is fixed at construction: a pair of cells is
-/// listed unless the minimum separation between them (circular cell
-/// distance minus one, times the cell width) already exceeds `reach`, so
-/// the listed tile pairs are a strict superset of every interacting pair.
+/// is still at least *half* of `reach` (capped at 16 cells) — the paper's
+/// subboxes: cells finer than the interaction radius, so less of every
+/// streamed tile pair lies outside it. A particle's cell index is a plain
+/// shift of its raw fraction bits — no floating point between positions
+/// and tiles. The unordered cell-pair list is fixed at construction: two
+/// cells are listed unless the minimum separation between them (circular
+/// cell distance minus one, times the cell width, per axis) already
+/// exceeds `reach`, so the listed tile pairs cover every interacting pair
+/// exactly once.
 #[derive(Clone, Debug)]
 pub struct CellTiling {
     log2_dims: [u32; 3],
@@ -234,7 +308,7 @@ impl CellTiling {
         let mut log2_dims = [0u32; 3];
         for k in 0..3 {
             let mut m = 0u32;
-            while m < 4 && edge[k] / (1u64 << (m + 1)) as f64 >= reach {
+            while m < 4 && edge[k] / (1u64 << (m + 1)) as f64 >= reach / 2.0 {
                 m += 1;
             }
             log2_dims[k] = m;
@@ -244,33 +318,48 @@ impl CellTiling {
             1u32 << log2_dims[1],
             1u32 << log2_dims[2],
         ];
-        let width = [
-            edge[0] / dims[0] as f64,
-            edge[1] / dims[1] as f64,
-            edge[2] / dims[2] as f64,
-        ];
-        // Minimum separation on one axis between cells `ca` and `cb`:
-        // zero for same/adjacent cells (circular), else (circ − 1)·width.
-        let gap = |ca: u32, cb: u32, k: usize| {
-            let d = ca.abs_diff(cb);
-            let circ = d.min(dims[k] - d);
-            (circ.saturating_sub(1)) as f64 * width[k]
+        // Per axis, the forward cell offsets `o` (mod the cell count) that
+        // can reach, each with its minimum separation: zero for the same or
+        // an adjacent cell (circular), else (circ − 1)·width. Enumerating
+        // offsets modulo the count lists a neighbour once even where the
+        // periodic wrap makes +o and −o the same cell.
+        let axis_offsets = |k: usize| -> Vec<(u32, f64)> {
+            let width = edge[k] / dims[k] as f64;
+            (0..dims[k])
+                .map(|o| (o, o.min(dims[k] - o).saturating_sub(1) as f64 * width))
+                .filter(|&(_, gap)| gap <= reach)
+                .collect()
         };
-        let n = dims[0] * dims[1] * dims[2];
-        let coord = |c: u32| {
-            let x = c % dims[0];
-            let y = (c / dims[0]) % dims[1];
-            let z = c / (dims[0] * dims[1]);
-            [x, y, z]
+        let (ox, oy, oz) = (axis_offsets(0), axis_offsets(1), axis_offsets(2));
+        let mut stencil = Vec::new();
+        for &(dz, gz) in &oz {
+            for &(dy, gy) in &oy {
+                for &(dx, gx) in &ox {
+                    if gx * gx + gy * gy + gz * gz <= reach * reach {
+                        stencil.push([dx, dy, dz]);
+                    }
+                }
+            }
+        }
+        // The stencil is symmetric (−o is listed wherever o is), so every
+        // unordered pair of distinct cells is reached from both ends: keep
+        // the walk from the lower index.
+        // Cell index of (wrapped) cell coordinates, as `cell_of` packs it.
+        let index = |c: [u32; 3]| {
+            let [x, y, z] = [0, 1, 2].map(|k| c[k] & (dims[k] - 1));
+            (((z << log2_dims[1]) | y) << log2_dims[0]) | x
         };
         let mut pairs = Vec::new();
-        for a in 0..n {
-            let ca = coord(a);
-            for b in a..n {
-                let cb = coord(b);
-                let g2: f64 = (0..3).map(|k| gap(ca[k], cb[k], k).powi(2)).sum();
-                if g2 <= reach * reach {
-                    pairs.push((a, b));
+        for z in 0..dims[2] {
+            for y in 0..dims[1] {
+                for x in 0..dims[0] {
+                    let a = index([x, y, z]);
+                    for o in &stencil {
+                        let b = index([x + o[0], y + o[1], z + o[2]]);
+                        if a <= b {
+                            pairs.push((a, b));
+                        }
+                    }
                 }
             }
         }
@@ -385,27 +474,32 @@ mod tests {
 
     #[test]
     fn tiling_dims_cover_reach_and_cap() {
-        // 22 Å box, 7.7 Å reach: 2 cells per axis (11 Å ≥ 7.7, 5.5 < 7.7).
+        // 22 Å box, 7.7 Å reach: 4 cells per axis (5.5 Å ≥ 3.85, 2.75 < 3.85).
         let t = CellTiling::build([22.0; 3], 7.7);
-        assert_eq!(t.cell_count(), 8);
-        // Every cell pair can interact at this size: C(8,2) + 8 = 36.
-        assert_eq!(t.pairs().len(), 36);
-        // 36 Å box: 4 cells per axis; cells two apart (gap 9 Å) are pruned.
-        let t = CellTiling::build([36.0; 3], 7.7);
         assert_eq!(t.cell_count(), 64);
-        assert!(t.pairs().len() < 64 * 65 / 2, "no pruning happened");
+        // A cell two away on two axes is √2·5.5 Å off: 10 of the 64 offsets
+        // are out of reach, and the other 53 non-zero ones pair up.
+        assert_eq!(t.pairs().len(), 64 * 53 / 2 + 64);
+        // 11 Å box: 2 cells per axis, every cell pair can interact:
+        // C(8,2) + 8 = 36.
+        let t = CellTiling::build([11.0; 3], 7.7);
+        assert_eq!(t.cell_count(), 8);
+        assert_eq!(t.pairs().len(), 36);
         // Tiny box: one cell, one pair.
-        let t = CellTiling::build([6.0; 3], 7.7);
+        let t = CellTiling::build([3.0; 3], 7.7);
         assert_eq!(t.cell_count(), 1);
         assert_eq!(t.pairs(), &[(0, 0)]);
-        // Huge box: per-axis cap at 16 cells.
+        // Huge box: per-axis cap at 16 cells, and the pair list stays
+        // linear in the cell count (self + 13 of the 26 neighbours).
         let t = CellTiling::build([1000.0; 3], 7.7);
         assert_eq!(t.cell_count(), 16 * 16 * 16);
+        assert_eq!(t.pairs().len(), 4096 * 14);
     }
 
     #[test]
     fn binning_is_exact_on_fraction_bits() {
-        let t = CellTiling::build([22.0; 3], 7.7);
+        // Two cells per axis: 11 Å ≥ half the reach, 5.5 Å is not.
+        let t = CellTiling::build([22.0; 3], 15.4);
         // Fraction −1.0 (raw i32::MIN) is the box corner → cell 0; fraction
         // just below 0 is the middle → still the lower cell; fraction 0 is
         // the upper half.
@@ -417,19 +511,170 @@ mod tests {
         assert_eq!(t.cell_of([-1, -1, 0]), 4);
     }
 
+    /// xorshift64, the tests' only randomness.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    #[test]
+    fn tiling_lists_every_reachable_cell_pair_exactly_once() {
+        // Random non-cubic boxes whose axes land on 1, 2, 4, 8 and 16
+        // cells (reach/2 × 2^m, nudged off the boundary): on the small
+        // counts the stencil's +o and −o offsets are the same cell under
+        // the periodic wrap. The oracle is the O(cells²) scan of every
+        // unordered pair with the same minimum-separation rule.
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        let mut seen_dims = std::collections::BTreeSet::new();
+        for case in 0..60 {
+            let reach = 4.0 + (next() % 900) as f64 / 100.0;
+            let edge: [f64; 3] = std::array::from_fn(|_| {
+                let cells = 1u64 << (next() % 5);
+                reach / 2.0 * cells as f64 * (1.02 + (next() % 90) as f64 / 100.0)
+            });
+            let t = CellTiling::build(edge, reach);
+            let dims = t.log2_dims.map(|m| 1u32 << m);
+            seen_dims.extend(dims);
+            let ctx = format!("case {case}: edge {edge:?} reach {reach} dims {dims:?}");
+
+            let mut want = Vec::new();
+            let coord = |c: u32| {
+                [
+                    c % dims[0],
+                    (c / dims[0]) % dims[1],
+                    c / (dims[0] * dims[1]),
+                ]
+            };
+            for a in 0..t.cell_count() as u32 {
+                for b in a..t.cell_count() as u32 {
+                    let (ca, cb) = (coord(a), coord(b));
+                    let g2: f64 = (0..3)
+                        .map(|k| {
+                            let d = ca[k].abs_diff(cb[k]);
+                            let circ = d.min(dims[k] - d);
+                            (circ.saturating_sub(1) as f64 * edge[k] / dims[k] as f64).powi(2)
+                        })
+                        .sum();
+                    if g2 <= reach * reach {
+                        want.push((a, b));
+                    }
+                }
+            }
+            let mut got = t.pairs().to_vec();
+            got.sort_unstable();
+            assert_eq!(got, want, "{ctx}");
+
+            // And the rule itself is conservative: two points within the
+            // reach always sit in a listed pair.
+            for _ in 0..400 {
+                let p = [next() as i32, next() as i32, next() as i32];
+                // A neighbour within ±reach (half a box at most) on each
+                // axis, so most draws are in range. A full edge is 2³² raw.
+                let q: [i32; 3] = std::array::from_fn(|k| {
+                    let span = ((reach / edge[k]).min(0.5) * 2f64.powi(32)) as u64;
+                    let off = (next() % (2 * span + 1)) as i64 - span as i64;
+                    p[k].wrapping_add(off as i32)
+                });
+                let r2: f64 = (0..3)
+                    .map(|k| {
+                        let df = p[k].wrapping_sub(q[k]) as f64 / 2f64.powi(31);
+                        (df * edge[k] / 2.0).powi(2)
+                    })
+                    .sum();
+                if r2 <= reach * reach {
+                    let (a, b) = (t.cell_of(p) as u32, t.cell_of(q) as u32);
+                    assert!(
+                        want.binary_search(&(a.min(b), a.max(b))).is_ok(),
+                        "in-reach pair in unlisted cells {a},{b} ({ctx})"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            seen_dims.into_iter().collect::<Vec<_>>(),
+            [1, 2, 4, 8, 16],
+            "the sweep must visit every per-axis cell count"
+        );
+    }
+
+    #[test]
+    fn ladder_matches_the_128_bit_oracle() {
+        let bound = Q20Ladder::HALF_EDGE_BOUND;
+        let at = |raw: i64| Q20::from_raw(raw);
+        // Extremes: the widest delta against the widest admitted box, on
+        // one axis and on all three.
+        let widest = Q20Ladder::new([at(bound - 1); 3]);
+        for (a, b) in [
+            ([i32::MIN, 0, 0], [0, 0, 0]),
+            ([i32::MIN; 3], [0; 3]),
+            ([0; 3], [i32::MIN; 3]),
+            ([i32::MAX; 3], [-1; 3]),
+            ([i32::MIN, i32::MAX, 0], [i32::MAX, i32::MIN, 0]),
+        ] {
+            assert_eq!(
+                widest.delta_r2(a, b),
+                widest.delta_r2_i128(a, b),
+                "{a:?} {b:?}"
+            );
+        }
+        let (d, r2) = widest.delta_r2([i32::MIN; 3], [0; 3]);
+        assert_eq!(d, [-(bound - 1); 3]);
+        assert!(r2 > 0, "three squared half-edges must not wrap: {r2}");
+
+        // r² landing exactly on a cutoff: a 32 Å box turns a fraction delta
+        // of m·2⁷ into exactly m Q20 ulps, so 8 Å and 9 Å apart give
+        // rc² = 64 Å² and rc_pad² = 81 Å² to the bit, and one fraction
+        // step more is outside — in both ladders.
+        let cube32 = Q20Ladder::new([Q20::from_f64(16.0); 3]);
+        for ang in [8i32, 9] {
+            let on = ang << 27;
+            let r2_on = Q20::from_f64(f64::from(ang * ang)).raw();
+            for (delta, want_over) in [(on, false), (on + (1 << 7), true), (-on, false)] {
+                let got = cube32.delta_r2([0, delta, 0], [0; 3]);
+                assert_eq!(got, cube32.delta_r2_i128([0, delta, 0], [0; 3]));
+                assert_eq!(got.1 > r2_on, want_over, "{ang} Å, delta {delta}");
+                assert_eq!(got.1 == r2_on, !want_over);
+            }
+        }
+
+        // Random deltas over random admitted boxes.
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..200_000 {
+            let he: [Q20; 3] =
+                std::array::from_fn(|_| at(1 + (next() % (bound as u64 - 1)) as i64));
+            let lad = Q20Ladder::new(he);
+            let a = [next() as i32, next() as i32, next() as i32];
+            let b = [next() as i32, next() as i32, next() as i32];
+            assert_eq!(
+                lad.delta_r2(a, b),
+                lad.delta_r2_i128(a, b),
+                "{he:?} {a:?} {b:?}"
+            );
+            // The low-precision bound never exceeds the exact sum it guards.
+            let (d, _) = lad.delta_r2(a, b);
+            assert!(lad.r2_lower_bound_q40(a, b) <= d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "half-edge")]
+    fn ladder_rejects_a_half_edge_at_the_bound() {
+        let ok = Q20::from_f64(30.0);
+        Q20Ladder::new([ok, Q20::from_raw(Q20Ladder::HALF_EDGE_BOUND), ok]);
+    }
+
     #[test]
     fn tiling_pair_list_is_conservative() {
         // Randomized check: any two fraction points within the reach (in a
         // 36 Å box) must land in a listed cell pair.
         let t = CellTiling::build([36.0; 3], 7.7);
         let listed: std::collections::HashSet<(u32, u32)> = t.pairs().iter().copied().collect();
-        let mut s = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(0x9e3779b97f4a7c15);
         for _ in 0..20_000 {
             let p = [next() as i32, next() as i32, next() as i32];
             let q = [next() as i32, next() as i32, next() as i32];

@@ -19,7 +19,7 @@
 //! filled, never its contents, so trajectories are bitwise invariant across
 //! node count *and* worker-thread count.
 
-use crate::batch::{BatchQueue, CellTiling, MatchCache};
+use crate::batch::{BatchQueue, CellTiling, MatchCache, Q20Ladder};
 use crate::pool::DetPool;
 use crate::ranks::RankSet;
 use crate::state::{FixedState, ENERGY_FRAC, FORCE_FRAC};
@@ -159,6 +159,9 @@ pub struct ForcePipeline {
     corr_kernel: DirectKernel,
     pub rc2_q20: i64,
     pub half_edge_q20: [Q20; 3],
+    /// The displacement/r² ladder over `half_edge_q20`, shared by the
+    /// match stage and the evaluator.
+    ladder: Q20Ladder,
     policy: ExclusionPolicy,
     /// Import-region margin (Å) covering constraint-group co-location and
     /// deferred migration (§3.2.4); baked into the rank set's NT reach at
@@ -262,6 +265,12 @@ impl LrRank {
 
 const IMPORT_MARGIN: f64 = 8.0;
 
+/// Candidates one row of the match stage filters before it turns to the
+/// survivors: the size of the stack buffer the low-precision pass compacts
+/// slot indices into. Tiles have no size limit (under `Nodes(1)` one tile
+/// holds the whole system), so rows are cut into blocks of this many.
+const MATCH_BLOCK: usize = 64;
+
 impl ForcePipeline {
     /// Build the pipeline. The decomposition and worker-thread count are
     /// construction-time properties: `Nodes(n)` builds the full rank
@@ -270,6 +279,14 @@ impl ForcePipeline {
     pub fn new(sys: &System, decomposition: Decomposition, threads: usize) -> ForcePipeline {
         let beta = sys.params.ewald_beta();
         let e = sys.pbox.edge();
+        let half_edge_q20 = [
+            Q20::from_f64(e.x / 2.0),
+            Q20::from_f64(e.y / 2.0),
+            Q20::from_f64(e.z / 2.0),
+        ];
+        // First, so a box too large for the pair ladder is refused before
+        // anything is built on it.
+        let ladder = Q20Ladder::new(half_edge_q20);
         let gse_params = GseParams::auto(sys.params.cutoff, sys.params.spread_cutoff);
         let ranks = match decomposition {
             Decomposition::SingleRank => None,
@@ -307,11 +324,6 @@ impl ForcePipeline {
         let rc2_q20 = Q20::from_f64(sys.params.cutoff * sys.params.cutoff).raw();
         let rc_pad = sys.params.cutoff + PAIRLIST_SLACK;
         let rc_pad2_q20 = Q20::from_f64(rc_pad * rc_pad).raw();
-        let half_edge_q20 = [
-            Q20::from_f64(e.x / 2.0),
-            Q20::from_f64(e.y / 2.0),
-            Q20::from_f64(e.z / 2.0),
-        ];
         // Static packed correction streams: the excluded / 1-4 pair lists
         // never change, so the charge products and zero-product filtering
         // are hoisted out of the per-step stream once, here. The products
@@ -382,6 +394,7 @@ impl ForcePipeline {
             corr_kernel: DirectKernel::reference(beta, sys.params.cutoff),
             rc2_q20,
             half_edge_q20,
+            ladder,
             policy,
             import_margin: IMPORT_MARGIN,
             decomposition,
@@ -529,9 +542,10 @@ impl ForcePipeline {
     /// with (j, i) yields the exact negation.
     ///
     /// Retained as the scalar *reference oracle* for the batched match/
-    /// evaluate pipeline; production paths stream tile pairs through
-    /// [`Self::match_tile_pair`] + [`Self::evaluate_batches`], whose
-    /// per-pair arithmetic is identical operation for operation.
+    /// evaluate pipeline, on its own 128-bit ladder
+    /// (`FixedState::delta_q20`); production paths stream tile pairs
+    /// through [`Self::match_tile_pair`] + [`Self::evaluate_batches`],
+    /// whose 64-bit [`Q20Ladder`] yields the same words.
     #[cfg(test)]
     #[inline]
     fn pair_contribution(
@@ -542,10 +556,9 @@ impl ForcePipeline {
         j: usize,
     ) -> Option<([i64; 3], i64)> {
         let top = &sys.topology;
-        let (iu, ju) = (i as u32, j as u32);
-        if top.exclusions.is_excluded(iu, ju) {
-            return None;
-        }
+        let (se, sl) = self
+            .policy
+            .scales(top.exclusions.class(i as u32, j as u32))?;
         let d = state.delta_q20(self.half_edge_q20, i, j);
         // Exact r² in Q20 with a single rounding (component order free).
         let sum: i128 =
@@ -554,11 +567,6 @@ impl ForcePipeline {
         if r2 > self.rc2_q20 || r2 == 0 {
             return None;
         }
-        let (se, sl) = if top.exclusions.is_14(iu, ju) {
-            (self.policy.elec_14, self.policy.lj_14)
-        } else {
-            (1.0, 1.0)
-        };
         let qq = top.charge[i] * top.charge[j] * se;
         let (a, b) = top.lj_table.coeffs(top.lj_type[i], top.lj_type[j]);
         let (f_over_r, e) = self.ppip.pair(r2, qq, a * sl, b * sl);
@@ -598,21 +606,27 @@ impl ForcePipeline {
         }
     }
 
-    /// Stream one tile pair through a match unit: integer low-precision
-    /// prefilter on the raw fraction deltas, exact Q20 r² against the
-    /// *padded* cutoff `(rc + PAIRLIST_SLACK)²`, exclusion/1-4
-    /// classification, and lane fill into `q`. `same` marks a tile paired
-    /// with itself, where slots enumerate `si < sj`. `sa0`/`sb0` are the
-    /// tiles' first flat slots in the owning [`PosTiles`] pool; the queue
-    /// records each lane's slot pair so reuse steps can re-derive the
-    /// displacement from refreshed tile positions.
+    /// Stream one tile pair through a match unit, one row of `b` per slot
+    /// of `a`, a block of [`MATCH_BLOCK`] candidates at a time, in two
+    /// passes. The first is the ASIC match unit's reduced-precision
+    /// compare — the integer lower bound of [`Q20Ladder`] on every
+    /// candidate of the block, no data-dependent branch, survivors' slot
+    /// indices compacted into a stack buffer. The second runs on survivors
+    /// only: exact Q20 r² against the *padded* cutoff
+    /// `(rc + PAIRLIST_SLACK)²`, exclusion/1-4 class, LJ and charge
+    /// products, lane fill into `q`. `same` marks a tile paired with
+    /// itself, where slots enumerate `si < sj`. `sa0`/`sb0` are the tiles'
+    /// first flat slots in the owning [`PosTiles`] pool; the queue records
+    /// each lane's slot pair so reuse steps can re-derive the displacement
+    /// from refreshed tile positions.
     ///
     /// Matching at the padded radius makes the queued set a superset of
     /// the in-cutoff set for every step the displacement monitor accepts;
-    /// the exact `r² ≤ rc²` decision is re-taken per evaluation (with
-    /// arithmetic identical operation for operation to the scalar
-    /// oracle's `FixedState::delta_q20` + RNE r² ladder), so *which*
-    /// pairs contribute never depends on when the batch was matched.
+    /// the exact `r² ≤ rc²` decision is re-taken per evaluation on the
+    /// same ladder, so *which* pairs contribute never depends on when the
+    /// batch was matched. Coincident pairs (r² = 0) are *kept* here — the
+    /// evaluator's per-step mask makes the final call either way, so the
+    /// match stage only has to be conservative.
     // The argument list is the tile-pair tuple the cell walk produces;
     // bundling it into a struct would only rename the call sites.
     #[allow(clippy::too_many_arguments)]
@@ -627,81 +641,58 @@ impl ForcePipeline {
         q: &mut BatchQueue,
     ) {
         let top = &sys.topology;
-        let he = [
-            self.half_edge_q20[0].raw(),
-            self.half_edge_q20[1].raw(),
-            self.half_edge_q20[2].raw(),
-        ];
+        let mut kept = [0u32; MATCH_BLOCK];
         for si in 0..a.len() {
-            let (xi, yi, zi) = (a.x[si], a.y[si], a.z[si]);
+            let pi = [a.x[si], a.y[si], a.z[si]];
             let ai = a.atom[si];
             let qi = a.q[si];
+            let ti = top.lj_type[ai as usize];
             let sj0 = if same { si + 1 } else { 0 };
             q.census.candidates += (b.len() - sj0) as u64;
-            for sj in sj0..b.len() {
-                // Low-precision distance check (the ASIC match unit's
-                // reduced-precision compare): per-axis floor lower bounds
-                // on Δ² in Q40. floor ≤ RNE per axis, so survivors are a
-                // strict superset of the exact in-cutoff set.
-                let dx = xi.wrapping_sub(b.x[sj]) as i64;
-                let dy = yi.wrapping_sub(b.y[sj]) as i64;
-                let dz = zi.wrapping_sub(b.z[sj]) as i64;
-                let lx = (dx.abs() * he[0]) >> 31;
-                let ly = (dy.abs() * he[1]) >> 31;
-                let lz = (dz.abs() * he[2]) >> 31;
-                if lx * lx + ly * ly + lz * lz > self.r2_lb_max {
-                    continue;
+            for block in (sj0..b.len()).step_by(MATCH_BLOCK) {
+                let end = (block + MATCH_BLOCK).min(b.len());
+                let row = b.x[block..end]
+                    .iter()
+                    .zip(&b.y[block..end])
+                    .zip(&b.z[block..end]);
+                let mut n = 0;
+                for (sj, ((&x, &y), &z)) in (block as u32..).zip(row) {
+                    let lb = self.ladder.r2_lower_bound_q40(pi, [x, y, z]);
+                    kept[n] = sj;
+                    n += usize::from(lb <= self.r2_lb_max);
                 }
-                // Exact displacement and r², identical arithmetic to the
-                // scalar `delta_q20` path; the test is against the padded
-                // radius, and coincident pairs (r² = 0) are *kept* — the
-                // evaluator's per-step mask makes the final call either
-                // way, so the match stage only has to be conservative.
-                let d = [
-                    anton_fixpoint::rne_shr_i128(dx as i128 * he[0] as i128, 31),
-                    anton_fixpoint::rne_shr_i128(dy as i128 * he[1] as i128, 31),
-                    anton_fixpoint::rne_shr_i128(dz as i128 * he[2] as i128, 31),
-                ];
-                let sum: i128 = d[0] as i128 * d[0] as i128
-                    + d[1] as i128 * d[1] as i128
-                    + d[2] as i128 * d[2] as i128;
-                let r2 = anton_fixpoint::rne_shr_i128(sum, 20);
-                if r2 > self.rc_pad2_q20 {
-                    continue;
+                for &sj in &kept[..n] {
+                    let sj = sj as usize;
+                    let (_, r2) = self.ladder.delta_r2(pi, [b.x[sj], b.y[sj], b.z[sj]]);
+                    if r2 > self.rc_pad2_q20 {
+                        continue;
+                    }
+                    let aj = b.atom[sj];
+                    let Some((se, sl)) = self.policy.scales(top.exclusions.class(ai, aj)) else {
+                        continue;
+                    };
+                    let (lja, ljb) = top.lj_table.coeffs(ti, top.lj_type[aj as usize]);
+                    q.push(
+                        r2,
+                        qi * b.q[sj] * se,
+                        lja * sl,
+                        ljb * sl,
+                        ai,
+                        aj,
+                        sa0 + si as u32,
+                        sb0 + sj as u32,
+                    );
                 }
-                let aj = b.atom[sj];
-                if top.exclusions.is_excluded(ai, aj) {
-                    continue;
-                }
-                let (se, sl) = if top.exclusions.is_14(ai, aj) {
-                    (self.policy.elec_14, self.policy.lj_14)
-                } else {
-                    (1.0, 1.0)
-                };
-                let qq = qi * b.q[sj] * se;
-                let (lja, ljb) = top
-                    .lj_table
-                    .coeffs(top.lj_type[ai as usize], top.lj_type[aj as usize]);
-                q.push(
-                    r2,
-                    qq,
-                    lja * sl,
-                    ljb * sl,
-                    ai,
-                    aj,
-                    sa0 + si as u32,
-                    sb0 + sj as u32,
-                );
             }
         }
     }
 
     /// Replay the queued batches against the *current* tile positions:
     /// per occupied lane, re-derive the exact Q20 displacement and r² from
-    /// the refreshed tiles (the same `rne_shr_i128` ladder the match stage
-    /// and scalar oracle use), re-take the exact `r² ≤ rc²` cutoff mask,
-    /// then dispatch the surviving lanes through the PPIP evaluator and
-    /// scatter the quantized forces, virial and energy.
+    /// the refreshed tiles (the [`Q20Ladder`] the match stage ran, bit for
+    /// bit the scalar oracle's 128-bit one), re-take the exact `r² ≤ rc²`
+    /// cutoff mask, then dispatch the surviving lanes through the PPIP
+    /// evaluator and scatter the quantized forces, virial and energy.
     ///
     /// The cached batch contributes only the pair's *static* identity
     /// (atom ids, tile slots, charge product, LJ coefficients) — every
@@ -712,11 +703,6 @@ impl ForcePipeline {
     /// of live (in-cutoff) pairs, which is likewise rebuild-schedule
     /// independent.
     fn evaluate_batches(&self, q: &BatchQueue, tiles: &PosTiles, out: &mut RawForces) -> u64 {
-        let he = [
-            self.half_edge_q20[0].raw(),
-            self.half_edge_q20[1].raw(),
-            self.half_edge_q20[2].raw(),
-        ];
         let ds = 1.0 / (1i64 << 20) as f64;
         let fs = (1i64 << FORCE_FRAC) as f64;
         let es = (1u64 << ENERGY_FRAC) as f64;
@@ -730,20 +716,9 @@ impl ForcePipeline {
                 if batch.mask & (1u8 << lane) == 0 {
                     continue;
                 }
-                let pa = tiles.raw_at(meta.si[lane]);
-                let pb = tiles.raw_at(meta.sj[lane]);
-                let dx = pa[0].wrapping_sub(pb[0]) as i64;
-                let dy = pa[1].wrapping_sub(pb[1]) as i64;
-                let dz = pa[2].wrapping_sub(pb[2]) as i64;
-                let d = [
-                    anton_fixpoint::rne_shr_i128(dx as i128 * he[0] as i128, 31),
-                    anton_fixpoint::rne_shr_i128(dy as i128 * he[1] as i128, 31),
-                    anton_fixpoint::rne_shr_i128(dz as i128 * he[2] as i128, 31),
-                ];
-                let sum: i128 = d[0] as i128 * d[0] as i128
-                    + d[1] as i128 * d[1] as i128
-                    + d[2] as i128 * d[2] as i128;
-                let r2 = anton_fixpoint::rne_shr_i128(sum, 20);
+                let (d, r2) = self
+                    .ladder
+                    .delta_r2(tiles.raw_at(meta.si[lane]), tiles.raw_at(meta.sj[lane]));
                 if r2 > self.rc2_q20 || r2 == 0 {
                     continue;
                 }
@@ -1632,12 +1607,12 @@ impl ForcePipeline {
 mod tests {
     use super::*;
     use anton_forcefield::water::TIP3P;
+    use anton_forcefield::PairClass;
     use anton_geometry::{CellGrid, PeriodicBox};
     use anton_systems::spec::RunParams;
     use anton_systems::waterbox::pure_water_topology;
 
-    fn water_system(n: usize, seed: u64) -> System {
-        let pbox = PeriodicBox::cubic(18.0);
+    pub(super) fn water_box(pbox: PeriodicBox, n: usize, seed: u64) -> System {
         let (top, positions) = pure_water_topology(&pbox, &TIP3P, n, seed);
         System {
             name: "w".into(),
@@ -1648,7 +1623,11 @@ mod tests {
         }
     }
 
-    fn state_of(sys: &System) -> FixedState {
+    pub(super) fn water_system(n: usize, seed: u64) -> System {
+        water_box(PeriodicBox::cubic(18.0), n, seed)
+    }
+
+    pub(super) fn state_of(sys: &System) -> FixedState {
         FixedState::from_f64(&sys.pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()])
     }
 
@@ -1808,7 +1787,7 @@ mod tests {
         let grid = CellGrid::build(&sys.pbox, &pos, sys.params.cutoff + PAIRLIST_SLACK);
         grid.for_each_pair_within(&pos, sys.params.cutoff + PAIRLIST_SLACK, |i, j, _d, _r2| {
             let top = &sys.topology;
-            if top.exclusions.is_excluded(i as u32, j as u32) {
+            if top.exclusions.class(i as u32, j as u32) == PairClass::Excluded {
                 return;
             }
             let d = state.delta_q20(pipe.half_edge_q20, i, j);
@@ -1898,6 +1877,29 @@ mod tests {
         assert_ne!(batched.e_correction, 0);
     }
 
+    /// A box whose half-edge reaches 2³⁰ raw Q20 would wrap the pair
+    /// ladder's 64-bit products: construction refuses it.
+    #[test]
+    #[should_panic(expected = "half-edge")]
+    fn pipeline_refuses_a_box_beyond_the_ladder_bound() {
+        let top = anton_forcefield::Topology {
+            mass: vec![39.9; 2],
+            charge: vec![0.0; 2],
+            lj_type: vec![0; 2],
+            lj_table: anton_forcefield::LjTable::from_types(&[(3.4, 0.24)]),
+            molecule_starts: vec![0, 1, 2],
+            ..Default::default()
+        };
+        let sys = System {
+            name: "vast".into(),
+            pbox: PeriodicBox::new(Vec3::new(30.0, 30.0, 2048.0)),
+            topology: top,
+            positions: vec![Vec3::new(5.0, 5.0, 5.0), Vec3::new(8.0, 5.0, 5.0)],
+            params: RunParams::paper(7.0, 16),
+        };
+        ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+    }
+
     /// The match census counters book the streamed work consistently:
     /// pairs ≤ candidates, the batch count covers the pairs at 8 lanes a
     /// batch, and the surviving pair count is invariant across
@@ -1934,28 +1936,22 @@ mod batched_oracle_props {
     //! sets, the batched HTIS-shaped pipeline reproduces the retained
     //! scalar oracle's pair *set* and raw forces *bitwise*, across the
     //! single-rank path and `Nodes {1, 8, 64}`.
+    use super::tests::{state_of, water_box, water_system};
     use super::*;
     use anton_fixpoint::Fx32;
-    use anton_forcefield::water::TIP3P;
+    use anton_forcefield::PairClass;
     use anton_geometry::{CellGrid, PeriodicBox};
-    use anton_systems::spec::RunParams;
-    use anton_systems::waterbox::pure_water_topology;
     use proptest::prelude::*;
 
-    fn water_system(n: usize, seed: u64) -> System {
-        let pbox = PeriodicBox::cubic(18.0);
-        let (top, positions) = pure_water_topology(&pbox, &TIP3P, n, seed);
-        System {
-            name: "w".into(),
-            pbox,
-            topology: top,
-            positions,
-            params: RunParams::paper(7.5, 16),
-        }
-    }
-
-    fn state_of(sys: &System) -> FixedState {
-        FixedState::from_f64(&sys.pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()])
+    /// A box long enough for 8 subboxes on x (35 Å / 8 is still half the
+    /// 8.5 Å reach) over 4 × 4: the stencil walk away from the small cell
+    /// counts, where the 18 Å cube never goes.
+    fn long_water_box(n: usize, seed: u64) -> System {
+        let sys = water_box(PeriodicBox::new(Vec3::new(35.0, 18.0, 18.0)), n, seed);
+        let pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+        let cells = pipe.single.as_ref().map(|st| st.tiling.cell_count());
+        assert_eq!(cells, Some(8 * 4 * 4));
+        sys
     }
 
     /// Exact interaction set per the scalar oracle (cell-grid sweep +
@@ -1973,16 +1969,9 @@ mod batched_oracle_props {
         pairs
     }
 
-    /// The *live* pair set the batched evaluator dispatched on the last
-    /// `range_limited` call: queued (padded-radius) lanes filtered by the
-    /// same exact `r² ≤ rc²` ladder the evaluator masks with, against the
-    /// tiles' current (refreshed) positions.
-    fn batched_pairs(pipe: &ForcePipeline) -> Vec<(u32, u32)> {
-        let he = [
-            pipe.half_edge_q20[0].raw(),
-            pipe.half_edge_q20[1].raw(),
-            pipe.half_edge_q20[2].raw(),
-        ];
+    /// The queued lanes' atom pairs, normalized and sorted, whose r² (the
+    /// 128-bit ladder over the tiles' current positions) passes `keep`.
+    fn queued_pairs(pipe: &ForcePipeline, keep: impl Fn(i64) -> bool) -> Vec<(u32, u32)> {
         let live = |q: &BatchQueue, tiles: &PosTiles| -> Vec<(u32, u32)> {
             let mut v = Vec::new();
             for (batch, meta) in q.iter() {
@@ -1990,21 +1979,10 @@ mod batched_oracle_props {
                     if batch.mask & (1u8 << lane) == 0 {
                         continue;
                     }
-                    let pa = tiles.raw_at(meta.si[lane]);
-                    let pb = tiles.raw_at(meta.sj[lane]);
-                    let dx = pa[0].wrapping_sub(pb[0]) as i64;
-                    let dy = pa[1].wrapping_sub(pb[1]) as i64;
-                    let dz = pa[2].wrapping_sub(pb[2]) as i64;
-                    let d = [
-                        anton_fixpoint::rne_shr_i128(dx as i128 * he[0] as i128, 31),
-                        anton_fixpoint::rne_shr_i128(dy as i128 * he[1] as i128, 31),
-                        anton_fixpoint::rne_shr_i128(dz as i128 * he[2] as i128, 31),
-                    ];
-                    let sum: i128 = d[0] as i128 * d[0] as i128
-                        + d[1] as i128 * d[1] as i128
-                        + d[2] as i128 * d[2] as i128;
-                    let r2 = anton_fixpoint::rne_shr_i128(sum, 20);
-                    if r2 > pipe.rc2_q20 || r2 == 0 {
+                    let (_, r2) = pipe
+                        .ladder
+                        .delta_r2_i128(tiles.raw_at(meta.si[lane]), tiles.raw_at(meta.sj[lane]));
+                    if !keep(r2) {
                         continue;
                     }
                     let (i, j) = (meta.i[lane], meta.j[lane]);
@@ -2023,6 +2001,13 @@ mod batched_oracle_props {
         };
         pairs.sort_unstable();
         pairs
+    }
+
+    /// The *live* pair set the batched evaluator dispatched on the last
+    /// `range_limited` call: queued (padded-radius) lanes filtered by the
+    /// exact `r² ≤ rc²` test the evaluator masks with.
+    fn batched_pairs(pipe: &ForcePipeline) -> Vec<(u32, u32)> {
+        queued_pairs(pipe, |r2| r2 <= pipe.rc2_q20 && r2 != 0)
     }
 
     /// Scalar NT oracle: serial per-rank scalar enumeration after a
@@ -2050,30 +2035,28 @@ mod batched_oracle_props {
     #[test]
     fn batched_path_matches_scalar_oracle() {
         let mut runner = TestRunner::new(concat!(module_path!(), "::batched_path"));
-        for case in 0..6u32 {
-            let n = Strategy::sample(&(20usize..60), runner.rng());
-            let seed = Strategy::sample(&(0u64..(1u64 << 32)), runner.rng());
-            let edge_decis = Strategy::sample(&(160u32..260), runner.rng());
-            let pbox = PeriodicBox::cubic(edge_decis as f64 / 10.0);
-            let (top, positions) = pure_water_topology(&pbox, &TIP3P, n, seed);
-            let sys = System {
-                name: "prop".into(),
-                pbox,
-                topology: top,
-                positions,
-                params: RunParams::paper(7.5, 16),
-            };
-            let state = state_of(&sys);
-            let ctx = format!("case {case}: n={n} seed={seed} edge={edge_decis}");
+        let mut cases: Vec<System> = (0..6)
+            .map(|_| {
+                let n = Strategy::sample(&(20usize..60), runner.rng());
+                let seed = Strategy::sample(&(0u64..(1u64 << 32)), runner.rng());
+                let edge_decis = Strategy::sample(&(160u32..260), runner.rng());
+                water_box(PeriodicBox::cubic(edge_decis as f64 / 10.0), n, seed)
+            })
+            .collect();
+        cases.push(long_water_box(80, 41));
+        for (case, sys) in cases.iter().enumerate() {
+            let state = state_of(sys);
+            let (n, edge) = (sys.n_atoms(), sys.pbox.edge());
+            let ctx = format!("case {case}: {n} atoms, edge {edge:?}");
 
             // Single rank: batched vs cell-grid scalar oracle.
-            let mut sr = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+            let mut sr = ForcePipeline::new(sys, Decomposition::SingleRank, 1);
             let mut batched = RawForces::zeroed(sys.n_atoms());
-            sr.range_limited(&sys, &state, &mut batched);
+            sr.range_limited(sys, &state, &mut batched);
             let mut oracle = RawForces::zeroed(sys.n_atoms());
-            sr.range_limited_cellgrid(&sys, &state, &mut oracle);
+            sr.range_limited_cellgrid(sys, &state, &mut oracle);
             assert_eq!(batched, oracle, "single-rank forces diverged ({ctx})");
-            let oracle_set = oracle_pairs(&sr, &sys, &state);
+            let oracle_set = oracle_pairs(&sr, sys, &state);
             assert_eq!(
                 batched_pairs(&sr),
                 oracle_set,
@@ -2083,16 +2066,16 @@ mod batched_oracle_props {
             // Nodes {1, 8, 64}: batched vs the scalar NT oracle and vs
             // the single-rank result.
             for nodes in [1usize, 8, 64] {
-                let mut np = ForcePipeline::new(&sys, Decomposition::Nodes(nodes), 1);
+                let mut np = ForcePipeline::new(sys, Decomposition::Nodes(nodes), 1);
                 let mut got = RawForces::zeroed(sys.n_atoms());
-                np.range_limited(&sys, &state, &mut got);
+                np.range_limited(sys, &state, &mut got);
                 assert_eq!(got, oracle, "{nodes}-node forces diverged ({ctx})");
                 assert_eq!(
                     batched_pairs(&np),
                     oracle_set,
                     "{nodes}-node pair set ({ctx})"
                 );
-                let scalar = scalar_nodes_forces(&mut np, &sys, &state);
+                let scalar = scalar_nodes_forces(&mut np, sys, &state);
                 assert_eq!(got, scalar, "{nodes}-node scalar oracle ({ctx})");
             }
         }
@@ -2108,13 +2091,17 @@ mod batched_oracle_props {
     /// of the trajectory).
     #[test]
     fn cached_pipeline_matches_fresh_rebuild_every_step() {
-        let sys = water_system(100, 29);
+        cached_matches_fresh(&water_system(100, 29));
+        cached_matches_fresh(&long_water_box(100, 31));
+    }
+
+    fn cached_matches_fresh(sys: &System) {
         let n = sys.n_atoms();
-        let mut state = state_of(&sys);
+        let mut state = state_of(sys);
 
         // The fresh oracle is invalidated before every evaluation, so it
         // re-matches at the current positions each step.
-        let mut fresh = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+        let mut fresh = ForcePipeline::new(sys, Decomposition::SingleRank, 1);
         let decomps = [
             Decomposition::SingleRank,
             Decomposition::Nodes(1),
@@ -2123,7 +2110,7 @@ mod batched_oracle_props {
         ];
         let mut cached: Vec<ForcePipeline> = decomps
             .iter()
-            .map(|&d| ForcePipeline::new(&sys, d, 1))
+            .map(|&d| ForcePipeline::new(sys, d, 1))
             .collect();
 
         // Constant per-atom drift (splitmix-style hash): each axis moves
@@ -2151,12 +2138,12 @@ mod batched_oracle_props {
             }
             fresh.invalidate_match_cache();
             let mut want = RawForces::zeroed(n);
-            fresh.range_limited(&sys, &state, &mut want);
+            fresh.range_limited(sys, &state, &mut want);
             let want_pairs = batched_pairs(&fresh);
             for (c, pipe) in cached.iter_mut().enumerate() {
                 let before = pipe.counters.rebuild_steps;
                 let mut got = RawForces::zeroed(n);
-                pipe.range_limited(&sys, &state, &mut got);
+                pipe.range_limited(sys, &state, &mut got);
                 assert_eq!(got, want, "step {step}, {:?}: cached forces", decomps[c]);
                 assert_eq!(
                     batched_pairs(pipe),
@@ -2184,6 +2171,56 @@ mod batched_oracle_props {
             reuses >= 2,
             "want cache-reuse steps between rebuilds, got {reuses}"
         );
+    }
+
+    /// What the match stage *queues* — before any per-step mask — is the
+    /// padded-cutoff set of an all-pairs sweep, every pair exactly once,
+    /// on boxes whose axes get 1, 2, 4 and 8 subboxes (so the cell-pair
+    /// stencil wraps onto itself in every way it can), and the forces are
+    /// the all-pairs scalar oracle's.
+    #[test]
+    fn queued_pairs_equal_the_all_pairs_padded_oracle() {
+        // Reach 8.5 Å: an axis gets 2^m cells while edge / 2^m ≥ 4.25 Å.
+        let boxes = [
+            ([8.0, 16.0, 33.0], [1, 2, 4]),
+            ([34.5, 8.4, 16.9], [8, 1, 2]),
+            ([17.5, 36.0, 12.0], [4, 8, 2]),
+        ];
+        for (case, (edge, cells)) in boxes.into_iter().enumerate() {
+            let pbox = PeriodicBox::new(Vec3::new(edge[0], edge[1], edge[2]));
+            let sys = water_box(pbox, 40, 100 + case as u64);
+            let state = state_of(&sys);
+            let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+            let tiling = &pipe.single.as_ref().expect("single-rank tiles").tiling;
+            assert_eq!(
+                tiling.cell_count(),
+                cells.iter().product::<usize>(),
+                "case {case}"
+            );
+            let mut got = RawForces::zeroed(sys.n_atoms());
+            pipe.range_limited(&sys, &state, &mut got);
+
+            let raw = |a: usize| state.positions[a].0.map(|c| c.raw());
+            let mut want_pairs = Vec::new();
+            let mut want = RawForces::zeroed(sys.n_atoms());
+            for i in 0..sys.n_atoms() {
+                for j in (i + 1)..sys.n_atoms() {
+                    pipe.apply_pair(&sys, &state, i, j, &mut want);
+                    let (_, r2) = pipe.ladder.delta_r2_i128(raw(i), raw(j));
+                    let class = sys.topology.exclusions.class(i as u32, j as u32);
+                    if r2 <= pipe.rc_pad2_q20 && class != PairClass::Excluded {
+                        want_pairs.push((i as u32, j as u32));
+                    }
+                }
+            }
+            assert_eq!(
+                queued_pairs(&pipe, |_| true),
+                want_pairs,
+                "case {case}: queued set"
+            );
+            assert_eq!(got, want, "case {case}: forces");
+            assert!(got.e_range_limited != 0);
+        }
     }
 }
 

@@ -30,6 +30,6 @@ pub mod topology;
 pub mod units;
 pub mod water;
 
-pub use exclusions::{ExclusionPolicy, Exclusions};
+pub use exclusions::{ExclusionPolicy, Exclusions, PairClass};
 pub use lj::LjTable;
 pub use topology::{Angle, Bond, ConstraintGroup, Dihedral, Topology};

@@ -181,6 +181,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PairClass;
 
     fn tiny_topology() -> Topology {
         let mut t = Topology {
@@ -229,8 +230,9 @@ mod tests {
         let t = tiny_topology();
         // 1-2: (0,1), (0,2), (0,3); 1-3: (1,2), (1,3), (2,3).
         for &(i, j) in &[(0u32, 1u32), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
-            assert!(
-                t.exclusions.is_excluded(i, j),
+            assert_eq!(
+                t.exclusions.class(i, j),
+                PairClass::Excluded,
                 "({i},{j}) should be excluded"
             );
         }

@@ -3,9 +3,9 @@
 //! The HTIS streams *tiles* of particle data — contiguous per-axis
 //! coordinate arrays plus per-particle kernel parameters — through its
 //! match units. [`PosTiles`] is that layout in software: one flat SoA pool
-//! segmented into tiles (one tile per subbox / cell), rebuilt every force
-//! evaluation from a bucketed particle index without allocating in steady
-//! state. Coordinates are stored as the *raw* signed 32-bit box-fraction
+//! segmented into tiles (one tile per subbox / cell), rebuilt on every
+//! match-cache rebuild from a bucketed particle index (positions refreshed
+//! in place in between) without allocating in steady state. Coordinates are stored as the *raw* signed 32-bit box-fraction
 //! bits, so the match stage can form minimum-image deltas with plain
 //! wrapping subtraction and never touches floating point.
 

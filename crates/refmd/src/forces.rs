@@ -77,14 +77,8 @@ impl ForceEvaluator {
             .unwrap_or(anton_forcefield::ExclusionPolicy::amber_like());
         let mut e_rl = 0.0;
         grid.for_each_pair_within(pos, sys.params.cutoff, |i, j, d, r2| {
-            let (iu, ju) = (i as u32, j as u32);
-            if top.exclusions.is_excluded(iu, ju) {
+            let Some((se, sl)) = policy.scales(top.exclusions.class(i as u32, j as u32)) else {
                 return;
-            }
-            let (se, sl) = if top.exclusions.is_14(iu, ju) {
-                (policy.elec_14, policy.lj_14)
-            } else {
-                (1.0, 1.0)
             };
             let qq = top.charge[i] * top.charge[j];
             let (a, b) = top.lj_table.coeffs(top.lj_type[i], top.lj_type[j]);

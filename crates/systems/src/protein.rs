@@ -337,6 +337,7 @@ pub fn chain_topology(chain: &ProteinChain, water_sigma: f64, water_eps: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_forcefield::PairClass;
 
     #[test]
     fn residue_charges_are_neutral() {
@@ -382,7 +383,7 @@ mod tests {
         let top = chain_topology(&c, 3.15, 0.15);
         for i in 0..c.n_atoms() {
             for j in (i + 1)..c.n_atoms() {
-                if top.exclusions.is_excluded(i as u32, j as u32) {
+                if top.exclusions.class(i as u32, j as u32) == PairClass::Excluded {
                     continue;
                 }
                 let d = (c.positions[i] - c.positions[j]).norm();
