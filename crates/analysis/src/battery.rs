@@ -380,7 +380,8 @@ impl Verifier {
             let links = sim
                 .pipeline
                 .rank_set()
-                .map_or(0, |rs| rs.plan.total_links()) as u64;
+                .and_then(|rs| rs.plan())
+                .map_or(0, |plan| plan.total_links()) as u64;
             for (label, counter) in [
                 ("import_messages", c.import_messages),
                 ("reduce_messages", c.reduce_messages),

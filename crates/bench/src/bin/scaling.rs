@@ -404,11 +404,11 @@ fn main() {
                 reuse_steps: sim.pipeline.counters.reuse_steps,
                 checksum: sim.state.checksum(),
             };
-            if let Some(rs) = sim.pipeline.rank_set() {
+            if let Some(plan) = sim.pipeline.rank_set().and_then(|rs| rs.plan()) {
                 let c = &sim.pipeline.counters;
-                let cfg = MachineConfig::with_nodes(rs.rank_count());
-                let n = rs.rank_count();
-                row.links_per_rank = rs.plan.max_links_per_rank() as u64;
+                let n = plan.rank_count();
+                let cfg = MachineConfig::with_nodes(n);
+                row.links_per_rank = plan.max_links_per_rank() as u64;
                 row.kb_per_step_rank = c.per_rank_step_bytes(n) / 1024.0;
                 row.mean_hops = c.mean_hops();
                 row.modeled_comm_us = c.modeled_step_comm_us(&cfg, n);

@@ -76,3 +76,29 @@ fn rendered_tables_are_schema_versioned_and_newline_clean() {
         assert_eq!(csv, t.render_csv());
     }
 }
+
+/// Phase coverage does not depend on the configuration: every row of the
+/// checked-in traced pass — the one-rank plan included — records spans in
+/// the same set of phases, so `TABLE_trace_phases.csv` has no structural
+/// zeros. (`checkpoint` is excepted: it is emitted only where a store is
+/// configured, which is the 8-node probe row alone.)
+#[test]
+fn every_trace_row_covers_the_same_phases() {
+    let trace = load("TRACE_scaling.json");
+    let rows = trace.get("rows").and_then(Json::as_arr).expect("rows");
+    assert!(rows.len() >= 2);
+    for row in rows {
+        let silent: Vec<&str> = (row.get("phases").and_then(Json::as_arr).expect("phases"))
+            .iter()
+            .filter(|p| p.get("spans").and_then(Json::as_u64) == Some(0))
+            .map(|p| p.get("phase").and_then(Json::as_str).expect("phase name"))
+            .filter(|&name| name != "checkpoint")
+            .collect();
+        assert!(
+            silent.is_empty(),
+            "row nodes={:?} threads={:?} records no span for {silent:?}",
+            row.get("nodes").and_then(Json::as_u64),
+            row.get("threads").and_then(Json::as_u64),
+        );
+    }
+}

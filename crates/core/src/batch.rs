@@ -6,8 +6,8 @@
 //! bundles. This module is the software shape of that stage: a
 //! [`BatchQueue`] packs cutoff survivors into [`PairBatch`] lanes (with a
 //! geometry sidecar for the force scatter), [`CellTiling`] is the static
-//! power-of-two subbox decomposition the single-rank pipeline streams
-//! tile pairs from, and [`Q20Ladder`] is the one displacement/r² ladder
+//! power-of-two subbox decomposition the one-rank work plan streams tile
+//! pairs from, and [`Q20Ladder`] is the one displacement/r² ladder
 //! both the match stage and the evaluator run. Everything is
 //! allocation-free in steady state and bitwise deterministic: the queue
 //! records pairs in enumeration order, and batch lane order is the
@@ -282,7 +282,8 @@ impl MatchCache {
     }
 }
 
-/// Static power-of-two subbox decomposition for the single-rank pipeline.
+/// Static power-of-two subbox decomposition: the tiles of the one-rank work
+/// plan ([`Decomposition::SingleRank`](crate::forces::Decomposition)).
 ///
 /// Per axis the cell count is the largest power of two whose cell width
 /// is still at least *half* of `reach` (capped at 16 cells) — the paper's

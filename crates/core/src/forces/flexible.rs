@@ -1,0 +1,173 @@
+//! The flexible phase: bonded terms and the packed correction stream
+//! (the work of the ASIC's flexible subsystem, §3.1), evaluated per rank
+//! from the plan's static work lists.
+
+use super::{ForcePipeline, RawForces};
+use crate::ranks::Rank;
+use crate::state::{FixedState, ENERGY_FRAC, FORCE_FRAC};
+use anton_fixpoint::rounding::rne_f64;
+use anton_forcefield::bonded;
+use anton_geometry::Vec3;
+use anton_machine::MATCH_WIDTH;
+use anton_systems::System;
+
+impl ForcePipeline {
+    /// One rank's statically assigned bonded terms (work lists fixed at
+    /// construction, §3.2.3), from decoded positions: each term's forces
+    /// are quantized per atom before accumulation (term order immaterial).
+    pub(super) fn rank_bonded(&self, sys: &System, pos: &[Vec3], rank: &Rank, out: &mut RawForces) {
+        for &t in &rank.bonds {
+            self.bond_term_into(sys, pos, t as usize, out);
+        }
+        for &t in &rank.angles {
+            self.angle_term_into(sys, pos, t as usize, out);
+        }
+        for &t in &rank.dihedrals {
+            self.dihedral_term_into(sys, pos, t as usize, out);
+        }
+    }
+
+    /// Quantize an f64 force onto the Q24 grid and accumulate.
+    #[inline]
+    fn add_force(out: &mut RawForces, idx: u32, f: Vec3) {
+        let fs = (1i64 << FORCE_FRAC) as f64;
+        let a = &mut out.f[idx as usize];
+        a[0] = a[0].wrapping_add(rne_f64(f.x * fs) as i64);
+        a[1] = a[1].wrapping_add(rne_f64(f.y * fs) as i64);
+        a[2] = a[2].wrapping_add(rne_f64(f.z * fs) as i64);
+    }
+
+    #[inline]
+    fn bond_term_into(&self, sys: &System, pos: &[Vec3], t: usize, out: &mut RawForces) {
+        let b = &sys.topology.bonds[t];
+        let (u, fi, fj) = bonded::bond_term(&sys.pbox, pos, b);
+        Self::add_force(out, b.i, fi);
+        Self::add_force(out, b.j, fj);
+        out.e_bonded = out
+            .e_bonded
+            .wrapping_add(rne_f64(u * (1u64 << ENERGY_FRAC) as f64) as i64);
+    }
+
+    #[inline]
+    fn angle_term_into(&self, sys: &System, pos: &[Vec3], t: usize, out: &mut RawForces) {
+        let a = &sys.topology.angles[t];
+        let (u, fi, fj, fk) = bonded::angle_term(&sys.pbox, pos, a);
+        Self::add_force(out, a.i, fi);
+        Self::add_force(out, a.j, fj);
+        Self::add_force(out, a.k_atom, fk);
+        out.e_bonded = out
+            .e_bonded
+            .wrapping_add(rne_f64(u * (1u64 << ENERGY_FRAC) as f64) as i64);
+    }
+
+    #[inline]
+    fn dihedral_term_into(&self, sys: &System, pos: &[Vec3], t: usize, out: &mut RawForces) {
+        let d = &sys.topology.dihedrals[t];
+        let (u, fi, fj, fk, fl) = bonded::dihedral_term(&sys.pbox, pos, d);
+        Self::add_force(out, d.i, fi);
+        Self::add_force(out, d.j, fj);
+        Self::add_force(out, d.k_atom, fk);
+        Self::add_force(out, d.l, fl);
+        out.e_bonded = out
+            .e_bonded
+            .wrapping_add(rne_f64(u * (1u64 << ENERGY_FRAC) as f64) as i64);
+    }
+
+    /// Stream correction pairs (atom ids + precomputed charge product)
+    /// through the batched correction kernel in 8-wide bundles — the
+    /// flexible subsystem's analogue of the HTIS match batch. The packed
+    /// streams were filtered of zero charge products at construction,
+    /// exactly like the scalar reference's early return; per-lane
+    /// arithmetic is bitwise identical to the scalar oracle's
+    /// `correction_pair_into`.
+    pub(super) fn correction_stream_into(
+        &self,
+        state: &FixedState,
+        pairs: &[(u32, u32, f64)],
+        out: &mut RawForces,
+    ) {
+        let ds = 1.0 / (1i64 << 20) as f64;
+        let mut qqs = [0.0f64; MATCH_WIDTH];
+        let mut r2s = [0.0f64; MATCH_WIDTH];
+        let mut ij = [(0u32, 0u32); MATCH_WIDTH];
+        let mut dd = [[0i64; 3]; MATCH_WIDTH];
+        let mut fill = 0usize;
+        for &(i, j, qq) in pairs {
+            let d = state.delta_q20(self.half_edge_q20, i as usize, j as usize);
+            qqs[fill] = qq;
+            r2s[fill] = (d[0] as f64 * ds).powi(2)
+                + (d[1] as f64 * ds).powi(2)
+                + (d[2] as f64 * ds).powi(2);
+            ij[fill] = (i, j);
+            dd[fill] = d;
+            fill += 1;
+            if fill == MATCH_WIDTH {
+                self.corr_batch_into(&qqs, &r2s, &ij, &dd, fill, out);
+                fill = 0;
+            }
+        }
+        if fill > 0 {
+            self.corr_batch_into(&qqs, &r2s, &ij, &dd, fill, out);
+        }
+    }
+
+    /// Evaluate one (possibly partial) correction batch and scatter the
+    /// quantized forces and energy (no virial — matching the scalar
+    /// reference, which books correction pairs outside the pair virial).
+    fn corr_batch_into(
+        &self,
+        qqs: &[f64; MATCH_WIDTH],
+        r2s: &[f64; MATCH_WIDTH],
+        ij: &[(u32, u32); MATCH_WIDTH],
+        dd: &[[i64; 3]; MATCH_WIDTH],
+        lanes: usize,
+        out: &mut RawForces,
+    ) {
+        let mask = if lanes == MATCH_WIDTH {
+            0xff
+        } else {
+            (1u8 << lanes) - 1
+        };
+        let mut vals = [(0.0f64, 0.0f64); MATCH_WIDTH];
+        self.corr_kernel
+            .exclusion_correction_batch(qqs, r2s, mask, &mut vals);
+        let ds = 1.0 / (1i64 << 20) as f64;
+        let fs = (1i64 << FORCE_FRAC) as f64;
+        let es = (1u64 << ENERGY_FRAC) as f64;
+        for lane in 0..lanes {
+            let (e, f_over_r) = vals[lane];
+            let d = dd[lane];
+            let fi = [
+                rne_f64(d[0] as f64 * ds * f_over_r * fs) as i64,
+                rne_f64(d[1] as f64 * ds * f_over_r * fs) as i64,
+                rne_f64(d[2] as f64 * ds * f_over_r * fs) as i64,
+            ];
+            let (i, j) = ij[lane];
+            let a = &mut out.f[i as usize];
+            a[0] = a[0].wrapping_add(fi[0]);
+            a[1] = a[1].wrapping_add(fi[1]);
+            a[2] = a[2].wrapping_add(fi[2]);
+            let b = &mut out.f[j as usize];
+            b[0] = b[0].wrapping_sub(fi[0]);
+            b[1] = b[1].wrapping_sub(fi[1]);
+            b[2] = b[2].wrapping_sub(fi[2]);
+            out.e_correction = out.e_correction.wrapping_add(rne_f64(e * es) as i64);
+        }
+    }
+
+    /// Bonded terms of every rank, in rank order on the calling thread.
+    pub fn bonded(&self, sys: &System, state: &FixedState, out: &mut RawForces) {
+        let pos = state.decode_positions(&sys.pbox);
+        for rank in &self.ranks.ranks {
+            self.rank_bonded(sys, &pos, rank, out);
+        }
+    }
+
+    /// Correction forces (excluded and 1-4 pairs): every rank's stream, in
+    /// rank order on the calling thread.
+    pub fn corrections(&self, state: &FixedState, out: &mut RawForces) {
+        for rank in &self.ranks.ranks {
+            self.correction_stream_into(state, &rank.corrections, out);
+        }
+    }
+}

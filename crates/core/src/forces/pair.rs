@@ -1,0 +1,418 @@
+//! The pair phase: re-bin, tiles, per-rank match + evaluate, and the
+//! persistent match cache.
+//!
+//! One evaluation, on every plan: when the displacement monitor trips,
+//! atoms are re-binned into tiles and the SoA tiles rebuilt; otherwise the
+//! tile positions are refreshed in place. Each rank then (on rebuilds)
+//! streams its static tile pairs through the padded-cutoff match stage
+//! into its persistent queue, replays the queue against the current
+//! positions into a *private* accumulator, and the accumulators merge in
+//! rank order. The exact per-step cutoff mask in the evaluator makes the
+//! forces independent of which arm ran and of how the tile pairs were
+//! dealt to ranks.
+
+use super::{ForcePipeline, RawForces};
+use crate::batch::BatchQueue;
+use crate::ranks::raw_bits;
+use crate::state::{FixedState, ENERGY_FRAC, FORCE_FRAC};
+use anton_fixpoint::rounding::rne_f64;
+use anton_fixpoint::FxVec3;
+use anton_geometry::{PosTiles, TileView};
+use anton_machine::perf::ExchangeCounters;
+use anton_machine::MATCH_WIDTH;
+use anton_systems::System;
+use anton_trace::{Lane, Phase, RANK_MAIN};
+
+/// Candidates one row of the match stage filters before it turns to the
+/// survivors: the size of the stack buffer the low-precision pass compacts
+/// slot indices into. Tiles have no size limit (under `Nodes(1)` one tile
+/// holds the whole system), so rows are cut into blocks of this many.
+const MATCH_BLOCK: usize = 64;
+
+/// One rank's short-range scratch: a private force accumulator plus the
+/// trace lane its worker records phase spans into (exactly one worker owns
+/// each scratch per fan-out, so lane recording needs no synchronization).
+pub(super) struct RankScratch {
+    pub(super) forces: RawForces,
+    lane: Lane,
+    /// The rank's match-batch queue. Persistent: refilled only on cache
+    /// rebuild steps, replayed (against refreshed tile positions) on
+    /// reuse steps.
+    pub(super) queue: BatchQueue,
+    /// Pairs that passed the exact per-step cutoff mask in the last
+    /// evaluation, merged into the census in rank order on the trunk.
+    live_pairs: u64,
+}
+
+impl ForcePipeline {
+    /// Range-limited forces.
+    pub fn range_limited(&mut self, sys: &System, state: &FixedState, out: &mut RawForces) {
+        self.pair_phase(sys, state, out, false);
+    }
+
+    /// The short-range force class of a RESPA inner step: range-limited
+    /// pairs plus bonded terms, computed per rank in one fan-out.
+    pub fn short_range(&mut self, sys: &System, state: &FixedState, out: &mut RawForces) {
+        self.pair_phase(sys, state, out, true);
+    }
+
+    /// Execute the short-range work per rank: re-bin atoms (or meter the
+    /// frozen binning), rebuild or refresh the tiles, fan the ranks out
+    /// over the pool into private accumulators, and merge them in fixed
+    /// rank order (the trace lanes merge in the same order, so recorded
+    /// structure is deterministic). Allocation-free in steady state.
+    fn pair_phase(
+        &mut self,
+        sys: &System,
+        state: &FixedState,
+        out: &mut RawForces,
+        with_bonded: bool,
+    ) {
+        // The monitor reads only the trajectory (positions vs the cached
+        // reference), so this decision — and with it the whole rebuild
+        // schedule — is identical on every plan and thread count.
+        let rebuild = self.cache.needs_rebuild(&state.positions);
+        let before = self.counters;
+        let t0 = self.trace.now_ns();
+        if rebuild {
+            self.ranks.rebin(&state.positions, &mut self.counters);
+        } else {
+            // Deferred migration (§3.2.4): between pair-list rebuilds
+            // atoms keep their tiles — under `Nodes(n)` the frozen home
+            // assignment is covered by the NT import margin — and only
+            // the static exchange plan's per-step traffic is metered.
+            self.ranks.meter_step(&mut self.counters);
+        }
+        self.trace.end_span(Phase::ReHome, RANK_MAIN, t0);
+        self.meter_since(before);
+        if with_bonded {
+            state.decode_positions_into(&sys.pbox, &mut self.pos_buf);
+        }
+        // Rebuild the shared SoA tiles once, on the trunk (cache rebuild),
+        // or refresh their positions in place under the frozen membership
+        // (cache reuse); every rank streams its tile pairs out of this
+        // pool.
+        let t_cache = self.trace.now_ns();
+        if rebuild {
+            self.rebuild_tiles(sys, &state.positions);
+            self.cache.note_rebuild(&state.positions);
+            self.counters.rebuild_steps += 1;
+        } else {
+            let positions = &state.positions;
+            self.tiles
+                .refresh_positions(|a| raw_bits(&positions[a as usize]));
+            self.counters.reuse_steps += 1;
+        }
+        self.trace.end_span(
+            if rebuild {
+                Phase::CacheRebuild
+            } else {
+                Phase::CacheReuse
+            },
+            RANK_MAIN,
+            t_cache,
+        );
+        let mut scratch = self.take_scratch(sys.n_atoms());
+        // Dispatch span: trunk-side wall time of the whole fan-out,
+        // covering pool dispatch/join overhead around the rank work.
+        let t_dispatch = self.trace.now_ns();
+        {
+            let this = &*self;
+            this.pool.run(&mut scratch, |r, buf| {
+                let t = this.trace.now_ns();
+                this.rank_pairs_batched(sys, r, buf, rebuild);
+                if this.trace.is_on() {
+                    buf.lane.push(Phase::RangeLimited, t, this.trace.now_ns());
+                }
+                if with_bonded {
+                    let t = this.trace.now_ns();
+                    this.rank_bonded(sys, &this.pos_buf, &this.ranks.ranks[r], &mut buf.forces);
+                    if this.trace.is_on() {
+                        buf.lane.push(Phase::Bonded, t, this.trace.now_ns());
+                    }
+                }
+            });
+        }
+        self.trace.end_span(Phase::Dispatch, RANK_MAIN, t_dispatch);
+        self.scratch = scratch;
+        self.trace
+            .merge_lanes(self.scratch.iter_mut().map(|s| &mut s.lane));
+        // Live pairs (and batch count) are metered per *evaluation*, so the
+        // census totals are a pure function of the trajectory — identical
+        // across plans, thread counts and rebuild schedules.
+        for s in &self.scratch {
+            out.merge_from(&s.forces);
+            if rebuild {
+                self.counters.match_candidates += s.queue.census.candidates;
+            }
+            self.counters.match_pairs += s.live_pairs;
+            self.counters.match_batches += s.queue.batch_count() as u64;
+        }
+    }
+
+    /// Detach the per-rank scratch, sized and zeroed. (Taken out of `self`
+    /// so the fan-out can borrow `self` shared while the pool mutates the
+    /// buffers.)
+    fn take_scratch(&mut self, n_atoms: usize) -> Vec<RankScratch> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.resize_with(self.ranks.rank_count(), || RankScratch {
+            forces: RawForces::zeroed(0),
+            lane: Lane::new(),
+            queue: BatchQueue::default(),
+            live_pairs: 0,
+        });
+        for s in &mut scratch {
+            s.forces.reset(n_atoms);
+        }
+        scratch
+    }
+
+    /// Refill the SoA tiles from the plan's current binning at `positions`.
+    fn rebuild_tiles(&mut self, sys: &System, positions: &[FxVec3]) {
+        let ForcePipeline { tiles, ranks, .. } = self;
+        let charge = &sys.topology.charge;
+        tiles.rebuild(
+            (0..ranks.tile_count()).map(|t| ranks.tile_members(t)),
+            |a| (raw_bits(&positions[a as usize]), charge[a as usize]),
+        );
+    }
+
+    /// Batched pair phase for one rank: on cache-rebuild steps, stream the
+    /// rank's tile pairs through the padded match stage into the rank's
+    /// persistent queue; on reuse steps, keep the queue and replay it
+    /// against the refreshed shared tiles. The evaluator's exact per-step
+    /// cutoff mask makes the interaction set identical on every plan (and
+    /// to a fresh rebuild); wrapping accumulation makes the *forces*
+    /// identical bitwise.
+    fn rank_pairs_batched(&self, sys: &System, r: usize, buf: &mut RankScratch, rebuild: bool) {
+        if rebuild {
+            let t0 = self.trace.now_ns();
+            self.fill_rank_queue(sys, r, &mut buf.queue);
+            if self.trace.is_on() {
+                buf.lane.push(Phase::Match, t0, self.trace.now_ns());
+            }
+        }
+        let t0 = self.trace.now_ns();
+        buf.live_pairs = self.evaluate_batches(&buf.queue, &self.tiles, &mut buf.forces);
+        if self.trace.is_on() {
+            buf.lane.push(Phase::Evaluate, t0, self.trace.now_ns());
+        }
+    }
+
+    /// Refill one rank's persistent match queue from the shared tiles (the
+    /// rebuild arm of [`Self::rank_pairs_batched`], span-free so
+    /// checkpoint restore can replay the fill deterministically on the
+    /// trunk).
+    fn fill_rank_queue(&self, sys: &System, r: usize, queue: &mut BatchQueue) {
+        queue.begin();
+        for &(ca, cb) in &self.ranks.ranks[r].tile_pairs {
+            let (ca, cb) = (ca as usize, cb as usize);
+            self.match_tile_pair(
+                sys,
+                self.tiles.tile(ca),
+                self.tiles.tile(cb),
+                ca == cb,
+                self.tiles.tile_start(ca) as u32,
+                self.tiles.tile_start(cb) as u32,
+                queue,
+            );
+        }
+    }
+
+    /// Stream one tile pair through a match unit, one row of `b` per slot
+    /// of `a`, a block of [`MATCH_BLOCK`] candidates at a time, in two
+    /// passes. The first is the ASIC match unit's reduced-precision
+    /// compare — the integer lower bound of [`Q20Ladder`] on every
+    /// candidate of the block, no data-dependent branch, survivors' slot
+    /// indices compacted into a stack buffer. The second runs on survivors
+    /// only: exact Q20 r² against the *padded* cutoff
+    /// `(rc + PAIRLIST_SLACK)²`, exclusion/1-4 class, LJ and charge
+    /// products, lane fill into `q`. `same` marks a tile paired with
+    /// itself, where slots enumerate `si < sj`. `sa0`/`sb0` are the tiles'
+    /// first flat slots in the owning [`PosTiles`] pool; the queue records
+    /// each lane's slot pair so reuse steps can re-derive the displacement
+    /// from refreshed tile positions.
+    ///
+    /// Matching at the padded radius makes the queued set a superset of
+    /// the in-cutoff set for every step the displacement monitor accepts;
+    /// the exact `r² ≤ rc²` decision is re-taken per evaluation on the
+    /// same ladder, so *which* pairs contribute never depends on when the
+    /// batch was matched. Coincident pairs (r² = 0) are *kept* here — the
+    /// evaluator's per-step mask makes the final call either way, so the
+    /// match stage only has to be conservative.
+    // The argument list is the tile-pair tuple the cell walk produces;
+    // bundling it into a struct would only rename the call sites.
+    #[allow(clippy::too_many_arguments)]
+    fn match_tile_pair(
+        &self,
+        sys: &System,
+        a: TileView<'_>,
+        b: TileView<'_>,
+        same: bool,
+        sa0: u32,
+        sb0: u32,
+        q: &mut BatchQueue,
+    ) {
+        let top = &sys.topology;
+        let mut kept = [0u32; MATCH_BLOCK];
+        for si in 0..a.len() {
+            let pi = [a.x[si], a.y[si], a.z[si]];
+            let ai = a.atom[si];
+            let qi = a.q[si];
+            let ti = top.lj_type[ai as usize];
+            let sj0 = if same { si + 1 } else { 0 };
+            q.census.candidates += (b.len() - sj0) as u64;
+            for block in (sj0..b.len()).step_by(MATCH_BLOCK) {
+                let end = (block + MATCH_BLOCK).min(b.len());
+                let row = b.x[block..end]
+                    .iter()
+                    .zip(&b.y[block..end])
+                    .zip(&b.z[block..end]);
+                let mut n = 0;
+                for (sj, ((&x, &y), &z)) in (block as u32..).zip(row) {
+                    let lb = self.ladder.r2_lower_bound_q40(pi, [x, y, z]);
+                    kept[n] = sj;
+                    n += usize::from(lb <= self.r2_lb_max);
+                }
+                for &sj in &kept[..n] {
+                    let sj = sj as usize;
+                    let (_, r2) = self.ladder.delta_r2(pi, [b.x[sj], b.y[sj], b.z[sj]]);
+                    if r2 > self.rc_pad2_q20 {
+                        continue;
+                    }
+                    let aj = b.atom[sj];
+                    let Some((se, sl)) = self.policy.scales(top.exclusions.class(ai, aj)) else {
+                        continue;
+                    };
+                    let (lja, ljb) = top.lj_table.coeffs(ti, top.lj_type[aj as usize]);
+                    q.push(
+                        r2,
+                        qi * b.q[sj] * se,
+                        lja * sl,
+                        ljb * sl,
+                        ai,
+                        aj,
+                        sa0 + si as u32,
+                        sb0 + sj as u32,
+                    );
+                }
+            }
+        }
+    }
+
+    /// Replay the queued batches against the *current* tile positions:
+    /// per occupied lane, re-derive the exact Q20 displacement and r² from
+    /// the refreshed tiles (the [`Q20Ladder`] the match stage ran, bit for
+    /// bit the scalar oracle's 128-bit one), re-take the exact `r² ≤ rc²`
+    /// cutoff mask, then dispatch the surviving lanes through the PPIP
+    /// evaluator and scatter the quantized forces, virial and energy.
+    ///
+    /// The cached batch contributes only the pair's *static* identity
+    /// (atom ids, tile slots, charge product, LJ coefficients) — every
+    /// position-dependent quantity is recomputed here, so the force bits
+    /// are a pure function of the current positions: evaluating a freshly
+    /// matched queue and a cache-replayed queue over the same positions
+    /// produces identical accumulators, lane for lane. Returns the number
+    /// of live (in-cutoff) pairs, which is likewise rebuild-schedule
+    /// independent.
+    fn evaluate_batches(&self, q: &BatchQueue, tiles: &PosTiles, out: &mut RawForces) -> u64 {
+        let ds = 1.0 / (1i64 << 20) as f64;
+        let fs = (1i64 << FORCE_FRAC) as f64;
+        let es = (1u64 << ENERGY_FRAC) as f64;
+        let mut vals = [(0.0f64, 0.0f64); MATCH_WIDTH];
+        let mut live_pairs = 0u64;
+        for (batch, meta) in q.iter() {
+            let mut live = *batch;
+            let mut dd = [[0i64; 3]; MATCH_WIDTH];
+            let mut mask = 0u8;
+            for (lane, d_out) in dd.iter_mut().enumerate() {
+                if batch.mask & (1u8 << lane) == 0 {
+                    continue;
+                }
+                let (d, r2) = self
+                    .ladder
+                    .delta_r2(tiles.raw_at(meta.si[lane]), tiles.raw_at(meta.sj[lane]));
+                if r2 > self.rc2_q20 || r2 == 0 {
+                    continue;
+                }
+                live.r2_q20[lane] = r2;
+                *d_out = d;
+                mask |= 1u8 << lane;
+            }
+            live.mask = mask;
+            if mask == 0 {
+                continue;
+            }
+            live_pairs += u64::from(mask.count_ones());
+            self.ppip.pair_batch(&live, &mut vals);
+            for (lane, &(f_over_r, e)) in vals.iter().enumerate() {
+                if mask & (1u8 << lane) == 0 {
+                    continue;
+                }
+                let d = dd[lane];
+                let fi = [
+                    rne_f64(d[0] as f64 * ds * f_over_r * fs) as i64,
+                    rne_f64(d[1] as f64 * ds * f_over_r * fs) as i64,
+                    rne_f64(d[2] as f64 * ds * f_over_r * fs) as i64,
+                ];
+                let (i, j) = (meta.i[lane] as usize, meta.j[lane] as usize);
+                for k in 0..3 {
+                    out.f[i][k] = out.f[i][k].wrapping_add(fi[k]);
+                    out.f[j][k] = out.f[j][k].wrapping_sub(fi[k]);
+                    out.virial = out.virial.accumulate(
+                        anton_fixpoint::Q::<20>::from_raw(d[k]),
+                        anton_fixpoint::Q::<24>::from_raw(fi[k]),
+                    );
+                }
+                out.e_range_limited = out.e_range_limited.wrapping_add(rne_f64(e * es) as i64);
+            }
+        }
+        live_pairs
+    }
+
+    /// Reference-epoch positions of the persistent match cache — the
+    /// positions its tiles and batches were last rebuilt at (empty while
+    /// the cache is cold). Checkpointing serializes these so restore can
+    /// resurrect the cache at the same epoch.
+    pub fn match_ref_positions(&self) -> &[FxVec3] {
+        self.cache.ref_positions()
+    }
+
+    /// Drop the persistent match cache: the next force evaluation rebuilds
+    /// tiles and batches from scratch. Forces are unaffected by
+    /// construction — the evaluator re-derives the interaction set from
+    /// current positions every step — so this is safe at any point; the
+    /// property tier uses it to pit a rebuild-every-step pipeline against
+    /// a caching one, bit for bit.
+    pub fn invalidate_match_cache(&mut self) {
+        self.cache.invalidate();
+    }
+
+    /// Rebuild the persistent match cache — binning, tiles, tile-pair
+    /// batches, and the displacement reference — at the given
+    /// *reference-epoch* positions, exactly as the interrupted run built
+    /// it. Checkpoint restore calls this before re-evaluating forces:
+    /// rebuilding at the cached epoch (rather than at the restored step's
+    /// positions) reproduces the original displacement reference and the
+    /// frozen deferred-migration binning the cached queues were filled
+    /// under, so the monitor's future rebuild schedule — and with it every
+    /// counter — continues bitwise as if the run had never stopped.
+    pub fn rebuild_match_cache_at(&mut self, sys: &System, positions: &[FxVec3]) {
+        assert_eq!(
+            positions.len(),
+            sys.n_atoms(),
+            "match-cache epoch has wrong atom count"
+        );
+        // Restore-time metering is discarded: the caller overwrites the
+        // counters from the snapshot afterwards.
+        self.ranks
+            .rebin(positions, &mut ExchangeCounters::default());
+        self.rebuild_tiles(sys, positions);
+        let mut scratch = self.take_scratch(sys.n_atoms());
+        for (r, buf) in scratch.iter_mut().enumerate() {
+            self.fill_rank_queue(sys, r, &mut buf.queue);
+        }
+        self.scratch = scratch;
+        self.cache.note_rebuild(positions);
+    }
+}

@@ -43,7 +43,7 @@ impl DetPool {
 
     /// Like [`Self::run`], but additionally executes `main` on the calling
     /// thread while the workers process `items` — the engine overlaps the
-    /// monolithic GSE mesh phase with per-rank correction work this way,
+    /// FFT trunk of the mesh phase with per-rank correction work this way,
     /// mirroring the paper's concurrent HTIS and flexible-subsystem chains
     /// (§3.2). `main` and the workers must write disjoint buffers.
     pub fn run_overlapped<T: Send, R>(

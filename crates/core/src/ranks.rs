@@ -1,171 +1,217 @@
-//! The simulated node as a first-class rank.
+//! The work plan: which rank does which share of a force evaluation.
 //!
-//! A [`Rank`] is one node of the simulated machine: it owns the static
-//! description of its force work — the tower/plate box lists of the NT
-//! assignment (§3.2.1), its statically assigned bonded terms (§3.2.3), and
-//! its share of the correction pairs — and, at execution time, a private
-//! accumulator the pipeline merges in fixed rank order. A [`RankSet`]
-//! bundles the ranks with the node grid, the NT assignment, the static
-//! torus [`ExchangePlan`] they communicate over, and the per-step buffers
-//! (unit fractions, homes, home-box index) that re-homing reuses without
-//! allocating.
+//! A [`RankSet`] always exists. It cuts the system into *tiles* (sets of
+//! atoms binned together) and hands every [`Rank`] a static description of
+//! its work, fixed at construction: the tile pairs it matches and
+//! evaluates, its bonded terms (§3.2.3), its packed correction stream, and
+//! the tiles whose atoms it spreads onto and interpolates from the mesh.
+//! The force pipeline runs one body per phase over these lists, whatever
+//! the plan.
 //!
-//! Everything static is fixed at construction from the *initial*
-//! configuration; atoms drifting across box boundaries later changes which
-//! rank enumerates which pair but never the quantized contributions being
-//! accumulated, so any static split is bitwise equivalent (paper §4).
+//! The two plans differ only in how atoms are binned into tiles:
+//!
+//! * [`Decomposition::SingleRank`] — tiles are the half-reach subboxes of a
+//!   [`CellTiling`], binned from raw fraction bits; one rank owns every
+//!   listed subbox pair.
+//! * [`Decomposition::Nodes`] — tiles are the home boxes of a simulated
+//!   node grid, binned by the NT method's home assignment with constraint
+//!   groups on their leader (§3.2.4); rank `r` is node `r` and owns the
+//!   tower × plate box pairs the NT assignment gives it (§3.2.1). This
+//!   plan also carries the modelled machine: the torus [`ExchangePlan`],
+//!   the mesh-phase [`MeshExchange`] and the [`MachineConfig`] pricing
+//!   them. No machine is modelled under `SingleRank`, so nothing is
+//!   metered there.
+//!
+//! Everything static is fixed from the *initial* configuration; atoms
+//! drifting across tile boundaries later changes which rank enumerates
+//! which pair but never the quantized contributions being accumulated, so
+//! any static split is bitwise equivalent (paper §4).
 
+use crate::batch::CellTiling;
+use crate::forces::{Decomposition, PAIRLIST_SLACK};
 use crate::state::FixedState;
+use anton_ewald::gse::GseFixed;
+use anton_fixpoint::FxVec3;
+use anton_forcefield::ExclusionPolicy;
 use anton_geometry::{Buckets, IVec3};
 use anton_machine::config::near_cubic_torus;
 use anton_machine::exchange::ExchangePlan;
 use anton_machine::perf::ExchangeCounters;
+use anton_machine::{MachineConfig, MeshExchange};
 use anton_nt::assign::{NodeGrid, NtAssignment};
-use anton_nt::bonds::{assign_terms, terms_per_node};
 use anton_nt::migration::{assign_homes, assign_homes_into};
 use anton_systems::System;
+use std::ops::Range;
 
-/// Relative geometry-core cost of one term of each bonded kind, used to
-/// balance the static assignment (a dihedral is ~4 bond-equivalents).
-const BOND_COST: f64 = 1.0;
-const ANGLE_COST: f64 = 2.0;
-const DIHEDRAL_COST: f64 = 4.0;
+/// Import-region margin (Å) of the NT reach, covering constraint-group
+/// co-location and deferred migration (§3.2.4).
+const IMPORT_MARGIN: f64 = 8.0;
 
-/// One simulated node's static work description.
+/// One rank's static work description.
 #[derive(Clone, Debug)]
 pub struct Rank {
-    pub index: usize,
-    pub node: IVec3,
-    /// Tower boxes (home column ± zr), deduplicated under wrapping.
-    pub tower: Vec<IVec3>,
-    /// Plate boxes (home + half-neighborhood in the home layer).
-    pub plate: Vec<IVec3>,
+    /// Tile pairs `(a, b)` this rank matches and evaluates; `a == b` is a
+    /// tile paired with itself. Every interacting tile pair is owned by
+    /// exactly one rank.
+    pub tile_pairs: Vec<(u32, u32)>,
+    /// Tiles whose atoms this rank spreads and interpolates.
+    pub mesh_tiles: Range<usize>,
     /// Indices into `topology.bonds` this rank evaluates.
     pub bonds: Vec<u32>,
     /// Indices into `topology.angles`.
     pub angles: Vec<u32>,
     /// Indices into `topology.dihedrals`.
     pub dihedrals: Vec<u32>,
-    /// Indices into `exclusions.excluded_pairs()`.
-    pub excl: Vec<u32>,
-    /// Indices into `exclusions.pairs_14()`.
-    pub pair14: Vec<u32>,
+    /// Packed correction stream: excluded and 1-4 pairs with their charge
+    /// product (scaled for 1-4), zero products dropped. The lists never
+    /// change, so the products are formed once, here.
+    pub corrections: Vec<(u32, u32, f64)>,
 }
 
-/// The full simulated machine: ranks, their decomposition geometry, their
-/// exchange schedule, and the reusable per-step re-homing buffers.
-pub struct RankSet {
-    pub grid: NodeGrid,
-    pub nt: NtAssignment,
-    pub plan: ExchangePlan,
-    pub ranks: Vec<Rank>,
+/// The machine a `Nodes(n)` plan models: its decomposition geometry, its
+/// exchange schedules, and the reusable re-homing buffers.
+pub(crate) struct Machine {
+    pub(crate) grid: NodeGrid,
+    pub(crate) nt: NtAssignment,
+    pub(crate) plan: ExchangePlan,
+    /// Static long-range communication plan (mesh halos + FFT pencils).
+    pub(crate) mesh: MeshExchange,
+    /// Prices the metered traffic of trace counters.
+    pub(crate) config: MachineConfig,
     groups: Vec<Vec<u32>>,
     fracs: Vec<[f64; 3]>,
-    homes: Vec<IVec3>,
-    buckets: Buckets,
+    pub(crate) homes: Vec<IVec3>,
     atoms_per_box: Vec<u32>,
 }
 
+/// How atoms are binned into tiles — the one step that knows the plan.
+enum Binning {
+    Cells(CellTiling),
+    Homes(Box<Machine>),
+}
+
+/// The ranks of a plan, the binning that feeds them, and the atom index it
+/// last produced.
+pub struct RankSet {
+    pub ranks: Vec<Rank>,
+    binning: Binning,
+    /// Atoms bucketed by tile as of the last [`Self::rebin`].
+    buckets: Buckets,
+}
+
+/// Raw signed fraction bits of one position.
+#[inline]
+pub(crate) fn raw_bits(p: &FxVec3) -> [i32; 3] {
+    p.0.map(|c| c.raw())
+}
+
 impl RankSet {
-    /// Build the rank architecture for `nodes` simulated nodes. `reach` is
-    /// the cutoff plus the import margin covering deferred migration and
-    /// constraint-group co-location (§3.2.4).
-    pub fn build(sys: &System, nodes: usize, reach: f64) -> RankSet {
-        let dims = near_cubic_torus(nodes);
-        let grid = NodeGrid::new(dims[0] as i32, dims[1] as i32, dims[2] as i32);
+    /// Node grid the mesh phase's FFT is planned over, so its
+    /// pencil-message pattern matches the plan.
+    pub fn node_dims(decomposition: Decomposition) -> [usize; 3] {
+        match decomposition {
+            Decomposition::SingleRank => [1, 1, 1],
+            Decomposition::Nodes(n) => near_cubic_torus(n),
+        }
+    }
+
+    /// Build the plan. `gse` must be planned over [`Self::node_dims`].
+    pub fn build(
+        sys: &System,
+        decomposition: Decomposition,
+        policy: &ExclusionPolicy,
+        gse: &GseFixed,
+    ) -> RankSet {
         let e = sys.pbox.edge();
-        let box_edges = [
-            e.x / dims[0] as f64,
-            e.y / dims[1] as f64,
-            e.z / dims[2] as f64,
-        ];
-        let nt = NtAssignment::for_cutoff(grid, reach, box_edges);
-        let plan = ExchangePlan::build(&nt);
-        let groups: Vec<Vec<u32>> = sys
-            .topology
-            .constraint_groups
-            .iter()
-            .map(|g| g.atoms())
-            .collect();
-
-        // Static work lists from the initial configuration: each bonded
-        // term / correction pair is pinned to the initial home node of its
-        // first atom, then the bonded terms are load-balanced across that
-        // node's geometry cores (LPT, §3.2.3).
-        let init_fracs: Vec<[f64; 3]> = sys
-            .positions
-            .iter()
-            .map(|&p| {
-                let w = sys.pbox.wrap(p);
-                [w.x / e.x, w.y / e.y, w.z / e.z]
-            })
-            .collect();
-        let homes0 = assign_homes(&grid, &init_fracs, &groups);
-        let node_of = |atom: u32| grid.index(homes0[atom as usize]) as u32;
-
         let top = &sys.topology;
-        let (nb, na) = (top.bonds.len(), top.angles.len());
-        let mut term_node = Vec::with_capacity(nb + na + top.dihedrals.len());
-        let mut term_cost = Vec::with_capacity(term_node.capacity());
-        for b in &top.bonds {
-            term_node.push(node_of(b.i));
-            term_cost.push(BOND_COST);
-        }
-        for a in &top.angles {
-            term_node.push(node_of(a.i));
-            term_cost.push(ANGLE_COST);
-        }
-        for d in &top.dihedrals {
-            term_node.push(node_of(d.i));
-            term_cost.push(DIHEDRAL_COST);
-        }
-        let gc = assign_terms(grid.node_count(), 8, &term_node, &term_cost);
-        let per_node = terms_per_node(grid.node_count(), &gc);
-
-        let mut ranks: Vec<Rank> = (0..grid.node_count())
-            .map(|r| {
-                let node = grid.coord(r);
-                let mut rank = Rank {
-                    index: r,
-                    node,
-                    tower: nt.tower_boxes(node),
-                    plate: nt.plate_boxes(node),
-                    bonds: Vec::new(),
-                    angles: Vec::new(),
-                    dihedrals: Vec::new(),
-                    excl: Vec::new(),
-                    pair14: Vec::new(),
-                };
-                for &t in &per_node[r] {
-                    let t = t as usize;
-                    if t < nb {
-                        rank.bonds.push(t as u32);
-                    } else if t < nb + na {
-                        rank.angles.push((t - nb) as u32);
-                    } else {
-                        rank.dihedrals.push((t - nb - na) as u32);
-                    }
-                }
-                rank
+        let n_atoms = sys.n_atoms();
+        // Per plan: the binning, each rank's tile pairs and mesh tiles, and
+        // the rank owning each atom's bonded terms and correction pairs.
+        type RankTiles = (Vec<(u32, u32)>, Range<usize>);
+        let (binning, rank_tiles, owner): (Binning, Vec<RankTiles>, Vec<u32>) = match decomposition
+        {
+            Decomposition::SingleRank => {
+                let tiling = CellTiling::build([e.x, e.y, e.z], sys.params.cutoff + PAIRLIST_SLACK);
+                let all = (tiling.pairs().to_vec(), 0..tiling.cell_count());
+                (Binning::Cells(tiling), vec![all], vec![0; n_atoms])
+            }
+            Decomposition::Nodes(nodes) => {
+                let machine = Machine::build(sys, nodes, gse);
+                // The exactly-once ownership test is taken per *box* pair:
+                // every atom in a box shares that box's (canonical) home
+                // coordinate, so `node_for_pair` decides for all its pairs
+                // at once.
+                let (grid, nt) = (&machine.grid, &machine.nt);
+                let rank_tiles = (0..grid.node_count())
+                    .map(|r| {
+                        let node = grid.coord(r);
+                        let plate = nt.plate_boxes(node);
+                        let mut pairs = Vec::new();
+                        for tb in nt.tower_boxes(node) {
+                            let ca = grid.index(tb);
+                            for pb in &plate {
+                                let cb = grid.index(*pb);
+                                if nt.node_for_pair(grid.coord(ca), grid.coord(cb)) == node {
+                                    pairs.push((ca as u32, cb as u32));
+                                }
+                            }
+                        }
+                        (pairs, r..r + 1)
+                    })
+                    .collect();
+                // Each bonded term / correction pair is pinned to the
+                // initial home node of its first atom.
+                let init_fracs: Vec<[f64; 3]> = sys
+                    .positions
+                    .iter()
+                    .map(|&p| {
+                        let w = sys.pbox.wrap(p);
+                        [w.x / e.x, w.y / e.y, w.z / e.z]
+                    })
+                    .collect();
+                let owner = assign_homes(grid, &init_fracs, &machine.groups)
+                    .into_iter()
+                    .map(|h| grid.index(h) as u32)
+                    .collect();
+                (Binning::Homes(Box::new(machine)), rank_tiles, owner)
+            }
+        };
+        let mut ranks: Vec<Rank> = rank_tiles
+            .into_iter()
+            .map(|(tile_pairs, mesh_tiles)| Rank {
+                tile_pairs,
+                mesh_tiles,
+                bonds: Vec::new(),
+                angles: Vec::new(),
+                dihedrals: Vec::new(),
+                corrections: Vec::new(),
             })
             .collect();
-        for (k, &(i, _j)) in top.exclusions.excluded_pairs().iter().enumerate() {
-            ranks[node_of(i) as usize].excl.push(k as u32);
+        let owner_of = |atom: u32| owner[atom as usize] as usize;
+        for (t, b) in top.bonds.iter().enumerate() {
+            ranks[owner_of(b.i)].bonds.push(t as u32);
         }
-        for (k, &(i, _j)) in top.exclusions.pairs_14().iter().enumerate() {
-            ranks[node_of(i) as usize].pair14.push(k as u32);
+        for (t, a) in top.angles.iter().enumerate() {
+            ranks[owner_of(a.i)].angles.push(t as u32);
         }
-
+        for (t, d) in top.dihedrals.iter().enumerate() {
+            ranks[owner_of(d.i)].dihedrals.push(t as u32);
+        }
+        // The products are plain f64 multiplications of static inputs, so
+        // every plan streams the same words.
+        let s14 = 1.0 - policy.elec_14;
+        let excluded = top.exclusions.excluded_pairs().iter().map(|&p| (p, 1.0));
+        let pairs_14 = top.exclusions.pairs_14().iter().map(|&p| (p, s14));
+        for ((i, j), scale) in excluded.chain(pairs_14) {
+            let qq = top.charge[i as usize] * top.charge[j as usize] * scale;
+            if qq != 0.0 {
+                ranks[owner_of(i)].corrections.push((i, j, qq));
+            }
+        }
         RankSet {
-            grid,
-            nt,
-            plan,
             ranks,
-            groups,
-            fracs: Vec::new(),
-            homes: Vec::new(),
+            binning,
             buckets: Buckets::default(),
-            atoms_per_box: Vec::new(),
         }
     }
 
@@ -173,60 +219,137 @@ impl RankSet {
         self.ranks.len()
     }
 
-    /// Re-home every atom for the current state (constraint groups on
-    /// their leader, §3.2.4), rebuild the home-box index, and meter one
-    /// step of the exchange plan into `c`. Allocation-free in steady state.
-    pub fn prepare(&mut self, state: &FixedState, c: &mut ExchangeCounters) {
-        state.unit_fracs_into(&mut self.fracs);
-        assign_homes_into(&self.grid, &self.fracs, &self.groups, &mut self.homes);
-        let RankSet {
-            grid,
-            homes,
-            buckets,
-            ..
-        } = self;
-        buckets.rebuild(grid.node_count(), homes.len(), |i| grid.index(homes[i]));
-        self.atoms_per_box.clear();
-        self.atoms_per_box
-            .extend((0..self.grid.node_count()).map(|b| self.buckets.count(b) as u32));
-        self.plan.record_step(&self.atoms_per_box, c);
+    /// Tiles the binning cuts the system into.
+    pub fn tile_count(&self) -> usize {
+        match &self.binning {
+            Binning::Cells(tiling) => tiling.cell_count(),
+            Binning::Homes(m) => m.grid.node_count(),
+        }
     }
 
-    /// Meter one exchange step over the *frozen* home assignment: between
-    /// pair-list rebuilds atoms keep the boxes [`Self::prepare`] last gave
+    /// The modelled machine (`None` under `SingleRank`).
+    pub(crate) fn machine(&self) -> Option<&Machine> {
+        match &self.binning {
+            Binning::Cells(_) => None,
+            Binning::Homes(m) => Some(m),
+        }
+    }
+
+    /// The torus exchange plan of the modelled machine (`None` under
+    /// `SingleRank`).
+    pub fn plan(&self) -> Option<&ExchangePlan> {
+        self.machine().map(|m| &m.plan)
+    }
+
+    /// Bin every atom into its tile at `positions` and, when a machine is
+    /// modelled, meter one step of its exchange plan into `c`. Subboxes
+    /// are a plain shift of the raw fraction bits; home boxes come from
+    /// the NT home assignment with constraint groups on their leader
+    /// (§3.2.4). Allocation-free in steady state.
+    pub fn rebin(&mut self, positions: &[FxVec3], c: &mut ExchangeCounters) {
+        let buckets = &mut self.buckets;
+        match &mut self.binning {
+            Binning::Cells(tiling) => {
+                buckets.rebuild(tiling.cell_count(), positions.len(), |i| {
+                    tiling.cell_of(raw_bits(&positions[i]))
+                });
+            }
+            Binning::Homes(m) => {
+                FixedState::unit_fracs_into(positions, &mut m.fracs);
+                assign_homes_into(&m.grid, &m.fracs, &m.groups, &mut m.homes);
+                let (grid, homes) = (&m.grid, &m.homes);
+                buckets.rebuild(grid.node_count(), homes.len(), |i| grid.index(homes[i]));
+                m.atoms_per_box.clear();
+                m.atoms_per_box
+                    .extend((0..grid.node_count()).map(|b| buckets.count(b) as u32));
+                m.plan.record_step(&m.atoms_per_box, c);
+            }
+        }
+    }
+
+    /// Meter one exchange step over the *frozen* binning: between
+    /// pair-list rebuilds atoms keep the tiles [`Self::rebin`] last gave
     /// them (deferred migration, paper §3.2.4), so the per-step position
     /// import / force reduction traffic is priced against the unchanged
     /// occupancy without re-homing anything.
     pub fn meter_step(&self, c: &mut ExchangeCounters) {
-        self.plan.record_step(&self.atoms_per_box, c);
+        if let Some(m) = self.machine() {
+            m.plan.record_step(&m.atoms_per_box, c);
+        }
     }
 
-    /// Whether [`Self::prepare`] has run for a state of `n_atoms` atoms —
-    /// i.e. the home-box index is populated and `atoms_in_box` partitions
-    /// the atom set.
+    /// Whether [`Self::rebin`] has run for a state of `n_atoms` atoms —
+    /// i.e. `tile_members` partitions the atom set.
     #[inline]
-    pub fn is_prepared(&self, n_atoms: usize) -> bool {
-        self.homes.len() == n_atoms
+    pub fn is_binned(&self, n_atoms: usize) -> bool {
+        self.buckets.item_count() == n_atoms
     }
 
-    /// Current home box of an atom (valid after [`Self::prepare`]).
+    /// Atoms currently binned in one tile (valid after [`Self::rebin`]).
     #[inline]
-    pub fn home(&self, atom: usize) -> IVec3 {
-        self.homes[atom]
+    pub fn tile_members(&self, tile: usize) -> &[u32] {
+        self.buckets.members(tile)
     }
 
-    /// Atoms currently homed in one box (valid after [`Self::prepare`]).
+    /// Atoms of one rank's mesh tiles (valid after [`Self::rebin`]).
     #[inline]
-    pub fn atoms_in_box(&self, box_index: usize) -> &[u32] {
-        self.buckets.members(box_index)
+    pub fn mesh_atoms(&self, rank: usize) -> &[u32] {
+        self.buckets.span(self.ranks[rank].mesh_tiles.clone())
+    }
+}
+
+impl Machine {
+    fn build(sys: &System, nodes: usize, gse: &GseFixed) -> Machine {
+        let config = MachineConfig::with_nodes(nodes);
+        let dims = config.torus;
+        let grid = NodeGrid::new(dims[0] as i32, dims[1] as i32, dims[2] as i32);
+        let e = sys.pbox.edge();
+        let box_edges = [
+            e.x / dims[0] as f64,
+            e.y / dims[1] as f64,
+            e.z / dims[2] as f64,
+        ];
+        let nt = NtAssignment::for_cutoff(grid, sys.params.cutoff + IMPORT_MARGIN, box_edges);
+        let h = gse.mesh.spacing();
+        let halo = [
+            (gse.params.spread_cutoff / h.x).ceil() as usize,
+            (gse.params.spread_cutoff / h.y).ceil() as usize,
+            (gse.params.spread_cutoff / h.z).ceil() as usize,
+        ];
+        let st = gse.fft_stats();
+        Machine {
+            grid,
+            plan: ExchangePlan::build(&nt),
+            nt,
+            mesh: MeshExchange::new(
+                gse.mesh.dims,
+                gse.node_dims(),
+                halo,
+                st.messages_total(),
+                st.bytes_total(),
+            ),
+            config,
+            groups: sys
+                .topology
+                .constraint_groups
+                .iter()
+                .map(|g| g.atoms())
+                .collect(),
+            fracs: Vec::new(),
+            homes: Vec::new(),
+            atoms_per_box: Vec::new(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_ewald::gse::GseParams;
+    use anton_ewald::Mesh;
     use anton_forcefield::water::TIP3P;
     use anton_geometry::{PeriodicBox, Vec3};
+    use anton_systems::catalog::build_solvated;
     use anton_systems::spec::RunParams;
     use anton_systems::waterbox::pure_water_topology;
 
@@ -242,47 +365,122 @@ mod tests {
         }
     }
 
-    /// Every bonded term and correction pair is owned by exactly one rank.
-    #[test]
-    fn static_work_lists_partition_the_topology() {
-        let sys = water_system(120, 3);
-        let rs = RankSet::build(&sys, 8, sys.params.cutoff + 8.0);
-        assert_eq!(rs.rank_count(), 8);
-        let total_bonds: usize = rs.ranks.iter().map(|r| r.bonds.len()).sum();
-        let total_excl: usize = rs.ranks.iter().map(|r| r.excl.len()).sum();
-        assert_eq!(total_bonds, sys.topology.bonds.len());
-        assert_eq!(total_excl, sys.topology.exclusions.excluded_pairs().len());
-        let mut seen = vec![false; sys.topology.bonds.len()];
-        for r in &rs.ranks {
-            for &t in &r.bonds {
-                assert!(!seen[t as usize], "bond {t} owned twice");
-                seen[t as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
+    fn plan(sys: &System, decomposition: Decomposition) -> RankSet {
+        let gse = GseFixed::with_nodes(
+            Mesh::new(sys.params.mesh, sys.pbox),
+            GseParams::auto(sys.params.cutoff, sys.params.spread_cutoff),
+            RankSet::node_dims(decomposition),
+        );
+        RankSet::build(sys, decomposition, &ExclusionPolicy::amber_like(), &gse)
     }
 
-    /// After prepare, the home-box index covers every atom exactly once and
-    /// constraint groups are co-located.
+    /// Under both plans, every bonded term, correction pair and tile pair
+    /// is owned by exactly one rank, and the mesh tiles partition the
+    /// tiles.
+    #[test]
+    fn static_work_lists_partition_the_topology() {
+        // Protein in water: bonds, angles, dihedrals, exclusions, 1-4s.
+        let sys = build_solvated(
+            "mini",
+            1200,
+            23.0,
+            RunParams::paper(8.0, 16),
+            &TIP3P,
+            16,
+            0,
+            0,
+            3,
+        );
+        let top = &sys.topology;
+        assert!(!top.bonds.is_empty() && !top.dihedrals.is_empty());
+        let charged_pairs = top
+            .exclusions
+            .excluded_pairs()
+            .iter()
+            .chain(top.exclusions.pairs_14())
+            .filter(|&&(i, j)| top.charge[i as usize] * top.charge[j as usize] != 0.0)
+            .count();
+        for (decomposition, n_ranks) in
+            [(Decomposition::SingleRank, 1), (Decomposition::Nodes(8), 8)]
+        {
+            let rs = plan(&sys, decomposition);
+            assert_eq!(rs.rank_count(), n_ranks);
+            let owned_once = |n_terms: usize, list: fn(&Rank) -> &Vec<u32>| {
+                let mut seen = vec![false; n_terms];
+                for r in &rs.ranks {
+                    for &t in list(r) {
+                        assert!(!seen[t as usize], "term {t} owned twice");
+                        seen[t as usize] = true;
+                    }
+                }
+                assert!(seen.iter().all(|&s| s), "{decomposition:?}: unowned term");
+            };
+            owned_once(top.bonds.len(), |r| &r.bonds);
+            owned_once(top.angles.len(), |r| &r.angles);
+            owned_once(top.dihedrals.len(), |r| &r.dihedrals);
+            let corrections: usize = rs.ranks.iter().map(|r| r.corrections.len()).sum();
+            assert_eq!(corrections, charged_pairs, "{decomposition:?}");
+
+            let mut pairs: Vec<(u32, u32)> = rs
+                .ranks
+                .iter()
+                .flat_map(|r| r.tile_pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))))
+                .collect();
+            let listed = pairs.len();
+            pairs.sort_unstable();
+            pairs.dedup();
+            assert_eq!(
+                pairs.len(),
+                listed,
+                "{decomposition:?}: tile pair owned twice"
+            );
+            assert!(pairs.iter().all(|&(_, b)| (b as usize) < rs.tile_count()));
+
+            let mut next_tile = 0;
+            for r in &rs.ranks {
+                assert_eq!(r.mesh_tiles.start, next_tile, "{decomposition:?}");
+                next_tile = r.mesh_tiles.end;
+            }
+            assert_eq!(next_tile, rs.tile_count(), "{decomposition:?}");
+        }
+    }
+
+    /// After a rebin, the tile index covers every atom exactly once — per
+    /// tile and through the ranks' mesh slices — and under `Nodes(n)`
+    /// constraint groups are co-located and one exchange step is metered.
     #[test]
     fn prepare_rebuilds_a_consistent_home_index() {
         let sys = water_system(100, 5);
         let state =
             FixedState::from_f64(&sys.pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()]);
-        let mut rs = RankSet::build(&sys, 8, sys.params.cutoff + 8.0);
-        let mut c = ExchangeCounters::default();
-        rs.prepare(&state, &mut c);
-        let covered: usize = (0..rs.grid.node_count())
-            .map(|b| rs.atoms_in_box(b).len())
-            .sum();
-        assert_eq!(covered, sys.n_atoms());
-        for g in &sys.topology.constraint_groups {
-            let atoms = g.atoms();
-            for &a in &atoms {
-                assert_eq!(rs.home(a as usize), rs.home(atoms[0] as usize));
+        for decomposition in [Decomposition::SingleRank, Decomposition::Nodes(8)] {
+            let mut rs = plan(&sys, decomposition);
+            let mut c = ExchangeCounters::default();
+            assert!(!rs.is_binned(sys.n_atoms()));
+            rs.rebin(&state.positions, &mut c);
+            assert!(rs.is_binned(sys.n_atoms()));
+            let mut by_tile: Vec<u32> = (0..rs.tile_count())
+                .flat_map(|t| rs.tile_members(t).iter().copied())
+                .collect();
+            let by_rank: Vec<u32> = (0..rs.rank_count())
+                .flat_map(|r| rs.mesh_atoms(r).iter().copied())
+                .collect();
+            assert_eq!(by_tile, by_rank, "{decomposition:?}");
+            by_tile.sort_unstable();
+            assert!(by_tile.iter().copied().eq(0..sys.n_atoms() as u32));
+            match rs.machine() {
+                None => assert_eq!(c.to_words(), ExchangeCounters::default().to_words()),
+                Some(m) => {
+                    for g in &sys.topology.constraint_groups {
+                        let atoms = g.atoms();
+                        for &a in &atoms {
+                            assert_eq!(m.homes[a as usize], m.homes[atoms[0] as usize]);
+                        }
+                    }
+                    assert_eq!(c.steps, 1);
+                    assert!(c.import_bytes > 0, "8 ranks must exchange positions");
+                }
             }
         }
-        assert_eq!(c.steps, 1);
-        assert!(c.import_bytes > 0, "8 ranks must exchange positions");
     }
 }

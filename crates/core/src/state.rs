@@ -79,12 +79,12 @@ impl FixedState {
         out.extend((0..self.n_atoms()).map(|i| self.decode_position(pbox, i)));
     }
 
-    /// All positions as unit box fractions in `[0,1)³`, into a reused
-    /// buffer (home-box assignment runs on these every force evaluation).
+    /// Positions as unit box fractions in `[0,1)³`, into a reused buffer
+    /// (home-box assignment runs on these at every re-binning).
     // detlint::boundary(reason = "exact Fx32 -> f64 unit-fraction decode for home-box assignment; read-only")
-    pub fn unit_fracs_into(&self, out: &mut Vec<[f64; 3]>) {
+    pub fn unit_fracs_into(positions: &[FxVec3], out: &mut Vec<[f64; 3]>) {
         out.clear();
-        out.extend(self.positions.iter().map(|p| p.to_unit_frac()));
+        out.extend(positions.iter().map(|p| p.to_unit_frac()));
     }
 
     /// Velocity of atom `i` in Å/fs.

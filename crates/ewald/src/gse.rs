@@ -370,7 +370,6 @@ pub struct GseScratch {
     /// Q `MESH_FRAC` interpolation potential (shared, read-only fan-out).
     pub phi_q: Vec<i64>,
     line: Vec<FxComplex>,
-    stencil: SupportScratch,
 }
 
 impl GseScratch {
@@ -566,16 +565,14 @@ impl GseFixed {
         s.phi_q.extend(s.grid.iter().map(|c| c.re));
     }
 
-    /// Reciprocal-space evaluation over `f64` positions that are understood
-    /// to be already quantized (the Anton engine stores fixed-point positions
-    /// and hands their exact decoded values here). Forces come back quantized
-    /// to `force_frac` bits; the returned energy is quantized to 2⁻³² kcal/mol.
-    /// All buffers live in `scratch`, reused across calls.
-    ///
-    /// Every arithmetic step is a pure function of the inputs with a fixed
-    /// dataflow, so results are bitwise reproducible and independent of any
-    /// parallel decomposition (charge accumulation is wrapping-add).
-    pub fn compute_fixed(
+    /// Whole-system reciprocal evaluation on one thread — spread every
+    /// atom, transform, interpolate every atom: the oracle the sharded
+    /// spread/merge/interpolate composition is compared against. Positions
+    /// are `f64` values understood to be already quantized; forces come
+    /// back quantized to `force_frac` bits, the returned energy to 2⁻³²
+    /// kcal/mol.
+    #[cfg(test)]
+    fn compute_fixed(
         &self,
         positions: &[Vec3],
         charges: &[f64],
@@ -583,12 +580,13 @@ impl GseFixed {
         forces_raw: &mut [[i64; 3]],
         scratch: &mut GseScratch,
     ) -> i64 {
+        let st = &mut SupportScratch::default();
         scratch.begin(self.mesh.len());
         for (p, &q) in positions.iter().zip(charges) {
             if q == 0.0 {
                 continue;
             }
-            self.spread_one(*p, q, &mut scratch.rho_q, &mut scratch.stencil);
+            self.spread_one(*p, q, &mut scratch.rho_q, st);
         }
         self.transform(scratch);
         let mut energy_q: i64 = 0;
@@ -602,7 +600,7 @@ impl GseFixed {
                 &scratch.phi_q,
                 force_frac,
                 &mut forces_raw[i],
-                &mut scratch.stencil,
+                st,
             ));
         }
         energy_q

@@ -42,6 +42,11 @@ impl Buckets {
         }
     }
 
+    /// Number of items in the current layout (0 before the first rebuild).
+    pub fn item_count(&self) -> usize {
+        self.order.len()
+    }
+
     /// Number of buckets in the current layout.
     pub fn bucket_count(&self) -> usize {
         self.starts.len().saturating_sub(1)
@@ -53,6 +58,12 @@ impl Buckets {
         let s = self.starts[bucket] as usize;
         let e = self.starts[bucket + 1] as usize;
         &self.order[s..e]
+    }
+
+    /// Items of a run of consecutive buckets, bucket by bucket.
+    #[inline]
+    pub fn span(&self, buckets: std::ops::Range<usize>) -> &[u32] {
+        &self.order[self.starts[buckets.start] as usize..self.starts[buckets.end] as usize]
     }
 
     /// Item count of one bucket.
@@ -239,6 +250,9 @@ mod tests {
         assert_eq!(b.members(1), &[3]);
         assert_eq!(b.members(2), &[0, 2, 5]);
         assert_eq!(b.members(3), &[6]);
+        assert_eq!(b.span(1..3), &[3, 0, 2, 5]);
+        assert_eq!(b.span(0..4).len(), keys.len());
+        assert_eq!(b.item_count(), keys.len());
         assert_eq!((0..4).map(|c| b.count(c)).sum::<usize>(), keys.len());
         // Rebuilding with fewer buckets reuses the buffers and stays exact.
         b.rebuild(2, 4, |i| i % 2);

@@ -68,17 +68,6 @@ pub fn assign_terms(
     }
 }
 
-/// Invert a placement into per-node term index lists: `result[node]` holds
-/// the indices of every term assigned to `node`, in ascending term order.
-/// This is the static work list a simulated rank executes each step.
-pub fn terms_per_node(n_nodes: usize, assignment: &GcAssignment) -> Vec<Vec<u32>> {
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
-    for (t, &(node, _gc)) in assignment.placement.iter().enumerate() {
-        out[node as usize].push(t as u32);
-    }
-    out
-}
-
 /// The per-atom "bond destination" sets: which `(node, gc)` slots each atom
 /// must multicast its position to. Term atom lists come from the caller.
 pub fn bond_destinations(

@@ -52,7 +52,8 @@ pub enum Phase {
     FftInverse,
     /// Per-rank force interpolation from the shared potential mesh.
     Interpolate,
-    /// Monolithic reciprocal evaluation (single-rank decomposition only).
+    /// Umbrella over one whole reciprocal evaluation: the spread, mesh
+    /// merge, FFT and interpolate spans nest inside it.
     Reciprocal,
     /// Kick/drift/constraint/virtual-site work of the integrator.
     Integrate,
