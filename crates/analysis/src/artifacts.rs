@@ -5,8 +5,8 @@
 //! micro-unit `i128` words and printed with exactly six decimals by
 //! integer division, so the byte stream never depends on libc locale,
 //! float formatting, or platform rounding. CI regenerates the checked-in
-//! `results/TABLE_*.csv` files from the benchmark JSON artifacts and
-//! fails on any byte of drift.
+//! `results/TABLE_*.csv` files from fresh benchmark runs and fails on any
+//! byte of drift.
 
 use std::fmt::Write as _;
 

@@ -12,6 +12,7 @@
 //! `results/CKPT_drill.json` (gitignored; uploaded as a CI artifact).
 
 use anton_analysis::battery::Verifier;
+use anton_bench::report::Report;
 use anton_ckpt::{load_file, CheckpointStore, CkptError};
 use anton_core::{AntonSimulation, Decomposition};
 use anton_systems::spec::RunParams;
@@ -26,20 +27,7 @@ const NODES: usize = 8;
 const THREADS: usize = 2;
 
 fn drill_system() -> System {
-    let pbox = anton_geometry::PeriodicBox::cubic(18.0);
-    let (topology, positions) = anton_systems::waterbox::pure_water_topology(
-        &pbox,
-        &anton_forcefield::water::TIP3P,
-        180,
-        3,
-    );
-    System {
-        name: "ckpt-drill-water".into(),
-        pbox,
-        topology,
-        positions,
-        params: RunParams::paper(7.5, 16),
-    }
+    anton_bench::water_box("ckpt-drill-water", 18.0, 180, RunParams::paper(7.5, 16))
 }
 
 fn builder(dir: Option<&Path>) -> anton_core::SimulationBuilder {
@@ -54,63 +42,7 @@ fn builder(dir: Option<&Path>) -> anton_core::SimulationBuilder {
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from("target/ckpt_drill").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// One drill leg's outcome, accumulated into the report.
-struct Leg {
-    name: String,
-    detail: String,
-    passed: bool,
-}
-
-struct Report {
-    legs: Vec<Leg>,
-    injections: u64,
-    detections: u64,
-}
-
-impl Report {
-    fn record(&mut self, name: &str, passed: bool, detail: String) {
-        println!(
-            "  [{}] {name}: {detail}",
-            if passed { "ok" } else { "FAIL" }
-        );
-        self.legs.push(Leg {
-            name: name.to_string(),
-            detail,
-            passed,
-        });
-    }
-
-    fn write(&self, path: &str) {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"ckpt-drill/v1\",\n");
-        s.push_str(&format!("  \"injections\": {},\n", self.injections));
-        s.push_str(&format!("  \"detections\": {},\n", self.detections));
-        s.push_str("  \"legs\": [\n");
-        for (i, l) in self.legs.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"passed\": {}, \"detail\": \"{}\"}}{}\n",
-                l.name,
-                l.passed,
-                l.detail.replace('"', "'"),
-                if i + 1 < self.legs.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"passed\": {}\n}}\n",
-            self.legs.iter().all(|l| l.passed)
-        ));
-        if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &s)) {
-            eprintln!("warning: could not write {path}: {e}");
-        } else {
-            println!("wrote {path}");
-        }
-    }
+    anton_bench::report::fresh_dir("ckpt_drill", name)
 }
 
 /// Run the closed-form identity battery over a finished simulation and
@@ -173,8 +105,9 @@ fn kill_resume_leg(report: &mut Report, kill_cycle: usize, golden_final: u64, k:
 /// Corruption drill: against a 4-checkpoint store, truncate and bit-flip
 /// the newest file in place. Every injection must (a) make that file fail
 /// to load with a typed corruption error and (b) leave `latest_valid`
-/// falling back to the previous (intact) checkpoint.
-fn corruption_leg(report: &mut Report, k: u64) {
+/// falling back to the previous (intact) checkpoint. Returns the
+/// (injections, detections) counts.
+fn corruption_leg(report: &mut Report) -> (u64, u64) {
     let dir = fresh_dir("corrupt");
     {
         let mut sim = builder(Some(&dir)).checkpoint_keep(8).build();
@@ -188,7 +121,7 @@ fn corruption_leg(report: &mut Report, k: u64) {
             false,
             format!("expected 4 checkpoints, found {}", files.len()),
         );
-        return;
+        return (0, 0);
     }
     let (newest_step, newest_path) = files.last().unwrap().clone();
     let prev_step = files[files.len() - 2].0;
@@ -196,12 +129,13 @@ fn corruption_leg(report: &mut Report, k: u64) {
 
     let mut undetected: Vec<String> = Vec::new();
     let mut bad_fallback = 0u64;
-    let mut check = |mutated: &[u8], label: &str, report: &mut Report| {
+    let (mut injections, mut detections) = (0u64, 0u64);
+    let mut check = |mutated: &[u8], label: &str| {
         std::fs::write(&newest_path, mutated).expect("inject fault");
-        report.injections += 1;
+        injections += 1;
         match load_file(&newest_path) {
             Err(e) if e.is_corruption() || matches!(e, CkptError::BadVersion { .. }) => {
-                report.detections += 1;
+                detections += 1;
             }
             Err(e) => undetected.push(format!("{label}: untyped/unexpected error {e}")),
             Ok(_) => undetected.push(format!("{label}: loaded cleanly")),
@@ -218,7 +152,7 @@ fn corruption_leg(report: &mut Report, k: u64) {
     cuts.extend((0..original.len()).step_by(509));
     for cut in cuts {
         let cut = cut.min(original.len() - 1);
-        check(&original[..cut], &format!("truncate_to_{cut}"), report);
+        check(&original[..cut], &format!("truncate_to_{cut}"));
     }
 
     // Bit flips: exhaustive over the 64-byte header, strided through the
@@ -237,7 +171,7 @@ fn corruption_leg(report: &mut Report, k: u64) {
     for (byte, bit) in flips {
         let mut mutated = original.clone();
         mutated[byte] ^= 1 << bit;
-        check(&mutated, &format!("flip_byte_{byte}_bit_{bit}"), report);
+        check(&mutated, &format!("flip_byte_{byte}_bit_{bit}"));
     }
 
     // Restore the original and confirm the store is whole again.
@@ -266,8 +200,8 @@ fn corruption_leg(report: &mut Report, k: u64) {
         healed,
         format!("restored newest (step {newest_step}) loads again"),
     );
-    let _ = k; // drill shape is cycle-based; step math handled by the engine
     let _ = std::fs::remove_dir_all(&dir);
+    (injections, detections)
 }
 
 /// Interrupted-write drill: a leftover `.tmp` (the kill-during-write
@@ -357,11 +291,7 @@ fn main() {
         CYCLES as u64 * k
     );
 
-    let mut report = Report {
-        legs: Vec::new(),
-        injections: 0,
-        detections: 0,
-    };
+    let mut report = Report::new("ckpt-drill/v1");
 
     // Golden uninterrupted run (no checkpointing: also proves the store is
     // purely observational). The identity battery over its final state is
@@ -377,18 +307,18 @@ fn main() {
     for kill_cycle in [1usize, 3, 5] {
         kill_resume_leg(&mut report, kill_cycle, golden_final, k);
     }
-    corruption_leg(&mut report, k);
+    let (injections, detections) = corruption_leg(&mut report);
     tmp_invisibility_leg(&mut report);
     recovery_leg(&mut report, golden_final, k);
 
-    println!(
-        "\ninjections: {} / detections: {}",
-        report.injections, report.detections
-    );
-    report.write("results/CKPT_drill.json");
+    println!("\ninjections: {injections} / detections: {detections}");
+    let rendered = report.render(&[("injections", injections), ("detections", detections)]);
+    if let Err(e) = anton_bench::write_artifact("CKPT_drill.json", &rendered) {
+        eprintln!("ckpt drill: {e}");
+        std::process::exit(1);
+    }
 
-    let all_passed = report.legs.iter().all(|l| l.passed) && report.injections == report.detections;
-    if !all_passed {
+    if !(report.passed() && injections == detections) {
         eprintln!("ckpt drill FAILED");
         std::process::exit(1);
     }

@@ -8,20 +8,23 @@
 //! `cargo run --release -p anton-bench --bin fleet_drill`
 //!
 //! Two outputs:
-//! - `results/FLEET_drill.json` — the *canonical pass* census (one fixed
+//! - `results/TABLE_fleet.csv` — the *canonical pass* census (one fixed
 //!   quantum/worker shape, run in-process): per-job preemptions, resumes,
-//!   checkpoint bytes, and final checksums. Deterministic byte-for-byte;
-//!   checked in and diffed by CI, and the source of `TABLE_fleet.csv`.
+//!   checkpoint bytes, job ids and final checksums. Deterministic
+//!   byte-for-byte; checked in and diffed by CI.
 //! - `results/FLEET_report.json` — pass/fail legs of the whole drill,
 //!   including the kill rounds (whose exact kill cycles are timing-
 //!   dependent); gitignored, uploaded as a CI artifact.
 //!
 //! The drill exits nonzero if any leg fails.
 
+use anton_bench::artifacts::fleet_table;
+use anton_bench::report::Report;
+use anton_bench::write_artifact;
 use anton_fleet::{state_checksum, Fleet, FleetConfig, JobPhase, JobSpec, JobStatusView};
 use std::path::PathBuf;
 
-/// The canonical pass shape pinned by `results/FLEET_drill.json`.
+/// The canonical pass shape pinned by `results/TABLE_fleet.csv`.
 const CANONICAL_QUANTUM: u64 = 3;
 const CANONICAL_WORKERS: usize = 1;
 
@@ -65,58 +68,7 @@ fn solo_checksum(spec: &JobSpec) -> u64 {
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from("target/fleet_drill").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-struct Leg {
-    name: String,
-    detail: String,
-    passed: bool,
-}
-
-struct Report {
-    legs: Vec<Leg>,
-}
-
-impl Report {
-    fn record(&mut self, name: &str, passed: bool, detail: String) {
-        println!(
-            "  [{}] {name}: {detail}",
-            if passed { "ok" } else { "FAIL" }
-        );
-        self.legs.push(Leg {
-            name: name.to_string(),
-            detail,
-            passed,
-        });
-    }
-
-    fn write(&self, path: &str) {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"fleet-report/v1\",\n");
-        s.push_str("  \"legs\": [\n");
-        for (i, l) in self.legs.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"passed\": {}, \"detail\": \"{}\"}}{}\n",
-                l.name,
-                l.passed,
-                l.detail.replace('"', "'"),
-                if i + 1 < self.legs.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"passed\": {}\n}}\n",
-            self.legs.iter().all(|l| l.passed)
-        ));
-        if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &s)) {
-            eprintln!("warning: could not write {path}: {e}");
-        } else {
-            println!("wrote {path}");
-        }
-    }
+    anton_bench::report::fresh_dir("fleet_drill", name)
 }
 
 /// Check a drained fleet's views against the goldens; returns a detail
@@ -160,7 +112,7 @@ fn check_against_golden(
 }
 
 /// The canonical in-process pass: fixed quantum/workers, deterministic
-/// census written to `results/FLEET_drill.json`.
+/// census written to `results/TABLE_fleet.csv`.
 fn canonical_pass(report: &mut Report, specs: &[JobSpec], goldens: &[u64]) {
     let mut cfg = FleetConfig::new(fresh_dir("canonical"));
     cfg.quantum = CANONICAL_QUANTUM;
@@ -212,69 +164,14 @@ fn canonical_pass(report: &mut Report, specs: &[JobSpec], goldens: &[u64]) {
         },
     );
 
-    write_drill_json(&views, specs, "results/FLEET_drill.json");
     let _ = std::fs::remove_dir_all(&fleet.config().state_dir);
-}
-
-/// Deterministic canonical-census artifact (schema `fleet-drill/v1`).
-/// Every field is an exact integer of the canonical pass; the rendering
-/// is a pure function of the views, so CI can diff the bytes.
-fn write_drill_json(views: &[JobStatusView], specs: &[JobSpec], path: &str) {
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"fleet-drill/v1\",\n");
-    s.push_str(&format!("  \"quantum\": {CANONICAL_QUANTUM},\n"));
-    s.push_str(&format!("  \"workers\": {CANONICAL_WORKERS},\n"));
-    s.push_str("  \"jobs\": [\n");
-    let atoms_of = |v: &JobStatusView| {
-        specs
-            .iter()
-            .find(|s| s.job_id() == v.id)
-            .map(|s| s.n_waters as u64 * 3)
-            .unwrap_or(0)
-    };
-    for (i, v) in views.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"id\": \"{}\", \"priority\": {}, \"atoms\": {}, \
-             \"cycles\": {}, \"preemptions\": {}, \"resumes\": {}, \"ckpt_bytes\": {}, \
-             \"violations\": {}, \"battery_samples\": {}, \"final_checksum\": \"{:016x}\"}}{}\n",
-            v.name,
-            v.id,
-            v.priority,
-            atoms_of(v),
-            v.cycles_total,
-            v.preemptions,
-            v.resumes,
-            v.ckpt_bytes,
-            v.violations,
-            v.battery_samples,
-            v.final_checksum,
-            if i + 1 < views.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n");
-    // One pinned identity for the whole fleet: FNV-1a over the per-job
-    // final checksums in schedule order.
-    let mut fleet_sum = anton_ckpt::Fnv64::new();
-    for v in views {
-        fleet_sum.update(&v.final_checksum.to_le_bytes());
-    }
-    let fleet_sum = fleet_sum.finish();
-    s.push_str("  \"totals\": {");
-    s.push_str(&format!(
-        "\"jobs\": {}, \"cycles\": {}, \"preemptions\": {}, \"resumes\": {}, \"ckpt_bytes\": {}, \
-         \"fleet_checksum\": \"{fleet_sum:016x}\"",
-        views.len(),
-        views.iter().map(|v| v.cycles_total).sum::<u64>(),
-        views.iter().map(|v| v.preemptions).sum::<u64>(),
-        views.iter().map(|v| v.resumes).sum::<u64>(),
-        views.iter().map(|v| v.ckpt_bytes).sum::<u64>(),
-    ));
-    s.push_str("}\n}\n");
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &s)) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    let table = fleet_table(CANONICAL_QUANTUM, &views, specs);
+    let written = write_artifact("TABLE_fleet.csv", &table.render_csv());
+    report.record(
+        "canonical_census_written",
+        written.is_ok(),
+        written.map_or_else(|e| e, |()| "results/TABLE_fleet.csv".into()),
+    );
 }
 
 /// The preemption-invariance matrix: quantum {1,3,7} x workers {1,4},
@@ -502,7 +399,7 @@ fn main() {
         total
     );
 
-    let mut report = Report { legs: Vec::new() };
+    let mut report = Report::new("fleet-report/v1");
 
     let goldens: Vec<u64> = specs.iter().map(solo_checksum).collect();
     for (s, g) in specs.iter().zip(&goldens) {
@@ -520,8 +417,11 @@ fn main() {
         "unix sockets unavailable on this platform".into(),
     );
 
-    report.write("results/FLEET_report.json");
-    if !report.legs.iter().all(|l| l.passed) {
+    if let Err(e) = write_artifact("FLEET_report.json", &report.render(&[])) {
+        eprintln!("fleet drill: {e}");
+        std::process::exit(1);
+    }
+    if !report.passed() {
         eprintln!("fleet drill FAILED");
         std::process::exit(1);
     }

@@ -9,7 +9,7 @@
 //! 4. Fixed-point vs f64 FFT accuracy (what the flexible subsystem's 32-bit
 //!    arithmetic costs).
 //!
-//! `cargo run --release -p anton-bench --bin ablations`
+//! `cargo run --release -p anton-bench --bin paper -- ablations`
 
 use anton_fft::fixed::{FxComplex, FxFft};
 use anton_fft::{Complex, Fft1d};
@@ -17,7 +17,7 @@ use anton_machine::perf::dhfr_stats;
 use anton_machine::{HtisSim, MachineConfig, PerfModel};
 use anton_nt::{ImportRegions, MatchEfficiency};
 
-fn main() {
+pub fn run() {
     // ---- 1. Subboxes → utilization ----
     anton_bench::header(
         "Ablation 1 — subbox division → match efficiency → PPIP utilization (32 Å box, 13 Å cutoff)",

@@ -4,13 +4,13 @@
 //! long-range every other step; Berendsen) — verified with a short run, and
 //! the wall-clock projection to 1,031 µs.
 //!
-//! `cargo run -p anton-bench --bin bpti [--full]`
+//! `cargo run --release -p anton-bench --bin paper -- bpti [--full]`
 
 use anton_core::{system_stats, AntonSimulation, ThermostatKind};
 use anton_machine::PerfModel;
 use anton_systems::bpti;
 
-fn main() {
+pub fn run() {
     let full = anton_bench::full_mode();
     let sys = bpti(1);
 

@@ -1,11 +1,11 @@
 //! Figure 3: import regions of the NT method vs the traditional half-shell
 //! method, plus the symmetric spreading-plate variant.
 //!
-//! `cargo run -p anton-bench --bin fig3`
+//! `cargo run --release -p anton-bench --bin paper -- fig3`
 
 use anton_nt::ImportRegions;
 
-fn main() {
+pub fn run() {
     anton_bench::header(
         "Figure 3 — import-region volumes (Å³), 13 Å cutoff",
         &[

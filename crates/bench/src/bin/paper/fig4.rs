@@ -1,12 +1,12 @@
 //! Figure 4: PPIP datapath audit — tiered table layout, block-floating-point
 //! quantization, and the accuracy of the fitted kernels.
 //!
-//! `cargo run -p anton-bench --bin fig4`
+//! `cargo run --release -p anton-bench --bin paper -- fig4`
 
 use anton_machine::tables::TableSpec;
 use anton_machine::Ppip;
 
-fn main() {
+pub fn run() {
     let beta = 0.24;
     let cutoff = 13.0;
     let ppip = Ppip::build(beta, cutoff);

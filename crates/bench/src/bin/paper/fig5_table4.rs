@@ -1,20 +1,21 @@
 //! Figure 5 + Table 4: performance, accuracy and energy drift for the six
 //! protein-in-water benchmark systems (and Figure 5's water-only series).
 //!
-//! `cargo run -p anton-bench --bin fig5_table4 [--full]`
+//! `cargo run --release -p anton-bench --bin paper -- fig5_table4 [--full]`
 //!
 //! Default: performance model for all systems; force errors measured on the
 //! two smallest systems; drift on a reduced surrogate. `--full` measures
 //! force errors on all six systems and drift on gpW itself.
 
-use anton_core::{system_stats, AntonSimulation};
+use anton_bench::artifacts::table4_rows;
+use anton_core::AntonSimulation;
 use anton_machine::PerfModel;
 use anton_refmd::reference::reference_forces;
 use anton_systems::catalog::build_solvated;
 use anton_systems::spec::RunParams;
 use anton_systems::{table4_system, TABLE4};
 
-fn main() {
+pub fn run() {
     let full = anton_bench::full_mode();
     let model = PerfModel::anton_512();
 
@@ -31,18 +32,24 @@ fn main() {
             "water-only model",
         ],
     );
-    for e in &TABLE4 {
-        let sys = table4_system(e, 1);
-        let stats = system_stats(&sys);
-        let b = model.breakdown(&stats);
-        let mut wstats = stats;
+    // The model column is the `model_us_per_day` column of
+    // `results/TABLE_4.csv`.
+    for row in table4_rows() {
+        let e = row.entry;
+        let mut wstats = row.stats;
         wstats.n_bonded_terms = 0;
         wstats.protein_atoms = 0;
-        wstats.n_correction_pairs = stats.n_atoms; // waters' intra-molecular exclusions
+        wstats.n_correction_pairs = row.stats.n_atoms; // waters' intra-molecular exclusions
         let wb = model.breakdown(&wstats);
         println!(
             "{:<7} | {:>6} | {:>5.1} | {:>3}³ | {:>6.1} | {:>5.1} | {:>7.1}",
-            e.name, e.n_atoms, e.cutoff, e.mesh, b.us_per_day, e.paper_us_per_day, wb.us_per_day
+            e.name,
+            e.n_atoms,
+            e.cutoff,
+            e.mesh,
+            row.model_us_per_day,
+            e.paper_us_per_day,
+            wb.us_per_day
         );
     }
 
@@ -95,20 +102,7 @@ fn main() {
     // come from very long runs; a picosecond window can only bound the
     // drift by its own energy-fluctuation floor, which we report alongside.
     let cycles = if full { 1500 } else { 300 };
-    let pbox = anton_geometry::PeriodicBox::cubic(22.0);
-    let (top, positions) = anton_systems::waterbox::pure_water_topology(
-        &pbox,
-        &anton_forcefield::water::TIP3P,
-        340,
-        3,
-    );
-    let sys = anton_systems::System {
-        name: "drift-water".into(),
-        pbox,
-        topology: top,
-        positions,
-        params: RunParams::paper(10.5, 32),
-    };
+    let sys = anton_bench::water_box("drift-water", 22.0, 340, RunParams::paper(10.5, 32));
     let dof = sys.topology.degrees_of_freedom();
     let (d, window) = anton_bench::measure_drift(sys, cycles, 13);
     println!(

@@ -2,7 +2,7 @@
 //! two independent engines (Anton fixed-point vs reference double-precision)
 //! and a synthetic "NMR" profile.
 //!
-//! `cargo run -p anton-bench --bin fig6 [--full]`
+//! `cargo run --release -p anton-bench --bin paper -- fig6 [--full]`
 //!
 //! The paper compares 1 µs trajectories; on one core we sample far shorter
 //! windows (default ~2,000 frames of a 56-residue chain in vacuum-box
@@ -59,7 +59,7 @@ fn collect_frames(
     out
 }
 
-fn main() {
+pub fn run() {
     let full = anton_bench::full_mode();
     let frames = if full { 12_000 } else { 1_500 };
     let stride = 2; // cycles between frames

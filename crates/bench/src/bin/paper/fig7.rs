@@ -1,6 +1,6 @@
 //! Figure 7: folding and unfolding events of gpW at its melting temperature.
 //!
-//! `cargo run -p anton-bench --bin fig7 [--full]`
+//! `cargo run --release -p anton-bench --bin paper -- fig7 [--full]`
 //!
 //! The paper's 236 µs explicit-solvent run is compute-gated; this harness
 //! runs the standard Gō-model substitution (DESIGN.md §2): locate the
@@ -30,7 +30,7 @@ fn folded_fraction_at(temp: f64, steps: usize, seed: u64) -> f64 {
     folded as f64 / total.max(1) as f64
 }
 
-fn main() {
+pub fn run() {
     let full = anton_bench::full_mode();
 
     // 1. Bracket the melting temperature.

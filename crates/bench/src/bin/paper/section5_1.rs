@@ -2,12 +2,12 @@
 //! 7.5 µs/day per 128-node partition, Desmond at 471 ns/day on a 512-node
 //! commodity cluster, and the node-count scaling family.
 //!
-//! `cargo run -p anton-bench --bin section5_1`
+//! `cargo run --release -p anton-bench --bin paper -- section5_1`
 
 use anton_machine::perf::dhfr_stats;
 use anton_machine::{MachineConfig, PerfModel};
 
-fn main() {
+pub fn run() {
     let stats = dhfr_stats(13.0, 32);
 
     anton_bench::header(

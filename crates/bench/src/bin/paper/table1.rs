@@ -2,13 +2,13 @@
 //! rates this reproduction's performance model assigns to the hardware each
 //! ran on, and the wall-clock a millisecond costs at each rate.
 //!
-//! `cargo run -p anton-bench --bin table1`
+//! `cargo run --release -p anton-bench --bin paper -- table1`
 
 use anton_core::system_stats;
 use anton_machine::PerfModel;
 use anton_systems::bpti;
 
-fn main() {
+pub fn run() {
     // (length µs, protein, hardware, software).
     let rows = [
         (1031.0, "BPTI", "Anton (512 nodes)", "[native]"),

@@ -3,13 +3,12 @@
 //! calibrated machine model) — under both electrostatics parameter sets:
 //! (9 Å cutoff, 64³ mesh) and (13 Å cutoff, 32³ mesh).
 //!
-//! `cargo run -p anton-bench --bin table2 [--full]`
+//! `cargo run --release -p anton-bench --bin paper -- table2 [--full]`
 //! Default: a reduced DHFR-sized system and 2 profiled steps; `--full`
 //! profiles the full 23,558-atom system over more steps.
 
+use anton_bench::artifacts::{table2_settings, Table2Setting};
 use anton_core::system_stats;
-use anton_machine::perf::dhfr_stats;
-use anton_machine::PerfModel;
 use anton_refmd::{RefSimulation, Thermostat};
 use anton_systems::catalog::build_solvated;
 use anton_systems::spec::RunParams;
@@ -53,7 +52,7 @@ fn profile_x86(cutoff: f64, mesh: usize, full: bool) -> [f64; 7] {
     prof.per_step_ms()
 }
 
-fn main() {
+pub fn run() {
     let full = anton_bench::full_mode();
     let rows = [
         "range-limited",
@@ -68,10 +67,6 @@ fn main() {
         [56.6, 12.3, 9.6, 4.0, 2.7, 3.4, 88.5],
         [164.4, 1.4, 8.8, 3.8, 2.7, 3.4, 184.5],
     ];
-    let paper_anton = [
-        [1.4, 24.7, 9.5, 2.5, 3.5, 1.6, 39.2],
-        [1.9, 8.9, 2.0, 2.5, 4.1, 1.6, 15.4],
-    ];
 
     println!("Table 2 — DHFR per-step task profile, two electrostatics parameter sets");
     if !full {
@@ -80,55 +75,46 @@ fn main() {
         );
     }
 
-    for (ci, (cutoff, mesh)) in [(9.0, 64usize), (13.0, 32)].iter().enumerate() {
-        let mesh_run = if full { *mesh } else { *mesh / 2 };
-        let x86 = profile_x86(*cutoff, mesh_run, full);
+    // Anton columns from the performance model on the true workload: the
+    // rows of `results/TABLE_2.csv`.
+    let settings = table2_settings();
+    for (s, paper_x86) in settings.iter().zip(paper_x86) {
+        let (cutoff, mesh) = (s.cutoff, s.mesh);
+        let mesh_run = if full { mesh } else { mesh / 2 };
+        let x86 = profile_x86(cutoff, mesh_run, full);
         anton_bench::header(
             &format!("x86 single core — cutoff {cutoff} Å, mesh {mesh}³"),
             &["task", "ours (ms)", "paper GROMACS (ms)"],
         );
         for (i, r) in rows.iter().enumerate() {
-            println!("{r:<14} | {:>9.2} | {:>10.1}", x86[i], paper_x86[ci][i]);
+            println!("{r:<14} | {:>9.2} | {:>10.1}", x86[i], paper_x86[i]);
         }
         let ours_ratio = x86[0] / x86[6];
         println!(
             "range-limited share: ours {:.0}% vs paper {:.0}%",
             100.0 * ours_ratio,
-            100.0 * paper_x86[ci][0] / paper_x86[ci][6]
+            100.0 * paper_x86[0] / paper_x86[6]
         );
 
-        // Anton columns from the performance model on the true workload.
-        let stats = dhfr_stats(*cutoff, *mesh);
-        let b = PerfModel::anton_512().breakdown(&stats);
-        let anton = [
-            b.range_limited_us,
-            b.fft_us,
-            b.mesh_us,
-            b.correction_us,
-            b.bonded_us,
-            b.integration_us,
-            b.lr_step_us,
-        ];
         anton_bench::header(
             &format!("Anton 512 nodes (model) — cutoff {cutoff} Å, mesh {mesh}³"),
             &["task", "model (µs)", "paper (µs)"],
         );
-        for (i, r) in rows.iter().enumerate() {
-            println!("{r:<14} | {:>10.2} | {:>9.1}", anton[i], paper_anton[ci][i]);
+        for (r, (_, model_us, paper_us)) in rows.iter().zip(s.tasks) {
+            println!("{r:<14} | {model_us:>10.2} | {paper_us:>9.1}");
         }
         println!(
             "model rate: {:.1} µs/day (paper: 16.4 at the 13 Å/32³ setting)",
-            b.us_per_day
+            s.model_us_per_day
         );
     }
 
     // The paper's punchline: the same parameter change that slows the x86
     // ~2x speeds Anton up >2x.
-    let x9 = PerfModel::anton_512().breakdown(&dhfr_stats(9.0, 64));
-    let x13 = PerfModel::anton_512().breakdown(&dhfr_stats(13.0, 32));
+    let total_us = |s: &Table2Setting| s.tasks[6].1;
     println!(
         "\nAnton speedup from (9 Å, 64³) → (13 Å, 32³): x{:.2} (paper: >2x; x86 slows ~2x)",
-        x9.lr_step_us / x13.lr_step_us
+        total_us(&settings[0]) / total_us(&settings[1])
     );
 
     // Cross-check that the built DHFR system feeds the model the workload

@@ -1,11 +1,11 @@
 //! Table 3: match efficiency of the NT method.
 //!
-//! `cargo run -p anton-bench --bin table3 [--full]`
+//! `cargo run --release -p anton-bench --bin paper -- table3 [--full]`
 //! (`--full` adds the Monte Carlo cross-check, which is slower.)
 
 use anton_nt::MatchEfficiency;
 
-fn main() {
+pub fn run() {
     let paper: [[f64; 3]; 3] = [[0.25, 0.40, 0.51], [0.12, 0.25, 0.40], [0.04, 0.12, 0.25]];
     anton_bench::header(
         "Table 3 — NT match efficiency, 13 Å cutoff (ours vs paper)",

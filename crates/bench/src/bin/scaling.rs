@@ -13,67 +13,46 @@
 //! the static `ExchangePlan`/`MeshExchange` over the simulated torus —
 //! modeled traffic, not host traffic.
 //!
-//! A machine-readable copy of every row lands in
-//! `results/BENCH_scaling.json` so the perf trajectory is tracked across
-//! PRs.
+//! The deterministic columns of every row — modeled comm, exact census,
+//! checksums — are rendered here, by the process that holds them, into
+//! `results/TABLE_scaling.csv`, `TABLE_trace_phases.csv` and
+//! `TABLE_ckpt.csv`; CI diffs the bytes. The measured step times are held
+//! to [`MS_PER_STEP_CEILING`] and appended to `results/PERF_trend.json`.
+//! A failed assert, an exceeded ceiling or an unwritable artifact exits
+//! non-zero.
 
 use anton_analysis::battery::Verifier;
 use anton_analysis::verify::check_census_invariance;
+use anton_bench::artifacts::{
+    ckpt_table, scaling_table, trace_phases_table, CkptStats, Row, TraceRow,
+};
+use anton_bench::{results_dir, water_box, write_artifact};
 use anton_core::{AntonSimulation, Decomposition, RawForces};
 use anton_machine::perf::ExchangeCounters;
 use anton_machine::MachineConfig;
 use anton_systems::spec::RunParams;
 use anton_systems::System;
-use anton_trace::{chrome_trace_json, phase_summary, summary_table, PhaseRow};
+use anton_trace::{chrome_trace_json, phase_summary, summary_table};
 use std::time::Instant;
+
+/// Absolute ceiling on the smoke waterbox's single-rank step time: the
+/// median of seven scaling runs on the reference machine (12.9 ms/step
+/// with the match stage on per-atom exclusion rows, half-reach subboxes
+/// and the two-pass filter) plus that series' noise floor, the 4.6 ms by
+/// which its worst run (17.5, the host's slow state) exceeded the median.
+/// It fails loudly if the pipeline falls back off the cached batched path
+/// (~24 ms/step) or the fused tables regress (~21 ms/step), and in the
+/// host's slow state also if the match stage returns to its old cost
+/// (+2 ms/step amortised).
+const MS_PER_STEP_CEILING: f64 = 18.0;
+/// Atom count of the smoke geometry the ceiling is calibrated for.
+const CEILING_ATOMS: usize = 1020;
+
+const TREND_FILE: &str = "PERF_trend.json";
 
 fn waterbox(full: bool) -> System {
     let (edge, waters) = if full { (36.0, 1500) } else { (22.0, 340) };
-    let pbox = anton_geometry::PeriodicBox::cubic(edge);
-    let (top, positions) = anton_systems::waterbox::pure_water_topology(
-        &pbox,
-        &anton_forcefield::water::TIP3P,
-        waters,
-        3,
-    );
-    System {
-        name: "scaling-water".into(),
-        pbox,
-        topology: top,
-        positions,
-        params: RunParams::paper(7.5, 16),
-    }
-}
-
-/// One measured + modeled configuration.
-struct Row {
-    nodes: usize,
-    threads: usize,
-    ms_per_step: f64,
-    /// Wall time of one full long-range evaluation (reciprocal phase +
-    /// overlapped corrections), isolated from the rest of the step.
-    lr_ms_per_eval: f64,
-    links_per_rank: u64,
-    kb_per_step_rank: f64,
-    mean_hops: f64,
-    modeled_comm_us: f64,
-    fft_msgs_per_rank_lr: f64,
-    fft_kb_per_rank_lr: f64,
-    halo_kb_per_rank_lr: f64,
-    /// Match-stage census over the whole run (candidates examined, pairs
-    /// surviving the exact cutoff, batches evaluated). The pair count is a
-    /// pure function of the trajectory — identical in every row — while
-    /// candidates and batches depend on the decomposition's tiling.
-    match_candidates: u64,
-    match_pairs: u64,
-    match_batches: u64,
-    /// Persistent match-cache census: how many short-range evaluations
-    /// rebuilt the tile/batch structure vs reused it. The schedule is a
-    /// pure function of the trajectory (exact fixed-point displacement
-    /// monitor), so both counts are identical in every row.
-    rebuild_steps: u64,
-    reuse_steps: u64,
-    checksum: u64,
+    water_box("scaling-water", edge, waters, RunParams::paper(7.5, 16))
 }
 
 /// Mean steps per rebuild period (the initial build counts as a rebuild).
@@ -101,140 +80,72 @@ fn time_long_range(sim: &mut AntonSimulation, reps: u32) -> f64 {
     dt
 }
 
-fn json_escape_free(v: f64) -> String {
-    // Finite metric values only; fixed precision keeps the file stable in
-    // form (values still vary with host timing, as any benchmark does).
-    format!("{v:.6}")
-}
-
-fn write_json(path: &str, sys: &System, steps: u64, rows: &[Row], invariant: bool) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"bench-scaling/v2\",\n");
-    s.push_str(&format!("  \"atoms\": {},\n", sys.n_atoms()));
-    s.push_str(&format!("  \"steps_per_row\": {steps},\n"));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"nodes\": {}, \"threads\": {}, \"ms_per_step\": {}, \
-             \"lr_ms_per_eval\": {}, \"links_per_rank\": {}, \
-             \"kb_per_step_rank\": {}, \"mean_hops\": {}, \
-             \"modeled_comm_us\": {}, \"fft_messages_per_rank_lr_step\": {}, \
-             \"fft_kb_per_rank_lr_step\": {}, \
-             \"mesh_halo_kb_per_rank_lr_step\": {}, \"match_candidates\": {}, \
-             \"match_pairs\": {}, \"match_batches\": {}, \
-             \"rebuild_steps\": {}, \"reuse_steps\": {}, \
-             \"mean_reuse_interval\": {}, \
-             \"state_checksum\": \"{:016x}\"}}{}\n",
-            r.nodes,
-            r.threads,
-            json_escape_free(r.ms_per_step),
-            json_escape_free(r.lr_ms_per_eval),
-            r.links_per_rank,
-            json_escape_free(r.kb_per_step_rank),
-            json_escape_free(r.mean_hops),
-            json_escape_free(r.modeled_comm_us),
-            json_escape_free(r.fft_msgs_per_rank_lr),
-            json_escape_free(r.fft_kb_per_rank_lr),
-            json_escape_free(r.halo_kb_per_rank_lr),
-            r.match_candidates,
-            r.match_pairs,
-            r.match_batches,
-            r.rebuild_steps,
-            r.reuse_steps,
-            json_escape_free(mean_reuse_interval(r.rebuild_steps, r.reuse_steps)),
-            r.checksum,
-            if i + 1 < rows.len() { "," } else { "" },
+/// The ceiling applies to the smoke geometry only; other sizes (`--full`)
+/// are not calibrated and pass unchecked.
+fn check_ceiling(atoms: usize, ms_per_step: f64) -> Result<(), String> {
+    if atoms == CEILING_ATOMS && ms_per_step > MS_PER_STEP_CEILING {
+        return Err(format!(
+            "1n/1t ms_per_step {ms_per_step:.6} exceeds the {MS_PER_STEP_CEILING} ms ceiling"
         ));
     }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"invariant\": {invariant}\n"));
-    s.push_str("}\n");
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &s)) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+    Ok(())
 }
 
-/// One traced configuration: the per-phase summary with the measured
-/// wall-clock stripped, leaving only the deterministic payload.
-struct TraceRow {
-    nodes: usize,
-    threads: usize,
-    checksum: u64,
-    phases: Vec<PhaseRow>,
+/// This run's measured step times as one trend-log entry: rows in fixed
+/// (nodes, threads) benchmark order, key order and formatting fixed.
+fn trend_entry(atoms: usize, steps: u64, rows: &[Row]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"nodes\": {}, \"threads\": {}, \"ms_per_step\": {:.6}, \"lr_ms_per_eval\": {:.6}}}",
+                r.nodes, r.threads, r.ms_per_step, r.lr_ms_per_eval
+            )
+        })
+        .collect();
+    format!(
+        "{{\"atoms\": {atoms}, \"steps_per_row\": {steps}, \"rows\": [{}]}}",
+        rows.join(", ")
+    )
 }
 
-/// Checkpoint cost of the traced 8-node row: file/byte counts are exact
-/// (the snapshot encoding is deterministic), serialize+write time is
-/// measured wall-clock from the `checkpoint` trace phase.
-struct CkptStats {
-    files: u64,
-    bytes_written: u64,
-    serialize_us: f64,
+/// `log` (a `perf-trend/v1` document) with `entry` appended to its `runs`
+/// array, so the perf trajectory across PRs is a first-class artifact
+/// instead of archaeology. The log is only ever written by this function,
+/// so it is extended by its fixed layout rather than parsed.
+fn append_trend(log: &str, entry: &str) -> Result<String, String> {
+    const TAIL: &str = "\n  ]\n}";
+    let head = log
+        .trim_end()
+        .strip_suffix(TAIL)
+        .filter(|head| head.contains("\"schema\": \"perf-trend/v1\""))
+        .ok_or("unrecognized layout; regenerate it")?;
+    let sep = if head.ends_with('[') { "" } else { "," };
+    Ok(format!("{head}{sep}\n    {entry}{TAIL}\n"))
 }
 
-fn write_trace_json(path: &str, sys: &System, cycles: usize, rows: &[TraceRow], ckpt: &CkptStats) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"trace-scaling/v1\",\n");
-    s.push_str(&format!("  \"atoms\": {},\n", sys.n_atoms()));
-    s.push_str(&format!("  \"cycles_per_row\": {cycles},\n"));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"nodes\": {}, \"threads\": {}, \"state_checksum\": \"{:016x}\", \"phases\": [\n",
-            r.nodes, r.threads, r.checksum
-        ));
-        for (j, p) in r.phases.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"phase\": \"{}\", \"spans\": {}, \"messages\": {}, \
-                 \"bytes\": {}, \"modeled_us\": {}, \"wall_us\": {}}}{}\n",
-                p.phase.name(),
-                p.spans,
-                p.messages,
-                p.bytes,
-                json_escape_free(p.modeled_us),
-                json_escape_free(p.measured_ns as f64 / 1e3),
-                if j + 1 < r.phases.len() { "," } else { "" },
-            ));
-        }
-        s.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"checkpoint\": {{\"files\": {}, \"bytes_written\": {}, \"serialize_us\": {}}}\n",
-        ckpt.files,
-        ckpt.bytes_written,
-        json_escape_free(ckpt.serialize_us),
-    ));
-    s.push_str("}\n");
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &s)) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
+fn record_trend(entry: &str) -> Result<(), String> {
+    const EMPTY: &str = "{\n  \"schema\": \"perf-trend/v1\",\n  \"runs\": [\n  ]\n}\n";
+    let path = results_dir().join(TREND_FILE);
+    let log = match std::fs::read_to_string(&path) {
+        Ok(log) => log,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => EMPTY.to_string(),
+        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
+    };
+    let next = append_trend(&log, entry).map_err(|e| format!("{}: {e}", path.display()))?;
+    write_artifact(TREND_FILE, &next)
 }
 
 /// Re-run a few decompositions with the trace subsystem enabled. Each
-/// phase summary goes to `results/TRACE_scaling.json` for the perf gate:
-/// span counts and modeled communication gate exactly/tightly, while the
-/// `wall_us` column (measured wall-clock inside the phase's spans, here so
-/// dispatch overhead is a number instead of a guess) gates only at the
-/// loose measured tier. The chrome-trace of
-/// the 8-node run goes to `results/TRACE_chrome.json` (gitignored; open in
-/// chrome://tracing or Perfetto). Returns the rows for the invariance check.
-fn traced_pass(sys: &System, cycles: usize) -> (Vec<TraceRow>, CkptStats) {
+/// phase summary is printed in full — the measured wall-clock inside the
+/// phase's spans included, so dispatch overhead is a number instead of a
+/// guess — and returned for `TABLE_trace_phases.csv`, which keeps only the
+/// span counts and modeled communication. The chrome-trace of the 8-node
+/// run goes to `results/TRACE_chrome.json` (gitignored; open in
+/// chrome://tracing or Perfetto).
+fn traced_pass(sys: &System, cycles: usize) -> Result<(Vec<TraceRow>, CkptStats), String> {
     let mut out = Vec::new();
-    let mut ckpt_stats = CkptStats {
-        files: 0,
-        bytes_written: 0,
-        serialize_us: 0.0,
-    };
+    let mut ckpt_stats = CkptStats::default();
     // (1, 4) is the thread fan-out probe: one node, so every RangeLimited/
     // LongRange span is pure work while the Dispatch spans are pure pool
     // overhead — the measured cost behind the nodes=1 threads>1 slowdown.
@@ -287,14 +198,7 @@ fn traced_pass(sys: &System, cycles: usize) -> (Vec<TraceRow>, CkptStats) {
         println!("\n--- traced: {nodes} nodes, {threads} threads ---");
         print!("{}", summary_table(&phases));
         if nodes == 8 {
-            let chrome = chrome_trace_json(buf);
-            if let Err(e) = std::fs::create_dir_all("results")
-                .and_then(|()| std::fs::write("results/TRACE_chrome.json", &chrome))
-            {
-                eprintln!("warning: could not write results/TRACE_chrome.json: {e}");
-            } else {
-                println!("wrote results/TRACE_chrome.json");
-            }
+            write_artifact("TRACE_chrome.json", &chrome_trace_json(buf))?;
         }
         // The traced rows run the same battery: tracing (like
         // checkpointing) is observability-only, so every identity must
@@ -309,11 +213,17 @@ fn traced_pass(sys: &System, cycles: usize) -> (Vec<TraceRow>, CkptStats) {
             phases,
         });
     }
-    write_trace_json("results/TRACE_scaling.json", sys, cycles, &out, &ckpt_stats);
-    (out, ckpt_stats)
+    Ok((out, ckpt_stats))
 }
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("scaling: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), String> {
     let full = anton_bench::full_mode();
     let sys = waterbox(full);
     let cycles = if full { 20 } else { 8 };
@@ -434,7 +344,7 @@ fn main() {
         }
     }
 
-    let (traced, _ckpt) = traced_pass(&sys, cycles);
+    let (traced, ckpt) = traced_pass(&sys, cycles)?;
 
     let invariant = rows.iter().all(|r| r.checksum == rows[0].checksum)
         && traced.iter().all(|r| r.checksum == rows[0].checksum);
@@ -483,6 +393,47 @@ fn main() {
             "VIOLATED — configurations diverged"
         }
     );
-    write_json("results/BENCH_scaling.json", &sys, steps, &rows, invariant);
     assert!(invariant, "trajectory diverged across configurations");
+
+    for table in [
+        scaling_table(sys.n_atoms(), &rows),
+        trace_phases_table(&traced),
+        ckpt_table(&ckpt),
+    ] {
+        write_artifact(&format!("{}.csv", table.name), &table.render_csv())?;
+    }
+    // `rows[0]` is the 1-node/1-thread row. Only a run that passed every
+    // assert above and the ceiling joins the trend log.
+    check_ceiling(sys.n_atoms(), rows[0].ms_per_step)?;
+    record_trend(&trend_entry(sys.n_atoms(), steps, &rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ceiling_binds_only_the_smoke_geometry() {
+        assert!(check_ceiling(CEILING_ATOMS, MS_PER_STEP_CEILING).is_ok());
+        let err = check_ceiling(CEILING_ATOMS, 18.25).unwrap_err();
+        assert!(err.contains("18.25"), "error must name the value: {err}");
+        assert!(check_ceiling(4500, 500.0).is_ok());
+    }
+
+    #[test]
+    fn trend_appends_by_layout() {
+        let empty = "{\n  \"schema\": \"perf-trend/v1\",\n  \"runs\": [\n  ]\n}\n";
+        let one = append_trend(empty, "{\"atoms\": 1}").unwrap();
+        assert_eq!(
+            one,
+            "{\n  \"schema\": \"perf-trend/v1\",\n  \"runs\": [\n    {\"atoms\": 1}\n  ]\n}\n"
+        );
+        let two = append_trend(&one, "{\"atoms\": 2}").unwrap();
+        assert_eq!(
+            two,
+            "{\n  \"schema\": \"perf-trend/v1\",\n  \"runs\": [\n    {\"atoms\": 1},\n    {\"atoms\": 2}\n  ]\n}\n"
+        );
+        assert!(append_trend("{\"runs\": []}\n", "{}").is_err());
+        assert!(append_trend("", "{}").is_err());
+    }
 }

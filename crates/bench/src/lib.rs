@@ -1,15 +1,61 @@
 //! Shared harness utilities for the experiment binaries.
 //!
-//! Every binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §5 for the index) and prints a paper-vs-measured
-//! comparison. Binaries accept `--full` for paper-scale workloads; the
-//! default sizes finish in minutes on one core.
+//! Four binaries live under `src/bin/`: `paper <name>` regenerates one
+//! table or figure of the paper (see DESIGN.md §5 for the index) and
+//! prints a paper-vs-measured comparison; `scaling`, `ckpt_drill` and
+//! `fleet_drill` run the invariance sweep and the two crash drills. Each
+//! renders its own artifacts under `results/` from the numbers it holds in
+//! memory. `--full` selects paper-scale workloads; the default sizes
+//! finish in minutes on one core.
 
 use anton_core::{AntonSimulation, ThermostatKind};
+use anton_systems::spec::RunParams;
 use anton_systems::System;
+use std::path::{Path, PathBuf};
 
 pub mod artifacts;
-pub mod json;
+pub mod report;
+
+/// The workspace `results/` directory (compile-time anchored, so binaries
+/// and tests agree regardless of the invocation directory).
+pub fn results_dir() -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"))
+}
+
+/// Write one artifact into [`results_dir`]. A failed write is an error the
+/// binary must exit non-zero on: CI diffs and uploads these files, and a
+/// swallowed failure would let it pass on the stale checked-in copy.
+pub fn write_artifact(name: &str, contents: &str) -> Result<(), String> {
+    write_artifact_in(&results_dir(), name, contents)?;
+    println!("wrote results/{name}");
+    Ok(())
+}
+
+fn write_artifact_in(dir: &Path, name: &str, contents: &str) -> Result<(), String> {
+    let path = dir.join(name);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, contents))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// A TIP3P water box at the harness's fixed placement seed: the system
+/// behind the scaling sweep, the checkpoint drill and the drift window.
+pub fn water_box(name: &str, edge: f64, waters: usize, params: RunParams) -> System {
+    let pbox = anton_geometry::PeriodicBox::cubic(edge);
+    let (topology, positions) = anton_systems::waterbox::pure_water_topology(
+        &pbox,
+        &anton_forcefield::water::TIP3P,
+        waters,
+        3,
+    );
+    System {
+        name: name.into(),
+        pbox,
+        topology,
+        positions,
+        params,
+    }
+}
 
 /// Parse the common `--full` flag.
 pub fn full_mode() -> bool {
@@ -66,4 +112,27 @@ pub fn anton_vs_reference_error(sim: &AntonSimulation, reference: &[anton_geomet
         den += r.norm2();
     }
     (num / den).sqrt()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn write_artifact_reports_an_unwritable_directory() {
+        // A directory that cannot be created because a regular file is in
+        // the way (permission bits would not stop a root test run).
+        let base = std::env::temp_dir().join(format!("anton-bench-{}", std::process::id()));
+        std::fs::create_dir_all(&base).unwrap();
+        let blocker = base.join("not-a-dir");
+        std::fs::write(&blocker, b"x").unwrap();
+
+        let err = write_artifact_in(&blocker.join("results"), "T.csv", "a\n").unwrap_err();
+        assert!(err.contains("T.csv"), "error must name the file: {err}");
+
+        write_artifact_in(&base.join("results"), "T.csv", "a\n").unwrap();
+        let written = std::fs::read_to_string(base.join("results/T.csv")).unwrap();
+        assert_eq!(written, "a\n");
+        std::fs::remove_dir_all(&base).unwrap();
+    }
 }

@@ -1,7 +1,7 @@
 //! Microbenchmark for the PPIP batch evaluator: ns per live lane over a
 //! deterministic stream of synthetic match batches. Used to attribute the
-//! range-limited phase cost (the full-engine numbers in BENCH_scaling.json
-//! fold in tiling, match, and scatter; this isolates the table kernel).
+//! range-limited phase cost (the full-engine numbers the `scaling` bench
+//! prints fold in tiling, match, and scatter; this isolates the table kernel).
 use anton_machine::ppip::{PairBatch, Ppip, MATCH_WIDTH};
 use std::time::Instant;
 

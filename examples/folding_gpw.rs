@@ -38,5 +38,5 @@ fn main() {
         ev.unfolding_at.len(),
         ev.folding_at.len()
     );
-    println!("(the full Figure 7 harness: cargo run -p anton-bench --bin fig7)");
+    println!("(the full Figure 7 harness: cargo run -p anton-bench --bin paper -- fig7)");
 }

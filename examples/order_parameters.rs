@@ -50,5 +50,5 @@ fn main() {
         let bar = "#".repeat((v * 40.0) as usize);
         println!("{:>6}  {v:>5.3}  |{bar}", i + 1);
     }
-    println!("(the full Figure 6 harness: cargo run -p anton-bench --bin fig6)");
+    println!("(the full Figure 6 harness: cargo run -p anton-bench --bin paper -- fig6)");
 }
