@@ -12,22 +12,24 @@
 //! identities, and (for NVE runs) a momentum rounding envelope and an
 //! energy-drift bound.
 //!
-//! Install one with [`VerifyEveryExt::verify_every`]:
+//! The caller owns the verifier and decides when to sample — the engine
+//! has no hook for it:
 //!
 //! ```no_run
-//! use anton_analysis::battery::{assert_verified, VerifyEveryExt};
+//! use anton_analysis::battery::Verifier;
 //! use anton_core::AntonSimulation;
 //! # let system: anton_systems::System = unimplemented!();
-//! let mut sim = AntonSimulation::builder(system).verify_every(1).build();
-//! sim.run_cycles(5);
-//! assert_verified(&sim); // every identity held on every sampled cycle
+//! let mut sim = AntonSimulation::builder(system).build();
+//! let mut verifier = Verifier::new(&sim); // baseline: momentum, energy, counters
+//! for _ in 0..5 {
+//!     sim.run_cycle();
+//!     verifier.sample(&sim);
+//! }
+//! verifier.assert_clean(); // every identity held on every sampled cycle
 //! ```
 
-use anton_core::engine::CycleObserver;
 use anton_core::state::{FORCE_FRAC, VEL_FRAC};
-use anton_core::{
-    AntonSimulation, Decomposition, ForcePipeline, RawForces, SimulationBuilder, ThermostatKind,
-};
+use anton_core::{AntonSimulation, Decomposition, ForcePipeline, RawForces, ThermostatKind};
 use anton_fixpoint::rounding::rne_f64;
 use anton_forcefield::units::ACCEL;
 use anton_machine::perf::ExchangeCounters;
@@ -41,40 +43,19 @@ use crate::verify::{
 /// pair-pipeline parameter RAM).
 const MASS_FRAC_BITS: u32 = 20;
 
-/// Tunable bounds for the two non-identity checks; everything else in the
-/// battery is an exact integer comparison with no knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct VerifyConfig {
-    /// NVE energy-drift bound, kcal/mol per degree of freedom, measured
-    /// from the verifier's baseline sample. Generous against the paper's
-    /// µs-scale drift targets but tight against any integration bug.
-    pub energy_drift_bound: f64,
-    /// Multiplier on the closed-form momentum rounding envelope (see
-    /// [`Verifier::momentum_budget`]). The envelope is a worst-case bound,
-    /// so real drift sits far inside it; the slack keeps the check
-    /// deterministic-by-construction rather than tuned-to-pass.
-    pub momentum_slack: f64,
-    /// Check the momentum envelope (NVE only; a thermostat rescales
-    /// velocities and legitimately moves total momentum).
-    pub check_momentum: bool,
-    /// Check the energy-drift bound (NVE only).
-    pub check_energy: bool,
-}
+/// NVE energy-drift bound, kcal/mol per degree of freedom, measured from
+/// the verifier's baseline. Generous against the paper's µs-scale drift
+/// targets but tight against any integration bug.
+const ENERGY_DRIFT_BOUND: f64 = 0.05;
 
-impl Default for VerifyConfig {
-    fn default() -> VerifyConfig {
-        VerifyConfig {
-            energy_drift_bound: 0.05,
-            momentum_slack: 64.0,
-            check_momentum: true,
-            check_energy: true,
-        }
-    }
-}
+/// Multiplier on the closed-form momentum rounding envelope (see
+/// [`Verifier::momentum_budget`]). The envelope is a worst-case bound, so
+/// real drift sits far inside it; the slack keeps the check
+/// deterministic-by-construction rather than tuned-to-pass.
+const MOMENTUM_SLACK: f64 = 64.0;
 
 /// Closed-form invariant verifier bound to one simulation's system.
 pub struct Verifier {
-    cfg: VerifyConfig,
     /// Independent serial reference pipeline (SingleRank, 1 thread).
     pipeline: ForcePipeline,
     scratch: RawForces,
@@ -100,11 +81,9 @@ pub struct Verifier {
 }
 
 impl Verifier {
+    /// Bind a verifier to `sim`; its current momentum, energy, step and
+    /// counters become the baseline of the bounded checks.
     pub fn new(sim: &AntonSimulation) -> Verifier {
-        Verifier::with_config(sim, VerifyConfig::default())
-    }
-
-    pub fn with_config(sim: &AntonSimulation, cfg: VerifyConfig) -> Verifier {
         let sys = &sim.system;
         let n = sys.n_atoms();
         let pipeline = ForcePipeline::new(sys, Decomposition::SingleRank, 1);
@@ -153,7 +132,6 @@ impl Verifier {
             0.0
         };
         Verifier {
-            cfg,
             pipeline,
             scratch: RawForces::zeroed(n),
             recompute: RawForces::zeroed(n),
@@ -199,7 +177,7 @@ impl Verifier {
             dt / 2.0 * ACCEL * (2.0f64).powi((MASS_FRAC_BITS + VEL_FRAC - FORCE_FRAC) as i32);
         let per_step = self.mass_total * (2.0 + self.shake_term) + 2.0 * kick_half * fs_max;
         let per_cycle = 2.0 * k * kick_half * fl_max;
-        let budget = self.cfg.momentum_slack
+        let budget = MOMENTUM_SLACK
             * (steps as f64 * per_step + cycles as f64 * per_cycle + self.mass_total);
         // Saturating cast: NaN → 0, +inf → i128::MAX; a zero budget makes
         // the envelope check fail closed rather than silently pass.
@@ -310,7 +288,7 @@ impl Verifier {
         // rescales velocities and legitimately moves both).
         let steps = sim.step_count().saturating_sub(self.base_step);
         let cycles = cycle.saturating_sub(self.base_cycle);
-        if self.nve && self.cfg.check_momentum {
+        if self.nve {
             match momentum(&self.mass_q, &state.velocities) {
                 Some(p) => {
                     let bound = self.momentum_budget(sim, steps, cycles, fs_max, fl_max);
@@ -326,14 +304,12 @@ impl Verifier {
                     rhs: 0,
                 }),
             }
-        }
-        if self.nve && self.cfg.check_energy {
             self.violations.extend(check_energy_drift(
                 cycle,
                 self.e0,
                 sim.total_energy(),
                 self.dof,
-                self.cfg.energy_drift_bound,
+                ENERGY_DRIFT_BOUND,
             ));
         }
 
@@ -472,82 +448,4 @@ fn axis_abs_max(f: &[[i64; 3]]) -> f64 {
         }
     }
     s.iter().map(|&x| (x as f64).abs()).fold(0.0, f64::max)
-}
-
-/// [`CycleObserver`] adapter: constructs the [`Verifier`] lazily on the
-/// first observed cycle (the builder hands the observer in before the
-/// simulation exists) and samples the battery every observed cycle.
-pub struct VerifierObserver {
-    cfg: VerifyConfig,
-    inner: Option<Verifier>,
-}
-
-impl VerifierObserver {
-    pub fn new(cfg: VerifyConfig) -> VerifierObserver {
-        VerifierObserver { cfg, inner: None }
-    }
-
-    /// The verifier, if at least one cycle has been observed.
-    pub fn verifier(&self) -> Option<&Verifier> {
-        self.inner.as_ref()
-    }
-}
-
-impl CycleObserver for VerifierObserver {
-    fn on_cycle(&mut self, sim: &AntonSimulation) {
-        let cfg = self.cfg;
-        let v = self
-            .inner
-            .get_or_insert_with(|| Verifier::with_config(sim, cfg));
-        v.sample(sim);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// Builder sugar: `.verify_every(n)` installs the invariant battery as the
-/// simulation's cycle observer.
-pub trait VerifyEveryExt {
-    /// Run the full battery every `every` cycles with default bounds.
-    fn verify_every(self, every: u64) -> SimulationBuilder;
-    /// Run the battery with explicit bounds.
-    fn verify_every_with(self, every: u64, cfg: VerifyConfig) -> SimulationBuilder;
-}
-
-impl VerifyEveryExt for SimulationBuilder {
-    fn verify_every(self, every: u64) -> SimulationBuilder {
-        self.verify_every_with(every, VerifyConfig::default())
-    }
-
-    fn verify_every_with(self, every: u64, cfg: VerifyConfig) -> SimulationBuilder {
-        self.observe_every(every, Box::new(VerifierObserver::new(cfg)))
-    }
-}
-
-/// The installed verifier of a simulation built with
-/// [`VerifyEveryExt::verify_every`], if any cycles have been observed.
-pub fn verifier_of(sim: &AntonSimulation) -> Option<&Verifier> {
-    sim.observer()
-        .and_then(|o| o.as_any().downcast_ref::<VerifierObserver>())
-        .and_then(VerifierObserver::verifier)
-}
-
-/// Violations recorded by an installed verifier (empty slice if none).
-pub fn violations_of(sim: &AntonSimulation) -> &[Violation] {
-    verifier_of(sim).map_or(&[], Verifier::violations)
-}
-
-/// Assert the simulation carried a verifier, it sampled at least once, and
-/// every identity held on every sampled cycle.
-pub fn assert_verified(sim: &AntonSimulation) {
-    let v = verifier_of(sim)
-        .expect("assert_verified: no verifier installed (use .verify_every(n)) or no cycle run");
-    assert!(v.samples() > 0, "assert_verified: verifier never sampled");
-    v.assert_clean();
 }

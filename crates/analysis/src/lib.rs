@@ -7,11 +7,11 @@
 //! * [`order_params`] — backbone amide S² order parameters (Figure 6).
 //! * [`folding`] — native-contact reaction coordinate processing and
 //!   folding/unfolding event detection (Figure 7).
-//! * [`stats`] — small statistics helpers (linear regression, mean/sem).
+//! * [`stats`] — the least-squares line fit behind [`drift`].
 //! * [`verify`] / [`battery`] — the closed-form invariant verifier: exact
 //!   integer identities (third law, force consistency, mesh charge,
-//!   exchange census) plus bounded NVE momentum/energy checks, run
-//!   against a live engine every sampled cycle (DESIGN.md §16).
+//!   exchange census) plus bounded NVE momentum/energy checks, sampled by
+//!   its caller against a live engine after `run_cycle` (DESIGN.md §16).
 //! * [`artifacts`] — deterministic, schema-versioned CSV tables for the
 //!   paper-shaped results (Table 2/4, scaling and trace figures).
 
@@ -22,20 +22,13 @@ pub mod folding;
 pub mod kabsch;
 pub mod order_params;
 pub mod stats;
-pub mod structure;
 pub mod verify;
-pub mod xyz;
 
 pub use artifacts::{micro_from_f64, Cell, Table, TABLE_SCHEMA};
-pub use battery::{
-    assert_verified, verifier_of, violations_of, Verifier, VerifierObserver, VerifyConfig,
-    VerifyEveryExt,
-};
+pub use battery::Verifier;
 pub use drift::energy_drift_per_dof_us;
 pub use folding::{detect_transitions, FoldingEvents};
 pub use kabsch::kabsch_rotation;
 pub use order_params::order_parameters;
-pub use stats::{linear_fit, mean_sem};
-pub use structure::{mean_squared_displacement, Rdf};
+pub use stats::linear_fit;
 pub use verify::{Identity, Violation};
-pub use xyz::XyzWriter;

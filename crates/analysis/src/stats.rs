@@ -1,4 +1,4 @@
-//! Small statistics helpers.
+//! Least-squares line fit (the slope behind the energy-drift figure).
 
 /// Least-squares linear fit `y = a + b·x`; returns `(a, b)`.
 pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
@@ -16,18 +16,6 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
     (a, b)
 }
 
-/// Mean and standard error of the mean.
-pub fn mean_sem(values: &[f64]) -> (f64, f64) {
-    assert!(!values.is_empty());
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    if values.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, (var / n).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -39,14 +27,5 @@ mod tests {
         let (a, b) = linear_fit(&x, &y);
         assert!((a - 3.0).abs() < 1e-12);
         assert!((b - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_sem_basics() {
-        let (m, s) = mean_sem(&[1.0, 2.0, 3.0, 4.0]);
-        assert!((m - 2.5).abs() < 1e-12);
-        assert!(s > 0.0);
-        let (m1, s1) = mean_sem(&[7.0]);
-        assert_eq!((m1, s1), (7.0, 0.0));
     }
 }

@@ -16,9 +16,9 @@
 //! The deterministic columns of every row — modeled comm, exact census,
 //! checksums — are rendered here, by the process that holds them, into
 //! `results/TABLE_scaling.csv`, `TABLE_trace_phases.csv` and
-//! `TABLE_ckpt.csv`; CI diffs the bytes. The measured step times are held
-//! to [`MS_PER_STEP_CEILING`] and appended to `results/PERF_trend.json`.
-//! A failed assert, an exceeded ceiling or an unwritable artifact exits
+//! `TABLE_ckpt.csv`; CI diffs the bytes. The measured step times are
+//! printed only: the speed gate is `benchmark/compare.sh`, whose bounds are
+//! normalised to the host. A failed assert or an unwritable artifact exits
 //! non-zero.
 
 use anton_analysis::battery::Verifier;
@@ -26,7 +26,7 @@ use anton_analysis::verify::check_census_invariance;
 use anton_bench::artifacts::{
     ckpt_table, scaling_table, trace_phases_table, CkptStats, Row, TraceRow,
 };
-use anton_bench::{results_dir, water_box, write_artifact};
+use anton_bench::{water_box, write_artifact};
 use anton_core::{AntonSimulation, Decomposition, RawForces};
 use anton_machine::perf::ExchangeCounters;
 use anton_machine::MachineConfig;
@@ -34,21 +34,6 @@ use anton_systems::spec::RunParams;
 use anton_systems::System;
 use anton_trace::{chrome_trace_json, phase_summary, summary_table};
 use std::time::Instant;
-
-/// Absolute ceiling on the smoke waterbox's single-rank step time: the
-/// median of seven scaling runs on the reference machine (12.9 ms/step
-/// with the match stage on per-atom exclusion rows, half-reach subboxes
-/// and the two-pass filter) plus that series' noise floor, the 4.6 ms by
-/// which its worst run (17.5, the host's slow state) exceeded the median.
-/// It fails loudly if the pipeline falls back off the cached batched path
-/// (~24 ms/step) or the fused tables regress (~21 ms/step), and in the
-/// host's slow state also if the match stage returns to its old cost
-/// (+2 ms/step amortised).
-const MS_PER_STEP_CEILING: f64 = 18.0;
-/// Atom count of the smoke geometry the ceiling is calibrated for.
-const CEILING_ATOMS: usize = 1020;
-
-const TREND_FILE: &str = "PERF_trend.json";
 
 fn waterbox(full: bool) -> System {
     let (edge, waters) = if full { (36.0, 1500) } else { (22.0, 340) };
@@ -78,62 +63,6 @@ fn time_long_range(sim: &mut AntonSimulation, reps: u32) -> f64 {
     let dt = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
     sim.pipeline.counters = saved;
     dt
-}
-
-/// The ceiling applies to the smoke geometry only; other sizes (`--full`)
-/// are not calibrated and pass unchecked.
-fn check_ceiling(atoms: usize, ms_per_step: f64) -> Result<(), String> {
-    if atoms == CEILING_ATOMS && ms_per_step > MS_PER_STEP_CEILING {
-        return Err(format!(
-            "1n/1t ms_per_step {ms_per_step:.6} exceeds the {MS_PER_STEP_CEILING} ms ceiling"
-        ));
-    }
-    Ok(())
-}
-
-/// This run's measured step times as one trend-log entry: rows in fixed
-/// (nodes, threads) benchmark order, key order and formatting fixed.
-fn trend_entry(atoms: usize, steps: u64, rows: &[Row]) -> String {
-    let rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"nodes\": {}, \"threads\": {}, \"ms_per_step\": {:.6}, \"lr_ms_per_eval\": {:.6}}}",
-                r.nodes, r.threads, r.ms_per_step, r.lr_ms_per_eval
-            )
-        })
-        .collect();
-    format!(
-        "{{\"atoms\": {atoms}, \"steps_per_row\": {steps}, \"rows\": [{}]}}",
-        rows.join(", ")
-    )
-}
-
-/// `log` (a `perf-trend/v1` document) with `entry` appended to its `runs`
-/// array, so the perf trajectory across PRs is a first-class artifact
-/// instead of archaeology. The log is only ever written by this function,
-/// so it is extended by its fixed layout rather than parsed.
-fn append_trend(log: &str, entry: &str) -> Result<String, String> {
-    const TAIL: &str = "\n  ]\n}";
-    let head = log
-        .trim_end()
-        .strip_suffix(TAIL)
-        .filter(|head| head.contains("\"schema\": \"perf-trend/v1\""))
-        .ok_or("unrecognized layout; regenerate it")?;
-    let sep = if head.ends_with('[') { "" } else { "," };
-    Ok(format!("{head}{sep}\n    {entry}{TAIL}\n"))
-}
-
-fn record_trend(entry: &str) -> Result<(), String> {
-    const EMPTY: &str = "{\n  \"schema\": \"perf-trend/v1\",\n  \"runs\": [\n  ]\n}\n";
-    let path = results_dir().join(TREND_FILE);
-    let log = match std::fs::read_to_string(&path) {
-        Ok(log) => log,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => EMPTY.to_string(),
-        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-    };
-    let next = append_trend(&log, entry).map_err(|e| format!("{}: {e}", path.display()))?;
-    write_artifact(TREND_FILE, &next)
 }
 
 /// Re-run a few decompositions with the trace subsystem enabled. Each
@@ -402,38 +331,5 @@ fn run() -> Result<(), String> {
     ] {
         write_artifact(&format!("{}.csv", table.name), &table.render_csv())?;
     }
-    // `rows[0]` is the 1-node/1-thread row. Only a run that passed every
-    // assert above and the ceiling joins the trend log.
-    check_ceiling(sys.n_atoms(), rows[0].ms_per_step)?;
-    record_trend(&trend_entry(sys.n_atoms(), steps, &rows))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ceiling_binds_only_the_smoke_geometry() {
-        assert!(check_ceiling(CEILING_ATOMS, MS_PER_STEP_CEILING).is_ok());
-        let err = check_ceiling(CEILING_ATOMS, 18.25).unwrap_err();
-        assert!(err.contains("18.25"), "error must name the value: {err}");
-        assert!(check_ceiling(4500, 500.0).is_ok());
-    }
-
-    #[test]
-    fn trend_appends_by_layout() {
-        let empty = "{\n  \"schema\": \"perf-trend/v1\",\n  \"runs\": [\n  ]\n}\n";
-        let one = append_trend(empty, "{\"atoms\": 1}").unwrap();
-        assert_eq!(
-            one,
-            "{\n  \"schema\": \"perf-trend/v1\",\n  \"runs\": [\n    {\"atoms\": 1}\n  ]\n}\n"
-        );
-        let two = append_trend(&one, "{\"atoms\": 2}").unwrap();
-        assert_eq!(
-            two,
-            "{\n  \"schema\": \"perf-trend/v1\",\n  \"runs\": [\n    {\"atoms\": 1},\n    {\"atoms\": 2}\n  ]\n}\n"
-        );
-        assert!(append_trend("{\"runs\": []}\n", "{}").is_err());
-        assert!(append_trend("", "{}").is_err());
-    }
+    Ok(())
 }

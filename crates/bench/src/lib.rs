@@ -41,20 +41,8 @@ fn write_artifact_in(dir: &Path, name: &str, contents: &str) -> Result<(), Strin
 /// A TIP3P water box at the harness's fixed placement seed: the system
 /// behind the scaling sweep, the checkpoint drill and the drift window.
 pub fn water_box(name: &str, edge: f64, waters: usize, params: RunParams) -> System {
-    let pbox = anton_geometry::PeriodicBox::cubic(edge);
-    let (topology, positions) = anton_systems::waterbox::pure_water_topology(
-        &pbox,
-        &anton_forcefield::water::TIP3P,
-        waters,
-        3,
-    );
-    System {
-        name: name.into(),
-        pbox,
-        topology,
-        positions,
-        params,
-    }
+    anton_systems::water_box(name, edge, waters, 3, params)
+        .expect("the harness's boxes hold their waters under their cutoffs")
 }
 
 /// Parse the common `--full` flag.

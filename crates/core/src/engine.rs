@@ -1,6 +1,5 @@
 //! The Anton engine: fixed-point velocity Verlet with RESPA impulses,
-//! deterministic constraints, optional Berendsen coupling, and deferred
-//! migration bookkeeping.
+//! deterministic constraints and optional Berendsen coupling.
 
 use crate::forces::{Decomposition, ForcePipeline, RawForces};
 use crate::pool::threads_from_env;
@@ -11,7 +10,6 @@ use anton_forcefield::constraints::shake;
 use anton_forcefield::units::ACCEL;
 use anton_geometry::Vec3;
 use anton_machine::ExchangeCounters;
-use anton_nt::migration::MigrationSchedule;
 use anton_systems::velocities::init_velocities;
 use anton_systems::System;
 use anton_trace::{Phase, TraceSink, RANK_MAIN};
@@ -31,31 +29,6 @@ pub enum ThermostatKind {
     Berendsen { target_k: f64, tau_fs: f64 },
 }
 
-/// A cycle-boundary hook: called with the simulation in its post-cycle
-/// state (palindromic cycle closed, forces fresh for the current
-/// positions). Observers are strictly read-only with respect to the
-/// trajectory — the engine hands them `&AntonSimulation` — so installing
-/// one can never change a bit of the state. The `anton-analysis` crate's
-/// invariant verifier is the canonical implementor.
-///
-/// The `Any` supertrait lets callers recover a concrete observer back out
-/// of the engine (e.g. to read accumulated verifier violations) through
-/// [`AntonSimulation::observer`].
-pub trait CycleObserver: std::any::Any {
-    /// Called after each sampled cycle completes.
-    fn on_cycle(&mut self, sim: &AntonSimulation);
-    /// Upcast for concrete-type recovery.
-    fn as_any(&self) -> &dyn std::any::Any;
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-}
-
-/// Installed observer + its sampling cadence.
-struct ObserverSlot {
-    /// Sample every `every` cycles (cycle numbers divisible by `every`).
-    every: u64,
-    obs: Box<dyn CycleObserver>,
-}
-
 /// Builder for [`AntonSimulation`].
 pub struct SimulationBuilder {
     system: System,
@@ -68,7 +41,6 @@ pub struct SimulationBuilder {
     checkpoint_every: u64,
     checkpoint_dir: Option<PathBuf>,
     checkpoint_keep: usize,
-    observer: Option<ObserverSlot>,
 }
 
 impl SimulationBuilder {
@@ -142,29 +114,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Install a [`CycleObserver`] sampled every `every` cycles (minimum 1).
-    /// The observer runs at cycle boundaries only, after any automatic
-    /// checkpoint, and sees the simulation immutably — observation never
-    /// affects the trajectory. One observer per simulation; installing a
-    /// second replaces the first.
-    ///
-    /// `anton-analysis` layers `verify_every(n)` on top of this hook.
-    pub fn observe_every(mut self, every: u64, observer: Box<dyn CycleObserver>) -> Self {
-        self.observer = Some(ObserverSlot {
-            every: every.max(1),
-            obs: observer,
-        });
-        self
-    }
-
     /// Build, then restore the newest valid checkpoint from `path` (a
-    /// store directory, or a single `.ant` file). The snapshot's config
-    /// fingerprint is verified against this builder's configuration
-    /// **before** anything is restored: resuming under a different node
-    /// grid, thread count, system, or run parameters is refused with
-    /// [`CkptError::FingerprintMismatch`], because the bitwise-resume
-    /// contract could silently not hold. On success the simulation
-    /// continues the interrupted trajectory bit-for-bit.
+    /// store directory, or a single `.ant` file); see
+    /// [`Self::resume_from_snapshot`].
     pub fn resume_from(self, path: impl AsRef<Path>) -> Result<AntonSimulation, CkptError> {
         let path = path.as_ref();
         let snap = if path.is_dir() {
@@ -174,6 +126,17 @@ impl SimulationBuilder {
         } else {
             anton_ckpt::load_file(path)?
         };
+        self.resume_from_snapshot(&snap)
+    }
+
+    /// Build, then restore `snap` (a snapshot the caller already loaded and
+    /// verified). The snapshot's config fingerprint is checked against this
+    /// builder's configuration **before** anything is built: resuming under
+    /// a different node grid, thread count, system, or run parameters is
+    /// refused with [`CkptError::FingerprintMismatch`], because the
+    /// bitwise-resume contract could silently not hold. On success the
+    /// simulation continues the interrupted trajectory bit-for-bit.
+    pub fn resume_from_snapshot(self, snap: &Snapshot) -> Result<AntonSimulation, CkptError> {
         let expected = config_fingerprint(&self.system, self.decomposition, self.threads);
         if snap.fingerprint != expected {
             return Err(CkptError::FingerprintMismatch {
@@ -182,7 +145,7 @@ impl SimulationBuilder {
             });
         }
         let mut sim = self.build();
-        sim.restore(&snap)?;
+        sim.restore(snap)?;
         Ok(sim)
     }
 
@@ -204,7 +167,7 @@ impl SimulationBuilder {
             (None, 0) => None,
             (None, every) => panic!("checkpoint_every({every}) requires checkpoint_dir"),
         };
-        let mut sim = AntonSimulation::new(
+        AntonSimulation::new(
             self.system,
             velocities,
             self.decomposition,
@@ -213,9 +176,7 @@ impl SimulationBuilder {
             self.constraints_enabled,
             self.tracing,
             ckpt,
-        );
-        sim.observer = self.observer;
-        sim
+        )
     }
 }
 
@@ -251,7 +212,6 @@ fn config_fingerprint(system: &System, decomposition: Decomposition, threads: us
         .field("mesh_z", p.mesh[2] as u64)
         .field("dt_fs", p.dt_fs.to_bits())
         .field("longrange_every", p.longrange_every as u64)
-        .field("migration_every", p.migration_every as u64)
         .field("nodes", nodes)
         .field("threads", threads.max(1) as u64)
         .finish()
@@ -272,14 +232,11 @@ pub struct AntonSimulation {
     kick_long_half: Vec<f64>,
     /// Per-axis drift constants: dt · 2^(31−VEL) / (edge/2).
     drift_c: [f64; 3],
-    migration: MigrationSchedule,
     step: u64,
     ckpt: Option<CkptSink>,
     /// Config fingerprint (pure function of system/decomposition/threads),
     /// stamped into every written checkpoint and verified on restore.
     fingerprint: u64,
-    /// Cycle-boundary observer (read-only; never affects the trajectory).
-    observer: Option<ObserverSlot>,
 }
 
 impl AntonSimulation {
@@ -295,7 +252,6 @@ impl AntonSimulation {
             checkpoint_every: 0,
             checkpoint_dir: None,
             checkpoint_keep: 3,
-            observer: None,
         }
     }
 
@@ -340,7 +296,6 @@ impl AntonSimulation {
             dt * pscale / (e.y / 2.0),
             dt * pscale / (e.z / 2.0),
         ];
-        let migration = MigrationSchedule::new(system.params.migration_every.max(1));
         let mut sim = AntonSimulation {
             system,
             state,
@@ -352,11 +307,9 @@ impl AntonSimulation {
             kick_half,
             kick_long_half,
             drift_c,
-            migration,
             step: 0,
             ckpt,
             fingerprint,
-            observer: None,
         };
         sim.update_virtual_sites();
         sim.refresh_short();
@@ -520,11 +473,6 @@ impl AntonSimulation {
             }
         }
 
-        // Deferred migration: purely bookkeeping in this engine (the NT
-        // enumeration re-derives homes each evaluation with the co-location
-        // margin), but tracked to drive the performance model.
-        let _ = self.migration.due(self.step);
-
         // Automatic checkpoint cadence: only ever at a cycle boundary,
         // where the palindromic cycle has closed and the raw state alone
         // determines the continuation bitwise.
@@ -543,15 +491,6 @@ impl AntonSimulation {
                     self.step
                 );
             }
-        }
-
-        // Cycle observer: detached from `self` while it borrows the
-        // simulation immutably, so observation can never write state.
-        if let Some(mut slot) = self.observer.take() {
-            if cycle.is_multiple_of(slot.every) {
-                slot.obs.on_cycle(&*self);
-            }
-            self.observer = Some(slot);
         }
     }
 
@@ -616,17 +555,6 @@ impl AntonSimulation {
     /// [`Self::short_forces_mut`]).
     pub fn long_forces_mut(&mut self) -> &mut RawForces {
         &mut self.long
-    }
-
-    /// The installed cycle observer, if any (see
-    /// [`SimulationBuilder::observe_every`]). Downcast through
-    /// [`CycleObserver::as_any`] to recover the concrete type.
-    pub fn observer(&self) -> Option<&dyn CycleObserver> {
-        self.observer.as_ref().map(|s| &*s.obs)
-    }
-
-    pub fn observer_mut(&mut self) -> Option<&mut dyn CycleObserver> {
-        self.observer.as_mut().map(|s| &mut *s.obs)
     }
 
     /// The config fingerprint stamped into every checkpoint this
@@ -830,21 +758,11 @@ impl AntonSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anton_forcefield::water::TIP3P;
     use anton_geometry::PeriodicBox;
     use anton_systems::spec::RunParams;
-    use anton_systems::waterbox::pure_water_topology;
 
     fn water_system(n: usize, seed: u64) -> System {
-        let pbox = PeriodicBox::cubic(18.0);
-        let (top, positions) = pure_water_topology(&pbox, &TIP3P, n, seed);
-        System {
-            name: "w".into(),
-            pbox,
-            topology: top,
-            positions,
-            params: RunParams::paper(7.5, 16),
-        }
+        anton_systems::water_box("w", 18.0, n, seed, RunParams::paper(7.5, 16)).unwrap()
     }
 
     /// An unconstrained LJ + charge fluid for reversibility experiments

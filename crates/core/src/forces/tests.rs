@@ -11,7 +11,7 @@ use anton_forcefield::water::TIP3P;
 use anton_forcefield::PairClass;
 use anton_geometry::{CellGrid, PeriodicBox};
 use anton_systems::spec::RunParams;
-use anton_systems::waterbox::pure_water_topology;
+use anton_systems::waterbox::water_box_in;
 
 impl ForcePipeline {
     /// One range-limited pair: fixed-point r², exact integer cutoff test,
@@ -196,19 +196,14 @@ impl ForcePipeline {
     }
 }
 
+/// Any box, including ones thinner than twice the cutoff (the stencil
+/// tests want the self-wrapping cases), hence not the validating factory.
 pub(super) fn water_box(pbox: PeriodicBox, n: usize, seed: u64) -> System {
-    let (top, positions) = pure_water_topology(&pbox, &TIP3P, n, seed);
-    System {
-        name: "w".into(),
-        pbox,
-        topology: top,
-        positions,
-        params: RunParams::paper(7.5, 16),
-    }
+    water_box_in("w", pbox, n, seed, RunParams::paper(7.5, 16))
 }
 
 pub(super) fn water_system(n: usize, seed: u64) -> System {
-    water_box(PeriodicBox::cubic(18.0), n, seed)
+    anton_systems::water_box("w", 18.0, n, seed, RunParams::paper(7.5, 16)).unwrap()
 }
 
 pub(super) fn state_of(sys: &System) -> FixedState {

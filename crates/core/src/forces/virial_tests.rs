@@ -43,18 +43,8 @@ fn virial_of_single_pair_matches_r_dot_f() {
 /// The virial inherits parallel invariance from its wide accumulator.
 #[test]
 fn virial_is_decomposition_invariant() {
-    use anton_forcefield::water::TIP3P;
-    use anton_systems::waterbox::pure_water_topology;
-    let pbox = PeriodicBox::cubic(18.0);
-    let (top, positions) = pure_water_topology(&pbox, &TIP3P, 100, 13);
-    let sys = System {
-        name: "w".into(),
-        pbox,
-        topology: top,
-        positions,
-        params: RunParams::paper(7.5, 16),
-    };
-    let state = FixedState::from_f64(&pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()]);
+    let sys = anton_systems::water_box("w", 18.0, 100, 13, RunParams::paper(7.5, 16)).unwrap();
+    let state = FixedState::from_f64(&sys.pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()]);
     let mut a = RawForces::zeroed(sys.n_atoms());
     ForcePipeline::new(&sys, Decomposition::SingleRank, 1).range_limited(&sys, &state, &mut a);
     let mut b = RawForces::zeroed(sys.n_atoms());

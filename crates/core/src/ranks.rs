@@ -348,21 +348,12 @@ mod tests {
     use anton_ewald::gse::GseParams;
     use anton_ewald::Mesh;
     use anton_forcefield::water::TIP3P;
-    use anton_geometry::{PeriodicBox, Vec3};
+    use anton_geometry::Vec3;
     use anton_systems::catalog::build_solvated;
     use anton_systems::spec::RunParams;
-    use anton_systems::waterbox::pure_water_topology;
 
     fn water_system(n: usize, seed: u64) -> System {
-        let pbox = PeriodicBox::cubic(18.0);
-        let (top, positions) = pure_water_topology(&pbox, &TIP3P, n, seed);
-        System {
-            name: "w".into(),
-            pbox,
-            topology: top,
-            positions,
-            params: RunParams::paper(7.5, 16),
-        }
+        anton_systems::water_box("w", 18.0, n, seed, RunParams::paper(7.5, 16)).unwrap()
     }
 
     fn plan(sys: &System, decomposition: Decomposition) -> RankSet {

@@ -8,24 +8,22 @@
 use crate::policy;
 
 pub struct RuleDoc {
-    pub rule: &'static str,
     pub rationale: &'static str,
     /// (fixture name, contents) that the rule flags.
-    pub fail: Option<(&'static str, &'static str)>,
+    pub fail: (&'static str, &'static str),
     /// (fixture name, contents) showing the sanctioned shape.
-    pub pass: Option<(&'static str, &'static str)>,
+    pub pass: (&'static str, &'static str),
 }
 
 macro_rules! fixture {
     ($name:literal) => {
-        Some(($name, include_str!(concat!("../fixtures/", $name))))
+        ($name, include_str!(concat!("../fixtures/", $name)))
     };
 }
 
 pub fn rule_doc(rule: &str) -> Option<RuleDoc> {
     let doc = match rule {
         "D1" => RuleDoc {
-            rule: "D1",
             rationale: "The bit-exact core accumulates in two's-complement fixed point so \
                         results are independent of summation order, thread count and host. One \
                         f64 on that path reintroduces rounding that depends on evaluation \
@@ -35,7 +33,6 @@ pub fn rule_doc(rule: &str) -> Option<RuleDoc> {
             pass: fixture!("pass_boundary.rs"),
         },
         "D2" => RuleDoc {
-            rule: "D2",
             rationale: "HashMap/HashSet iteration order is randomized per process. Any loop \
                         over one feeds state in a host-dependent order; use BTreeMap/BTreeSet \
                         or a sorted Vec so every traversal is reproducible.",
@@ -43,7 +40,6 @@ pub fn rule_doc(rule: &str) -> Option<RuleDoc> {
             pass: fixture!("pass_clean.rs"),
         },
         "D3" => RuleDoc {
-            rule: "D3",
             rationale: "Lossy `as` casts truncate silently; in the fixed-point crate every \
                         narrowing must round via the audited rne_shr_* primitives in \
                         rounding.rs (the one module D3 exempts) so the round-to-nearest/even \
@@ -52,7 +48,6 @@ pub fn rule_doc(rule: &str) -> Option<RuleDoc> {
             pass: fixture!("pass_clean.rs"),
         },
         "D4" => RuleDoc {
-            rule: "D4",
             rationale: "Wall-clock and thread-topology reads (Instant, SystemTime, \
                         available_parallelism, ...) make control flow depend on the host, not \
                         the simulation state. The sanctioned escape is an `allow(D4)` whose \
@@ -62,7 +57,6 @@ pub fn rule_doc(rule: &str) -> Option<RuleDoc> {
             pass: fixture!("pass_allowed.rs"),
         },
         "D5" => RuleDoc {
-            rule: "D5",
             rationale: "Parallel reductions (par_iter().sum(), channel drains into fold) \
                         combine in work-stealing or scheduling order — non-associative over \
                         floats. The sanctioned pattern is per-rank private buffers merged \
@@ -71,7 +65,6 @@ pub fn rule_doc(rule: &str) -> Option<RuleDoc> {
             pass: fixture!("pass_d5_ranks.rs"),
         },
         "D6" => RuleDoc {
-            rule: "D6",
             rationale: "Per-file rules cannot see a sanctioned allow(D4) leaking through an \
                         ordinary function call. D6 builds the workspace call graph, seeds \
                         taint at every D1/D4-class source and nondeterminism-class allow \
@@ -87,7 +80,6 @@ pub fn rule_doc(rule: &str) -> Option<RuleDoc> {
             pass: fixture!("d6_source_boundary.rs"),
         },
         "D7" => RuleDoc {
-            rule: "D7",
             rationale: "Unchecked + - * << on raw fixed-point values panics in debug builds \
                         and silently wraps in release — off the sanctioned two's-complement \
                         path, so a wrap that the wrapping wrappers would make a documented \
@@ -98,7 +90,6 @@ pub fn rule_doc(rule: &str) -> Option<RuleDoc> {
             pass: fixture!("pass_d7_wrapping.rs"),
         },
         "D8" => RuleDoc {
-            rule: "D8",
             rationale: "Checkpoint and trace payloads are on-disk formats read back on \
                         arbitrary hosts: to_ne_bytes/from_ne_bytes/transmute bake the \
                         writer's endianness into the bytes, so a checkpoint migrated across \
@@ -109,7 +100,6 @@ pub fn rule_doc(rule: &str) -> Option<RuleDoc> {
             pass: fixture!("pass_d8_le_bytes.rs"),
         },
         "META" => RuleDoc {
-            rule: "META",
             rationale: "A typo in a detlint directive must never silently disable a rule: \
                         unknown rule ids, missing reasons, and malformed argument lists are \
                         violations themselves.",
@@ -125,29 +115,14 @@ pub fn rule_doc(rule: &str) -> Option<RuleDoc> {
 /// `detlint explain <rule>`.
 pub fn render(rule: &str) -> Option<String> {
     let doc = rule_doc(rule)?;
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{} — {}\n\n{}\n",
-        doc.rule,
-        policy::rule_description(doc.rule),
+    let ((fail, flagged), (pass, sanctioned)) = (doc.fail, doc.pass);
+    Some(format!(
+        "{rule} — {}\n\n{}\n\
+         \n--- flagged example (fixtures/{fail}) ---\n{flagged}\
+         \n--- sanctioned example (fixtures/{pass}) ---\n{sanctioned}",
+        policy::rule_description(rule),
         doc.rationale
-    ));
-    if let Some((name, body)) = doc.fail {
-        s.push_str(&format!(
-            "\n--- flagged example (fixtures/{name}) ---\n{body}"
-        ));
-    }
-    if let Some((name, body)) = doc.pass {
-        s.push_str(&format!(
-            "\n--- sanctioned example (fixtures/{name}) ---\n{body}"
-        ));
-    }
-    Some(s)
-}
-
-/// The rules `explain` knows, in report order.
-pub fn all_rules() -> &'static [&'static str] {
-    policy::ALL_RULES
+    ))
 }
 
 #[cfg(test)]
@@ -156,11 +131,11 @@ mod tests {
 
     #[test]
     fn every_rule_has_a_doc_with_examples() {
-        for rule in all_rules() {
+        for rule in policy::ALL_RULES {
             let doc = rule_doc(rule).unwrap_or_else(|| panic!("no doc for {rule}"));
             assert!(!doc.rationale.is_empty());
-            assert!(doc.fail.is_some(), "{rule} needs a flagged example");
-            assert!(doc.pass.is_some(), "{rule} needs a sanctioned example");
+            assert!(!doc.fail.1.is_empty(), "{rule} needs a flagged example");
+            assert!(!doc.pass.1.is_empty(), "{rule} needs a sanctioned example");
         }
         assert!(rule_doc("D99").is_none());
     }

@@ -1,14 +1,22 @@
 //! CLI:
-//!   `detlint check [--root <dir>] [--json <file>] [--no-json] [--github]`
+//!   `detlint check [--root <dir>] [--json <file>] [--github]`
 //!   `detlint explain <rule>|all`
 //!
-//! Exit codes: 0 clean, 1 violations found, 2 usage/IO error.
+//! `check` renders the report and compares it, in memory, with the tracked
+//! `<root>/results/detlint_baseline.json`; `--json <file>` also writes it
+//! (the CI artifact — or, pointed at the baseline, its regeneration).
+//!
+//! Exit codes: 0 clean and equal to the baseline, 1 violations found or the
+//! report differs from the baseline, 2 usage/IO error.
 //! `--github` additionally emits each violation as a GitHub Actions
 //! `::error file=...,line=...` workflow command so findings annotate the
 //! PR diff inline instead of only landing in the job log.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// The tracked report, relative to the workspace root.
+const BASELINE: &str = "results/detlint_baseline.json";
 
 fn default_root() -> PathBuf {
     // When run via cargo, locate the workspace checkout relative to this
@@ -26,7 +34,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut root = default_root();
     let mut json: Option<PathBuf> = None;
-    let mut no_json = false;
     let mut github = false;
     let mut explain: Option<String> = None;
 
@@ -46,7 +53,6 @@ fn main() -> ExitCode {
                 Some(v) => json = Some(PathBuf::from(v)),
                 None => return usage("--json needs a value"),
             },
-            "--no-json" => no_json = true,
             "--github" => github = true,
             "--help" | "-h" => {
                 print_usage();
@@ -108,22 +114,35 @@ fn main() -> ExitCode {
         }
     }
 
-    if !no_json {
-        let path = json.unwrap_or_else(|| root.join("results/detlint_report.json"));
-        if let Some(dir) = path.parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("detlint: cannot create {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-        if let Err(e) = std::fs::write(&path, detlint::report::to_json(&ws)) {
+    let report = detlint::report::to_json(&ws);
+    if let Some(path) = json {
+        if let Err(e) = std::fs::write(&path, &report) {
             eprintln!("detlint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
         println!("detlint: report written to {}", path.display());
     }
 
-    if ws.violations.is_empty() {
+    let baseline_path = root.join(BASELINE);
+    let baseline = match std::fs::read_to_string(&baseline_path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("detlint: cannot read {}: {e}", baseline_path.display());
+            return ExitCode::from(2);
+        }
+    };
+    let drift = detlint::report::first_difference(&report, &baseline);
+    if let Some(line) = drift {
+        let at = |text: &str| text.lines().nth(line - 1).unwrap_or("").to_string();
+        println!(
+            "detlint: report differs from {BASELINE} at line {line}:\n  report:   {}\n  baseline: {}\n\
+             detlint: if the change is intended, regenerate with `detlint check --json {BASELINE}`",
+            at(&report),
+            at(&baseline)
+        );
+    }
+
+    if ws.violations.is_empty() && drift.is_none() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
@@ -132,7 +151,7 @@ fn main() -> ExitCode {
 
 fn run_explain(rule: &str) -> ExitCode {
     if rule.eq_ignore_ascii_case("all") {
-        for (i, r) in detlint::explain::all_rules().iter().enumerate() {
+        for (i, r) in detlint::policy::ALL_RULES.iter().enumerate() {
             if i > 0 {
                 println!("\n{}\n", "=".repeat(72));
             }
@@ -150,7 +169,7 @@ fn run_explain(rule: &str) -> ExitCode {
         }
         None => usage(&format!(
             "unknown rule `{rule}`; expected one of {} or `all`",
-            detlint::explain::all_rules().join(", ")
+            detlint::policy::ALL_RULES.join(", ")
         )),
     }
 }
@@ -163,7 +182,7 @@ fn usage(msg: &str) -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: detlint [check] [--root <dir>] [--json <file>] [--no-json] [--github]\n\
+        "usage: detlint [check] [--root <dir>] [--json <file>] [--github]\n\
          \x20      detlint explain <rule>|all"
     );
 }

@@ -2,7 +2,8 @@
 //!
 //! The JSON is byte-stable across runs and hosts: entries are fully sorted,
 //! paths are workspace-relative with forward slashes, and there are no
-//! timestamps or absolute paths. CI diffs it against a checked-in baseline.
+//! timestamps or absolute paths. `detlint check` compares it with the
+//! checked-in baseline ([`first_difference`]).
 
 use crate::lint::WorkspaceLint;
 use crate::policy;
@@ -128,4 +129,27 @@ pub fn to_json(ws: &WorkspaceLint) -> String {
 
     s.push_str("}\n");
     s
+}
+
+/// 1-based number of the first line at which `report` and `baseline`
+/// differ (one past the shorter text when it is a prefix of the other);
+/// `None` when they are equal.
+pub fn first_difference(report: &str, baseline: &str) -> Option<usize> {
+    if report == baseline {
+        return None;
+    }
+    let same = report.lines().zip(baseline.lines());
+    Some(same.take_while(|(a, b)| a == b).count() + 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::first_difference;
+
+    #[test]
+    fn first_difference_names_the_line() {
+        assert_eq!(first_difference("a\nb\n", "a\nb\n"), None);
+        assert_eq!(first_difference("a\nx\nc\n", "a\nb\nc\n"), Some(2));
+        assert_eq!(first_difference("a\n", "a\nb\n"), Some(2));
+    }
 }

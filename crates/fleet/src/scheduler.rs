@@ -27,7 +27,7 @@ use anton_ckpt::CheckpointStore;
 use anton_core::AntonSimulation;
 use anton_trace::phase_summary;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// How a fleet instance is laid out and sliced.
@@ -328,18 +328,17 @@ fn apply_outcome(rec: &mut JobRecord, out: &SliceOutcome) {
 fn run_job_slice(cfg: &FleetConfig, id: JobId, spec: &JobSpec) -> Result<SliceOutcome, FleetError> {
     let dir = cfg.job_dir(id);
     let keep = cfg.keep.max(1);
-    let has_ckpt = has_valid_checkpoint(&dir, keep);
-    let configured = |spec: &JobSpec| -> Result<_, FleetError> {
-        Ok(spec
-            .builder()?
-            .checkpoint_dir(&dir)
-            .checkpoint_keep(keep)
-            .checkpoint_every(0))
-    };
-    let (mut sim, resumed) = if has_ckpt {
-        (configured(spec)?.resume_from(&dir)?, true)
-    } else {
-        (configured(spec)?.build(), false)
+    let builder = spec
+        .builder()?
+        .checkpoint_dir(&dir)
+        .checkpoint_keep(keep)
+        .checkpoint_every(0);
+    // One read of the store per slice: the newest checkpoint that verifies
+    // is restored from the snapshot in hand; none (or no directory yet)
+    // means this is the job's first slice.
+    let (mut sim, resumed) = match CheckpointStore::open(&dir, keep).latest_valid() {
+        Ok((_, snap)) => (builder.resume_from_snapshot(&snap)?, true),
+        Err(_) => (builder.build(), false),
     };
 
     let before = sim.cycle_count();
@@ -383,11 +382,6 @@ fn run_job_slice(cfg: &FleetConfig, id: JobId, spec: &JobSpec) -> Result<SliceOu
         battery_samples,
         phase_deltas,
     })
-}
-
-/// Does `dir` hold at least one fully-verifiable checkpoint?
-fn has_valid_checkpoint(dir: &Path, keep: usize) -> bool {
-    dir.is_dir() && CheckpointStore::open(dir, keep).latest_valid().is_ok()
 }
 
 #[cfg(test)]

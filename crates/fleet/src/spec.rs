@@ -13,11 +13,8 @@ use crate::error::FleetError;
 use crate::wire::string_field;
 use anton_ckpt::{fnv1a, Fingerprint, Reader, Writer};
 use anton_core::{AntonSimulation, Decomposition, SimulationBuilder};
-use anton_forcefield::water::TIP3P;
-use anton_geometry::PeriodicBox;
 use anton_systems::spec::RunParams;
-use anton_systems::waterbox::pure_water_topology;
-use anton_systems::System;
+use anton_systems::{water_box, System};
 use std::fmt;
 
 /// Content-derived job identifier: a labeled fingerprint of the full spec.
@@ -142,19 +139,14 @@ impl JobSpec {
     /// Assemble the simulatable system this spec describes.
     pub fn build_system(&self) -> Result<System, FleetError> {
         self.validate()?;
-        let pbox = PeriodicBox::cubic(self.box_edge);
-        let (topology, positions) =
-            pure_water_topology(&pbox, &TIP3P, self.n_waters as usize, self.placement_seed);
-        let sys = System {
-            name: self.name.clone(),
-            pbox,
-            topology,
-            positions,
-            params: RunParams::paper(self.cutoff, self.mesh as usize),
-        };
-        sys.validate()
-            .map_err(|reason| FleetError::SpecInvalid { reason })?;
-        Ok(sys)
+        water_box(
+            &self.name,
+            self.box_edge,
+            self.n_waters as usize,
+            self.placement_seed,
+            RunParams::paper(self.cutoff, self.mesh as usize),
+        )
+        .map_err(|reason| FleetError::SpecInvalid { reason })
     }
 
     /// The fully configured engine builder for this job. Both the fresh

@@ -6,15 +6,17 @@
 //! * **Functional** — bit-level models of the numerically relevant datapaths:
 //!   the PPIP's tiered, block-floating-point, piecewise-cubic function
 //!   evaluators ([`tables`], [`ppip`]) fit with the Remez exchange algorithm
-//!   exactly as the paper describes, and the match units' low-precision
-//!   distance check. The Anton engine (`anton-core`) computes its
-//!   range-limited forces through these models.
+//!   exactly as the paper describes. The Anton engine (`anton-core`)
+//!   computes its range-limited forces through these models.
 //! * **Performance** — a calibrated cycle/communication accounting model
-//!   ([`perf`]) of a full time step: HTIS pipelines and match units, the
-//!   torus links ([`topology`]), the distributed FFT traffic, the geometry
-//!   cores and correction pipeline ([`flex`]). Free constants are calibrated
-//!   against a single column of the paper's Table 2 (see DESIGN.md §6);
-//!   everything else is prediction.
+//!   ([`perf`]) of a full time step over the machine constants of
+//!   [`config`]: HTIS pipelines and match units (queueing simulated cycle by
+//!   cycle in [`htis`]), the torus links ([`topology`]) and the static
+//!   per-step exchange plan metered over them ([`exchange`]), the
+//!   distributed FFT traffic, the geometry cores and correction pipeline
+//!   ([`flex`]), and the on-chip ring's hop and transfer estimates
+//!   ([`ring`]). Free constants are calibrated against a single column of
+//!   the paper's Table 2 (see DESIGN.md §6); everything else is prediction.
 
 pub mod config;
 pub mod exchange;
@@ -30,6 +32,6 @@ pub use config::MachineConfig;
 pub use exchange::{ExchangePlan, Link, MeshExchange, FORCE_BYTES, MESH_BYTES, POS_BYTES};
 pub use htis::{HtisRun, HtisSim};
 pub use perf::{modeled_burst_us, ExchangeCounters, PerfModel, StepBreakdown, SystemStats};
-pub use ppip::{MatchUnit, PairBatch, Ppip, MATCH_WIDTH, R2_FRAC};
+pub use ppip::{PairBatch, Ppip, MATCH_WIDTH, R2_FRAC};
 pub use ring::{Ring, Station};
 pub use tables::{FunctionTable, TableSpec};

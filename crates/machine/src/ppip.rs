@@ -1,5 +1,4 @@
-//! Pairwise point interaction pipelines and match units (paper §2.2, §3.2.1,
-//! Figure 4).
+//! Pairwise point interaction pipelines (paper §2.2, §3.2.1, Figure 4).
 //!
 //! A PPIP computes the interaction of two points as table-driven functions
 //! of r². [`Ppip`] bundles the fitted force/energy tables for the Ewald
@@ -8,9 +7,8 @@
 //! engine's force field *is* the quantized piecewise-cubic one — which is
 //! what Table 4's "numerical force error" measures.
 //!
-//! [`MatchUnit`] models the 8-bit low-precision distance check
-//! (Figure 4b): conservative — it may pass a pair beyond the cutoff (the
-//! exact r² test downstream rejects it) but never rejects a true pair.
+//! The match units' low-precision distance check (Figure 4b) lives with the
+//! engine's match stage: `anton_core::batch::Q20Ladder::r2_lower_bound_q40`.
 
 use crate::tables::{FunctionTable, TableSpec};
 use anton_forcefield::units::{erfc, COULOMB};
@@ -262,30 +260,6 @@ impl Ppip {
     }
 }
 
-/// Low-precision distance check (one of 256 per ASIC, Figure 4b).
-#[derive(Clone, Copy, Debug)]
-pub struct MatchUnit {
-    pub cutoff: f64,
-    /// Low-precision coordinate grid (Å); 8 bits cover ±32 Å at 0.25 Å.
-    pub grid: f64,
-}
-
-impl MatchUnit {
-    pub fn new(cutoff: f64) -> MatchUnit {
-        MatchUnit { cutoff, grid: 0.25 }
-    }
-
-    /// Conservative pass/fail on a displacement: quantizes each component
-    /// toward zero (a lower bound on the true distance), so a pair within
-    /// the cutoff always passes.
-    #[inline]
-    pub fn passes(&self, d: [f64; 3]) -> bool {
-        let lb = |x: f64| (x.abs() / self.grid).floor() * self.grid;
-        let r2_lb = lb(d[0]).powi(2) + lb(d[1]).powi(2) + lb(d[2]).powi(2);
-        r2_lb <= self.cutoff * self.cutoff
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,52 +375,6 @@ mod tests {
                 );
                 assert_eq!(got.0.to_bits(), f.to_bits(), "lane {lane}");
                 assert_eq!(got.1.to_bits(), e.to_bits(), "lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn match_unit_never_rejects_true_pairs() {
-        let mu = MatchUnit::new(9.0);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
-        for _ in 0..50_000 {
-            let d = [
-                (rng.gen::<f64>() - 0.5) * 26.0,
-                (rng.gen::<f64>() - 0.5) * 26.0,
-                (rng.gen::<f64>() - 0.5) * 26.0,
-            ];
-            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-            if r2 <= 81.0 {
-                assert!(mu.passes(d), "rejected in-range pair at r²={r2}");
-            }
-        }
-    }
-
-    #[test]
-    fn match_unit_rejects_far_pairs() {
-        let mu = MatchUnit::new(9.0);
-        // Far beyond cutoff + quantization margin.
-        assert!(!mu.passes([9.5, 2.0, 0.0]));
-        assert!(!mu.passes([6.0, 6.0, 6.0]));
-        // Just inside passes.
-        assert!(mu.passes([5.0, 5.0, 5.0]));
-    }
-
-    #[test]
-    fn match_unit_false_accept_band_is_thin() {
-        // Pairs accepted but beyond the cutoff must lie within the
-        // quantization margin (~0.44 Å for a 0.25 Å grid).
-        let mu = MatchUnit::new(9.0);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(6);
-        for _ in 0..50_000 {
-            let d = [
-                (rng.gen::<f64>() - 0.5) * 26.0,
-                (rng.gen::<f64>() - 0.5) * 26.0,
-                (rng.gen::<f64>() - 0.5) * 26.0,
-            ];
-            let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-            if mu.passes(d) {
-                assert!(r < 9.0 + 0.5, "accepted pair at r={r}");
             }
         }
     }

@@ -15,13 +15,10 @@
 //!   pairs that actually need to interact, with and without subboxes.
 //! * [`assign`] — the exactly-once assignment of box pairs to nodes used by
 //!   the Anton engine, validated against brute force.
-//! * [`migration`] — deferred atom migration and constraint-group
-//!   co-location (§3.2.4), including the import-region margin bookkeeping.
-//! * [`bonds`] — static assignment of bond terms to geometry cores with
-//!   worst-case load balancing (§3.2.3).
+//! * [`migration`] — constraint-group co-location (§3.2.4): every atom is
+//!   homed on its group leader's box.
 
 pub mod assign;
-pub mod bonds;
 pub mod match_efficiency;
 pub mod migration;
 pub mod regions;

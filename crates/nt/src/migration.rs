@@ -1,27 +1,16 @@
-//! Deferred migration and constraint-group co-location (paper §3.2.4).
+//! Constraint-group co-location (paper §3.2.4).
 //!
 //! Anton keeps every atom of a constraint group on one node (so integration
-//! is purely local) and migrates atoms between nodes only every N time steps
-//! (so the expensive sequential bookkeeping leaves the critical path). Both
-//! choices let atoms sit on an "incorrect" node temporarily; correctness is
-//! preserved by expanding the NT import region as if the cutoff were larger,
-//! while the match units keep testing against the true cutoff — "the set of
-//! particle interactions performed remains exactly the same."
+//! is purely local) and migrates atoms between nodes only every N time steps.
+//! Both choices let atoms sit on an "incorrect" node temporarily; correctness
+//! is preserved by expanding the NT import region as if the cutoff were
+//! larger, while the match units keep testing against the true cutoff — "the
+//! set of particle interactions performed remains exactly the same." This
+//! module is the homing rule; the deferral is the engine's match cache, which
+//! keeps its binning frozen between rebuilds under `core::ranks::IMPORT_MARGIN`.
 
 use crate::assign::NodeGrid;
 use anton_geometry::IVec3;
-
-/// Import-region margin (Å) covering deferred migration and group
-/// co-location: the farthest an atom can stray from the box its group
-/// leader was in at the last migration.
-///
-/// * `max_speed` — conservative bound on atomic speed (Å/fs); 0.05 Å/fs is
-///   ≈ 12× the RMS speed of hydrogen at 300 K.
-/// * `dt_fs`, `every` — time step and migration interval.
-/// * `group_radius` — largest distance from a group leader to a member.
-pub fn import_margin(max_speed: f64, dt_fs: f64, every: u32, group_radius: f64) -> f64 {
-    max_speed * dt_fs * every as f64 + group_radius
-}
 
 /// Assign every atom to the home box of its *group leader* (first atom of
 /// its group). Atoms not covered by any group get their own box.
@@ -52,52 +41,9 @@ pub fn assign_homes_into(
     }
 }
 
-/// Migration bookkeeping: tracks the step of the last migration and decides
-/// when the next one is due.
-#[derive(Clone, Copy, Debug)]
-pub struct MigrationSchedule {
-    pub every: u32,
-    last: u64,
-}
-
-impl MigrationSchedule {
-    pub fn new(every: u32) -> MigrationSchedule {
-        assert!(every >= 1);
-        MigrationSchedule { every, last: 0 }
-    }
-
-    /// True when a migration should run at `step` (and records it).
-    pub fn due(&mut self, step: u64) -> bool {
-        if step == 0 || step - self.last >= self.every as u64 {
-            self.last = step;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// How many atoms currently sit outside their nominal home box (diagnostic:
-/// grows between migrations, resets after one).
-pub fn displaced_count(grid: &NodeGrid, fracs: &[[f64; 3]], homes: &[IVec3]) -> usize {
-    fracs
-        .iter()
-        .zip(homes)
-        .filter(|&(f, h)| grid.box_of_frac(*f) != *h)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn margin_grows_with_interval() {
-        let m4 = import_margin(0.05, 2.5, 4, 1.0);
-        let m8 = import_margin(0.05, 2.5, 8, 1.0);
-        assert!(m8 > m4);
-        assert!((m4 - (0.5 + 1.0)).abs() < 1e-12);
-    }
 
     #[test]
     fn groups_are_colocated() {
@@ -108,22 +54,5 @@ mod tests {
         assert_eq!(homes[0], homes[1]);
         assert_eq!(homes[0], grid.box_of_frac([0.05, 0.05, 0.05]));
         assert_eq!(homes[2], grid.box_of_frac([0.80, 0.80, 0.80]));
-    }
-
-    #[test]
-    fn schedule_fires_every_n() {
-        let mut s = MigrationSchedule::new(4);
-        let fired: Vec<u64> = (0..12).filter(|&t| s.due(t)).collect();
-        assert_eq!(fired, vec![0, 4, 8]);
-    }
-
-    #[test]
-    fn displaced_counting() {
-        let grid = NodeGrid::cubic(2);
-        let fracs = vec![[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]];
-        let homes = assign_homes(&grid, &fracs, &[]);
-        assert_eq!(displaced_count(&grid, &fracs, &homes), 0);
-        let moved = vec![[0.6, 0.1, 0.1], [0.9, 0.9, 0.9]];
-        assert_eq!(displaced_count(&grid, &moved, &homes), 1);
     }
 }

@@ -262,22 +262,11 @@ enum Which {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anton_forcefield::water::TIP3P;
-    use anton_geometry::PeriodicBox;
     use anton_systems::spec::RunParams;
     use anton_systems::velocities::init_velocities;
-    use anton_systems::waterbox::pure_water_topology;
 
     fn water_sim(n: usize, thermostat: Thermostat) -> RefSimulation {
-        let pbox = PeriodicBox::cubic(18.0);
-        let (top, positions) = pure_water_topology(&pbox, &TIP3P, n, 21);
-        let sys = System {
-            name: "w".into(),
-            pbox,
-            topology: top,
-            positions,
-            params: RunParams::paper(8.0, 16),
-        };
+        let sys = anton_systems::water_box("w", 18.0, n, 21, RunParams::paper(8.0, 16)).unwrap();
         let vel = init_velocities(&sys.topology, 300.0, 5);
         RefSimulation::new(sys, vel, thermostat)
     }

@@ -4,6 +4,7 @@ use crate::profile::TaskProfile;
 use anton_ewald::direct::DirectKernel;
 use anton_ewald::{Mesh, Spme};
 use anton_forcefield::bonded;
+use anton_forcefield::units::erfc;
 use anton_forcefield::water::{vsite_position, vsite_spread_force};
 use anton_geometry::{CellGrid, Vec3};
 use anton_systems::System;
@@ -27,12 +28,12 @@ impl Energies {
     }
 }
 
-/// A reusable force evaluator bound to one system.
+/// A reusable force evaluator bound to one system. The range-limited
+/// cutoff is the kernel's (`kernel.cutoff`), not the system's: the
+/// conservative evaluator reaches further than the run parameters say.
 pub struct ForceEvaluator {
     pub kernel: DirectKernel,
     pub spme: Spme,
-    /// Pair-list skin added to the cell size (Å).
-    pub skin: f64,
 }
 
 impl ForceEvaluator {
@@ -43,7 +44,34 @@ impl ForceEvaluator {
         ForceEvaluator {
             kernel: DirectKernel::new(beta, sys.params.cutoff),
             spme: Spme::new(Mesh::new(sys.params.mesh, sys.pbox), beta, 4),
-            skin: 0.0,
+        }
+    }
+
+    /// The accuracy reference of Table 4: "extremely conservative values
+    /// for adjustable parameters (cutoffs, grid size, etc.)". High-accuracy
+    /// erfc, the direct cutoff extended by 3 Å (as far as the box allows),
+    /// β from a 1e-9 direct-space tolerance, a doubled mesh and order-6
+    /// B-splines.
+    pub fn conservative(sys: &System) -> ForceEvaluator {
+        let e = sys.pbox.edge();
+        let min_edge = e.x.min(e.y).min(e.z);
+        let cutoff = (sys.params.cutoff + 3.0).min(min_edge / 2.0 - 0.51);
+        let beta = {
+            let (mut lo, mut hi) = (1e-3f64, 10.0f64);
+            for _ in 0..80 {
+                let mid = 0.5 * (lo + hi);
+                if erfc(mid * cutoff) > 1e-9 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        };
+        let mesh_dims = sys.params.mesh.map(|m| m * 2);
+        ForceEvaluator {
+            kernel: DirectKernel::reference(beta, cutoff),
+            spme: Spme::new(Mesh::new(mesh_dims, sys.pbox), beta, 6),
         }
     }
 
@@ -66,7 +94,8 @@ impl ForceEvaluator {
 
         // Neighbor structure.
         let t1 = Instant::now();
-        let grid = CellGrid::build(&sys.pbox, pos, sys.params.cutoff + self.skin);
+        let cutoff = self.kernel.cutoff;
+        let grid = CellGrid::build(&sys.pbox, pos, cutoff);
         profile.neighbor_s += t1.elapsed().as_secs_f64();
 
         // Range-limited pairs.
@@ -76,7 +105,7 @@ impl ForceEvaluator {
             .policy
             .unwrap_or(anton_forcefield::ExclusionPolicy::amber_like());
         let mut e_rl = 0.0;
-        grid.for_each_pair_within(pos, sys.params.cutoff, |i, j, d, r2| {
+        grid.for_each_pair_within(pos, cutoff, |i, j, d, r2| {
             let Some((se, sl)) = policy.scales(top.exclusions.class(i as u32, j as u32)) else {
                 return;
             };
@@ -184,23 +213,10 @@ impl ForceEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anton_forcefield::water::TIP3P;
-    use anton_geometry::PeriodicBox;
     use anton_systems::spec::RunParams;
-    use anton_systems::waterbox::pure_water_topology;
 
     fn small_water_system() -> System {
-        let pbox = PeriodicBox::cubic(18.0);
-        let (top, positions) = pure_water_topology(&pbox, &TIP3P, 150, 5);
-        let sys = System {
-            name: "water150".into(),
-            pbox,
-            topology: top,
-            positions,
-            params: RunParams::paper(8.0, 16),
-        };
-        sys.validate().unwrap();
-        sys
+        anton_systems::water_box("water150", 18.0, 150, 5, RunParams::paper(8.0, 16)).unwrap()
     }
 
     #[test]

@@ -3,111 +3,27 @@
 //! Table 4's "total force error" compares Anton's forces against forces
 //! "computed in Desmond using double-precision floating-point arithmetic and
 //! extremely conservative values for adjustable parameters (cutoffs, grid
-//! size, etc.)". This module is that reference: high-accuracy erfc, a tight
-//! splitting tolerance, a doubled mesh with order-6 B-splines, and a direct
-//! cutoff extended as far as the box allows.
+//! size, etc.)". This module is that reference —
+//! [`ForceEvaluator::conservative`] driven through the evaluator's one force
+//! path — plus the Table 4 error metric.
 
+use crate::forces::ForceEvaluator;
 use crate::profile::TaskProfile;
-use anton_ewald::direct::DirectKernel;
-use anton_ewald::{Mesh, Spme};
-use anton_forcefield::bonded;
-use anton_forcefield::units::erfc;
-use anton_forcefield::water::{vsite_position, vsite_spread_force};
-use anton_geometry::{CellGrid, Vec3};
+use anton_geometry::Vec3;
 use anton_systems::System;
 
 /// Compute reference forces (and the potential) for a system's current or
 /// given positions. Slow; intended for one-shot force-error measurements.
 pub fn reference_forces(sys: &System, positions: &[Vec3]) -> (Vec<Vec3>, f64) {
-    let top = &sys.topology;
     let mut pos = positions.to_vec();
-    for v in &top.virtual_sites {
-        pos[v.site as usize] = vsite_position(v, &pos);
-    }
-
-    // Conservative parameters.
-    let e = sys.pbox.edge();
-    let min_edge = e.x.min(e.y).min(e.z);
-    let cutoff = (sys.params.cutoff + 3.0).min(min_edge / 2.0 - 0.51);
-    // β from a much tighter direct-space tolerance (1e-9).
-    let beta = {
-        let (mut lo, mut hi) = (1e-3f64, 10.0f64);
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            if erfc(mid * cutoff) > 1e-9 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    };
-    let mesh_dims = [
-        sys.params.mesh[0] * 2,
-        sys.params.mesh[1] * 2,
-        sys.params.mesh[2] * 2,
-    ];
-    let kernel = DirectKernel::reference(beta, cutoff);
-    let spme = Spme::new(Mesh::new(mesh_dims, sys.pbox), beta, 6);
-
-    let mut forces = vec![Vec3::ZERO; top.n_atoms()];
-    let mut energy = bonded::accumulate_bonded(&sys.pbox, &pos, top, &mut forces);
-
-    // Range-limited, extended cutoff, accurate erfc.
-    let policy = top
-        .exclusions
-        .policy
-        .unwrap_or(anton_forcefield::ExclusionPolicy::amber_like());
-    let grid = CellGrid::build(&sys.pbox, &pos, cutoff);
-    let mut e_rl = 0.0;
-    grid.for_each_pair_within(&pos, cutoff, |i, j, d, r2| {
-        let Some((se, sl)) = policy.scales(top.exclusions.class(i as u32, j as u32)) else {
-            return;
-        };
-        let qq = top.charge[i] * top.charge[j];
-        let (a, b) = top.lj_table.coeffs(top.lj_type[i], top.lj_type[j]);
-        let (en, f_over_r) = kernel.pair(qq, a, b, r2, se, sl);
-        e_rl += en;
-        let f = d * f_over_r;
-        forces[i] += f;
-        forces[j] -= f;
-    });
-    energy += e_rl;
-
-    // Reciprocal + corrections.
-    let mut prof = TaskProfile::default();
-    let mut timings = anton_ewald::spme::SpmeTimings::default();
-    energy += spme.compute_profiled(&pos, &top.charge, &mut forces, &mut timings);
-    let _ = &mut prof;
-    for &(i, j) in top.exclusions.excluded_pairs() {
-        let d = sys.pbox.min_image(pos[i as usize], pos[j as usize]);
-        let qq = top.charge[i as usize] * top.charge[j as usize];
-        if qq == 0.0 {
-            continue;
-        }
-        let (en, f_over_r) = kernel.exclusion_correction(qq, d.norm2());
-        energy += en;
-        let f = d * f_over_r;
-        forces[i as usize] += f;
-        forces[j as usize] -= f;
-    }
-    for &(i, j) in top.exclusions.pairs_14() {
-        let d = sys.pbox.min_image(pos[i as usize], pos[j as usize]);
-        let qq = top.charge[i as usize] * top.charge[j as usize];
-        if qq == 0.0 {
-            continue;
-        }
-        let (en, f_over_r) = kernel.exclusion_correction(qq * (1.0 - policy.elec_14), d.norm2());
-        energy += en;
-        let f = d * f_over_r;
-        forces[i as usize] += f;
-        forces[j as usize] -= f;
-    }
-
-    for v in &top.virtual_sites {
-        vsite_spread_force(v, &mut forces);
-    }
-    (forces, energy)
+    let mut forces = vec![Vec3::ZERO; sys.n_atoms()];
+    let energies = ForceEvaluator::conservative(sys).all_forces(
+        sys,
+        &mut pos,
+        &mut forces,
+        &mut TaskProfile::default(),
+    );
+    (forces, energies.potential())
 }
 
 /// Root-mean-square relative deviation between two force sets: the Table 4
@@ -126,26 +42,18 @@ pub fn rms_force_error(test: &[Vec3], reference: &[Vec3]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forces::ForceEvaluator;
-    use anton_forcefield::water::TIP3P;
-    use anton_geometry::PeriodicBox;
     use anton_systems::spec::RunParams;
-    use anton_systems::waterbox::pure_water_topology;
+
+    fn water150() -> System {
+        anton_systems::water_box("w", 18.0, 150, 31, RunParams::paper(7.5, 16)).unwrap()
+    }
 
     #[test]
     fn production_forces_close_to_reference() {
         // The production evaluator (order-4 SPME, fast erfc, production
         // cutoff) should sit within ~1e-3 of the conservative reference —
         // the scale the paper calls acceptable, with Anton itself at ~1e-4.
-        let pbox = PeriodicBox::cubic(18.0);
-        let (top, positions) = pure_water_topology(&pbox, &TIP3P, 150, 31);
-        let sys = System {
-            name: "w".into(),
-            pbox,
-            topology: top,
-            positions,
-            params: RunParams::paper(7.5, 16),
-        };
+        let sys = water150();
         let ev = ForceEvaluator::new(&sys);
         let mut pos = sys.positions.clone();
         let mut f_prod = vec![Vec3::ZERO; sys.n_atoms()];
@@ -161,6 +69,23 @@ mod tests {
             "production-vs-reference rms force error {err:e}"
         );
         assert!(err > 1e-8, "suspiciously identical");
+    }
+
+    /// The force bits of the stand-alone `reference_forces` loop this
+    /// function replaced, recorded before the collapse onto
+    /// [`ForceEvaluator::all_forces`]: same parameters, same operation order.
+    #[test]
+    fn reference_forces_are_pinned_bitwise() {
+        let sys = water150();
+        let (f_ref, _) = reference_forces(&sys, &sys.positions);
+        let fnv = f_ref
+            .iter()
+            .flat_map(|f| [f.x, f.y, f.z])
+            .flat_map(|c| c.to_bits().to_le_bytes())
+            .fold(0xcbf29ce484222325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100000001b3)
+            });
+        assert_eq!(fnv, 0x88a8c00716fb3509, "got {fnv:#018x}");
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! 17,758 particles — 892 protein atoms, 6 chloride ions, and 4,215 TIP4P-Ew
 //! waters of 4 particles each — in a 51.3 Å cubic box.
 
-use crate::protein::{build_globule, standard_lj_types, LJ_C, LJ_ION};
+use crate::protein::{build_globule, LJ_C, LJ_ION};
 use crate::spec::{RunParams, System};
-use crate::waterbox::{append_waters, water_sites, Buckets};
+use crate::waterbox::{append_waters, empty_topology, water_sites, Buckets};
 use anton_forcefield::exclusions::ExclusionPolicy;
-use anton_forcefield::topology::{Bond, Topology};
+use anton_forcefield::topology::Bond;
 use anton_forcefield::water::{WaterModel, TIP3P, TIP4P_EW};
 use anton_geometry::{PeriodicBox, Vec3};
 
@@ -147,14 +147,7 @@ pub fn build_solvated(
     let pbox = PeriodicBox::cubic(box_edge);
     let center = Vec3::splat(box_edge / 2.0);
 
-    let mut top = Topology {
-        lj_table: anton_forcefield::LjTable::from_types(&standard_lj_types(
-            model.sigma_o,
-            model.eps_o,
-        )),
-        molecule_starts: vec![0],
-        ..Default::default()
-    };
+    let mut top = empty_topology(model);
     let mut positions: Vec<Vec3> = Vec::with_capacity(total_atoms);
     let mut occupied = Buckets::new(pbox, 4.5);
 
@@ -215,17 +208,15 @@ pub fn build_solvated(
     let remaining = total_atoms - protein_core - n_ions - extra_tail;
     let tail = extra_tail + remaining % model.sites;
     if tail > 0 {
-        let mut prev = (protein_core - 2) as u32; // last residue's C atom
-                                                  // Extend radially outward from the globule so the tail lands in
-                                                  // solvent, not inside the next helix turn.
+        // Extend radially outward from the last residue's C atom so the
+        // tail lands in solvent, not inside the next helix turn.
+        let mut prev = (protein_core - 2) as u32;
         let anchor0 = positions[prev as usize];
         let dir = (anchor0 - center)
             .normalized()
             .unwrap_or(Vec3::new(1.0, 0.0, 0.0));
         for t in 0..tail {
             let idx = positions.len() as u32;
-            let anchor = positions[prev as usize];
-            let _ = anchor;
             positions.push(pbox.wrap(anchor0 + dir * (1.5 * (t + 1) as f64)));
             top.mass.push(12.011);
             top.charge.push(0.0);
@@ -319,18 +310,14 @@ pub fn table4_system(entry: &Table4Entry, seed: u64) -> System {
 /// The matching "water only" system of Figure 5: same box and parameters,
 /// waters only, same nominal size.
 pub fn table4_water_only(entry: &Table4Entry, seed: u64) -> System {
-    let n_waters = entry.n_atoms / 3;
-    let pbox = PeriodicBox::cubic(entry.side);
-    let (top, positions) = crate::waterbox::pure_water_topology(&pbox, &TIP3P, n_waters, seed);
-    let sys = System {
-        name: format!("{}-water", entry.name),
-        pbox,
-        topology: top,
-        positions,
-        params: RunParams::paper(entry.cutoff, entry.mesh),
-    };
-    sys.validate().unwrap();
-    sys
+    crate::waterbox::water_box(
+        &format!("{}-water", entry.name),
+        entry.side,
+        entry.n_atoms / 3,
+        seed,
+        RunParams::paper(entry.cutoff, entry.mesh),
+    )
+    .expect("every Table 4 box holds its waters under its cutoff")
 }
 
 /// The §5.3 BPTI system: 892 protein atoms (112 residues of 8 atoms, minus a
@@ -339,12 +326,8 @@ pub fn table4_water_only(entry: &Table4Entry, seed: u64) -> System {
 /// 32³ mesh, 2.5 fs steps with long-range every other step.
 pub fn bpti(seed: u64) -> System {
     let params = RunParams {
-        cutoff: 10.4,
         spread_cutoff: 7.1,
-        mesh: [32; 3],
-        dt_fs: 2.5,
-        longrange_every: 2,
-        migration_every: 6,
+        ..RunParams::paper(10.4, 32)
     };
     // 111 residues × 8 = 888 atoms + 4 tail atoms = 892; with 6 ions that
     // leaves 16,860 = 4,215 × 4 water particles.

@@ -21,17 +21,17 @@ pub struct GoModel {
     bond_r0: Vec<f64>,
     /// Native pseudo-angles.
     angle_t0: Vec<f64>,
-    /// Native contacts `(i, j, r_native)` with `|i - j| >= 4`.
+    /// Native contacts `(i, j, r_native)` with `|i - j| >= 4`, sorted by
+    /// `(i, j)` (membership is a binary search).
     pub contacts: Vec<(u32, u32, f64)>,
-    /// Sorted `(i, j)` keys of `contacts`, for O(log n) membership tests.
-    contact_keys: Vec<(u32, u32)>,
-    /// Contact well depth ε (kcal/mol).
-    pub eps_contact: f64,
-    /// Repulsive core σ for non-native pairs (Å).
-    pub sigma_rep: f64,
-    pub k_bond: f64,
-    pub k_angle: f64,
 }
+
+/// Contact well depth ε (kcal/mol).
+const EPS_CONTACT: f64 = 1.0;
+/// Repulsive core σ for non-native pairs (Å).
+const SIGMA_REP: f64 = 4.0;
+const K_BOND: f64 = 100.0;
+const K_ANGLE: f64 = 10.0;
 
 /// Build a synthetic gpW-like native structure: an α+β topology rendered as
 /// two helical segments packed against a hairpin, 62 residues. Deterministic.
@@ -104,18 +104,11 @@ impl GoModel {
                 }
             }
         }
-        let mut contact_keys: Vec<(u32, u32)> = contacts.iter().map(|&(i, j, _)| (i, j)).collect();
-        contact_keys.sort_unstable();
         GoModel {
             native,
             bond_r0,
             angle_t0,
             contacts,
-            contact_keys,
-            eps_contact: 1.0,
-            sigma_rep: 4.0,
-            k_bond: 100.0,
-            k_angle: 10.0,
         }
     }
 
@@ -141,8 +134,8 @@ impl GoModel {
             let d = pos[i + 1] - pos[i];
             let r = d.norm();
             let dr = r - r0;
-            energy += self.k_bond * dr * dr;
-            let f = d * (-2.0 * self.k_bond * dr / r.max(1e-9));
+            energy += K_BOND * dr * dr;
+            let f = d * (-2.0 * K_BOND * dr / r.max(1e-9));
             forces[i + 1] += f;
             forces[i] -= f;
         }
@@ -157,8 +150,8 @@ impl GoModel {
             let theta = c.acos();
             let s = (1.0 - c * c).sqrt().max(1e-8);
             let dt = theta - t0;
-            energy += self.k_angle * dt * dt;
-            let dudtheta = 2.0 * self.k_angle * dt;
+            energy += K_ANGLE * dt * dt;
+            let dudtheta = 2.0 * K_ANGLE * dt;
             let f_a = (ub - ua * c) * (dudtheta / (la * s));
             let f_b = (ua - ub * c) * (dudtheta / (lb * s));
             forces[j - 1] += f_a;
@@ -172,20 +165,23 @@ impl GoModel {
             let s2 = rn * rn / r2;
             let s10 = s2 * s2 * s2 * s2 * s2;
             let s12 = s10 * s2;
-            energy += self.eps_contact * (5.0 * s12 - 6.0 * s10);
+            energy += EPS_CONTACT * (5.0 * s12 - 6.0 * s10);
             // dU/dr² = ε(5·(-6)s¹²/r² + (-6)·(-5)... ) worked out:
             // U = ε(5 σ¹²r⁻¹² − 6 σ¹⁰ r⁻¹⁰); dU/dr = ε(−60σ¹²r⁻¹³ + 60 σ¹⁰ r⁻¹¹)
             // force = −dU/dr · d̂ on i.
-            let fmag_over_r = self.eps_contact * 60.0 * (s12 - s10) / r2;
+            let fmag_over_r = EPS_CONTACT * 60.0 * (s12 - s10) / r2;
             let f = d * fmag_over_r;
             forces[i as usize] += f;
             forces[j as usize] -= f;
         }
         // Non-native repulsion for |i-j| >= 4 (skip bonded/angle neighbors).
-        let s2r = self.sigma_rep * self.sigma_rep;
+        let s2r = SIGMA_REP * SIGMA_REP;
         for i in 0..n as u32 {
             for j in (i + 4)..n as u32 {
-                if self.contact_keys.binary_search(&(i, j)).is_ok() {
+                let native = self
+                    .contacts
+                    .binary_search_by_key(&(i, j), |&(a, b, _)| (a, b));
+                if native.is_ok() {
                     continue;
                 }
                 let d = pos[i as usize] - pos[j as usize];
@@ -195,8 +191,8 @@ impl GoModel {
                 }
                 let s2 = s2r / r2;
                 let s12 = s2 * s2 * s2 * s2 * s2 * s2;
-                energy += self.eps_contact * s12;
-                let f = d * (12.0 * self.eps_contact * s12 / r2);
+                energy += EPS_CONTACT * s12;
+                let f = d * (12.0 * EPS_CONTACT * s12 / r2);
                 forces[i as usize] += f;
                 forces[j as usize] -= f;
             }

@@ -32,3 +32,4 @@ pub use catalog::{bpti, table4_system, table4_water_only, Table4Entry, TABLE4};
 pub use go_model::GoModel;
 pub use spec::{RunParams, System};
 pub use velocities::init_velocities;
+pub use waterbox::water_box;

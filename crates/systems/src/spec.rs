@@ -17,8 +17,6 @@ pub struct RunParams {
     pub dt_fs: f64,
     /// Long-range electrostatics evaluated every this many steps (2–3).
     pub longrange_every: u32,
-    /// Atom migration performed every this many steps (4–8, §3.2.4).
-    pub migration_every: u32,
 }
 
 impl RunParams {
@@ -30,7 +28,6 @@ impl RunParams {
             mesh: [mesh; 3],
             dt_fs: 2.5,
             longrange_every: 2,
-            migration_every: 6,
         }
     }
 
@@ -44,7 +41,7 @@ impl RunParams {
         let (mut lo, mut hi) = (1e-3f64, 10.0f64);
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
-            if erfc_approx(mid * rc) > tol {
+            if anton_forcefield::units::erfc(mid * rc) > tol {
                 lo = mid;
             } else {
                 hi = mid;
@@ -53,8 +50,6 @@ impl RunParams {
         0.5 * (lo + hi)
     }
 }
-
-use anton_forcefield::units::erfc as erfc_approx;
 
 /// A complete simulatable system.
 #[derive(Clone, Debug)]

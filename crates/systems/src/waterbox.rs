@@ -6,9 +6,11 @@
 //! O(N²) scans.
 
 use crate::protein::{standard_lj_types, LJ_H, LJ_WATER_O};
+use crate::spec::{RunParams, System};
 use anton_forcefield::exclusions::ExclusionPolicy;
 use anton_forcefield::topology::Topology;
-use anton_forcefield::water::{WaterModel, MASS_H, MASS_O};
+use anton_forcefield::water::{WaterModel, MASS_H, MASS_O, TIP3P};
+use anton_forcefield::LjTable;
 use anton_geometry::{PeriodicBox, Vec3};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -157,15 +159,20 @@ pub fn append_waters(
     n_waters: usize,
     occupied: &mut Buckets,
     seed: u64,
-) -> u32 {
+) {
     assert!(
         sites.len() >= n_waters,
         "need {n_waters} water sites, have {} — box too small for the requested atom count",
         sites.len()
     );
-    let first = positions.len() as u32;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_0000);
     const TRIES: usize = 8;
+    // Per-site charges, in the order `model.place` lays the sites out.
+    let charges: &[f64] = if model.sites == 4 {
+        &[0.0, model.q_h, model.q_h, model.q_neg]
+    } else {
+        &[model.q_neg, model.q_h, model.q_h]
+    };
 
     for site in sites.iter().take(n_waters) {
         let mut best: Option<(f64, Vec<Vec3>)> = None;
@@ -177,16 +184,9 @@ pub fn append_waters(
             }
             let perp = perp.normalized().unwrap();
             let cand = model.place(*site, dir, perp);
-            let q_h = model.q_h;
-            let q_neg = model.q_neg;
             let mut score = 0.0;
             // Score the charged sites against placed neighbors: bare Coulomb
             // plus a soft clash penalty — enough to steer hydrogens apart.
-            let charges: &[f64] = if model.sites == 4 {
-                &[0.0, q_h, q_h, q_neg]
-            } else {
-                &[q_neg, q_h, q_h]
-            };
             for (site, &q) in cand.iter().zip(charges) {
                 occupied.for_each_within(*site, 4.5, |d, qo| {
                     let d = d.max(0.4);
@@ -210,18 +210,11 @@ pub fn append_waters(
         top.lj_type.push(LJ_H);
         top.lj_type.push(LJ_H);
         if model.sites == 4 {
-            top.charge.extend([0.0, model.q_h, model.q_h, model.q_neg]);
             top.mass.push(0.0);
             top.lj_type.push(LJ_H); // no LJ on M
-        } else {
-            top.charge.extend([model.q_neg, model.q_h, model.q_h]);
         }
-        let charges: Vec<f64> = if model.sites == 4 {
-            vec![0.0, model.q_h, model.q_h, model.q_neg]
-        } else {
-            vec![model.q_neg, model.q_h, model.q_h]
-        };
-        for (p, q) in placed.iter().zip(&charges) {
+        top.charge.extend(charges);
+        for (p, q) in placed.iter().zip(charges) {
             occupied.insert(*p, *q);
         }
         positions.extend(placed);
@@ -232,7 +225,6 @@ pub fn append_waters(
         }
         top.molecule_starts.push(positions.len() as u32);
     }
-    first
 }
 
 fn random_unit(rng: &mut SmallRng) -> Vec3 {
@@ -249,6 +241,16 @@ fn random_unit(rng: &mut SmallRng) -> Vec3 {
     }
 }
 
+/// The empty topology every solvated system starts from: the shared LJ
+/// table with `model`'s oxygen, no atoms yet.
+pub(crate) fn empty_topology(model: &WaterModel) -> Topology {
+    Topology {
+        lj_table: LjTable::from_types(&standard_lj_types(model.sigma_o, model.eps_o)),
+        molecule_starts: vec![0],
+        ..Default::default()
+    }
+}
+
 /// Build a pure water box with `n_waters` molecules (Figure 5's "water only"
 /// series).
 pub fn pure_water_topology(
@@ -257,18 +259,10 @@ pub fn pure_water_topology(
     n_waters: usize,
     seed: u64,
 ) -> (Topology, Vec<Vec3>) {
-    let mut top = Topology {
-        lj_table: anton_forcefield::LjTable::from_types(&standard_lj_types(
-            model.sigma_o,
-            model.eps_o,
-        )),
-        molecule_starts: vec![0],
-        ..Default::default()
-    };
+    let mut top = empty_topology(model);
     let mut positions = Vec::new();
-    let empty = Buckets::new(*pbox, 4.5);
-    let sites = water_sites(pbox, &empty, 0.0, seed);
     let mut occupied = Buckets::new(*pbox, 4.5);
+    let sites = water_sites(pbox, &occupied, 0.0, seed);
     append_waters(
         &mut top,
         &mut positions,
@@ -282,10 +276,42 @@ pub fn pure_water_topology(
     (top, positions)
 }
 
+/// [`water_box`] in any `pbox`, not validated: only for the tile-stencil
+/// tests, which need boxes thinner than twice the cutoff.
+pub fn water_box_in(
+    name: &str,
+    pbox: PeriodicBox,
+    waters: usize,
+    seed: u64,
+    params: RunParams,
+) -> System {
+    let (topology, positions) = pure_water_topology(&pbox, &TIP3P, waters, seed);
+    System {
+        name: name.into(),
+        pbox,
+        topology,
+        positions,
+        params,
+    }
+}
+
+/// The workspace's one water-box recipe: `waters` TIP3P molecules placed
+/// with `seed` in a cubic box of `edge` Å, validated against `params`
+/// (minimum image, topology consistency) before it is returned.
+pub fn water_box(
+    name: &str,
+    edge: f64,
+    waters: usize,
+    seed: u64,
+    params: RunParams,
+) -> Result<System, String> {
+    let sys = water_box_in(name, PeriodicBox::cubic(edge), waters, seed, params);
+    sys.validate().map(|()| sys)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anton_forcefield::water::TIP3P;
 
     #[test]
     fn site_density_near_liquid() {
@@ -335,7 +361,7 @@ mod tests {
         // With orientation scoring, no two hydrogens of different molecules
         // should start closer than ~1 Å.
         let pbox = PeriodicBox::cubic(20.0);
-        let (top, pos) = pure_water_topology(&pbox, &TIP3P, 200, 9);
+        let (_, pos) = pure_water_topology(&pbox, &TIP3P, 200, 9);
         let mut min_hh = f64::MAX;
         for mi in 0..200usize {
             for mj in (mi + 1)..200 {
@@ -347,7 +373,6 @@ mod tests {
                 }
             }
         }
-        let _ = top;
         assert!(min_hh > 0.9, "H–H contact at {min_hh:.2} Å");
     }
 

@@ -4,21 +4,11 @@
 //! `cargo run --release -p anton-core --example quickstart`
 
 use anton_core::{AntonSimulation, Decomposition, ThermostatKind};
-use anton_forcefield::water::TIP3P;
-use anton_geometry::PeriodicBox;
 use anton_systems::spec::{RunParams, System};
-use anton_systems::waterbox::pure_water_topology;
 
 fn build() -> System {
-    let pbox = PeriodicBox::cubic(18.0);
-    let (topology, positions) = pure_water_topology(&pbox, &TIP3P, 150, 42);
-    System {
-        name: "quickstart-water".into(),
-        pbox,
-        topology,
-        positions,
-        params: RunParams::paper(7.5, 16),
-    }
+    anton_systems::water_box("quickstart-water", 18.0, 150, 42, RunParams::paper(7.5, 16))
+        .expect("150 waters fit an 18 Å box under a 7.5 Å cutoff")
 }
 
 fn main() {

@@ -77,15 +77,7 @@ fn short_trajectories_stay_statistically_consistent() {
     // The engines integrate different arithmetic, so trajectories diverge
     // chaotically — but conserved/thermodynamic quantities must agree.
     // Pure water: a relaxed, well-conditioned starting configuration.
-    let pbox = anton_geometry::PeriodicBox::cubic(18.0);
-    let (top, positions) = anton_systems::waterbox::pure_water_topology(&pbox, &TIP3P, 150, 11);
-    let sys = anton_systems::System {
-        name: "w".into(),
-        pbox,
-        topology: top,
-        positions,
-        params: RunParams::paper(7.5, 32),
-    };
+    let sys = anton_systems::water_box("w", 18.0, 150, 11, RunParams::paper(7.5, 32)).unwrap();
     let mut anton = AntonSimulation::builder(sys.clone())
         .velocities_from_temperature(300.0, 13)
         .build();

@@ -20,7 +20,7 @@
 //! and paste the printed block over the constants below. Treat that diff
 //! with the suspicion it deserves.
 
-use anton_analysis::battery::{assert_verified, Verifier, VerifyEveryExt};
+use anton_analysis::battery::Verifier;
 use anton_core::{AntonSimulation, Decomposition, TracePhase};
 use anton_systems::spec::RunParams;
 use anton_systems::System;
@@ -42,20 +42,7 @@ const GOLDEN_FINAL_CHECKSUM: u64 = 0xc2212d9714372970;
 /// The same 1020-atom waterbox the scaling benchmark measures: 340 TIP3P
 /// waters in a 22 Å cube under the paper's run parameters.
 fn golden_waterbox() -> System {
-    let pbox = anton_geometry::PeriodicBox::cubic(22.0);
-    let (topology, positions) = anton_systems::waterbox::pure_water_topology(
-        &pbox,
-        &anton_forcefield::water::TIP3P,
-        340,
-        3,
-    );
-    System {
-        name: "golden-water".into(),
-        pbox,
-        topology,
-        positions,
-        params: RunParams::paper(7.5, 16),
-    }
+    anton_systems::water_box("golden-water", 22.0, 340, 3, RunParams::paper(7.5, 16)).unwrap()
 }
 
 /// Run the golden configuration and return the per-cycle checksum sequence.
@@ -70,18 +57,26 @@ fn run_golden(nodes: usize, threads: usize, tracing: bool) -> Vec<u64> {
         .decomposition(decomposition)
         .threads(threads)
         .tracing(tracing)
-        .verify_every(1)
         .build();
+    // Every golden run also carries the full invariant battery: third law,
+    // serial force consistency, mesh charge, census, momentum and energy —
+    // all clean on every cycle. The verifier is bound after the first
+    // cycle: the first SHAKE projects the unconstrained Maxwell–Boltzmann
+    // velocities onto the constraint manifold, a one-time kinetic-energy
+    // drop that is not drift.
+    let mut verifier = None;
     let sums = (0..CYCLES)
         .map(|_| {
-            sim.run_cycles(1);
+            sim.run_cycle();
+            verifier
+                .get_or_insert_with(|| Verifier::new(&sim))
+                .sample(&sim);
             sim.state.checksum()
         })
         .collect();
-    // Every golden run also carries the full invariant battery: third law,
-    // serial force consistency, mesh charge, census, momentum and energy —
-    // all clean on every cycle.
-    assert_verified(&sim);
+    let verifier = verifier.expect("CYCLES > 0");
+    assert_eq!(verifier.samples(), CYCLES as u64);
+    verifier.assert_clean();
     sums
 }
 
@@ -153,7 +148,6 @@ fn assert_resume_golden(nodes: usize) {
                 .decomposition(decomposition)
                 .threads(threads)
                 .tracing(tracing)
-                .verify_every(1)
                 .resume_from(&dir)
                 .unwrap_or_else(|e| panic!("resume failed ({ctx}): {e}"));
             assert_eq!(
@@ -165,17 +159,19 @@ fn assert_resume_golden(nodes: usize) {
             // state, before any further cycle runs: the refreshed force
             // buffers, mesh charge, and carried-over exchange counters must
             // already satisfy every identity.
-            let mut restored = Verifier::new(&sim);
-            restored.sample(&sim);
-            restored.assert_clean();
-            sim.run_cycles(1);
+            let mut verifier = Verifier::new(&sim);
+            verifier.sample(&sim);
+            verifier.assert_clean();
+            sim.run_cycle();
             assert_eq!(
                 sim.state.checksum(),
                 GOLDEN_FINAL_CHECKSUM,
                 "interrupt-and-resume diverged from golden: {ctx}"
             );
-            // The installed battery sampled the post-resume cycle too.
-            assert_verified(&sim);
+            // The battery is clean on the post-resume cycle too.
+            verifier.sample(&sim);
+            assert_eq!(verifier.samples(), 2, "{ctx}");
+            verifier.assert_clean();
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
