@@ -3,9 +3,12 @@
 //! On the ASIC each PPIP fronts eight match units (paper §2.2): candidate
 //! pairs stream out of the position tiles, survive a low-precision distance
 //! check and the exact cutoff test, and enter the evaluator as 8-wide
-//! bundles. This module is the software shape of that stage: a
-//! [`BatchQueue`] packs cutoff survivors into [`PairBatch`] lanes (with a
-//! geometry sidecar for the force scatter), [`CellTiling`] is the static
+//! bundles. The match units never store a pair — they emit *which* two
+//! atoms meet, and the pipeline forms r² and the kernel parameters from the
+//! per-atom tile records. This module is the software shape of that stage:
+//! a [`BatchQueue`] packs cutoff survivors into [`MatchBatch`] records
+//! (two tile slots per lane plus an occupancy and a 1-4 mask — a pure
+//! identity, no r², no parameters), [`CellTiling`] is the static
 //! power-of-two subbox decomposition the one-rank work plan streams tile
 //! pairs from, and [`Q20Ladder`] is the one displacement/r² ladder
 //! both the match stage and the evaluator run. Everything is
@@ -13,8 +16,9 @@
 //! records pairs in enumeration order, and batch lane order is the
 //! canonical force-merge order (detlint D5).
 
-use anton_fixpoint::{rne_shr_i64, FxVec3, QVec3, Q20};
-use anton_machine::{PairBatch, MATCH_WIDTH};
+use anton_fixpoint::rounding::rne_shr_i64_bounded;
+use anton_fixpoint::{FxVec3, QVec3, Q20};
+use anton_machine::MATCH_WIDTH;
 
 /// Counts of work streamed through one match pass (merged into
 /// [`ExchangeCounters`](anton_machine::perf::ExchangeCounters) in fixed
@@ -29,39 +33,62 @@ pub struct BatchCensus {
     pub batches: u64,
 }
 
-/// Geometry sidecar of one [`PairBatch`]: which atoms each lane couples
-/// (for the force scatter) and each atom's flat slot in the position
-/// tiles (for the per-step coordinate gather). The displacement is *not*
-/// stored: the evaluator re-forms it from the refreshed tile positions
-/// every step, so a cached batch stays valid as atoms drift. The PPIP
-/// model never sees this — like the hardware, it only receives r² and
-/// kernel parameters.
+/// One cached 8-wide match batch: per lane, the flat tile-pool slots of
+/// the two atoms that met ([`PosTiles`](anton_geometry::PosTiles) slots,
+/// stable between match-cache rebuilds). Nothing position- or
+/// parameter-dependent is stored: the evaluator re-forms the displacement
+/// and r² from the refreshed tile positions every step and gathers charge,
+/// LJ type and atom id by slot, so a cached batch stays valid as atoms
+/// drift and costs 8.5 B per lane. Unoccupied lanes hold slot 0 on both
+/// sides — a valid gather — and are switched off by `mask` alone.
 #[derive(Clone, Copy, Debug)]
-pub struct BatchMeta {
-    pub i: [u32; MATCH_WIDTH],
-    pub j: [u32; MATCH_WIDTH],
-    /// Flat tile-pool slot of atom `i[lane]` / `j[lane]`.
+pub struct MatchBatch {
+    /// Flat tile-pool slot of each lane's first / second atom.
     pub si: [u32; MATCH_WIDTH],
     pub sj: [u32; MATCH_WIDTH],
+    /// Bit `k` set = lane `k` holds a matched pair.
+    pub mask: u8,
+    /// Bit `k` set = lane `k` is a 1-4 pair (scaled by the exclusion
+    /// policy's 1-4 multipliers).
+    pub mask_14: u8,
 }
 
-impl BatchMeta {
-    const EMPTY: BatchMeta = BatchMeta {
-        i: [0; MATCH_WIDTH],
-        j: [0; MATCH_WIDTH],
+// The cache is the engine's working set (13.4 M lanes on `dhfr`): the
+// record must stay within 9 B per lane.
+const _: () = assert!(std::mem::size_of::<MatchBatch>() <= 72);
+
+impl MatchBatch {
+    pub const EMPTY: MatchBatch = MatchBatch {
         si: [0; MATCH_WIDTH],
         sj: [0; MATCH_WIDTH],
+        mask: 0,
+        mask_14: 0,
     };
 }
 
+/// The set lanes of a batch mask, in ascending lane order. Walking the set
+/// bits costs one loop-exit branch per batch where a per-lane bit test
+/// costs a coin flip per lane — a third of a cached batch's lanes are
+/// outside the cutoff on any given step.
+#[inline]
+pub fn lanes_of(mask: u8) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            lane
+        })
+    })
+}
+
 /// An append-only queue of match batches, refilled on every match-cache
-/// rebuild and replayed in between (buffers retained across
+/// rebuild and replayed in between (buffer retained across
 /// [`BatchQueue::begin`] calls). Pairs fill lanes in enumeration order; the
 /// final batch may be partial, its mask covering only the filled lanes.
 #[derive(Debug, Default)]
 pub struct BatchQueue {
-    batches: Vec<PairBatch>,
-    metas: Vec<BatchMeta>,
+    batches: Vec<MatchBatch>,
     /// Lanes filled in the last batch (0 when empty or exactly full).
     fill: usize,
     pub census: BatchCensus,
@@ -71,58 +98,33 @@ impl BatchQueue {
     /// Reset for a new match pass, keeping capacity.
     pub fn begin(&mut self) {
         self.batches.clear();
-        self.metas.clear();
         self.fill = 0;
         self.census = BatchCensus::default();
     }
 
-    /// Append one padded-cutoff survivor. One argument per match-queue
-    /// field: the four evaluator lanes plus the scatter/gather sidecar
-    /// (atom ids and their flat tile slots).
-    #[allow(clippy::too_many_arguments)]
+    /// Append one padded-cutoff survivor: the two atoms' flat tile slots
+    /// and whether the pair is 1-4.
     #[inline]
-    pub fn push(
-        &mut self,
-        r2_q20: i64,
-        qq: f64,
-        lj_a: f64,
-        lj_b: f64,
-        i: u32,
-        j: u32,
-        si: u32,
-        sj: u32,
-    ) {
+    pub fn push(&mut self, si: u32, sj: u32, one_four: bool) {
         if self.fill == 0 {
-            self.batches.push(PairBatch::EMPTY);
-            self.metas.push(BatchMeta::EMPTY);
+            self.batches.push(MatchBatch::EMPTY);
             self.census.batches += 1;
         }
         let lane = self.fill;
         let batch = self.batches.last_mut().expect("batch pushed above");
-        batch.r2_q20[lane] = r2_q20;
-        batch.qq[lane] = qq;
-        batch.lj_a[lane] = lj_a;
-        batch.lj_b[lane] = lj_b;
+        batch.si[lane] = si;
+        batch.sj[lane] = sj;
         batch.mask |= 1u8 << lane;
-        let meta = self.metas.last_mut().expect("meta pushed above");
-        meta.i[lane] = i;
-        meta.j[lane] = j;
-        meta.si[lane] = si;
-        meta.sj[lane] = sj;
+        batch.mask_14 |= u8::from(one_four) << lane;
         self.fill = (lane + 1) % MATCH_WIDTH;
         self.census.pairs += 1;
     }
 
-    /// Batches currently queued (8-wide bundles including a partial tail).
+    /// The queued batches (8-wide bundles including a partial tail), in
+    /// fill order.
     #[inline]
-    pub fn batch_count(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// The queued batches with their sidecars, in fill order.
-    #[inline]
-    pub fn iter(&self) -> impl Iterator<Item = (&PairBatch, &BatchMeta)> {
-        self.batches.iter().zip(&self.metas)
+    pub fn batches(&self) -> &[MatchBatch] {
+        &self.batches
     }
 }
 
@@ -135,7 +137,9 @@ impl BatchQueue {
 /// 64 bits suffice because of the bound [`Self::new`] enforces: a fraction
 /// delta is an `i32` (|Δ| ≤ 2³¹) and every half-edge is below 2³⁰ in Q20
 /// (1024 Å), so `Δ·half_edge` stays within 2⁶¹, each displacement within
-/// 2³⁰, and the sum of three squares within 3·2⁶⁰ < 2⁶³.
+/// 2³⁰, and the sum of three squares within 3·2⁶⁰ < 2⁶² — inside the
+/// operand bound of [`rne_shr_i64_bounded`], the add-half rounding shift
+/// both roundings use.
 #[derive(Clone, Copy, Debug)]
 pub struct Q20Ladder {
     half_edge: [i64; 3],
@@ -163,9 +167,12 @@ impl Q20Ladder {
     #[inline]
     pub fn delta_r2(&self, a: [i32; 3], b: [i32; 3]) -> ([i64; 3], i64) {
         let he = self.half_edge;
-        let axis = |k: usize| rne_shr_i64(i64::from(a[k].wrapping_sub(b[k])) * he[k], 31);
+        let axis = |k: usize| rne_shr_i64_bounded(i64::from(a[k].wrapping_sub(b[k])) * he[k], 31);
         let d = [axis(0), axis(1), axis(2)];
-        (d, rne_shr_i64(d[0] * d[0] + d[1] * d[1] + d[2] * d[2], 20))
+        (
+            d,
+            rne_shr_i64_bounded(d[0] * d[0] + d[1] * d[1] + d[2] * d[2], 20),
+        )
     }
 
     /// The match units' low-precision distance check: per-axis *floor*
@@ -397,29 +404,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn queue_packs_lanes_and_masks_partial_tail() {
+    fn queue_packs_slot_pairs_and_masks() {
         let mut q = BatchQueue::default();
         q.begin();
         for p in 0..11u32 {
-            q.push(p as i64 + 1, 0.5, 1.0, 2.0, p, p + 100, p + 1000, p + 2000);
+            q.push(p + 1000, p + 2000, p == 3 || p == 9);
         }
         assert_eq!(q.census.pairs, 11);
         assert_eq!(q.census.batches, 2);
-        assert_eq!(q.batch_count(), 2);
-        let got: Vec<_> = q.iter().collect();
+        let got = q.batches();
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0.mask, 0xff);
-        assert_eq!(got[1].0.mask, 0b0000_0111);
-        assert_eq!(got[1].1.i[2], 10);
-        assert_eq!(got[1].1.j[2], 110);
-        assert_eq!(got[1].1.si[2], 1010);
-        assert_eq!(got[1].1.sj[2], 2010);
-        assert_eq!(got[0].0.r2_q20[7], 8);
-        // begin() resets, keeping nothing from the previous pass.
+        // Lanes fill in push order; a full batch has every occupancy bit.
+        assert_eq!(got[0].mask, 0xff);
+        assert_eq!(got[0].si, [1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007]);
+        assert_eq!(got[0].sj[7], 2007);
+        assert_eq!(got[0].mask_14, 0b0000_1000, "pair 3 is the 1-4 lane");
+        // The partial tail masks only the filled lanes; the rest gather
+        // slot 0 and stay off.
+        assert_eq!(got[1].mask, 0b0000_0111);
+        assert_eq!(got[1].mask_14, 0b0000_0010, "pair 9 sits in lane 1");
+        assert_eq!(got[1].si, [1008, 1009, 1010, 0, 0, 0, 0, 0]);
+        assert_eq!(got[1].sj, [2008, 2009, 2010, 0, 0, 0, 0, 0]);
+        // begin() resets, keeping nothing from the previous pass — the
+        // next pass starts a fresh batch at lane 0 with clean masks.
         q.begin();
-        assert_eq!(q.iter().count(), 0);
-        assert_eq!(q.batch_count(), 0);
+        assert!(q.batches().is_empty());
         assert_eq!(q.census, BatchCensus::default());
+        q.push(5, 6, false);
+        assert_eq!(q.batches().len(), 1);
+        assert_eq!(q.batches()[0].mask, 1);
+        assert_eq!(q.batches()[0].mask_14, 0);
+        assert_eq!((q.batches()[0].si[0], q.batches()[0].sj[0]), (5, 6));
+    }
+
+    #[test]
+    fn lanes_of_walks_set_bits_in_ascending_order() {
+        assert_eq!(lanes_of(0).count(), 0);
+        assert_eq!(lanes_of(0xff).collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(lanes_of(0b1010_0101).collect::<Vec<_>>(), [0, 2, 5, 7]);
+        assert_eq!(lanes_of(0x80).collect::<Vec<_>>(), [7]);
     }
 
     #[test]

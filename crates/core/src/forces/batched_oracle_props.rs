@@ -2,7 +2,7 @@
 //! sets, the batched HTIS-shaped pipeline reproduces the retained
 //! scalar oracle's pair *set* and raw forces *bitwise*, across the
 //! one-rank plan and `Nodes {1, 8, 64}`.
-use super::tests::{state_of, water_box, water_system};
+use super::tests::{solvated_mini, state_of, water_box, water_system};
 use super::*;
 use crate::batch::BatchQueue;
 use crate::state::FixedState;
@@ -42,18 +42,19 @@ fn oracle_pairs(pipe: &ForcePipeline, sys: &System, state: &FixedState) -> Vec<(
 fn queued_pairs(pipe: &ForcePipeline, keep: impl Fn(i64) -> bool) -> Vec<(u32, u32)> {
     let live = |q: &BatchQueue, tiles: &PosTiles| -> Vec<(u32, u32)> {
         let mut v = Vec::new();
-        for (batch, meta) in q.iter() {
+        for batch in q.batches() {
             for lane in 0..MATCH_WIDTH {
                 if batch.mask & (1u8 << lane) == 0 {
                     continue;
                 }
+                let (si, sj) = (batch.si[lane], batch.sj[lane]);
                 let (_, r2) = pipe
                     .ladder
-                    .delta_r2_i128(tiles.raw_at(meta.si[lane]), tiles.raw_at(meta.sj[lane]));
+                    .delta_r2_i128(tiles.raw_at(si), tiles.raw_at(sj));
                 if !keep(r2) {
                     continue;
                 }
-                let (i, j) = (meta.i[lane], meta.j[lane]);
+                let (i, j) = (tiles.atom_at(si), tiles.atom_at(sj));
                 v.push((i.min(j), i.max(j)));
             }
         }
@@ -86,6 +87,39 @@ fn scalar_nodes_forces(pipe: &mut ForcePipeline, sys: &System, state: &FixedStat
     out
 }
 
+/// One case of the batched-vs-oracle property: under the one-rank plan
+/// and each listed node count, `range_limited` reproduces the cell-grid
+/// scalar oracle's raw forces bitwise and dispatches exactly the oracle's
+/// pair set; under `Nodes(n)` it also matches the scalar NT enumeration.
+fn assert_batched_matches_oracle(sys: &System, state: &FixedState, nodes: &[usize], ctx: &str) {
+    let mut sr = ForcePipeline::new(sys, Decomposition::SingleRank, 1);
+    let mut batched = RawForces::zeroed(sys.n_atoms());
+    sr.range_limited(sys, state, &mut batched);
+    let mut oracle = RawForces::zeroed(sys.n_atoms());
+    sr.range_limited_cellgrid(sys, state, &mut oracle);
+    assert_eq!(batched, oracle, "single-rank forces diverged ({ctx})");
+    let oracle_set = oracle_pairs(&sr, sys, state);
+    assert_eq!(
+        batched_pairs(&sr),
+        oracle_set,
+        "single-rank pair set ({ctx})"
+    );
+
+    for &nodes in nodes {
+        let mut np = ForcePipeline::new(sys, Decomposition::Nodes(nodes), 1);
+        let mut got = RawForces::zeroed(sys.n_atoms());
+        np.range_limited(sys, state, &mut got);
+        assert_eq!(got, oracle, "{nodes}-node forces diverged ({ctx})");
+        assert_eq!(
+            batched_pairs(&np),
+            oracle_set,
+            "{nodes}-node pair set ({ctx})"
+        );
+        let scalar = scalar_nodes_forces(&mut np, sys, state);
+        assert_eq!(got, scalar, "{nodes}-node scalar oracle ({ctx})");
+    }
+}
+
 /// Drives the vendored [`TestRunner`] directly instead of the
 /// `proptest!` macro: each case builds PPIP tables several times, so
 /// the crate-wide 256-case default would dominate the suite.
@@ -102,40 +136,45 @@ fn batched_path_matches_scalar_oracle() {
         .collect();
     cases.push(long_water_box(80, 41));
     for (case, sys) in cases.iter().enumerate() {
-        let state = state_of(sys);
         let (n, edge) = (sys.n_atoms(), sys.pbox.edge());
         let ctx = format!("case {case}: {n} atoms, edge {edge:?}");
+        assert_batched_matches_oracle(sys, &state_of(sys), &[1, 8, 64], &ctx);
+    }
+}
 
-        // Single rank: batched vs cell-grid scalar oracle.
-        let mut sr = ForcePipeline::new(sys, Decomposition::SingleRank, 1);
-        let mut batched = RawForces::zeroed(sys.n_atoms());
-        sr.range_limited(sys, &state, &mut batched);
-        let mut oracle = RawForces::zeroed(sys.n_atoms());
-        sr.range_limited_cellgrid(sys, &state, &mut oracle);
-        assert_eq!(batched, oracle, "single-rank forces diverged ({ctx})");
-        let oracle_set = oracle_pairs(&sr, sys, &state);
-        assert_eq!(
-            batched_pairs(&sr),
-            oracle_set,
-            "single-rank pair set ({ctx})"
-        );
+/// The same property where the evaluator's per-atom gather has something
+/// to get wrong: a solvated protein, whose 1-4 pairs take the policy's
+/// scaled multipliers and whose atoms span several LJ types. Pure water
+/// exercises neither (no 1-4 pairs, one non-zero LJ type pair).
+#[test]
+fn batched_path_is_bitwise_the_scalar_oracle_on_a_solvated_protein() {
+    let sys = solvated_mini();
+    let state = state_of(&sys);
+    assert_batched_matches_oracle(&sys, &state, &[1, 8], "solvated mini");
 
-        // Nodes {1, 8, 64}: batched vs the scalar NT oracle and vs
-        // the single-rank result.
-        for nodes in [1usize, 8, 64] {
-            let mut np = ForcePipeline::new(sys, Decomposition::Nodes(nodes), 1);
-            let mut got = RawForces::zeroed(sys.n_atoms());
-            np.range_limited(sys, &state, &mut got);
-            assert_eq!(got, oracle, "{nodes}-node forces diverged ({ctx})");
-            assert_eq!(
-                batched_pairs(&np),
-                oracle_set,
-                "{nodes}-node pair set ({ctx})"
-            );
-            let scalar = scalar_nodes_forces(&mut np, sys, &state);
-            assert_eq!(got, scalar, "{nodes}-node scalar oracle ({ctx})");
+    // The case did evaluate what it is here for.
+    let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+    pipe.range_limited(&sys, &state, &mut RawForces::zeroed(sys.n_atoms()));
+    let tiles = &pipe.tiles;
+    let mut live_14 = 0;
+    let mut type_pairs = std::collections::BTreeSet::new();
+    for batch in pipe.scratch.iter().flat_map(|s| s.queue.batches()) {
+        for lane in crate::batch::lanes_of(batch.mask) {
+            let (si, sj) = (batch.si[lane], batch.sj[lane]);
+            let (_, r2) = pipe.ladder.delta_r2(tiles.raw_at(si), tiles.raw_at(sj));
+            if r2 > pipe.rc2_q20 || r2 == 0 {
+                continue;
+            }
+            live_14 += usize::from(batch.mask_14 & (1 << lane) != 0);
+            let (ti, tj) = (tiles.type_at(si), tiles.type_at(sj));
+            type_pairs.insert((ti.min(tj), ti.max(tj)));
         }
     }
+    assert!(live_14 >= 1, "no live 1-4 lane");
+    assert!(
+        type_pairs.len() >= 3,
+        "only {type_pairs:?} among the live lanes"
+    );
 }
 
 /// The tentpole property of the persistent match cache: a pipeline

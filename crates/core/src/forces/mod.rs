@@ -214,8 +214,9 @@ pub struct ForcePipeline {
     /// stage (the rebuild schedule is a pure function of the trajectory,
     /// never of the plan).
     cache: MatchCache,
-    /// Per-tile SoA position/charge tiles every rank streams its tile
-    /// pairs out of, rebuilt or refreshed on the trunk once per fan-out.
+    /// Per-tile SoA particle tiles (position, charge, LJ type, atom id)
+    /// every rank streams its tile pairs out of and gathers its lanes'
+    /// operands from, rebuilt or refreshed on the trunk once per fan-out.
     tiles: PosTiles,
     /// Per-rank private accumulators (+ trace lanes), reused across steps.
     scratch: Vec<RankScratch>,

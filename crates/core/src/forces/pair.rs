@@ -10,16 +10,22 @@
 //! rank order. The exact per-step cutoff mask in the evaluator makes the
 //! forces independent of which arm ran and of how the tile pairs were
 //! dealt to ranks.
+//!
+//! No stage stores a pair. The tiles hold per-atom records (position,
+//! charge, LJ type, atom id); the match stage emits which two slots meet;
+//! the evaluator is gather → ladder → PPIP → scatter, forming r² and the
+//! kernel parameters from the two records every step (paper §2.2, §3.2.1).
 
 use super::{ForcePipeline, RawForces};
-use crate::batch::BatchQueue;
+use crate::batch::{lanes_of, BatchQueue, MatchBatch};
 use crate::ranks::raw_bits;
 use crate::state::{FixedState, ENERGY_FRAC, FORCE_FRAC};
-use anton_fixpoint::rounding::rne_f64;
+use anton_fixpoint::rounding::rne_f64_to_i64;
 use anton_fixpoint::FxVec3;
-use anton_geometry::{PosTiles, TileView};
+use anton_forcefield::PairClass;
+use anton_geometry::TileView;
 use anton_machine::perf::ExchangeCounters;
-use anton_machine::MATCH_WIDTH;
+use anton_machine::{PairBatch, MATCH_WIDTH};
 use anton_systems::System;
 use anton_trace::{Lane, Phase, RANK_MAIN};
 
@@ -146,7 +152,7 @@ impl ForcePipeline {
                 self.counters.match_candidates += s.queue.census.candidates;
             }
             self.counters.match_pairs += s.live_pairs;
-            self.counters.match_batches += s.queue.batch_count() as u64;
+            self.counters.match_batches += s.queue.batches().len() as u64;
         }
     }
 
@@ -170,10 +176,13 @@ impl ForcePipeline {
     /// Refill the SoA tiles from the plan's current binning at `positions`.
     fn rebuild_tiles(&mut self, sys: &System, positions: &[FxVec3]) {
         let ForcePipeline { tiles, ranks, .. } = self;
-        let charge = &sys.topology.charge;
+        let top = &sys.topology;
         tiles.rebuild(
             (0..ranks.tile_count()).map(|t| ranks.tile_members(t)),
-            |a| (raw_bits(&positions[a as usize]), charge[a as usize]),
+            |a| {
+                let a = a as usize;
+                (raw_bits(&positions[a]), top.charge[a], top.lj_type[a])
+            },
         );
     }
 
@@ -193,7 +202,7 @@ impl ForcePipeline {
             }
         }
         let t0 = self.trace.now_ns();
-        buf.live_pairs = self.evaluate_batches(&buf.queue, &self.tiles, &mut buf.forces);
+        buf.live_pairs = self.evaluate_batches(sys, buf.queue.batches(), &mut buf.forces);
         if self.trace.is_on() {
             buf.lane.push(Phase::Evaluate, t0, self.trace.now_ns());
         }
@@ -226,12 +235,13 @@ impl ForcePipeline {
     /// candidate of the block, no data-dependent branch, survivors' slot
     /// indices compacted into a stack buffer. The second runs on survivors
     /// only: exact Q20 r² against the *padded* cutoff
-    /// `(rc + PAIRLIST_SLACK)²`, exclusion/1-4 class, LJ and charge
-    /// products, lane fill into `q`. `same` marks a tile paired with
+    /// `(rc + PAIRLIST_SLACK)²`, then the exclusion class — excluded pairs
+    /// are dropped, 1-4 pairs flagged. `same` marks a tile paired with
     /// itself, where slots enumerate `si < sj`. `sa0`/`sb0` are the tiles'
-    /// first flat slots in the owning [`PosTiles`] pool; the queue records
-    /// each lane's slot pair so reuse steps can re-derive the displacement
-    /// from refreshed tile positions.
+    /// first flat slots in the owning tile pool. What the stage emits is
+    /// the pair's *identity* only — its two flat slots and the 1-4 bit; r²
+    /// and the kernel parameters are the evaluator's to form, every step,
+    /// from the per-atom tile records.
     ///
     /// Matching at the padded radius makes the queued set a superset of
     /// the in-cutoff set for every step the displacement monitor accepts;
@@ -253,13 +263,11 @@ impl ForcePipeline {
         sb0: u32,
         q: &mut BatchQueue,
     ) {
-        let top = &sys.topology;
+        let exclusions = &sys.topology.exclusions;
         let mut kept = [0u32; MATCH_BLOCK];
         for si in 0..a.len() {
             let pi = [a.x[si], a.y[si], a.z[si]];
             let ai = a.atom[si];
-            let qi = a.q[si];
-            let ti = top.lj_type[ai as usize];
             let sj0 = if same { si + 1 } else { 0 };
             q.census.candidates += (b.len() - sj0) as u64;
             for block in (sj0..b.len()).step_by(MATCH_BLOCK) {
@@ -280,82 +288,106 @@ impl ForcePipeline {
                     if r2 > self.rc_pad2_q20 {
                         continue;
                     }
-                    let aj = b.atom[sj];
-                    let Some((se, sl)) = self.policy.scales(top.exclusions.class(ai, aj)) else {
+                    let class = exclusions.class(ai, b.atom[sj]);
+                    if class == PairClass::Excluded {
                         continue;
-                    };
-                    let (lja, ljb) = top.lj_table.coeffs(ti, top.lj_type[aj as usize]);
+                    }
                     q.push(
-                        r2,
-                        qi * b.q[sj] * se,
-                        lja * sl,
-                        ljb * sl,
-                        ai,
-                        aj,
                         sa0 + si as u32,
                         sb0 + sj as u32,
+                        class == PairClass::OneFour,
                     );
                 }
             }
         }
     }
 
-    /// Replay the queued batches against the *current* tile positions:
-    /// per occupied lane, re-derive the exact Q20 displacement and r² from
-    /// the refreshed tiles (the [`Q20Ladder`] the match stage ran, bit for
-    /// bit the scalar oracle's 128-bit one), re-take the exact `r² ≤ rc²`
-    /// cutoff mask, then dispatch the surviving lanes through the PPIP
-    /// evaluator and scatter the quantized forces, virial and energy.
+    /// Replay cached batches against the *current* tile positions, as a
+    /// gather → ladder → PPIP → scatter pipeline with no per-pair state.
+    /// Per batch: the [`Q20Ladder`] the match stage ran (bit for bit the
+    /// scalar oracle's 128-bit one) re-derives displacement and r² of all
+    /// eight lanes straight-line; the exact `r² ≤ rc²`, `r² ≠ 0` cutoff
+    /// mask is re-taken and ANDed with the occupancy bits (an unoccupied
+    /// lane gathers slot 0 twice and is switched off by its bit, never by
+    /// its r²). The live lanes are then compacted to the front of a
+    /// stack-local [`PairBatch`] — so the PPIP's and the scatter's lane
+    /// loops each end once per batch instead of testing a coin-flip mask
+    /// bit per lane — with charge, LJ type and atom id gathered by slot
+    /// and the kernel parameters formed as `qi·qj·se`, `lj_a·sl`,
+    /// `lj_b·sl` in the scalar oracle's operation order (`(se, sl)` the
+    /// policy's 1-4 multipliers on flagged lanes, exact ones elsewhere),
+    /// dispatched through the PPIP evaluator, and the quantized forces,
+    /// virial and energy scattered. Wrapping accumulation makes the sums
+    /// independent of the compaction, as of every other order.
     ///
-    /// The cached batch contributes only the pair's *static* identity
-    /// (atom ids, tile slots, charge product, LJ coefficients) — every
-    /// position-dependent quantity is recomputed here, so the force bits
-    /// are a pure function of the current positions: evaluating a freshly
-    /// matched queue and a cache-replayed queue over the same positions
-    /// produces identical accumulators, lane for lane. Returns the number
-    /// of live (in-cutoff) pairs, which is likewise rebuild-schedule
-    /// independent.
-    fn evaluate_batches(&self, q: &BatchQueue, tiles: &PosTiles, out: &mut RawForces) -> u64 {
+    /// The cached batch contributes only the pair's *identity* — every
+    /// position-dependent quantity is recomputed here and every parameter
+    /// is a pure function of the two atoms, so the force bits are a pure
+    /// function of the current positions: evaluating a freshly matched
+    /// queue and a cache-replayed queue over the same positions produces
+    /// identical accumulators, lane for lane. Returns the number of live
+    /// (in-cutoff) pairs, which is likewise rebuild-schedule independent.
+    pub(super) fn evaluate_batches(
+        &self,
+        sys: &System,
+        batches: &[MatchBatch],
+        out: &mut RawForces,
+    ) -> u64 {
         let ds = 1.0 / (1i64 << 20) as f64;
         let fs = (1i64 << FORCE_FRAC) as f64;
         let es = (1u64 << ENERGY_FRAC) as f64;
+        let tiles = &self.tiles;
+        let lj_table = &sys.topology.lj_table;
+        let scales = |class| {
+            self.policy
+                .scales(class)
+                .expect("only excluded pairs have no multipliers")
+        };
+        let (plain, one_four) = (scales(PairClass::Plain), scales(PairClass::OneFour));
         let mut vals = [(0.0f64, 0.0f64); MATCH_WIDTH];
         let mut live_pairs = 0u64;
-        for (batch, meta) in q.iter() {
-            let mut live = *batch;
+        for batch in batches {
             let mut dd = [[0i64; 3]; MATCH_WIDTH];
-            let mut mask = 0u8;
-            for (lane, d_out) in dd.iter_mut().enumerate() {
-                if batch.mask & (1u8 << lane) == 0 {
-                    continue;
-                }
+            let mut r2s = [0i64; MATCH_WIDTH];
+            let mut in_cutoff = 0u8;
+            for lane in 0..MATCH_WIDTH {
                 let (d, r2) = self
                     .ladder
-                    .delta_r2(tiles.raw_at(meta.si[lane]), tiles.raw_at(meta.sj[lane]));
-                if r2 > self.rc2_q20 || r2 == 0 {
-                    continue;
-                }
-                live.r2_q20[lane] = r2;
-                *d_out = d;
-                mask |= 1u8 << lane;
+                    .delta_r2(tiles.raw_at(batch.si[lane]), tiles.raw_at(batch.sj[lane]));
+                dd[lane] = d;
+                r2s[lane] = r2;
+                in_cutoff |= u8::from(r2 <= self.rc2_q20 && r2 != 0) << lane;
             }
-            live.mask = mask;
-            if mask == 0 {
+            let mask = in_cutoff & batch.mask;
+            let n = mask.count_ones() as usize;
+            if n == 0 {
                 continue;
             }
-            live_pairs += u64::from(mask.count_ones());
+            live_pairs += n as u64;
+            // `src[k]` is the cached lane staged as lane `k`.
+            let mut src = [0usize; MATCH_WIDTH];
+            let mut live = PairBatch::EMPTY;
+            live.mask = u8::MAX >> (MATCH_WIDTH - n);
+            for (k, lane) in lanes_of(mask).enumerate() {
+                src[k] = lane;
+                let (si, sj) = (batch.si[lane], batch.sj[lane]);
+                let (se, sl) = if batch.mask_14 & (1u8 << lane) == 0 {
+                    plain
+                } else {
+                    one_four
+                };
+                let (lja, ljb) = lj_table.coeffs(tiles.type_at(si), tiles.type_at(sj));
+                live.r2_q20[k] = r2s[lane];
+                live.qq[k] = tiles.charge_at(si) * tiles.charge_at(sj) * se;
+                live.lj_a[k] = lja * sl;
+                live.lj_b[k] = ljb * sl;
+            }
             self.ppip.pair_batch(&live, &mut vals);
-            for (lane, &(f_over_r, e)) in vals.iter().enumerate() {
-                if mask & (1u8 << lane) == 0 {
-                    continue;
-                }
+            for (&lane, &(f_over_r, e)) in src[..n].iter().zip(&vals) {
                 let d = dd[lane];
-                let fi = [
-                    rne_f64(d[0] as f64 * ds * f_over_r * fs) as i64,
-                    rne_f64(d[1] as f64 * ds * f_over_r * fs) as i64,
-                    rne_f64(d[2] as f64 * ds * f_over_r * fs) as i64,
-                ];
-                let (i, j) = (meta.i[lane] as usize, meta.j[lane] as usize);
+                let fi = d.map(|c| rne_f64_to_i64(c as f64 * ds * f_over_r * fs));
+                let i = tiles.atom_at(batch.si[lane]) as usize;
+                let j = tiles.atom_at(batch.sj[lane]) as usize;
                 for k in 0..3 {
                     out.f[i][k] = out.f[i][k].wrapping_add(fi[k]);
                     out.f[j][k] = out.f[j][k].wrapping_sub(fi[k]);
@@ -364,7 +396,7 @@ impl ForcePipeline {
                         anton_fixpoint::Q::<24>::from_raw(fi[k]),
                     );
                 }
-                out.e_range_limited = out.e_range_limited.wrapping_add(rne_f64(e * es) as i64);
+                out.e_range_limited = out.e_range_limited.wrapping_add(rne_f64_to_i64(e * es));
             }
         }
         live_pairs

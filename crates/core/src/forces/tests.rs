@@ -206,6 +206,22 @@ pub(super) fn water_system(n: usize, seed: u64) -> System {
     anton_systems::water_box("w", 18.0, n, seed, RunParams::paper(7.5, 16)).unwrap()
 }
 
+/// A 16-residue chain solvated to 1200 atoms: the small system with
+/// bonded terms, 1-4 pairs and several LJ types.
+pub(super) fn solvated_mini() -> System {
+    anton_systems::catalog::build_solvated(
+        "mini",
+        1200,
+        23.0,
+        RunParams::paper(8.0, 16),
+        &TIP3P,
+        16,
+        0,
+        0,
+        3,
+    )
+}
+
 pub(super) fn state_of(sys: &System) -> FixedState {
     FixedState::from_f64(&sys.pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()])
 }
@@ -269,17 +285,7 @@ fn forces_are_bitwise_invariant_across_thread_counts() {
 /// are bitwise the same words under `Nodes(8)` as under `SingleRank`.
 #[test]
 fn bonded_and_corrections_are_bitwise_invariant_across_decompositions() {
-    let sys = anton_systems::catalog::build_solvated(
-        "mini",
-        1200,
-        23.0,
-        RunParams::paper(8.0, 16),
-        &TIP3P,
-        16,
-        0,
-        0,
-        3,
-    );
+    let sys = solvated_mini();
     // The builder places the chain at its bonded minimum: strain it so the
     // bonded words are not all zero.
     let strained: Vec<Vec3> = (sys.positions.iter().zip(0u32..))
@@ -487,6 +493,54 @@ fn batched_corrections_match_scalar_oracle() {
     }
     assert_eq!(batched, scalar);
     assert_ne!(batched.e_correction, 0);
+}
+
+/// The evaluator masks by occupancy *and* by the exact cutoff test, each
+/// on its own: an occupied lane whose two atoms coincide (r² = 0) and an
+/// unoccupied lane — even one whose stale slots name a live pair — add
+/// nothing to any accumulator or to the live-pair count.
+#[test]
+fn coincident_and_unoccupied_lanes_contribute_nothing() {
+    use crate::batch::MatchBatch;
+    let sys = water_system(60, 33);
+    let state = state_of(&sys);
+    let n = sys.n_atoms();
+    let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+    // One evaluation fills the tiles the hand-made batches gather from.
+    pipe.range_limited(&sys, &state, &mut RawForces::zeroed(n));
+
+    // Two slots holding an interacting pair.
+    let slots = 0..pipe.tiles.len() as u32;
+    let (a, b) = (slots.clone())
+        .flat_map(|a| slots.clone().map(move |b| (a, b)))
+        .find(|&(a, b)| {
+            let (i, j) = (pipe.tiles.atom_at(a), pipe.tiles.atom_at(b));
+            i < j
+                && pipe
+                    .pair_contribution(&sys, &state, i as usize, j as usize)
+                    .is_some()
+        })
+        .expect("a 60-water box has an in-cutoff pair");
+    let (i, j) = (pipe.tiles.atom_at(a), pipe.tiles.atom_at(b));
+    let mut want = RawForces::zeroed(n);
+    pipe.apply_pair(&sys, &state, i as usize, j as usize, &mut want);
+
+    let mut clean = MatchBatch::EMPTY;
+    (clean.si[0], clean.sj[0], clean.mask) = (a, b, 0b001);
+    // Lane 0: occupied, both slots the same atom. Lane 1: the live pair.
+    // Lane 2: the live pair again, but unoccupied. Lanes 3–7: the empty
+    // record's slot-0 gathers.
+    let mut noisy = MatchBatch::EMPTY;
+    noisy.si[..3].copy_from_slice(&[a, a, a]);
+    noisy.sj[..3].copy_from_slice(&[a, b, b]);
+    noisy.mask = 0b011;
+    for batch in [clean, noisy] {
+        let mut got = RawForces::zeroed(n);
+        let live = pipe.evaluate_batches(&sys, &[batch], &mut got);
+        assert_eq!(live, 1, "mask {:#b}", batch.mask);
+        assert_eq!(got, want, "mask {:#b}", batch.mask);
+    }
+    assert_ne!(want.e_range_limited, 0);
 }
 
 /// A box whose half-edge reaches 2³⁰ raw Q20 would wrap the pair

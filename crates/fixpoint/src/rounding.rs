@@ -32,6 +32,20 @@ pub fn rne_shr_i64(x: i64, n: u32) -> i64 {
     q + bump
 }
 
+/// [`rne_shr_i64`] for operands known to satisfy |x| < 2⁶² (and
+/// `1 ≤ n ≤ 62`): add `half − 1 + (q & 1)` and floor-shift. With
+/// `q = x >> n` and `rem = x − (q << n)`, the addend carries into the
+/// quotient exactly when `rem > half`, or `rem == half` with `q` odd —
+/// the nearest/even bump — and the bound keeps the sum from wrapping.
+/// Half the instructions of the compare form; the pair ladder and the PPIP
+/// Horner step, whose operands are bounded by construction, run on it.
+#[inline]
+pub fn rne_shr_i64_bounded(x: i64, n: u32) -> i64 {
+    debug_assert!((1..=62).contains(&n));
+    debug_assert!(x.unsigned_abs() < 1 << 62, "operand {x} outside ±2^62");
+    (x + ((1i64 << (n - 1)) - 1) + ((x >> n) & 1)) >> n
+}
+
 /// Arithmetic right shift of a 128-bit intermediate with round-to-nearest/even,
 /// truncated into `i64`.
 ///
@@ -94,6 +108,38 @@ pub fn rne_f64(x: f64) -> f64 {
     }
 }
 
+/// `rne_f64(x) as i64` without the sign branch: the same integer for every
+/// `x`, NaN and ±inf included (they take [`rne_f64`]'s own path).
+///
+/// [`rne_f64`] picks its `+2⁵²` or `−2⁵²` arm by the sign of `x`. Where the
+/// sign is a coin flip — a force component of a pair — that branch
+/// mispredicts every other call. For |x| < 2⁵¹ the sum `x + 1.5·2⁵²` lies
+/// in [2⁵², 2⁵³), where one ulp is 1: the hardware's nearest/even rounding
+/// of that sum *is* the rounding of `x` (1.5·2⁵² is even, so ties keep
+/// their parity), and the low mantissa bits hold `rne(x) + 2⁵¹` as a plain
+/// integer. Subtracting the bit pattern of `1.5·2⁵²` leaves `rne(x)` in
+/// two's complement, sign included — no sign test, no float→int
+/// conversion. The one branch left is the magnitude guard, which a caller
+/// whose values fit its Q format never takes.
+/// `rne_f64_to_i64_matches_the_cast_of_rne_f64` pins the equality.
+// The same float quantization boundary as `rne_f64` (see there); the cast
+// reinterprets the IEEE bit pattern, it does not convert a value.
+#[allow(
+    clippy::float_arithmetic,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
+)]
+#[inline]
+pub fn rne_f64_to_i64(x: f64) -> i64 {
+    const SHIFT: f64 = 6_755_399_441_055_744.0; // 1.5 * 2^52
+    const LIMIT: f64 = 2_251_799_813_685_248.0; // 2^51
+    if x.abs() < LIMIT {
+        ((x + SHIFT).to_bits() as i64).wrapping_sub(SHIFT.to_bits() as i64)
+    } else {
+        rne_f64(x) as i64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,6 +161,58 @@ mod tests {
     /// 2^52 where rounding is the identity).
     #[test]
     fn rne_f64_matches_reference_bitwise() {
+        for x in rne_probes() {
+            assert_eq!(
+                rne_f64(x).to_bits(),
+                rne_f64_reference(x).to_bits(),
+                "rne_f64({x:e}) diverged from the reference"
+            );
+        }
+    }
+
+    /// `rne_f64_to_i64` yields the integer `rne_f64(x) as i64` does, over
+    /// the same sweep (signed zeros and the ties around zero included) plus
+    /// both sides of its 2⁵¹ guard, of `rne_f64`'s 2⁵² one, and the
+    /// saturating inputs.
+    #[test]
+    #[allow(clippy::cast_possible_truncation, clippy::float_arithmetic)]
+    fn rne_f64_to_i64_matches_the_cast_of_rne_f64() {
+        let two52 = (2.0f64).powi(52);
+        let mut probes = rne_probes();
+        probes.push(f64::NAN);
+        let two51 = (2.0f64).powi(51);
+        for x in [
+            two51 - 0.5,
+            two51 - 0.25,
+            two51,
+            two51 + 0.5,
+            two52 - 0.5,
+            two52,
+            (2.0f64).powi(62),
+            f64::INFINITY,
+        ] {
+            probes.extend([x, -x]);
+        }
+        for &x in &probes {
+            assert_eq!(
+                rne_f64_to_i64(x),
+                rne_f64(x) as i64,
+                "rne_f64_to_i64({x:e}) diverged from the cast"
+            );
+        }
+        assert_eq!(rne_f64_to_i64(-0.5), 0);
+        assert_eq!(rne_f64_to_i64(-1.5), -2);
+        assert_eq!(rne_f64_to_i64(two51 - 0.5), 1 << 51);
+        assert_eq!(rne_f64_to_i64(-(two51 - 0.25)), -(1 << 51));
+        assert_eq!(rne_f64_to_i64(two52 - 0.5), 1 << 52);
+        assert_eq!(rne_f64_to_i64(-(two52 - 0.5)), -(1 << 52));
+        assert_eq!(rne_f64_to_i64(f64::NAN), 0);
+        assert_eq!(rne_f64_to_i64(f64::NEG_INFINITY), i64::MIN);
+    }
+
+    /// The dense magnitude sweep both `rne_f64` pins run over.
+    #[allow(clippy::float_arithmetic)]
+    fn rne_probes() -> Vec<f64> {
         let mut probes: Vec<f64> = vec![0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5];
         for e in -8..60 {
             let base = (2.0f64).powi(e);
@@ -134,13 +232,7 @@ mod tests {
             let x = (s >> 11) as f64 / (1u64 << 20) as f64 - 4.0e12;
             probes.push(x);
         }
-        for &x in &probes {
-            assert_eq!(
-                rne_f64(x).to_bits(),
-                rne_f64_reference(x).to_bits(),
-                "rne_f64({x:e}) diverged from the reference"
-            );
-        }
+        probes
     }
 
     #[test]
@@ -172,6 +264,35 @@ mod tests {
             #[allow(clippy::cast_possible_truncation)] // reference value fits i64
             let want = rne_f64(x as f64 / 16.0) as i64;
             assert_eq!(got, want, "x={x}");
+        }
+    }
+
+    /// The add-half form is the compare form on every admitted operand:
+    /// both ends of the ±2⁶² bound, every tie and near-tie around them and
+    /// around zero, and an LCG sweep, at every shift the callers use and
+    /// both shift extremes.
+    #[test]
+    fn rne_shr_bounded_matches_the_compare_form() {
+        let top = (1i64 << 62) - 1;
+        let mut s = 0x9e3779b97f4a7c15u64;
+        for n in [1u32, 2, 20, 31, 61, 62] {
+            let half = 1i64 << (n - 1);
+            let mut probes = vec![0, 1, -1, top, -top, top - half, half - top];
+            for base in [0, half, -half, 3 * half, -3 * half, 1 << 40, -(1 << 40)] {
+                probes.extend([base - 1, base, base + 1]);
+            }
+            for _ in 0..20_000 {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                probes.push((s as i64) >> 1 >> (s % 40));
+            }
+            for x in probes {
+                if x.unsigned_abs() >= 1 << 62 {
+                    continue;
+                }
+                assert_eq!(rne_shr_i64_bounded(x, n), rne_shr_i64(x, n), "x={x} n={n}");
+            }
         }
     }
 

@@ -11,6 +11,7 @@
 //! engine's match stage: `anton_core::batch::Q20Ladder::r2_lower_bound_q40`.
 
 use crate::tables::{FunctionTable, TableSpec};
+use anton_fixpoint::rounding::{rne_f64_to_i64, rne_shr_i64_bounded};
 use anton_forcefield::units::{erfc, COULOMB};
 
 /// Fraction bits of the r² values handed to the PPIP (Q20 Å²).
@@ -21,12 +22,17 @@ pub const R2_FRAC: u32 = 20;
 /// 8-wide bundle of cutoff-surviving pairs.
 pub const MATCH_WIDTH: usize = 8;
 
-/// One 8-wide bundle of matched pairs headed into the tabulated evaluator:
+/// One 8-wide bundle of pairs headed into the tabulated evaluator:
 /// per-lane Q20 r², charge products, and LJ coefficients, plus a survivor
-/// mask (bit `k` set = lane `k` holds a real pair). The geometry sidecar
-/// (who `i`/`j` are, the displacement for the force scatter) stays with the
-/// caller — the PPIP only ever sees r² and per-pair kernel parameters,
-/// like the hardware.
+/// mask (bit `k` set = lane `k` holds a real pair). This is the evaluator's
+/// *staging* record, formed in the pipeline and never stored: the engine's
+/// match cache keeps only which two atoms meet
+/// (`anton_core::batch::MatchBatch`), and every step re-derives r² from
+/// the current positions, gathers the per-atom parameters, fills one of
+/// these on the stack and hands it to [`Ppip::pair_batch`]. Who `i`/`j`
+/// are and the displacement for the force scatter stay with the caller —
+/// the PPIP only ever sees r² and per-pair kernel parameters, like the
+/// hardware.
 #[derive(Clone, Copy, Debug)]
 pub struct PairBatch {
     pub r2_q20: [i64; MATCH_WIDTH],
@@ -45,6 +51,10 @@ impl PairBatch {
         mask: 0,
     };
 }
+
+/// Largest coefficient mantissa magnitude the fused Horner accepts (the
+/// 22-bit tables of [`Ppip::build`] stay below 2²¹).
+const HORNER_COEFF_MAX: u32 = 1 << 29;
 
 /// One segment's worth of all six kernels, packed contiguously.
 ///
@@ -176,6 +186,13 @@ impl Ppip {
                 let mut scale = [0.0f64; 6];
                 for (k, t) in tables.iter().enumerate() {
                     let seg = &t.segments[idx];
+                    // `pair`'s Horner step rounds on the bounded shift.
+                    assert!(
+                        seg.coeffs
+                            .iter()
+                            .all(|c| c.unsigned_abs() <= HORNER_COEFF_MAX),
+                        "PPIP table mantissas must fit 30 bits"
+                    );
                     coeffs[k] = seg.coeffs;
                     scale[k] =
                         crate::tables::exp2i(seg.exponent - (t.spec.mantissa_bits as i32 - 1));
@@ -189,36 +206,52 @@ impl Ppip {
     /// (deterministic: one rounded multiply).
     #[inline]
     pub fn u_q31(&self, r2_q20: i64) -> i64 {
-        anton_fixpoint::rounding::rne_f64(r2_q20 as f64 * self.inv_r2max_q31) as i64
+        rne_f64_to_i64(r2_q20 as f64 * self.inv_r2max_q31)
     }
 
     /// Table-driven `(force/r, energy)` of one range-limited pair:
     /// `F⃗ = d⃗ · force_over_r`. Deterministic for given raw inputs.
     ///
     /// All six tables share one spec, so the tiered segment lookup is done
-    /// once and reused — bitwise identical to six independent lookups.
+    /// once and reused — bitwise identical to six independent lookups —
+    /// and only the tables whose coefficient is non-zero are evaluated:
+    /// the two Coulomb ones always, the four LJ ones when the pair has an
+    /// LJ term.
     #[inline]
     pub fn pair(&self, r2_q20: i64, qq: f64, lj_a: f64, lj_b: f64) -> (f64, f64) {
         let u = self.u_q31(r2_q20).clamp(0, (1i64 << 31) - 1);
         let (idx, t_q31) = self.f_elec.locate_q31(u);
-        // Evaluate all six kernels out of the fused segment record: same
+        // Evaluate the kernels out of the fused segment record: same
         // integer Horner and block-floating-point decode as
         // `FunctionTable::eval_at` + `exp2i`, but one load stream instead of
         // six scattered `segments[idx]` chases (`pair_tracks_tables` pins
         // the equivalence bit-for-bit).
         let t = t_q31.clamp(0, 1i64 << 31);
         let seg = &self.fused[idx];
-        let mut v = [0.0f64; 6];
-        for (k, val) in v.iter_mut().enumerate() {
+        // Every product stays inside the bounded shift's ±2⁶²: t ≤ 2³¹ and
+        // |c| ≤ 2²⁹ (`HORNER_COEFF_MAX`, checked when the tables are fused),
+        // so |acc| ≤ 2²⁹, then ≤ 2³⁰, then ≤ 1.5·2³⁰ entering the three
+        // steps, and |acc·t| ≤ 1.5·2⁶¹.
+        let table = |k: usize| {
             let c = &seg.coeffs[k];
             let mut acc = c[3] as i64;
             for j in (0..3).rev() {
-                acc = anton_fixpoint::rounding::rne_shr_i64(acc * t, 31) + c[j] as i64;
+                acc = rne_shr_i64_bounded(acc * t, 31) + c[j] as i64;
             }
-            *val = acc as f64 * seg.scale[k];
+            acc as f64 * seg.scale[k]
+        };
+        let mut f = COULOMB * qq * table(0);
+        let mut e = COULOMB * qq * table(3);
+        // A pair with no LJ coefficients (any pair with a TIP3P hydrogen:
+        // 8 of the 9 atom pairs of a water–water contact) runs the two
+        // Coulomb chains only. The skipped terms are `0·table`, exact ±0
+        // addends, so `f` and `e` keep their bits wherever the Coulomb term
+        // is non-zero and stay ±0 where it is zero
+        // (`zero_lj_pairs_skip_four_tables_exactly`).
+        if lj_a != 0.0 || lj_b != 0.0 {
+            f = f + lj_a * table(1) - lj_b * table(2);
+            e = e + lj_a * table(4) - lj_b * table(5);
         }
-        let f = COULOMB * qq * v[0] + lj_a * v[1] - lj_b * v[2];
-        let e = COULOMB * qq * v[3] + lj_a * v[4] - lj_b * v[5];
         (f, e)
     }
 
@@ -282,43 +315,99 @@ mod tests {
         assert!(worst < 1e-4, "worst relative force deviation {worst:e}");
     }
 
-    /// The fused-segment evaluation in `pair` is bit-identical to composing
-    /// the six standalone tables through `locate_q31` + `eval_at` + `exp2i`
-    /// (the path it replaced), over a dense r² sweep including the clamp
-    /// regions and both domain endpoints.
-    #[test]
-    fn pair_tracks_tables() {
-        let ppip = Ppip::build(0.35, 7.5);
+    /// The r² sweep of the table pins: both domain endpoints, the clamp
+    /// regions, and a dense random fill.
+    fn r2_probes(ppip: &Ppip) -> Vec<i64> {
         let r2_max_q20 = (ppip.r2_max * (1i64 << 20) as f64) as i64;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(41);
         let mut probes: Vec<i64> = vec![0, 1, r2_max_q20 - 1, r2_max_q20, r2_max_q20 + 7];
         for _ in 0..20_000 {
             probes.push(rng.gen_range(0..r2_max_q20 + 4096));
         }
-        for r2_q20 in probes {
+        probes
+    }
+
+    /// `(force/r, energy)` composed from the six standalone tables through
+    /// `locate_q31` + `eval_at` + `exp2i`, every term evaluated: the path
+    /// the fused record replaced, and the oracle for both pins below.
+    fn six_table_pair(ppip: &Ppip, r2_q20: i64, qq: f64, lj_a: f64, lj_b: f64) -> (f64, f64) {
+        let u = ppip.u_q31(r2_q20).clamp(0, (1i64 << 31) - 1);
+        let (idx, t_q31) = ppip.f_elec.locate_q31(u);
+        let fixed = |table: &FunctionTable| {
+            let (m, e) = table.eval_at(idx, t_q31);
+            m as f64 * crate::tables::exp2i(e)
+        };
+        (
+            COULOMB * qq * fixed(&ppip.f_elec) + lj_a * fixed(&ppip.f12) - lj_b * fixed(&ppip.f6),
+            COULOMB * qq * fixed(&ppip.e_elec) + lj_a * fixed(&ppip.e12) - lj_b * fixed(&ppip.e6),
+        )
+    }
+
+    /// The fused-segment evaluation in `pair` is bit-identical to composing
+    /// the six standalone tables (the path it replaced), over a dense r²
+    /// sweep including the clamp regions and both domain endpoints.
+    #[test]
+    fn pair_tracks_tables() {
+        let ppip = Ppip::build(0.35, 7.5);
+        for r2_q20 in r2_probes(&ppip) {
             let (qq, lj_a, lj_b) = (0.41, 6.0e5, 530.0);
             let got = ppip.pair(r2_q20, qq, lj_a, lj_b);
-            let u = ppip.u_q31(r2_q20).clamp(0, (1i64 << 31) - 1);
-            let (idx, t_q31) = ppip.f_elec.locate_q31(u);
-            let fixed = |table: &FunctionTable| {
-                let (m, e) = table.eval_at(idx, t_q31);
-                m as f64 * crate::tables::exp2i(e)
-            };
-            let want_f = COULOMB * qq * fixed(&ppip.f_elec) + lj_a * fixed(&ppip.f12)
-                - lj_b * fixed(&ppip.f6);
-            let want_e = COULOMB * qq * fixed(&ppip.e_elec) + lj_a * fixed(&ppip.e12)
-                - lj_b * fixed(&ppip.e6);
+            let want = six_table_pair(&ppip, r2_q20, qq, lj_a, lj_b);
             assert_eq!(
                 got.0.to_bits(),
-                want_f.to_bits(),
+                want.0.to_bits(),
                 "force at r2_q20={r2_q20}"
             );
             assert_eq!(
                 got.1.to_bits(),
-                want_e.to_bits(),
+                want.1.to_bits(),
                 "energy at r2_q20={r2_q20}"
             );
         }
+    }
+
+    /// With both LJ coefficients zero `pair` runs two Horner chains instead
+    /// of six. The four skipped terms are `0·table`, exact ±0 addends: the
+    /// result keeps its bits wherever the Coulomb term is non-zero, and is
+    /// some zero where the six-table sum is some zero — which the engine's
+    /// force and energy quantization (scale, round to nearest/even, to
+    /// integer) cannot tell apart.
+    #[test]
+    fn zero_lj_pairs_skip_four_tables_exactly() {
+        use anton_fixpoint::rounding::rne_f64_to_i64;
+        // The engine's scatter: a displacement component times force/r at
+        // FORCE_FRAC = 24, the energy at ENERGY_FRAC = 32.
+        let quantized = |(f, e): (f64, f64)| {
+            (
+                rne_f64_to_i64(-3.25 * f * (1i64 << 24) as f64),
+                rne_f64_to_i64(e * (1u64 << 32) as f64),
+            )
+        };
+        let ppip = Ppip::build(0.35, 7.5);
+        for r2_q20 in r2_probes(&ppip) {
+            for qq in [0.41, -0.17, 0.0, -0.0] {
+                let got = ppip.pair(r2_q20, qq, 0.0, 0.0);
+                let want = six_table_pair(&ppip, r2_q20, qq, 0.0, 0.0);
+                if want.0 != 0.0 {
+                    assert_eq!(
+                        got.0.to_bits(),
+                        want.0.to_bits(),
+                        "force, r2 {r2_q20} qq {qq}"
+                    );
+                }
+                if want.1 != 0.0 {
+                    assert_eq!(
+                        got.1.to_bits(),
+                        want.1.to_bits(),
+                        "energy, r2 {r2_q20} qq {qq}"
+                    );
+                }
+                assert_eq!(quantized(got), quantized(want), "r2 {r2_q20} qq {qq}");
+            }
+        }
+        // The sweep saw both regimes.
+        assert_ne!(ppip.pair(1 << 22, 0.41, 0.0, 0.0).0, 0.0);
+        assert_eq!(ppip.pair(1 << 22, 0.0, 0.0, 0.0), (0.0, 0.0));
     }
 
     #[test]
@@ -357,8 +446,11 @@ mod tests {
                 let r = 2.0 + rng.gen::<f64>() * 10.5;
                 batch.r2_q20[lane] = (r * r * (1i64 << 20) as f64) as i64;
                 batch.qq[lane] = (rng.gen::<f64>() - 0.5) * 0.6;
-                batch.lj_a[lane] = rng.gen::<f64>() * 8e5;
-                batch.lj_b[lane] = rng.gen::<f64>() * 1.2e3;
+                // Odd lanes carry no LJ term (the hydrogen lanes of a water
+                // batch), so both arms of `pair` sit in one batch.
+                let lj = if lane % 2 == 0 { 1.0 } else { 0.0 };
+                batch.lj_a[lane] = rng.gen::<f64>() * 8e5 * lj;
+                batch.lj_b[lane] = rng.gen::<f64>() * 1.2e3 * lj;
             }
             let mut out = [(0.0, 0.0); MATCH_WIDTH];
             ppip.pair_batch(&batch, &mut out);
