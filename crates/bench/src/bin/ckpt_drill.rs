@@ -30,15 +30,24 @@ fn drill_system() -> System {
     anton_bench::water_box("ckpt-drill-water", 18.0, 180, RunParams::paper(7.5, 16))
 }
 
-fn builder(dir: Option<&Path>) -> anton_core::SimulationBuilder {
-    let mut b = AntonSimulation::builder(drill_system())
+fn builder() -> anton_core::SimulationBuilder {
+    AntonSimulation::builder(drill_system())
         .velocities_from_temperature(300.0, 11)
         .decomposition(Decomposition::Nodes(NODES))
-        .threads(THREADS);
-    if let Some(dir) = dir {
-        b = b.checkpoint_every(1).checkpoint_dir(dir);
+        .threads(THREADS)
+}
+
+/// The run that gets killed: `cycles` cycles from a fresh start with a
+/// checkpoint after each one into a `keep`-deep store at `dir`, then
+/// dropped with no orderly shutdown. Returns the store it left behind.
+fn run_then_die(dir: &Path, keep: usize, cycles: usize) -> CheckpointStore {
+    let store = CheckpointStore::create(dir, keep).expect("create drill store");
+    let mut sim = builder().build();
+    for _ in 0..cycles {
+        sim.run_cycle();
+        sim.write_checkpoint(&store).expect("drill checkpoint");
     }
-    b
+    store
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -69,13 +78,10 @@ fn battery_leg(report: &mut Report, name: &str, sim: &AntonSimulation) {
 /// orderly shutdown, resume from the store, finish, compare bitwise.
 fn kill_resume_leg(report: &mut Report, kill_cycle: usize, golden_final: u64, k: u64) {
     let dir = fresh_dir(&format!("kill{kill_cycle}"));
-    {
-        let mut sim = builder(Some(&dir)).build();
-        sim.run_cycles(kill_cycle);
-        // Killed here: the process would die with the store already holding
-        // an atomically-renamed checkpoint for this cycle.
-    }
-    let resumed = builder(None).resume_from(&dir);
+    // Killed with the store already holding an atomically-renamed
+    // checkpoint for this cycle.
+    run_then_die(&dir, 3, kill_cycle);
+    let resumed = builder().resume_from(&dir);
     match resumed {
         Ok(mut sim) => {
             let step_ok = sim.step_count() == kill_cycle as u64 * k;
@@ -109,11 +115,7 @@ fn kill_resume_leg(report: &mut Report, kill_cycle: usize, golden_final: u64, k:
 /// (injections, detections) counts.
 fn corruption_leg(report: &mut Report) -> (u64, u64) {
     let dir = fresh_dir("corrupt");
-    {
-        let mut sim = builder(Some(&dir)).checkpoint_keep(8).build();
-        sim.run_cycles(4);
-    }
-    let store = CheckpointStore::open(&dir, 8);
+    let store = run_then_die(&dir, 8, 4);
     let files = store.list().expect("list drill store");
     if files.len() != 4 {
         report.record(
@@ -209,15 +211,11 @@ fn corruption_leg(report: &mut Report) -> (u64, u64) {
 /// must be invisible to listing and recovery.
 fn tmp_invisibility_leg(report: &mut Report) {
     let dir = fresh_dir("tmpfiles");
-    {
-        let mut sim = builder(Some(&dir)).build();
-        sim.run_cycles(2);
-    }
+    let store = run_then_die(&dir, 3, 2);
     // Simulate a crash mid-write: a partial temp file and assorted junk.
     std::fs::write(dir.join("ckpt-000000000099.ant.tmp"), b"partial write").unwrap();
     std::fs::write(dir.join("notes.txt"), b"not a checkpoint").unwrap();
     std::fs::write(dir.join("ckpt-garbage.ant"), b"bad name").unwrap();
-    let store = CheckpointStore::open(&dir, 3);
     let names: Vec<u64> = store
         .list()
         .expect("list drill store")
@@ -238,11 +236,7 @@ fn tmp_invisibility_leg(report: &mut Report) {
 /// still finish bitwise identical to golden.
 fn recovery_leg(report: &mut Report, golden_final: u64, k: u64) {
     let dir = fresh_dir("recover");
-    {
-        let mut sim = builder(Some(&dir)).checkpoint_keep(8).build();
-        sim.run_cycles(3);
-    }
-    let store = CheckpointStore::open(&dir, 8);
+    let store = run_then_die(&dir, 8, 3);
     let (newest_step, newest_path) = store
         .list()
         .expect("list drill store")
@@ -254,7 +248,7 @@ fn recovery_leg(report: &mut Report, golden_final: u64, k: u64) {
     bytes[mid] ^= 0x40;
     std::fs::write(&newest_path, &bytes).unwrap();
 
-    match builder(None).resume_from(&dir) {
+    match builder().resume_from(&dir) {
         Ok(mut sim) => {
             let resumed_step = sim.step_count();
             let want_step = (newest_step / k - 1) * k;
@@ -297,7 +291,7 @@ fn main() {
     // purely observational). The identity battery over its final state is
     // the reference every resumed leg's battery must match.
     let golden_final = {
-        let mut sim = builder(None).build();
+        let mut sim = builder().build();
         sim.run_cycles(CYCLES);
         battery_leg(&mut report, "golden_battery", &sim);
         sim.state.checksum()

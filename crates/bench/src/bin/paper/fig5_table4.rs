@@ -10,7 +10,7 @@
 use anton_bench::artifacts::table4_rows;
 use anton_core::AntonSimulation;
 use anton_machine::PerfModel;
-use anton_refmd::reference::reference_forces;
+use anton_refmd::reference::{reference_forces, rms_force_error};
 use anton_systems::catalog::build_solvated;
 use anton_systems::spec::RunParams;
 use anton_systems::{table4_system, TABLE4};
@@ -74,7 +74,8 @@ pub fn run() {
         // Total force error: Anton forces vs the conservative double-
         // precision reference.
         let (f_ref, _) = reference_forces(&sys, &sim.positions_f64());
-        let total_err = anton_bench::anton_vs_reference_error(&sim, &f_ref);
+        let f_anton: Vec<_> = (0..f_ref.len()).map(|i| sim.total_force_f64(i)).collect();
+        let total_err = rms_force_error(&f_anton, &f_ref);
 
         // Numerical force error: the same interactions evaluated with the
         // same parameters in f64 — isolate quantization. We approximate it

@@ -27,6 +27,7 @@ use anton_bench::artifacts::{
     ckpt_table, scaling_table, trace_phases_table, CkptStats, Row, TraceRow,
 };
 use anton_bench::{water_box, write_artifact};
+use anton_ckpt::CheckpointStore;
 use anton_core::{AntonSimulation, Decomposition, RawForces};
 use anton_machine::perf::ExchangeCounters;
 use anton_machine::MachineConfig;
@@ -84,44 +85,44 @@ fn traced_pass(sys: &System, cycles: usize) -> Result<(Vec<TraceRow>, CkptStats)
         } else {
             Decomposition::Nodes(nodes)
         };
-        let mut builder = AntonSimulation::builder(sys.clone())
+        let mut sim = AntonSimulation::builder(sys.clone())
             .velocities_from_temperature(300.0, 7)
             .decomposition(decomposition)
             .threads(threads)
-            .tracing(true);
+            .tracing(true)
+            .build();
         // The 8-node row doubles as the checkpoint-cost probe: write a
         // rotated checkpoint every 4 cycles and report bytes + time. The
         // trajectory is unaffected (checkpointing is observability-only),
         // which the invariance assertion below re-proves every run.
-        let probe_ckpt = nodes == 8;
-        if probe_ckpt {
+        let store = if nodes == 8 {
             let _ = std::fs::remove_dir_all("target/ckpt_scaling");
-            builder = builder
-                .checkpoint_every(4)
-                .checkpoint_dir("target/ckpt_scaling")
-                .checkpoint_keep(2);
+            let store = CheckpointStore::create("target/ckpt_scaling", 2);
+            Some(store.map_err(|e| format!("target/ckpt_scaling: {e}"))?)
+        } else {
+            None
+        };
+        for cycle in 1..=cycles {
+            sim.run_cycle();
+            if let Some(store) = store.as_ref().filter(|_| cycle % 4 == 0) {
+                let written = sim.write_checkpoint(store);
+                ckpt_stats.bytes_written +=
+                    written.map_err(|e| format!("checkpoint at cycle {cycle}: {e}"))?;
+                ckpt_stats.files += 1;
+            }
         }
-        let mut sim = builder.build();
-        sim.run_cycles(cycles);
         let buf = sim.trace().buf().expect("tracing was enabled");
         assert_eq!(buf.dropped_spans(), 0, "trace span capacity exceeded");
         assert_eq!(buf.dropped_counters(), 0, "trace counter capacity exceeded");
         let phases = phase_summary(buf);
-        if probe_ckpt {
-            let (files, bytes) = sim
-                .checkpoint_stats()
-                .expect("checkpointing was configured on the 8-node row");
-            let serialize_us = phases
+        if store.is_some() {
+            ckpt_stats.serialize_us = phases
                 .iter()
                 .find(|p| p.phase.name() == "checkpoint")
                 .map_or(0.0, |p| p.measured_ns as f64 / 1e3);
-            ckpt_stats = CkptStats {
-                files,
-                bytes_written: bytes,
-                serialize_us,
-            };
             println!(
-                "\ncheckpoint probe (8 nodes): {files} files, {bytes} bytes, {serialize_us:.1} µs serialize+write"
+                "\ncheckpoint probe (8 nodes): {} files, {} bytes, {:.1} µs serialize+write",
+                ckpt_stats.files, ckpt_stats.bytes_written, ckpt_stats.serialize_us
             );
         }
         println!("\n--- traced: {nodes} nodes, {threads} threads ---");

@@ -90,18 +90,6 @@ pub fn measure_drift(system: System, nve_cycles: usize, seed: u64) -> (f64, f64)
     (drift, nve_cycles as f64 * k * dt)
 }
 
-/// Root-mean-square force error of the Anton engine against a reference
-/// force set (the Table 4 metric).
-pub fn anton_vs_reference_error(sim: &AntonSimulation, reference: &[anton_geometry::Vec3]) -> f64 {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (i, r) in reference.iter().enumerate() {
-        num += (sim.total_force_f64(i) - *r).norm2();
-        den += r.norm2();
-    }
-    (num / den).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

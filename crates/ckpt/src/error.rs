@@ -51,8 +51,6 @@ pub enum CkptError {
     FingerprintMismatch { stored: u64, expected: u64 },
     /// No file in the store's directory loaded cleanly.
     NoValidCheckpoint { dir: String },
-    /// Checkpointing was not configured on this simulation.
-    NotConfigured,
     /// Underlying filesystem error.
     Io(std::io::Error),
 }
@@ -70,13 +68,12 @@ impl CkptError {
             CkptError::Truncated { .. } => "truncated",
             CkptError::FingerprintMismatch { .. } => "fingerprint_mismatch",
             CkptError::NoValidCheckpoint { .. } => "no_valid_checkpoint",
-            CkptError::NotConfigured => "not_configured",
             CkptError::Io(_) => "io",
         }
     }
 
     /// True for variants that mean the *bytes* are damaged (as opposed to
-    /// valid-but-incompatible, unconfigured, or a filesystem failure).
+    /// valid-but-incompatible, or a filesystem failure).
     pub fn is_corruption(&self) -> bool {
         matches!(
             self,
@@ -131,9 +128,6 @@ impl fmt::Display for CkptError {
             CkptError::NoValidCheckpoint { dir } => {
                 write!(f, "no valid checkpoint found in {dir}")
             }
-            CkptError::NotConfigured => {
-                write!(f, "checkpointing not configured (no checkpoint_dir)")
-            }
             CkptError::Io(e) => write!(f, "checkpoint i/o: {e}"),
         }
     }
@@ -173,7 +167,6 @@ mod tests {
         };
         assert_eq!(f.kind(), "fingerprint_mismatch");
         assert!(!f.is_corruption());
-        assert!(!CkptError::NotConfigured.is_corruption());
     }
 
     #[test]

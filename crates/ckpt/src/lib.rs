@@ -23,8 +23,9 @@
 //!   owns their interpretation), exchange counters, and trace
 //!   drop counts;
 //! * an on-disk store ([`store`]) with atomic temp-file+rename writes,
-//!   deterministic step-derived file names, a human-readable manifest,
-//!   last-K rotation, and newest-valid fallback recovery;
+//!   deterministic step-derived file names, last-K rotation, and
+//!   newest-valid fallback recovery — owned by whoever runs the
+//!   simulation (a bench loop, the fleet's slice), never by the engine;
 //! * typed corruption/incompatibility errors ([`error`]) shared with
 //!   `anton-core::FixedState::from_bytes`.
 //!
@@ -46,4 +47,4 @@ pub use fingerprint::Fingerprint;
 pub use fnv::{fnv1a, Fnv64};
 pub use header::{Header, HEADER_LEN, MAGIC, VERSION};
 pub use snapshot::Snapshot;
-pub use store::{atomic_write_bytes, load_file, CheckpointStore, WriteReceipt, MANIFEST_NAME};
+pub use store::{atomic_write_bytes, load_file, CheckpointStore, WriteReceipt};

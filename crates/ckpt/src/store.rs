@@ -1,5 +1,7 @@
 //! The on-disk checkpoint store: atomic writes, deterministic names,
-//! manifest, last-K rotation, and newest-valid fallback recovery.
+//! last-K rotation, and newest-valid fallback recovery. Whoever runs the
+//! simulation owns the store and decides when to write; the engine only
+//! hands over snapshots (`AntonSimulation::write_checkpoint(&store)`).
 //!
 //! **Atomicity.** A checkpoint is encoded in memory, written to
 //! `ckpt-<step>.ant.tmp`, fsynced, and only then renamed to its final
@@ -16,22 +18,19 @@
 //! fixture `fail_ckpt_wallclock_name.rs`).
 //!
 //! **Rotation.** After each successful write the oldest files beyond
-//! `keep` are pruned and the `MANIFEST` is atomically rewritten.
+//! `keep` are pruned, so the directory holds `ckpt-*.ant` files and
+//! nothing else.
 //!
-//! **Recovery.** [`CheckpointStore::latest_valid`] scans files newest to
-//! oldest and returns the first one that loads cleanly (full checksum
-//! verification), so a corrupted newest checkpoint falls back to the
-//! previous valid one. The manifest is advisory — human bookkeeping, never
-//! load-bearing for recovery.
+//! **Recovery.** [`CheckpointStore::latest_valid`] lists the directory,
+//! scans files newest to oldest and returns the first one that loads
+//! cleanly (full checksum verification), so a corrupted newest checkpoint
+//! falls back to the previous valid one.
 
 use crate::error::CkptError;
 use crate::snapshot::Snapshot;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-
-/// File name of the advisory manifest.
-pub const MANIFEST_NAME: &str = "MANIFEST";
 
 /// Suffix of a finalized checkpoint file.
 const SUFFIX: &str = ".ant";
@@ -67,8 +66,8 @@ pub fn load_file(path: &Path) -> Result<Snapshot, CkptError> {
 /// atomic on every POSIX filesystem, so a crash at any instant leaves
 /// either the complete new file or the previous one — never a torn write.
 /// This is the one sanctioned tmp+fsync+rename implementation in the
-/// workspace: the checkpoint store's snapshot and manifest writes go
-/// through it, and so does `anton-fleet`'s queue-state persistence.
+/// workspace: the checkpoint store's snapshot writes go through it, and
+/// so does `anton-fleet`'s queue-state persistence.
 pub fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -80,19 +79,6 @@ pub fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
     }
     fs::rename(&tmp, path)?;
     Ok(())
-}
-
-/// Wall-clock milliseconds for the manifest's `written_unix_ms` column:
-/// observability metadata for operators, recorded once per manifest write.
-/// Recovery never reads it and no value derived from it flows anywhere
-/// near simulation state.
-// detlint::boundary(reason = "audited absorber: the timestamp lands only in the manifest's written_unix_ms operator column; recovery selection and checkpoint naming key off the step counter, so the value cannot reach simulation state")
-fn wall_clock_ms() -> u64 {
-    // detlint::allow(D4, reason = "manifest written-at timestamp: file-I/O boundary bookkeeping only; recovery order and checkpoint names derive from the step counter, never from this value")
-    let now = std::time::SystemTime::now();
-    now.duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 impl CheckpointStore {
@@ -117,10 +103,6 @@ impl CheckpointStore {
         }
     }
 
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     pub fn keep(&self) -> usize {
         self.keep
     }
@@ -132,8 +114,7 @@ impl CheckpointStore {
     }
 
     /// All finalized checkpoints in the directory, sorted by ascending
-    /// step. `.tmp` leftovers and foreign files are ignored; a directory
-    /// scan (not the manifest) is the source of truth.
+    /// step. `.tmp` leftovers and foreign files are ignored.
     pub fn list(&self) -> Result<Vec<(u64, PathBuf)>, CkptError> {
         let mut out = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
@@ -159,46 +140,30 @@ impl CheckpointStore {
         Ok(out)
     }
 
-    /// Write `snap` atomically, rotate, and rewrite the manifest.
+    /// Write `snap` atomically, then rotate.
     pub fn write(&self, snap: &Snapshot) -> Result<WriteReceipt, CkptError> {
         let bytes = snap.encode();
         let final_path = self.checkpoint_path(snap.step);
         atomic_write_bytes(&final_path, &bytes)?;
 
-        let mut entries = self.list()?;
+        let entries = self.list()?;
+        let excess = entries.len().saturating_sub(self.keep);
         let mut pruned = Vec::new();
-        while entries.len() > self.keep {
-            let (_, path) = entries.remove(0);
+        for (_, path) in entries.into_iter().take(excess) {
             // Never prune the file just written, even with keep=1 and a
             // rewound step counter producing an unexpected order.
             if path == final_path {
-                entries.insert(0, (snap.step, path));
                 break;
             }
             fs::remove_file(&path)?;
             pruned.push(path);
         }
-        self.write_manifest(&entries)?;
 
         Ok(WriteReceipt {
             path: final_path,
             bytes: bytes.len() as u64,
             pruned,
         })
-    }
-
-    /// Atomically rewrite the advisory manifest listing `entries`.
-    fn write_manifest(&self, entries: &[(u64, PathBuf)]) -> Result<(), CkptError> {
-        let mut s = String::new();
-        s.push_str("anton-ckpt manifest v1\n");
-        s.push_str(&format!("written_unix_ms {}\n", wall_clock_ms()));
-        s.push_str(&format!("keep {}\n", self.keep));
-        for (step, path) in entries {
-            let size = fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
-            s.push_str(&format!("{step} {size} {name}\n"));
-        }
-        atomic_write_bytes(&self.dir.join(MANIFEST_NAME), &s.into_bytes())
     }
 
     /// The newest checkpoint that loads cleanly, with full checksum
@@ -253,21 +218,22 @@ mod tests {
         let (path, latest) = store.latest_valid().unwrap();
         assert_eq!(path, receipt.path);
         assert_eq!(latest, snap);
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
-    fn rotation_keeps_last_k_and_manifest_tracks() {
+    fn rotation_leaves_exactly_the_last_k_checkpoint_files() {
         let store = temp_store("rotate", 2);
         for step in [16u64, 32, 48, 64] {
             store.write(&sample(step)).unwrap();
         }
-        let steps: Vec<u64> = store.list().unwrap().iter().map(|(s, _)| *s).collect();
-        assert_eq!(steps, [48, 64]);
-        let manifest = fs::read_to_string(store.dir().join(MANIFEST_NAME)).unwrap();
-        assert!(manifest.contains("ckpt-000000000064.ant"), "{manifest}");
-        assert!(!manifest.contains("ckpt-000000000016.ant"), "{manifest}");
-        let _ = fs::remove_dir_all(store.dir());
+        let mut names: Vec<String> = fs::read_dir(&store.dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["ckpt-000000000048.ant", "ckpt-000000000064.ant"]);
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
@@ -285,7 +251,7 @@ mod tests {
         let (path, snap) = store.latest_valid().unwrap();
         assert_eq!(path, store.checkpoint_path(16));
         assert_eq!(snap.step, 16);
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
@@ -294,13 +260,13 @@ mod tests {
         store.write(&sample(16)).unwrap();
         // A torn write that never reached the rename, plus garbage that
         // apes the name pattern badly.
-        fs::write(store.dir().join("ckpt-000000000032.ant.tmp"), b"torn").unwrap();
-        fs::write(store.dir().join("notackpt.bin"), b"junk").unwrap();
+        fs::write(store.dir.join("ckpt-000000000032.ant.tmp"), b"torn").unwrap();
+        fs::write(store.dir.join("notackpt.bin"), b"junk").unwrap();
         let steps: Vec<u64> = store.list().unwrap().iter().map(|(s, _)| *s).collect();
         assert_eq!(steps, [16]);
         let (_, snap) = store.latest_valid().unwrap();
         assert_eq!(snap.step, 16);
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
@@ -330,6 +296,6 @@ mod tests {
             store.latest_valid().unwrap_err().kind(),
             "no_valid_checkpoint"
         );
-        let _ = fs::remove_dir_all(store.dir());
+        let _ = fs::remove_dir_all(&store.dir);
     }
 }

@@ -6,6 +6,7 @@ use crate::pool::threads_from_env;
 use crate::state::{positions_from_bytes, positions_to_bytes, FixedState, FORCE_FRAC, VEL_FRAC};
 use anton_ckpt::{CheckpointStore, CkptError, Fingerprint, Snapshot};
 use anton_fixpoint::rounding::rne_f64;
+use anton_fixpoint::FxVec3;
 use anton_forcefield::constraints::shake;
 use anton_forcefield::units::ACCEL;
 use anton_geometry::Vec3;
@@ -13,7 +14,7 @@ use anton_machine::ExchangeCounters;
 use anton_systems::velocities::init_velocities;
 use anton_systems::System;
 use anton_trace::{Phase, TraceSink, RANK_MAIN};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Relative SHAKE tolerance on each constrained distance.
 const SHAKE_TOL: f64 = 1e-10;
@@ -38,9 +39,6 @@ pub struct SimulationBuilder {
     thermostat: ThermostatKind,
     constraints_enabled: bool,
     tracing: bool,
-    checkpoint_every: u64,
-    checkpoint_dir: Option<PathBuf>,
-    checkpoint_keep: usize,
 }
 
 impl SimulationBuilder {
@@ -90,104 +88,87 @@ impl SimulationBuilder {
         self
     }
 
-    /// Write a checkpoint every `cycles` outer RESPA cycles (checkpoints
-    /// only ever happen at cycle boundaries, where the palindromic cycle
-    /// closes and the state alone determines the continuation). Requires
-    /// [`Self::checkpoint_dir`]; 0 disables the automatic cadence
-    /// (explicit [`AntonSimulation::write_checkpoint`] still works when a
-    /// directory is configured).
-    pub fn checkpoint_every(mut self, cycles: u64) -> Self {
-        self.checkpoint_every = cycles;
-        self
-    }
-
-    /// Directory for the checkpoint store (created if needed). See
-    /// `anton-ckpt` for the on-disk format and rotation policy.
-    pub fn checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// How many rotated checkpoints to keep (default 3, minimum 1).
-    pub fn checkpoint_keep(mut self, keep: usize) -> Self {
-        self.checkpoint_keep = keep;
-        self
-    }
-
-    /// Build, then restore the newest valid checkpoint from `path` (a
-    /// store directory, or a single `.ant` file); see
+    /// Start at the newest valid checkpoint under `path` (a store
+    /// directory, or a single `.ant` file); see
     /// [`Self::resume_from_snapshot`].
     pub fn resume_from(self, path: impl AsRef<Path>) -> Result<AntonSimulation, CkptError> {
         let path = path.as_ref();
         let snap = if path.is_dir() {
-            CheckpointStore::open(path, self.checkpoint_keep.max(1))
-                .latest_valid()?
-                .1
+            CheckpointStore::open(path, 1).latest_valid()?.1
         } else {
             anton_ckpt::load_file(path)?
         };
         self.resume_from_snapshot(&snap)
     }
 
-    /// Build, then restore `snap` (a snapshot the caller already loaded and
-    /// verified). The snapshot's config fingerprint is checked against this
-    /// builder's configuration **before** anything is built: resuming under
-    /// a different node grid, thread count, system, or run parameters is
-    /// refused with [`CkptError::FingerprintMismatch`], because the
-    /// bitwise-resume contract could silently not hold. On success the
-    /// simulation continues the interrupted trajectory bit-for-bit.
+    /// Start at `snap` (a snapshot the caller already loaded and verified)
+    /// and continue the interrupted trajectory bit-for-bit. Everything a
+    /// snapshot can be refused for is decided here, **before** anything is
+    /// built, config fingerprint first: resuming under a different node
+    /// grid, thread count, system, or run parameters is
+    /// [`CkptError::FingerprintMismatch`], because the bitwise-resume
+    /// contract could silently not hold.
     pub fn resume_from_snapshot(self, snap: &Snapshot) -> Result<AntonSimulation, CkptError> {
-        let expected = config_fingerprint(&self.system, self.decomposition, self.threads);
-        if snap.fingerprint != expected {
+        let fingerprint = config_fingerprint(&self.system, self.decomposition, self.threads);
+        if snap.fingerprint != fingerprint {
             return Err(CkptError::FingerprintMismatch {
                 stored: snap.fingerprint,
-                expected,
+                expected: fingerprint,
             });
         }
-        let mut sim = self.build();
-        sim.restore(snap)?;
-        Ok(sim)
+        let state = FixedState::from_bytes(&snap.state)?;
+        let got = state.n_atoms() as u64;
+        for expected in [snap.n_atoms, self.system.n_atoms() as u64] {
+            if got != expected {
+                return Err(CkptError::AtomCountMismatch { expected, got });
+            }
+        }
+        // An empty epoch section is a cold match cache, which is how every
+        // pipeline starts.
+        let match_ref = match snap.match_ref.as_slice() {
+            [] => Vec::new(),
+            bytes => positions_from_bytes(bytes, state.n_atoms())?,
+        };
+        let counters =
+            ExchangeCounters::from_words(&snap.counters).ok_or(CkptError::LengthMismatch {
+                what: "exchange-counter words",
+                expected: ExchangeCounters::WORDS as u64,
+                got: snap.counters.len() as u64,
+            })?;
+        let resumed = Resumed {
+            step: snap.step,
+            match_ref,
+            counters,
+            trace_dropped: snap.trace_dropped,
+        };
+        Ok(AntonSimulation::new(
+            self,
+            fingerprint,
+            state,
+            Some(resumed),
+        ))
     }
 
-    pub fn build(self) -> AntonSimulation {
+    /// Start at step 0 from the system's coordinates and the builder's
+    /// velocities (zero when none were given).
+    pub fn build(mut self) -> AntonSimulation {
         let velocities = self
             .velocities
+            .take()
             .unwrap_or_else(|| vec![Vec3::ZERO; self.system.n_atoms()]);
-        let ckpt = match (&self.checkpoint_dir, self.checkpoint_every) {
-            (Some(dir), every) => {
-                let store = CheckpointStore::create(dir, self.checkpoint_keep)
-                    .unwrap_or_else(|e| panic!("checkpoint dir {}: {e}", dir.display()));
-                Some(CkptSink {
-                    store,
-                    every,
-                    files_written: 0,
-                    bytes_written: 0,
-                })
-            }
-            (None, 0) => None,
-            (None, every) => panic!("checkpoint_every({every}) requires checkpoint_dir"),
-        };
-        AntonSimulation::new(
-            self.system,
-            velocities,
-            self.decomposition,
-            self.threads,
-            self.thermostat,
-            self.constraints_enabled,
-            self.tracing,
-            ckpt,
-        )
+        let fingerprint = config_fingerprint(&self.system, self.decomposition, self.threads);
+        let state = FixedState::from_f64(&self.system.pbox, &self.system.positions, &velocities);
+        AntonSimulation::new(self, fingerprint, state, None)
     }
 }
 
-/// Engine-side checkpoint state: the store plus the automatic cadence and
-/// write statistics (surfaced to the scaling bench / perf gate).
-struct CkptSink {
-    store: CheckpointStore,
-    /// Cycles between automatic checkpoints (0 = explicit writes only).
-    every: u64,
-    files_written: u64,
-    bytes_written: u64,
+/// What a decoded snapshot carries beyond the state words.
+struct Resumed {
+    step: u64,
+    /// The match cache's reference-epoch positions (empty: it was cold).
+    match_ref: Vec<FxVec3>,
+    counters: ExchangeCounters,
+    trace_dropped: [u64; 2],
 }
 
 /// The config fingerprint of DESIGN.md §12: every configuration input the
@@ -233,7 +214,6 @@ pub struct AntonSimulation {
     /// Per-axis drift constants: dt · 2^(31−VEL) / (edge/2).
     drift_c: [f64; 3],
     step: u64,
-    ckpt: Option<CkptSink>,
     /// Config fingerprint (pure function of system/decomposition/threads),
     /// stamped into every written checkpoint and verified on restore.
     fingerprint: u64,
@@ -249,27 +229,24 @@ impl AntonSimulation {
             thermostat: ThermostatKind::None,
             constraints_enabled: true,
             tracing: false,
-            checkpoint_every: 0,
-            checkpoint_dir: None,
-            checkpoint_keep: 3,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The one way in: build the pipeline once around `state`, then
+    /// evaluate each force class once. A resumed start first rebuilds the
+    /// match cache at the snapshot's reference epoch, so the evaluation takes
+    /// the same rebuild-or-reuse decision the uninterrupted run took and
+    /// the displacement monitor's schedule (and the forces it gates)
+    /// continues bitwise.
     fn new(
-        system: System,
-        velocities: Vec<Vec3>,
-        decomposition: Decomposition,
-        threads: usize,
-        thermostat: ThermostatKind,
-        constraints_enabled: bool,
-        tracing: bool,
-        ckpt: Option<CkptSink>,
+        b: SimulationBuilder,
+        fingerprint: u64,
+        state: FixedState,
+        resumed: Option<Resumed>,
     ) -> AntonSimulation {
-        let fingerprint = config_fingerprint(&system, decomposition, threads);
-        let state = FixedState::from_f64(&system.pbox, &system.positions, &velocities);
-        let mut pipeline = ForcePipeline::new(&system, decomposition, threads);
-        if tracing {
+        let system = b.system;
+        let mut pipeline = ForcePipeline::new(&system, b.decomposition, b.threads);
+        if b.tracing {
             pipeline.set_trace(TraceSink::on());
         }
         let n = system.n_atoms();
@@ -300,20 +277,31 @@ impl AntonSimulation {
             system,
             state,
             pipeline,
-            thermostat,
-            constraints_enabled,
+            thermostat: b.thermostat,
+            constraints_enabled: b.constraints_enabled,
             short: RawForces::zeroed(n),
             long: RawForces::zeroed(n),
             kick_half,
             kick_long_half,
             drift_c,
             step: 0,
-            ckpt,
             fingerprint,
         };
-        sim.update_virtual_sites();
-        sim.refresh_short();
-        sim.refresh_long();
+        let Some(resumed) = resumed else {
+            sim.refresh_all_forces();
+            return sim;
+        };
+        sim.step = resumed.step;
+        if !resumed.match_ref.is_empty() {
+            sim.pipeline
+                .rebuild_match_cache_at(&sim.system, &resumed.match_ref);
+        }
+        sim.refresh_all_forces();
+        // Installed *after* the evaluation, which metered traffic the
+        // uninterrupted run had already counted.
+        sim.pipeline.counters = resumed.counters;
+        let [spans, counters] = resumed.trace_dropped;
+        sim.pipeline.trace_mut().set_dropped(spans, counters);
         sim
     }
 
@@ -472,26 +460,6 @@ impl AntonSimulation {
                 }
             }
         }
-
-        // Automatic checkpoint cadence: only ever at a cycle boundary,
-        // where the palindromic cycle has closed and the raw state alone
-        // determines the continuation bitwise.
-        let cycle = self.step / k as u64;
-        let due = self
-            .ckpt
-            .as_ref()
-            .is_some_and(|c| c.every > 0 && cycle.is_multiple_of(c.every));
-        if due {
-            if let Err(e) = self.write_checkpoint() {
-                // An automatic write failing must not kill the trajectory:
-                // the simulation is still correct, only less recoverable.
-                // Explicit write_checkpoint() calls surface the error.
-                eprintln!(
-                    "anton-ckpt: automatic checkpoint at step {} failed: {e}",
-                    self.step
-                );
-            }
-        }
     }
 
     pub fn run_cycles(&mut self, n: usize) {
@@ -573,8 +541,8 @@ impl AntonSimulation {
             None => (0, 0),
         };
         // Match-cache reference epoch: the positions the displacement
-        // monitor measures against. Restore rebuilds the cache at exactly
-        // this epoch so the rebuild schedule continues bitwise.
+        // monitor measures against. A resumed start rebuilds the cache at
+        // exactly this epoch so the rebuild schedule continues bitwise.
         Snapshot {
             step: self.step,
             fingerprint: self.fingerprint,
@@ -586,76 +554,17 @@ impl AntonSimulation {
         }
     }
 
-    /// Restore a snapshot into this simulation: verify the fingerprint and
-    /// atom counts, replace state and step counter, recompute forces, and
-    /// carry the exchange counters and trace drop counts forward so the
-    /// metered totals continue exactly as the interrupted run's would
-    /// have. After a successful restore the continued trajectory is
-    /// bitwise identical to the uninterrupted one.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), CkptError> {
-        if snap.fingerprint != self.fingerprint {
-            return Err(CkptError::FingerprintMismatch {
-                stored: snap.fingerprint,
-                expected: self.fingerprint,
-            });
-        }
-        let state = FixedState::from_bytes(&snap.state)?;
-        if state.n_atoms() as u64 != snap.n_atoms {
-            return Err(CkptError::AtomCountMismatch {
-                expected: snap.n_atoms,
-                got: state.n_atoms() as u64,
-            });
-        }
-        if state.n_atoms() != self.system.n_atoms() {
-            return Err(CkptError::AtomCountMismatch {
-                expected: self.system.n_atoms() as u64,
-                got: state.n_atoms() as u64,
-            });
-        }
-        self.state = state;
-        self.step = snap.step;
-        // Rebuild the persistent match cache at the snapshot's reference
-        // epoch *before* the force refresh: the refresh then takes the same
-        // rebuild-or-reuse decision the uninterrupted run took, so the
-        // displacement monitor's schedule (and the forces it gates)
-        // continues bitwise across the resume.
-        if snap.match_ref.is_empty() {
-            self.pipeline.invalidate_match_cache();
-        } else {
-            let ref_pos = positions_from_bytes(&snap.match_ref, self.state.n_atoms())?;
-            self.pipeline.rebuild_match_cache_at(&self.system, &ref_pos);
-        }
-        self.refresh_all_forces();
-        // Counters restore *after* the force refresh: the refresh meters
-        // traffic the uninterrupted run would not have double-counted.
-        self.pipeline.counters =
-            ExchangeCounters::from_words(&snap.counters).ok_or(CkptError::LengthMismatch {
-                what: "exchange-counter words",
-                expected: ExchangeCounters::WORDS as u64,
-                got: snap.counters.len() as u64,
-            })?;
-        self.pipeline
-            .trace_mut()
-            .set_dropped(snap.trace_dropped[0], snap.trace_dropped[1]);
-        Ok(())
-    }
-
-    /// Write a checkpoint now (atomic temp-file+rename into the configured
-    /// store, with rotation). Returns the encoded size in bytes. Requires
-    /// a [`SimulationBuilder::checkpoint_dir`]; the automatic cadence of
-    /// [`SimulationBuilder::checkpoint_every`] calls this at cycle
-    /// boundaries. The write is recorded as a [`Phase::Checkpoint`] trace
-    /// span plus a `ckpt_write` counter carrying the byte count.
-    pub fn write_checkpoint(&mut self) -> Result<u64, CkptError> {
+    /// Write a checkpoint of the current state into the caller's `store`
+    /// (atomic temp-file+rename, with the store's rotation) and return the
+    /// encoded size in bytes. Call it at cycle boundaries, where the
+    /// palindromic cycle has closed and the raw state alone determines the
+    /// continuation; how often is the caller's policy. The write is
+    /// recorded as a [`Phase::Checkpoint`] trace span plus a `ckpt_write`
+    /// counter carrying the byte count; a failed write changes nothing in
+    /// the simulation.
+    pub fn write_checkpoint(&mut self, store: &CheckpointStore) -> Result<u64, CkptError> {
         let t0 = self.pipeline.trace().now_ns();
-        let snap = self.snapshot();
-        let bytes = {
-            let sink = self.ckpt.as_mut().ok_or(CkptError::NotConfigured)?;
-            let receipt = sink.store.write(&snap)?;
-            sink.files_written += 1;
-            sink.bytes_written += receipt.bytes;
-            receipt.bytes
-        };
+        let bytes = store.write(&self.snapshot())?.bytes;
         self.pipeline
             .trace_mut()
             .end_span(Phase::Checkpoint, RANK_MAIN, t0);
@@ -663,19 +572,6 @@ impl AntonSimulation {
             .trace_mut()
             .counter("ckpt_write", Phase::Checkpoint, 1, bytes, 0.0);
         Ok(bytes)
-    }
-
-    /// `(files_written, bytes_written)` by this simulation's checkpoint
-    /// store, or `None` when checkpointing is not configured.
-    pub fn checkpoint_stats(&self) -> Option<(u64, u64)> {
-        self.ckpt
-            .as_ref()
-            .map(|c| (c.files_written, c.bytes_written))
-    }
-
-    /// The configured checkpoint directory, if any.
-    pub fn checkpoint_dir(&self) -> Option<&Path> {
-        self.ckpt.as_ref().map(|c| c.store.dir())
     }
 
     /// The decomposition this simulation was built with (a construction-time
@@ -695,7 +591,7 @@ impl AntonSimulation {
     }
 
     /// Recompute both force classes from the current state — required after
-    /// replacing `state` externally (e.g. restoring a checkpoint).
+    /// replacing `state` externally.
     pub fn refresh_all_forces(&mut self) {
         self.update_virtual_sites();
         self.refresh_short();
@@ -944,31 +840,38 @@ mod tests {
         dir
     }
 
+    /// The caller's cadence, spelled out: a checkpoint after every cycle.
+    fn run_checkpointing(sim: &mut AntonSimulation, store: &CheckpointStore, cycles: usize) {
+        for _ in 0..cycles {
+            sim.run_cycle();
+            sim.write_checkpoint(store).expect("checkpoint write");
+        }
+    }
+
+    fn resume_test_builder() -> SimulationBuilder {
+        AntonSimulation::builder(water_system(80, 3))
+            .velocities_from_temperature(300.0, 7)
+            .decomposition(Decomposition::Nodes(8))
+            .threads(2)
+    }
+
     /// Kill-and-resume is bitwise equal to the uninterrupted run, and the
     /// restored bookkeeping (step counter, exchange counters) continues
     /// exactly where the interrupted run left off.
     #[test]
     fn interrupted_and_resumed_run_is_bitwise_identical() {
         let dir = ckpt_dir("resume");
-        let build = || {
-            AntonSimulation::builder(water_system(80, 3))
-                .velocities_from_temperature(300.0, 7)
-                .decomposition(Decomposition::Nodes(8))
-                .threads(2)
-        };
-        let mut golden = build().build();
+        let mut golden = resume_test_builder().build();
         golden.run_cycles(5);
 
         {
-            let mut sim = build().checkpoint_every(1).checkpoint_dir(&dir).build();
-            sim.run_cycles(3);
-            assert_eq!(
-                sim.checkpoint_stats(),
-                Some((3, sim.checkpoint_stats().unwrap().1))
-            );
+            let store = CheckpointStore::create(&dir, 3).unwrap();
+            let mut sim = resume_test_builder().build();
+            run_checkpointing(&mut sim, &store, 3);
+            assert_eq!(store.list().unwrap().len(), 3);
             // The "crash": sim dropped here without any shutdown path.
         }
-        let mut resumed = build().resume_from(&dir).expect("resume");
+        let mut resumed = resume_test_builder().resume_from(&dir).expect("resume");
         assert_eq!(
             resumed.step_count(),
             3 * resumed.system.params.longrange_every.max(1) as u64
@@ -998,20 +901,45 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A resumed start costs one evaluation of each force class — the
+    /// pipeline is built once, at the snapshot — and lands on the
+    /// uninterrupted run's force words, energies, counters and step.
+    #[test]
+    fn resume_evaluates_each_force_class_once() {
+        let mut sim = resume_test_builder().tracing(true).build();
+        sim.run_cycles(3);
+        let resumed = resume_test_builder()
+            .tracing(true)
+            .resume_from_snapshot(&sim.snapshot())
+            .expect("resume");
+        let spans = |phase: Phase| {
+            let buf = resumed.trace().buf().expect("tracing was enabled");
+            buf.spans().iter().filter(|s| s.phase == phase).count()
+        };
+        assert_eq!(spans(Phase::CacheRebuild) + spans(Phase::CacheReuse), 1);
+        assert_eq!(spans(Phase::Reciprocal), 1);
+        assert_eq!(resumed.short_forces(), sim.short_forces());
+        assert_eq!(resumed.long_forces(), sim.long_forces());
+        assert_eq!(
+            resumed.total_energy().to_bits(),
+            sim.total_energy().to_bits()
+        );
+        assert_eq!(
+            resumed.pipeline.counters.to_words(),
+            sim.pipeline.counters.to_words()
+        );
+        assert_eq!(resumed.step_count(), sim.step_count());
+    }
+
     /// Resume refuses a mismatched node/thread/config fingerprint with a
     /// typed error, before touching any state.
     #[test]
     fn resume_refuses_mismatched_configuration() {
         let dir = ckpt_dir("refuse");
         {
-            let mut sim = AntonSimulation::builder(water_system(80, 3))
-                .velocities_from_temperature(300.0, 7)
-                .decomposition(Decomposition::Nodes(8))
-                .threads(2)
-                .checkpoint_every(1)
-                .checkpoint_dir(&dir)
-                .build();
-            sim.run_cycles(1);
+            let store = CheckpointStore::create(&dir, 3).unwrap();
+            let mut sim = resume_test_builder().build();
+            run_checkpointing(&mut sim, &store, 1);
         }
         // Different node decomposition.
         let err = AntonSimulation::builder(water_system(80, 3))
@@ -1052,22 +980,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The fingerprint is the first check: a snapshot that is foreign *and*
+    /// carries a wrong atom count is refused as foreign. With the
+    /// fingerprint right, the atom count is what refuses it.
+    #[test]
+    fn fingerprint_is_checked_before_anything_else() {
+        let mut snap = resume_test_builder().build().snapshot();
+        snap.n_atoms += 1;
+        let err = resume_test_builder().resume_from_snapshot(&snap).err();
+        assert!(
+            matches!(err, Some(CkptError::AtomCountMismatch { .. })),
+            "{err:?}"
+        );
+        snap.fingerprint ^= 1;
+        let err = resume_test_builder().resume_from_snapshot(&snap).err();
+        assert!(
+            matches!(err, Some(CkptError::FingerprintMismatch { .. })),
+            "{err:?}"
+        );
+    }
+
     /// The rotated store keeps only the last K checkpoints, and resume
-    /// picks the newest.
+    /// picks the newest. (The cadence that was automatic is the caller's
+    /// loop now; the name is the one the test floor knows.)
     #[test]
     fn automatic_cadence_rotates_and_resumes_from_newest() {
         let dir = ckpt_dir("rotate");
         let k;
         {
+            let store = CheckpointStore::create(&dir, 2).unwrap();
             let mut sim = AntonSimulation::builder(water_system(60, 5))
                 .velocities_from_temperature(300.0, 9)
-                .checkpoint_every(1)
-                .checkpoint_dir(&dir)
-                .checkpoint_keep(2)
                 .build();
             k = sim.system.params.longrange_every.max(1) as u64;
-            sim.run_cycles(4);
-            assert_eq!(sim.checkpoint_stats().map(|(files, _)| files), Some(4));
+            run_checkpointing(&mut sim, &store, 4);
         }
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -1083,13 +1029,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A failed write is the caller's `Err` and nothing else: the
+    /// trajectory continued afterwards is the uninterrupted one.
     #[test]
-    fn write_checkpoint_without_a_store_is_a_typed_error() {
-        let mut sim = AntonSimulation::builder(water_system(60, 5))
-            .velocities_from_temperature(300.0, 9)
-            .build();
-        let err = sim.write_checkpoint().expect_err("no store configured");
-        assert!(matches!(err, anton_ckpt::CkptError::NotConfigured));
+    fn failed_checkpoint_write_is_an_io_error_and_leaves_the_trajectory_alone() {
+        let dir = ckpt_dir("unwritable");
+        let mut golden = resume_test_builder().build();
+        golden.run_cycles(3);
+
+        let store = CheckpointStore::create(&dir, 3).unwrap();
+        let mut sim = resume_test_builder().build();
+        run_checkpointing(&mut sim, &store, 1);
+        // A regular file takes the directory's place (permission bits
+        // would not stop a root test run).
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"not a directory").unwrap();
+        sim.run_cycle();
+        let err = sim.write_checkpoint(&store).err();
+        assert!(matches!(err, Some(CkptError::Io(_))), "{err:?}");
+        sim.run_cycle();
+        assert_eq!(sim.state, golden.state);
+        let _ = std::fs::remove_file(&dir);
     }
 
     #[test]

@@ -25,6 +25,14 @@
 //!   bit-for-bit (fixed-point velocity Verlet with round-to-nearest/even,
 //!   which is odd-symmetric).
 //!
+//! The engine computes and the caller persists: a simulation starts one
+//! way — [`SimulationBuilder::build`] at step 0, or
+//! [`SimulationBuilder::resume_from`] /
+//! [`SimulationBuilder::resume_from_snapshot`] at a verified snapshot,
+//! continuing bitwise — and leaves one way, [`AntonSimulation::snapshot`]
+//! or [`AntonSimulation::write_checkpoint`] into a [`CheckpointStore`] the
+//! caller created. It holds no store, no cadence and creates no directory.
+//!
 //! Quick start:
 //!
 //! ```no_run

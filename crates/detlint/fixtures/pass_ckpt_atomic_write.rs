@@ -1,8 +1,7 @@
 // Fixture: linted as crates/ckpt/src/good.rs — the sanctioned checkpoint
 // store shape. File names derive from the step counter (deterministic,
-// zero-padded), writes go through tmp + fsync + atomic rename, and the
-// single wall-clock read (the manifest's advisory written-at column) sits
-// behind an audited detlint::allow(D4).
+// zero-padded) and writes go through tmp + fsync + atomic rename: nothing
+// here reads a clock, so nothing needs an allow.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -22,12 +21,4 @@ pub fn write_atomic(dir: &Path, step: u64, bytes: &[u8]) -> std::io::Result<Path
     }
     std::fs::rename(&tmp_path, &final_path)?;
     Ok(final_path)
-}
-
-pub fn manifest_timestamp_ms() -> u64 {
-    // detlint::allow(D4, reason = "advisory manifest written-at column: operator bookkeeping at the file-I/O boundary; recovery order and file names derive from the step counter, never from this value")
-    let now = std::time::SystemTime::now();
-    now.duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }

@@ -169,17 +169,14 @@ fn ckpt_crate_is_on_the_simulation_path() {
 
 #[test]
 fn sanctioned_ckpt_atomic_write_shape_passes() {
-    // The shape the real `anton-ckpt` store uses: step-derived names,
-    // tmp + fsync + atomic rename, and exactly one audited wall-clock
-    // read for the advisory manifest timestamp.
+    // The shape the real `anton-ckpt` store uses: step-derived names and
+    // tmp + fsync + atomic rename, with no clock read to annotate.
     let lint = lint_source(
         "crates/ckpt/src/good.rs",
         &fixture("pass_ckpt_atomic_write.rs"),
     );
     assert_eq!(lint.violations, []);
-    assert_eq!(lint.allows.len(), 1);
-    assert_eq!(lint.allows[0].rule, "D4");
-    assert!(!lint.allows[0].reason.is_empty());
+    assert_eq!(lint.allows.len(), 0);
 }
 
 #[test]

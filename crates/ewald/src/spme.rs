@@ -29,17 +29,6 @@ pub fn bspline_deriv(n: usize, u: f64) -> f64 {
     bspline(n - 1, u) - bspline(n - 1, u - 1.0)
 }
 
-/// Wall time spent in each SPME phase (seconds, accumulated).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SpmeTimings {
-    /// Charge assignment (mesh interpolation, outbound).
-    pub spread_s: f64,
-    /// Forward FFT + Fourier-space multiply + inverse FFT.
-    pub fft_s: f64,
-    /// Force interpolation (mesh interpolation, inbound).
-    pub interp_s: f64,
-}
-
 /// An SPME plan.
 pub struct Spme {
     pub mesh: Mesh,
@@ -90,45 +79,39 @@ impl Spme {
     }
 
     /// Reciprocal energy (self-energy subtracted) with forces accumulated
-    /// into `forces`.
+    /// into `forces`: the three stages below, in order. A caller that
+    /// profiles (the Table 2 x86 breakdown separates "FFT & inverse FFT"
+    /// from "mesh interpolation") calls the stages itself and times them.
     pub fn compute(&self, positions: &[Vec3], charges: &[f64], forces: &mut [Vec3]) -> f64 {
-        self.compute_profiled(positions, charges, forces, &mut SpmeTimings::default())
+        let rho = self.assign_charges(positions, charges);
+        let (conv, energy) = self.convolve(&rho, charges);
+        self.gather_forces(positions, charges, &conv, forces);
+        energy
     }
 
-    /// As [`Self::compute`], but accumulates wall time per phase — the
-    /// Table 2 x86 profile separates "FFT & inverse FFT" from "mesh
-    /// interpolation" (charge assignment + force interpolation).
-    pub fn compute_profiled(
-        &self,
-        positions: &[Vec3],
-        charges: &[f64],
-        forces: &mut [Vec3],
-        timings: &mut SpmeTimings,
-    ) -> f64 {
+    /// Position in mesh units along each axis.
+    fn scaled(&self, p: Vec3) -> Vec3 {
         let [nx, ny, nz] = self.mesh.dims;
-        let n = self.order;
-        let mut q_arr = vec![0.0f64; self.mesh.len()];
+        let f = self.mesh.pbox.to_frac(p);
+        Vec3::new(f.x * nx as f64, f.y * ny as f64, f.z * nz as f64)
+    }
 
-        // Charge assignment.
-        // detlint::allow(D4, reason = "profiling timer for the Table 2 breakdown; feeds SpmeTimings only, never the trajectory")
-        let t0 = std::time::Instant::now();
-        let e = self.mesh.pbox.edge();
-        let scaled = |p: Vec3| {
-            let f = self.mesh.pbox.to_frac(p);
-            Vec3::new(f.x * nx as f64, f.y * ny as f64, f.z * nz as f64)
-        };
+    /// Stage 1, charge assignment: B-spline spreading onto the mesh.
+    pub fn assign_charges(&self, positions: &[Vec3], charges: &[f64]) -> Vec<f64> {
+        let mut q_arr = vec![0.0f64; self.mesh.len()];
         for (p, &q) in positions.iter().zip(charges) {
             if q == 0.0 {
                 continue;
             }
-            let u = scaled(*p);
-            spread_bspline(&mut q_arr, [nx, ny, nz], u, q, n);
+            spread_bspline(&mut q_arr, self.mesh.dims, self.scaled(*p), q, self.order);
         }
-        timings.spread_s += t0.elapsed().as_secs_f64();
+        q_arr
+    }
 
-        // Convolution.
-        // detlint::allow(D4, reason = "profiling timer for the Table 2 breakdown; feeds SpmeTimings only, never the trajectory")
-        let t1 = std::time::Instant::now();
+    /// Stage 2, convolution: forward FFT, Fourier-space multiply, inverse
+    /// FFT. Returns the convolved mesh and the reciprocal energy with the
+    /// self-energy of `charges` subtracted.
+    pub fn convolve(&self, q_arr: &[f64], charges: &[f64]) -> (Vec<f64>, f64) {
         let mut grid: Vec<Complex> = q_arr.iter().map(|&x| Complex::new(x, 0.0)).collect();
         self.fft.forward(&mut grid);
         let mut energy = 0.0;
@@ -137,22 +120,32 @@ impl Spme {
             *g = g.scale(d);
         }
         self.fft.inverse(&mut grid);
-        timings.fft_s += t1.elapsed().as_secs_f64();
         // Our inverse carries 1/N; the Parseval identity wants the plain sum,
         // so scale the convolution array by N.
         let n_total = self.mesh.len() as f64;
         let conv: Vec<f64> = grid.iter().map(|c| c.re * n_total).collect();
         energy *= COULOMB;
+        let self_energy = COULOMB * self.beta / std::f64::consts::PI.sqrt()
+            * charges.iter().map(|q| q * q).sum::<f64>();
+        (conv, energy - self_energy)
+    }
 
-        // Forces.
-        // detlint::allow(D4, reason = "profiling timer for the Table 2 breakdown; feeds SpmeTimings only, never the trajectory")
-        let t2 = std::time::Instant::now();
+    /// Stage 3, force gather: interpolate the convolved mesh's gradient at
+    /// each charge and accumulate into `forces`.
+    pub fn gather_forces(
+        &self,
+        positions: &[Vec3],
+        charges: &[f64],
+        conv: &[f64],
+        forces: &mut [Vec3],
+    ) {
+        let [nx, ny, nz] = self.mesh.dims;
+        let e = self.mesh.pbox.edge();
         for (i, (p, &q)) in positions.iter().zip(charges).enumerate() {
             if q == 0.0 {
                 continue;
             }
-            let u = scaled(*p);
-            let f = force_bspline(&conv, [nx, ny, nz], u, q, n);
+            let f = force_bspline(conv, self.mesh.dims, self.scaled(*p), q, self.order);
             // d u / d r = N / L per axis.
             forces[i] += Vec3::new(
                 -f.x * nx as f64 / e.x,
@@ -160,11 +153,6 @@ impl Spme {
                 -f.z * nz as f64 / e.z,
             ) * COULOMB;
         }
-        timings.interp_s += t2.elapsed().as_secs_f64();
-
-        let self_energy = COULOMB * self.beta / std::f64::consts::PI.sqrt()
-            * charges.iter().map(|q| q * q).sum::<f64>();
-        energy - self_energy
     }
 }
 

@@ -133,7 +133,11 @@ mod tests {
         // Codec and checkpoint errors keep their own tag and classification.
         assert!(FleetError::Ckpt(CkptError::BadMagic).is_corruption());
         assert_eq!(FleetError::Ckpt(CkptError::BadMagic).kind(), "bad_magic");
-        assert!(!FleetError::Ckpt(CkptError::NotConfigured).is_corruption());
+        assert!(!FleetError::Ckpt(CkptError::BadVersion {
+            got: 2,
+            expected: 1
+        })
+        .is_corruption());
     }
 
     #[test]

@@ -206,10 +206,6 @@ impl Fleet {
         self.cv.notify_all();
     }
 
-    pub fn is_stopping(&self) -> bool {
-        self.lock().stopping
-    }
-
     /// First claimable job in schedule order: queued, not out on a
     /// worker, not failed. Pure function of the (set-derived) schedule
     /// order and the claim set — so with one worker the execution order
@@ -326,17 +322,11 @@ fn apply_outcome(rec: &mut JobRecord, out: &SliceOutcome) {
 /// Run one quantum of one job. Store-driven: progress is read from the
 /// job's checkpoint store, never from the caller's bookkeeping.
 fn run_job_slice(cfg: &FleetConfig, id: JobId, spec: &JobSpec) -> Result<SliceOutcome, FleetError> {
-    let dir = cfg.job_dir(id);
-    let keep = cfg.keep.max(1);
-    let builder = spec
-        .builder()?
-        .checkpoint_dir(&dir)
-        .checkpoint_keep(keep)
-        .checkpoint_every(0);
-    // One read of the store per slice: the newest checkpoint that verifies
-    // is restored from the snapshot in hand; none (or no directory yet)
-    // means this is the job's first slice.
-    let (mut sim, resumed) = match CheckpointStore::open(&dir, keep).latest_valid() {
+    // The slice's one store: read for the newest checkpoint that verifies
+    // (none means this is the job's first slice), written once at the end.
+    let builder = spec.builder()?;
+    let store = CheckpointStore::create(cfg.job_dir(id), cfg.keep)?;
+    let (mut sim, resumed) = match store.latest_valid() {
         Ok((_, snap)) => (builder.resume_from_snapshot(&snap)?, true),
         Err(_) => (builder.build(), false),
     };
@@ -345,7 +335,7 @@ fn run_job_slice(cfg: &FleetConfig, id: JobId, spec: &JobSpec) -> Result<SliceOu
     let remaining = spec.cycles.saturating_sub(before);
     let slice = remaining.min(cfg.quantum.max(1));
     sim.run_cycles(slice as usize);
-    let ckpt_bytes = sim.write_checkpoint()?;
+    let ckpt_bytes = sim.write_checkpoint(&store)?;
 
     let cycles_done = sim.cycle_count();
     let done = cycles_done >= spec.cycles;
@@ -500,6 +490,35 @@ mod tests {
             assert_eq!(view.final_checksum, *golden, "{}", s.name);
             assert_eq!(view.violations, 0, "{}", s.name);
         }
+        cleanup(&fleet);
+    }
+
+    /// A job whose checkpoint directory cannot be created fails its slice
+    /// with a typed error and goes back to `Queued`; the worker survives,
+    /// the other job finishes and the drain returns. (Persisting a
+    /// `Failed` phase for such a job is the *Fail loudly* roadmap item's
+    /// job, not this test's.)
+    #[test]
+    fn uncreatable_job_dir_fails_the_slice_not_the_fleet() {
+        let fleet = temp_fleet("squatted", 2, 2);
+        let (good, bad) = (spec("good", 2, 0), spec("bad", 2, 1));
+        let golden = solo_checksum(&good);
+        // A regular file squats on the bad job's directory (permission
+        // bits would not stop a root test run).
+        let squatted = fleet.config().job_dir(bad.job_id());
+        std::fs::create_dir_all(squatted.parent().unwrap()).unwrap();
+        std::fs::write(&squatted, b"not a directory").unwrap();
+        for s in [&good, &bad] {
+            fleet.submit(s.clone()).unwrap();
+        }
+        fleet.run_to_completion();
+        let view = fleet.status(good.job_id()).unwrap();
+        assert_eq!(view.phase, JobPhase::Done);
+        assert_eq!(view.final_checksum, golden);
+        assert_eq!(view.violations, 0);
+        let view = fleet.status(bad.job_id()).unwrap();
+        assert_eq!(view.phase, JobPhase::Queued);
+        assert_eq!(view.cycles_done, 0);
         cleanup(&fleet);
     }
 }

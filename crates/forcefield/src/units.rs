@@ -13,10 +13,6 @@ pub const KB: f64 = 0.001_987_204_1;
 /// Conversion from (kcal/mol/Å) / amu to acceleration in Å/fs².
 pub const ACCEL: f64 = 4.184e-4;
 
-/// One day in femtoseconds; used when converting step rates to the paper's
-/// µs/day performance metric.
-pub const DAY_FS: f64 = 86_400.0e15;
-
 /// Convert a wall-clock seconds-per-step and a time step in fs into the
 /// paper's simulated-µs-per-day rate (1 µs = 1e9 fs).
 pub fn us_per_day(seconds_per_step: f64, dt_fs: f64) -> f64 {
@@ -54,6 +50,23 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
+/// Ewald splitting parameter β (1/Å) with `erfc(β·cutoff) = tol`, by
+/// bisection: the usual direct-space tolerance construction, which leaves
+/// the neglected erfc(β·r)/r tail a fixed small fraction of the bare
+/// Coulomb term at the cutoff.
+pub fn ewald_beta_for(cutoff: f64, tol: f64) -> f64 {
+    let (mut lo, mut hi) = (1e-3f64, 10.0f64);
+    for _ in 0..80 {
+        let mid = 0.5 * (lo + hi);
+        if erfc(mid * cutoff) > tol {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
 /// Error function, `erf(x) = 1 - erfc(x)`.
 pub fn erf(x: f64) -> f64 {
     1.0 - erfc(x)
@@ -78,6 +91,28 @@ mod tests {
         assert!((erfc(3.0) - 2.209_05e-5).abs() < 1e-9);
         assert!((erfc(-1.0) - (2.0 - 0.157_299_207)).abs() < 1e-8);
         assert!((erf(0.5) - 0.520_499_878).abs() < 1e-8);
+    }
+
+    /// The β bits of the two bisection bodies this function replaced
+    /// (`RunParams::ewald_beta` at 1e-5, `ForceEvaluator::conservative` at
+    /// 1e-9), recorded from them before they were deleted: every PPIP
+    /// table and every reference force hangs off these values.
+    #[test]
+    fn ewald_beta_is_pinned_bitwise() {
+        for (cutoff, run, conservative) in [
+            (6.5, 0x3fdec0ec6de44bd4u64, 0x3fe54489386ffc64u64),
+            (7.5, 0x3fdaa7334e2c41b8, 0x3fe26e990ec77456),
+            (9.0, 0x3fd63600167a36c4, 0x3fdeb8546df7173c),
+            (10.5, 0x3fd309b6eeb1e5cc, 0x3fda54daa76613ea),
+            (13.0, 0x3fcec0ec6de44bd4, 0x3fd54489386ffc64),
+        ] {
+            assert_eq!(ewald_beta_for(cutoff, 1e-5).to_bits(), run, "{cutoff}");
+            assert_eq!(
+                ewald_beta_for(cutoff, 1e-9).to_bits(),
+                conservative,
+                "{cutoff}"
+            );
+        }
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!   [`config`]: HTIS pipelines and match units (queueing simulated cycle by
 //!   cycle in [`htis`]), the torus links ([`topology`]) and the static
 //!   per-step exchange plan metered over them ([`exchange`]), the
-//!   distributed FFT traffic, the geometry cores and correction pipeline
-//!   ([`flex`]), and the on-chip ring's hop and transfer estimates
-//!   ([`ring`]). Free constants are calibrated against a single column of
-//!   the paper's Table 2 (see DESIGN.md §6); everything else is prediction.
+//!   distributed FFT traffic, and the geometry cores and correction
+//!   pipeline ([`flex`]). Free constants are calibrated against a single
+//!   column of the paper's Table 2 (see DESIGN.md §6); everything else is
+//!   prediction.
 
 pub mod config;
 pub mod exchange;
@@ -24,7 +24,6 @@ pub mod flex;
 pub mod htis;
 pub mod perf;
 pub mod ppip;
-pub mod ring;
 pub mod tables;
 pub mod topology;
 
@@ -33,5 +32,4 @@ pub use exchange::{ExchangePlan, Link, MeshExchange, FORCE_BYTES, MESH_BYTES, PO
 pub use htis::{HtisRun, HtisSim};
 pub use perf::{modeled_burst_us, ExchangeCounters, PerfModel, StepBreakdown, SystemStats};
 pub use ppip::{PairBatch, Ppip, MATCH_WIDTH, R2_FRAC};
-pub use ring::{Ring, Station};
 pub use tables::{FunctionTable, TableSpec};

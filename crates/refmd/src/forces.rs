@@ -4,7 +4,7 @@ use crate::profile::TaskProfile;
 use anton_ewald::direct::DirectKernel;
 use anton_ewald::{Mesh, Spme};
 use anton_forcefield::bonded;
-use anton_forcefield::units::erfc;
+use anton_forcefield::units::ewald_beta_for;
 use anton_forcefield::water::{vsite_position, vsite_spread_force};
 use anton_geometry::{CellGrid, Vec3};
 use anton_systems::System;
@@ -56,18 +56,7 @@ impl ForceEvaluator {
         let e = sys.pbox.edge();
         let min_edge = e.x.min(e.y).min(e.z);
         let cutoff = (sys.params.cutoff + 3.0).min(min_edge / 2.0 - 0.51);
-        let beta = {
-            let (mut lo, mut hi) = (1e-3f64, 10.0f64);
-            for _ in 0..80 {
-                let mid = 0.5 * (lo + hi);
-                if erfc(mid * cutoff) > 1e-9 {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            0.5 * (lo + hi)
-        };
+        let beta = ewald_beta_for(cutoff, 1e-9);
         let mesh_dims = sys.params.mesh.map(|m| m * 2);
         ForceEvaluator {
             kernel: DirectKernel::reference(beta, cutoff),
@@ -135,12 +124,17 @@ impl ForceEvaluator {
         let top = &sys.topology;
         let mut en = Energies::default();
 
-        let mut timings = anton_ewald::spme::SpmeTimings::default();
-        en.reciprocal = self
-            .spme
-            .compute_profiled(pos, &top.charge, forces, &mut timings);
-        profile.fft_s += timings.fft_s;
-        profile.mesh_s += timings.spread_s + timings.interp_s;
+        // Table 2 separates "FFT & inverse FFT" from "mesh interpolation"
+        // (charge assignment + force gather), so the stages are timed apart.
+        let t0 = Instant::now();
+        let rho = self.spme.assign_charges(pos, &top.charge);
+        let t1 = Instant::now();
+        let (conv, reciprocal) = self.spme.convolve(&rho, &top.charge);
+        let t2 = Instant::now();
+        self.spme.gather_forces(pos, &top.charge, &conv, forces);
+        en.reciprocal = reciprocal;
+        profile.fft_s += (t2 - t1).as_secs_f64();
+        profile.mesh_s += (t1 - t0).as_secs_f64() + t2.elapsed().as_secs_f64();
 
         // Corrections: remove the reciprocal-space contribution of excluded
         // pairs entirely, and all but the scaled fraction for 1-4 pairs.

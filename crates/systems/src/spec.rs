@@ -31,23 +31,10 @@ impl RunParams {
         }
     }
 
-    /// Ewald splitting parameter β (1/Å) chosen so that erfc(β·rc)/rc is a
-    /// fixed small fraction of the bare Coulomb term at the cutoff — the
-    /// usual direct-space tolerance construction.
+    /// Ewald splitting parameter β (1/Å) at the production direct-space
+    /// tolerance, `erfc(β·cutoff) = 1e-5`.
     pub fn ewald_beta(&self) -> f64 {
-        // Solve erfc(beta * rc) = tol by bisection.
-        let tol = 1e-5f64;
-        let rc = self.cutoff;
-        let (mut lo, mut hi) = (1e-3f64, 10.0f64);
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            if anton_forcefield::units::erfc(mid * rc) > tol {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
+        anton_forcefield::units::ewald_beta_for(self.cutoff, 1e-5)
     }
 }
 

@@ -21,7 +21,7 @@
 //! with the suspicion it deserves.
 
 use anton_analysis::battery::Verifier;
-use anton_core::{AntonSimulation, Decomposition, TracePhase};
+use anton_core::{AntonSimulation, CheckpointStore, Decomposition, TracePhase};
 use anton_systems::spec::RunParams;
 use anton_systems::System;
 
@@ -127,15 +127,17 @@ fn assert_resume_golden(nodes: usize) {
                 Decomposition::Nodes(nodes)
             };
             {
+                let store = CheckpointStore::create(&dir, 3).expect("scratch store");
                 let mut sim = AntonSimulation::builder(golden_waterbox())
                     .velocities_from_temperature(300.0, 7)
                     .decomposition(decomposition)
                     .threads(threads)
                     .tracing(tracing)
-                    .checkpoint_every(1)
-                    .checkpoint_dir(&dir)
                     .build();
-                sim.run_cycles(CYCLES - 1);
+                for _ in 1..CYCLES {
+                    sim.run_cycle();
+                    sim.write_checkpoint(&store).expect("checkpoint write");
+                }
                 assert_eq!(
                     sim.state.checksum(),
                     GOLDEN_CYCLE_CHECKSUMS[CYCLES - 2],
@@ -268,19 +270,18 @@ fn enabled_tracing_covers_every_pipeline_phase() {
         (Decomposition::SingleRank, 1, 1),
         (Decomposition::Nodes(8), 8, 2),
     ] {
-        // Checkpointing is enabled so the `checkpoint` phase (emitted only
-        // when a store is configured) appears alongside the per-step
-        // pipeline phases.
+        // A checkpoint is written so the `checkpoint` phase (emitted only
+        // by a write) appears alongside the per-step pipeline phases.
         let dir = scratch_ckpt_dir("phases", nodes, threads, true);
+        let store = CheckpointStore::create(&dir, 3).expect("scratch store");
         let mut sim = AntonSimulation::builder(golden_waterbox())
             .velocities_from_temperature(300.0, 7)
             .decomposition(decomposition)
             .threads(threads)
             .tracing(true)
-            .checkpoint_every(1)
-            .checkpoint_dir(&dir)
             .build();
         sim.run_cycles(2);
+        sim.write_checkpoint(&store).expect("checkpoint write");
         let buf = sim.trace().buf().expect("tracing was enabled");
         let mut spans = [0usize; TracePhase::ALL.len()];
         for s in buf.spans() {
