@@ -5,10 +5,10 @@
 //! fleet's `JobStatusView`s).
 //!
 //! Only model-derived and counted quantities are exported — wall-clock
-//! fields (`ms_per_step`, `lr_ms_per_eval`, `measured_ns`, `serialize_us`)
-//! are deliberately excluded so the rendered bytes are a pure function of
-//! the configuration. `paper tables`, `scaling` and `fleet_drill` rewrite
-//! `results/TABLE_*.csv`; CI diffs the bytes.
+//! fields (`measured_ns`, `serialize_us`) are deliberately excluded so the
+//! rendered bytes are a pure function of the configuration. `paper tables`,
+//! `scaling` and `fleet_drill` rewrite `results/TABLE_*.csv`; CI diffs the
+//! bytes.
 
 use anton_analysis::artifacts::{micro_from_f64, Cell, Table};
 use anton_core::system_stats;
@@ -131,14 +131,10 @@ pub fn table4() -> Table {
     t
 }
 
-/// One measured + modeled configuration of the scaling sweep.
+/// One counted + modeled configuration of the scaling sweep.
 pub struct Row {
     pub nodes: usize,
     pub threads: usize,
-    pub ms_per_step: f64,
-    /// Wall time of one full long-range evaluation (reciprocal phase +
-    /// overlapped corrections), isolated from the rest of the step.
-    pub lr_ms_per_eval: f64,
     pub links_per_rank: u64,
     pub kb_per_step_rank: f64,
     pub mean_hops: f64,
@@ -367,8 +363,6 @@ mod tests {
         let row = Row {
             nodes: 8,
             threads: 2,
-            ms_per_step: 7.03125,
-            lr_ms_per_eval: 3.515625,
             links_per_rank: 4,
             kb_per_step_rank: 60.282629,
             mean_hops: 1.25,
@@ -384,8 +378,6 @@ mod tests {
             checksum: 0x9e6b_6ba9_19bb_f63a,
         };
         let csv = scaling_table(12, &[row]).render_csv();
-        assert!(!csv.contains("ms_per_step") && !csv.contains("lr_ms_per_eval"));
-        assert!(!csv.contains("7.03125") && !csv.contains("3.515625"));
         assert!(csv.contains("8,2,12,4,60.282629,1.250000,4.313569,384.000000"));
         assert!(csv.contains("0x9e6b6ba919bbf63a"));
     }

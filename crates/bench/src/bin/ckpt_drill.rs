@@ -51,7 +51,7 @@ fn run_then_die(dir: &Path, keep: usize, cycles: usize) -> CheckpointStore {
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
-    anton_bench::report::fresh_dir("ckpt_drill", name)
+    anton_bench::report::fresh_dir("ckpt_drill", name).expect("create drill scratch directory")
 }
 
 /// Run the closed-form identity battery over a finished simulation and
@@ -105,7 +105,6 @@ fn kill_resume_leg(report: &mut Report, kill_cycle: usize, golden_final: u64, k:
             format!("resume failed: {e}"),
         ),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Corruption drill: against a 4-checkpoint store, truncate and bit-flip
@@ -202,7 +201,6 @@ fn corruption_leg(report: &mut Report) -> (u64, u64) {
         healed,
         format!("restored newest (step {newest_step}) loads again"),
     );
-    let _ = std::fs::remove_dir_all(&dir);
     (injections, detections)
 }
 
@@ -228,7 +226,6 @@ fn tmp_invisibility_leg(report: &mut Report) {
         ok,
         format!("listed steps {names:?} with junk present"),
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Full recovery drill: corrupt the newest checkpoint *permanently*, then
@@ -270,7 +267,6 @@ fn recovery_leg(report: &mut Report, golden_final: u64, k: u64) {
             format!("resume failed outright: {e}"),
         ),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn main() {
@@ -316,5 +312,6 @@ fn main() {
         eprintln!("ckpt drill FAILED");
         std::process::exit(1);
     }
+    let _ = std::fs::remove_dir_all(anton_bench::report::scratch_root("ckpt_drill"));
     println!("ckpt drill passed: every fault detected, every recovery bitwise exact");
 }

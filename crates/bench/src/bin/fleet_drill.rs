@@ -68,7 +68,7 @@ fn solo_checksum(spec: &JobSpec) -> u64 {
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
-    anton_bench::report::fresh_dir("fleet_drill", name)
+    anton_bench::report::fresh_dir("fleet_drill", name).expect("create drill scratch directory")
 }
 
 /// Check a drained fleet's views against the goldens; returns a detail
@@ -164,7 +164,6 @@ fn canonical_pass(report: &mut Report, specs: &[JobSpec], goldens: &[u64]) {
         },
     );
 
-    let _ = std::fs::remove_dir_all(&fleet.config().state_dir);
     let table = fleet_table(CANONICAL_QUANTUM, &views, specs);
     let written = write_artifact("TABLE_fleet.csv", &table.render_csv());
     report.record(
@@ -189,7 +188,6 @@ fn invariance_matrix(report: &mut Report, specs: &[JobSpec], goldens: &[u64]) {
             fleet.run_to_completion();
             let (ok, detail) = check_against_golden(&fleet.list(), specs, goldens);
             report.record(&format!("matrix_q{quantum}_w{workers}"), ok, detail);
-            let _ = std::fs::remove_dir_all(&fleet.config().state_dir);
         }
     }
 }
@@ -305,7 +303,6 @@ mod killdrill {
     /// and a final drain checked bitwise against the goldens.
     pub fn run(report: &mut Report, specs: &[JobSpec], goldens: &[u64]) {
         let root = fresh_dir("daemon");
-        std::fs::create_dir_all(&root).expect("create drill root");
         let socket = root.join("s");
         let state = root.join("state");
         let total: u64 = specs.iter().map(|s| s.cycles).sum();
@@ -376,7 +373,6 @@ mod killdrill {
             status.success(),
             format!("daemon exit status {status}"),
         );
-        let _ = std::fs::remove_dir_all(&root);
     }
 }
 
@@ -425,6 +421,7 @@ fn main() {
         eprintln!("fleet drill FAILED");
         std::process::exit(1);
     }
+    let _ = std::fs::remove_dir_all(anton_bench::report::scratch_root("fleet_drill"));
     println!(
         "fleet drill passed: every schedule, restart, and corruption path \
          reached the solo-run checksums"

@@ -11,7 +11,6 @@ use anton_bench::artifacts::table4_rows;
 use anton_core::AntonSimulation;
 use anton_machine::PerfModel;
 use anton_refmd::reference::{reference_forces, rms_force_error};
-use anton_systems::catalog::build_solvated;
 use anton_systems::spec::RunParams;
 use anton_systems::{table4_system, TABLE4};
 
@@ -116,7 +115,6 @@ pub fn run() {
          cannot resolve the paper's second digit.",
         0.001 / (window * 1e-9)
     );
-    let _ = build_solvated; // full-scale builder exercised by --full force errors
 }
 
 /// Numerical force error: table/fixed-point forces vs exact-kernel f64

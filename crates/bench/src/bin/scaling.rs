@@ -1,8 +1,9 @@
-//! Node/thread scaling on the simulated machine: measured step time, the
-//! long-range (reciprocal) phase broken out, modeled torus communication
-//! from the exchange-plan counters — now including the distributed FFT's
-//! pencil messages and the mesh-halo traffic — and a bitwise cross-check
-//! that every configuration produces the same trajectory.
+//! The invariance sweep on the simulated machine: one waterbox under every
+//! node-count x thread-count configuration, with modeled torus
+//! communication from the exchange-plan counters — including the
+//! distributed FFT's pencil messages and the mesh-halo traffic — and a
+//! bitwise cross-check that every configuration produces the same
+//! trajectory.
 //!
 //! `cargo run --release -p anton-bench --bin scaling [--full]`
 //!
@@ -16,25 +17,25 @@
 //! The deterministic columns of every row — modeled comm, exact census,
 //! checksums — are rendered here, by the process that holds them, into
 //! `results/TABLE_scaling.csv`, `TABLE_trace_phases.csv` and
-//! `TABLE_ckpt.csv`; CI diffs the bytes. The measured step times are
-//! printed only: the speed gate is `benchmark/compare.sh`, whose bounds are
-//! normalised to the host. A failed assert or an unwritable artifact exits
-//! non-zero.
+//! `TABLE_ckpt.csv`; CI diffs the bytes. Nothing here is a stopwatch: step
+//! speed is measured by `bash benchmark/run.sh --workload water_ranks` and
+//! gated by `benchmark/compare.sh`, whose bounds are normalised to the
+//! host. A failed assert or an unwritable artifact exits non-zero.
 
 use anton_analysis::battery::Verifier;
 use anton_analysis::verify::check_census_invariance;
 use anton_bench::artifacts::{
     ckpt_table, scaling_table, trace_phases_table, CkptStats, Row, TraceRow,
 };
+use anton_bench::report::{fresh_dir, scratch_root};
 use anton_bench::{water_box, write_artifact};
 use anton_ckpt::CheckpointStore;
-use anton_core::{AntonSimulation, Decomposition, RawForces};
+use anton_core::{AntonSimulation, Decomposition};
 use anton_machine::perf::ExchangeCounters;
 use anton_machine::MachineConfig;
 use anton_systems::spec::RunParams;
 use anton_systems::System;
 use anton_trace::{chrome_trace_json, phase_summary, summary_table};
-use std::time::Instant;
 
 fn waterbox(full: bool) -> System {
     let (edge, waters) = if full { (36.0, 1500) } else { (22.0, 340) };
@@ -48,22 +49,6 @@ fn mean_reuse_interval(rebuilds: u64, reuses: u64) -> f64 {
     } else {
         (rebuilds + reuses) as f64 / rebuilds as f64
     }
-}
-
-/// Time the long-range phase in isolation, leaving the trajectory and the
-/// exchange counters exactly as they were (counters are snapshot/restored
-/// so the timing reps don't perturb the per-step averages).
-fn time_long_range(sim: &mut AntonSimulation, reps: u32) -> f64 {
-    let saved = sim.pipeline.counters;
-    let mut tmp = RawForces::zeroed(sim.system.n_atoms());
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        tmp.clear();
-        sim.pipeline.long_range(&sim.system, &sim.state, &mut tmp);
-    }
-    let dt = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
-    sim.pipeline.counters = saved;
-    dt
 }
 
 /// Re-run a few decompositions with the trace subsystem enabled. Each
@@ -96,9 +81,10 @@ fn traced_pass(sys: &System, cycles: usize) -> Result<(Vec<TraceRow>, CkptStats)
         // trajectory is unaffected (checkpointing is observability-only),
         // which the invariance assertion below re-proves every run.
         let store = if nodes == 8 {
-            let _ = std::fs::remove_dir_all("target/ckpt_scaling");
-            let store = CheckpointStore::create("target/ckpt_scaling", 2);
-            Some(store.map_err(|e| format!("target/ckpt_scaling: {e}"))?)
+            let dir =
+                fresh_dir("scaling", "ckpt").map_err(|e| format!("scratch directory: {e}"))?;
+            let store = CheckpointStore::create(&dir, 2);
+            Some(store.map_err(|e| format!("{}: {e}", dir.display()))?)
         } else {
             None
         };
@@ -159,7 +145,6 @@ fn run() -> Result<(), String> {
     let cycles = if full { 20 } else { 8 };
     let k = sys.params.longrange_every.max(1) as u64;
     let steps = cycles as u64 * k;
-    let lr_reps = if full { 10 } else { 4 };
 
     anton_bench::header(
         &format!(
@@ -170,8 +155,6 @@ fn run() -> Result<(), String> {
         &[
             "nodes",
             "thr",
-            "ms/step",
-            "lr ms",
             "links/rank",
             "KB/step·rank",
             "hops",
@@ -181,18 +164,6 @@ fn run() -> Result<(), String> {
             "state",
         ],
     );
-
-    // Warm the host (CPU frequency, page cache, lazily-faulted buffers)
-    // before the first timed row; without this the process's cold start
-    // bills itself entirely to the 1-node/1-thread row. The warmup state
-    // is dropped, so row trajectories are untouched.
-    {
-        let mut warm = AntonSimulation::builder(sys.clone())
-            .velocities_from_temperature(300.0, 7)
-            .decomposition(Decomposition::SingleRank)
-            .build();
-        warm.run_cycles(2);
-    }
 
     let mut rows: Vec<Row> = Vec::new();
     let mut row_counters: Vec<ExchangeCounters> = Vec::new();
@@ -208,18 +179,12 @@ fn run() -> Result<(), String> {
                 .decomposition(decomposition)
                 .threads(threads)
                 .build();
-            let t0 = Instant::now();
             sim.run_cycles(cycles);
-            let ms_per_step = t0.elapsed().as_secs_f64() * 1e3 / steps as f64;
-            let lr_ms_per_eval = time_long_range(&mut sim, lr_reps);
 
             // Closed-form identity battery over the final state: the
             // verifier's serial recompute cross-checks every force word and
             // energy scalar bitwise, and the census identities audit the
-            // cumulative exchange counters. Sampled after the timed loop so
-            // the recompute doesn't bill itself to `ms_per_step`
-            // (`time_long_range` snapshots/restores the counters, so the
-            // cumulative identities still hold here).
+            // cumulative exchange counters.
             let mut verifier = Verifier::new(&sim);
             verifier.sample(&sim);
             verifier.assert_clean();
@@ -228,8 +193,6 @@ fn run() -> Result<(), String> {
             let mut row = Row {
                 nodes,
                 threads,
-                ms_per_step,
-                lr_ms_per_eval,
                 links_per_rank: 0,
                 kb_per_step_rank: 0.0,
                 mean_hops: 0.0,
@@ -257,11 +220,9 @@ fn run() -> Result<(), String> {
                 row.halo_kb_per_rank_lr = c.mesh_halo_bytes_per_rank_lr_step(n) / 1024.0;
             }
             println!(
-                "{:>5} | {:>3} | {:>7.3} | {:>7.3} | {:>10} | {:>12.2} | {:>4.2} | {:>15.3} | {:>12.1} | {:>11.2} | {:016x}",
+                "{:>5} | {:>3} | {:>10} | {:>12.2} | {:>4.2} | {:>15.3} | {:>12.1} | {:>11.2} | {:016x}",
                 row.nodes,
                 row.threads,
-                row.ms_per_step,
-                row.lr_ms_per_eval,
                 row.links_per_rank,
                 row.kb_per_step_rank,
                 row.mean_hops,
@@ -332,5 +293,6 @@ fn run() -> Result<(), String> {
     ] {
         write_artifact(&format!("{}.csv", table.name), &table.render_csv())?;
     }
+    let _ = std::fs::remove_dir_all(scratch_root("scaling"));
     Ok(())
 }

@@ -1,5 +1,6 @@
 //! Pass/fail report shared by the crash drills: named legs printed as they
-//! are recorded and rendered to one JSON document for upload.
+//! are recorded and rendered to one JSON document for upload. Also the
+//! binaries' scratch directories ([`fresh_dir`]).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -89,11 +90,20 @@ fn json_string(text: &str, out: &mut String) {
     out.push('"');
 }
 
-/// An emptied scratch directory `target/<drill>/<name>` for one drill leg.
-pub fn fresh_dir(drill: &str, name: &str) -> PathBuf {
-    let dir = PathBuf::from("target").join(drill).join(name);
+/// The per-process scratch root of one binary, `<temp>/anton-<bin>-<pid>`:
+/// outside the checkout whatever the invocation directory, and private to
+/// this run, so concurrent runs of one binary cannot empty each other's
+/// directories. The binary removes it once it has succeeded.
+pub fn scratch_root(bin: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("anton-{bin}-{}", std::process::id()))
+}
+
+/// An existing, emptied scratch directory `<scratch_root(bin)>/<name>`.
+pub fn fresh_dir(bin: &str, name: &str) -> std::io::Result<PathBuf> {
+    let dir = scratch_root(bin).join(name);
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir)
 }
 
 #[cfg(test)]
@@ -115,6 +125,28 @@ mod tests {
              \"open \\\"C:\\\\tmp\\\\x\\\":\\nno\\tsuch\\u0001file\"}\n  ],\n  \
              \"passed\": false\n}\n"
         );
+    }
+
+    #[test]
+    fn fresh_dir_is_an_emptied_private_directory_under_the_temp_dir() {
+        let a = fresh_dir("report-test", "a").unwrap();
+        assert!(a.starts_with(std::env::temp_dir()));
+        assert!(a.starts_with(scratch_root("report-test")));
+        std::fs::write(a.join("stale"), b"x").unwrap();
+
+        let again = fresh_dir("report-test", "a").unwrap();
+        assert_eq!(again, a);
+        assert_eq!(std::fs::read_dir(&a).unwrap().count(), 0);
+
+        let b = fresh_dir("report-test", "b").unwrap();
+        assert_ne!(a, b);
+        std::fs::write(b.join("kept"), b"x").unwrap();
+        fresh_dir("report-test", "a").unwrap();
+        assert!(
+            b.join("kept").exists(),
+            "names under one bin must not alias"
+        );
+        std::fs::remove_dir_all(scratch_root("report-test")).unwrap();
     }
 
     #[test]

@@ -16,17 +16,14 @@
 //! | D3 | `fixpoint` outside `rounding.rs` | lossy integer `as` casts |
 //! | D4 | deterministic crates | `Instant`, `SystemTime`, thread-topology reads |
 //! | D5 | deterministic crates | rayon reductions (`par_iter().sum()` etc.) |
-//! | D6 | workspace call graph | simulation-root call chains reaching a nondeterminism source with no audited boundary in between |
+//! | D6 | wherever D2, D4 or D5 applies | a `detlint::allow` of one of them in a file [`policy::NONDET_AUDITED_FILES`] does not name |
 //! | D7 | deterministic crates outside `fixpoint` | unchecked `+ - * <<` on raw fixed-point values (`.raw()`) |
 //! | D8 | `ckpt` + `trace` payload paths | native-endian byte serialization (`to_ne_bytes`, `transmute`, `as_bytes`, ...) |
 //! | META | everywhere | malformed detlint directives |
 //!
-//! D1–D5, D7, D8 are per-file lexical rules ([`lint_source`]). D6 is the
-//! workspace taint pass ([`lint_sources`]): it parses every deterministic
-//! crate into a call graph ([`graph`]), seeds taint at D1/D4-class raw
-//! sources and at nondeterminism-class `allow` sites, and propagates along
-//! call edges from the `core::engine` cycle roots ([`taint`]). A reachable
-//! tainted item is reported with its full call chain.
+//! Every rule is lexical and per-file ([`lint_source`]): it reads one
+//! token stream and one table in [`policy`]. The workspace result
+//! ([`lint_sources`]) is the concatenation, sorted by path.
 //!
 //! `#[cfg(test)]` regions are exempt, as are `tests/`, `benches/`,
 //! `examples/` and `src/bin` trees: the rules police shipped simulation
@@ -34,25 +31,24 @@
 //!
 //! ## Escape hatches
 //!
-//! * `// detlint::allow(D4, reason = "...")` — suppresses one rule on the
+//! * `// detlint::allow(D7, reason = "...")` — suppresses one rule on the
 //!   directive's line and the next code line. The reason is mandatory.
+//!   Allowing D2, D4 or D5 is itself a violation (D6) outside the audited
+//!   files, and D6 has no allow: admitting a wall-clock, hash-order or
+//!   reduction-order site takes an edit to `policy.rs`.
 //! * `// detlint::boundary(reason = "...")` — declares the next item an
-//!   audited quantization boundary: D1 and D3 are permitted inside it,
-//!   and the D6 taint pass treats it as an absorber (taint neither seeds
-//!   inside it nor flows through it). This is how `from_f64`/`to_f64`
-//!   conversions and audited observability clocks are marked.
+//!   audited quantization boundary: D1 and D3 are permitted inside it.
+//!   This is how the `from_f64`/`to_f64` conversions are marked. In a file
+//!   where neither D1 nor D3 applies the directive is malformed.
 //!
 //! Malformed directives (unknown rule id, missing reason) are themselves
 //! violations (META), so a typo cannot silently disable a rule.
 
-pub mod explain;
-pub mod graph;
 pub mod lexer;
 pub mod lint;
 pub mod policy;
 pub mod report;
 pub mod rules;
-pub mod taint;
 
 pub use lint::{lint_sources, lint_workspace, WorkspaceLint};
 pub use rules::{lint_source, Allow, Boundary, FileLint, Violation};

@@ -1,14 +1,7 @@
-//! Workspace walking and aggregation.
-//!
-//! v2 runs two passes over the same token streams: the per-file rules
-//! (D1–D5, D7, D8, META) and the workspace-level taint analysis (D6),
-//! which needs every deterministic crate in one call graph.
+//! Workspace walking and aggregation: every rule is per-file, so the
+//! workspace result is the sorted concatenation of the per-file ones.
 
-use crate::graph::Graph;
-use crate::lexer::{lex, Tok, TokKind};
-use crate::rules::{lint_tokens, Allow, Boundary, Violation};
-use crate::taint::{self, FileSeeds};
-use crate::{policy, rules};
+use crate::rules::{lint_source, Allow, Boundary, Violation};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -47,10 +40,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lint a set of in-memory sources as one workspace: per-file rules plus
-/// the cross-crate taint pass. Input order does not matter — files are
-/// sorted by path first, so the result is a pure function of the set.
-/// This is the unit the multi-file (D6) fixture tests drive directly.
+/// Lint a set of in-memory sources as one workspace. Input order does not
+/// matter — files are sorted by path first and each file's findings come
+/// back in line order, so the result is a sorted, pure function of the set.
 pub fn lint_sources(files: &[(String, String)]) -> WorkspaceLint {
     let mut sorted: Vec<(&str, &str)> = files
         .iter()
@@ -60,69 +52,14 @@ pub fn lint_sources(files: &[(String, String)]) -> WorkspaceLint {
     sorted.dedup_by_key(|(p, _)| *p);
 
     let mut ws = WorkspaceLint::default();
-    let mut graph = Graph::default();
-    let mut seeds: Vec<FileSeeds> = Vec::new();
-
     for (rel, src) in sorted {
-        let toks = lex(src);
-        let lint = lint_tokens(rel, &toks);
+        let lint = lint_source(rel, src);
         ws.files.push(rel.to_string());
-
-        if policy::graph_applies(rel) {
-            let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
-            let test_regions = rules::find_test_regions(&code);
-            graph.add_file(rel, &toks, &test_regions);
-
-            let in_boundary = |line: u32| {
-                lint.boundaries
-                    .iter()
-                    .any(|b| (b.line..=b.end_line).contains(&line))
-            };
-            seeds.push(FileSeeds {
-                file: rel.to_string(),
-                boundaries: lint
-                    .boundaries
-                    .iter()
-                    .map(|b| (b.line, b.end_line))
-                    .collect(),
-                sources: lint.taint_sources.clone(),
-                allow_seeds: lint
-                    .allows
-                    .iter()
-                    .filter(|a| policy::TAINT_SEED_RULES.contains(&a.rule) && !in_boundary(a.line))
-                    .map(|a| {
-                        (
-                            a.line,
-                            format!(
-                                "detlint::allow({}) at {}:{} ({})",
-                                a.rule, rel, a.line, a.reason
-                            ),
-                        )
-                    })
-                    .collect(),
-                d6_allowed_lines: lint
-                    .allowed_lines
-                    .iter()
-                    .filter(|(r, _)| *r == "D6")
-                    .map(|&(_, l)| l)
-                    .collect(),
-            });
-        }
-
         ws.violations.extend(lint.violations);
         ws.allows.extend(lint.allows);
         ws.boundaries.extend(lint.boundaries);
     }
 
-    ws.violations.extend(taint::analyze(&graph, &seeds));
-
-    ws.files.sort();
-    ws.violations
-        .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    ws.allows
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    ws.boundaries
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     ws
 }
 

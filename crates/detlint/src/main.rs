@@ -1,6 +1,4 @@
-//! CLI:
-//!   `detlint check [--root <dir>] [--json <file>] [--github]`
-//!   `detlint explain <rule>|all`
+//! CLI: `detlint check [--root <dir>] [--json <file>] [--github]`
 //!
 //! `check` renders the report and compares it, in memory, with the tracked
 //! `<root>/results/detlint_baseline.json`; `--json <file>` also writes it
@@ -35,16 +33,11 @@ fn main() -> ExitCode {
     let mut root = default_root();
     let mut json: Option<PathBuf> = None;
     let mut github = false;
-    let mut explain: Option<String> = None;
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
             // `check` is the default subcommand; it may also be omitted.
             "check" => {}
-            "explain" => match args.next() {
-                Some(rule) => explain = Some(rule),
-                None => return usage("explain needs a rule id (D1..D8, META) or `all`"),
-            },
             "--root" => match args.next() {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage("--root needs a value"),
@@ -60,10 +53,6 @@ fn main() -> ExitCode {
             }
             other => return usage(&format!("unknown argument `{other}`")),
         }
-    }
-
-    if let Some(rule) = explain {
-        return run_explain(&rule);
     }
 
     let ws = match detlint::lint_workspace(&root) {
@@ -105,15 +94,6 @@ fn main() -> ExitCode {
         ws.allows.len(),
         ws.boundaries.len()
     );
-    if !ws.violations.is_empty() {
-        let mut rules: Vec<&str> = ws.violations.iter().map(|v| v.rule).collect();
-        rules.sort();
-        rules.dedup();
-        for rule in rules {
-            println!("detlint: run `detlint explain {rule}` for rationale and examples");
-        }
-    }
-
     let report = detlint::report::to_json(&ws);
     if let Some(path) = json {
         if let Err(e) = std::fs::write(&path, &report) {
@@ -149,31 +129,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_explain(rule: &str) -> ExitCode {
-    if rule.eq_ignore_ascii_case("all") {
-        for (i, r) in detlint::policy::ALL_RULES.iter().enumerate() {
-            if i > 0 {
-                println!("\n{}\n", "=".repeat(72));
-            }
-            if let Some(text) = detlint::explain::render(r) {
-                println!("{text}");
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-    let canonical = rule.to_ascii_uppercase();
-    match detlint::explain::render(&canonical) {
-        Some(text) => {
-            println!("{text}");
-            ExitCode::SUCCESS
-        }
-        None => usage(&format!(
-            "unknown rule `{rule}`; expected one of {} or `all`",
-            detlint::policy::ALL_RULES.join(", ")
-        )),
-    }
-}
-
 fn usage(msg: &str) -> ExitCode {
     eprintln!("detlint: {msg}");
     print_usage();
@@ -181,8 +136,5 @@ fn usage(msg: &str) -> ExitCode {
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage: detlint [check] [--root <dir>] [--json <file>] [--github]\n\
-         \x20      detlint explain <rule>|all"
-    );
+    eprintln!("usage: detlint [check] [--root <dir>] [--json <file>] [--github]");
 }

@@ -72,22 +72,13 @@ pub const D5_THREAD_IDENTS: &[&str] = &["spawn", "scope", "try_iter", "recv", "r
 /// Reduction combinators that are order-sensitive over floats.
 pub const D5_REDUCERS: &[&str] = &["sum", "reduce", "fold", "product"];
 
-/// Simulation-path roots for the cross-crate taint analysis (D6): the
-/// engine entry points every deterministic trajectory flows through. A
-/// function transitively reachable from one of these that calls a tainted,
-/// non-boundary item is a D6 violation.
-pub const D6_ROOTS: &[(&str, &str)] = &[
-    ("crates/core/src/engine.rs", "run_cycle"),
-    ("crates/core/src/engine.rs", "run_cycles"),
-    ("crates/core/src/engine.rs", "inner_step"),
-];
-
-/// Allow directives of these rules seed taint (D6): each one marks a site
-/// where host-dependent behavior was deliberately admitted, so every caller
-/// chain reaching it must pass through an audited `detlint::boundary`.
-/// D1/D3 allows are value-precision escapes — deterministic by construction
-/// — and do not seed.
-pub const TAINT_SEED_RULES: &[&str] = &["D2", "D4", "D5"];
+/// Files where a `detlint::allow` of D2, D4 or D5 is legal (D6). Such an
+/// allow admits host-dependent behaviour — hash order, the wall clock, a
+/// scheduling-ordered reduction — onto the simulation path, so each file
+/// holding one is audited by hand and named here; anywhere else the
+/// directive itself is a violation, and `allow(D6)` does not exist.
+/// Admitting a new site therefore takes an edit to this table.
+pub const NONDET_AUDITED_FILES: &[&str] = &["crates/trace/src/clock.rs"];
 
 /// Method names whose raw fixed-point result must not feed bare `+ - * <<`
 /// arithmetic outside the fixpoint crate (D7): these expose the two's-
@@ -143,12 +134,6 @@ pub fn d5_applies(rel: &str) -> bool {
     in_src(rel) && crate_of(rel).is_some_and(|c| DET_CRATES.contains(&c))
 }
 
-/// Files included in the cross-crate call graph (D6 taint analysis): the
-/// same set D4 polices — shipped source of the deterministic crates.
-pub fn graph_applies(rel: &str) -> bool {
-    d4_applies(rel)
-}
-
 /// D7 polices raw fixed-point arithmetic everywhere on the simulation path
 /// *except* inside `fixpoint` itself, whose modules are the sanctioned
 /// wrappers (every `.raw()` manipulation there is audited alongside the
@@ -171,7 +156,7 @@ pub fn rule_description(rule: &str) -> &'static str {
         "D3" => "no lossy integer `as` casts in fixpoint outside the audited rounding module",
         "D4" => "no wall-clock or thread-topology reads on the simulation path",
         "D5" => "no order-sensitive parallel reductions on the simulation path",
-        "D6" => "no call chain from a simulation root to a nondeterminism source outside an audited boundary (cross-crate taint)",
+        "D6" => "no D2/D4/D5 allow on the simulation path outside the audited files policy::NONDET_AUDITED_FILES names",
         "D7" => "no unchecked + - * << arithmetic on raw fixed-point values outside the fixpoint wrapper modules",
         "D8" => "no non-endian-explicit byte serialization (to_ne_bytes/transmute/as_bytes) in checkpoint or trace payload paths",
         "META" => "malformed or incomplete detlint directive",

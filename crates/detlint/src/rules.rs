@@ -1,16 +1,13 @@
 //! The rule engine: directive parsing, region computation, and the
-//! per-file determinism rules D1–D5, D7, D8 (plus META for malformed
-//! directives). The cross-crate rule D6 lives in `taint.rs` and runs at
-//! workspace level; this module additionally extracts the taint *seeds*
-//! (raw D1/D4-class tokens and nondeterminism-class allow sites) that
-//! feed it.
+//! per-file determinism rules D1–D8 (plus META for malformed directives).
+//! Every rule reads one file's token stream and the tables in `policy`.
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::policy;
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule id: "D1".."D5" or "META".
+    /// Stable rule id: "D1".."D8" or "META".
     pub rule: &'static str,
     /// Workspace-relative path, forward slashes.
     pub file: String,
@@ -25,6 +22,7 @@ pub struct Allow {
     pub rule: &'static str,
     pub file: String,
     pub line: u32,
+    pub col: u32,
     pub reason: String,
 }
 
@@ -45,41 +43,26 @@ pub struct FileLint {
     pub violations: Vec<Violation>,
     pub allows: Vec<Allow>,
     pub boundaries: Vec<Boundary>,
-    /// Raw D1/D4-class source tokens (outside tests and boundaries) that
-    /// seed the workspace taint pass, with a short description. Allowed
-    /// sites still appear here: an allow silences the per-file diagnostic
-    /// but does not stop taint from flowing to callers.
-    pub taint_sources: Vec<(u32, String)>,
-    /// The exact (rule, line) pairs an allow covers — the directive line
-    /// and the next code line — exposed so the taint pass can honor
-    /// `allow(D6)` edge cuts with identical semantics.
-    pub allowed_lines: Vec<(&'static str, u32)>,
 }
 
 /// Lint a single source text as if it lived at `rel_path` (workspace-relative,
 /// forward slashes). This is the unit the fixture tests drive directly.
 pub fn lint_source(rel_path: &str, src: &str) -> FileLint {
     let toks = lex(src);
-    lint_tokens(rel_path, &toks)
-}
-
-/// Token-level entry point, shared with the workspace pass (which lexes
-/// once per file for both the per-file rules and the call graph).
-pub(crate) fn lint_tokens(rel_path: &str, toks: &[Tok]) -> FileLint {
     let code: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
 
     let mut out = FileLint::default();
-    let directives = parse_directives(rel_path, toks, &code, &mut out);
+    parse_directives(rel_path, &toks, &code, &mut out);
     let test_regions = find_test_regions(&code);
 
+    // An allow covers its own line and the next code line.
     let mut allowed_lines: Vec<(&'static str, u32)> = Vec::new();
-    for (rule, line) in &directives.allows {
-        allowed_lines.push((rule, *line));
-        if let Some(next) = code.iter().map(|t| t.line).find(|&l| l > *line) {
-            allowed_lines.push((rule, next));
+    for a in &out.allows {
+        allowed_lines.push((a.rule, a.line));
+        if let Some(next) = code.iter().map(|t| t.line).find(|&l| l > a.line) {
+            allowed_lines.push((a.rule, next));
         }
     }
-    out.allowed_lines = allowed_lines.clone();
 
     let in_tests = |line: u32| test_regions.iter().any(|&(a, b)| (a..=b).contains(&line));
     let in_boundary = |line: u32| {
@@ -106,26 +89,13 @@ pub(crate) fn lint_tokens(rel_path: &str, toks: &[Tok]) -> FileLint {
     if policy::d5_applies(rel_path) {
         rule_d5(rel_path, &code, &mut raw);
     }
+    rule_d6(rel_path, &out.allows, &mut raw);
     if policy::d7_applies(rel_path) {
         rule_d7(rel_path, &code, &mut raw);
     }
     if policy::d8_applies(rel_path) {
         rule_d8(rel_path, &code, &mut raw);
     }
-
-    // Taint seeds for the workspace pass: every raw D1/D4-class site
-    // outside tests and boundaries, allowed or not.
-    for v in &raw {
-        if matches!(v.rule, "D1" | "D4") && !in_tests(v.line) && !in_boundary(v.line) {
-            let token = v.message.split('`').nth(1).unwrap_or("?");
-            out.taint_sources.push((
-                v.line,
-                format!("{}-class `{}` at {}:{}", v.rule, token, rel_path, v.line),
-            ));
-        }
-    }
-    out.taint_sources.sort();
-    out.taint_sources.dedup();
 
     let mut seen_lines: Vec<(&'static str, u32)> = Vec::new();
     for v in raw {
@@ -155,19 +125,16 @@ pub(crate) fn lint_tokens(rel_path: &str, toks: &[Tok]) -> FileLint {
 // Directives
 // ---------------------------------------------------------------------------
 
-struct Directives {
-    /// (rule, directive line) for each well-formed allow.
-    allows: Vec<(&'static str, u32)>,
-}
-
-const RULE_IDS: &[&str] = &["D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8"];
+/// Rule ids an allow may name. D6 is absent on purpose: it polices the
+/// allows themselves, so it cannot be waived from inside the file — the
+/// waiver is an entry in `policy::NONDET_AUDITED_FILES`.
+const ALLOWABLE_RULES: &[&str] = &["D1", "D2", "D3", "D4", "D5", "D7", "D8"];
 
 fn intern_rule(name: &str) -> Option<&'static str> {
-    RULE_IDS.iter().find(|&&r| r == name).copied()
+    ALLOWABLE_RULES.iter().find(|&&r| r == name).copied()
 }
 
-fn parse_directives(rel_path: &str, toks: &[Tok], code: &[&Tok], out: &mut FileLint) -> Directives {
-    let mut allows = Vec::new();
+fn parse_directives(rel_path: &str, toks: &[Tok], code: &[&Tok], out: &mut FileLint) {
     for t in toks.iter().filter(|t| t.kind == TokKind::Comment) {
         // A directive is a plain `//` line comment whose text starts with
         // `detlint::`. Doc comments and prose that merely *mention* the
@@ -219,17 +186,18 @@ fn parse_directives(rel_path: &str, toks: &[Tok], code: &[&Tok], out: &mut FileL
                 let rule = args.first().and_then(|a| intern_rule(a.trim()));
                 match (rule, reason) {
                     (Some(rule), Some(reason)) => {
-                        allows.push((rule, t.line));
                         out.allows.push(Allow {
                             rule,
                             file: rel_path.to_string(),
                             line: t.line,
+                            col: t.col,
                             reason,
                         });
                     }
                     (None, _) => out.violations.push(meta(format!(
-                        "`detlint::allow` needs a rule id (D1..D5) as its first \
-                         argument, found `{}`",
+                        "`detlint::allow` needs a waivable rule id (D1..D5, D7, D8) as \
+                         its first argument, found `{}`; D6 is waived only by an \
+                         entry in `policy::NONDET_AUDITED_FILES`",
                         args.first().map(|s| s.trim()).unwrap_or("")
                     ))),
                     (_, None) => out.violations.push(meta(
@@ -240,6 +208,14 @@ fn parse_directives(rel_path: &str, toks: &[Tok], code: &[&Tok], out: &mut FileL
                 }
             }
             _ => match reason {
+                Some(_) if !(policy::d1_applies(rel_path) || policy::d3_applies(rel_path)) => {
+                    out.violations.push(meta(
+                        "`detlint::boundary` in a file where neither D1 nor D3 applies: \
+                         a boundary only permits D1/D3 inside the next item; write an \
+                         ordinary comment instead"
+                            .to_string(),
+                    ))
+                }
                 Some(reason) => {
                     let end_line = boundary_end(code, t.line).unwrap_or(t.line);
                     out.boundaries.push(Boundary {
@@ -257,7 +233,6 @@ fn parse_directives(rel_path: &str, toks: &[Tok], code: &[&Tok], out: &mut FileL
             },
         }
     }
-    Directives { allows }
 }
 
 /// Split `(a, b, c)` at the head of `s` into top-level comma-separated args,
@@ -362,7 +337,7 @@ fn scan_item(code: &[&Tok]) -> Option<u32> {
 
 /// Line spans of items annotated `#[cfg(test)]` (typically `mod tests`),
 /// where the determinism rules do not apply.
-pub(crate) fn find_test_regions(code: &[&Tok]) -> Vec<(u32, u32)> {
+fn find_test_regions(code: &[&Tok]) -> Vec<(u32, u32)> {
     let mut regions = Vec::new();
     let mut i = 0;
     while i < code.len() {
@@ -598,6 +573,38 @@ fn rule_d5(file: &str, code: &[&Tok], raw: &mut Vec<Violation>) {
                 push(raw, "D5", file, t, message);
                 break;
             }
+        }
+    }
+}
+
+/// D6: an allow of a nondeterminism-class rule (D2, D4, D5) is legal only
+/// in the files `policy::NONDET_AUDITED_FILES` names. Where the allowed
+/// rule does not apply the directive is inert and D6 says nothing.
+fn rule_d6(file: &str, allows: &[Allow], raw: &mut Vec<Violation>) {
+    if policy::NONDET_AUDITED_FILES.contains(&file) {
+        return;
+    }
+    for a in allows {
+        let policed = match a.rule {
+            "D2" => policy::d2_applies(file),
+            "D4" => policy::d4_applies(file),
+            "D5" => policy::d5_applies(file),
+            _ => false,
+        };
+        if policed {
+            raw.push(Violation {
+                rule: "D6",
+                file: file.to_string(),
+                line: a.line,
+                col: a.col,
+                message: format!(
+                    "`detlint::allow({})` outside the audited files: an escape from a \
+                     hash-order, wall-clock or reduction-order rule is legal only in a \
+                     file `policy::NONDET_AUDITED_FILES` names; remove the source or \
+                     add this file to that table",
+                    a.rule
+                ),
+            });
         }
     }
 }

@@ -1,11 +1,16 @@
 //! Fixture-driven tests: one pass and one fail case per rule, driven
 //! through the public `lint_source` API with a virtual workspace path.
 
-use detlint::lint_source;
+use detlint::{lint_source, FileLint};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+/// (rule, line) of every violation, in report order.
+fn hits(lint: &FileLint) -> Vec<(&'static str, u32)> {
+    lint.violations.iter().map(|v| (v.rule, v.line)).collect()
 }
 
 fn rules_hit(virtual_path: &str, name: &str) -> Vec<(String, u32)> {
@@ -148,8 +153,10 @@ fn sanctioned_trace_shape_passes() {
     // The shape the real `anton-trace` uses: one audited clock origin
     // behind an allow(D4), integer timestamps in per-rank lanes, serial
     // rank-ordered merge after the scoped fan-out.
+    // Linted as the audited clock file: an allow(D4) anywhere else in
+    // `trace` is a D6.
     let lint = lint_source(
-        "crates/trace/src/good.rs",
+        "crates/trace/src/clock.rs",
         &fixture("pass_trace_rank_merge.rs"),
     );
     assert_eq!(lint.violations, []);
@@ -188,7 +195,8 @@ fn meta_flags_malformed_directives() {
 
 #[test]
 fn allow_suppresses_exactly_its_rule_and_records_reason() {
-    let lint = lint_source("crates/ewald/src/good.rs", &fixture("pass_allowed.rs"));
+    // The allow mechanics, exercised where an allow(D4) is legal (D6).
+    let lint = lint_source("crates/trace/src/clock.rs", &fixture("pass_allowed.rs"));
     assert_eq!(lint.violations, []);
     assert_eq!(lint.allows.len(), 2);
     assert!(lint
@@ -200,7 +208,7 @@ fn allow_suppresses_exactly_its_rule_and_records_reason() {
 #[test]
 fn allow_for_the_wrong_rule_does_not_suppress() {
     let src = fixture("pass_allowed.rs").replace("allow(D4", "allow(D2");
-    let lint = lint_source("crates/ewald/src/good.rs", &src);
+    let lint = lint_source("crates/trace/src/clock.rs", &src);
     assert!(lint.violations.iter().all(|v| v.rule == "D4"));
     assert_eq!(lint.violations.len(), 2);
 }
@@ -242,90 +250,90 @@ fn clean_fixed_point_code_passes() {
 }
 
 #[test]
-fn d6_taints_across_an_intermediate_call_invisible_per_file() {
-    // The canonical leak the per-file rules cannot see: every file lints
-    // clean in isolation (the source's Instant is behind an allow(D4)),
-    // but engine -> helper -> source is a chain from a simulation root
-    // into a nondeterminism source with no boundary in between.
-    let files = vec![
-        (
-            "crates/core/src/engine.rs".to_string(),
-            fixture("d6_engine.rs"),
-        ),
-        (
-            "crates/nt/src/helper.rs".to_string(),
-            fixture("d6_helper.rs"),
-        ),
-        (
-            "crates/trace/src/stamp.rs".to_string(),
-            fixture("d6_source.rs"),
-        ),
-    ];
-    let per_file_clean = files
-        .iter()
-        .all(|(p, s)| lint_source(p, s).violations.is_empty());
-    assert!(per_file_clean, "each file must be clean in isolation");
-
-    let ws = detlint::lint_sources(&files);
-    let d6: Vec<_> = ws.violations.iter().filter(|v| v.rule == "D6").collect();
-    assert_eq!(d6.len(), 1, "violations: {:?}", ws.violations);
-    let v = d6[0];
-    assert_eq!(v.file, "crates/nt/src/helper.rs");
-    assert!(v.message.contains("run_cycle"), "{}", v.message);
-    assert!(v.message.contains("pace_budget"), "{}", v.message);
-    assert!(v.message.contains("host_jitter_ns"), "{}", v.message);
+fn d6_flags_a_nondeterminism_allow_outside_the_audited_files() {
+    // The leak is refused at its source: the allow(D4) still silences D4,
+    // but the directive itself is a D6 unless policy.rs names the file.
+    let lint = lint_source(
+        "crates/core/src/x.rs",
+        &fixture("fail_d6_unaudited_allow.rs"),
+    );
+    assert_eq!(hits(&lint), [("D6", 8)]);
+    let v = &lint.violations[0];
+    assert!(v.message.contains("D4"), "{}", v.message);
     assert!(
-        v.message
-            .contains("D4-class `Instant` at crates/trace/src/stamp.rs"),
+        v.message.contains("policy::NONDET_AUDITED_FILES"),
         "{}",
         v.message
     );
-}
-
-#[test]
-fn d6_boundary_absorbs_the_taint() {
-    // Same chain, but the source item is declared an audited boundary:
-    // taint is absorbed and the chain is sanctioned.
-    let files = vec![
-        (
-            "crates/core/src/engine.rs".to_string(),
-            fixture("d6_engine.rs"),
-        ),
-        (
-            "crates/nt/src/helper.rs".to_string(),
-            fixture("d6_helper.rs"),
-        ),
-        (
-            "crates/trace/src/stamp.rs".to_string(),
-            fixture("d6_source_boundary.rs"),
-        ),
-    ];
-    let ws = detlint::lint_sources(&files);
-    assert_eq!(ws.violations, [], "boundary must absorb the chain");
-}
-
-#[test]
-fn d6_allow_on_the_call_site_cuts_the_edge() {
-    // allow(D6) on the edge that enters the source sanctions exactly that
-    // call without blessing the source for other callers.
-    let helper = fixture("d6_helper.rs").replace(
-        "    1 + host_jitter_ns(step) % 2",
-        "    // detlint::allow(D6, reason = \"jitter only widens the pacing budget; the result gates sleep, not state\")\n    1 + host_jitter_ns(step) % 2",
+    assert_eq!(
+        rules_hit("crates/trace/src/clock.rs", "fail_d6_unaudited_allow.rs"),
+        []
     );
-    assert!(helper.contains("allow(D6"), "fixture edit must apply");
-    let files = vec![
-        (
-            "crates/core/src/engine.rs".to_string(),
-            fixture("d6_engine.rs"),
-        ),
-        ("crates/nt/src/helper.rs".to_string(), helper),
-        (
-            "crates/trace/src/stamp.rs".to_string(),
-            fixture("d6_source.rs"),
-        ),
-    ];
-    let ws = detlint::lint_sources(&files);
-    assert_eq!(ws.violations, [], "allow(D6) must cut the edge");
+}
+
+#[test]
+fn d6_is_not_legalised_by_a_boundary() {
+    // state.rs is a D1 file, so the boundary itself is well-formed — and
+    // changes nothing: a boundary permits D1/D3, never a wall-clock allow.
+    let src = fixture("fail_d6_unaudited_allow.rs").replace(
+        "pub fn host_jitter_ns",
+        "// detlint::boundary(reason = \"audited absorber, says the comment\")\npub fn host_jitter_ns",
+    );
+    let lint = lint_source("crates/core/src/state.rs", &src);
+    assert_eq!(lint.boundaries.len(), 1);
+    assert_eq!(hits(&lint), [("D6", 9)]);
+}
+
+#[test]
+fn d6_cannot_be_allowed() {
+    let src = fixture("fail_d6_unaudited_allow.rs").replace(
+        "    // detlint::allow(D4",
+        "    // detlint::allow(D6, reason = \"trust me\")\n    // detlint::allow(D4",
+    );
+    let lint = lint_source("crates/core/src/x.rs", &src);
+    assert_eq!(hits(&lint), [("META", 8), ("D6", 9)]);
+    assert!(lint.allows.iter().all(|a| a.rule != "D6"));
+}
+
+#[test]
+fn d6_ignores_value_precision_allows_and_unpoliced_paths() {
+    // D1/D3/D7/D8 allows are deterministic by construction: no D6 at any
+    // path, audited or not.
+    for rule in ["D1", "D3", "D7", "D8"] {
+        let src = format!("// detlint::allow({rule}, reason = \"r\")\npub fn f() {{}}\n");
+        for path in [
+            "crates/core/src/x.rs",
+            "crates/fixpoint/src/fx32.rs",
+            "crates/ckpt/src/codec.rs",
+            "crates/trace/src/clock.rs",
+            "crates/refmd/src/x.rs",
+        ] {
+            assert_eq!(lint_source(path, &src).violations, [], "{rule} at {path}");
+        }
+    }
+    // Where D4 does not apply its allow is inert, and D6 says nothing.
+    assert_eq!(
+        rules_hit("crates/refmd/src/x.rs", "fail_d6_unaudited_allow.rs"),
+        []
+    );
+    assert_eq!(
+        rules_hit("crates/core/tests/x.rs", "fail_d6_unaudited_allow.rs"),
+        []
+    );
+    // D2 reaches one crate further than D4/D5, and D6 follows it.
+    let d2 = "// detlint::allow(D2, reason = \"r\")\nuse std::collections::HashMap;\n";
+    assert_eq!(
+        hits(&lint_source("crates/systems/src/x.rs", d2)),
+        [("D6", 1)]
+    );
+}
+
+#[test]
+fn boundary_outside_d1_and_d3_files_is_meta() {
+    let src = "// detlint::boundary(reason = \"audited socket I/O edge\")\npub fn serve() {}\n";
+    let lint = lint_source("crates/fleet/src/daemon.rs", src);
+    assert_eq!(hits(&lint), [("META", 1)]);
+    assert_eq!(lint.boundaries.len(), 0);
 }
 
 #[test]
@@ -391,17 +399,20 @@ fn d7_accepts_wrapped_displacement_monitor() {
 
 #[test]
 fn d8_flags_native_endian_bytes_in_payload_paths() {
+    // The fixture's wrong-rule allow(D2) does not suppress the transmute's
+    // D8 — and, `ckpt` being no audited file, earns a D6 of its own.
     let hits = rules_hit("crates/ckpt/src/bad.rs", "fail_d8_ne_bytes.rs");
     let rules: Vec<&str> = hits.iter().map(|(r, _)| r.as_str()).collect();
-    assert_eq!(rules, ["D8", "D8", "D8"], "hits: {hits:?}");
+    assert_eq!(rules, ["D8", "D8", "D6", "D8"], "hits: {hits:?}");
 }
 
 #[test]
 fn d8_scope_is_ckpt_and_trace_only() {
-    // The same source outside the payload crates is not D8's business.
+    // The same source outside the payload crates is not D8's business
+    // (what remains is the D6 of its allow(D2)).
     assert_eq!(
         rules_hit("crates/core/src/bad.rs", "fail_d8_ne_bytes.rs"),
-        []
+        [("D6".into(), 15)]
     );
     assert_eq!(
         rules_hit("crates/trace/src/good.rs", "pass_d8_le_bytes.rs"),
@@ -471,4 +482,13 @@ fn workspace_is_clean() {
         rendered.join("\n")
     );
     assert!(ws.allows.iter().all(|a| !a.reason.trim().is_empty()));
+    // The audited-files table neither lags the tree nor holds a stale entry.
+    let mut nondet: Vec<&str> = ws
+        .allows
+        .iter()
+        .filter(|a| matches!(a.rule, "D2" | "D4" | "D5"))
+        .map(|a| a.file.as_str())
+        .collect();
+    nondet.dedup();
+    assert_eq!(nondet, detlint::policy::NONDET_AUDITED_FILES);
 }

@@ -126,16 +126,16 @@ proptest! {
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
-    /// The workspace pass (call graph + taint included) is independent of
-    /// the order files are presented in: any permutation of the file list
-    /// produces an identical JSON report.
+    /// The workspace pass is independent of the order files are presented
+    /// in: any permutation of the file list produces an identical JSON
+    /// report.
     #[test]
     fn lint_sources_is_order_invariant(
         lens in proptest::collection::vec(0usize..64, 1..5),
         idx in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..256),
         seed in 0u64..1024,
     ) {
-        // Graph-visible paths on purpose so the taint pass runs over the
+        // Simulation-path files on purpose, so every rule runs over the
         // soup; slice one source per path out of the shared index pool.
         let paths = [
             "crates/core/src/engine.rs",

@@ -16,7 +16,7 @@ pub struct FleetClient {
 
 impl FleetClient {
     /// Connect to a daemon socket.
-    // detlint::boundary(reason = "audited socket I/O edge: connection setup only; all payloads cross through the checksummed wire codec")
+    // Audited socket I/O edge: connection setup only; all payloads cross through the checksummed wire codec.
     pub fn connect(socket: impl AsRef<Path>) -> Result<FleetClient, FleetError> {
         Ok(FleetClient {
             stream: UnixStream::connect(socket)?,

@@ -31,7 +31,7 @@ pub struct DaemonConfig {
 
 /// Run a daemon until a `Shutdown` request arrives. Binds the socket,
 /// recovers fleet state from `fleet.state_dir`, and serves.
-// detlint::boundary(reason = "audited socket I/O edge: accept order only decides which checksummed request is answered first; job trajectories and queue contents are schedule-invariant")
+// Audited socket I/O edge: accept order only decides which checksummed request is answered first; job trajectories and queue contents are schedule-invariant.
 pub fn serve(cfg: &DaemonConfig) -> Result<(), FleetError> {
     let fleet = Fleet::create(cfg.fleet.clone())?;
     // A previous daemon that was killed leaves its socket file behind;
@@ -69,7 +69,7 @@ pub fn serve(cfg: &DaemonConfig) -> Result<(), FleetError> {
 
 /// Serve one connection: frames until EOF. Returns true when the peer
 /// asked the daemon to shut down.
-// detlint::boundary(reason = "audited socket I/O edge: request bytes are checksum-verified by the wire codec before use; responses are pure functions of queue state")
+// Audited socket I/O edge: request bytes are checksum-verified by the wire codec before use; responses are pure functions of queue state.
 fn handle_connection(fleet: &Fleet, stream: &mut UnixStream) -> bool {
     loop {
         let payload = match read_frame(stream) {

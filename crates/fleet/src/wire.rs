@@ -107,7 +107,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(FrameKind, &[u8]), FleetError> {
 }
 
 /// Read exactly one verified frame from a stream.
-// detlint::boundary(reason = "audited socket I/O edge: bytes enter the daemon only through this verified decode; nothing host-dependent flows past the checksum checks")
+// Audited socket I/O edge: bytes enter the daemon only through this verified decode; nothing host-dependent flows past the checksum checks.
 pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>), FleetError> {
     let mut head = [0u8; FRAME_HEADER_LEN];
     r.read_exact(&mut head)?;
@@ -120,7 +120,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>), FleetError>
 }
 
 /// Write one frame to a stream and flush it.
-// detlint::boundary(reason = "audited socket I/O edge: the encoded frame is a pure function of the message; the stream only carries it")
+// Audited socket I/O edge: the encoded frame is a pure function of the message; the stream only carries it.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), FleetError> {
     w.write_all(&encode_frame(kind, payload))?;
     w.flush()?;

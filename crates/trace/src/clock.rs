@@ -1,13 +1,13 @@
-//! The sanctioned wall-clock boundary of the simulation path.
+//! The sanctioned wall-clock edge of the simulation path.
 //!
 //! The determinism policy (DESIGN.md §8, rule D4) bans wall-clock reads on
 //! the simulation path because host time must never influence simulation
-//! state. Tracing needs *measured* nanoseconds, so this module is the one
-//! audited exception: a monotonic clock whose readings flow only into
-//! trace events — observability output — and are structurally incapable of
-//! reaching an accumulator, a position, or a velocity (the trace crate
-//! exposes no path from a timestamp back to the engine). Each `Instant`
-//! mention below carries a `detlint::allow(D4)` with this argument.
+//! state. Tracing needs *measured* nanoseconds, so this file is the one
+//! `detlint`'s `policy::NONDET_AUDITED_FILES` names (rule D6): a monotonic
+//! clock whose readings flow only into trace events — observability output
+//! — with no path from a timestamp back to an accumulator, a position or a
+//! velocity. Each `Instant` mention below carries a `detlint::allow(D4)`
+//! with this argument; anywhere else that directive is itself a violation.
 
 /// Monotonic nanosecond clock, origin fixed at construction.
 #[derive(Clone, Copy, Debug)]
@@ -26,7 +26,7 @@ impl TraceClock {
 
     /// Nanoseconds since the clock's origin (saturating at u64::MAX, which
     /// is ~584 years of tracing).
-    // detlint::boundary(reason = "audited absorber: span timestamps feed only trace event payloads consumed by offline analysis; replay and perf-gate comparisons diff event sequences and counters, never these wall-clock stamps")
+    // Audited wall-clock edge: span timestamps feed only trace event payloads consumed by offline analysis; replay and perf-gate comparisons diff event sequences and counters, never these wall-clock stamps.
     #[inline]
     pub fn now_ns(&self) -> u64 {
         let ns = self.origin.elapsed().as_nanos();
