@@ -12,6 +12,13 @@
 //! identities, and (for NVE runs) a momentum rounding envelope and an
 //! energy-drift bound.
 //!
+//! The reference pipeline shares the engine's PPIP tables (one fit per
+//! `(β, cutoff)` per process, `anton_machine::Ppip::shared`): they are
+//! read-only constants, like the machine's loaded tables. Everything that
+//! evaluates through them — tiles, match cache, rank plan, accumulators —
+//! is the verifier's own, so the recompute stays independent and binding a
+//! verifier costs no refit.
+//!
 //! The caller owns the verifier and decides when to sample — the engine
 //! has no hook for it:
 //!
@@ -56,7 +63,8 @@ const MOMENTUM_SLACK: f64 = 64.0;
 
 /// Closed-form invariant verifier bound to one simulation's system.
 pub struct Verifier {
-    /// Independent serial reference pipeline (SingleRank, 1 thread).
+    /// Independent serial reference pipeline (SingleRank, 1 thread) over
+    /// the process's shared PPIP tables.
     pipeline: ForcePipeline,
     scratch: RawForces,
     recompute: RawForces,

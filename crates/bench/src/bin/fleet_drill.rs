@@ -22,6 +22,7 @@ use anton_bench::artifacts::fleet_table;
 use anton_bench::report::Report;
 use anton_bench::write_artifact;
 use anton_fleet::{state_checksum, Fleet, FleetConfig, JobPhase, JobSpec, JobStatusView};
+use anton_trace::Phase;
 use std::path::PathBuf;
 
 /// The canonical pass shape pinned by `results/TABLE_fleet.csv`.
@@ -161,6 +162,36 @@ fn canonical_pass(report: &mut Report, specs: &[JobSpec], goldens: &[u64]) {
             "preemptions and resumes match ceil(cycles/quantum)-1".into()
         } else {
             counter_bad.join("; ")
+        },
+    );
+
+    // One worker reclaims a preempted job at once, so every continuation
+    // runs on the resident engine: the fresh build's is the only force
+    // refresh outside a cycle, and a job's reciprocal spans are cycles + 1.
+    let refresh_bad: Vec<String> = specs
+        .iter()
+        .filter_map(|s| {
+            let (_, phases) = fleet.summary(s.job_id()).expect("summary");
+            let reciprocal = phases
+                .iter()
+                .find(|t| t.phase == Phase::Reciprocal.index() as u32)
+                .map_or(0, |t| t.spans);
+            (reciprocal != s.cycles + 1).then(|| {
+                format!(
+                    "{}: {reciprocal} reciprocal spans, want {}",
+                    s.name,
+                    s.cycles + 1
+                )
+            })
+        })
+        .collect();
+    report.record(
+        "canonical_one_force_refresh_per_job",
+        refresh_bad.is_empty(),
+        if refresh_bad.is_empty() {
+            "reciprocal spans = cycles + 1: continuations ran on the resident engine".into()
+        } else {
+            refresh_bad.join("; ")
         },
     );
 

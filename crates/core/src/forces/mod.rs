@@ -57,6 +57,7 @@ use anton_machine::perf::ExchangeCounters;
 use anton_machine::{modeled_burst_us, Ppip};
 use anton_systems::System;
 use anton_trace::{Phase, TraceSink};
+use std::sync::Arc;
 
 /// How force work is partitioned (never affects results, bitwise).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -181,7 +182,9 @@ pub const PAIRLIST_SLACK: f64 = 1.0;
 
 /// The pipeline bound to one system and one work plan.
 pub struct ForcePipeline {
-    pub ppip: Ppip,
+    /// The process's one fit for this system's `(β, cutoff)`
+    /// ([`Ppip::shared`]); read-only, so sharing it changes no result.
+    pub ppip: Arc<Ppip>,
     pub gse: GseFixed,
     corr_kernel: DirectKernel,
     pub rc2_q20: i64,
@@ -258,7 +261,7 @@ impl ForcePipeline {
         let rc_pad = sys.params.cutoff + PAIRLIST_SLACK;
         let rc_pad2_q20 = Q20::from_f64(rc_pad * rc_pad).raw();
         ForcePipeline {
-            ppip: Ppip::build(beta, sys.params.cutoff),
+            ppip: Ppip::shared(beta, sys.params.cutoff),
             ranks: RankSet::build(sys, decomposition, &policy, &gse),
             gse,
             corr_kernel: DirectKernel::reference(beta, sys.params.cutoff),

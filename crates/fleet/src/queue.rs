@@ -125,7 +125,8 @@ pub struct JobStatusView {
     pub cycles_done: u64,
     /// Times the job was paused at a quantum boundary with work remaining.
     pub preemptions: u64,
-    /// Times a slice restored the job from its checkpoint store.
+    /// Slices that continued the job after a preemption, from the resident
+    /// engine or the store.
     pub resumes: u64,
     /// Bytes of the job's most recent checkpoint file.
     pub ckpt_bytes: u64,
@@ -178,6 +179,8 @@ pub struct JobRecord {
     pub phase: JobPhase,
     pub cycles_done: u64,
     pub preemptions: u64,
+    /// Slices that continued the job after a preemption, from the resident
+    /// engine or the store.
     pub resumes: u64,
     pub ckpt_bytes: u64,
     pub final_checksum: u64,

@@ -7,12 +7,19 @@
 //! engine's force field *is* the quantized piecewise-cubic one — which is
 //! what Table 4's "numerical force error" measures.
 //!
+//! The tables are a pure function of `(β, cutoff)`, and the machine loads
+//! them once and runs on them for months. [`Ppip::shared`] does the same per
+//! process: every engine pipeline (and every verifier's independent one)
+//! over the same parameters holds one `Arc` of one fit, and evaluates
+//! through it on its own.
+//!
 //! The match units' low-precision distance check (Figure 4b) lives with the
 //! engine's match stage: `anton_core::batch::Q20Ladder::r2_lower_bound_q40`.
 
 use crate::tables::{FunctionTable, TableSpec};
 use anton_fixpoint::rounding::{rne_f64_to_i64, rne_shr_i64_bounded};
 use anton_forcefield::units::{erfc, COULOMB};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Fraction bits of the r² values handed to the PPIP (Q20 Å²).
 pub const R2_FRAC: u32 = 20;
@@ -55,6 +62,15 @@ impl PairBatch {
 /// Largest coefficient mantissa magnitude the fused Horner accepts (the
 /// 22-bit tables of [`Ppip::build`] stay below 2²¹).
 const HORNER_COEFF_MAX: u32 = 1 << 29;
+
+/// Table sets [`Ppip::shared`] keeps. At ≈ 90 KB each, a daemon fed
+/// arbitrary cutoffs holds well under 1 MB.
+const SHARED_CAPACITY: usize = 8;
+
+/// The process-wide memo behind [`Ppip::shared`]: `((β bits, cutoff
+/// bits), tables)`, oldest insert first.
+type SharedKey = (u64, u64);
+static SHARED: Mutex<Vec<(SharedKey, Arc<Ppip>)>> = Mutex::new(Vec::new());
 
 /// One segment's worth of all six kernels, packed contiguously.
 ///
@@ -170,6 +186,37 @@ impl Ppip {
             inv_r2max_q31: (1i64 << 31) as f64 / (r2_max * (1i64 << R2_FRAC) as f64),
             fused,
         }
+    }
+
+    /// The tables of [`Self::build`]`(beta, cutoff)`, fitted once per
+    /// process. `build`'s only inputs are these two values (its table spec
+    /// is a constant), so the key is their bit patterns and a hit is
+    /// bitwise the fit it skips. The fit runs outside the lock; when two
+    /// threads race on a cold key, the first `Arc` inserted is the one both
+    /// get. Holds at most [`SHARED_CAPACITY`] keys, evicting the oldest.
+    pub fn shared(beta: f64, cutoff: f64) -> Arc<Ppip> {
+        let key = (beta.to_bits(), cutoff.to_bits());
+        // Every update below is a single push or remove, so the memo is
+        // valid even if a holder panicked.
+        let lock = || SHARED.lock().unwrap_or_else(PoisonError::into_inner);
+        let find = |memo: &[(SharedKey, Arc<Ppip>)]| {
+            memo.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, p)| Arc::clone(p))
+        };
+        if let Some(hit) = find(&lock()) {
+            return hit;
+        }
+        let fitted = Arc::new(Ppip::build(beta, cutoff));
+        let mut memo = lock();
+        if let Some(first) = find(&memo) {
+            return first;
+        }
+        if memo.len() == SHARED_CAPACITY {
+            memo.remove(0);
+        }
+        memo.push((key, Arc::clone(&fitted)));
+        fitted
     }
 
     /// Pack the six per-table segment arrays into one segment-major array.
@@ -433,6 +480,128 @@ mod tests {
         let rel = (err2 / norm2).sqrt();
         assert!(rel < 5e-5, "rms relative force error {rel:e}");
         assert!(rel > 1e-9, "suspiciously exact: {rel:e}");
+    }
+
+    /// The memo is process-wide, and the tests below count on what it holds
+    /// (ptr-equal hits, which key is oldest): they run one at a time.
+    static MEMO_TESTS: Mutex<()> = Mutex::new(());
+
+    fn memo_test() -> std::sync::MutexGuard<'static, ()> {
+        MEMO_TESTS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `a` and `b` are the same tables bit for bit: every fused coefficient
+    /// and decode scale, each table's segments, and `pair` over a
+    /// 10⁵-point r² sweep with and without an LJ term.
+    fn assert_bitwise_equal(a: &Ppip, b: &Ppip) {
+        let scalars = |p: &Ppip| {
+            [
+                p.r2_max,
+                p.beta,
+                p.cutoff,
+                p.u_clamp_elec,
+                p.u_clamp_vdw,
+                p.inv_r2max_q31,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(scalars(a), scalars(b));
+        assert_eq!(a.fused.len(), b.fused.len());
+        for (x, y) in a.fused.iter().zip(&b.fused) {
+            assert_eq!(x.coeffs, y.coeffs);
+            assert_eq!(x.scale.map(f64::to_bits), y.scale.map(f64::to_bits));
+        }
+        fn tables(p: &Ppip) -> [&FunctionTable; 6] {
+            [&p.f_elec, &p.f12, &p.f6, &p.e_elec, &p.e12, &p.e6]
+        }
+        let segs = |t: &FunctionTable| -> Vec<_> {
+            t.segments.iter().map(|s| (s.coeffs, s.exponent)).collect()
+        };
+        for (x, y) in tables(a).into_iter().zip(tables(b)) {
+            assert_eq!(x.spec, y.spec);
+            assert_eq!(segs(x), segs(y));
+        }
+        let span = (a.r2_max * (1i64 << 20) as f64) as i64 + 4096;
+        for i in 0..=100_000i64 {
+            let r2_q20 = i * span / 100_000;
+            for (qq, lj_a, lj_b) in [(0.41, 6.0e5, 530.0), (-0.17, 0.0, 0.0)] {
+                let (fa, ea) = a.pair(r2_q20, qq, lj_a, lj_b);
+                let (fb, eb) = b.pair(r2_q20, qq, lj_a, lj_b);
+                assert_eq!(fa.to_bits(), fb.to_bits(), "force at r2_q20={r2_q20}");
+                assert_eq!(ea.to_bits(), eb.to_bits(), "energy at r2_q20={r2_q20}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_tables_are_the_fit_bitwise() {
+        let _serial = memo_test();
+        for (beta, cutoff) in [(0.35, 7.5), (0.24, 13.0)] {
+            assert_bitwise_equal(&Ppip::shared(beta, cutoff), &Ppip::build(beta, cutoff));
+        }
+    }
+
+    #[test]
+    fn shared_hands_out_one_fit_per_exact_key() {
+        let _serial = memo_test();
+        let (beta, cutoff) = (0.31, 8.25);
+        let first = Ppip::shared(beta, cutoff);
+        assert!(Arc::ptr_eq(&first, &Ppip::shared(beta, cutoff)));
+        // One ulp of either input is another key, hence another fit.
+        for (b, c) in [(beta.next_up(), cutoff), (beta, cutoff.next_up())] {
+            let other = Ppip::shared(b, c);
+            assert!(!Arc::ptr_eq(&first, &other), "β {b:e}, cutoff {c:e}");
+            assert_eq!(
+                (other.beta.to_bits(), other.cutoff.to_bits()),
+                (b.to_bits(), c.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn shared_evicts_the_oldest_key_past_capacity() {
+        let _serial = memo_test();
+        let key = |i: usize| (0.3, 9.0 + 0.125 * i as f64);
+        let oldest = Ppip::shared(key(0).0, key(0).1);
+        // SHARED_CAPACITY newer keys push out `key(0)` and nothing newer,
+        // whatever the memo held before.
+        let newer: Vec<Arc<Ppip>> = (1..=SHARED_CAPACITY)
+            .map(|i| Ppip::shared(key(i).0, key(i).1))
+            .collect();
+        for (i, kept) in (1..=SHARED_CAPACITY).zip(&newer) {
+            assert!(
+                Arc::ptr_eq(kept, &Ppip::shared(key(i).0, key(i).1)),
+                "key {i}"
+            );
+        }
+        let refit = Ppip::shared(key(0).0, key(0).1);
+        assert!(
+            !Arc::ptr_eq(&oldest, &refit),
+            "the oldest key was not evicted"
+        );
+        assert_bitwise_equal(&refit, &oldest);
+    }
+
+    #[test]
+    fn racing_threads_on_a_cold_key_get_one_fit() {
+        let _serial = memo_test();
+        let (beta, cutoff) = (0.29, 10.75);
+        let start = std::sync::Barrier::new(4);
+        let got: Vec<Arc<Ppip>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        Ppip::shared(beta, cutoff)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for p in &got[1..] {
+            assert!(Arc::ptr_eq(&got[0], p), "the first inserted fit wins");
+        }
+        assert_bitwise_equal(&got[0], &Ppip::build(beta, cutoff));
     }
 
     #[test]
