@@ -127,8 +127,7 @@ impl Verifier {
         let dof = (3 * n_massive)
             .saturating_sub(sys.topology.n_constraints() as u64)
             .max(1);
-        let has_constraints = sim.constraints_enabled && !sys.topology.constraint_groups.is_empty();
-        let shake_term = if has_constraints {
+        let shake_term = if !sys.topology.constraint_groups.is_empty() {
             // The SHAKE velocity rewrite v = Δx/dt re-quantizes both the
             // position (grid step (edge/2)·2⁻³¹ Å per axis) and the
             // velocity word (½ ulp): bound the per-atom velocity-word

@@ -37,16 +37,10 @@ pub struct SimulationBuilder {
     decomposition: Decomposition,
     threads: usize,
     thermostat: ThermostatKind,
-    constraints_enabled: bool,
     tracing: bool,
 }
 
 impl SimulationBuilder {
-    pub fn velocities(mut self, v: Vec<Vec3>) -> Self {
-        self.velocities = Some(v);
-        self
-    }
-
     /// Maxwell–Boltzmann velocities at `temp_k`, seeded.
     pub fn velocities_from_temperature(mut self, temp_k: f64, seed: u64) -> Self {
         let v = init_velocities(&self.system.topology, temp_k, seed);
@@ -69,13 +63,6 @@ impl SimulationBuilder {
 
     pub fn thermostat(mut self, t: ThermostatKind) -> Self {
         self.thermostat = t;
-        self
-    }
-
-    /// Disable constraints (for reversibility experiments on systems whose
-    /// topology carries constraint groups).
-    pub fn without_constraints(mut self) -> Self {
-        self.constraints_enabled = false;
         self
     }
 
@@ -204,7 +191,6 @@ pub struct AntonSimulation {
     pub state: FixedState,
     pub pipeline: ForcePipeline,
     pub thermostat: ThermostatKind,
-    pub constraints_enabled: bool,
     short: RawForces,
     long: RawForces,
     /// Per-atom half-kick constants: dt/2 · ACCEL/m · 2^(VEL−FORCE).
@@ -227,7 +213,6 @@ impl AntonSimulation {
             decomposition: Decomposition::SingleRank,
             threads: threads_from_env(),
             thermostat: ThermostatKind::None,
-            constraints_enabled: true,
             tracing: false,
         }
     }
@@ -278,7 +263,6 @@ impl AntonSimulation {
             state,
             pipeline,
             thermostat: b.thermostat,
-            constraints_enabled: b.constraints_enabled,
             short: RawForces::zeroed(n),
             long: RawForces::zeroed(n),
             kick_half,
@@ -359,6 +343,13 @@ impl AntonSimulation {
         Self::spread_vsite_forces(&mut self.long, &self.system);
     }
 
+    /// Place the virtual sites and evaluate both force classes at `state`.
+    fn refresh_all_forces(&mut self) {
+        self.update_virtual_sites();
+        self.refresh_short();
+        self.refresh_long();
+    }
+
     #[inline]
     fn kick(state: &mut FixedState, forces: &RawForces, consts: &[f64]) {
         for (i, c) in consts.iter().enumerate() {
@@ -392,7 +383,7 @@ impl AntonSimulation {
     /// whose reversibility experiments run without constraints).
     fn apply_constraints(&mut self, pos_ref: &[Vec3]) {
         let groups = &self.system.topology.constraint_groups;
-        if groups.is_empty() || !self.constraints_enabled {
+        if groups.is_empty() {
             return;
         }
         let mut pos = self.state.decode_positions(&self.system.pbox);
@@ -525,12 +516,6 @@ impl AntonSimulation {
         &mut self.long
     }
 
-    /// The config fingerprint stamped into every checkpoint this
-    /// simulation writes (see `anton-ckpt` and DESIGN.md §12).
-    pub fn config_fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Capture the complete simulation state as an `anton-ckpt` snapshot:
     /// raw fixed-point positions/velocities, step counter, config
     /// fingerprint, exchange counters, and trace drop counts. Pure
@@ -574,12 +559,6 @@ impl AntonSimulation {
         Ok(bytes)
     }
 
-    /// The decomposition this simulation was built with (a construction-time
-    /// property of its force pipeline).
-    pub fn decomposition(&self) -> Decomposition {
-        self.pipeline.decomposition()
-    }
-
     /// The trace sink ([`TraceSink::Off`] unless built with
     /// [`SimulationBuilder::tracing`]).
     pub fn trace(&self) -> &TraceSink {
@@ -588,14 +567,6 @@ impl AntonSimulation {
 
     pub fn trace_mut(&mut self) -> &mut TraceSink {
         self.pipeline.trace_mut()
-    }
-
-    /// Recompute both force classes from the current state — required after
-    /// replacing `state` externally.
-    pub fn refresh_all_forces(&mut self) {
-        self.update_virtual_sites();
-        self.refresh_short();
-        self.refresh_long();
     }
 
     /// Negate all velocities (the reversibility experiment of §4). Only
@@ -629,20 +600,6 @@ impl AntonSimulation {
     /// Raw forces (short + long), for force-error measurements.
     pub fn total_force_f64(&self, i: usize) -> Vec3 {
         self.short.force_f64(i) + self.long.force_f64(i)
-    }
-
-    /// Instantaneous pairwise-virial pressure estimate (bar):
-    /// `P V = N_dof kB T / 3 · ... ` — specifically
-    /// `P = (2·KE + W) / (3V)` with `W = Σ r⃗·F⃗` from the range-limited and
-    /// correction pairs (mesh virial omitted; the paper's evaluations are
-    /// constant-volume). The virial is kept in the wide fixed-point
-    /// accumulators of paper Figure 4c, so this quantity is deterministic
-    /// and parallel invariant like the forces.
-    pub fn pressure_bar(&self) -> f64 {
-        const KCAL_PER_MOL_A3_TO_BAR: f64 = 69_476.95;
-        let w = self.short.virial_f64() + self.long.virial_f64();
-        let v = self.system.pbox.volume();
-        (2.0 * self.kinetic_energy() + w) / (3.0 * v) * KCAL_PER_MOL_A3_TO_BAR
     }
 
     /// The decoded positions (Å).

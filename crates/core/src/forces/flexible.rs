@@ -112,8 +112,7 @@ impl ForcePipeline {
     }
 
     /// Evaluate one (possibly partial) correction batch and scatter the
-    /// quantized forces and energy (no virial — matching the scalar
-    /// reference, which books correction pairs outside the pair virial).
+    /// quantized forces and energy.
     fn corr_batch_into(
         &self,
         qqs: &[f64; MATCH_WIDTH],

@@ -38,8 +38,6 @@ mod pair;
 mod batched_oracle_props;
 #[cfg(test)]
 mod tests;
-#[cfg(test)]
-mod virial_tests;
 
 use self::mesh::LrRank;
 use self::pair::RankScratch;
@@ -80,11 +78,6 @@ pub struct RawForces {
     pub e_bonded: i64,
     pub e_correction: i64,
     pub e_reciprocal: i64,
-    /// Pairwise virial Σ r⃗·F⃗ over range-limited + correction pairs, kept in
-    /// a wide accumulator like the ASIC's 86-bit units (paper Figure 4c):
-    /// wide enough that pressure-controlled accounting stays deterministic
-    /// and parallel invariant. Q32, kcal/mol.
-    pub virial: anton_fixpoint::Wide<32>,
 }
 
 impl RawForces {
@@ -95,7 +88,6 @@ impl RawForces {
             e_bonded: 0,
             e_correction: 0,
             e_reciprocal: 0,
-            virial: anton_fixpoint::Wide::ZERO,
         }
     }
 
@@ -113,7 +105,6 @@ impl RawForces {
         self.e_bonded = 0;
         self.e_correction = 0;
         self.e_reciprocal = 0;
-        self.virial = anton_fixpoint::Wide::ZERO;
     }
 
     /// Fold another accumulator into this one with wrapping adds — the
@@ -132,12 +123,6 @@ impl RawForces {
         self.e_bonded = self.e_bonded.wrapping_add(other.e_bonded);
         self.e_correction = self.e_correction.wrapping_add(other.e_correction);
         self.e_reciprocal = self.e_reciprocal.wrapping_add(other.e_reciprocal);
-        self.virial = self.virial.wrapping_add(other.virial);
-    }
-
-    /// The accumulated pairwise virial (kcal/mol).
-    pub fn virial_f64(&self) -> f64 {
-        self.virial.to_f64()
     }
 
     /// Potential energy (kcal/mol).
@@ -193,7 +178,6 @@ pub struct ForcePipeline {
     /// match stage and the evaluator.
     ladder: Q20Ladder,
     policy: ExclusionPolicy,
-    decomposition: Decomposition,
     pool: DetPool,
     /// The work plan every phase fans out over.
     ranks: RankSet,
@@ -269,7 +253,6 @@ impl ForcePipeline {
             half_edge_q20,
             ladder,
             policy,
-            decomposition,
             pool: DetPool::new(threads),
             counters: ExchangeCounters::default(),
             trace: TraceSink::Off,
@@ -282,14 +265,6 @@ impl ForcePipeline {
             gse_scratch: GseScratch::default(),
             pos_buf: Vec::new(),
         }
-    }
-
-    pub fn decomposition(&self) -> Decomposition {
-        self.decomposition
-    }
-
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// The work plan, when it models a machine (`None` under

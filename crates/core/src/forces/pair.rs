@@ -316,8 +316,8 @@ impl ForcePipeline {
     /// and the kernel parameters formed as `qi·qj·se`, `lj_a·sl`,
     /// `lj_b·sl` in the scalar oracle's operation order (`(se, sl)` the
     /// policy's 1-4 multipliers on flagged lanes, exact ones elsewhere),
-    /// dispatched through the PPIP evaluator, and the quantized forces,
-    /// virial and energy scattered. Wrapping accumulation makes the sums
+    /// dispatched through the PPIP evaluator, and the quantized forces and
+    /// energy scattered. Wrapping accumulation makes the sums
     /// independent of the compaction, as of every other order.
     ///
     /// The cached batch contributes only the pair's *identity* — every
@@ -388,13 +388,9 @@ impl ForcePipeline {
                 let fi = d.map(|c| rne_f64_to_i64(c as f64 * ds * f_over_r * fs));
                 let i = tiles.atom_at(batch.si[lane]) as usize;
                 let j = tiles.atom_at(batch.sj[lane]) as usize;
-                for k in 0..3 {
-                    out.f[i][k] = out.f[i][k].wrapping_add(fi[k]);
-                    out.f[j][k] = out.f[j][k].wrapping_sub(fi[k]);
-                    out.virial = out.virial.accumulate(
-                        anton_fixpoint::Q::<20>::from_raw(d[k]),
-                        anton_fixpoint::Q::<24>::from_raw(fi[k]),
-                    );
+                for (k, &fk) in fi.iter().enumerate() {
+                    out.f[i][k] = out.f[i][k].wrapping_add(fk);
+                    out.f[j][k] = out.f[j][k].wrapping_sub(fk);
                 }
                 out.e_range_limited = out.e_range_limited.wrapping_add(rne_f64_to_i64(e * es));
             }

@@ -67,16 +67,9 @@ impl ForcePipeline {
         out: &mut RawForces,
     ) {
         if let Some((fi, eq)) = self.pair_contribution(sys, state, i, j) {
-            let d = state.delta_q20(self.half_edge_q20, i, j);
-            for k in 0..3 {
-                out.f[i][k] = out.f[i][k].wrapping_add(fi[k]);
-                out.f[j][k] = out.f[j][k].wrapping_sub(fi[k]);
-                // r·F into the wide virial accumulator (exact products,
-                // order-free accumulation).
-                out.virial = out.virial.accumulate(
-                    anton_fixpoint::Q::<20>::from_raw(d[k]),
-                    anton_fixpoint::Q::<24>::from_raw(fi[k]),
-                );
+            for (k, &fk) in fi.iter().enumerate() {
+                out.f[i][k] = out.f[i][k].wrapping_add(fk);
+                out.f[j][k] = out.f[j][k].wrapping_sub(fk);
             }
             out.e_range_limited = out.e_range_limited.wrapping_add(eq);
         }

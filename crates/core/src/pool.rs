@@ -30,10 +30,6 @@ impl DetPool {
         }
     }
 
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Apply `f(index, item)` to every item, fanning contiguous chunks of
     /// the slice out to workers. With one thread (the default) no threads
     /// are spawned at all.

@@ -72,7 +72,9 @@ mod tests {
 
     #[test]
     fn water_only_has_no_solute() {
-        let sys = anton_systems::table4_water_only(&TABLE4[0], 2);
+        let e = &TABLE4[0];
+        let params = anton_systems::RunParams::paper(e.cutoff, e.mesh);
+        let sys = anton_systems::water_box("gpW-water", e.side, e.n_atoms / 3, 2, params).unwrap();
         let s = system_stats(&sys);
         assert_eq!(s.protein_atoms, 0);
         assert_eq!(s.n_bonded_terms, 0);

@@ -277,13 +277,6 @@ impl GseReference {
         }
     }
 
-    /// Interpolated potential at an arbitrary point (used by tests).
-    pub fn potential_at(&self, phi: &[f64], p: Vec3) -> f64 {
-        let mut acc = 0.0;
-        self.for_each_support(p, |idx, w, _dw| acc += phi[idx] * w);
-        acc * self.mesh.cell_volume()
-    }
-
     fn spread_one(&self, p: Vec3, qn: f64, rho: &mut [f64]) {
         self.for_each_support(p, |idx, w, _dw| rho[idx] += qn * w);
     }

@@ -25,8 +25,6 @@
 //! * [`Q`] — a 64-bit Q-format value with a const-generic number of fraction
 //!   bits, used for displacements (Q20 Å), squared distances (Q20 Å²), forces
 //!   (Q24 kcal/mol/Å), energies (Q32 kcal/mol) and velocities (Q40 Å/fs).
-//! * [`Wide`] — a 128-bit accumulator standing in for Anton's 86-bit virial
-//!   accumulators (paper Figure 4c).
 //! * Rounding primitives implementing the ASIC's round-to-nearest/even rule
 //!   (paper Figure 4 caption), which is odd-symmetric — a property the exact
 //!   time-reversibility of the integrator depends on.
@@ -39,17 +37,8 @@ mod fx32;
 
 pub use fx32::Fx32;
 pub use fxvec::{FxVec3, QVec3};
-pub use q::{Wide, Q, Q16, Q20, Q24, Q32, Q40};
+pub use q::{Q, Q16, Q20, Q24, Q32, Q40};
 pub use rounding::{rne_shr_i128, rne_shr_i64};
-
-/// Fraction bits used for displacements and squared distances in Å / Å².
-pub const LEN_FRAC: u32 = 20;
-/// Fraction bits used for force components in kcal/mol/Å.
-pub const FORCE_FRAC: u32 = 24;
-/// Fraction bits used for energies in kcal/mol.
-pub const ENERGY_FRAC: u32 = 32;
-/// Fraction bits used for velocities in Å/fs.
-pub const VEL_FRAC: u32 = 40;
 
 #[cfg(test)]
 mod tests {

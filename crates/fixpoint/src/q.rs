@@ -12,12 +12,6 @@ use crate::rounding::{rne_f64, rne_shr_i128};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Q<const FRAC: u32>(pub i64);
 
-/// Virials / wide accumulators: Anton uses 86-bit accumulators for the tensor
-/// products of force and position (Figure 4c); we model them as `i128` with a
-/// fixed fraction width.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub struct Wide<const FRAC: u32>(pub i128);
-
 pub type Q16 = Q<16>;
 pub type Q20 = Q<20>;
 pub type Q24 = Q<24>;
@@ -27,7 +21,6 @@ pub type Q40 = Q<40>;
 impl<const FRAC: u32> Q<FRAC> {
     pub const ZERO: Self = Q(0);
     pub const ONE: Self = Q(1i64 << FRAC);
-    pub const FRAC_BITS: u32 = FRAC;
     /// Smallest representable increment.
     // detlint::boundary(reason = "grid-spacing constant used only when quantizing at the f64 edge")
     pub const EPSILON: f64 = 1.0 / (1u128 << FRAC) as f64;
@@ -118,35 +111,6 @@ impl<const FRAC: u32> Q<FRAC> {
     #[inline]
     pub fn abs(self) -> Self {
         Q(self.0.wrapping_abs())
-    }
-}
-
-impl<const FRAC: u32> Wide<FRAC> {
-    pub const ZERO: Self = Wide(0);
-
-    #[inline]
-    pub fn wrapping_add(self, rhs: Self) -> Self {
-        Wide(self.0.wrapping_add(rhs.0))
-    }
-
-    /// Accumulate the product of two Q values without intermediate rounding —
-    /// the paper's virial accumulators keep enough width that the tensor
-    /// products are exact.
-    #[inline]
-    pub fn accumulate<const A: u32, const B: u32>(self, a: Q<A>, b: Q<B>) -> Self {
-        debug_assert!(A + B >= FRAC);
-        let prod = a.0 as i128 * b.0 as i128; // exact, up to 126 bits
-                                              // Keep FRAC fraction bits: shift is exact in the accumulator sense if
-                                              // we keep all bits; we truncate deterministically (floor) here since
-                                              // every node performs the identical operation.
-        Wide(self.0.wrapping_add(prod >> (A + B - FRAC)))
-    }
-
-    // detlint::boundary(reason = "wide-accumulator -> f64 decode for reporting; read-only, never accumulated back")
-    #[allow(clippy::float_arithmetic)]
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        self.0 as f64 / (1u128 << FRAC) as f64
     }
 }
 

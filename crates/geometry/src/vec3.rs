@@ -36,11 +36,6 @@ impl Vec3 {
     }
 
     #[inline]
-    pub fn from_array(a: [f64; 3]) -> Vec3 {
-        Vec3::new(a[0], a[1], a[2])
-    }
-
-    #[inline]
     pub fn to_array(self) -> [f64; 3] {
         [self.x, self.y, self.z]
     }

@@ -307,19 +307,6 @@ pub fn table4_system(entry: &Table4Entry, seed: u64) -> System {
     )
 }
 
-/// The matching "water only" system of Figure 5: same box and parameters,
-/// waters only, same nominal size.
-pub fn table4_water_only(entry: &Table4Entry, seed: u64) -> System {
-    crate::waterbox::water_box(
-        &format!("{}-water", entry.name),
-        entry.side,
-        entry.n_atoms / 3,
-        seed,
-        RunParams::paper(entry.cutoff, entry.mesh),
-    )
-    .expect("every Table 4 box holds its waters under its cutoff")
-}
-
 /// The §5.3 BPTI system: 892 protein atoms (112 residues of 8 atoms, minus a
 /// 4-atom adjustment handled via the tail mechanism), 6 Cl⁻, and 4,215
 /// TIP4P-Ew waters in a 51.3 Å box; 10.4 Å cutoff, 7.1 Å spreading cutoff,
@@ -344,11 +331,8 @@ mod tests {
         assert_eq!(sys.n_atoms(), 9865);
         assert!(sys.topology.total_charge().abs() < 1e-9);
         // Density should be biomolecular (~0.1 atoms/Å³).
-        assert!(
-            (sys.density() - 0.0963).abs() < 0.002,
-            "density {}",
-            sys.density()
-        );
+        let density = sys.n_atoms() as f64 / sys.pbox.volume();
+        assert!((density - 0.0963).abs() < 0.002, "density {density}");
     }
 
     #[test]
@@ -362,13 +346,6 @@ mod tests {
         assert_eq!(n_ions, 6);
         assert!(sys.topology.total_charge().abs() < 1e-9);
         assert_eq!(sys.params.spread_cutoff, 7.1);
-    }
-
-    #[test]
-    fn water_only_variant_has_no_bonds() {
-        let sys = table4_water_only(&TABLE4[0], 3);
-        assert!(sys.topology.bonds.is_empty());
-        assert_eq!(sys.n_atoms(), (9865 / 3) * 3);
     }
 
     #[test]

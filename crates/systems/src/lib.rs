@@ -13,9 +13,8 @@
 //!   CA, HA, CB, HB, C, O) repeated along a helical backbone curve, with
 //!   bonds/angles/dihedrals, AMBER-like charges, and hydrogen-bond
 //!   constraints.
-//! * [`catalog`] — the six Table 4 systems (gpW … T7Lig), their water-only
-//!   counterparts, and the §5.3 BPTI system (17,758 particles, TIP4P-Ew,
-//!   6 chloride ions).
+//! * [`catalog`] — the six Table 4 systems (gpW … T7Lig) and the §5.3 BPTI
+//!   system (17,758 particles, TIP4P-Ew, 6 chloride ions).
 //! * [`go_model`] — a Cα Gō model of gpW for the Figure 7 folding/unfolding
 //!   experiment.
 //! * [`velocities`] — Maxwell–Boltzmann initialization with seeded RNG and
@@ -28,7 +27,7 @@ pub mod spec;
 pub mod velocities;
 pub mod waterbox;
 
-pub use catalog::{bpti, table4_system, table4_water_only, Table4Entry, TABLE4};
+pub use catalog::{bpti, table4_system, Table4Entry, TABLE4};
 pub use go_model::GoModel;
 pub use spec::{RunParams, System};
 pub use velocities::init_velocities;

@@ -53,12 +53,6 @@ impl System {
         self.positions.len()
     }
 
-    /// Atom number density (atoms/Å³); ~0.1 for solvated biomolecular
-    /// systems.
-    pub fn density(&self) -> f64 {
-        self.n_atoms() as f64 / self.pbox.volume()
-    }
-
     /// Consistency checks run by every builder before returning.
     pub fn validate(&self) -> Result<(), String> {
         if self.positions.len() != self.topology.n_atoms() {

@@ -91,25 +91,31 @@ fn full_engine_reversibility_without_constraints() {
 
 #[test]
 fn checkpoint_restart_continues_bitwise() {
-    // Save mid-run, restore into a fresh engine, continue: the trajectory
-    // must be bitwise identical to the uninterrupted run — determinism
-    // surviving serialization.
-    let sys = mini_protein_system(21);
-    let mut straight = AntonSimulation::builder(sys.clone())
-        .velocities_from_temperature(300.0, 23)
-        .build();
+    // Snapshot mid-run, resume a fresh engine at it, continue: the
+    // trajectory and its bookkeeping must be bitwise identical to the
+    // uninterrupted run — determinism surviving serialization, with bonded
+    // terms, exclusions, 1-4 pairs and protein constraint groups in play.
+    let builder = || {
+        AntonSimulation::builder(mini_protein_system(21))
+            .velocities_from_temperature(300.0, 23)
+            .decomposition(Decomposition::Nodes(8))
+            .threads(2)
+    };
+    let mut straight = builder().build();
     straight.run_cycles(3);
-    let snapshot = straight.state.to_bytes();
+    let snapshot = straight.snapshot();
     straight.run_cycles(3);
 
-    let restored_state = anton_core::FixedState::from_bytes(&snapshot).unwrap();
-    let mut resumed = AntonSimulation::builder(sys)
-        .velocities_from_temperature(300.0, 23) // placeholder; overwritten below
-        .build();
-    resumed.state = restored_state;
-    resumed.refresh_all_forces();
+    let mut resumed = builder()
+        .resume_from_snapshot(&snapshot)
+        .expect("resume under the same configuration");
     resumed.run_cycles(3);
     assert_eq!(resumed.state, straight.state);
+    assert_eq!(resumed.step_count(), straight.step_count());
+    assert_eq!(
+        resumed.pipeline.counters.to_words(),
+        straight.pipeline.counters.to_words()
+    );
 }
 
 #[test]
