@@ -5,7 +5,7 @@
 use super::{ForcePipeline, RawForces};
 use crate::ranks::Rank;
 use crate::state::{FixedState, ENERGY_FRAC, FORCE_FRAC};
-use anton_fixpoint::rounding::rne_f64;
+use anton_fixpoint::rounding::{rne_f64, rne_f64_to_i64};
 use anton_forcefield::bonded;
 use anton_geometry::Vec3;
 use anton_machine::MATCH_WIDTH;
@@ -133,14 +133,13 @@ impl ForcePipeline {
         let ds = 1.0 / (1i64 << 20) as f64;
         let fs = (1i64 << FORCE_FRAC) as f64;
         let es = (1u64 << ENERGY_FRAC) as f64;
+        // Force and energy words: `rne_f64_to_i64` is `rne_f64(..) as i64`
+        // bit for bit (`rne_f64_to_i64_matches_the_cast_of_rne_f64`), with no
+        // branch on the sign of a pair's force component.
         for lane in 0..lanes {
             let (e, f_over_r) = vals[lane];
             let d = dd[lane];
-            let fi = [
-                rne_f64(d[0] as f64 * ds * f_over_r * fs) as i64,
-                rne_f64(d[1] as f64 * ds * f_over_r * fs) as i64,
-                rne_f64(d[2] as f64 * ds * f_over_r * fs) as i64,
-            ];
+            let fi = d.map(|c| rne_f64_to_i64(c as f64 * ds * f_over_r * fs));
             let (i, j) = ij[lane];
             let a = &mut out.f[i as usize];
             a[0] = a[0].wrapping_add(fi[0]);
@@ -150,7 +149,7 @@ impl ForcePipeline {
             b[0] = b[0].wrapping_sub(fi[0]);
             b[1] = b[1].wrapping_sub(fi[1]);
             b[2] = b[2].wrapping_sub(fi[2]);
-            out.e_correction = out.e_correction.wrapping_add(rne_f64(e * es) as i64);
+            out.e_correction = out.e_correction.wrapping_add(rne_f64_to_i64(e * es));
         }
     }
 

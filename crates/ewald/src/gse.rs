@@ -21,23 +21,24 @@
 //! (per axis) so that the energy is continuous when an atom's mesh support
 //! set changes — this keeps the NVE energy drift small.
 //!
-//! Two implementations share the math:
-//! * [`GseReference`] — `f64`, used by tests and the reference engine.
-//! * [`GseFixed`] — the deterministic path the Anton engine runs: fixed-point
-//!   mesh accumulation (order-free wrapping adds), the *distributed*
-//!   fixed-point pencil-exchange FFT of `anton-fft` (planned for the
-//!   simulated node grid), and quantized Green's-function coefficients. The
-//!   phase decomposes as per-rank spreading ([`GseFixed::spread_into`]) →
-//!   rank-ordered mesh merge → FFT trunk ([`GseFixed::transform`]) →
-//!   per-rank interpolation ([`GseFixed::interpolate_into`]); its output is
-//!   bitwise independent of how atoms are distributed across nodes/threads.
-//!   All hot-path buffers live in a caller-owned [`GseScratch`], so steady
-//!   state evaluations are allocation-free.
+//! [`GseFixed`] is the deterministic path the Anton engine runs: fixed-point
+//! mesh accumulation (order-free wrapping adds), the *distributed*
+//! fixed-point pencil-exchange FFT of `anton-fft` (planned for the simulated
+//! node grid), and quantized Green's-function coefficients. The phase
+//! decomposes as per-rank spreading ([`GseFixed::spread_into`]) →
+//! rank-ordered mesh merge → FFT trunk ([`GseFixed::transform`]) → per-rank
+//! interpolation ([`GseFixed::interpolate_into`]); its output is bitwise
+//! independent of how atoms are distributed across nodes/threads. Spreading
+//! and interpolation build each atom's separable stencil once
+//! ([`SupportScratch`]) and then walk contiguous mesh rows. All hot-path
+//! buffers live in caller-owned scratch, so steady state evaluations are
+//! allocation-free. The tests keep an `f64` reference GSE and the
+//! per-point visitor the stencil rows replaced, as oracles.
 
 use crate::mesh::Mesh;
 use anton_fft::fixed::FxComplex;
-use anton_fft::{CommStats, Complex, Fft3d, FxDistributedFft3d};
-use anton_fixpoint::rounding::rne_f64;
+use anton_fft::{CommStats, FxDistributedFft3d};
+use anton_fixpoint::rounding::{rne_f64, rne_f64_to_i64};
 use anton_forcefield::units::COULOMB;
 use anton_geometry::Vec3;
 
@@ -125,176 +126,108 @@ impl GseParams {
     }
 }
 
-/// Reusable per-axis window/derivative buffers for the separable support
-/// iteration. One lives in every rank's private mesh scratch so the hot
-/// path never allocates; the reference path makes throwaway ones.
+/// [`GseParams::window_1d`] and [`GseParams::window_1d_deriv`] with their
+/// constants (σ_s², 2σ_s², the truncation shift) fixed at plan time. The
+/// per-point arithmetic is theirs operand for operand, and one `exp` feeds
+/// both the value and the derivative.
+#[derive(Clone, Copy, Debug)]
+struct Window {
+    rt: f64,
+    s2: f64,
+    two_s2: f64,
+    shift: f64,
+}
+
+impl Window {
+    fn new(p: &GseParams) -> Window {
+        let s2 = p.sigma_s * p.sigma_s;
+        Window {
+            rt: p.spread_cutoff,
+            s2,
+            two_s2: 2.0 * s2,
+            shift: (-p.spread_cutoff * p.spread_cutoff / (2.0 * s2)).exp(),
+        }
+    }
+}
+
+/// One atom's stencil along one axis: per support point the window value,
+/// its derivative (interpolation only) and the mesh index wrapped into the
+/// axis.
+#[derive(Clone, Debug, Default)]
+struct AxisRow {
+    w: Vec<f64>,
+    dw: Vec<f64>,
+    i: Vec<usize>,
+}
+
+impl AxisRow {
+    /// The row of coordinate `pos` over `Mesh::support`'s `(start, count)`
+    /// on an axis of `n` points spaced `h`.
+    fn fill<const DERIV: bool>(
+        &mut self,
+        win: &Window,
+        pos: f64,
+        (start, count): (i64, usize),
+        h: f64,
+        n: usize,
+    ) {
+        self.w.clear();
+        self.dw.clear();
+        self.i.clear();
+        for m in start..start + count as i64 {
+            let d = pos - m as f64 * h;
+            let (w, dw) = if d.abs() >= win.rt {
+                (0.0, 0.0)
+            } else {
+                let g = (-d * d / win.two_s2).exp();
+                (g - win.shift, -d / win.s2 * g)
+            };
+            self.w.push(w);
+            if DERIV {
+                self.dw.push(dw);
+            }
+            self.i.push(m.rem_euclid(n as i64) as usize);
+        }
+    }
+}
+
+/// One atom's separable stencil, built once per atom and walked row by
+/// row: an [`AxisRow`] per axis, and the `(a, b)` tables `wxy = wx·wy` and,
+/// for interpolation, `dxy = dwx·wy`, `wdy = wx·dwy` (index `b·cx + a`).
+/// One lives in every rank's private mesh scratch, reused across atoms, so
+/// the hot path never allocates.
 #[derive(Clone, Debug, Default)]
 pub struct SupportScratch {
-    wx: Vec<f64>,
-    dwx: Vec<f64>,
-    wy: Vec<f64>,
-    dwy: Vec<f64>,
-    wz: Vec<f64>,
-    dwz: Vec<f64>,
+    x: AxisRow,
+    y: AxisRow,
+    z: AxisRow,
+    wxy: Vec<f64>,
+    dxy: Vec<f64>,
+    wdy: Vec<f64>,
 }
 
-/// Visit every mesh point within the (per-axis) support of the window
-/// around `p`, passing the flattened index, the window value, and its
-/// gradient with respect to the atom position. Shared by the reference and
-/// fixed-point paths; `s` holds the separable per-axis tables, reused
-/// across calls.
-pub fn visit_support(
-    mesh: &Mesh,
-    params: &GseParams,
-    p: Vec3,
-    s: &mut SupportScratch,
-    mut f: impl FnMut(usize, f64, Vec3),
-) {
-    let [nx, ny, nz] = mesh.dims;
-    let rt = params.spread_cutoff;
-    let (x0, cx) = mesh.support(p.x, rt, 0);
-    let (y0, cy) = mesh.support(p.y, rt, 1);
-    let (z0, cz) = mesh.support(p.z, rt, 2);
-    let h = mesh.spacing();
-
-    // Per-axis window values and derivatives (separable).
-    s.wx.clear();
-    s.dwx.clear();
-    for a in 0..cx {
-        let d = p.x - (x0 + a as i64) as f64 * h.x;
-        s.wx.push(params.window_1d(d));
-        s.dwx.push(params.window_1d_deriv(d));
-    }
-    s.wy.clear();
-    s.dwy.clear();
-    for b in 0..cy {
-        let d = p.y - (y0 + b as i64) as f64 * h.y;
-        s.wy.push(params.window_1d(d));
-        s.dwy.push(params.window_1d_deriv(d));
-    }
-    s.wz.clear();
-    s.dwz.clear();
-    for c in 0..cz {
-        let d = p.z - (z0 + c as i64) as f64 * h.z;
-        s.wz.push(params.window_1d(d));
-        s.dwz.push(params.window_1d_deriv(d));
-    }
-
-    for c in 0..cz {
-        let mz = (z0 + c as i64).rem_euclid(nz as i64) as usize;
-        for b in 0..cy {
-            let my = (y0 + b as i64).rem_euclid(ny as i64) as usize;
-            let base = nx * (my + ny * mz);
-            for a in 0..cx {
-                let mx = (x0 + a as i64).rem_euclid(nx as i64) as usize;
-                let w = s.wx[a] * s.wy[b] * s.wz[c];
-                let grad = Vec3::new(
-                    s.dwx[a] * s.wy[b] * s.wz[c],
-                    s.wx[a] * s.dwy[b] * s.wz[c],
-                    s.wx[a] * s.wy[b] * s.dwz[c],
-                );
-                f(base + mx, w, grad);
+impl SupportScratch {
+    /// Build the stencil of an atom at `p`; the derivative rows and tables
+    /// only when `DERIV`.
+    fn build<const DERIV: bool>(&mut self, gse: &GseFixed, p: Vec3) {
+        let mesh = &gse.mesh;
+        let h = mesh.spacing();
+        let rows = [&mut self.x, &mut self.y, &mut self.z];
+        for (axis, row) in rows.into_iter().enumerate() {
+            let support = mesh.support(p[axis], gse.params.spread_cutoff, axis);
+            row.fill::<DERIV>(&gse.window, p[axis], support, h[axis], mesh.dims[axis]);
+        }
+        self.wxy.clear();
+        self.dxy.clear();
+        self.wdy.clear();
+        for (b, &wy) in self.y.w.iter().enumerate() {
+            self.wxy.extend(self.x.w.iter().map(|&wx| wx * wy));
+            if DERIV {
+                let dwy = self.y.dw[b];
+                self.dxy.extend(self.x.dw.iter().map(|&dwx| dwx * wy));
+                self.wdy.extend(self.x.w.iter().map(|&wx| wx * dwy));
             }
         }
-    }
-}
-
-/// Double-precision GSE on a mesh.
-pub struct GseReference {
-    pub mesh: Mesh,
-    pub params: GseParams,
-    fft: Fft3d,
-    green: Vec<f64>,
-}
-
-/// Result of one reciprocal-space evaluation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RecipEnergy {
-    /// Mesh (reciprocal) energy including the self-term (kcal/mol).
-    pub mesh_energy: f64,
-    /// Analytic self-energy already subtracted from `energy`.
-    pub self_energy: f64,
-    /// mesh_energy − self_energy.
-    pub energy: f64,
-}
-
-impl GseReference {
-    pub fn new(mesh: Mesh, params: GseParams) -> GseReference {
-        let [nx, ny, nz] = mesh.dims;
-        let fft = Fft3d::new(nx, ny, nz);
-        let green = build_green_table(&mesh, &params);
-        GseReference {
-            mesh,
-            params,
-            fft,
-            green,
-        }
-    }
-
-    /// Compute reciprocal-space energy and add forces into `forces`.
-    pub fn compute(&self, positions: &[Vec3], charges: &[f64], forces: &mut [Vec3]) -> RecipEnergy {
-        let n_mesh = self.mesh.len();
-        let mut rho = vec![0.0f64; n_mesh];
-        let norm = self.params.norm();
-
-        // 1. Charge spreading.
-        for (p, &q) in positions.iter().zip(charges) {
-            if q == 0.0 {
-                continue;
-            }
-            self.spread_one(*p, q * norm, &mut rho);
-        }
-
-        // 2. FFT → Green multiply → inverse FFT.
-        let mut grid: Vec<Complex> = rho.iter().map(|&r| Complex::new(r, 0.0)).collect();
-        self.fft.forward(&mut grid);
-        for (g, &gr) in grid.iter_mut().zip(&self.green) {
-            *g = g.scale(gr);
-        }
-        self.fft.inverse(&mut grid);
-        let phi: Vec<f64> = grid.iter().map(|c| c.re).collect();
-
-        // 3. Mesh energy ½ ∫φρ ≈ ½ Vc Σ φ_m ρ_m.
-        let vc = self.mesh.cell_volume();
-        let mesh_energy: f64 =
-            0.5 * COULOMB * vc * phi.iter().zip(&rho).map(|(a, b)| a * b).sum::<f64>();
-
-        // 4. Force interpolation with the same window.
-        for (i, (p, &q)) in positions.iter().zip(charges).enumerate() {
-            if q == 0.0 {
-                continue;
-            }
-            let f = self.interpolate_force(*p, &phi);
-            forces[i] += f * (q * norm * vc * COULOMB);
-        }
-
-        let self_energy = COULOMB * self.params.beta / std::f64::consts::PI.sqrt()
-            * charges.iter().map(|q| q * q).sum::<f64>();
-        RecipEnergy {
-            mesh_energy,
-            self_energy,
-            energy: mesh_energy - self_energy,
-        }
-    }
-
-    fn spread_one(&self, p: Vec3, qn: f64, rho: &mut [f64]) {
-        self.for_each_support(p, |idx, w, _dw| rho[idx] += qn * w);
-    }
-
-    fn interpolate_force(&self, p: Vec3, phi: &[f64]) -> Vec3 {
-        let mut f = Vec3::ZERO;
-        self.for_each_support(p, |idx, _w, dw| f -= phi[idx] * 1.0 * dw);
-        f
-    }
-
-    fn for_each_support(&self, p: Vec3, f: impl FnMut(usize, f64, Vec3)) {
-        visit_support(
-            &self.mesh,
-            &self.params,
-            p,
-            &mut SupportScratch::default(),
-            f,
-        );
     }
 }
 
@@ -392,6 +325,8 @@ pub struct GseFixed {
     /// 3D window normalization, a pure function of `params`, fixed at plan
     /// time so the per-atom hot loops never recompute the erf.
     norm: f64,
+    /// The per-axis window's plan-time constants.
+    window: Window,
 }
 
 impl GseFixed {
@@ -422,6 +357,7 @@ impl GseFixed {
         GseFixed {
             fft: FxDistributedFft3d::new(dims, nodes),
             mesh,
+            window: Window::new(&params),
             params,
             green_q,
             log2n,
@@ -439,20 +375,38 @@ impl GseFixed {
         self.fft.stats()
     }
 
-    /// Spread one quantized charge into the mesh (order-free accumulation).
+    /// Spread one quantized charge into the mesh (order-free accumulation),
+    /// walking the stencil c → b → a over contiguous x rows. The window is
+    /// `(wx·wy)·wz` and the word `((q·norm)·w)·scale`, the per-point
+    /// visitor's operand order, so every word is bitwise the same;
+    /// `rne_f64_to_i64` is `rne_f64(..) as i64` bit for bit
+    /// (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
     #[inline]
     fn spread_one(&self, p: Vec3, q: f64, rho_q: &mut [i64], st: &mut SupportScratch) {
-        let norm = self.norm;
+        st.build::<false>(self, p);
+        let qn = q * self.norm;
         let scale = (1i64 << MESH_FRAC) as f64;
-        visit_support(&self.mesh, &self.params, p, st, |idx, w, _| {
-            let contrib = rne_f64(q * norm * w * scale) as i64;
-            rho_q[idx] = rho_q[idx].wrapping_add(contrib);
-        });
+        let [nx, ny, _] = self.mesh.dims;
+        let cx = st.x.i.len();
+        for (&mz, &wz) in st.z.i.iter().zip(&st.z.w) {
+            for (b, &my) in st.y.i.iter().enumerate() {
+                let base = nx * (my + ny * mz);
+                let row = &mut rho_q[base..base + nx];
+                for (&mx, &wxy) in st.x.i.iter().zip(&st.wxy[b * cx..][..cx]) {
+                    let w = wxy * wz;
+                    row[mx] = row[mx].wrapping_add(rne_f64_to_i64(qn * w * scale));
+                }
+            }
+        }
     }
 
     /// Interpolate one atom's energy and force from the potential mesh.
     /// Per-atom terms are computed in f64 from the fixed mesh
     /// (deterministic) and quantized before the order-free accumulation.
+    /// The walk is [`Self::spread_one`]'s; the gradient components are
+    /// `(dwx·wy)·wz`, `(wx·dwy)·wz`, `(wx·wy)·dwz`, and `e`, `fx`, `fy`, `fz`
+    /// accumulate in the visitor's c → b → a order, so every rounding is
+    /// unchanged.
     #[inline]
     fn interpolate_one(
         &self,
@@ -463,22 +417,39 @@ impl GseFixed {
         f_out: &mut [i64; 3],
         st: &mut SupportScratch,
     ) -> i64 {
+        st.build::<true>(self, p);
         let inv_scale = 1.0 / (1i64 << MESH_FRAC) as f64;
+        let [nx, ny, _] = self.mesh.dims;
+        let cx = st.x.i.len();
+        let (mut e, mut fx, mut fy, mut fz) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for ((&mz, &wz), &dwz) in st.z.i.iter().zip(&st.z.w).zip(&st.z.dw) {
+            for (b, &my) in st.y.i.iter().enumerate() {
+                let base = nx * (my + ny * mz);
+                let row = &phi_q[base..base + nx];
+                let ab = b * cx..(b + 1) * cx;
+                let tables = st.wxy[ab.clone()]
+                    .iter()
+                    .zip(&st.dxy[ab.clone()])
+                    .zip(&st.wdy[ab]);
+                for (&mx, ((&wxy, &dxy), &wdy)) in st.x.i.iter().zip(tables) {
+                    let phi = row[mx] as f64 * inv_scale;
+                    e += phi * (wxy * wz);
+                    fx -= phi * (dxy * wz);
+                    fy -= phi * (wdy * wz);
+                    fz -= phi * (wxy * dwz);
+                }
+            }
+        }
         let vc = self.mesh.cell_volume();
-        let mut e = 0.0f64;
-        let mut f = Vec3::ZERO;
-        visit_support(&self.mesh, &self.params, p, st, |idx, w, dw| {
-            let phi = phi_q[idx] as f64 * inv_scale;
-            e += phi * w;
-            f -= phi * 1.0 * dw;
-        });
         let qn = q * self.norm * vc * COULOMB;
         let e_i = 0.5 * e * qn - COULOMB * self.params.beta / std::f64::consts::PI.sqrt() * q * q;
         let fs = (1i64 << force_frac) as f64;
-        f_out[0] = f_out[0].wrapping_add(rne_f64(f.x * qn * fs) as i64);
-        f_out[1] = f_out[1].wrapping_add(rne_f64(f.y * qn * fs) as i64);
-        f_out[2] = f_out[2].wrapping_add(rne_f64(f.z * qn * fs) as i64);
-        rne_f64(e_i * (1u64 << 32) as f64) as i64
+        // `rne_f64_to_i64` is `rne_f64(..) as i64` bit for bit
+        // (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
+        f_out[0] = f_out[0].wrapping_add(rne_f64_to_i64(fx * qn * fs));
+        f_out[1] = f_out[1].wrapping_add(rne_f64_to_i64(fy * qn * fs));
+        f_out[2] = f_out[2].wrapping_add(rne_f64_to_i64(fz * qn * fs));
+        rne_f64_to_i64(e_i * (1u64 << 32) as f64)
     }
 
     /// Spread a rank's resident atoms into its *private* charge mesh. The
@@ -600,8 +571,174 @@ impl GseFixed {
     }
 }
 
+/// The per-point visitor the stencil rows replaced, the `f64` reference GSE
+/// built on it, and the fixed path's old closure bodies: the oracles the
+/// tests hold the production mesh phase to.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use anton_fft::{Complex, Fft3d};
+
+    /// Visit every mesh point within the (per-axis) support of the window
+    /// around `p`, passing the flattened index, the window value, and its
+    /// gradient with respect to the atom position.
+    pub fn visit_support(
+        mesh: &Mesh,
+        params: &GseParams,
+        p: Vec3,
+        mut f: impl FnMut(usize, f64, Vec3),
+    ) {
+        let [nx, ny, nz] = mesh.dims;
+        let rt = params.spread_cutoff;
+        let (x0, cx) = mesh.support(p.x, rt, 0);
+        let (y0, cy) = mesh.support(p.y, rt, 1);
+        let (z0, cz) = mesh.support(p.z, rt, 2);
+        let h = mesh.spacing();
+
+        // Per-axis window values and derivatives (separable).
+        let row = |x: f64, start: i64, count: usize, h: f64| -> (Vec<f64>, Vec<f64>) {
+            (0..count)
+                .map(|a| {
+                    let d = x - (start + a as i64) as f64 * h;
+                    (params.window_1d(d), params.window_1d_deriv(d))
+                })
+                .unzip()
+        };
+        let (wx, dwx) = row(p.x, x0, cx, h.x);
+        let (wy, dwy) = row(p.y, y0, cy, h.y);
+        let (wz, dwz) = row(p.z, z0, cz, h.z);
+
+        for c in 0..cz {
+            let mz = (z0 + c as i64).rem_euclid(nz as i64) as usize;
+            for b in 0..cy {
+                let my = (y0 + b as i64).rem_euclid(ny as i64) as usize;
+                let base = nx * (my + ny * mz);
+                for a in 0..cx {
+                    let mx = (x0 + a as i64).rem_euclid(nx as i64) as usize;
+                    let w = wx[a] * wy[b] * wz[c];
+                    let grad = Vec3::new(
+                        dwx[a] * wy[b] * wz[c],
+                        wx[a] * dwy[b] * wz[c],
+                        wx[a] * wy[b] * dwz[c],
+                    );
+                    f(base + mx, w, grad);
+                }
+            }
+        }
+    }
+
+    /// `GseFixed::spread_one` as a closure over [`visit_support`].
+    pub fn spread_one(gse: &GseFixed, p: Vec3, q: f64, rho_q: &mut [i64]) {
+        let norm = gse.norm;
+        let scale = (1i64 << MESH_FRAC) as f64;
+        visit_support(&gse.mesh, &gse.params, p, |idx, w, _| {
+            let contrib = rne_f64(q * norm * w * scale) as i64;
+            rho_q[idx] = rho_q[idx].wrapping_add(contrib);
+        });
+    }
+
+    /// `GseFixed::interpolate_one` as a closure over [`visit_support`].
+    pub fn interpolate_one(
+        gse: &GseFixed,
+        p: Vec3,
+        q: f64,
+        phi_q: &[i64],
+        force_frac: u32,
+        f_out: &mut [i64; 3],
+    ) -> i64 {
+        let inv_scale = 1.0 / (1i64 << MESH_FRAC) as f64;
+        let vc = gse.mesh.cell_volume();
+        let mut e = 0.0f64;
+        let mut f = Vec3::ZERO;
+        visit_support(&gse.mesh, &gse.params, p, |idx, w, dw| {
+            let phi = phi_q[idx] as f64 * inv_scale;
+            e += phi * w;
+            f -= phi * 1.0 * dw;
+        });
+        let qn = q * gse.norm * vc * COULOMB;
+        let e_i = 0.5 * e * qn - COULOMB * gse.params.beta / std::f64::consts::PI.sqrt() * q * q;
+        let fs = (1i64 << force_frac) as f64;
+        f_out[0] = f_out[0].wrapping_add(rne_f64(f.x * qn * fs) as i64);
+        f_out[1] = f_out[1].wrapping_add(rne_f64(f.y * qn * fs) as i64);
+        f_out[2] = f_out[2].wrapping_add(rne_f64(f.z * qn * fs) as i64);
+        rne_f64(e_i * (1u64 << 32) as f64) as i64
+    }
+
+    /// Double-precision GSE on a mesh.
+    pub struct GseReference {
+        mesh: Mesh,
+        params: GseParams,
+        fft: Fft3d,
+        green: Vec<f64>,
+    }
+
+    impl GseReference {
+        pub fn new(mesh: Mesh, params: GseParams) -> GseReference {
+            let [nx, ny, nz] = mesh.dims;
+            let fft = Fft3d::new(nx, ny, nz);
+            let green = build_green_table(&mesh, &params);
+            GseReference {
+                mesh,
+                params,
+                fft,
+                green,
+            }
+        }
+
+        /// Add the reciprocal-space forces into `forces` and return the
+        /// energy, self-term subtracted (kcal/mol).
+        pub fn compute(&self, positions: &[Vec3], charges: &[f64], forces: &mut [Vec3]) -> f64 {
+            let n_mesh = self.mesh.len();
+            let mut rho = vec![0.0f64; n_mesh];
+            let norm = self.params.norm();
+
+            // 1. Charge spreading.
+            for (p, &q) in positions.iter().zip(charges) {
+                if q == 0.0 {
+                    continue;
+                }
+                let qn = q * norm;
+                visit_support(&self.mesh, &self.params, *p, |idx, w, _dw| {
+                    rho[idx] += qn * w
+                });
+            }
+
+            // 2. FFT → Green multiply → inverse FFT.
+            let mut grid: Vec<Complex> = rho.iter().map(|&r| Complex::new(r, 0.0)).collect();
+            self.fft.forward(&mut grid);
+            for (g, &gr) in grid.iter_mut().zip(&self.green) {
+                *g = g.scale(gr);
+            }
+            self.fft.inverse(&mut grid);
+            let phi: Vec<f64> = grid.iter().map(|c| c.re).collect();
+
+            // 3. Mesh energy ½ ∫φρ ≈ ½ Vc Σ φ_m ρ_m.
+            let vc = self.mesh.cell_volume();
+            let mesh_energy: f64 =
+                0.5 * COULOMB * vc * phi.iter().zip(&rho).map(|(a, b)| a * b).sum::<f64>();
+
+            // 4. Force interpolation with the same window.
+            for (i, (p, &q)) in positions.iter().zip(charges).enumerate() {
+                if q == 0.0 {
+                    continue;
+                }
+                let mut f = Vec3::ZERO;
+                visit_support(&self.mesh, &self.params, *p, |idx, _w, dw| {
+                    f -= phi[idx] * 1.0 * dw
+                });
+                forces[i] += f * (q * norm * vc * COULOMB);
+            }
+
+            let self_energy = COULOMB * self.params.beta / std::f64::consts::PI.sqrt()
+                * charges.iter().map(|q| q * q).sum::<f64>();
+            mesh_energy - self_energy
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::GseReference;
     use super::*;
     use crate::exact::ewald_kspace;
     use anton_geometry::PeriodicBox;
@@ -661,7 +798,7 @@ mod tests {
         let mesh = Mesh::new([32; 3], pbox);
         let gse = GseReference::new(mesh, params);
         let mut f_gse = vec![Vec3::ZERO; 64];
-        let r = gse.compute(&pos, &q, &mut f_gse);
+        let e_gse = gse.compute(&pos, &q, &mut f_gse);
 
         let mut f_exact = vec![Vec3::ZERO; 64];
         let e_exact = ewald_kspace(&pbox, &pos, &q, params.beta, 14, &mut f_exact);
@@ -669,12 +806,10 @@ mod tests {
             - COULOMB * params.beta / std::f64::consts::PI.sqrt()
                 * q.iter().map(|x| x * x).sum::<f64>();
 
-        let rel_e = (r.energy - e_exact_minus_self).abs() / e_exact_minus_self.abs();
+        let rel_e = (e_gse - e_exact_minus_self).abs() / e_exact_minus_self.abs();
         assert!(
             rel_e < 2e-3,
-            "energy rel err {rel_e:e}: {} vs {}",
-            r.energy,
-            e_exact_minus_self
+            "energy rel err {rel_e:e}: {e_gse} vs {e_exact_minus_self}"
         );
 
         let mut num = 0.0;
@@ -699,10 +834,10 @@ mod tests {
             for ax in 0..3 {
                 pos[i][ax] += h;
                 let mut tmp = vec![Vec3::ZERO; 16];
-                let ep = gse.compute(&pos, &q, &mut tmp).energy;
+                let ep = gse.compute(&pos, &q, &mut tmp);
                 pos[i][ax] -= 2.0 * h;
                 let mut tmp2 = vec![Vec3::ZERO; 16];
-                let em = gse.compute(&pos, &q, &mut tmp2).energy;
+                let em = gse.compute(&pos, &q, &mut tmp2);
                 pos[i][ax] += h;
                 let num = -(ep - em) / (2.0 * h);
                 assert!(
@@ -721,7 +856,7 @@ mod tests {
         let mesh = Mesh::new([32; 3], pbox);
         let refr = GseReference::new(mesh.clone(), params);
         let mut f_ref = vec![Vec3::ZERO; 64];
-        let r = refr.compute(&pos, &q, &mut f_ref);
+        let e_ref = refr.compute(&pos, &q, &mut f_ref);
 
         let fixed = GseFixed::new(mesh, params);
         let mut f_q = vec![[0i64; 3]; 64];
@@ -729,9 +864,8 @@ mod tests {
         let e_fixed = e_q as f64 / (1u64 << 32) as f64;
 
         assert!(
-            (e_fixed - r.energy).abs() < 1e-3 * r.energy.abs().max(1.0),
-            "{e_fixed} vs {}",
-            r.energy
+            (e_fixed - e_ref).abs() < 1e-3 * e_ref.abs().max(1.0),
+            "{e_fixed} vs {e_ref}"
         );
         let mut num = 0.0;
         let mut den = 0.0;
@@ -793,6 +927,120 @@ mod tests {
             let e = dist.compute_fixed(&pos, &q, 24, &mut f, &mut scratch);
             assert_eq!(e0, e, "energy differs on node grid {nodes:?}");
             assert_eq!(f0, f, "forces differ on node grid {nodes:?}");
+        }
+    }
+
+    #[test]
+    fn stencil_rows_keep_the_mesh_phase_bitwise_invariant() {
+        // Each case: mesh dims, box edge, (cutoff, spread cutoff).
+        let cases = [
+            // Cubic, with atoms well outside [0, edge) on every axis.
+            ([16, 16, 16], Vec3::splat(16.0), (7.0, 4.8)),
+            // Non-cubic mesh on a non-cubic box.
+            ([8, 16, 32], Vec3::new(14.0, 19.0, 23.0), (7.0, 4.8)),
+            // Support 4 or 5 points wide on a 4-point x axis: wrapped
+            // indices repeat within one atom's row.
+            ([4, 8, 8], Vec3::splat(8.0), (9.0, 4.7)),
+        ];
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(27);
+        // One scratch across atoms and cases, so its rows are refilled at
+        // changing support counts.
+        let mut st = SupportScratch::default();
+        for (dims, edge, (cutoff, spread)) in cases {
+            let gse = GseFixed::new(
+                Mesh::new(dims, PeriodicBox::new(edge)),
+                GseParams::auto(cutoff, spread),
+            );
+            let n = 40;
+            let positions: Vec<Vec3> = (0..n)
+                .map(|_| {
+                    let u = |e: f64, r: f64| (3.0 * r - 1.0) * e;
+                    Vec3::new(
+                        u(edge.x, rng.gen::<f64>()),
+                        u(edge.y, rng.gen::<f64>()),
+                        u(edge.z, rng.gen::<f64>()),
+                    )
+                })
+                .collect();
+            let charges: Vec<f64> = (0..n)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        0.0
+                    } else {
+                        rng.gen::<f64>() - 0.5
+                    }
+                })
+                .collect();
+            let counts: Vec<[usize; 3]> = positions
+                .iter()
+                .map(|p| [0, 1, 2].map(|ax| gse.mesh.support(p[ax], spread, ax).1))
+                .collect();
+            assert!(
+                counts.iter().any(|&c| c != counts[0]),
+                "{dims:?}: one support count only"
+            );
+            if dims[0] == 4 {
+                assert!(counts.iter().any(|c| c[0] > dims[0]), "no wrapped repeat");
+            }
+            assert!(positions.iter().any(|p| p.x < 0.0) && positions.iter().any(|p| p.z >= edge.z));
+            let atoms: Vec<u32> = (0..n as u32).collect();
+            let view = MeshAtoms {
+                positions: &positions,
+                charges: &charges,
+                atoms: &atoms,
+            };
+
+            // At the engine's scales a word keeps few of its f64's bits, so
+            // a changed rounding would seldom reach it. Charges 2¹⁴ times
+            // larger put spread words near 2⁴⁸, where one ulp shows. A
+            // noise potential of ±2²⁰ per point and a force scale picked
+            // for the largest force put interpolation words past 2⁵³,
+            // where a word is its f64, every bit.
+            let loud: Vec<f64> = charges.iter().map(|q| q * 16384.0).collect();
+            for qs in [&charges, &loud] {
+                let mut rho = vec![0i64; gse.mesh.len()];
+                gse.spread_into(
+                    MeshAtoms {
+                        charges: qs,
+                        ..view
+                    },
+                    &mut rho,
+                    &mut st,
+                );
+                let mut rho_oracle = vec![0i64; gse.mesh.len()];
+                for (&p, &q) in positions.iter().zip(qs) {
+                    if q != 0.0 {
+                        oracle::spread_one(&gse, p, q, &mut rho_oracle);
+                    }
+                }
+                assert_eq!(rho, rho_oracle, "{dims:?}: rho_q words differ");
+                assert!(rho.iter().any(|&r| r != 0));
+            }
+
+            let phi_q: Vec<i64> = (0..gse.mesh.len())
+                .map(|_| ((rng.gen::<f64>() - 0.5) * (1u64 << 61) as f64) as i64)
+                .collect();
+            let interpolate = |frac: u32, st: &mut SupportScratch| {
+                let mut forces = vec![[0i64; 3]; n];
+                let energy = gse.interpolate_into(view, &phi_q, frac, &mut forces, st);
+                (forces, energy)
+            };
+            let (coarse, _) = interpolate(0, &mut st);
+            let top = coarse.iter().flatten().map(|f| f.unsigned_abs()).max();
+            let frac = 61 - (u64::BITS - top.unwrap().leading_zeros());
+            let (forces, energy) = interpolate(frac, &mut st);
+            let mut forces_oracle = vec![[0i64; 3]; n];
+            let mut energy_oracle = 0i64;
+            for (i, (&p, &q)) in positions.iter().zip(&charges).enumerate() {
+                if q != 0.0 {
+                    let f = &mut forces_oracle[i];
+                    let e = oracle::interpolate_one(&gse, p, q, &phi_q, frac, f);
+                    energy_oracle = energy_oracle.wrapping_add(e);
+                }
+            }
+            assert_eq!(forces, forces_oracle, "{dims:?}: force words differ");
+            assert_eq!(energy, energy_oracle, "{dims:?}: Q32 energy differs");
+            assert!(forces.iter().flatten().any(|&f| f != 0));
         }
     }
 }

@@ -10,8 +10,8 @@
 //! * [`gse`] — Gaussian Split Ewald (Shan et al. 2005), the method Anton
 //!   uses because its radially symmetric Gaussian charge spreading and force
 //!   interpolation map onto the HTIS pairwise pipelines, unlike SPME's
-//!   B-splines. Includes both an `f64` reference path and the deterministic
-//!   fixed-point mesh pipeline the Anton engine runs.
+//!   B-splines: the deterministic fixed-point mesh pipeline the Anton engine
+//!   runs.
 //! * [`spme`] — Smooth Particle Mesh Ewald with order-4 B-splines, the
 //!   commodity-hardware baseline (GROMACS/Desmond-style) used by `refmd`.
 //! * [`exact`] — brute-force Ewald sums (direct k-space summation) used as
@@ -26,8 +26,6 @@ pub mod mesh;
 pub mod spme;
 
 pub use direct::{DirectKernel, PairClass};
-pub use gse::{
-    GseFixed, GseParams, GseReference, GseScratch, MeshAtoms, SupportScratch, TransformStage,
-};
+pub use gse::{GseFixed, GseParams, GseScratch, MeshAtoms, SupportScratch, TransformStage};
 pub use mesh::Mesh;
 pub use spme::Spme;
