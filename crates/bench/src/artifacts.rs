@@ -151,8 +151,8 @@ pub struct Row {
     pub match_batches: u64,
     /// Persistent match-cache census: how many short-range evaluations
     /// rebuilt the tile/batch structure vs reused it. The schedule is a
-    /// pure function of the trajectory (exact fixed-point displacement
-    /// monitor), so both counts are identical in every row.
+    /// pure function of the trajectory (exact fixed-point mover test), so
+    /// both counts are identical in every row.
     pub rebuild_steps: u64,
     pub reuse_steps: u64,
     pub checksum: u64,

@@ -247,7 +247,7 @@ fn run() -> Result<(), String> {
         "match-stage pair census diverged across decompositions"
     );
     // The match-cache rebuild schedule is gated by an exact fixed-point
-    // displacement monitor — a pure function of the trajectory — so the
+    // mover test — a pure function of the trajectory — so the
     // rebuild/reuse split must be identical across every decomposition
     // and thread count.
     assert!(

@@ -41,8 +41,8 @@ pub struct Snapshot {
     /// Reference-epoch positions of the persistent match cache (raw
     /// `n_atoms × 3 × i32` little-endian fraction bits; empty when the
     /// cache was cold). Restore rebuilds the cache at this epoch so the
-    /// displacement monitor's rebuild schedule — a pure function of the
-    /// trajectory and this reference — continues bitwise across a resume.
+    /// rebuild schedule — a pure function of the trajectory and this
+    /// reference — continues bitwise across a resume.
     pub match_ref: Vec<u8>,
 }
 

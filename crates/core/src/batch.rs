@@ -204,25 +204,34 @@ impl Q20Ladder {
 }
 
 /// Guard (Å) subtracted from the pair-list slack before squaring the
-/// rebuild threshold: it absorbs every rounding between the monitor and
+/// mover threshold: it absorbs every rounding between the mover test and
 /// the match ladder (Q20 half-ulps of the per-axis displacement decode
 /// and of the two r² roundings, plus the fraction-grid decode error that
 /// `pairlist_slack_covers_decode_error` pins below `PAIRLIST_SLACK/100`),
 /// so the conservative Verlet argument survives quantization.
 const MONITOR_GUARD: f64 = 0.01;
 
-/// Exact fixed-point displacement monitor for the persistent match stage.
+/// Most movers a reuse step absorbs by scanning them on their own; one
+/// more and the whole list is matched again. The scan costs at most
+/// `MOVER_CAP · N` ladder checks, a few percent of a rebuild's candidates
+/// (≈ 500 per atom on the waters, ≈ 2,900 on `dhfr`).
+pub const MOVER_CAP: usize = 64;
+
+/// The persistent match stage's reference epoch and its mover test.
 ///
-/// The cache keeps the raw reference positions of the last rebuild. The
-/// batches were matched against those positions at the *padded* cutoff
-/// `rc + PAIRLIST_SLACK`, so they stay a superset of every in-cutoff pair
-/// while no atom has moved more than half the slack:
-/// `r_now(i,j) ≤ r_ref(i,j) + disp(i) + disp(j) ≤ r_ref + 2·max_disp`,
-/// hence any pair inside `rc` now was inside `rc + 2·max_disp` at the
-/// rebuild. [`Self::needs_rebuild`] therefore demands a rebuild as soon
-/// as `2·max_disp ≥ PAIRLIST_SLACK − MONITOR_GUARD` (squared, in Q20, so
-/// the test is a pure integer function of the trajectory: the same
-/// schedule on every decomposition, thread count, and tracing mode).
+/// The cache keeps the raw positions of the last rebuild. The batches were
+/// matched against them at the *padded* cutoff `rc + s` (`s` =
+/// `PAIRLIST_SLACK`), so for any pair
+/// `r_ref(i,j) ≤ r_now(i,j) + disp(i) + disp(j)`: a pair inside `rc` now
+/// whose atoms each moved less than `(s − MONITOR_GUARD)/2` was inside
+/// `rc + s` at the rebuild, i.e. it is cached. An atom whose displacement
+/// reaches that half slack is a *mover* ([`Self::track_movers`]); any
+/// in-cutoff pair the cached batches lack has a mover in it, and the pair
+/// phase finds those pairs by scanning the movers alone. The test is
+/// `4·disp² ≥ (s − MONITOR_GUARD)²`, squared and in Q20, so the mover set
+/// is a pure integer function of the positions and the epoch: the same on
+/// every decomposition, thread count, and tracing mode. It is recomputed
+/// on every evaluation and never stored beyond it.
 #[derive(Debug, Default)]
 pub struct MatchCache {
     /// Raw positions at the last rebuild; empty = cold (forces a rebuild).
@@ -231,6 +240,8 @@ pub struct MatchCache {
     /// Q20 of `(PAIRLIST_SLACK − MONITOR_GUARD)²`, compared against
     /// `4·disp²` (i.e. `(2·disp)²`).
     thresh2_q20: i64,
+    /// The movers of the last [`Self::track_movers`], ascending (scratch).
+    movers: Vec<u32>,
 }
 
 impl MatchCache {
@@ -244,26 +255,38 @@ impl MatchCache {
             ref_pos: Vec::new(),
             half_edge_q20,
             thresh2_q20: Q20::from_f64(thresh * thresh).raw(),
+            movers: Vec::new(),
         }
     }
 
-    /// True when the cached batch structure may no longer cover the
-    /// in-cutoff pair set: cold cache, atom count change, or some atom
-    /// displaced by half the (guarded) slack since the reference. The
-    /// displacement ladder rounds exactly as the pair phase's
-    /// [`Q20Ladder`] does, so the decision is exact and reproducible.
-    pub fn needs_rebuild(&self, positions: &[FxVec3]) -> bool {
-        if self.ref_pos.len() != positions.len() {
-            return true;
+    /// Collect the movers at `positions` — the atoms displaced by half
+    /// the (guarded) slack since the reference epoch — into
+    /// [`Self::movers`]. Returns `false`, with no movers, when the cached
+    /// batches must be rebuilt instead: a cold cache, a changed atom
+    /// count, or more than [`MOVER_CAP`] movers. The displacement ladder
+    /// rounds exactly as the pair phase's [`Q20Ladder`] does, so the
+    /// decision is exact and reproducible.
+    pub fn track_movers(&mut self, positions: &[FxVec3]) -> bool {
+        self.movers.clear();
+        if self.ref_pos.is_empty() || self.ref_pos.len() != positions.len() {
+            return false;
         }
-        for (now, reference) in positions.iter().zip(&self.ref_pos) {
+        for (atom, (now, reference)) in (0u32..).zip(positions.iter().zip(&self.ref_pos)) {
             let v: QVec3<20> = now.wrapping_sub(*reference).frac_to_len(self.half_edge_q20);
-            let disp2 = v.norm2::<20>().raw();
-            if 4 * disp2 >= self.thresh2_q20 {
-                return true;
+            if 4 * v.norm2::<20>().raw() >= self.thresh2_q20 {
+                if self.movers.len() == MOVER_CAP {
+                    self.movers.clear();
+                    return false;
+                }
+                self.movers.push(atom);
             }
         }
-        false
+        true
+    }
+
+    /// The movers found by the last [`Self::track_movers`], ascending.
+    pub fn movers(&self) -> &[u32] {
+        &self.movers
     }
 
     /// Record `positions` as the new reference epoch after a rebuild.
@@ -300,8 +323,8 @@ impl MatchCache {
 /// and tiles. The unordered cell-pair list is fixed at construction: two
 /// cells are listed unless the minimum separation between them (circular
 /// cell distance minus one, times the cell width, per axis) already
-/// exceeds `reach`, so the listed tile pairs cover every interacting pair
-/// exactly once.
+/// exceeds `reach + REACH_GUARD`, so the listed tile pairs cover every
+/// interacting pair exactly once.
 #[derive(Clone, Debug)]
 pub struct CellTiling {
     log2_dims: [u32; 3],
@@ -309,6 +332,15 @@ pub struct CellTiling {
     /// interacting pair.
     pairs: Vec<(u32, u32)>,
 }
+
+/// Margin (Å) the cell-pair stencil adds to its reach. The match stage
+/// admits a pair by its Q20 r² against the Q20-rounded `reach²`, over the
+/// Q20-rounded half-edges, so an admitted pair can lie a few 10⁻⁶ Å
+/// beyond `reach` in f64 terms. Listing every cell pair up to the guarded
+/// reach makes "in a listed cell pair" cover every pair the Q20 test
+/// admits, which is what lets the mover scan read "not cached" off the
+/// epoch r² alone. It never changes the cell counts.
+const REACH_GUARD: f64 = 0.01;
 
 impl CellTiling {
     pub fn build(edge: [f64; 3], reach: f64) -> CellTiling {
@@ -331,11 +363,12 @@ impl CellTiling {
         // an adjacent cell (circular), else (circ − 1)·width. Enumerating
         // offsets modulo the count lists a neighbour once even where the
         // periodic wrap makes +o and −o the same cell.
+        let listed = reach + REACH_GUARD;
         let axis_offsets = |k: usize| -> Vec<(u32, f64)> {
             let width = edge[k] / dims[k] as f64;
             (0..dims[k])
                 .map(|o| (o, o.min(dims[k] - o).saturating_sub(1) as f64 * width))
-                .filter(|&(_, gap)| gap <= reach)
+                .filter(|&(_, gap)| gap <= listed)
                 .collect()
         };
         let (ox, oy, oz) = (axis_offsets(0), axis_offsets(1), axis_offsets(2));
@@ -343,7 +376,7 @@ impl CellTiling {
         for &(dz, gz) in &oz {
             for &(dy, gy) in &oy {
                 for &(dx, gx) in &ox {
-                    if gx * gx + gy * gy + gz * gz <= reach * reach {
+                    if gx * gx + gy * gy + gz * gz <= listed * listed {
                         stencil.push([dx, dy, dz]);
                     }
                 }
@@ -451,16 +484,17 @@ mod tests {
         let mut cache = MatchCache::new(he, 0.5);
         let pos = vec![FxVec3::from_unit_frac([0.25, 0.0, -0.5]); 4];
         assert!(!cache.is_warm());
-        assert!(cache.needs_rebuild(&pos), "cold cache must rebuild");
+        assert!(!cache.track_movers(&pos), "cold cache must rebuild");
         cache.note_rebuild(&pos);
         assert!(cache.is_warm());
-        assert!(!cache.needs_rebuild(&pos), "unmoved atoms reuse");
+        assert!(cache.track_movers(&pos), "unmoved atoms reuse");
+        assert!(cache.movers().is_empty());
         assert!(
-            cache.needs_rebuild(&pos[..3]),
+            !cache.track_movers(&pos[..3]),
             "atom count change must rebuild"
         );
         cache.invalidate();
-        assert!(cache.needs_rebuild(&pos), "invalidated cache must rebuild");
+        assert!(!cache.track_movers(&pos), "invalidated cache must rebuild");
     }
 
     #[test]
@@ -477,12 +511,16 @@ mod tests {
             pos[5] = FxVec3::from_unit_frac([ang / 22.0, 0.0, 0.0]);
             pos
         };
-        assert!(!cache.needs_rebuild(&moved_by(0.2449)));
-        assert!(cache.needs_rebuild(&moved_by(0.2451)));
+        let movers_at = |cache: &mut MatchCache, ang: f64| {
+            assert!(cache.track_movers(&moved_by(ang)), "one mover reuses");
+            cache.movers().to_vec()
+        };
+        assert_eq!(movers_at(&mut cache, 0.2449), [] as [u32; 0]);
+        assert_eq!(movers_at(&mut cache, 0.2451), [5]);
         // Displacement is measured since the *reference*, not the last step.
         cache.note_rebuild(&moved_by(0.2451));
-        assert!(!cache.needs_rebuild(&moved_by(0.2451 + 0.2449)));
-        assert!(cache.needs_rebuild(&moved_by(0.2451 + 0.2451)));
+        assert_eq!(movers_at(&mut cache, 0.2451 + 0.2449), [] as [u32; 0]);
+        assert_eq!(movers_at(&mut cache, 0.2451 + 0.2451), [5]);
     }
 
     #[test]
@@ -493,7 +531,31 @@ mod tests {
         let mut pos = vec![FxVec3::from_unit_frac([0.999_999_9, 0.0, 0.0]); 2];
         cache.note_rebuild(&pos);
         pos[1] = FxVec3::from_unit_frac([-0.999_999_9, 0.0, 0.0]);
-        assert!(!cache.needs_rebuild(&pos));
+        assert!(cache.track_movers(&pos));
+        assert!(cache.movers().is_empty());
+    }
+
+    #[test]
+    fn monitor_rebuilds_past_the_mover_cap() {
+        // Movers are listed in atom order up to the cap; one more mover
+        // means a rebuild, and a rebuild decision lists no movers.
+        let he = [Q20::from_f64(11.0); 3];
+        let mut cache = MatchCache::new(he, 0.5);
+        let base = vec![FxVec3::from_unit_frac([0.0; 3]); 2 * MOVER_CAP + 2];
+        cache.note_rebuild(&base);
+        // The first `count` odd-numbered atoms move 0.3 Å, past 0.245 Å.
+        let moved = |count: usize| {
+            let mut pos = base.clone();
+            for p in pos.iter_mut().skip(1).step_by(2).take(count) {
+                *p = FxVec3::from_unit_frac([0.0, 0.3 / 22.0, 0.0]);
+            }
+            pos
+        };
+        assert!(cache.track_movers(&moved(MOVER_CAP)));
+        let want: Vec<u32> = (0..MOVER_CAP as u32).map(|k| 2 * k + 1).collect();
+        assert_eq!(cache.movers(), want);
+        assert!(!cache.track_movers(&moved(MOVER_CAP + 1)));
+        assert!(cache.movers().is_empty());
     }
 
     #[test]
@@ -584,7 +646,7 @@ mod tests {
                             (circ.saturating_sub(1) as f64 * edge[k] / dims[k] as f64).powi(2)
                         })
                         .sum();
-                    if g2 <= reach * reach {
+                    if g2 <= (reach + REACH_GUARD).powi(2) {
                         want.push((a, b));
                     }
                 }

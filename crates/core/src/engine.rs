@@ -220,9 +220,8 @@ impl AntonSimulation {
     /// The one way in: build the pipeline once around `state`, then
     /// evaluate each force class once. A resumed start first rebuilds the
     /// match cache at the snapshot's reference epoch, so the evaluation takes
-    /// the same rebuild-or-reuse decision the uninterrupted run took and
-    /// the displacement monitor's schedule (and the forces it gates)
-    /// continues bitwise.
+    /// the same rebuild-or-reuse decision and mover set the uninterrupted
+    /// run took, and the rebuild schedule continues bitwise.
     fn new(
         b: SimulationBuilder,
         fingerprint: u64,
@@ -525,9 +524,9 @@ impl AntonSimulation {
             Some(b) => (b.dropped_spans(), b.dropped_counters()),
             None => (0, 0),
         };
-        // Match-cache reference epoch: the positions the displacement
-        // monitor measures against. A resumed start rebuilds the cache at
-        // exactly this epoch so the rebuild schedule continues bitwise.
+        // Match-cache reference epoch: the positions movers are measured
+        // against. A resumed start rebuilds the cache at exactly this
+        // epoch so the rebuild schedule continues bitwise.
         Snapshot {
             step: self.step,
             fingerprint: self.fingerprint,

@@ -6,7 +6,7 @@ use super::tests::{solvated_mini, state_of, water_box, water_system};
 use super::*;
 use crate::batch::BatchQueue;
 use crate::state::FixedState;
-use anton_fixpoint::Fx32;
+use anton_fixpoint::{Fx32, FxVec3, Q20};
 use anton_forcefield::PairClass;
 use anton_geometry::{CellGrid, PeriodicBox};
 use anton_machine::MATCH_WIDTH;
@@ -37,8 +37,9 @@ fn oracle_pairs(pipe: &ForcePipeline, sys: &System, state: &FixedState) -> Vec<(
     pairs
 }
 
-/// The queued lanes' atom pairs, normalized and sorted, whose r² (the
-/// 128-bit ladder over the tiles' current positions) passes `keep`.
+/// The queued lanes' atom pairs — every rank's cached queue and the
+/// trunk's mover queue — normalized and sorted, whose r² (the 128-bit
+/// ladder over the tiles' current positions) passes `keep`.
 fn queued_pairs(pipe: &ForcePipeline, keep: impl Fn(i64) -> bool) -> Vec<(u32, u32)> {
     let live = |q: &BatchQueue, tiles: &PosTiles| -> Vec<(u32, u32)> {
         let mut v = Vec::new();
@@ -63,7 +64,9 @@ fn queued_pairs(pipe: &ForcePipeline, keep: impl Fn(i64) -> bool) -> Vec<(u32, u
     let mut pairs: Vec<(u32, u32)> = pipe
         .scratch
         .iter()
-        .flat_map(|s| live(&s.queue, &pipe.tiles))
+        .map(|s| &s.queue)
+        .chain([&pipe.mover_queue])
+        .flat_map(|q| live(q, &pipe.tiles))
         .collect();
     pairs.sort_unstable();
     pairs
@@ -272,8 +275,11 @@ fn cached_matches_fresh(sys: &System) {
 /// What the match stage *queues* — before any per-step mask — is the
 /// padded-cutoff set of an all-pairs sweep, every pair exactly once,
 /// on boxes whose axes get 1, 2, 4 and 8 subboxes (so the cell-pair
-/// stencil wraps onto itself in every way it can), and the forces are
-/// the all-pairs scalar oracle's.
+/// stencil wraps onto itself in every way it can), and on `Nodes(8)` and
+/// `Nodes(64)`; the forces are the all-pairs scalar oracle's. This is what
+/// makes "not in the cached list" the mover scan's exact complement test:
+/// an epoch pair is cached iff its Q20 r² is inside `(rc + s)²` and it is
+/// not excluded, on every plan.
 #[test]
 fn queued_pairs_equal_the_all_pairs_padded_oracle() {
     // Reach 8.5 Å: an axis gets 2^m cells while edge / 2^m ≥ 4.25 Å.
@@ -286,34 +292,251 @@ fn queued_pairs_equal_the_all_pairs_padded_oracle() {
         let pbox = PeriodicBox::new(Vec3::new(edge[0], edge[1], edge[2]));
         let sys = water_box(pbox, 40, 100 + case as u64);
         let state = state_of(&sys);
-        let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+        let oracle = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
         assert_eq!(
-            pipe.ranks.tile_count(),
+            oracle.ranks.tile_count(),
             cells.iter().product::<usize>(),
             "case {case}"
         );
-        let mut got = RawForces::zeroed(sys.n_atoms());
-        pipe.range_limited(&sys, &state, &mut got);
-
         let raw = |a: usize| state.positions[a].0.map(|c| c.raw());
         let mut want_pairs = Vec::new();
         let mut want = RawForces::zeroed(sys.n_atoms());
         for i in 0..sys.n_atoms() {
             for j in (i + 1)..sys.n_atoms() {
-                pipe.apply_pair(&sys, &state, i, j, &mut want);
-                let (_, r2) = pipe.ladder.delta_r2_i128(raw(i), raw(j));
+                oracle.apply_pair(&sys, &state, i, j, &mut want);
+                let (_, r2) = oracle.ladder.delta_r2_i128(raw(i), raw(j));
                 let class = sys.topology.exclusions.class(i as u32, j as u32);
-                if r2 <= pipe.rc_pad2_q20 && class != PairClass::Excluded {
+                if r2 <= oracle.rc_pad2_q20 && class != PairClass::Excluded {
                     want_pairs.push((i as u32, j as u32));
                 }
             }
         }
-        assert_eq!(
-            queued_pairs(&pipe, |_| true),
-            want_pairs,
-            "case {case}: queued set"
-        );
-        assert_eq!(got, want, "case {case}: forces");
-        assert!(got.e_range_limited != 0);
+        assert!(want.e_range_limited != 0);
+
+        for decomposition in [
+            Decomposition::SingleRank,
+            Decomposition::Nodes(8),
+            Decomposition::Nodes(64),
+        ] {
+            let mut pipe = ForcePipeline::new(&sys, decomposition, 1);
+            let mut got = RawForces::zeroed(sys.n_atoms());
+            pipe.range_limited(&sys, &state, &mut got);
+            assert_eq!(
+                queued_pairs(&pipe, |_| true),
+                want_pairs,
+                "case {case}, {decomposition:?}: queued set"
+            );
+            assert_eq!(got, want, "case {case}, {decomposition:?}: forces");
+        }
     }
+}
+
+/// Shift one position by `d` Å (per axis), wrapping through the seam.
+fn shift(p: &mut FxVec3, d: [f64; 3], edge: Vec3) {
+    for (k, e) in [edge.x, edge.y, edge.z].into_iter().enumerate() {
+        let raw = (d[k] / e * 2f64.powi(32)).round() as i64;
+        p.0[k] = p.0[k].wrapping_add(Fx32(raw as i32));
+    }
+}
+
+/// The mover scan's defining property: a solvated protein whose bulk
+/// drifts slowly while a handful of atoms are driven fast, evaluated by
+/// pipelines that reuse their cached batches and add the movers' missing
+/// pairs, gives the forces, energies, live-pair counts and live pair sets
+/// of a pipeline that rebuilds every step — under `SingleRank` and
+/// `Nodes {1, 8, 64}`, each on 1 and 2 threads, with one schedule for all.
+/// The designated movers cover each way the scan can go wrong:
+///
+/// * a carbonyl carbon started 15.6 Å from its chain and driven home,
+///   displaced by far more than the slack, so its excluded and 1-4
+///   partners enter the cutoff without ever having been cached;
+/// * two water oxygens 10–12 Å apart driven at each other, a mover–mover
+///   pair the cache lacks, to be queued once;
+/// * the atom nearest the +x face driven across the periodic seam;
+/// * and at the end a kick to 100 atoms, past the cap, forcing a rebuild.
+#[test]
+fn mover_pairs_keep_forces_bitwise_invariant() {
+    let sys = solvated_mini();
+    let (n, edge) = (sys.n_atoms(), sys.pbox.edge());
+    let top = &sys.topology;
+    let home = state_of(&sys);
+    let decoded = home.decode_positions(&sys.pbox);
+    let chain_len = top.molecule_starts[1] as usize;
+
+    // Residue 7's carbonyl carbon: in no constraint group, so its start
+    // far from the chain moves no other atom's home box.
+    let hot = 7 * 8 + 6;
+    let partners = |class: PairClass| -> Vec<u32> {
+        (0..n as u32)
+            .filter(|&j| j != hot && top.exclusions.class(hot, j) == class)
+            .collect()
+    };
+    let (excluded, one_four) = (partners(PairClass::Excluded), partners(PairClass::OneFour));
+    assert!(!excluded.is_empty() && !one_four.is_empty());
+    // Two water oxygens (first atom of a solvent molecule) 10–12 Å apart.
+    let oxygens: Vec<usize> = top.molecule_starts[1..top.molecule_starts.len() - 1]
+        .iter()
+        .map(|&a| a as usize)
+        .collect();
+    let (a, b) = oxygens
+        .iter()
+        .flat_map(|&a| oxygens.iter().map(move |&b| (a, b)))
+        .find(|&(a, b)| {
+            let r = sys.pbox.min_image(decoded[b], decoded[a]).norm2().sqrt();
+            a < b && (10.0..12.0).contains(&r)
+        })
+        .expect("a solvent oxygen pair 10-12 Å apart");
+    let toward_b = sys.pbox.min_image(decoded[b], decoded[a]);
+    let step_ab = toward_b * (0.7 / toward_b.norm2().sqrt());
+    // The solvent atom nearest the +x face.
+    let seam = (chain_len..n)
+        .filter(|&s| s != a && s != b)
+        .max_by_key(|&s| home.positions[s].0[0].raw())
+        .unwrap();
+    let movers = [hot as usize, a, b, seam];
+
+    // Bulk drift ≤ 0.015 Å per axis per step: 0.18 Å over the 7 steps,
+    // under the 0.495 Å mover threshold.
+    let drift = |atom: usize, step: u32| -> [f64; 3] {
+        std::array::from_fn(|k| {
+            let h = (atom as u64 * 3 + k as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                ^ u64::from(step).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            ((h >> 40) % 3001) as f64 / 100_000.0 - 0.015
+        })
+    };
+    let mut state = home.clone();
+    shift(&mut state.positions[hot as usize], [11.0, 11.0, 0.0], edge);
+    let advance = |state: &mut FixedState, step: u32| {
+        for (atom, p) in state.positions.iter_mut().enumerate() {
+            shift(p, drift(atom, step), edge);
+        }
+        if step <= 4 {
+            shift(
+                &mut state.positions[hot as usize],
+                [-2.75, -2.75, 0.0],
+                edge,
+            );
+            shift(
+                &mut state.positions[a],
+                [step_ab.x, step_ab.y, step_ab.z],
+                edge,
+            );
+            shift(
+                &mut state.positions[b],
+                [-step_ab.x, -step_ab.y, -step_ab.z],
+                edge,
+            );
+            shift(&mut state.positions[seam], [0.6, 0.0, 0.0], edge);
+        }
+        if step == 6 {
+            for p in &mut state.positions[300..400] {
+                shift(p, [0.0, 0.6, 0.0], edge);
+            }
+        }
+    };
+
+    let plans: Vec<(Decomposition, usize)> = [
+        Decomposition::SingleRank,
+        Decomposition::Nodes(1),
+        Decomposition::Nodes(8),
+        Decomposition::Nodes(64),
+    ]
+    .into_iter()
+    .flat_map(|d| [(d, 1), (d, 2)])
+    .collect();
+    let mut cached: Vec<ForcePipeline> = plans
+        .iter()
+        .map(|&(d, threads)| ForcePipeline::new(&sys, d, threads))
+        .collect();
+    let mut fresh = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+    let mut schedules = vec![Vec::new(); plans.len()];
+    let (mut saw_pair, mut saw_14, mut saw_skipped_exclusion, mut saw_far) =
+        (false, false, false, false);
+    for step in 0..8u32 {
+        if step > 0 {
+            advance(&mut state, step);
+        }
+        fresh.invalidate_match_cache();
+        let before = fresh.counters.match_pairs;
+        let mut want = RawForces::zeroed(n);
+        fresh.range_limited(&sys, &state, &mut want);
+        let want_live = fresh.counters.match_pairs - before;
+        let want_pairs = batched_pairs(&fresh);
+        for (c, pipe) in cached.iter_mut().enumerate() {
+            let ctx = format!("step {step}, {:?}", plans[c]);
+            let (rebuilds, live) = (pipe.counters.rebuild_steps, pipe.counters.match_pairs);
+            let mut got = RawForces::zeroed(n);
+            pipe.range_limited(&sys, &state, &mut got);
+            assert_eq!(got, want, "{ctx}: forces and energies");
+            assert_eq!(
+                pipe.counters.match_pairs - live,
+                want_live,
+                "{ctx}: live pairs"
+            );
+            assert_eq!(batched_pairs(pipe), want_pairs, "{ctx}: live pair set");
+            schedules[c].push(pipe.counters.rebuild_steps > rebuilds);
+        }
+
+        // What the scan did, read off the first plan.
+        let pipe = &cached[0];
+        let tiles = &pipe.tiles;
+        let epoch = pipe.cache.ref_positions();
+        // The designated atoms are the movers until the cap trips; after
+        // the rebuild nothing has moved far yet.
+        let mut want_movers: Vec<u32> = match step {
+            1..=5 => movers.iter().map(|&m| m as u32).collect(),
+            _ => Vec::new(),
+        };
+        want_movers.sort_unstable();
+        assert_eq!(
+            pipe.cache.movers(),
+            want_movers,
+            "step {step}: the mover set"
+        );
+        for batch in pipe.mover_queue.batches() {
+            for lane in crate::batch::lanes_of(batch.mask) {
+                let (i, j) = (tiles.atom_at(batch.si[lane]), tiles.atom_at(batch.sj[lane]));
+                assert_ne!(top.exclusions.class(i, j), PairClass::Excluded);
+                saw_14 |= batch.mask_14 & (1 << lane) != 0;
+                saw_pair |= (i.min(j), i.max(j)) == (a as u32, b as u32);
+            }
+        }
+        // An excluded partner of the far mover inside the cutoff now that
+        // was outside the padded cutoff at the epoch: the scan met it and
+        // dropped it.
+        let raw = |p: &FxVec3| p.0.map(|c| c.raw());
+        if !schedules[0][step as usize] {
+            let hot_now = raw(&state.positions[hot as usize]);
+            let hot_then = raw(&epoch[hot as usize]);
+            let (_, moved2) = pipe.ladder.delta_r2(hot_now, hot_then);
+            saw_far |= moved2 > Q20::from_f64(PAIRLIST_SLACK * PAIRLIST_SLACK).raw();
+            saw_skipped_exclusion |= excluded.iter().any(|&j| {
+                let (_, r2) = pipe
+                    .ladder
+                    .delta_r2(hot_now, raw(&state.positions[j as usize]));
+                let (_, r2_then) = pipe.ladder.delta_r2(hot_then, raw(&epoch[j as usize]));
+                r2 <= pipe.rc2_q20 && r2_then > pipe.rc_pad2_q20
+            });
+        }
+    }
+    for (c, s) in schedules.iter().enumerate() {
+        assert_eq!(
+            s,
+            &[true, false, false, false, false, false, true, false],
+            "{:?}: schedule",
+            plans[c]
+        );
+    }
+    assert!(
+        saw_pair,
+        "the mover-mover pair was never queued by the scan"
+    );
+    assert!(saw_14, "no 1-4 lane in the mover queue");
+    assert!(saw_skipped_exclusion, "no excluded partner met by the scan");
+    assert!(saw_far, "no mover displaced by more than the slack");
+    let seam_x = |st: &FixedState| st.positions[seam].0[0].raw();
+    assert!(
+        seam_x(&home) > 0 && seam_x(&state) < 0,
+        "the seam mover did not cross the +x face"
+    );
 }

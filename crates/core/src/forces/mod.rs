@@ -41,7 +41,7 @@ mod tests;
 
 use self::mesh::LrRank;
 use self::pair::RankScratch;
-use crate::batch::{MatchCache, Q20Ladder};
+use crate::batch::{BatchQueue, MatchCache, Q20Ladder};
 use crate::pool::DetPool;
 use crate::ranks::RankSet;
 use crate::state::{ENERGY_FRAC, FORCE_FRAC};
@@ -155,14 +155,15 @@ impl RawForces {
 /// the cell-grid build, its pair sweep, and the tile pipeline's cell-pair
 /// reach so the decode slack can never drift between sites.
 ///
-/// Since PR 8 this is also the Verlet buffer of the persistent match
-/// cache: batches are matched once at `cutoff + PAIRLIST_SLACK` and
-/// replayed until some atom has moved half the slack
-/// ([`MatchCache::needs_rebuild`]), so the value trades padded-set size
-/// (grows with the cube of `(rc + slack)/rc`) against rebuild frequency
-/// (reuse interval grows linearly with the slack). It never affects
-/// forces — the exact `r² ≤ rc²` mask is applied every evaluation — so
-/// retuning it leaves every golden checksum unchanged.
+/// It is also the Verlet buffer of the persistent match cache: batches
+/// are matched once at `cutoff + PAIRLIST_SLACK` and replayed while at
+/// most [`MOVER_CAP`](crate::batch::MOVER_CAP) atoms have moved half the
+/// slack ([`MatchCache::track_movers`]); those movers' missing pairs are
+/// matched on their own each step. The value trades padded-set size
+/// (grows with the cube of `(rc + slack)/rc`) against how soon atoms
+/// become movers (linearly with the slack). It never affects forces — the
+/// exact `r² ≤ rc²` mask is applied every evaluation — so retuning it
+/// leaves every golden checksum unchanged.
 pub const PAIRLIST_SLACK: f64 = 1.0;
 
 /// The pipeline bound to one system and one work plan.
@@ -190,21 +191,27 @@ pub struct ForcePipeline {
     /// asserts bitwise identity with tracing on and off.
     trace: TraceSink,
     /// Q20 of the *padded* match cutoff `(rc + PAIRLIST_SLACK)²`: the
-    /// radius batches are matched at, so the cached pair set stays a
-    /// superset of the in-cutoff set while the displacement monitor holds.
+    /// radius batches are matched at, so the cached pair set holds every
+    /// in-cutoff pair of two non-movers while the cache is reused.
     rc_pad2_q20: i64,
     /// Upper bound on the match stage's integer lower-bound r² (Q40):
     /// `(rc_pad2_q20 << 20)` plus a margin covering the floor-vs-RNE gap
     /// of the per-axis bound and the single RNE rounding of the exact r².
     r2_lb_max: i64,
-    /// Displacement monitor + reference epoch of the persistent match
-    /// stage (the rebuild schedule is a pure function of the trajectory,
-    /// never of the plan).
+    /// Reference epoch and mover set of the persistent match stage (the
+    /// rebuild schedule is a pure function of the trajectory, never of
+    /// the plan).
     cache: MatchCache,
     /// Per-tile SoA particle tiles (position, charge, LJ type, atom id)
     /// every rank streams its tile pairs out of and gathers its lanes'
     /// operands from, rebuilt or refreshed on the trunk once per fan-out.
     tiles: PosTiles,
+    /// Flat tile slot of each atom, rebuilt with the tiles: where the
+    /// mover scan finds a mover's own record.
+    slot_of: Vec<u32>,
+    /// The trunk's queue of mover pairs the cached batches lack, refilled
+    /// on every evaluation after the rank merge.
+    mover_queue: BatchQueue,
     /// Per-rank private accumulators (+ trace lanes), reused across steps.
     scratch: Vec<RankScratch>,
     /// Per-rank long-range accumulators (forces + private charge mesh),
@@ -260,6 +267,8 @@ impl ForcePipeline {
             r2_lb_max: (rc_pad2_q20 << 20) + (1 << 27),
             cache: MatchCache::new(half_edge_q20, PAIRLIST_SLACK),
             tiles: PosTiles::default(),
+            slot_of: Vec::new(),
+            mover_queue: BatchQueue::default(),
             scratch: Vec::new(),
             lr_scratch: Vec::new(),
             gse_scratch: GseScratch::default(),

@@ -1,15 +1,17 @@
 //! The pair phase: re-bin, tiles, per-rank match + evaluate, and the
 //! persistent match cache.
 //!
-//! One evaluation, on every plan: when the displacement monitor trips,
-//! atoms are re-binned into tiles and the SoA tiles rebuilt; otherwise the
-//! tile positions are refreshed in place. Each rank then (on rebuilds)
-//! streams its static tile pairs through the padded-cutoff match stage
-//! into its persistent queue, replays the queue against the current
-//! positions into a *private* accumulator, and the accumulators merge in
-//! rank order. The exact per-step cutoff mask in the evaluator makes the
-//! forces independent of which arm ran and of how the tile pairs were
-//! dealt to ranks.
+//! One evaluation, on every plan: when the match cache must be rebuilt
+//! (cold, a changed atom count, or more than `MOVER_CAP` movers), atoms
+//! are re-binned into tiles and the SoA tiles rebuilt; otherwise the tile
+//! positions are refreshed in place. Each rank then (on rebuilds) streams
+//! its static tile pairs through the padded-cutoff match stage into its
+//! persistent queue, replays the queue against the current positions into
+//! a *private* accumulator, and the accumulators merge in rank order. On
+//! reuse steps the trunk then adds the in-cutoff pairs of the movers that
+//! the cached batches lack. The exact per-step cutoff mask in the
+//! evaluator makes the forces independent of which arm ran and of how the
+//! tile pairs were dealt to ranks.
 //!
 //! No stage stores a pair. The tiles hold per-atom records (position,
 //! charge, LJ type, atom id); the match stage emits which two slots meet;
@@ -74,10 +76,10 @@ impl ForcePipeline {
         out: &mut RawForces,
         with_bonded: bool,
     ) {
-        // The monitor reads only the trajectory (positions vs the cached
+        // The mover set reads only the trajectory (positions vs the cached
         // reference), so this decision — and with it the whole rebuild
         // schedule — is identical on every plan and thread count.
-        let rebuild = self.cache.needs_rebuild(&state.positions);
+        let rebuild = !self.cache.track_movers(&state.positions);
         let before = self.counters;
         let t0 = self.trace.now_ns();
         if rebuild {
@@ -154,6 +156,52 @@ impl ForcePipeline {
             self.counters.match_pairs += s.live_pairs;
             self.counters.match_batches += s.queue.batches().len() as u64;
         }
+        let t_movers = self.trace.now_ns();
+        let mut queue = std::mem::take(&mut self.mover_queue);
+        self.queue_mover_pairs(sys, &mut queue);
+        self.counters.match_pairs += self.evaluate_batches(sys, queue.batches(), out);
+        self.counters.match_batches += queue.batches().len() as u64;
+        self.mover_queue = queue;
+        self.trace.end_span(Phase::MoverScan, RANK_MAIN, t_movers);
+    }
+
+    /// The mover scan: queue exactly the in-cutoff pairs with a mover in
+    /// them that the cached batches lack (none on a rebuild step, whose
+    /// mover set is empty). For each mover `m` every tile slot `j` is
+    /// checked on the exact ladder: kept when `r²_now ≤ rc²` and
+    /// `r²_epoch > (rc + s)²` — the second test is precisely "not matched
+    /// at the epoch", since the epoch match queued every non-excluded pair
+    /// the padded Q20 test admits. Excluded pairs are dropped and 1-4
+    /// pairs flagged, as the match stage does, and a pair of two movers is
+    /// queued once, from its lower atom. A pair of two non-movers needs no
+    /// scan: each moved less than half the guarded slack, so if it is in
+    /// cutoff now it was inside `rc + s` at the epoch and is cached. At
+    /// most `MOVER_CAP · N` ladder checks.
+    fn queue_mover_pairs(&self, sys: &System, q: &mut BatchQueue) {
+        q.begin();
+        let movers = self.cache.movers();
+        let epoch = self.cache.ref_positions();
+        let exclusions = &sys.topology.exclusions;
+        let tiles = &self.tiles;
+        for &m in movers {
+            let sm = self.slot_of[m as usize];
+            let (now, then) = (tiles.raw_at(sm), raw_bits(&epoch[m as usize]));
+            for sj in 0..tiles.len() as u32 {
+                let (_, r2) = self.ladder.delta_r2(now, tiles.raw_at(sj));
+                if r2 > self.rc2_q20 {
+                    continue;
+                }
+                let aj = tiles.atom_at(sj);
+                let (_, r2_epoch) = self.ladder.delta_r2(then, raw_bits(&epoch[aj as usize]));
+                if r2_epoch <= self.rc_pad2_q20 || (aj < m && movers.binary_search(&aj).is_ok()) {
+                    continue;
+                }
+                let class = exclusions.class(m, aj);
+                if class != PairClass::Excluded {
+                    q.push(sm, sj, class == PairClass::OneFour);
+                }
+            }
+        }
     }
 
     /// Detach the per-rank scratch, sized and zeroed. (Taken out of `self`
@@ -173,9 +221,15 @@ impl ForcePipeline {
         scratch
     }
 
-    /// Refill the SoA tiles from the plan's current binning at `positions`.
+    /// Refill the SoA tiles from the plan's current binning at `positions`,
+    /// and the atom → slot map with them.
     fn rebuild_tiles(&mut self, sys: &System, positions: &[FxVec3]) {
-        let ForcePipeline { tiles, ranks, .. } = self;
+        let ForcePipeline {
+            tiles,
+            ranks,
+            slot_of,
+            ..
+        } = self;
         let top = &sys.topology;
         tiles.rebuild(
             (0..ranks.tile_count()).map(|t| ranks.tile_members(t)),
@@ -184,6 +238,10 @@ impl ForcePipeline {
                 (raw_bits(&positions[a]), top.charge[a], top.lj_type[a])
             },
         );
+        slot_of.resize(positions.len(), 0);
+        for slot in 0..tiles.len() as u32 {
+            slot_of[tiles.atom_at(slot) as usize] = slot;
+        }
     }
 
     /// Batched pair phase for one rank: on cache-rebuild steps, stream the
@@ -243,8 +301,8 @@ impl ForcePipeline {
     /// and the kernel parameters are the evaluator's to form, every step,
     /// from the per-atom tile records.
     ///
-    /// Matching at the padded radius makes the queued set a superset of
-    /// the in-cutoff set for every step the displacement monitor accepts;
+    /// Matching at the padded radius makes the queued set hold every
+    /// in-cutoff pair of two non-movers for as long as the cache is reused;
     /// the exact `r² ≤ rc²` decision is re-taken per evaluation on the
     /// same ladder, so *which* pairs contribute never depends on when the
     /// batch was matched. Coincident pairs (r² = 0) are *kept* here — the
@@ -423,8 +481,8 @@ impl ForcePipeline {
     /// rebuilding at the cached epoch (rather than at the restored step's
     /// positions) reproduces the original displacement reference and the
     /// frozen deferred-migration binning the cached queues were filled
-    /// under, so the monitor's future rebuild schedule — and with it every
-    /// counter — continues bitwise as if the run had never stopped.
+    /// under, so the future mover sets and rebuild schedule — and with them
+    /// every counter — continue bitwise as if the run had never stopped.
     pub fn rebuild_match_cache_at(&mut self, sys: &System, positions: &[FxVec3]) {
         assert_eq!(
             positions.len(),

@@ -26,7 +26,8 @@ pub enum Phase {
     Evaluate,
     /// Match-cache rebuild: re-binning atoms to cells, refilling the SoA
     /// tiles, and re-running the padded-cutoff match from scratch (taken
-    /// only when the displacement monitor trips).
+    /// only when the cache is cold, the atom count changed, or more atoms
+    /// moved half the slack than the mover scan absorbs).
     CacheRebuild,
     /// Match-cache reuse: refreshing tile positions in place and replaying
     /// the cached batch structure (the steady-state step shape).
@@ -62,11 +63,17 @@ pub enum Phase {
     /// of the checkpoint cost — never on the inner-step path (checkpoints
     /// happen at cycle boundaries only).
     Checkpoint,
+    /// Trunk-side mover scan after the rank merge: the in-cutoff pairs of
+    /// atoms that moved half the slack which the cached batches lack,
+    /// matched and evaluated on their own (one span per evaluation; empty
+    /// on rebuild steps). Last in the order so persisted phase indices
+    /// keep their meaning.
+    MoverScan,
 }
 
 impl Phase {
     /// Every phase, in canonical order.
-    pub const ALL: [Phase; 19] = [
+    pub const ALL: [Phase; 20] = [
         Phase::Step,
         Phase::ReHome,
         Phase::RangeLimited,
@@ -86,6 +93,7 @@ impl Phase {
         Phase::Reciprocal,
         Phase::Integrate,
         Phase::Checkpoint,
+        Phase::MoverScan,
     ];
 
     /// Stable snake_case name used by both exporters.
@@ -110,6 +118,7 @@ impl Phase {
             Phase::Reciprocal => "reciprocal",
             Phase::Integrate => "integrate",
             Phase::Checkpoint => "checkpoint",
+            Phase::MoverScan => "mover_scan",
         }
     }
 
