@@ -66,12 +66,10 @@ impl MatchBatch {
     };
 }
 
-/// The set lanes of a batch mask, in ascending lane order. Walking the set
-/// bits costs one loop-exit branch per batch where a per-lane bit test
-/// costs a coin flip per lane — a third of a cached batch's lanes are
-/// outside the cutoff on any given step.
-#[inline]
-pub fn lanes_of(mask: u8) -> impl Iterator<Item = usize> {
+/// The set lanes of a batch mask, in ascending lane order: how the test
+/// oracles walk a cached batch.
+#[cfg(test)]
+pub(crate) fn lanes_of(mask: u8) -> impl Iterator<Item = usize> {
     let mut rest = mask;
     std::iter::from_fn(move || {
         (rest != 0).then(|| {

@@ -5,7 +5,7 @@ use crate::forces::{Decomposition, ForcePipeline, RawForces};
 use crate::pool::threads_from_env;
 use crate::state::{positions_from_bytes, positions_to_bytes, FixedState, FORCE_FRAC, VEL_FRAC};
 use anton_ckpt::{CheckpointStore, CkptError, Fingerprint, Snapshot};
-use anton_fixpoint::rounding::rne_f64;
+use anton_fixpoint::rounding::rne_f64_to_i64;
 use anton_fixpoint::FxVec3;
 use anton_forcefield::constraints::shake;
 use anton_forcefield::units::ACCEL;
@@ -318,9 +318,12 @@ impl AntonSimulation {
         for v in &sys.topology.virtual_sites {
             let fm = out.f[v.site as usize];
             out.f[v.site as usize] = [0; 3];
+            // `rne_f64_to_i64` is `rne_f64(..) as i64` bit for bit
+            // (`rne_f64_to_i64_matches_the_cast_of_rne_f64`), with no branch
+            // on the sign of a force component.
             for (k, &fmk) in fm.iter().enumerate() {
-                let a = rne_f64(fmk as f64 * (1.0 - v.gamma)) as i64;
-                let h = rne_f64(fmk as f64 * (v.gamma * 0.5)) as i64;
+                let a = rne_f64_to_i64(fmk as f64 * (1.0 - v.gamma));
+                let h = rne_f64_to_i64(fmk as f64 * (v.gamma * 0.5));
                 out.f[v.a as usize][k] = out.f[v.a as usize][k].wrapping_add(a);
                 out.f[v.b as usize][k] = out.f[v.b as usize][k].wrapping_add(h);
                 out.f[v.c as usize][k] = out.f[v.c as usize][k].wrapping_add(h);
@@ -328,10 +331,17 @@ impl AntonSimulation {
         }
     }
 
-    fn refresh_short(&mut self) {
+    /// Evaluate the short-range class at `state`; with `energy` false the
+    /// range-limited energy word is not formed (see [`Self::run_cycles`]).
+    fn refresh_short(&mut self, energy: bool) {
         self.short.clear();
-        self.pipeline
-            .short_range(&self.system, &self.state, &mut self.short);
+        if energy {
+            self.pipeline
+                .short_range(&self.system, &self.state, &mut self.short);
+        } else {
+            self.pipeline
+                .short_range_forces(&self.system, &self.state, &mut self.short);
+        }
         Self::spread_vsite_forces(&mut self.short, &self.system);
     }
 
@@ -345,7 +355,7 @@ impl AntonSimulation {
     /// Place the virtual sites and evaluate both force classes at `state`.
     fn refresh_all_forces(&mut self) {
         self.update_virtual_sites();
-        self.refresh_short();
+        self.refresh_short(true);
         self.refresh_long();
     }
 
@@ -357,7 +367,8 @@ impl AntonSimulation {
             }
             let v = &mut state.velocities[i];
             for (vk, &fk) in v.iter_mut().zip(&forces.f[i]) {
-                *vk = vk.wrapping_add(rne_f64(fk as f64 * c) as i64);
+                // Bitwise `rne_f64(..) as i64` (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
+                *vk = vk.wrapping_add(rne_f64_to_i64(fk as f64 * c));
             }
         }
     }
@@ -368,10 +379,11 @@ impl AntonSimulation {
                 continue;
             }
             let v = self.state.velocities[i];
+            // Bitwise `rne_f64(..) as i64` (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
             let d = [
-                rne_f64(v[0] as f64 * self.drift_c[0]) as i64,
-                rne_f64(v[1] as f64 * self.drift_c[1]) as i64,
-                rne_f64(v[2] as f64 * self.drift_c[2]) as i64,
+                rne_f64_to_i64(v[0] as f64 * self.drift_c[0]),
+                rne_f64_to_i64(v[1] as f64 * self.drift_c[1]),
+                rne_f64_to_i64(v[2] as f64 * self.drift_c[2]),
             ];
             self.state.drift(i, d);
         }
@@ -406,20 +418,43 @@ impl AntonSimulation {
                 self.state
                     .set_position_frac(i, [w.x / e.x, w.y / e.y, w.z / e.z]);
                 let v = self.system.pbox.min_image(pos[i], pos_ref[i]) * (1.0 / dt);
+                // Bitwise `rne_f64(..) as i64` (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
                 self.state.velocities[i] = [
-                    rne_f64(v.x * vs) as i64,
-                    rne_f64(v.y * vs) as i64,
-                    rne_f64(v.z * vs) as i64,
+                    rne_f64_to_i64(v.x * vs),
+                    rne_f64_to_i64(v.y * vs),
+                    rne_f64_to_i64(v.z * vs),
                 ];
             }
         }
     }
 
-    /// One r-RESPA outer cycle (`longrange_every` inner steps). The cycle is
-    /// palindromic: half long impulse · (VV steps) · half long impulse, so a
-    /// velocity negation at a cycle boundary reverses the trajectory exactly
-    /// when constraints and the thermostat are off.
+    /// One r-RESPA outer cycle: [`Self::run_cycles`]`(1)`.
     pub fn run_cycle(&mut self) {
+        self.run_cycles(1);
+    }
+
+    /// `n` r-RESPA outer cycles of `longrange_every` inner steps each. A
+    /// cycle is palindromic: half long impulse · (VV steps) · half long
+    /// impulse, so a velocity negation at a cycle boundary reverses the
+    /// trajectory exactly when constraints and the thermostat are off.
+    ///
+    /// Only the last inner step of the call forms the range-limited energy
+    /// word; every earlier one evaluates forces only. The short-range
+    /// words are private, the integrator reads only their forces, and each
+    /// evaluation clears and overwrites them, so nothing can read an
+    /// energy before the last evaluation replaces it: `short_forces`,
+    /// `potential_energy`, checkpoints and the verifier see the bits every
+    /// evaluation forming it would leave.
+    pub fn run_cycles(&mut self, n: usize) {
+        let k = self.system.params.longrange_every.max(1);
+        for c in 0..n {
+            self.cycle(if c + 1 == n { k - 1 } else { k });
+        }
+    }
+
+    /// One outer cycle, whose inner steps from `energy_from` on form the
+    /// range-limited energy word.
+    fn cycle(&mut self, energy_from: u32) {
         self.pipeline.trace_mut().set_step(self.step);
         let t0 = self.pipeline.trace().now_ns();
         Self::kick(&mut self.state, &self.long, &self.kick_long_half);
@@ -427,8 +462,8 @@ impl AntonSimulation {
             .trace_mut()
             .end_span(Phase::Integrate, RANK_MAIN, t0);
         let k = self.system.params.longrange_every.max(1);
-        for _ in 0..k {
-            self.inner_step();
+        for s in 0..k {
+            self.inner_step(s >= energy_from);
         }
         self.pipeline.trace_mut().set_step(self.step);
         self.refresh_long();
@@ -445,20 +480,17 @@ impl AntonSimulation {
                 let lambda = (1.0 + (dt / tau_fs) * (target_k / t - 1.0)).max(0.0).sqrt();
                 for v in self.state.velocities.iter_mut() {
                     for c in v.iter_mut() {
-                        *c = rne_f64(*c as f64 * lambda) as i64;
+                        // Bitwise `rne_f64(..) as i64` (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
+                        *c = rne_f64_to_i64(*c as f64 * lambda);
                     }
                 }
             }
         }
     }
 
-    pub fn run_cycles(&mut self, n: usize) {
-        for _ in 0..n {
-            self.run_cycle();
-        }
-    }
-
-    fn inner_step(&mut self) {
+    /// One velocity-Verlet inner step; `energy` forms the range-limited
+    /// energy word of its short-range evaluation.
+    fn inner_step(&mut self, energy: bool) {
         self.pipeline.trace_mut().set_step(self.step);
         let t_step = self.pipeline.trace().now_ns();
         Self::kick(&mut self.state, &self.short, &self.kick_half);
@@ -469,7 +501,7 @@ impl AntonSimulation {
         self.pipeline
             .trace_mut()
             .end_span(Phase::Integrate, RANK_MAIN, t_step);
-        self.refresh_short();
+        self.refresh_short(energy);
         let t1 = self.pipeline.trace().now_ns();
         Self::kick(&mut self.state, &self.short, &self.kick_half);
         self.pipeline
@@ -1006,6 +1038,75 @@ mod tests {
         sim.run_cycle();
         assert_eq!(sim.state, golden.state);
         let _ = std::fs::remove_file(&dir);
+    }
+
+    /// A 16-residue chain solvated to 1200 atoms, SHAKE-constrained waters.
+    fn solvated_mini() -> System {
+        anton_systems::catalog::build_solvated(
+            "mini",
+            1200,
+            23.0,
+            RunParams::paper(8.0, 16),
+            &anton_forcefield::water::TIP3P,
+            16,
+            0,
+            0,
+            3,
+        )
+    }
+
+    /// The energy rule of `run_cycles` is invisible, bit for bit:
+    /// `run_cycles(n)`, `n` × `run_cycle()` and an oracle that forms the
+    /// energy word on every evaluation leave identical state bytes,
+    /// short-range words and potential-energy bits after every call — on
+    /// constrained water and on a solvated protein, under `SingleRank` and
+    /// `Nodes(8)` on 1 and 2 threads. The rule is live: a force-only cycle
+    /// leaves the range-limited energy word unformed and every force word
+    /// the oracle's.
+    #[test]
+    fn energy_rule_is_bitwise_invisible() {
+        let water = water_system(80, 3);
+        for sys in [water, solvated_mini()] {
+            assert!(!sys.topology.constraint_groups.is_empty());
+            for (decomposition, threads) in [
+                (Decomposition::SingleRank, 1),
+                (Decomposition::Nodes(8), 1),
+                (Decomposition::Nodes(8), 2),
+            ] {
+                let mk = || {
+                    AntonSimulation::builder(sys.clone())
+                        .velocities_from_temperature(300.0, 7)
+                        .decomposition(decomposition)
+                        .threads(threads)
+                        .build()
+                };
+                let (mut batched, mut single, mut oracle) = (mk(), mk(), mk());
+                for n in [1, 3, 2] {
+                    batched.run_cycles(n);
+                    for _ in 0..n {
+                        single.run_cycle();
+                        oracle.cycle(0);
+                    }
+                    let what = format!("{} {decomposition:?} x{threads}, n {n}", sys.name);
+                    for sim in [&single, &oracle] {
+                        assert_eq!(sim.state.to_bytes(), batched.state.to_bytes(), "{what}");
+                        assert_eq!(sim.short_forces(), batched.short_forces(), "{what}");
+                        assert_eq!(
+                            sim.potential_energy().to_bits(),
+                            batched.potential_energy().to_bits(),
+                            "{what}"
+                        );
+                    }
+                }
+                let k = batched.system.params.longrange_every.max(1);
+                batched.cycle(k);
+                oracle.cycle(0);
+                assert_eq!(batched.short.e_range_limited, 0);
+                assert_ne!(oracle.short.e_range_limited, 0);
+                assert_eq!(batched.short.f, oracle.short.f);
+                assert_eq!(batched.state, oracle.state);
+            }
+        }
     }
 
     #[test]

@@ -169,7 +169,7 @@ fn batched_path_is_bitwise_the_scalar_oracle_on_a_solvated_protein() {
                 continue;
             }
             live_14 += usize::from(batch.mask_14 & (1 << lane) != 0);
-            let (ti, tj) = (tiles.type_at(si), tiles.type_at(sj));
+            let (ti, tj) = (tiles.all().ty[si as usize], tiles.all().ty[sj as usize]);
             type_pairs.insert((ti.min(tj), ti.max(tj)));
         }
     }

@@ -529,7 +529,7 @@ fn coincident_and_unoccupied_lanes_contribute_nothing() {
     noisy.mask = 0b011;
     for batch in [clean, noisy] {
         let mut got = RawForces::zeroed(n);
-        let live = pipe.evaluate_batches(&sys, &[batch], &mut got);
+        let live = pipe.evaluate_batches::<true>(&sys, &[batch], &mut got);
         assert_eq!(live, 1, "mask {:#b}", batch.mask);
         assert_eq!(got, want, "mask {:#b}", batch.mask);
     }

@@ -35,11 +35,12 @@ pub const MATCH_WIDTH: usize = 8;
 /// *staging* record, formed in the pipeline and never stored: the engine's
 /// match cache keeps only which two atoms meet
 /// (`anton_core::batch::MatchBatch`), and every step re-derives r² from
-/// the current positions, gathers the per-atom parameters, fills one of
-/// these on the stack and hands it to [`Ppip::pair_batch`]. Who `i`/`j`
-/// are and the displacement for the force scatter stay with the caller —
-/// the PPIP only ever sees r² and per-pair kernel parameters, like the
-/// hardware.
+/// the current positions, gathers the per-atom parameters and stages the
+/// in-cutoff lanes of successive cached batches into one of these on the
+/// stack, handing it to the kernel each time it holds eight — so every
+/// call but the last of a pass is a full mask. Who `i`/`j` are and the
+/// displacement for the force scatter stay with the caller — the PPIP
+/// only ever sees r² and per-pair kernel parameters, like the hardware.
 #[derive(Clone, Copy, Debug)]
 pub struct PairBatch {
     pub r2_q20: [i64; MATCH_WIDTH],
@@ -62,6 +63,55 @@ impl PairBatch {
 /// Largest coefficient mantissa magnitude the fused Horner accepts (the
 /// 22-bit tables of [`Ppip::build`] stay below 2²¹).
 const HORNER_COEFF_MAX: u32 = 1 << 29;
+
+/// Largest Q31 table coordinate: `u` is clamped to `[0, 1)`.
+const U_Q31_MAX: i64 = (1 << 31) - 1;
+
+/// The tier ladder [`Ppip::build`] fits on, `TableSpec::geometric(8, 32)`,
+/// as the closed-form locate encodes it: `LOCATE_LEVELS` tiers of
+/// `LOCATE_PER_TIER` segments (a power of two).
+const LOCATE_LEVELS: u32 = 8;
+const LOCATE_PER_TIER: i64 = 32;
+/// Bit length of the Q31 `u` at the top of the base tier
+/// `[0, 2^-(LOCATE_LEVELS-1))`: 24. Tier `k ≥ 1` is `[2^(23+k), 2^(24+k))`
+/// in Q31, exactly the `u` of bit length `24 + k`.
+const BASE_TIER_BITS: u32 = 31 - (LOCATE_LEVELS - 1);
+/// `log2` of the segment width, in Q31, of tier 1 — and of the base tier,
+/// which spans the same width as tier 1 in as many segments: 2¹⁹.
+const TIER1_WIDTH_LOG2: u32 = BASE_TIER_BITS - LOCATE_PER_TIER.trailing_zeros();
+
+/// Segment index and within-segment Q31 coordinate of a clamped Q31 `u`
+/// on the geometric(8, 32) ladder, with no loop and no branch: the tier is
+/// read off the bit length of `u`. With `s = max(tier, 1)` the segment
+/// width is `2^(18+s)`, every tier start is a multiple of it, and a tier
+/// `k ≥ 1` holds the `u` whose quotient by its width is `32..64` — so the
+/// index is `32·(s − 1) + (u >> (18 + s))` in every tier, the base one
+/// included, and `t` is the remainder scaled to Q31. Bitwise
+/// [`FunctionTable::locate_q31`] on that ladder (`Ppip::build` asserts the
+/// ladder, `closed_form_locate_is_the_table_locate` pins the equality).
+#[inline]
+fn locate_geometric(u: i64) -> (usize, i64) {
+    debug_assert!((0..=U_Q31_MAX).contains(&u));
+    let s = (64 - u.leading_zeros()).max(BASE_TIER_BITS + 1) - BASE_TIER_BITS;
+    let width_log2 = TIER1_WIDTH_LOG2 - 1 + s;
+    let idx = LOCATE_PER_TIER * (s as i64 - 1) + (u >> width_log2);
+    (idx as usize, (u << (31 - width_log2)) & U_Q31_MAX)
+}
+
+/// One table's integer Horner chain at Q31 `t`, decoded: the evaluate half
+/// of [`Ppip::pair`]. Every product stays inside the bounded shift's ±2⁶²:
+/// t ≤ 2³¹ and |c| ≤ 2²⁹ (`HORNER_COEFF_MAX`, checked when the tables are
+/// fused), so |acc| ≤ 2²⁹, then ≤ 2³⁰, then ≤ 1.5·2³⁰ entering the three
+/// steps, and |acc·t| ≤ 1.5·2⁶¹.
+#[inline(always)]
+fn horner(seg: &FusedSeg, k: usize, t: i64) -> f64 {
+    let c = &seg.coeffs[k];
+    let mut acc = c[3] as i64;
+    for j in (0..3).rev() {
+        acc = rne_shr_i64_bounded(acc * t, 31) + c[j] as i64;
+    }
+    acc as f64 * seg.scale[k]
+}
 
 /// Table sets [`Ppip::shared`] keeps. At ≈ 90 KB each, a daemon fed
 /// arbitrary cutoffs holds well under 1 MB.
@@ -170,6 +220,7 @@ impl Ppip {
         let e12 = FunctionTable::fit(e12_fn, spec.clone());
         let e6 = FunctionTable::fit(e6_fn, spec);
         let fused = Self::fuse([&f_elec, &f12, &f6, &e_elec, &e12, &e6]);
+        Self::assert_closed_form_ladder(&f_elec);
 
         Ppip {
             r2_max,
@@ -249,6 +300,36 @@ impl Ppip {
             .collect()
     }
 
+    /// Refuse a table whose segments are not the ones [`locate_geometric`]
+    /// picks: `pair_batch` would read wrong segments without a trace. Each
+    /// segment must start and end on Q31 grid points, the closed form must
+    /// map its first and last `u` to its own index with the `t` of
+    /// [`FunctionTable::locate_q31`], and the segments must tile `[0, 1)`.
+    /// Both maps are then the same affine map on every segment, hence
+    /// equal at every `u`.
+    fn assert_closed_form_ladder(table: &FunctionTable) {
+        let q31 = (1i64 << 31) as f64;
+        let mut end_q31 = 0;
+        for (idx, &(start, width)) in table.bounds.iter().enumerate() {
+            let (s_q31, w_q31) = (start * q31, width * q31);
+            assert!(
+                s_q31 as i64 == end_q31 && s_q31.fract() == 0.0 && w_q31.fract() == 0.0,
+                "PPIP segment {idx} is off the Q31 grid the closed-form locate assumes"
+            );
+            let last = (s_q31 + w_q31) as i64 - 1;
+            for u in [s_q31 as i64, last] {
+                assert_eq!(
+                    locate_geometric(u),
+                    table.locate_q31(u),
+                    "PPIP table spec is not the geometric(8, 32) ladder the closed-form \
+                     locate encodes (segment {idx}, u {u})"
+                );
+            }
+            end_q31 = last + 1;
+        }
+        assert_eq!(end_q31, 1 << 31, "PPIP segments must tile [0, 1)");
+    }
+
     /// Convert a Q20 r² raw value to the Q31 table coordinate
     /// (deterministic: one rounded multiply).
     #[inline]
@@ -275,18 +356,7 @@ impl Ppip {
         // the equivalence bit-for-bit).
         let t = t_q31.clamp(0, 1i64 << 31);
         let seg = &self.fused[idx];
-        // Every product stays inside the bounded shift's ±2⁶²: t ≤ 2³¹ and
-        // |c| ≤ 2²⁹ (`HORNER_COEFF_MAX`, checked when the tables are fused),
-        // so |acc| ≤ 2²⁹, then ≤ 2³⁰, then ≤ 1.5·2³⁰ entering the three
-        // steps, and |acc·t| ≤ 1.5·2⁶¹.
-        let table = |k: usize| {
-            let c = &seg.coeffs[k];
-            let mut acc = c[3] as i64;
-            for j in (0..3).rev() {
-                acc = rne_shr_i64_bounded(acc * t, 31) + c[j] as i64;
-            }
-            acc as f64 * seg.scale[k]
-        };
+        let table = |k: usize| horner(seg, k, t);
         let mut f = COULOMB * qq * table(0);
         let mut e = COULOMB * qq * table(3);
         // A pair with no LJ coefficients (any pair with a TIP3P hydrogen:
@@ -304,22 +374,75 @@ impl Ppip {
 
     /// Evaluate a whole masked match batch: lane `k` of `out` receives the
     /// `(force/r, energy)` of lane `k` of the batch when mask bit `k` is
-    /// set (unset lanes are zeroed). Lane order is fixed, so downstream
-    /// force accumulation happens in one canonical batch order; each lane
-    /// is bitwise identical to a [`Self::pair`] call with its inputs.
+    /// set (unset lanes are zeroed); each lane is bitwise identical to a
+    /// [`Self::pair`] call with its inputs. See [`Self::pair_lanes`].
     #[inline]
     pub fn pair_batch(&self, batch: &PairBatch, out: &mut [(f64, f64); MATCH_WIDTH]) {
-        for (lane, slot) in out.iter_mut().enumerate() {
-            *slot = if batch.mask & (1u8 << lane) == 0 {
-                (0.0, 0.0)
-            } else {
-                self.pair(
-                    batch.r2_q20[lane],
-                    batch.qq[lane],
-                    batch.lj_a[lane],
-                    batch.lj_b[lane],
-                )
-            };
+        self.pair_lanes::<true>(batch, out);
+    }
+
+    /// The batch kernel, stage-major: each stage runs across all eight
+    /// lanes before the next starts, so the eight independent operation
+    /// chains interleave and no lane waits on a branch.
+    ///
+    /// 1. `u` for every lane: one rounded multiply, clamped to `[0, 1)`.
+    /// 2. The segment locate, in closed form ([`locate_geometric`]): no
+    ///    tier walk.
+    /// 3. The Coulomb chains, force (and energy) for every lane.
+    /// 4. The four LJ chains, over a compacted list of the set lanes with
+    ///    a non-zero LJ coefficient.
+    ///
+    /// A lane runs exactly the operations of [`Self::pair`], in its order;
+    /// unset lanes are computed (whatever they hold) and zeroed at the end.
+    /// With `ENERGY` false the energy chains are skipped and every energy
+    /// slot is `0.0`; the force bits are the same as with it.
+    #[inline]
+    pub fn pair_lanes<const ENERGY: bool>(
+        &self,
+        batch: &PairBatch,
+        out: &mut [(f64, f64); MATCH_WIDTH],
+    ) {
+        let mut u = [0i64; MATCH_WIDTH];
+        for (u, &r2) in u.iter_mut().zip(&batch.r2_q20) {
+            *u = self.u_q31(r2).clamp(0, U_Q31_MAX);
+        }
+        let mut located = [(0usize, 0i64); MATCH_WIDTH];
+        for (at, &u) in located.iter_mut().zip(&u) {
+            *at = locate_geometric(u);
+        }
+        let mut f = [0.0f64; MATCH_WIDTH];
+        let mut e = [0.0f64; MATCH_WIDTH];
+        for k in 0..MATCH_WIDTH {
+            let (idx, t) = located[k];
+            let seg = &self.fused[idx];
+            f[k] = COULOMB * batch.qq[k] * horner(seg, 0, t);
+            if ENERGY {
+                e[k] = COULOMB * batch.qq[k] * horner(seg, 3, t);
+            }
+        }
+        let mut lj = [0usize; MATCH_WIDTH];
+        let mut n = 0;
+        for k in 0..MATCH_WIDTH {
+            // Non-short-circuit `&`/`|`: whether a lane has an LJ term is a
+            // coin flip, so it must not become a branch.
+            lj[n] = k;
+            let set = batch.mask & (1u8 << k) != 0;
+            n += usize::from(set & ((batch.lj_a[k] != 0.0) | (batch.lj_b[k] != 0.0)));
+        }
+        for &k in &lj[..n] {
+            let (idx, t) = located[k];
+            let seg = &self.fused[idx];
+            let (a, b) = (batch.lj_a[k], batch.lj_b[k]);
+            f[k] = f[k] + a * horner(seg, 1, t) - b * horner(seg, 2, t);
+            if ENERGY {
+                e[k] = e[k] + a * horner(seg, 4, t) - b * horner(seg, 5, t);
+            }
+        }
+        for (k, slot) in out.iter_mut().enumerate() {
+            // All ones on a set lane, +0.0 on an unset one, without a branch.
+            let keep = 0u64.wrapping_sub(u64::from(batch.mask >> k & 1));
+            let lane = |x: f64| f64::from_bits(x.to_bits() & keep);
+            *slot = (lane(f[k]), lane(e[k]));
         }
     }
 
@@ -602,6 +725,111 @@ mod tests {
             assert!(Arc::ptr_eq(&got[0], p), "the first inserted fit wins");
         }
         assert_bitwise_equal(&got[0], &Ppip::build(beta, cutoff));
+    }
+
+    /// Q31 `u` around every segment boundary of the shipped ladder (tier
+    /// boundaries included): `b − 1`, `b`, `b + 1`, clamped to the domain.
+    fn boundary_us(ppip: &Ppip) -> Vec<i64> {
+        let q31 = (1i64 << 31) as f64;
+        let mut us = vec![0, 1, U_Q31_MAX - 1, U_Q31_MAX];
+        for &(start, _) in &ppip.f_elec.bounds {
+            let b = (start * q31) as i64;
+            us.extend([b - 1, b, b + 1].map(|u| u.clamp(0, U_Q31_MAX)));
+        }
+        us
+    }
+
+    /// The closed-form locate is `FunctionTable::locate_q31` on the shipped
+    /// ladder: at every segment boundary ±1 and at 10⁶ random `u`.
+    #[test]
+    fn closed_form_locate_is_the_table_locate() {
+        let ppip = Ppip::build(0.35, 7.5);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(31);
+        let mut us = boundary_us(&ppip);
+        us.extend((0..1_000_000).map(|_| rng.gen_range(0..=U_Q31_MAX)));
+        for u in us {
+            assert_eq!(locate_geometric(u), ppip.f_elec.locate_q31(u), "u {u}");
+        }
+    }
+
+    /// `Ppip::build`'s ladder check refuses any other tier layout: the
+    /// closed-form locate would pick wrong segments on it.
+    #[test]
+    fn build_check_refuses_a_ladder_the_locate_does_not_encode() {
+        Ppip::assert_closed_form_ladder(&Ppip::build(0.35, 7.5).f_elec);
+        for spec in [
+            TableSpec::geometric(8, 16),
+            TableSpec::geometric(9, 32),
+            TableSpec::paper_default(),
+        ] {
+            let table = FunctionTable::fit(|u| 1.0 + u, spec.clone());
+            let refused =
+                std::panic::catch_unwind(|| Ppip::assert_closed_form_ladder(&table)).is_err();
+            assert!(refused, "{spec:?} was accepted");
+        }
+    }
+
+    /// `pair_batch` is `pair`, lane by lane and bit for bit, and the
+    /// force-only kernel's force bits are `pair_batch`'s: over arbitrary
+    /// masks, `u` at every segment boundary ±1 (on a cutoff where every
+    /// Q31 `u` is some r²'s), both clamp regions, lanes with and without an
+    /// LJ term side by side, and charge products of both signs and zeros.
+    #[test]
+    fn pair_batch_is_pair_lane_by_lane() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(12);
+        for ppip in [Ppip::build(0.35, 7.5), Ppip::build(0.05, 50.0)] {
+            // 50 Å puts one Q20 r² step under one Q31 `u` step, so the
+            // boundary `u`s are hit exactly; at 7.5 Å the nearest r² is.
+            let r2_of = |u: i64| {
+                let guess = (u as f64 / ppip.inv_r2max_q31) as i64;
+                (guess - 40..=guess + 40)
+                    .min_by_key(|&r2| (ppip.u_q31(r2) - u).abs())
+                    .unwrap()
+            };
+            let mut r2s: Vec<i64> = boundary_us(&ppip).into_iter().map(r2_of).collect();
+            if ppip.cutoff > 8.0 {
+                for u in boundary_us(&ppip) {
+                    let r2 = r2_of(u);
+                    assert_eq!(ppip.u_q31(r2).clamp(0, U_Q31_MAX), u, "u {u} missed");
+                }
+            }
+            // Both clamp regions (u below either clamp point), the domain
+            // end and beyond it, and a random fill.
+            let clamp_q20 = |uc: f64| (uc * ppip.r2_max * (1i64 << 20) as f64) as i64;
+            for uc in [ppip.u_clamp_elec, ppip.u_clamp_vdw] {
+                r2s.extend([0, 1, clamp_q20(uc) / 2, clamp_q20(uc) - 1, clamp_q20(uc)]);
+            }
+            r2s.extend(r2_probes(&ppip).into_iter().step_by(10));
+            let qqs = [0.41, -0.17, 0.0, -0.0];
+            let ljs = [(6.0e5, 530.0), (0.0, 0.0), (0.0, 530.0), (6.0e5, 0.0)];
+            for (b, lanes) in r2s.chunks(MATCH_WIDTH).enumerate() {
+                let mut batch = PairBatch::EMPTY;
+                batch.mask = if b % 3 == 0 { u8::MAX } else { rng.gen() };
+                for (k, &r2) in lanes.iter().enumerate() {
+                    batch.r2_q20[k] = r2;
+                    batch.qq[k] = qqs[rng.gen_range(0..qqs.len())];
+                    (batch.lj_a[k], batch.lj_b[k]) = ljs[rng.gen_range(0..ljs.len())];
+                }
+                let mut full = [(0.0, 0.0); MATCH_WIDTH];
+                let mut forces = [(1.0, 1.0); MATCH_WIDTH];
+                ppip.pair_batch(&batch, &mut full);
+                ppip.pair_lanes::<false>(&batch, &mut forces);
+                for k in 0..MATCH_WIDTH {
+                    let want = if batch.mask & (1 << k) == 0 {
+                        (0.0, 0.0)
+                    } else {
+                        ppip.pair(batch.r2_q20[k], batch.qq[k], batch.lj_a[k], batch.lj_b[k])
+                    };
+                    let bits = |(f, e): (f64, f64)| (f.to_bits(), e.to_bits());
+                    assert_eq!(bits(full[k]), bits(want), "batch {b} lane {k}: {batch:?}");
+                    assert_eq!(
+                        bits(forces[k]),
+                        (want.0.to_bits(), 0),
+                        "force-only lane {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
