@@ -3,8 +3,13 @@
 //!
 //! `cargo run --release -p anton-bench --bin paper -- fig4`
 
-use anton_machine::tables::TableSpec;
+use anton_machine::tables::MANTISSA_BITS;
 use anton_machine::Ppip;
+
+/// The paper's example tier layout, `(entries, domain end)` over
+/// `u = r²/r²_max`: 64 entries on [0, 1/128), 96 on [1/128, 1/32), 56 on
+/// [1/32, 1/4), 24 on [1/4, 1).
+const PAPER_TIERS: [(usize, f64); 4] = [(64, 1.0 / 128.0), (96, 1.0 / 32.0), (56, 0.25), (24, 1.0)];
 
 pub fn run() {
     let beta = 0.24;
@@ -14,13 +19,13 @@ pub fn run() {
     println!("PPIP function evaluator audit (β = {beta}, cutoff = {cutoff} Å)");
     println!(
         "paper example tier layout: {:?} ({} entries)",
-        TableSpec::paper_default().tiers,
-        TableSpec::paper_default().total_entries()
+        PAPER_TIERS,
+        PAPER_TIERS.iter().map(|t| t.0).sum::<usize>()
     );
     println!(
         "kernel tables use a geometric ladder: {} segments, {}-bit mantissas, shared exponent per entry",
         ppip.f_elec.segments.len(),
-        ppip.f_elec.spec.mantissa_bits
+        MANTISSA_BITS
     );
 
     anton_bench::header(

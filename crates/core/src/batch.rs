@@ -1,128 +1,67 @@
-//! Match batches and cell tiling for the HTIS-shaped range-limited phase.
+//! Match queues and cell tiling for the HTIS-shaped range-limited phase.
 //!
 //! On the ASIC each PPIP fronts eight match units (paper §2.2): candidate
 //! pairs stream out of the position tiles, survive a low-precision distance
-//! check and the exact cutoff test, and enter the evaluator as 8-wide
-//! bundles. The match units never store a pair — they emit *which* two
-//! atoms meet, and the pipeline forms r² and the kernel parameters from the
+//! check and the exact cutoff test, and enter the evaluator eight at a
+//! time. The match units never store a pair — they emit *which* two atoms
+//! meet, and the pipeline forms r² and the kernel parameters from the
 //! per-atom tile records. This module is the software shape of that stage:
-//! a [`BatchQueue`] packs cutoff survivors into [`MatchBatch`] records
-//! (two tile slots per lane plus an occupancy and a 1-4 mask — a pure
-//! identity, no r², no parameters), [`CellTiling`] is the static
+//! a [`PairQueue`] lists cutoff survivors as slot pairs (a pure identity,
+//! no r², no parameters; 1-4 pairs apart), [`CellTiling`] is the static
 //! power-of-two subbox decomposition the one-rank work plan streams tile
-//! pairs from, and [`Q20Ladder`] is the one displacement/r² ladder
-//! both the match stage and the evaluator run. Everything is
-//! allocation-free in steady state and bitwise deterministic: the queue
-//! records pairs in enumeration order, and batch lane order is the
-//! canonical force-merge order (detlint D5).
+//! pairs from, and [`Q20Ladder`] is the one displacement/r² ladder both
+//! the match stage and the evaluator run. Everything is allocation-free in
+//! steady state and bitwise deterministic: the queue records pairs in
+//! enumeration order, and forces accumulate in wrapping integers, so the
+//! order the evaluator visits them in is immaterial.
 
 use anton_fixpoint::rounding::rne_shr_i64_bounded;
 use anton_fixpoint::{FxVec3, QVec3, Q20};
 use anton_machine::MATCH_WIDTH;
 
-/// Counts of work streamed through one match pass (merged into
-/// [`ExchangeCounters`](anton_machine::perf::ExchangeCounters) in fixed
-/// rank order by the pipeline).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchCensus {
-    /// Candidate pairs examined (tile-pair lanes entering the match stage).
-    pub candidates: u64,
-    /// Pairs that survived the exact cutoff + exclusion tests into lanes.
-    pub pairs: u64,
-    /// Batches handed to the evaluator (including the partial tail).
-    pub batches: u64,
-}
-
-/// One cached 8-wide match batch: per lane, the flat tile-pool slots of
-/// the two atoms that met ([`PosTiles`](anton_geometry::PosTiles) slots,
-/// stable between match-cache rebuilds). Nothing position- or
-/// parameter-dependent is stored: the evaluator re-forms the displacement
-/// and r² from the refreshed tile positions every step and gathers charge,
-/// LJ type and atom id by slot, so a cached batch stays valid as atoms
-/// drift and costs 8.5 B per lane. Unoccupied lanes hold slot 0 on both
-/// sides — a valid gather — and are switched off by `mask` alone.
-#[derive(Clone, Copy, Debug)]
-pub struct MatchBatch {
-    /// Flat tile-pool slot of each lane's first / second atom.
-    pub si: [u32; MATCH_WIDTH],
-    pub sj: [u32; MATCH_WIDTH],
-    /// Bit `k` set = lane `k` holds a matched pair.
-    pub mask: u8,
-    /// Bit `k` set = lane `k` is a 1-4 pair (scaled by the exclusion
-    /// policy's 1-4 multipliers).
-    pub mask_14: u8,
-}
-
-// The cache is the engine's working set (13.4 M lanes on `dhfr`): the
-// record must stay within 9 B per lane.
-const _: () = assert!(std::mem::size_of::<MatchBatch>() <= 72);
-
-impl MatchBatch {
-    pub const EMPTY: MatchBatch = MatchBatch {
-        si: [0; MATCH_WIDTH],
-        sj: [0; MATCH_WIDTH],
-        mask: 0,
-        mask_14: 0,
-    };
-}
-
-/// The set lanes of a batch mask, in ascending lane order: how the test
-/// oracles walk a cached batch.
-#[cfg(test)]
-pub(crate) fn lanes_of(mask: u8) -> impl Iterator<Item = usize> {
-    let mut rest = mask;
-    std::iter::from_fn(move || {
-        (rest != 0).then(|| {
-            let lane = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            lane
-        })
-    })
-}
-
-/// An append-only queue of match batches, refilled on every match-cache
-/// rebuild and replayed in between (buffer retained across
-/// [`BatchQueue::begin`] calls). Pairs fill lanes in enumeration order; the
-/// final batch may be partial, its mask covering only the filled lanes.
+/// The match stage's output, kept between match-cache rebuilds: every
+/// padded-cutoff survivor as the flat tile-pool slots of its two atoms
+/// ([`PosTiles`](anton_geometry::PosTiles) slots, stable between
+/// rebuilds), 8 B a pair, in enumeration order, with 1-4 pairs listed apart
+/// from plain ones. Nothing position- or parameter-dependent is stored:
+/// the evaluator re-forms the displacement and r² from the refreshed tile
+/// positions every step, gathers charge, LJ type and atom id by slot, and
+/// groups the in-cutoff pairs into 8-lane kernel calls itself. The buffers
+/// are retained across [`PairQueue::begin`] calls.
 #[derive(Debug, Default)]
-pub struct BatchQueue {
-    batches: Vec<MatchBatch>,
-    /// Lanes filled in the last batch (0 when empty or exactly full).
-    fill: usize,
-    pub census: BatchCensus,
+pub(crate) struct PairQueue {
+    /// Plain pairs (unit multipliers).
+    pub(crate) plain: Vec<[u32; 2]>,
+    /// 1-4 pairs (scaled by the exclusion policy's 1-4 multipliers).
+    pub(crate) one_four: Vec<[u32; 2]>,
+    /// Candidate pairs examined by the pass that filled the queue.
+    pub(crate) candidates: u64,
 }
 
-impl BatchQueue {
+impl PairQueue {
     /// Reset for a new match pass, keeping capacity.
-    pub fn begin(&mut self) {
-        self.batches.clear();
-        self.fill = 0;
-        self.census = BatchCensus::default();
+    pub(crate) fn begin(&mut self) {
+        self.plain.clear();
+        self.one_four.clear();
+        self.candidates = 0;
     }
 
     /// Append one padded-cutoff survivor: the two atoms' flat tile slots
     /// and whether the pair is 1-4.
     #[inline]
-    pub fn push(&mut self, si: u32, sj: u32, one_four: bool) {
-        if self.fill == 0 {
-            self.batches.push(MatchBatch::EMPTY);
-            self.census.batches += 1;
-        }
-        let lane = self.fill;
-        let batch = self.batches.last_mut().expect("batch pushed above");
-        batch.si[lane] = si;
-        batch.sj[lane] = sj;
-        batch.mask |= 1u8 << lane;
-        batch.mask_14 |= u8::from(one_four) << lane;
-        self.fill = (lane + 1) % MATCH_WIDTH;
-        self.census.pairs += 1;
+    pub(crate) fn push(&mut self, si: u32, sj: u32, one_four: bool) {
+        let list = if one_four {
+            &mut self.one_four
+        } else {
+            &mut self.plain
+        };
+        list.push([si, sj]);
     }
 
-    /// The queued batches (8-wide bundles including a partial tail), in
-    /// fill order.
-    #[inline]
-    pub fn batches(&self) -> &[MatchBatch] {
-        &self.batches
+    /// The queue's pairs at eight to a match batch, the unit the census
+    /// counts.
+    pub(crate) fn batches(&self) -> u64 {
+        (self.plain.len() + self.one_four.len()).div_ceil(MATCH_WIDTH) as u64
     }
 }
 
@@ -435,45 +374,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn queue_packs_slot_pairs_and_masks() {
-        let mut q = BatchQueue::default();
+    fn queue_lists_pairs_by_class_in_push_order() {
+        let mut q = PairQueue::default();
         q.begin();
+        q.candidates = 40;
         for p in 0..11u32 {
             q.push(p + 1000, p + 2000, p == 3 || p == 9);
         }
-        assert_eq!(q.census.pairs, 11);
-        assert_eq!(q.census.batches, 2);
-        let got = q.batches();
-        assert_eq!(got.len(), 2);
-        // Lanes fill in push order; a full batch has every occupancy bit.
-        assert_eq!(got[0].mask, 0xff);
-        assert_eq!(got[0].si, [1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007]);
-        assert_eq!(got[0].sj[7], 2007);
-        assert_eq!(got[0].mask_14, 0b0000_1000, "pair 3 is the 1-4 lane");
-        // The partial tail masks only the filled lanes; the rest gather
-        // slot 0 and stay off.
-        assert_eq!(got[1].mask, 0b0000_0111);
-        assert_eq!(got[1].mask_14, 0b0000_0010, "pair 9 sits in lane 1");
-        assert_eq!(got[1].si, [1008, 1009, 1010, 0, 0, 0, 0, 0]);
-        assert_eq!(got[1].sj, [2008, 2009, 2010, 0, 0, 0, 0, 0]);
-        // begin() resets, keeping nothing from the previous pass — the
-        // next pass starts a fresh batch at lane 0 with clean masks.
+        // Each class keeps push order; the slots stay as pushed.
+        let plain: Vec<[u32; 2]> = (0..11)
+            .filter(|&p| p != 3 && p != 9)
+            .map(|p| [p + 1000, p + 2000])
+            .collect();
+        assert_eq!(q.plain, plain);
+        assert_eq!(q.one_four, [[1003, 2003], [1009, 2009]]);
+        // 11 pairs fill two 8-lane batches, whatever their classes.
+        assert_eq!(q.batches(), 2);
+        q.push(7, 8, true);
+        q.push(9, 10, true);
+        q.push(11, 12, false);
+        q.push(13, 14, false);
+        q.push(15, 16, false);
+        assert_eq!(q.batches(), 2, "16 pairs are exactly two batches");
+        q.push(17, 18, true);
+        assert_eq!(q.batches(), 3);
+        // begin() resets, keeping nothing from the previous pass.
         q.begin();
-        assert!(q.batches().is_empty());
-        assert_eq!(q.census, BatchCensus::default());
+        assert!(q.plain.is_empty() && q.one_four.is_empty());
+        assert_eq!((q.candidates, q.batches()), (0, 0));
         q.push(5, 6, false);
-        assert_eq!(q.batches().len(), 1);
-        assert_eq!(q.batches()[0].mask, 1);
-        assert_eq!(q.batches()[0].mask_14, 0);
-        assert_eq!((q.batches()[0].si[0], q.batches()[0].sj[0]), (5, 6));
-    }
-
-    #[test]
-    fn lanes_of_walks_set_bits_in_ascending_order() {
-        assert_eq!(lanes_of(0).count(), 0);
-        assert_eq!(lanes_of(0xff).collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(lanes_of(0b1010_0101).collect::<Vec<_>>(), [0, 2, 5, 7]);
-        assert_eq!(lanes_of(0x80).collect::<Vec<_>>(), [7]);
+        assert_eq!(q.plain, [[5, 6]]);
+        assert_eq!(q.batches(), 1);
     }
 
     #[test]

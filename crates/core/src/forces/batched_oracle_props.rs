@@ -4,12 +4,11 @@
 //! one-rank plan and `Nodes {1, 8, 64}`.
 use super::tests::{solvated_mini, state_of, water_box, water_system};
 use super::*;
-use crate::batch::BatchQueue;
+use crate::batch::PairQueue;
 use crate::state::FixedState;
 use anton_fixpoint::{Fx32, FxVec3, Q20};
 use anton_forcefield::PairClass;
 use anton_geometry::{CellGrid, PeriodicBox};
-use anton_machine::MATCH_WIDTH;
 use proptest::prelude::*;
 
 /// A box long enough for 8 subboxes on x (35 Å / 8 is still half the
@@ -37,27 +36,21 @@ fn oracle_pairs(pipe: &ForcePipeline, sys: &System, state: &FixedState) -> Vec<(
     pairs
 }
 
-/// The queued lanes' atom pairs — every rank's cached queue and the
-/// trunk's mover queue — normalized and sorted, whose r² (the 128-bit
+/// The queued atom pairs — every rank's cached queue and the trunk's
+/// mover queue, both lists — normalized and sorted, whose r² (the 128-bit
 /// ladder over the tiles' current positions) passes `keep`.
 fn queued_pairs(pipe: &ForcePipeline, keep: impl Fn(i64) -> bool) -> Vec<(u32, u32)> {
-    let live = |q: &BatchQueue, tiles: &PosTiles| -> Vec<(u32, u32)> {
+    let live = |q: &PairQueue, tiles: &PosTiles| -> Vec<(u32, u32)> {
         let mut v = Vec::new();
-        for batch in q.batches() {
-            for lane in 0..MATCH_WIDTH {
-                if batch.mask & (1u8 << lane) == 0 {
-                    continue;
-                }
-                let (si, sj) = (batch.si[lane], batch.sj[lane]);
-                let (_, r2) = pipe
-                    .ladder
-                    .delta_r2_i128(tiles.raw_at(si), tiles.raw_at(sj));
-                if !keep(r2) {
-                    continue;
-                }
-                let (i, j) = (tiles.atom_at(si), tiles.atom_at(sj));
-                v.push((i.min(j), i.max(j)));
+        for &[si, sj] in q.plain.iter().chain(&q.one_four) {
+            let (_, r2) = pipe
+                .ladder
+                .delta_r2_i128(tiles.raw_at(si), tiles.raw_at(sj));
+            if !keep(r2) {
+                continue;
             }
+            let (i, j) = (tiles.atom_at(si), tiles.atom_at(sj));
+            v.push((i.min(j), i.max(j)));
         }
         v
     };
@@ -161,16 +154,17 @@ fn batched_path_is_bitwise_the_scalar_oracle_on_a_solvated_protein() {
     let tiles = &pipe.tiles;
     let mut live_14 = 0;
     let mut type_pairs = std::collections::BTreeSet::new();
-    for batch in pipe.scratch.iter().flat_map(|s| s.queue.batches()) {
-        for lane in crate::batch::lanes_of(batch.mask) {
-            let (si, sj) = (batch.si[lane], batch.sj[lane]);
-            let (_, r2) = pipe.ladder.delta_r2(tiles.raw_at(si), tiles.raw_at(sj));
-            if r2 > pipe.rc2_q20 || r2 == 0 {
-                continue;
+    for q in pipe.scratch.iter().map(|s| &s.queue) {
+        for (list, one_four) in [(&q.plain, false), (&q.one_four, true)] {
+            for &[si, sj] in list {
+                let (_, r2) = pipe.ladder.delta_r2(tiles.raw_at(si), tiles.raw_at(sj));
+                if r2 > pipe.rc2_q20 || r2 == 0 {
+                    continue;
+                }
+                live_14 += usize::from(one_four);
+                let (ti, tj) = (tiles.all().ty[si as usize], tiles.all().ty[sj as usize]);
+                type_pairs.insert((ti.min(tj), ti.max(tj)));
             }
-            live_14 += usize::from(batch.mask_14 & (1 << lane) != 0);
-            let (ti, tj) = (tiles.all().ty[si as usize], tiles.all().ty[sj as usize]);
-            type_pairs.insert((ti.min(tj), ti.max(tj)));
         }
     }
     assert!(live_14 >= 1, "no live 1-4 lane");
@@ -493,14 +487,13 @@ fn mover_pairs_keep_forces_bitwise_invariant() {
             want_movers,
             "step {step}: the mover set"
         );
-        for batch in pipe.mover_queue.batches() {
-            for lane in crate::batch::lanes_of(batch.mask) {
-                let (i, j) = (tiles.atom_at(batch.si[lane]), tiles.atom_at(batch.sj[lane]));
-                assert_ne!(top.exclusions.class(i, j), PairClass::Excluded);
-                saw_14 |= batch.mask_14 & (1 << lane) != 0;
-                saw_pair |= (i.min(j), i.max(j)) == (a as u32, b as u32);
-            }
+        let q = &pipe.mover_queue;
+        for &[si, sj] in q.plain.iter().chain(&q.one_four) {
+            let (i, j) = (tiles.atom_at(si), tiles.atom_at(sj));
+            assert_ne!(top.exclusions.class(i, j), PairClass::Excluded);
+            saw_pair |= (i.min(j), i.max(j)) == (a as u32, b as u32);
         }
+        saw_14 |= !q.one_four.is_empty();
         // An excluded partner of the far mover inside the cutoff now that
         // was outside the padded cutoff at the epoch: the scan met it and
         // dropped it.

@@ -41,7 +41,7 @@ mod tests;
 
 use self::mesh::LrRank;
 use self::pair::RankScratch;
-use crate::batch::{BatchQueue, MatchCache, Q20Ladder};
+use crate::batch::{MatchCache, PairQueue, Q20Ladder};
 use crate::pool::DetPool;
 use crate::ranks::RankSet;
 use crate::state::{ENERGY_FRAC, FORCE_FRAC};
@@ -155,7 +155,7 @@ impl RawForces {
 /// the cell-grid build, its pair sweep, and the tile pipeline's cell-pair
 /// reach so the decode slack can never drift between sites.
 ///
-/// It is also the Verlet buffer of the persistent match cache: batches
+/// It is also the Verlet buffer of the persistent match cache: pairs
 /// are matched once at `cutoff + PAIRLIST_SLACK` and replayed while at
 /// most [`MOVER_CAP`](crate::batch::MOVER_CAP) atoms have moved half the
 /// slack ([`MatchCache::track_movers`]); those movers' missing pairs are
@@ -191,7 +191,7 @@ pub struct ForcePipeline {
     /// asserts bitwise identity with tracing on and off.
     trace: TraceSink,
     /// Q20 of the *padded* match cutoff `(rc + PAIRLIST_SLACK)²`: the
-    /// radius batches are matched at, so the cached pair set holds every
+    /// radius pairs are matched at, so the cached pair set holds every
     /// in-cutoff pair of two non-movers while the cache is reused.
     rc_pad2_q20: i64,
     /// Upper bound on the match stage's integer lower-bound r² (Q40):
@@ -209,9 +209,9 @@ pub struct ForcePipeline {
     /// Flat tile slot of each atom, rebuilt with the tiles: where the
     /// mover scan finds a mover's own record.
     slot_of: Vec<u32>,
-    /// The trunk's queue of mover pairs the cached batches lack, refilled
+    /// The trunk's queue of mover pairs the cached queues lack, refilled
     /// on every evaluation after the rank merge.
-    mover_queue: BatchQueue,
+    mover_queue: PairQueue,
     /// Per-rank private accumulators (+ trace lanes), reused across steps.
     scratch: Vec<RankScratch>,
     /// Per-rank long-range accumulators (forces + private charge mesh),
@@ -268,7 +268,7 @@ impl ForcePipeline {
             cache: MatchCache::new(half_edge_q20, PAIRLIST_SLACK),
             tiles: PosTiles::default(),
             slot_of: Vec::new(),
-            mover_queue: BatchQueue::default(),
+            mover_queue: PairQueue::default(),
             scratch: Vec::new(),
             lr_scratch: Vec::new(),
             gse_scratch: GseScratch::default(),

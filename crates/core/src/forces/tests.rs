@@ -488,18 +488,18 @@ fn batched_corrections_match_scalar_oracle() {
     assert_ne!(batched.e_correction, 0);
 }
 
-/// The evaluator masks by occupancy *and* by the exact cutoff test, each
-/// on its own: an occupied lane whose two atoms coincide (r² = 0) and an
-/// unoccupied lane — even one whose stale slots name a live pair — add
-/// nothing to any accumulator or to the live-pair count.
+/// The evaluator's exact cutoff test drops a queued pair whose two atoms
+/// coincide (r² = 0), in either list: a queue holding one live plain pair
+/// among coincident ones adds exactly that pair, to every accumulator and
+/// to the live-pair count.
 #[test]
-fn coincident_and_unoccupied_lanes_contribute_nothing() {
-    use crate::batch::MatchBatch;
+fn coincident_lanes_contribute_nothing() {
+    use crate::batch::PairQueue;
     let sys = water_system(60, 33);
     let state = state_of(&sys);
     let n = sys.n_atoms();
     let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
-    // One evaluation fills the tiles the hand-made batches gather from.
+    // One evaluation fills the tiles the hand-made queues gather from.
     pipe.range_limited(&sys, &state, &mut RawForces::zeroed(n));
 
     // Two slots holding an interacting pair.
@@ -518,20 +518,22 @@ fn coincident_and_unoccupied_lanes_contribute_nothing() {
     let mut want = RawForces::zeroed(n);
     pipe.apply_pair(&sys, &state, i as usize, j as usize, &mut want);
 
-    let mut clean = MatchBatch::EMPTY;
-    (clean.si[0], clean.sj[0], clean.mask) = (a, b, 0b001);
-    // Lane 0: occupied, both slots the same atom. Lane 1: the live pair.
-    // Lane 2: the live pair again, but unoccupied. Lanes 3–7: the empty
-    // record's slot-0 gathers.
-    let mut noisy = MatchBatch::EMPTY;
-    noisy.si[..3].copy_from_slice(&[a, a, a]);
-    noisy.sj[..3].copy_from_slice(&[a, b, b]);
-    noisy.mask = 0b011;
-    for batch in [clean, noisy] {
+    let clean = PairQueue {
+        plain: vec![[a, b]],
+        ..PairQueue::default()
+    };
+    // A coincident pair before and after the live one, and one among the
+    // 1-4 pairs.
+    let noisy = PairQueue {
+        plain: vec![[a, a], [a, b], [b, b]],
+        one_four: vec![[b, b]],
+        candidates: 0,
+    };
+    for (name, queue) in [("clean", clean), ("noisy", noisy)] {
         let mut got = RawForces::zeroed(n);
-        let live = pipe.evaluate_batches::<true>(&sys, &[batch], &mut got);
-        assert_eq!(live, 1, "mask {:#b}", batch.mask);
-        assert_eq!(got, want, "mask {:#b}", batch.mask);
+        let live = pipe.evaluate_queue::<true>(&sys, &queue, &mut got);
+        assert_eq!(live, 1, "{name}");
+        assert_eq!(got, want, "{name}");
     }
     assert_ne!(want.e_range_limited, 0);
 }

@@ -32,4 +32,4 @@ pub use exchange::{ExchangePlan, Link, MeshExchange, FORCE_BYTES, MESH_BYTES, PO
 pub use htis::{HtisRun, HtisSim};
 pub use perf::{modeled_burst_us, ExchangeCounters, PerfModel, StepBreakdown, SystemStats};
 pub use ppip::{PairBatch, Ppip, MATCH_WIDTH, R2_FRAC};
-pub use tables::{FunctionTable, TableSpec};
+pub use tables::FunctionTable;
