@@ -3,7 +3,7 @@
 
 use crate::forces::{Energies, ForceEvaluator};
 use crate::profile::TaskProfile;
-use anton_forcefield::constraints::{rattle, shake};
+use anton_forcefield::constraints::{assert_disjoint_groups, rattle, shake};
 use anton_forcefield::units::ACCEL;
 use anton_forcefield::water::{vsite_position, vsite_spread_force};
 use anton_geometry::Vec3;
@@ -41,6 +41,7 @@ impl RefSimulation {
     pub fn new(system: System, velocities: Vec<Vec3>, thermostat: Thermostat) -> RefSimulation {
         let n = system.n_atoms();
         assert_eq!(velocities.len(), n);
+        assert_disjoint_groups(&system.topology.constraint_groups, n);
         let evaluator = ForceEvaluator::new(&system);
         let positions = system.positions.clone();
         let mut sim = RefSimulation {
@@ -287,6 +288,21 @@ mod tests {
                 assert!((d - d0).abs() < 1e-6, "constraint ({i},{j}) drifted to {d}");
             }
         }
+    }
+
+    /// SHAKE's per-group solve rests on groups sharing no atom.
+    #[test]
+    #[should_panic(expected = "share atom 0")]
+    fn build_refuses_overlapping_constraint_groups() {
+        let mut sys =
+            anton_systems::water_box("w", 18.0, 8, 21, RunParams::paper(8.0, 16)).unwrap();
+        sys.topology
+            .constraint_groups
+            .push(anton_forcefield::ConstraintGroup {
+                pairs: vec![(0, 3, 2.8)],
+            });
+        let vel = vec![Vec3::ZERO; sys.n_atoms()];
+        RefSimulation::new(sys, vel, Thermostat::None);
     }
 
     #[test]
