@@ -36,10 +36,11 @@
 //! ```
 
 use anton_core::state::{FORCE_FRAC, VEL_FRAC};
-use anton_core::{AntonSimulation, Decomposition, ForcePipeline, RawForces, ThermostatKind};
-use anton_fixpoint::rounding::rne_f64;
+use anton_core::{AntonSimulation, Decomposition, ForcePipeline, RawForces};
+use anton_fixpoint::rounding::rne_f64_to_i64;
 use anton_forcefield::units::ACCEL;
 use anton_machine::perf::ExchangeCounters;
+use anton_systems::Thermostat;
 
 use crate::verify::{
     check_counter_linear, check_energy_drift, check_force_sum_zero, check_forces_equal,
@@ -101,7 +102,7 @@ impl Verifier {
             .iter()
             .map(|&m| {
                 if m > 0.0 {
-                    rne_f64(m * (1u64 << MASS_FRAC_BITS) as f64) as i64
+                    rne_f64_to_i64(m * (1u64 << MASS_FRAC_BITS) as f64)
                 } else {
                     0
                 }
@@ -150,7 +151,7 @@ impl Verifier {
             base_step: sim.step_count(),
             base_cycle: sim.cycle_count(),
             base_counters: sim.pipeline.counters,
-            nve: matches!(sim.thermostat, ThermostatKind::None),
+            nve: matches!(sim.thermostat, Thermostat::None),
             shake_term,
             violations,
             samples: 0,

@@ -6,9 +6,9 @@
 //!
 //! `cargo run --release -p anton-bench --bin paper -- bpti [--full]`
 
-use anton_core::{system_stats, AntonSimulation, ThermostatKind};
+use anton_core::{system_stats, AntonSimulation};
 use anton_machine::PerfModel;
-use anton_systems::bpti;
+use anton_systems::{bpti, Thermostat};
 
 pub fn run() {
     let full = anton_bench::full_mode();
@@ -70,7 +70,7 @@ pub fn run() {
     );
     let mut sim = AntonSimulation::builder(sys)
         .velocities_from_temperature(300.0, 77)
-        .thermostat(ThermostatKind::Berendsen {
+        .thermostat(Thermostat::Berendsen {
             target_k: 300.0,
             tau_fs: 100.0,
         })

@@ -120,6 +120,7 @@ pub fn run() {
 /// Numerical force error: table/fixed-point forces vs exact-kernel f64
 /// forces over the identical pair set and positions.
 fn numerical_error(sys: &anton_systems::System, sim: &AntonSimulation) -> f64 {
+    use anton_core::state::DISP_SCALE;
     use anton_geometry::{CellGrid, Vec3};
     let state = &sim.state;
     let pipe = &sim.pipeline;
@@ -132,15 +133,16 @@ fn numerical_error(sys: &anton_systems::System, sim: &AntonSimulation) -> f64 {
         let Some((se, sl)) = policy.scales(top.exclusions.class(i as u32, j as u32)) else {
             return;
         };
-        let d = state.delta_q20(pipe.half_edge_q20, i, j);
-        let sum: i128 =
-            d[0] as i128 * d[0] as i128 + d[1] as i128 * d[1] as i128 + d[2] as i128 * d[2] as i128;
-        let r2q = anton_fixpoint::rne_shr_i128(sum, 20);
+        let raw = |a: usize| state.positions[a].0.map(|c| c.raw());
+        let (d, r2q) = pipe.ladder.delta_r2(raw(i), raw(j));
         if r2q > pipe.rc2_q20 || r2q == 0 {
             return;
         }
-        let ds = 1.0 / (1i64 << 20) as f64;
-        let dv = Vec3::new(d[0] as f64 * ds, d[1] as f64 * ds, d[2] as f64 * ds);
+        let dv = Vec3::new(
+            d[0] as f64 / DISP_SCALE,
+            d[1] as f64 / DISP_SCALE,
+            d[2] as f64 / DISP_SCALE,
+        );
         let qq = top.charge[i] * top.charge[j] * se;
         let (a, b) = top.lj_table.coeffs(top.lj_type[i], top.lj_type[j]);
         let (f_over_r, _) = pipe.ppip.pair_exact(dv.norm2(), qq, a * sl, b * sl);

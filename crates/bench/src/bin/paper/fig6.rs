@@ -13,9 +13,9 @@ use anton_analysis::kabsch::superpose;
 use anton_analysis::order_parameters;
 use anton_core::AntonSimulation;
 use anton_geometry::{PeriodicBox, Vec3};
-use anton_refmd::{RefSimulation, Thermostat};
+use anton_refmd::RefSimulation;
 use anton_systems::protein::{build_chain, chain_topology};
-use anton_systems::spec::{RunParams, System};
+use anton_systems::spec::{RunParams, System, Thermostat};
 use anton_systems::velocities::init_velocities;
 use rand::{Rng, SeedableRng};
 
@@ -71,7 +71,7 @@ pub fn run() {
     // --- Anton engine trajectory.
     let mut anton = AntonSimulation::builder(sys.clone())
         .velocities_from_temperature(300.0, 41)
-        .thermostat(anton_core::ThermostatKind::Berendsen {
+        .thermostat(Thermostat::Berendsen {
             target_k: 300.0,
             tau_fs: 100.0,
         })

@@ -9,9 +9,9 @@
 
 use anton_bench::artifacts::{table2_settings, Table2Setting};
 use anton_core::system_stats;
-use anton_refmd::{RefSimulation, Thermostat};
+use anton_refmd::RefSimulation;
 use anton_systems::catalog::build_solvated;
-use anton_systems::spec::RunParams;
+use anton_systems::spec::{RunParams, Thermostat};
 use anton_systems::velocities::init_velocities;
 use anton_systems::TABLE4;
 

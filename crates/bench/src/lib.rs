@@ -8,8 +8,8 @@
 //! memory. `--full` selects paper-scale workloads; the default sizes
 //! finish in minutes on one core.
 
-use anton_core::{AntonSimulation, ThermostatKind};
-use anton_systems::spec::RunParams;
+use anton_core::AntonSimulation;
+use anton_systems::spec::{RunParams, Thermostat};
 use anton_systems::System;
 use std::path::{Path, PathBuf};
 
@@ -69,7 +69,7 @@ pub fn measure_drift(system: System, nve_cycles: usize, seed: u64) -> (f64, f64)
     let dt = system.params.dt_fs;
     let mut sim = AntonSimulation::builder(system)
         .velocities_from_temperature(300.0, seed)
-        .thermostat(ThermostatKind::Berendsen {
+        .thermostat(Thermostat::Berendsen {
             target_k: 300.0,
             tau_fs: 20.0,
         })
@@ -77,7 +77,7 @@ pub fn measure_drift(system: System, nve_cycles: usize, seed: u64) -> (f64, f64)
     // Equilibrate for as long as the measurement window: drift fits on an
     // unequilibrated system measure relaxation, not integrator error.
     sim.run_cycles(nve_cycles.max(50));
-    sim.thermostat = ThermostatKind::None;
+    sim.thermostat = Thermostat::None;
 
     let mut times = Vec::with_capacity(nve_cycles);
     let mut energies = Vec::with_capacity(nve_cycles);

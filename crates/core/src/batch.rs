@@ -15,8 +15,9 @@
 //! enumeration order, and forces accumulate in wrapping integers, so the
 //! order the evaluator visits them in is immaterial.
 
+use crate::ranks::raw_bits;
 use anton_fixpoint::rounding::rne_shr_i64_bounded;
-use anton_fixpoint::{FxVec3, QVec3, Q20};
+use anton_fixpoint::{FxVec3, Q20};
 use anton_machine::MATCH_WIDTH;
 
 /// The match stage's output, kept between match-cache rebuilds: every
@@ -65,11 +66,12 @@ impl PairQueue {
     }
 }
 
-/// The exact fixed-point minimum-image ladder of the pair phase, in 64-bit
-/// words: raw box-fraction deltas → per-axis Q20 displacement → Q20 r²,
-/// each step rounded to nearest/even once. The match stage and the
-/// evaluator both call [`Self::delta_r2`], so a lane's r² can never depend
-/// on which of them derived it.
+/// The engine's one fraction → Å ladder, in 64-bit words: raw
+/// box-fraction deltas → per-axis Q20 displacement → Q20 r², each step
+/// rounded to nearest/even once. The match stage, the evaluator, the
+/// mover scan, the mover test ([`MatchCache::track_movers`]) and the
+/// correction stream all call [`Self::delta_r2`], so a displacement or an
+/// r² can never depend on which of them derived it.
 ///
 /// 64 bits suffice because of the bound [`Self::new`] enforces: a fraction
 /// delta is an `i32` (|Δ| ≤ 2³¹) and every half-edge is below 2³⁰ in Q20
@@ -141,11 +143,13 @@ impl Q20Ladder {
 }
 
 /// Guard (Å) subtracted from the pair-list slack before squaring the
-/// mover threshold: it absorbs every rounding between the mover test and
-/// the match ladder (Q20 half-ulps of the per-axis displacement decode
-/// and of the two r² roundings, plus the fraction-grid decode error that
-/// `pairlist_slack_covers_decode_error` pins below `PAIRLIST_SLACK/100`),
-/// so the conservative Verlet argument survives quantization.
+/// mover threshold. The mover test runs on the match ladder itself, so
+/// what the guard still absorbs is rounding against the real
+/// displacement: the ladder's Q20 half-ulps per axis and of its r², and
+/// the Q20 rounding of the threshold, which the triangle inequality
+/// behind the Verlet argument does not see — a few 10⁻⁶ Å in all. Its
+/// value sets which atoms are movers, hence the rebuild schedule, so it
+/// stays.
 const MONITOR_GUARD: f64 = 0.01;
 
 /// Most movers a reuse step absorbs by scanning them on their own; one
@@ -165,24 +169,25 @@ pub const MOVER_CAP: usize = 64;
 /// reaches that half slack is a *mover* ([`Self::track_movers`]); any
 /// in-cutoff pair the cached batches lack has a mover in it, and the pair
 /// phase finds those pairs by scanning the movers alone. The test is
-/// `4·disp² ≥ (s − MONITOR_GUARD)²`, squared and in Q20, so the mover set
-/// is a pure integer function of the positions and the epoch: the same on
-/// every decomposition, thread count, and tracing mode. It is recomputed
-/// on every evaluation and never stored beyond it.
-#[derive(Debug, Default)]
+/// `4·r² ≥ (s − MONITOR_GUARD)²` on the pipeline's [`Q20Ladder`], so the
+/// mover set is a pure integer function of the positions and the epoch:
+/// the same on every decomposition, thread count, and tracing mode. It is
+/// recomputed on every evaluation and never stored beyond it.
+#[derive(Debug)]
 pub struct MatchCache {
     /// Raw positions at the last rebuild; empty = cold (forces a rebuild).
     ref_pos: Vec<FxVec3>,
-    half_edge_q20: [Q20; 3],
+    /// The pipeline's displacement/r² ladder.
+    ladder: Q20Ladder,
     /// Q20 of `(PAIRLIST_SLACK − MONITOR_GUARD)²`, compared against
-    /// `4·disp²` (i.e. `(2·disp)²`).
+    /// `4·r²` (i.e. `(2·disp)²`).
     thresh2_q20: i64,
     /// The movers of the last [`Self::track_movers`], ascending (scratch).
     movers: Vec<u32>,
 }
 
 impl MatchCache {
-    pub fn new(half_edge_q20: [Q20; 3], slack: f64) -> MatchCache {
+    pub fn new(ladder: Q20Ladder, slack: f64) -> MatchCache {
         assert!(
             slack > MONITOR_GUARD,
             "pair-list slack {slack} must exceed the monitor guard"
@@ -190,7 +195,7 @@ impl MatchCache {
         let thresh = slack - MONITOR_GUARD;
         MatchCache {
             ref_pos: Vec::new(),
-            half_edge_q20,
+            ladder,
             thresh2_q20: Q20::from_f64(thresh * thresh).raw(),
             movers: Vec::new(),
         }
@@ -200,17 +205,17 @@ impl MatchCache {
     /// the (guarded) slack since the reference epoch — into
     /// [`Self::movers`]. Returns `false`, with no movers, when the cached
     /// batches must be rebuilt instead: a cold cache, a changed atom
-    /// count, or more than [`MOVER_CAP`] movers. The displacement ladder
-    /// rounds exactly as the pair phase's [`Q20Ladder`] does, so the
-    /// decision is exact and reproducible.
+    /// count, or more than [`MOVER_CAP`] movers. The displacement is the
+    /// pair phase's own [`Q20Ladder::delta_r2`], so the decision is exact
+    /// and reproducible.
     pub fn track_movers(&mut self, positions: &[FxVec3]) -> bool {
         self.movers.clear();
         if self.ref_pos.is_empty() || self.ref_pos.len() != positions.len() {
             return false;
         }
         for (atom, (now, reference)) in (0u32..).zip(positions.iter().zip(&self.ref_pos)) {
-            let v: QVec3<20> = now.wrapping_sub(*reference).frac_to_len(self.half_edge_q20);
-            if 4 * v.norm2::<20>().raw() >= self.thresh2_q20 {
+            let (_, r2) = self.ladder.delta_r2(raw_bits(now), raw_bits(reference));
+            if 4 * r2 >= self.thresh2_q20 {
                 if self.movers.len() == MOVER_CAP {
                     self.movers.clear();
                     return false;
@@ -410,7 +415,7 @@ mod tests {
     #[test]
     fn monitor_is_cold_until_noted_and_tracks_atom_count() {
         let he = [Q20::from_f64(11.0); 3];
-        let mut cache = MatchCache::new(he, 0.5);
+        let mut cache = MatchCache::new(Q20Ladder::new(he), 0.5);
         let pos = vec![FxVec3::from_unit_frac([0.25, 0.0, -0.5]); 4];
         assert!(!cache.is_warm());
         assert!(!cache.track_movers(&pos), "cold cache must rebuild");
@@ -431,7 +436,7 @@ mod tests {
         // 22 Å box (half-edge 11 Å), slack 0.5 Å → threshold on one atom's
         // displacement is (0.5 − MONITOR_GUARD)/2 = 0.245 Å.
         let he = [Q20::from_f64(11.0); 3];
-        let mut cache = MatchCache::new(he, 0.5);
+        let mut cache = MatchCache::new(Q20Ladder::new(he), 0.5);
         let base = vec![FxVec3::from_unit_frac([0.0; 3]); 8];
         cache.note_rebuild(&base);
         let moved_by = |ang: f64| {
@@ -456,7 +461,7 @@ mod tests {
     fn monitor_uses_minimum_image_displacement() {
         // An atom nudged across the periodic seam moves a hair, not a box.
         let he = [Q20::from_f64(11.0); 3];
-        let mut cache = MatchCache::new(he, 0.5);
+        let mut cache = MatchCache::new(Q20Ladder::new(he), 0.5);
         let mut pos = vec![FxVec3::from_unit_frac([0.999_999_9, 0.0, 0.0]); 2];
         cache.note_rebuild(&pos);
         pos[1] = FxVec3::from_unit_frac([-0.999_999_9, 0.0, 0.0]);
@@ -469,7 +474,7 @@ mod tests {
         // Movers are listed in atom order up to the cap; one more mover
         // means a rebuild, and a rebuild decision lists no movers.
         let he = [Q20::from_f64(11.0); 3];
-        let mut cache = MatchCache::new(he, 0.5);
+        let mut cache = MatchCache::new(Q20Ladder::new(he), 0.5);
         let base = vec![FxVec3::from_unit_frac([0.0; 3]); 2 * MOVER_CAP + 2];
         cache.note_rebuild(&base);
         // The first `count` odd-numbered atoms move 0.3 Å, past 0.245 Å.

@@ -3,7 +3,9 @@
 
 use crate::forces::{Decomposition, ForcePipeline, RawForces};
 use crate::pool::threads_from_env;
-use crate::state::{positions_from_bytes, positions_to_bytes, FixedState, FORCE_FRAC, VEL_FRAC};
+use crate::state::{
+    positions_from_bytes, positions_to_bytes, FixedState, FORCE_SCALE, VEL_FRAC, VEL_SCALE,
+};
 use anton_ckpt::{CheckpointStore, CkptError, Fingerprint, Snapshot};
 use anton_fixpoint::rounding::rne_f64_to_i64;
 use anton_fixpoint::FxVec3;
@@ -12,7 +14,7 @@ use anton_forcefield::units::ACCEL;
 use anton_geometry::{PeriodicBox, Vec3};
 use anton_machine::ExchangeCounters;
 use anton_systems::velocities::init_velocities;
-use anton_systems::System;
+use anton_systems::{System, Thermostat};
 use anton_trace::{Phase, TraceSink, RANK_MAIN};
 use std::path::Path;
 
@@ -21,22 +23,13 @@ const SHAKE_TOL: f64 = 1e-10;
 /// SHAKE sweep cap per step.
 const SHAKE_MAX_ITERS: usize = 200;
 
-/// Temperature control.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ThermostatKind {
-    /// NVE: required for the energy-drift and reversibility experiments.
-    None,
-    /// Berendsen weak coupling (the BPTI run of §5.3).
-    Berendsen { target_k: f64, tau_fs: f64 },
-}
-
 /// Builder for [`AntonSimulation`].
 pub struct SimulationBuilder {
     system: System,
     velocities: Option<Vec<Vec3>>,
     decomposition: Decomposition,
     threads: usize,
-    thermostat: ThermostatKind,
+    thermostat: Thermostat,
     tracing: bool,
 }
 
@@ -61,7 +54,7 @@ impl SimulationBuilder {
         self
     }
 
-    pub fn thermostat(mut self, t: ThermostatKind) -> Self {
+    pub fn thermostat(mut self, t: Thermostat) -> Self {
         self.thermostat = t;
         self
     }
@@ -190,7 +183,7 @@ pub struct AntonSimulation {
     pub system: System,
     pub state: FixedState,
     pub pipeline: ForcePipeline,
-    pub thermostat: ThermostatKind,
+    pub thermostat: Thermostat,
     short: RawForces,
     long: RawForces,
     /// Per-atom half-kick constants: dt/2 · ACCEL/m · 2^(VEL−FORCE).
@@ -222,7 +215,7 @@ impl AntonSimulation {
             velocities: None,
             decomposition: Decomposition::SingleRank,
             threads: threads_from_env(),
-            thermostat: ThermostatKind::None,
+            thermostat: Thermostat::None,
             tracing: false,
         }
     }
@@ -249,7 +242,7 @@ impl AntonSimulation {
         let n = system.n_atoms();
         let dt = system.params.dt_fs;
         let k = system.params.longrange_every.max(1) as f64;
-        let fscale = (2.0f64).powi(VEL_FRAC as i32 - FORCE_FRAC as i32);
+        let fscale = VEL_SCALE / FORCE_SCALE;
         let kick_half: Vec<f64> = system
             .topology
             .mass
@@ -336,9 +329,6 @@ impl AntonSimulation {
         for v in &sys.topology.virtual_sites {
             let fm = out.f[v.site as usize];
             out.f[v.site as usize] = [0; 3];
-            // `rne_f64_to_i64` is `rne_f64(..) as i64` bit for bit
-            // (`rne_f64_to_i64_matches_the_cast_of_rne_f64`), with no branch
-            // on the sign of a force component.
             for (k, &fmk) in fm.iter().enumerate() {
                 let a = rne_f64_to_i64(fmk as f64 * (1.0 - v.gamma));
                 let h = rne_f64_to_i64(fmk as f64 * (v.gamma * 0.5));
@@ -385,7 +375,6 @@ impl AntonSimulation {
             }
             let v = &mut state.velocities[i];
             for (vk, &fk) in v.iter_mut().zip(&forces.f[i]) {
-                // Bitwise `rne_f64(..) as i64` (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
                 *vk = vk.wrapping_add(rne_f64_to_i64(fk as f64 * c));
             }
         }
@@ -397,7 +386,6 @@ impl AntonSimulation {
                 continue;
             }
             let v = self.state.velocities[i];
-            // Bitwise `rne_f64(..) as i64` (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
             let d = [
                 rne_f64_to_i64(v[0] as f64 * self.drift_c[0]),
                 rne_f64_to_i64(v[1] as f64 * self.drift_c[1]),
@@ -436,7 +424,6 @@ impl AntonSimulation {
         // Write back: positions and constrained velocities.
         let e = pbox.edge();
         let dt = self.system.params.dt_fs;
-        let vs = (1i64 << VEL_FRAC) as f64;
         for &a in &self.constrained {
             let i = a as usize;
             let (p, p_ref) = (self.pos[i], self.pos_ref[i]);
@@ -444,11 +431,10 @@ impl AntonSimulation {
             self.state
                 .set_position_frac(i, [w.x / e.x, w.y / e.y, w.z / e.z]);
             let v = pbox.min_image(p, p_ref) * (1.0 / dt);
-            // Bitwise `rne_f64(..) as i64` (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
             self.state.velocities[i] = [
-                rne_f64_to_i64(v.x * vs),
-                rne_f64_to_i64(v.y * vs),
-                rne_f64_to_i64(v.z * vs),
+                rne_f64_to_i64(v.x * VEL_SCALE),
+                rne_f64_to_i64(v.y * VEL_SCALE),
+                rne_f64_to_i64(v.z * VEL_SCALE),
             ];
         }
     }
@@ -498,14 +484,13 @@ impl AntonSimulation {
             .trace_mut()
             .end_span(Phase::Integrate, RANK_MAIN, t0);
 
-        if let ThermostatKind::Berendsen { target_k, tau_fs } = self.thermostat {
+        if let Thermostat::Berendsen { target_k, tau_fs } = self.thermostat {
             let t = self.temperature_k();
             if t > 1e-9 {
                 let dt = self.system.params.dt_fs * k as f64;
                 let lambda = (1.0 + (dt / tau_fs) * (target_k / t - 1.0)).max(0.0).sqrt();
                 for v in self.state.velocities.iter_mut() {
                     for c in v.iter_mut() {
-                        // Bitwise `rne_f64(..) as i64` (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
                         *c = rne_f64_to_i64(*c as f64 * lambda);
                     }
                 }
@@ -1181,7 +1166,7 @@ mod tests {
         let sys = water_system(60, 25);
         let mut sim = AntonSimulation::builder(sys)
             .velocities_from_temperature(250.0, 27)
-            .thermostat(ThermostatKind::Berendsen {
+            .thermostat(Thermostat::Berendsen {
                 target_k: 300.0,
                 tau_fs: 25.0,
             })

@@ -3,9 +3,10 @@
 //! from the plan's static work lists.
 
 use super::{ForcePipeline, RawForces};
+use crate::ranks::raw_bits;
 use crate::ranks::Rank;
-use crate::state::{FixedState, ENERGY_FRAC, FORCE_FRAC};
-use anton_fixpoint::rounding::{rne_f64, rne_f64_to_i64};
+use crate::state::{FixedState, DISP_SCALE, ENERGY_SCALE, FORCE_SCALE};
+use anton_fixpoint::rounding::rne_f64_to_i64;
 use anton_forcefield::bonded;
 use anton_geometry::Vec3;
 use anton_machine::MATCH_WIDTH;
@@ -30,11 +31,10 @@ impl ForcePipeline {
     /// Quantize an f64 force onto the Q24 grid and accumulate.
     #[inline]
     fn add_force(out: &mut RawForces, idx: u32, f: Vec3) {
-        let fs = (1i64 << FORCE_FRAC) as f64;
         let a = &mut out.f[idx as usize];
-        a[0] = a[0].wrapping_add(rne_f64(f.x * fs) as i64);
-        a[1] = a[1].wrapping_add(rne_f64(f.y * fs) as i64);
-        a[2] = a[2].wrapping_add(rne_f64(f.z * fs) as i64);
+        a[0] = a[0].wrapping_add(rne_f64_to_i64(f.x * FORCE_SCALE));
+        a[1] = a[1].wrapping_add(rne_f64_to_i64(f.y * FORCE_SCALE));
+        a[2] = a[2].wrapping_add(rne_f64_to_i64(f.z * FORCE_SCALE));
     }
 
     #[inline]
@@ -43,9 +43,7 @@ impl ForcePipeline {
         let (u, fi, fj) = bonded::bond_term(&sys.pbox, pos, b);
         Self::add_force(out, b.i, fi);
         Self::add_force(out, b.j, fj);
-        out.e_bonded = out
-            .e_bonded
-            .wrapping_add(rne_f64(u * (1u64 << ENERGY_FRAC) as f64) as i64);
+        out.e_bonded = out.e_bonded.wrapping_add(rne_f64_to_i64(u * ENERGY_SCALE));
     }
 
     #[inline]
@@ -55,9 +53,7 @@ impl ForcePipeline {
         Self::add_force(out, a.i, fi);
         Self::add_force(out, a.j, fj);
         Self::add_force(out, a.k_atom, fk);
-        out.e_bonded = out
-            .e_bonded
-            .wrapping_add(rne_f64(u * (1u64 << ENERGY_FRAC) as f64) as i64);
+        out.e_bonded = out.e_bonded.wrapping_add(rne_f64_to_i64(u * ENERGY_SCALE));
     }
 
     #[inline]
@@ -68,9 +64,7 @@ impl ForcePipeline {
         Self::add_force(out, d.j, fj);
         Self::add_force(out, d.k_atom, fk);
         Self::add_force(out, d.l, fl);
-        out.e_bonded = out
-            .e_bonded
-            .wrapping_add(rne_f64(u * (1u64 << ENERGY_FRAC) as f64) as i64);
+        out.e_bonded = out.e_bonded.wrapping_add(rne_f64_to_i64(u * ENERGY_SCALE));
     }
 
     /// Stream correction pairs (atom ids + precomputed charge product)
@@ -86,18 +80,21 @@ impl ForcePipeline {
         pairs: &[(u32, u32, f64)],
         out: &mut RawForces,
     ) {
-        let ds = 1.0 / (1i64 << 20) as f64;
         let mut qqs = [0.0f64; MATCH_WIDTH];
         let mut r2s = [0.0f64; MATCH_WIDTH];
         let mut ij = [(0u32, 0u32); MATCH_WIDTH];
         let mut dd = [[0i64; 3]; MATCH_WIDTH];
         let mut fill = 0usize;
         for &(i, j, qq) in pairs {
-            let d = state.delta_q20(self.half_edge_q20, i as usize, j as usize);
+            let pos = &state.positions;
+            let (d, _) = self
+                .ladder
+                .delta_r2(raw_bits(&pos[i as usize]), raw_bits(&pos[j as usize]));
             qqs[fill] = qq;
-            r2s[fill] = (d[0] as f64 * ds).powi(2)
-                + (d[1] as f64 * ds).powi(2)
-                + (d[2] as f64 * ds).powi(2);
+            // The kernel's r² is formed in f64 from the ladder's `d`.
+            r2s[fill] = (d[0] as f64 / DISP_SCALE).powi(2)
+                + (d[1] as f64 / DISP_SCALE).powi(2)
+                + (d[2] as f64 / DISP_SCALE).powi(2);
             ij[fill] = (i, j);
             dd[fill] = d;
             fill += 1;
@@ -130,16 +127,10 @@ impl ForcePipeline {
         let mut vals = [(0.0f64, 0.0f64); MATCH_WIDTH];
         self.corr_kernel
             .exclusion_correction_batch(qqs, r2s, mask, &mut vals);
-        let ds = 1.0 / (1i64 << 20) as f64;
-        let fs = (1i64 << FORCE_FRAC) as f64;
-        let es = (1u64 << ENERGY_FRAC) as f64;
-        // Force and energy words: `rne_f64_to_i64` is `rne_f64(..) as i64`
-        // bit for bit (`rne_f64_to_i64_matches_the_cast_of_rne_f64`), with no
-        // branch on the sign of a pair's force component.
         for lane in 0..lanes {
             let (e, f_over_r) = vals[lane];
             let d = dd[lane];
-            let fi = d.map(|c| rne_f64_to_i64(c as f64 * ds * f_over_r * fs));
+            let fi = d.map(|c| rne_f64_to_i64(c as f64 / DISP_SCALE * f_over_r * FORCE_SCALE));
             let (i, j) = ij[lane];
             let a = &mut out.f[i as usize];
             a[0] = a[0].wrapping_add(fi[0]);
@@ -149,7 +140,9 @@ impl ForcePipeline {
             b[0] = b[0].wrapping_sub(fi[0]);
             b[1] = b[1].wrapping_sub(fi[1]);
             b[2] = b[2].wrapping_sub(fi[2]);
-            out.e_correction = out.e_correction.wrapping_add(rne_f64_to_i64(e * es));
+            out.e_correction = out
+                .e_correction
+                .wrapping_add(rne_f64_to_i64(e * ENERGY_SCALE));
         }
     }
 

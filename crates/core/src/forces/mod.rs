@@ -44,7 +44,7 @@ use self::pair::RankScratch;
 use crate::batch::{MatchCache, PairQueue, Q20Ladder};
 use crate::pool::DetPool;
 use crate::ranks::RankSet;
-use crate::state::{ENERGY_FRAC, FORCE_FRAC};
+use crate::state::{ENERGY_SCALE, FORCE_SCALE};
 use anton_ewald::direct::DirectKernel;
 use anton_ewald::gse::{GseFixed, GseParams, GseScratch};
 use anton_ewald::Mesh;
@@ -127,21 +127,19 @@ impl RawForces {
 
     /// Potential energy (kcal/mol).
     pub fn potential(&self) -> f64 {
-        let s = 1.0 / (1u64 << ENERGY_FRAC) as f64;
         (self
             .e_range_limited
             .wrapping_add(self.e_bonded)
             .wrapping_add(self.e_correction)) as f64
-            * s
-            + self.e_reciprocal as f64 * s
+            / ENERGY_SCALE
+            + self.e_reciprocal as f64 / ENERGY_SCALE
     }
 
     pub fn force_f64(&self, i: usize) -> Vec3 {
-        let s = 1.0 / (1i64 << FORCE_FRAC) as f64;
         Vec3::new(
-            self.f[i][0] as f64 * s,
-            self.f[i][1] as f64 * s,
-            self.f[i][2] as f64 * s,
+            self.f[i][0] as f64 / FORCE_SCALE,
+            self.f[i][1] as f64 / FORCE_SCALE,
+            self.f[i][2] as f64 / FORCE_SCALE,
         )
     }
 }
@@ -174,10 +172,10 @@ pub struct ForcePipeline {
     pub gse: GseFixed,
     corr_kernel: DirectKernel,
     pub rc2_q20: i64,
-    pub half_edge_q20: [Q20; 3],
-    /// The displacement/r² ladder over `half_edge_q20`, shared by the
-    /// match stage and the evaluator.
-    ladder: Q20Ladder,
+    /// The one displacement/r² ladder over the box's Q20 half-edges:
+    /// match stage, evaluator, mover test and scan, and the correction
+    /// stream all form their displacements and r² on it.
+    pub ladder: Q20Ladder,
     policy: ExclusionPolicy,
     pool: DetPool,
     /// The work plan every phase fans out over.
@@ -231,14 +229,13 @@ impl ForcePipeline {
     pub fn new(sys: &System, decomposition: Decomposition, threads: usize) -> ForcePipeline {
         let beta = sys.params.ewald_beta();
         let e = sys.pbox.edge();
-        let half_edge_q20 = [
+        // First, so a box too large for the pair ladder is refused before
+        // anything is built on it.
+        let ladder = Q20Ladder::new([
             Q20::from_f64(e.x / 2.0),
             Q20::from_f64(e.y / 2.0),
             Q20::from_f64(e.z / 2.0),
-        ];
-        // First, so a box too large for the pair ladder is refused before
-        // anything is built on it.
-        let ladder = Q20Ladder::new(half_edge_q20);
+        ]);
         let gse = GseFixed::with_nodes(
             Mesh::new(sys.params.mesh, sys.pbox),
             GseParams::auto(sys.params.cutoff, sys.params.spread_cutoff),
@@ -257,7 +254,6 @@ impl ForcePipeline {
             gse,
             corr_kernel: DirectKernel::reference(beta, sys.params.cutoff),
             rc2_q20: Q20::from_f64(sys.params.cutoff * sys.params.cutoff).raw(),
-            half_edge_q20,
             ladder,
             policy,
             pool: DetPool::new(threads),
@@ -265,7 +261,7 @@ impl ForcePipeline {
             trace: TraceSink::Off,
             rc_pad2_q20,
             r2_lb_max: (rc_pad2_q20 << 20) + (1 << 27),
-            cache: MatchCache::new(half_edge_q20, PAIRLIST_SLACK),
+            cache: MatchCache::new(ladder, PAIRLIST_SLACK),
             tiles: PosTiles::default(),
             slot_of: Vec::new(),
             mover_queue: PairQueue::default(),

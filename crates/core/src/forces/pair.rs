@@ -21,7 +21,7 @@
 use super::{ForcePipeline, RawForces};
 use crate::batch::PairQueue;
 use crate::ranks::raw_bits;
-use crate::state::{FixedState, ENERGY_FRAC, FORCE_FRAC};
+use crate::state::{FixedState, DISP_SCALE, ENERGY_SCALE, FORCE_SCALE};
 use anton_fixpoint::rounding::rne_f64_to_i64;
 use anton_fixpoint::FxVec3;
 use anton_forcefield::PairClass;
@@ -455,9 +455,6 @@ impl ForcePipeline {
         (se, sl): (f64, f64),
         out: &mut RawForces,
     ) -> u64 {
-        let ds = 1.0 / (1i64 << 20) as f64;
-        let fs = (1i64 << FORCE_FRAC) as f64;
-        let es = (1u64 << ENERGY_FRAC) as f64;
         let lj_table = &sys.topology.lj_table;
         let TileView {
             x,
@@ -488,7 +485,8 @@ impl ForcePipeline {
             }
             self.ppip.pair_lanes::<ENERGY>(&lanes, &mut vals);
             for (l, &(f_over_r, e)) in group.iter().zip(&vals) {
-                let fi = l.d.map(|c| rne_f64_to_i64(c as f64 * ds * f_over_r * fs));
+                let fi =
+                    l.d.map(|c| rne_f64_to_i64(c as f64 / DISP_SCALE * f_over_r * FORCE_SCALE));
                 let i = atom[l.si as usize] as usize;
                 let j = atom[l.sj as usize] as usize;
                 for (k, &fk) in fi.iter().enumerate() {
@@ -496,7 +494,9 @@ impl ForcePipeline {
                     out.f[j][k] = out.f[j][k].wrapping_sub(fk);
                 }
                 if ENERGY {
-                    out.e_range_limited = out.e_range_limited.wrapping_add(rne_f64_to_i64(e * es));
+                    out.e_range_limited = out
+                        .e_range_limited
+                        .wrapping_add(rne_f64_to_i64(e * ENERGY_SCALE));
                 }
             }
         };

@@ -5,7 +5,8 @@
 //! the per-atom-pair NT enumeration, and the per-pair correction kernel.
 
 use super::*;
-use crate::state::FixedState;
+use crate::ranks::raw_bits;
+use crate::state::{FixedState, DISP_SCALE, ENERGY_SCALE, FORCE_FRAC, FORCE_SCALE};
 use anton_fixpoint::rounding::rne_f64;
 use anton_forcefield::water::TIP3P;
 use anton_forcefield::PairClass;
@@ -20,10 +21,10 @@ impl ForcePipeline {
     /// with (j, i) yields the exact negation.
     ///
     /// The scalar *reference oracle* for the batched match/evaluate
-    /// pipeline, on its own 128-bit ladder (`FixedState::delta_q20`);
-    /// production streams tile pairs through `match_tile_pair` +
-    /// `evaluate_batches`, whose 64-bit [`Q20Ladder`] yields the same
-    /// words.
+    /// pipeline, on the ladder's 128-bit form
+    /// ([`Q20Ladder::delta_r2_i128`]); production streams tile pairs
+    /// through `match_tile_pair` + `evaluate_pairs`, whose 64-bit
+    /// [`Q20Ladder::delta_r2`] yields the same words.
     #[inline]
     pub(super) fn pair_contribution(
         &self,
@@ -36,25 +37,15 @@ impl ForcePipeline {
         let (se, sl) = self
             .policy
             .scales(top.exclusions.class(i as u32, j as u32))?;
-        let d = state.delta_q20(self.half_edge_q20, i, j);
-        // Exact r² in Q20 with a single rounding (component order free).
-        let sum: i128 =
-            d[0] as i128 * d[0] as i128 + d[1] as i128 * d[1] as i128 + d[2] as i128 * d[2] as i128;
-        let r2 = anton_fixpoint::rne_shr_i128(sum, 20);
+        let (d, r2) = delta_r2_i128(self, state, i, j);
         if r2 > self.rc2_q20 || r2 == 0 {
             return None;
         }
         let qq = top.charge[i] * top.charge[j] * se;
         let (a, b) = top.lj_table.coeffs(top.lj_type[i], top.lj_type[j]);
         let (f_over_r, e) = self.ppip.pair(r2, qq, a * sl, b * sl);
-        let ds = 1.0 / (1i64 << 20) as f64;
-        let fs = (1i64 << FORCE_FRAC) as f64;
-        let fi = [
-            rne_f64(d[0] as f64 * ds * f_over_r * fs) as i64,
-            rne_f64(d[1] as f64 * ds * f_over_r * fs) as i64,
-            rne_f64(d[2] as f64 * ds * f_over_r * fs) as i64,
-        ];
-        let eq = rne_f64(e * (1u64 << ENERGY_FRAC) as f64) as i64;
+        let fi = d.map(|c| rne_f64(c as f64 / DISP_SCALE * f_over_r * FORCE_SCALE) as i64);
+        let eq = rne_f64(e * ENERGY_SCALE) as i64;
         Some((fi, eq))
     }
 
@@ -142,17 +133,11 @@ impl ForcePipeline {
         if qq == 0.0 {
             return;
         }
-        let ds = 1.0 / (1i64 << 20) as f64;
-        let fs = (1i64 << FORCE_FRAC) as f64;
-        let d = state.delta_q20(self.half_edge_q20, i as usize, j as usize);
-        let r2 =
-            (d[0] as f64 * ds).powi(2) + (d[1] as f64 * ds).powi(2) + (d[2] as f64 * ds).powi(2);
+        let (d, _) = delta_r2_i128(self, state, i as usize, j as usize);
+        let dv = d.map(|c| c as f64 / DISP_SCALE);
+        let r2 = dv[0].powi(2) + dv[1].powi(2) + dv[2].powi(2);
         let (e, f_over_r) = self.corr_kernel.exclusion_correction(qq, r2);
-        let fi = [
-            rne_f64(d[0] as f64 * ds * f_over_r * fs) as i64,
-            rne_f64(d[1] as f64 * ds * f_over_r * fs) as i64,
-            rne_f64(d[2] as f64 * ds * f_over_r * fs) as i64,
-        ];
+        let fi = dv.map(|c| rne_f64(c * f_over_r * FORCE_SCALE) as i64);
         let a = &mut out.f[i as usize];
         a[0] = a[0].wrapping_add(fi[0]);
         a[1] = a[1].wrapping_add(fi[1]);
@@ -163,7 +148,7 @@ impl ForcePipeline {
         b[2] = b[2].wrapping_sub(fi[2]);
         out.e_correction = out
             .e_correction
-            .wrapping_add(rne_f64(e * (1u64 << ENERGY_FRAC) as f64) as i64);
+            .wrapping_add(rne_f64(e * ENERGY_SCALE) as i64);
     }
 
     /// Whole-system mesh phase on the calling thread — spread every atom,
@@ -217,6 +202,13 @@ pub(super) fn solvated_mini() -> System {
 
 pub(super) fn state_of(sys: &System) -> FixedState {
     FixedState::from_f64(&sys.pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()])
+}
+
+/// Displacement `i − j` and r² of two atoms on the ladder's 128-bit form,
+/// the reference every oracle here forms them on.
+fn delta_r2_i128(pipe: &ForcePipeline, state: &FixedState, i: usize, j: usize) -> ([i64; 3], i64) {
+    let p = &state.positions;
+    pipe.ladder.delta_r2_i128(raw_bits(&p[i]), raw_bits(&p[j]))
 }
 
 /// The paper's parallel-invariance claim, at force granularity: the NT
@@ -403,20 +395,19 @@ fn numerical_force_error_in_paper_decade() {
         if top.exclusions.class(i as u32, j as u32) == PairClass::Excluded {
             return;
         }
-        let d = state.delta_q20(pipe.half_edge_q20, i, j);
-        let sum: i128 =
-            d[0] as i128 * d[0] as i128 + d[1] as i128 * d[1] as i128 + d[2] as i128 * d[2] as i128;
-        let r2q = anton_fixpoint::rne_shr_i128(sum, 20);
+        let (d, r2q) = delta_r2_i128(&pipe, &state, i, j);
         if r2q > pipe.rc2_q20 || r2q == 0 {
             return;
         }
-        let ds = 1.0 / (1i64 << 20) as f64;
-        let r2 =
-            (d[0] as f64 * ds).powi(2) + (d[1] as f64 * ds).powi(2) + (d[2] as f64 * ds).powi(2);
+        let dv = Vec3::new(
+            d[0] as f64 / DISP_SCALE,
+            d[1] as f64 / DISP_SCALE,
+            d[2] as f64 / DISP_SCALE,
+        );
+        let r2 = dv.x.powi(2) + dv.y.powi(2) + dv.z.powi(2);
         let qq = top.charge[i] * top.charge[j];
         let (a, b) = top.lj_table.coeffs(top.lj_type[i], top.lj_type[j]);
         let (f_over_r, _e) = pipe.ppip.pair_exact(r2, qq, a, b);
-        let dv = Vec3::new(d[0] as f64 * ds, d[1] as f64 * ds, d[2] as f64 * ds);
         f64_forces[i] += dv * f_over_r;
         f64_forces[j] -= dv * f_over_r;
     });
@@ -444,15 +435,15 @@ fn pairlist_slack_covers_decode_error() {
     let state = state_of(&sys);
     let pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
     let pos = state.decode_positions(&sys.pbox);
-    let ds = 1.0 / (1i64 << 20) as f64;
     let mut worst: f64 = 0.0;
     for i in 0..sys.n_atoms() {
         for j in (i + 1)..sys.n_atoms() {
-            let d = state.delta_q20(pipe.half_edge_q20, i, j);
-            let r_fix = ((d[0] as f64 * ds).powi(2)
-                + (d[1] as f64 * ds).powi(2)
-                + (d[2] as f64 * ds).powi(2))
-            .sqrt();
+            let (d, _) = delta_r2_i128(&pipe, &state, i, j);
+            let r_fix = d
+                .iter()
+                .map(|&c| (c as f64 / DISP_SCALE).powi(2))
+                .sum::<f64>()
+                .sqrt();
             let r_dec = sys.pbox.min_image(pos[i], pos[j]).norm2().sqrt();
             worst = worst.max((r_fix - r_dec).abs());
         }

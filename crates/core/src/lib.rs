@@ -58,7 +58,7 @@ pub mod stats;
 
 pub use anton_ckpt::{CheckpointStore, CkptError, Snapshot};
 pub use anton_trace::{Phase as TracePhase, TraceSink};
-pub use engine::{AntonSimulation, SimulationBuilder, ThermostatKind};
+pub use engine::{AntonSimulation, SimulationBuilder};
 pub use forces::{Decomposition, ForcePipeline, RawForces};
 pub use pool::{threads_from_env, DetPool};
 pub use ranks::{Rank, RankSet};

@@ -1,15 +1,31 @@
 //! Fixed-point simulation state.
 
 use anton_ckpt::{CkptError, Reader, Writer};
-use anton_fixpoint::{Fx32, FxVec3, Q20};
+use anton_fixpoint::rounding::rne_f64_to_i64;
+use anton_fixpoint::{Fx32, FxVec3};
 use anton_geometry::{PeriodicBox, Vec3};
+
+// Each word is a raw `i64` with its own fraction bits and `2^FRAC` as an
+// f64 scale: a value quantizes as `rne_f64_to_i64(x * SCALE)` and decodes
+// as `word as f64 / SCALE` (exact, a power of two).
 
 /// Fraction bits of velocity raw values (Å/fs).
 pub const VEL_FRAC: u32 = 40;
+// detlint::boundary(reason = "the velocity word's f64 scale, read only where a velocity is quantized or decoded")
+pub const VEL_SCALE: f64 = (1u64 << VEL_FRAC) as f64;
 /// Fraction bits of force raw values (kcal/mol/Å).
 pub const FORCE_FRAC: u32 = 24;
+// detlint::boundary(reason = "the force word's f64 scale, read only where a force is quantized or decoded")
+pub const FORCE_SCALE: f64 = (1u64 << FORCE_FRAC) as f64;
 /// Fraction bits of energy raw values (kcal/mol).
 pub const ENERGY_FRAC: u32 = 32;
+// detlint::boundary(reason = "the energy word's f64 scale, read only where an energy is quantized or decoded")
+pub const ENERGY_SCALE: f64 = (1u64 << ENERGY_FRAC) as f64;
+/// Fraction bits of the pair ladder's displacement words (Å), which
+/// [`Q20Ladder`](crate::batch::Q20Ladder) forms and the kernels decode.
+pub const DISP_FRAC: u32 = 20;
+// detlint::boundary(reason = "the displacement word's f64 scale, read only where a kernel decodes a ladder displacement")
+pub const DISP_SCALE: f64 = (1u64 << DISP_FRAC) as f64;
 
 /// The complete dynamic state: per-axis box-fraction positions ([`FxVec3`],
 /// whose two's-complement wrap *is* the periodic boundary condition) and
@@ -24,7 +40,7 @@ pub struct FixedState {
 
 impl FixedState {
     /// Quantize f64 positions/velocities onto the fixed grids.
-    // detlint::boundary(reason = "setup-time f64 -> fixed quantization edge; every component rounds via rne_f64 / from_unit_frac")
+    // detlint::boundary(reason = "setup-time f64 -> fixed quantization edge; every component rounds via rne_f64_to_i64 / from_unit_frac")
     pub fn from_f64(pbox: &PeriodicBox, positions: &[Vec3], velocities: &[Vec3]) -> FixedState {
         assert_eq!(positions.len(), velocities.len());
         let e = pbox.edge();
@@ -35,14 +51,13 @@ impl FixedState {
                 FxVec3::from_unit_frac([w.x / e.x, w.y / e.y, w.z / e.z])
             })
             .collect();
-        let scale = (1i64 << VEL_FRAC) as f64;
         let velocities = velocities
             .iter()
             .map(|v| {
                 [
-                    anton_fixpoint::rounding::rne_f64(v.x * scale) as i64,
-                    anton_fixpoint::rounding::rne_f64(v.y * scale) as i64,
-                    anton_fixpoint::rounding::rne_f64(v.z * scale) as i64,
+                    rne_f64_to_i64(v.x * VEL_SCALE),
+                    rne_f64_to_i64(v.y * VEL_SCALE),
+                    rne_f64_to_i64(v.z * VEL_SCALE),
                 ]
             })
             .collect();
@@ -91,11 +106,10 @@ impl FixedState {
     // detlint::boundary(reason = "exact Q40 -> f64 decode for kernel interiors and diagnostics; read-only")
     #[inline]
     pub fn velocity_f64(&self, i: usize) -> Vec3 {
-        let s = 1.0 / (1i64 << VEL_FRAC) as f64;
         Vec3::new(
-            self.velocities[i][0] as f64 * s,
-            self.velocities[i][1] as f64 * s,
-            self.velocities[i][2] as f64 * s,
+            self.velocities[i][0] as f64 / VEL_SCALE,
+            self.velocities[i][1] as f64 / VEL_SCALE,
+            self.velocities[i][2] as f64 / VEL_SCALE,
         )
     }
 
@@ -106,15 +120,6 @@ impl FixedState {
             v[1] = v[1].wrapping_neg();
             v[2] = v[2].wrapping_neg();
         }
-    }
-
-    /// Fixed-point minimum-image displacement `i − j` in Q20 Å, given the
-    /// box half-edges pre-quantized to Q20.
-    #[inline]
-    pub fn delta_q20(&self, half_edge_q20: [Q20; 3], i: usize, j: usize) -> [i64; 3] {
-        let d = self.positions[i].wrapping_sub(self.positions[j]);
-        let v: anton_fixpoint::QVec3<20> = d.frac_to_len(half_edge_q20);
-        [v.0[0].raw(), v.0[1].raw(), v.0[2].raw()]
     }
 
     /// Overwrite a position from a freshly computed fraction (virtual sites).
@@ -327,9 +332,10 @@ mod tests {
             &[Vec3::new(19.5, 0.0, 0.0), Vec3::new(0.5, 0.0, 0.0)],
             &[Vec3::ZERO; 2],
         );
-        let he = [Q20::from_f64(10.0); 3];
-        let d = st.delta_q20(he, 0, 1);
-        let dx = d[0] as f64 / (1i64 << 20) as f64;
+        let ladder = crate::batch::Q20Ladder::new([anton_fixpoint::Q20::from_f64(10.0); 3]);
+        let raw = |i: usize| crate::ranks::raw_bits(&st.positions[i]);
+        let (d, _) = ladder.delta_r2(raw(0), raw(1));
+        let dx = d[0] as f64 / DISP_SCALE;
         assert!((dx + 1.0).abs() < 1e-4, "dx = {dx}");
     }
 }

@@ -38,7 +38,7 @@
 use crate::mesh::Mesh;
 use anton_fft::fixed::FxComplex;
 use anton_fft::{CommStats, FxDistributedFft3d};
-use anton_fixpoint::rounding::{rne_f64, rne_f64_to_i64};
+use anton_fixpoint::rounding::rne_f64_to_i64;
 use anton_forcefield::units::COULOMB;
 use anton_geometry::Vec3;
 
@@ -350,7 +350,7 @@ impl GseFixed {
         let green_f = build_green_table(&mesh, &params);
         let green_q = green_f
             .iter()
-            .map(|&g| rne_f64(g * (1i64 << GREEN_FRAC) as f64) as i64)
+            .map(|&g| rne_f64_to_i64(g * (1i64 << GREEN_FRAC) as f64))
             .collect();
         let log2n = (mesh.len() as u64).trailing_zeros();
         let norm = params.norm();
@@ -378,9 +378,7 @@ impl GseFixed {
     /// Spread one quantized charge into the mesh (order-free accumulation),
     /// walking the stencil c → b → a over contiguous x rows. The window is
     /// `(wx·wy)·wz` and the word `((q·norm)·w)·scale`, the per-point
-    /// visitor's operand order, so every word is bitwise the same;
-    /// `rne_f64_to_i64` is `rne_f64(..) as i64` bit for bit
-    /// (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
+    /// visitor's operand order, so every word is bitwise the same.
     #[inline]
     fn spread_one(&self, p: Vec3, q: f64, rho_q: &mut [i64], st: &mut SupportScratch) {
         st.build::<false>(self, p);
@@ -444,8 +442,6 @@ impl GseFixed {
         let qn = q * self.norm * vc * COULOMB;
         let e_i = 0.5 * e * qn - COULOMB * self.params.beta / std::f64::consts::PI.sqrt() * q * q;
         let fs = (1i64 << force_frac) as f64;
-        // `rne_f64_to_i64` is `rne_f64(..) as i64` bit for bit
-        // (`rne_f64_to_i64_matches_the_cast_of_rne_f64`).
         f_out[0] = f_out[0].wrapping_add(rne_f64_to_i64(fx * qn * fs));
         f_out[1] = f_out[1].wrapping_add(rne_f64_to_i64(fy * qn * fs));
         f_out[2] = f_out[2].wrapping_add(rne_f64_to_i64(fz * qn * fs));
@@ -578,6 +574,7 @@ impl GseFixed {
 mod oracle {
     use super::*;
     use anton_fft::{Complex, Fft3d};
+    use anton_fixpoint::rounding::rne_f64;
 
     /// Visit every mesh point within the (per-axis) support of the window
     /// around `p`, passing the flattened index, the window value, and its

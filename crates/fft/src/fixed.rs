@@ -13,6 +13,7 @@
 //! factors with exact left shifts where needed.
 
 use anton_fixpoint::rne_shr_i128;
+use anton_fixpoint::rounding::rne_f64_to_i64;
 
 /// Fraction bits used for twiddle factors.
 pub const TWIDDLE_FRAC: u32 = 30;
@@ -82,8 +83,8 @@ impl FxFft {
             .map(|j| {
                 let th = -2.0 * std::f64::consts::PI * j as f64 / n as f64;
                 FxComplex::new(
-                    anton_fixpoint::rounding::rne_f64(th.cos() * scale) as i64,
-                    anton_fixpoint::rounding::rne_f64(th.sin() * scale) as i64,
+                    rne_f64_to_i64(th.cos() * scale),
+                    rne_f64_to_i64(th.sin() * scale),
                 )
             })
             .collect();

@@ -1,7 +1,5 @@
 //! 32-bit signed fraction in `[-1, 1)` with wrapping (periodic) arithmetic.
 
-use crate::rounding::rne_shr_i64;
-
 /// A 32-bit signed fixed-point fraction: `value = raw * 2^-31`, in `[-1, 1)`.
 ///
 /// Addition and subtraction wrap in the natural two's-complement way, exactly
@@ -61,28 +59,6 @@ impl Fx32 {
     pub fn wrapping_neg(self) -> Fx32 {
         Fx32(self.0.wrapping_neg())
     }
-
-    /// Multiply two fractions with round-to-nearest/even; the result is again
-    /// a fraction (cannot overflow except for `-1 * -1`, which wraps to `-1`
-    /// just as the hardware would).
-    // Deliberately not `impl Mul`: the wrapping, rounding semantics should
-    // be spelled out at call sites. The i32 narrowing is exact (see allow).
-    #[allow(clippy::should_implement_trait, clippy::cast_possible_truncation)]
-    #[inline]
-    pub fn mul(self, rhs: Fx32) -> Fx32 {
-        let prod = self.0 as i64 * rhs.0 as i64;
-        // detlint::allow(D3, reason = "rne_shr_i64(prod, 31) of a fraction product fits i32 by construction; -1 * -1 wrap is the documented periodic identity")
-        Fx32(rne_shr_i64(prod, 31) as i32)
-    }
-
-    /// Scale this fraction by an arbitrary Q-format factor, producing a raw
-    /// value with `out_frac` fraction bits. Used to convert a box fraction to
-    /// a displacement in Å: `frac.scale(edge_q20_raw, 20, 20)`.
-    #[inline]
-    pub fn scale(self, factor_raw: i64, factor_frac: u32, out_frac: u32) -> i64 {
-        let prod = self.0 as i128 * factor_raw as i128;
-        crate::rounding::rne_shr_i128(prod, Self::FRAC + factor_frac - out_frac)
-    }
 }
 
 impl core::fmt::Debug for Fx32 {
@@ -121,15 +97,6 @@ mod tests {
         assert!((d - (-0.2)).abs() < 1e-8, "d = {d}");
     }
 
-    #[test]
-    fn mul_basic() {
-        let a = Fx32::from_f64_wrapped(0.5);
-        let b = Fx32::from_f64_wrapped(0.5);
-        assert!((a.mul(b).to_f64() - 0.25).abs() < Fx32::EPSILON);
-        let c = Fx32::from_f64_wrapped(-0.5);
-        assert!((a.mul(c).to_f64() + 0.25).abs() < Fx32::EPSILON);
-    }
-
     proptest! {
         #[test]
         fn addition_is_associative_and_commutative(a in any::<i32>(), b in any::<i32>(), c in any::<i32>()) {
@@ -142,14 +109,6 @@ mod tests {
         fn subtraction_is_add_of_neg(a in any::<i32>(), b in any::<i32>()) {
             let (a, b) = (Fx32(a), Fx32(b));
             prop_assert_eq!(a.wrapping_sub(b), a.wrapping_add(b.wrapping_neg()));
-        }
-
-        #[test]
-        fn mul_is_odd_symmetric(a in any::<i32>(), b in -(1<<30)..(1i32<<30)) {
-            // Negating one operand negates the RNE-rounded product.
-            let a = Fx32(a);
-            let b = Fx32(b);
-            prop_assert_eq!(a.mul(b.wrapping_neg()).raw(), a.mul(b).raw().wrapping_neg());
         }
 
         #[test]

@@ -16,18 +16,23 @@
 //!    wraps to `-3/4`, yet adding `-5/8` recovers the true sum `5/8` — is a
 //!    unit test in this crate.
 //!
-//! The crate provides:
+//! The crate provides words and one rounding rule, not an algebra:
 //!
 //! * [`Fx32`] — a 32-bit fraction in `[-1, 1)`. Atom positions are stored
-//!   per-axis as `Fx32` *fractions of the periodic box*, so two's-complement
-//!   wraparound implements periodic boundary conditions and a wrapping
-//!   subtraction is the minimum-image convention.
-//! * [`Q`] — a 64-bit Q-format value with a const-generic number of fraction
-//!   bits, used for displacements (Q20 Å), squared distances (Q20 Å²), forces
-//!   (Q24 kcal/mol/Å), energies (Q32 kcal/mol) and velocities (Q40 Å/fs).
+//!   per-axis as `Fx32` *fractions of the periodic box* ([`FxVec3`]), so
+//!   two's-complement wraparound implements periodic boundary conditions
+//!   and a wrapping subtraction is the minimum-image convention.
+//! * [`Q`] — a 64-bit Q-format word with a const-generic number of
+//!   fraction bits: quantize from and decode to `f64`, and the wrapping
+//!   sum the associativity tests pin. The engine keeps its force,
+//!   energy and velocity words as raw `i64`s, each with a `*_FRAC` of its
+//!   own, and forms every displacement and r² on one integer ladder,
+//!   `anton_core::batch::Q20Ladder`.
 //! * Rounding primitives implementing the ASIC's round-to-nearest/even rule
 //!   (paper Figure 4 caption), which is odd-symmetric — a property the exact
-//!   time-reversibility of the integrator depends on.
+//!   time-reversibility of the integrator depends on. The shifts
+//!   ([`rne_shr_i64`], [`rne_shr_i128`]) drop fraction bits of an integer
+//!   product; [`rounding::rne_f64_to_i64`] is the one f64 → word rounding.
 
 pub mod fxvec;
 pub mod q;
@@ -36,8 +41,8 @@ pub mod rounding;
 mod fx32;
 
 pub use fx32::Fx32;
-pub use fxvec::{FxVec3, QVec3};
-pub use q::{Q, Q16, Q20, Q24, Q32, Q40};
+pub use fxvec::FxVec3;
+pub use q::{Q, Q20};
 pub use rounding::{rne_shr_i128, rne_shr_i64};
 
 #[cfg(test)]

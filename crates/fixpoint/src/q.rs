@@ -1,22 +1,17 @@
 //! 64-bit Q-format fixed point with a const-generic fraction width.
 
-use crate::rounding::{rne_f64, rne_shr_i128};
+use crate::rounding::rne_f64;
 
 /// A signed Q-format fixed-point value with `FRAC` fraction bits stored in an
 /// `i64`: `value = raw * 2^-FRAC`.
 ///
-/// Addition and subtraction wrap (associative, order-free); multiplication
-/// rounds to nearest/even. Different physical quantities use different
-/// `FRAC` widths, mirroring how each datapath on the Anton ASIC was sized
-/// individually (paper Figure 4).
+/// Addition and subtraction wrap (associative, order-free). Different
+/// physical quantities use different `FRAC` widths, mirroring how each
+/// datapath on the Anton ASIC was sized individually (paper Figure 4).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Q<const FRAC: u32>(pub i64);
 
-pub type Q16 = Q<16>;
 pub type Q20 = Q<20>;
-pub type Q24 = Q<24>;
-pub type Q32 = Q<32>;
-pub type Q40 = Q<40>;
 
 impl<const FRAC: u32> Q<FRAC> {
     pub const ZERO: Self = Q(0);
@@ -65,53 +60,6 @@ impl<const FRAC: u32> Q<FRAC> {
     pub fn wrapping_sub(self, rhs: Self) -> Self {
         Q(self.0.wrapping_sub(rhs.0))
     }
-
-    #[inline]
-    pub fn wrapping_neg(self) -> Self {
-        Q(self.0.wrapping_neg())
-    }
-
-    /// Full-precision product with another Q value, rounded into an output
-    /// format with `OUT` fraction bits.
-    #[inline]
-    pub fn mul_into<const RHS: u32, const OUT: u32>(self, rhs: Q<RHS>) -> Q<OUT> {
-        let prod = self.0 as i128 * rhs.0 as i128;
-        Q(rne_shr_i128(prod, FRAC + RHS - OUT))
-    }
-
-    /// Product staying in the same format.
-    // Deliberately not `impl Mul`: the rounding semantics should be spelled
-    // out at call sites.
-    #[allow(clippy::should_implement_trait)]
-    #[inline]
-    pub fn mul(self, rhs: Self) -> Self {
-        self.mul_into::<FRAC, FRAC>(rhs)
-    }
-
-    /// Square, rounded into `OUT` fraction bits. `x.sq::<F>()` is
-    /// `x.mul_into::<F, F>(x)` but reads better in distance code.
-    #[inline]
-    pub fn sq<const OUT: u32>(self) -> Q<OUT> {
-        self.mul_into::<FRAC, OUT>(self)
-    }
-
-    /// Rescale to a different fraction width with round-to-nearest/even
-    /// (widening shifts are exact).
-    #[inline]
-    pub fn rescale<const OUT: u32>(self) -> Q<OUT> {
-        if OUT >= FRAC {
-            Q(self.0 << (OUT - FRAC))
-        } else {
-            Q(crate::rounding::rne_shr_i64(self.0, FRAC - OUT))
-        }
-    }
-
-    /// Saturating conversion used at analysis boundaries (never in the
-    /// deterministic force path).
-    #[inline]
-    pub fn abs(self) -> Self {
-        Q(self.0.wrapping_abs())
-    }
 }
 
 impl<const FRAC: u32> core::fmt::Debug for Q<FRAC> {
@@ -134,38 +82,11 @@ mod tests {
         assert_eq!(Q20::ONE.to_f64(), 1.0);
     }
 
-    #[test]
-    fn mul_into_cross_format() {
-        let len = Q20::from_f64(3.0);
-        let r2: Q20 = len.mul_into::<20, 20>(len);
-        assert_eq!(r2.to_f64(), 9.0);
-        let f: Q24 = Q32::from_f64(0.5).mul_into::<32, 24>(Q32::from_f64(0.5));
-        assert_eq!(f.to_f64(), 0.25);
-    }
-
-    #[test]
-    fn rescale_widen_is_exact_and_narrow_rounds() {
-        let x = Q20::from_f64(1.5);
-        let w: Q32 = x.rescale();
-        assert_eq!(w.to_f64(), 1.5);
-        let n: Q16 = Q20::from_raw(0b11000).rescale(); // 24 * 2^-20 = 1.5 * 2^-16
-        assert_eq!(n.raw(), 2); // 1.5 ulp rounds to even = 2
-    }
-
     proptest! {
         #[test]
         fn add_associative(a in any::<i64>(), b in any::<i64>(), c in any::<i64>()) {
             let (a, b, c) = (Q20::from_raw(a), Q20::from_raw(b), Q20::from_raw(c));
             prop_assert_eq!(a.wrapping_add(b).wrapping_add(c), a.wrapping_add(b.wrapping_add(c)));
-        }
-
-        #[test]
-        fn mul_odd_symmetric(a in -(1i64<<40)..(1i64<<40), b in -(1i64<<40)..(1i64<<40)) {
-            let a = Q20::from_raw(a);
-            let b = Q20::from_raw(b);
-            let p1: Q20 = a.mul(b.wrapping_neg());
-            let p2: Q20 = a.mul(b);
-            prop_assert_eq!(p1.raw(), p2.raw().wrapping_neg());
         }
 
         #[test]

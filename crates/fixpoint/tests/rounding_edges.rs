@@ -1,6 +1,6 @@
 //! Property tests for the edges of the fixed-point rounding primitives:
-//! `Fx32` round-trips right at the ±1.0 periodic seam, the `-1 * -1` wrap,
-//! and exact-tie inputs to the round-to-nearest/even shifts.
+//! `Fx32` round-trips right at the ±1.0 periodic seam and exact-tie inputs
+//! to the round-to-nearest/even shifts.
 //!
 //! These complement the in-crate unit tests, which cover interior values; the
 //! determinism claims of the workspace (DESIGN.md, "Determinism policy") rest
@@ -36,19 +36,6 @@ proptest! {
         let d = (q.to_f64() - x).rem_euclid(2.0);
         let d = d.min(2.0 - d);
         prop_assert!(d <= Fx32::EPSILON, "x={x} q={:?} d={d}", q);
-    }
-
-    /// `-1 * x` never panics and equals the wrapped negation of `x` rounded:
-    /// multiplying by the raw value `i32::MIN` (representing -1.0) is the
-    /// documented wrap case of [`Fx32::mul`].
-    #[test]
-    fn fx32_mul_by_minus_one_is_wrapping_neg(raw in any::<i32>()) {
-        let minus_one = Fx32(i32::MIN);
-        let x = Fx32(raw);
-        let got = minus_one.mul(x);
-        // -1.0 * (raw * 2^-31) = -raw * 2^-31 exactly; RNE of an exact value
-        // is the value itself, truncated into i32 with wrapping.
-        prop_assert_eq!(got.raw(), x.raw().wrapping_neg(), "x={:?}", x);
     }
 
     /// Exact ties round to even for `rne_shr_i64`: feed values that sit
@@ -93,16 +80,6 @@ proptest! {
         let want = if k & 1 == 0 { k as f64 } else { (k + 1) as f64 };
         prop_assert_eq!(rne_f64(x), want, "k={k}");
     }
-}
-
-#[test]
-fn minus_one_times_minus_one_wraps_to_minus_one() {
-    // +1.0 is not representable; -1 * -1 overflows the fraction range and
-    // wraps back onto -1.0, the hardware-faithful periodic identity.
-    let minus_one = Fx32(i32::MIN);
-    let p = minus_one.mul(minus_one);
-    assert_eq!(p.raw(), i32::MIN);
-    assert_eq!(p.to_f64(), -1.0);
 }
 
 #[test]

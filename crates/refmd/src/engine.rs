@@ -8,18 +8,8 @@ use anton_forcefield::units::ACCEL;
 use anton_forcefield::water::{vsite_position, vsite_spread_force};
 use anton_geometry::Vec3;
 use anton_systems::velocities::{kinetic_energy, temperature};
-use anton_systems::System;
+use anton_systems::{System, Thermostat};
 use std::time::Instant;
-
-/// Temperature-control options.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Thermostat {
-    /// Microcanonical (NVE) — used for the energy-drift measurements.
-    None,
-    /// Berendsen weak coupling with time constant τ (fs), as in the BPTI
-    /// run of §5.3.
-    Berendsen { target_k: f64, tau_fs: f64 },
-}
 
 /// A running reference simulation.
 pub struct RefSimulation {

@@ -23,7 +23,7 @@ pub mod langevin;
 pub mod profile;
 pub mod reference;
 
-pub use engine::{RefSimulation, Thermostat};
+pub use engine::RefSimulation;
 pub use forces::{Energies, ForceEvaluator};
 pub use langevin::LangevinIntegrator;
 pub use profile::TaskProfile;

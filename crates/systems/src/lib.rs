@@ -29,6 +29,6 @@ pub mod waterbox;
 
 pub use catalog::{bpti, table4_system, Table4Entry, TABLE4};
 pub use go_model::GoModel;
-pub use spec::{RunParams, System};
+pub use spec::{RunParams, System, Thermostat};
 pub use velocities::init_velocities;
 pub use waterbox::water_box;

@@ -38,6 +38,17 @@ impl RunParams {
     }
 }
 
+/// Temperature control, the one choice both engines take.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Thermostat {
+    /// Microcanonical (NVE): required for the energy-drift and
+    /// reversibility experiments.
+    None,
+    /// Berendsen weak coupling with time constant τ (fs), as in the BPTI
+    /// run of §5.3.
+    Berendsen { target_k: f64, tau_fs: f64 },
+}
+
 /// A complete simulatable system.
 #[derive(Clone, Debug)]
 pub struct System {

@@ -4,10 +4,10 @@
 //! `cargo run --release -p anton-core --example order_parameters`
 
 use anton_analysis::{kabsch_rotation, order_parameters};
-use anton_core::{AntonSimulation, ThermostatKind};
+use anton_core::AntonSimulation;
 use anton_geometry::{PeriodicBox, Vec3};
 use anton_systems::protein::{build_chain, chain_topology};
-use anton_systems::spec::{RunParams, System};
+use anton_systems::spec::{RunParams, System, Thermostat};
 
 fn main() {
     let chain = build_chain(24, Vec3::splat(15.0), 7.0, 5.8);
@@ -25,7 +25,7 @@ fn main() {
 
     let mut sim = AntonSimulation::builder(sys)
         .velocities_from_temperature(300.0, 3)
-        .thermostat(ThermostatKind::Berendsen {
+        .thermostat(Thermostat::Berendsen {
             target_k: 300.0,
             tau_fs: 100.0,
         })

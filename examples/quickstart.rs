@@ -3,8 +3,8 @@
 //!
 //! `cargo run --release -p anton-core --example quickstart`
 
-use anton_core::{AntonSimulation, Decomposition, ThermostatKind};
-use anton_systems::spec::{RunParams, System};
+use anton_core::{AntonSimulation, Decomposition};
+use anton_systems::spec::{RunParams, System, Thermostat};
 
 fn build() -> System {
     anton_systems::water_box("quickstart-water", 18.0, 150, 42, RunParams::paper(7.5, 16))
@@ -17,7 +17,7 @@ fn main() {
         let mut sim = AntonSimulation::builder(build())
             .velocities_from_temperature(300.0, 7)
             .decomposition(decomposition)
-            .thermostat(ThermostatKind::Berendsen {
+            .thermostat(Thermostat::Berendsen {
                 target_k: 300.0,
                 tau_fs: 25.0,
             })

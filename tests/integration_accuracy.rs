@@ -6,9 +6,9 @@ use anton_core::AntonSimulation;
 use anton_forcefield::water::TIP3P;
 use anton_refmd::reference::reference_forces;
 use anton_refmd::TaskProfile;
-use anton_refmd::{ForceEvaluator, RefSimulation, Thermostat};
+use anton_refmd::{ForceEvaluator, RefSimulation};
 use anton_systems::catalog::build_solvated;
-use anton_systems::spec::RunParams;
+use anton_systems::spec::{RunParams, Thermostat};
 use anton_systems::velocities::init_velocities;
 
 fn system(seed: u64) -> anton_systems::System {

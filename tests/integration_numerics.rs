@@ -4,10 +4,10 @@
 //! through the full pipeline — range-limited PPIP tables, GSE mesh,
 //! corrections, bonded terms, constraints and virtual machinery together.
 
-use anton_core::{AntonSimulation, Decomposition, ThermostatKind};
+use anton_core::{AntonSimulation, Decomposition};
 use anton_forcefield::water::TIP3P;
 use anton_systems::catalog::build_solvated;
-use anton_systems::spec::RunParams;
+use anton_systems::spec::{RunParams, Thermostat};
 
 /// A small protein-in-water system (exact atom count, neutral, solvated)
 /// exercising bonds, angles, dihedrals, exclusions, 1-4 pairs, constraints.
@@ -123,7 +123,7 @@ fn thermostatted_runs_are_still_deterministic() {
     let run = || {
         let mut sim = AntonSimulation::builder(mini_protein_system(9))
             .velocities_from_temperature(250.0, 19)
-            .thermostat(ThermostatKind::Berendsen {
+            .thermostat(Thermostat::Berendsen {
                 target_k: 300.0,
                 tau_fs: 50.0,
             })
