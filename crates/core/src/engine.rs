@@ -1147,6 +1147,41 @@ mod tests {
         }
     }
 
+    /// The modelled machine's counters, which only the `scaling` binary
+    /// read before: after 4 cycles of `solvated_mini` (its constraint
+    /// groups exercise home-box co-location) under `Nodes(2)`, `Nodes(8)`
+    /// and `Nodes(64)`, every counter word of the three plans is pinned to
+    /// one FNV and the state bytes to another, on 1 and 2 threads.
+    #[test]
+    fn exchange_counters_are_bitwise_pinned() {
+        const PINNED_COUNTERS_FNV: u64 = 0xf23d_aa40_4462_3966;
+        const PINNED_STATE_FNV: u64 = 0x2584_7578_3335_af8c;
+        let sys = solvated_mini();
+        for threads in [1, 2] {
+            let mut words = Vec::new();
+            for nodes in [2, 8, 64] {
+                let mut sim = AntonSimulation::builder(sys.clone())
+                    .velocities_from_temperature(300.0, 7)
+                    .decomposition(Decomposition::Nodes(nodes))
+                    .threads(threads)
+                    .build();
+                sim.run_cycles(4);
+                let fnv = anton_ckpt::fnv1a(&sim.state.to_bytes());
+                assert_eq!(
+                    fnv, PINNED_STATE_FNV,
+                    "Nodes({nodes}) x{threads}: state FNV {fnv:#018x}"
+                );
+                let counters = sim.pipeline.counters.to_words();
+                words.extend(counters.iter().flat_map(|w| w.to_le_bytes()));
+            }
+            let fnv = anton_ckpt::fnv1a(&words);
+            assert_eq!(
+                fnv, PINNED_COUNTERS_FNV,
+                "x{threads}: counters FNV {fnv:#018x}"
+            );
+        }
+    }
+
     /// SHAKE's per-group solve rests on groups sharing no atom, so the
     /// build refuses a topology where two groups do.
     #[test]
