@@ -8,7 +8,7 @@ use crate::batch::PairQueue;
 use crate::state::FixedState;
 use anton_fixpoint::{Fx32, FxVec3, Q20};
 use anton_forcefield::PairClass;
-use anton_geometry::{CellGrid, PeriodicBox};
+use anton_geometry::{CellGrid, PeriodicBox, PosTiles};
 use proptest::prelude::*;
 
 /// A box long enough for 8 subboxes on x (35 Å / 8 is still half the
@@ -59,7 +59,7 @@ fn queued_pairs(pipe: &ForcePipeline, keep: impl Fn(i64) -> bool) -> Vec<(u32, u
         .iter()
         .map(|s| &s.queue)
         .chain([&pipe.mover_queue])
-        .flat_map(|q| live(q, &pipe.tiles))
+        .flat_map(|q| live(q, pipe.ranks.tiles()))
         .collect();
     pairs.sort_unstable();
     pairs
@@ -76,7 +76,8 @@ fn batched_pairs(pipe: &ForcePipeline) -> Vec<(u32, u32)> {
 /// fresh re-home.
 fn scalar_nodes_forces(pipe: &mut ForcePipeline, sys: &System, state: &FixedState) -> RawForces {
     let mut out = RawForces::zeroed(sys.n_atoms());
-    pipe.ranks.rebin(&state.positions, &mut pipe.counters);
+    pipe.ranks
+        .rebin(&sys.topology, &state.positions, &mut pipe.counters);
     for r in 0..pipe.ranks.rank_count() {
         pipe.rank_pairs(sys, state, r, &mut out);
     }
@@ -151,7 +152,7 @@ fn batched_path_is_bitwise_the_scalar_oracle_on_a_solvated_protein() {
     // The case did evaluate what it is here for.
     let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
     pipe.range_limited(&sys, &state, &mut RawForces::zeroed(sys.n_atoms()));
-    let tiles = &pipe.tiles;
+    let tiles = pipe.ranks.tiles();
     let mut live_14 = 0;
     let mut type_pairs = std::collections::BTreeSet::new();
     for q in pipe.scratch.iter().map(|s| &s.queue) {
@@ -473,7 +474,7 @@ fn mover_pairs_keep_forces_bitwise_invariant() {
 
         // What the scan did, read off the first plan.
         let pipe = &cached[0];
-        let tiles = &pipe.tiles;
+        let tiles = pipe.ranks.tiles();
         let epoch = pipe.cache.ref_positions();
         // The designated atoms are the movers until the cap trips; after
         // the rebuild nothing has moved far yet.

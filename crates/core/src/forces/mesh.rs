@@ -52,7 +52,8 @@ impl ForcePipeline {
         if !self.ranks.is_binned(n) {
             let before = self.counters;
             let t0 = self.trace.now_ns();
-            self.ranks.rebin(&state.positions, &mut self.counters);
+            self.ranks
+                .rebin(&sys.topology, &state.positions, &mut self.counters);
             self.trace.end_span(Phase::ReHome, RANK_MAIN, t0);
             self.meter_since(before);
         }

@@ -53,11 +53,6 @@ impl MachineConfig {
         MachineConfig::with_nodes(512)
     }
 
-    /// Total match-unit candidate throughput per node (pairs/s).
-    pub fn match_throughput(&self) -> f64 {
-        (self.ppips * self.match_units_per_ppip) as f64 * self.clock_ppip_hz
-    }
-
     /// Total PPIP interaction throughput per node (pairs/s).
     pub fn ppip_throughput(&self) -> f64 {
         self.ppips as f64 * self.clock_ppip_hz
@@ -66,6 +61,12 @@ impl MachineConfig {
     /// Aggregate outgoing link bandwidth per node (bytes/s).
     pub fn node_bandwidth_bytes(&self) -> f64 {
         self.channels as f64 * self.link_bits_per_s / 8.0
+    }
+
+    /// Time to push `bytes` through one node's links plus the wire latency
+    /// of `hops` hops.
+    pub fn transfer_time_s(&self, bytes: f64, hops: u32) -> f64 {
+        bytes / self.node_bandwidth_bytes() + hops as f64 * self.hop_latency_s
     }
 }
 
@@ -104,7 +105,13 @@ mod tests {
         let cfg = MachineConfig::anton_512();
         // 32 PPIPs at 970 MHz ≈ 31 G interactions/s/node.
         assert!((cfg.ppip_throughput() - 31.04e9).abs() < 1e7);
-        // 256 candidates per cycle.
-        assert!((cfg.match_throughput() - 248.3e9).abs() < 1e8);
+    }
+
+    #[test]
+    fn transfer_time_orders_of_magnitude() {
+        let cfg = MachineConfig::anton_512();
+        // 6 kB over ~38 GB/s plus 3 hops ≈ 0.3 µs.
+        let s = cfg.transfer_time_s(6000.0, 3);
+        assert!(s > 0.1e-6 && s < 1e-6, "{s}");
     }
 }

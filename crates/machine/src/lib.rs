@@ -11,8 +11,8 @@
 //! * **Performance** — a calibrated cycle/communication accounting model
 //!   ([`perf`]) of a full time step over the machine constants of
 //!   [`config`]: HTIS pipelines and match units (queueing simulated cycle by
-//!   cycle in [`htis`]), the torus links ([`topology`]) and the static
-//!   per-step exchange plan metered over them ([`exchange`]), the
+//!   cycle in [`htis`]), the static per-step exchange plan metered over
+//!   the torus links of the node grid ([`exchange`]), the
 //!   distributed FFT traffic, and the geometry cores and correction
 //!   pipeline ([`flex`]). Free constants are calibrated against a single
 //!   column of the paper's Table 2 (see DESIGN.md §6); everything else is
@@ -25,7 +25,6 @@ pub mod htis;
 pub mod perf;
 pub mod ppip;
 pub mod tables;
-pub mod topology;
 
 pub use config::MachineConfig;
 pub use exchange::{ExchangePlan, Link, MeshExchange, FORCE_BYTES, MESH_BYTES, POS_BYTES};

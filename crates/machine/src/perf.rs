@@ -19,7 +19,6 @@
 
 use crate::config::MachineConfig;
 use crate::flex::FlexModel;
-use crate::topology::Torus;
 use anton_nt::regions::ImportRegions;
 
 /// Workload statistics of a chemical system + run parameters.
@@ -426,9 +425,8 @@ impl PerfModel {
         let margin = 1.5;
         let reg = ImportRegions::new(c_node, rc + margin);
         let import_atoms = rho * reg.nt_total_volume();
-        let torus = Torus::from_config(&self.cfg);
-        let import_us = torus.transfer_time_s(&self.cfg, import_atoms * 12.0, 2) * 1e6
-            + self.cal.import_fixed_us;
+        let import_us =
+            self.cfg.transfer_time_s(import_atoms * 12.0, 2) * 1e6 + self.cal.import_fixed_us;
 
         // --- Mesh phase (charge spreading + force interpolation on HTIS).
         let vc = s.volume() / (s.mesh[0] * s.mesh[1] * s.mesh[2]) as f64;

@@ -49,14 +49,14 @@ impl NodeGrid {
         )
     }
 
-    /// Home box of a fractional position in `[0,1)³`.
-    #[inline]
-    pub fn box_of_frac(&self, f: [f64; 3]) -> IVec3 {
-        IVec3::new(
-            ((f[0] * self.dims.x as f64) as i32).clamp(0, self.dims.x - 1),
-            ((f[1] * self.dims.y as f64) as i32).clamp(0, self.dims.y - 1),
-            ((f[2] * self.dims.z as f64) as i32).clamp(0, self.dims.z - 1),
-        )
+    /// Dimension-order routing hop count between two nodes of the torus:
+    /// the minimal ring distance, summed over the axes.
+    pub fn hops(&self, a: IVec3, b: IVec3) -> u32 {
+        let axis = |a: i32, b: i32, n: i32| {
+            let d = (a - b).rem_euclid(n);
+            d.min(n - d) as u32
+        };
+        axis(a.x, b.x, self.dims.x) + axis(a.y, b.y, self.dims.y) + axis(a.z, b.z, self.dims.z)
     }
 
     /// Minimum-image displacement of box coordinates along one axis, in
@@ -186,6 +186,13 @@ mod tests {
     use std::collections::HashSet;
 
     #[test]
+    fn hop_counts_wrap() {
+        let grid = NodeGrid::cubic(8);
+        assert_eq!(grid.hops(IVec3::new(0, 0, 0), IVec3::new(7, 0, 0)), 1);
+        assert_eq!(grid.hops(IVec3::new(0, 0, 0), IVec3::new(4, 4, 4)), 12);
+    }
+
+    #[test]
     fn node_for_pair_is_symmetric() {
         let nt = NtAssignment::new(NodeGrid::cubic(8), 2, 2);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
@@ -261,9 +268,10 @@ mod tests {
                 )
             })
             .collect();
+        let axis_box = |c: f64| ((c / edge * 4.0) as i32).clamp(0, 3);
         let box_of: Vec<IVec3> = pos
             .iter()
-            .map(|p| grid.box_of_frac([p.x / edge, p.y / edge, p.z / edge]))
+            .map(|p| IVec3::new(axis_box(p.x), axis_box(p.y), axis_box(p.z)))
             .collect();
 
         // Atoms per box.

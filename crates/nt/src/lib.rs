@@ -13,14 +13,12 @@
 //!   plus voxelizable predicates).
 //! * [`match_efficiency`] — Table 3: the fraction of considered tower×plate
 //!   pairs that actually need to interact, with and without subboxes.
-//! * [`assign`] — the exactly-once assignment of box pairs to nodes used by
-//!   the Anton engine, validated against brute force.
-//! * [`migration`] — constraint-group co-location (§3.2.4): every atom is
-//!   homed on its group leader's box.
+//! * [`assign`] — the node grid (box indexing, wrap, torus hops) and the
+//!   exactly-once assignment of box pairs to nodes used by the Anton
+//!   engine, validated against brute force.
 
 pub mod assign;
 pub mod match_efficiency;
-pub mod migration;
 pub mod regions;
 
 pub use assign::{NodeGrid, NtAssignment};
