@@ -9,7 +9,6 @@ use crate::state::{FixedState, DISP_SCALE, ENERGY_SCALE, FORCE_SCALE};
 use anton_fixpoint::rounding::rne_f64_to_i64;
 use anton_forcefield::bonded;
 use anton_geometry::Vec3;
-use anton_machine::MATCH_WIDTH;
 use anton_systems::System;
 
 impl ForcePipeline {
@@ -68,78 +67,27 @@ impl ForcePipeline {
     }
 
     /// Stream correction pairs (atom ids + precomputed charge product)
-    /// through the batched correction kernel in 8-wide bundles — the
-    /// flexible subsystem's analogue of the HTIS match batch. The packed
+    /// through the correction kernel, one pair at a time. The packed
     /// streams were filtered of zero charge products at construction,
-    /// exactly like the scalar reference's early return; per-lane
-    /// arithmetic is bitwise identical to the scalar oracle's
-    /// `correction_pair_into`.
+    /// exactly like the scalar reference's early return; the arithmetic is
+    /// bitwise the scalar oracle's `correction_pair_into`.
     pub(super) fn correction_stream_into(
         &self,
         state: &FixedState,
         pairs: &[(u32, u32, f64)],
         out: &mut RawForces,
     ) {
-        let mut qqs = [0.0f64; MATCH_WIDTH];
-        let mut r2s = [0.0f64; MATCH_WIDTH];
-        let mut ij = [(0u32, 0u32); MATCH_WIDTH];
-        let mut dd = [[0i64; 3]; MATCH_WIDTH];
-        let mut fill = 0usize;
+        let pos = &state.positions;
         for &(i, j, qq) in pairs {
-            let pos = &state.positions;
             let (d, _) = self
                 .ladder
                 .delta_r2(raw_bits(&pos[i as usize]), raw_bits(&pos[j as usize]));
-            qqs[fill] = qq;
             // The kernel's r² is formed in f64 from the ladder's `d`.
-            r2s[fill] = (d[0] as f64 / DISP_SCALE).powi(2)
+            let r2 = (d[0] as f64 / DISP_SCALE).powi(2)
                 + (d[1] as f64 / DISP_SCALE).powi(2)
                 + (d[2] as f64 / DISP_SCALE).powi(2);
-            ij[fill] = (i, j);
-            dd[fill] = d;
-            fill += 1;
-            if fill == MATCH_WIDTH {
-                self.corr_batch_into(&qqs, &r2s, &ij, &dd, fill, out);
-                fill = 0;
-            }
-        }
-        if fill > 0 {
-            self.corr_batch_into(&qqs, &r2s, &ij, &dd, fill, out);
-        }
-    }
-
-    /// Evaluate one (possibly partial) correction batch and scatter the
-    /// quantized forces and energy.
-    fn corr_batch_into(
-        &self,
-        qqs: &[f64; MATCH_WIDTH],
-        r2s: &[f64; MATCH_WIDTH],
-        ij: &[(u32, u32); MATCH_WIDTH],
-        dd: &[[i64; 3]; MATCH_WIDTH],
-        lanes: usize,
-        out: &mut RawForces,
-    ) {
-        let mask = if lanes == MATCH_WIDTH {
-            0xff
-        } else {
-            (1u8 << lanes) - 1
-        };
-        let mut vals = [(0.0f64, 0.0f64); MATCH_WIDTH];
-        self.corr_kernel
-            .exclusion_correction_batch(qqs, r2s, mask, &mut vals);
-        for lane in 0..lanes {
-            let (e, f_over_r) = vals[lane];
-            let d = dd[lane];
-            let fi = d.map(|c| rne_f64_to_i64(c as f64 / DISP_SCALE * f_over_r * FORCE_SCALE));
-            let (i, j) = ij[lane];
-            let a = &mut out.f[i as usize];
-            a[0] = a[0].wrapping_add(fi[0]);
-            a[1] = a[1].wrapping_add(fi[1]);
-            a[2] = a[2].wrapping_add(fi[2]);
-            let b = &mut out.f[j as usize];
-            b[0] = b[0].wrapping_sub(fi[0]);
-            b[1] = b[1].wrapping_sub(fi[1]);
-            b[2] = b[2].wrapping_sub(fi[2]);
+            let (e, f_over_r) = self.corr_kernel.exclusion_correction(qq, r2);
+            out.scatter_pair(i as usize, j as usize, d, f_over_r);
             out.e_correction = out
                 .e_correction
                 .wrapping_add(rne_f64_to_i64(e * ENERGY_SCALE));

@@ -20,18 +20,6 @@ pub fn erfc_fast(x: f64) -> f64 {
     poly * (-x * x).exp()
 }
 
-/// How a pair participates in the nonbonded sums.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PairClass {
-    /// Full interaction (not excluded).
-    Normal,
-    /// 1-2/1-3: no direct interaction; reciprocal-space contribution must be
-    /// cancelled by a correction force.
-    Excluded,
-    /// 1-4: scaled by the force-field policy.
-    Scaled14,
-}
-
 /// Direct-space kernel bound to an Ewald splitting parameter.
 #[derive(Clone, Copy, Debug)]
 pub struct DirectKernel {
@@ -100,29 +88,6 @@ impl DirectKernel {
         (e, f_over_r)
     }
 
-    /// Batched form of [`Self::exclusion_correction`]: evaluate up to eight
-    /// correction pairs at once, the correction pipeline's analogue of the
-    /// HTIS match batch. Lane `k` of `out` receives `(e, f_over_r)` when
-    /// mask bit `k` is set (unset lanes are zeroed); each set lane is
-    /// bitwise identical to a scalar [`Self::exclusion_correction`] call
-    /// with that lane's inputs.
-    #[inline]
-    pub fn exclusion_correction_batch(
-        &self,
-        qq: &[f64; 8],
-        r2: &[f64; 8],
-        mask: u8,
-        out: &mut [(f64, f64); 8],
-    ) {
-        for lane in 0..8 {
-            if mask & (1u8 << lane) == 0 {
-                out[lane] = (0.0, 0.0);
-                continue;
-            }
-            out[lane] = self.exclusion_correction(qq[lane], r2[lane]);
-        }
-    }
-
     /// Combined energy and `force/r` for one range-limited pair, LJ included.
     /// `scale_elec`/`scale_lj` implement 1-4 policies (1.0 for normal pairs).
     #[inline]
@@ -156,30 +121,6 @@ mod tests {
         for i in 0..500 {
             let x = i as f64 * 0.01;
             assert!((erfc_fast(x) - erfc(x)).abs() < 2e-7, "x={x}");
-        }
-    }
-
-    #[test]
-    fn correction_batch_lanes_match_scalar_bitwise() {
-        let k = DirectKernel::reference(0.31, 9.0);
-        let mut qq = [0.0f64; 8];
-        let mut r2 = [0.0f64; 8];
-        for lane in 0..8 {
-            qq[lane] = (lane as f64 - 3.5) * 0.12;
-            r2[lane] = 1.0 + lane as f64 * 0.9;
-        }
-        for mask in [0xffu8, 0x00, 0xa5, 0x01, 0x80] {
-            let mut out = [(0.0, 0.0); 8];
-            k.exclusion_correction_batch(&qq, &r2, mask, &mut out);
-            for lane in 0..8 {
-                if mask & (1 << lane) == 0 {
-                    assert_eq!(out[lane], (0.0, 0.0));
-                    continue;
-                }
-                let (e, f) = k.exclusion_correction(qq[lane], r2[lane]);
-                assert_eq!(out[lane].0.to_bits(), e.to_bits(), "lane {lane}");
-                assert_eq!(out[lane].1.to_bits(), f.to_bits(), "lane {lane}");
-            }
         }
     }
 
