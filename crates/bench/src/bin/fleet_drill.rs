@@ -21,7 +21,7 @@
 use anton_bench::artifacts::fleet_table;
 use anton_bench::report::Report;
 use anton_bench::write_artifact;
-use anton_fleet::{state_checksum, Fleet, FleetConfig, JobPhase, JobSpec, JobStatusView};
+use anton_fleet::{Fleet, FleetConfig, JobPhase, JobSpec, JobStatusView};
 use anton_trace::Phase;
 use std::path::PathBuf;
 
@@ -65,7 +65,7 @@ fn fleet_specs() -> Vec<JobSpec> {
 fn solo_checksum(spec: &JobSpec) -> u64 {
     let mut sim = spec.builder().expect("drill spec must build").build();
     sim.run_cycles(spec.cycles as usize);
-    state_checksum(&sim)
+    sim.state.checksum()
 }
 
 fn fresh_dir(name: &str) -> PathBuf {

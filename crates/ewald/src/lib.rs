@@ -25,7 +25,7 @@ pub mod gse;
 pub mod mesh;
 pub mod spme;
 
-pub use direct::{DirectKernel, PairClass};
+pub use direct::DirectKernel;
 pub use gse::{GseFixed, GseParams, GseScratch, MeshAtoms, SupportScratch, TransformStage};
 pub use mesh::Mesh;
 pub use spme::Spme;

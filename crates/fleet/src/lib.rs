@@ -36,6 +36,6 @@ pub use client::FleetClient;
 pub use daemon::{serve, DaemonConfig};
 pub use error::FleetError;
 pub use queue::{JobPhase, JobRecord, JobStatusView, PhaseTotals, QueueState, QueueStore};
-pub use scheduler::{state_checksum, Fleet, FleetConfig, RunMode};
+pub use scheduler::{Fleet, FleetConfig, RunMode};
 pub use spec::{JobId, JobSpec};
 pub use wire::{Request, Response};

@@ -68,12 +68,6 @@ impl FleetConfig {
     }
 }
 
-/// FNV-1a over the full fixed-point state image: the trajectory identity
-/// used everywhere a fleet run is compared against a solo run.
-pub fn state_checksum(sim: &AntonSimulation) -> u64 {
-    sim.state.checksum()
-}
-
 /// Worker termination policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunMode {
@@ -203,12 +197,6 @@ impl Fleet {
     pub fn ping(&self) -> (u64, u64) {
         let g = self.lock();
         (g.queue.jobs.len() as u64, g.queue.revision)
-    }
-
-    /// True when nothing is runnable and nothing is out on a worker.
-    pub fn idle(&self) -> bool {
-        let g = self.lock();
-        g.running.is_empty() && Self::claimable(&g).is_none()
     }
 
     /// Ask every worker to wind down after its current slice.
@@ -407,7 +395,7 @@ fn run_job_slice(
         let mut v = Verifier::new(&sim);
         v.sample(&sim);
         (
-            state_checksum(&sim),
+            sim.state.checksum(),
             v.violations().len() as u64,
             v.samples(),
         )
@@ -481,7 +469,7 @@ mod tests {
     fn solo_checksum(spec: &JobSpec) -> u64 {
         let mut sim = spec.builder().unwrap().build();
         sim.run_cycles(spec.cycles as usize);
-        state_checksum(&sim)
+        sim.state.checksum()
     }
 
     #[test]
@@ -548,7 +536,6 @@ mod tests {
             fleet.submit(s.clone()).unwrap();
         }
         fleet.run_to_completion();
-        assert!(fleet.idle());
         for (s, golden) in specs.iter().zip(&goldens) {
             let view = fleet.status(s.job_id()).unwrap();
             assert_eq!(view.phase, JobPhase::Done, "{}", s.name);
@@ -808,6 +795,6 @@ mod tests {
         solo.run_cycles(2);
         let mut resumed = s.builder().unwrap().resume_from_snapshot(&old).unwrap();
         resumed.run_cycles(2);
-        assert_eq!(state_checksum(&resumed), state_checksum(&solo));
+        assert_eq!(resumed.state.checksum(), solo.state.checksum());
     }
 }

@@ -9,13 +9,12 @@
 //! counts) to show the property is not an artifact of one hand-picked
 //! workload.
 
-use anton_fleet::scheduler::state_checksum;
 use anton_fleet::{Fleet, FleetConfig, JobPhase, JobSpec};
 
 fn solo_checksum(spec: &JobSpec) -> u64 {
     let mut sim = spec.builder().unwrap().build();
     sim.run_cycles(spec.cycles as usize);
-    state_checksum(&sim)
+    sim.state.checksum()
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {

@@ -81,7 +81,7 @@ fn daemon_serves_a_fleet_end_to_end() {
     for (s, id) in [(&a, id_a), (&b, id_b)] {
         let mut sim = s.builder().unwrap().build();
         sim.run_cycles(s.cycles as usize);
-        let golden = anton_fleet::state_checksum(&sim);
+        let golden = sim.state.checksum();
         let (view, phases) = client.summary(id).unwrap();
         assert_eq!(view.final_checksum, golden, "{}", s.name);
         assert_eq!(view.violations, 0, "{}", s.name);

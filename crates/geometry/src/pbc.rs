@@ -139,12 +139,6 @@ impl PeriodicBox {
         let w = self.wrap(p);
         Vec3::new(w.x / self.edge.x, w.y / self.edge.y, w.z / self.edge.z)
     }
-
-    /// Fractional → Cartesian coordinates.
-    #[inline]
-    pub fn from_frac(&self, f: Vec3) -> Vec3 {
-        Vec3::new(f.x * self.edge.x, f.y * self.edge.y, f.z * self.edge.z)
-    }
 }
 
 #[cfg(test)]
@@ -298,14 +292,6 @@ mod tests {
         let b = PeriodicBox::cubic(10.0);
         let d = b.min_image(Vec3::new(9.5, 0.0, 0.0), Vec3::new(0.5, 0.0, 0.0));
         assert!((d.x + 1.0).abs() < 1e-12, "{d:?}");
-    }
-
-    #[test]
-    fn frac_roundtrip() {
-        let b = PeriodicBox::new(Vec3::new(10.0, 20.0, 40.0));
-        let p = Vec3::new(3.0, 15.0, 39.0);
-        let q = b.from_frac(b.to_frac(p));
-        assert!((p - q).norm() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! sampling (used for quick estimates).
 
 use crate::Vec3;
-use rand::{Rng, SeedableRng};
 
 /// Axis-aligned bounding domain for integration.
 #[derive(Clone, Copy, Debug)]
@@ -55,24 +54,6 @@ pub fn grid_volume(domain: Domain, n: usize, pred: impl Fn(Vec3) -> bool) -> f64
     domain.volume() * inside as f64 / (n as u64).pow(3) as f64
 }
 
-/// Monte Carlo volume of `{p ∈ domain : pred(p)}` with a fixed seed.
-pub fn mc_volume(domain: Domain, samples: usize, seed: u64, pred: impl Fn(Vec3) -> bool) -> f64 {
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-    let d = domain.hi - domain.lo;
-    let mut inside = 0u64;
-    for _ in 0..samples {
-        let p = Vec3::new(
-            domain.lo.x + rng.gen::<f64>() * d.x,
-            domain.lo.y + rng.gen::<f64>() * d.y,
-            domain.lo.z + rng.gen::<f64>() * d.z,
-        );
-        if pred(p) {
-            inside += 1;
-        }
-    }
-    domain.volume() * inside as f64 / samples as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,16 +64,6 @@ mod tests {
         let v = grid_volume(Domain::centered_cube(2.5), 160, |p| p.norm2() <= r * r);
         let exact = 4.0 / 3.0 * std::f64::consts::PI * r.powi(3);
         assert!((v - exact).abs() / exact < 0.01, "v={v} exact={exact}");
-    }
-
-    #[test]
-    fn sphere_volume_mc() {
-        let r: f64 = 2.0;
-        let v = mc_volume(Domain::centered_cube(2.5), 200_000, 11, |p| {
-            p.norm2() <= r * r
-        });
-        let exact = 4.0 / 3.0 * std::f64::consts::PI * r.powi(3);
-        assert!((v - exact).abs() / exact < 0.03, "v={v} exact={exact}");
     }
 
     #[test]
