@@ -18,7 +18,7 @@
 
 use crate::error::FleetError;
 use crate::spec::{JobId, JobSpec};
-use crate::wire::string_field;
+use crate::wire::{list_field, string_field};
 use anton_ckpt::{CheckpointStore, CkptError, Fingerprint, Reader, Snapshot, Writer};
 use anton_trace::Phase;
 use std::collections::BTreeMap;
@@ -265,18 +265,13 @@ impl JobRecord {
         let violations = r.u64()?;
         let battery_samples = r.u64()?;
         let n = r.u32()?;
-        if n as usize > 1024 {
-            return Err(CkptError::LengthMismatch {
-                what: "phase accumulator list",
-                expected: n as u64,
-                got: 1024,
-            }
-            .into());
-        }
-        let mut phases = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            phases.push(PhaseTotals::decode_from(r)?);
-        }
+        let phases = list_field(
+            r,
+            "phase accumulator list",
+            n.into(),
+            1024,
+            PhaseTotals::decode_from,
+        )?;
         Ok(JobRecord {
             spec,
             phase,
@@ -380,18 +375,9 @@ impl QueueState {
         }
         let revision = r.u64()?;
         let n = r.u64()?;
-        if n > 1_000_000 {
-            return Err(CkptError::LengthMismatch {
-                what: "queue job count",
-                expected: n,
-                got: 1_000_000,
-            }
-            .into());
-        }
-        let mut jobs = BTreeMap::new();
-        for _ in 0..n {
+        let jobs = list_field(&mut r, "queue job count", n, 1_000_000, |r| {
             let stored_id = r.u64()?;
-            let rec = JobRecord::decode_from(&mut r)?;
+            let rec = JobRecord::decode_from(r)?;
             let computed = rec.spec.job_id();
             if computed.0 != stored_id {
                 // The record's key must be the fingerprint of its own spec;
@@ -403,10 +389,13 @@ impl QueueState {
                 }
                 .into());
             }
-            jobs.insert(computed, rec);
-        }
+            Ok((computed, rec))
+        })?;
         r.expect_end("queue state")?;
-        Ok(QueueState { jobs, revision })
+        Ok(QueueState {
+            jobs: jobs.into_iter().collect(),
+            revision,
+        })
     }
 
     /// Wrap the encoding in an `anton-ckpt` snapshot for persistence.

@@ -78,6 +78,27 @@ pub(crate) fn string_field(r: &mut Reader<'_>, what: &'static str) -> Result<Str
     })
 }
 
+/// Decode a counted list whose count `n` was just read (in whatever width
+/// the format stores it): refuse a count above `cap`, then decode `n`
+/// items in order with `item`.
+pub(crate) fn list_field<T>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+    n: u64,
+    cap: u64,
+    mut item: impl FnMut(&mut Reader<'_>) -> Result<T, FleetError>,
+) -> Result<Vec<T>, FleetError> {
+    if n > cap {
+        return Err(CkptError::LengthMismatch {
+            what,
+            expected: n,
+            got: cap,
+        }
+        .into());
+    }
+    (0..n).map(|_| item(r)).collect()
+}
+
 /// Encode one complete frame around `payload`.
 pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     FRAME.seal(kind.tag(), [], payload)
@@ -294,35 +315,13 @@ impl Response {
             3 => Response::Status(JobStatusView::decode_from(&mut r)?),
             4 => {
                 let n = r.u64()?;
-                if n > 100_000 {
-                    return Err(CkptError::LengthMismatch {
-                        what: "job list",
-                        expected: n,
-                        got: 100_000,
-                    }
-                    .into());
-                }
-                let mut views = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    views.push(JobStatusView::decode_from(&mut r)?);
-                }
+                let views = list_field(&mut r, "job list", n, 100_000, JobStatusView::decode_from)?;
                 Response::Jobs(views)
             }
             5 => {
                 let status = JobStatusView::decode_from(&mut r)?;
                 let n = r.u64()?;
-                if n > 1024 {
-                    return Err(CkptError::LengthMismatch {
-                        what: "phase totals",
-                        expected: n,
-                        got: 1024,
-                    }
-                    .into());
-                }
-                let mut phases = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    phases.push(PhaseTotals::decode_from(&mut r)?);
-                }
+                let phases = list_field(&mut r, "phase totals", n, 1024, PhaseTotals::decode_from)?;
                 Response::Summary { status, phases }
             }
             6 => Response::Error {
