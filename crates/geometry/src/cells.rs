@@ -5,71 +5,36 @@
 
 use crate::{IVec3, PeriodicBox, Vec3};
 
-/// Reusable counting-sort bucketing of items by a small integer key (a cell
-/// index, a node-box index, …). Deterministic: items keep their input order
-/// within a bucket, and rebuilding with the same keys reproduces the same
-/// layout bit for bit. Buffers are retained across [`Buckets::rebuild`]
-/// calls so per-step re-bucketing allocates nothing in steady state.
-#[derive(Clone, Debug, Default)]
-pub struct Buckets {
-    /// Item indices sorted by bucket, addressed through `starts`.
-    order: Vec<u32>,
-    /// `starts[b]..starts[b + 1]` spans bucket `b` inside `order`.
-    starts: Vec<u32>,
-    cursor: Vec<u32>,
-}
-
-impl Buckets {
-    /// Re-bucket `n_items` items into `n_buckets` buckets; `key(i)` must
-    /// return a bucket index `< n_buckets` for every `i < n_items`.
-    pub fn rebuild(&mut self, n_buckets: usize, n_items: usize, key: impl Fn(usize) -> usize) {
-        self.starts.clear();
-        self.starts.resize(n_buckets + 1, 0);
-        for i in 0..n_items {
-            self.starts[key(i) + 1] += 1;
-        }
-        for b in 1..self.starts.len() {
-            self.starts[b] += self.starts[b - 1];
-        }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.starts);
-        self.order.clear();
-        self.order.resize(n_items, 0);
-        for i in 0..n_items {
-            let b = key(i);
-            self.order[self.cursor[b] as usize] = i as u32;
-            self.cursor[b] += 1;
-        }
+/// Stable counting sort of items `0..n` on `key(i) < n_buckets`, the one
+/// bucketing of this crate (cell lists here, particle tiles in
+/// [`PosTiles`](crate::PosTiles)): on return bucket `b` spans
+/// `starts[b]..starts[b + 1]` and item `i` sits at `slot[i]`, items
+/// ascending within a bucket. Both buffers are cleared and refilled, so a
+/// caller that keeps them allocates nothing in steady state.
+pub(crate) fn counting_sort(
+    n_buckets: usize,
+    n: usize,
+    key: impl Fn(usize) -> usize,
+    starts: &mut Vec<u32>,
+    slot: &mut Vec<u32>,
+) {
+    // Count into `starts[b]`, prefix-sum to bucket ends, then place the
+    // items from the last down, each taking the slot below its bucket's
+    // end: the ends walk down to the starts, and items ascend within each
+    // bucket.
+    starts.clear();
+    starts.resize(n_buckets + 1, 0);
+    for i in 0..n {
+        starts[key(i)] += 1;
     }
-
-    /// Number of items in the current layout (0 before the first rebuild).
-    pub fn item_count(&self) -> usize {
-        self.order.len()
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
     }
-
-    /// Number of buckets in the current layout.
-    pub fn bucket_count(&self) -> usize {
-        self.starts.len().saturating_sub(1)
-    }
-
-    /// Items in one bucket, in input order.
-    #[inline]
-    pub fn members(&self, bucket: usize) -> &[u32] {
-        let s = self.starts[bucket] as usize;
-        let e = self.starts[bucket + 1] as usize;
-        &self.order[s..e]
-    }
-
-    /// Items of a run of consecutive buckets, bucket by bucket.
-    #[inline]
-    pub fn span(&self, buckets: std::ops::Range<usize>) -> &[u32] {
-        &self.order[self.starts[buckets.start] as usize..self.starts[buckets.end] as usize]
-    }
-
-    /// Item count of one bucket.
-    #[inline]
-    pub fn count(&self, bucket: usize) -> usize {
-        (self.starts[bucket + 1] - self.starts[bucket]) as usize
+    slot.resize(n, 0);
+    for i in (0..n).rev() {
+        let b = key(i);
+        starts[b] -= 1;
+        slot[i] = starts[b];
     }
 }
 
@@ -81,7 +46,10 @@ pub struct CellGrid {
     pub pbox: PeriodicBox,
     dims: IVec3,
     cell_of: Vec<u32>,
-    buckets: Buckets,
+    /// Particles sorted by cell, addressed through `starts`.
+    order: Vec<u32>,
+    /// `starts[c]..starts[c + 1]` spans cell `c` inside `order`.
+    starts: Vec<u32>,
 }
 
 impl CellGrid {
@@ -107,13 +75,24 @@ impl CellGrid {
             );
             cell_of.push(Self::cell_index(dims, c));
         }
-        let mut buckets = Buckets::default();
-        buckets.rebuild(ncells, positions.len(), |i| cell_of[i] as usize);
+        let (mut starts, mut slot) = (Vec::new(), Vec::new());
+        counting_sort(
+            ncells,
+            positions.len(),
+            |i| cell_of[i] as usize,
+            &mut starts,
+            &mut slot,
+        );
+        let mut order = vec![0; positions.len()];
+        for (i, &s) in slot.iter().enumerate() {
+            order[s as usize] = i as u32;
+        }
         CellGrid {
             pbox: *pbox,
             dims,
             cell_of,
-            buckets,
+            order,
+            starts,
         }
     }
 
@@ -134,7 +113,8 @@ impl CellGrid {
 
     /// Particles in one cell.
     pub fn cell_members(&self, cell: u32) -> &[u32] {
-        self.buckets.members(cell as usize)
+        let c = cell as usize;
+        &self.order[self.starts[c] as usize..self.starts[c + 1] as usize]
     }
 
     /// The cell a particle was binned into.
@@ -242,22 +222,22 @@ mod tests {
 
     #[test]
     fn buckets_preserve_input_order_and_cover_all_items() {
+        let order = |slot: &[u32]| {
+            let mut o = vec![0; slot.len()];
+            for (i, &s) in slot.iter().enumerate() {
+                o[s as usize] = i;
+            }
+            o
+        };
         let keys = [2usize, 0, 2, 1, 0, 2, 3];
-        let mut b = Buckets::default();
-        b.rebuild(4, keys.len(), |i| keys[i]);
-        assert_eq!(b.bucket_count(), 4);
-        assert_eq!(b.members(0), &[1, 4]);
-        assert_eq!(b.members(1), &[3]);
-        assert_eq!(b.members(2), &[0, 2, 5]);
-        assert_eq!(b.members(3), &[6]);
-        assert_eq!(b.span(1..3), &[3, 0, 2, 5]);
-        assert_eq!(b.span(0..4).len(), keys.len());
-        assert_eq!(b.item_count(), keys.len());
-        assert_eq!((0..4).map(|c| b.count(c)).sum::<usize>(), keys.len());
+        let (mut starts, mut slot) = (Vec::new(), Vec::new());
+        counting_sort(4, keys.len(), |i| keys[i], &mut starts, &mut slot);
+        assert_eq!(starts, [0, 2, 3, 6, 7]);
+        assert_eq!(order(&slot), [1, 4, 3, 0, 2, 5, 6]);
         // Rebuilding with fewer buckets reuses the buffers and stays exact.
-        b.rebuild(2, 4, |i| i % 2);
-        assert_eq!(b.members(0), &[0, 2]);
-        assert_eq!(b.members(1), &[1, 3]);
+        counting_sort(2, 4, |i| i % 2, &mut starts, &mut slot);
+        assert_eq!(starts, [0, 2, 4]);
+        assert_eq!(order(&slot), [0, 2, 1, 3]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod tiles;
 pub mod vec3;
 pub mod voxel;
 
-pub use cells::{Buckets, CellGrid};
+pub use cells::CellGrid;
 pub use mat3::Mat3;
 pub use pbc::PeriodicBox;
 pub use tiles::{PosTiles, TileView};
