@@ -15,6 +15,8 @@
 //! * [`artifacts`] — deterministic, schema-versioned CSV tables for the
 //!   paper-shaped results (Table 2/4, scaling and trace figures).
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod artifacts;
 pub mod battery;
 pub mod drift;

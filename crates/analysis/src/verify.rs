@@ -13,6 +13,8 @@
 //! [`crate::battery::Verifier`] wires them to a live [`anton_core`]
 //! simulation.
 
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
+
 use std::fmt;
 
 /// Which closed-form identity a check exercises.
@@ -312,11 +314,14 @@ pub fn check_census_invariance(
     out
 }
 
-// detlint::boundary(reason = "the NVE drift criterion is a physical bound in kcal/mol, not an exact identity; the comparison is one ordered f64 test that fails closed on NaN, and the reported words are micro-unit integers")
 /// NVE energy-drift bound: `|e - e0| / dof` must not exceed `bound`
 /// (kcal/mol per degree of freedom). Fails closed: a NaN anywhere (or
 /// `dof == 0`) is a violation, because `<=` is false for NaN. The reported
 /// words are micro-kcal/mol integers (saturating cast, NaN maps to 0).
+#[expect(
+    clippy::float_arithmetic,
+    reason = "D1 boundary: the NVE drift criterion is a physical bound in kcal/mol, not an exact identity; one ordered f64 test that fails closed on NaN, reported as micro-unit integers"
+)]
 pub fn check_energy_drift(cycle: u64, e0: f64, e: f64, dof: u64, bound: f64) -> Option<Violation> {
     let per_dof = if dof == 0 {
         f64::NAN

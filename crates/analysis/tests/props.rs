@@ -130,7 +130,7 @@ fn displaced_position_detected_as_force_consistency() {
     let mut sim = water_sim(55, 3, Decomposition::SingleRank, 1);
     sim.run_cycles(2);
     let mut v = Verifier::new(&sim);
-    sim.state.set_position_frac(3, [0.111, 0.222, 0.333]);
+    sim.state.positions[3] = anton_fixpoint::FxVec3::from_unit_frac([0.111, 0.222, 0.333]);
     v.sample(&sim);
     assert!(
         kinds(&v).contains(&Identity::ForceConsistency),

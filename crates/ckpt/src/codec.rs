@@ -94,7 +94,6 @@ impl Writer {
     /// A `u32` length followed by the string's UTF-8 bytes.
     pub fn str_field(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        // detlint::allow(D8, reason = "the field is &str, so these bytes are UTF-8 — identical on every architecture; no integer layout is involved")
         self.bytes(s.as_bytes());
     }
 

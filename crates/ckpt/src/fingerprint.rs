@@ -34,7 +34,6 @@ impl Fingerprint {
     /// Mix one labeled u64 field (f64 inputs go through `to_bits()` at the
     /// caller, keeping this crate float-free).
     pub fn field(mut self, name: &str, value: u64) -> Fingerprint {
-        // detlint::allow(D8, reason = "field labels are &str, so these bytes are UTF-8 — identical on every architecture; no integer layout is involved")
         self.h.update(name.as_bytes());
         self.h.update(&[0xff]);
         self.h.update(&value.to_le_bytes());

@@ -33,6 +33,8 @@
 //! the bottom of the workspace stack: `anton-core` depends on it, not the
 //! other way around. See DESIGN.md §12 for the format specification.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod codec;
 pub mod error;
 pub mod fingerprint;

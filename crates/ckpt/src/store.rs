@@ -14,8 +14,8 @@
 //! **Names.** Files are named by the zero-padded step counter, so the
 //! lexicographic order is the step order and the name is a pure function
 //! of simulation progress — never of wall-clock time, which would make
-//! recovery order host-dependent (that shape is the `detlint` D4 fail
-//! fixture `fail_ckpt_wallclock_name.rs`).
+//! recovery order host-dependent (clippy refuses that shape under rule
+//! D4; see the fixture `fail_ckpt_wallclock_name.rs`).
 //!
 //! **Rotation.** After each successful write the oldest files beyond
 //! `keep` are pruned, so the directory holds `ckpt-*.ant` files and

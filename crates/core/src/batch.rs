@@ -92,7 +92,7 @@ impl Q20Ladder {
     /// Panics when a half-edge is outside `(0, 1024 Å)`: beyond it the
     /// 64-bit products would wrap and silently change forces.
     pub fn new(half_edge_q20: [Q20; 3]) -> Q20Ladder {
-        let half_edge = half_edge_q20.map(|h| h.raw());
+        let half_edge = half_edge_q20.map(|h| h.0);
         for h in half_edge {
             assert!(
                 h > 0 && h < Self::HALF_EDGE_BOUND,
@@ -197,7 +197,7 @@ impl MatchCache {
         MatchCache {
             ref_pos: Vec::new(),
             ladder,
-            thresh2_q20: Q20::from_f64(thresh * thresh).raw(),
+            thresh2_q20: Q20::from_f64(thresh * thresh).0,
             movers: Vec::new(),
         }
     }
@@ -653,7 +653,7 @@ mod tests {
         let cube32 = Q20Ladder::new([Q20::from_f64(16.0); 3]);
         for ang in [8i32, 9] {
             let on = ang << 27;
-            let r2_on = Q20::from_f64(f64::from(ang * ang)).raw();
+            let r2_on = Q20::from_f64(f64::from(ang * ang)).0;
             for (delta, want_over) in [(on, false), (on + (1 << 7), true), (-on, false)] {
                 let got = cube32.delta_r2([0, delta, 0], [0; 3]);
                 assert_eq!(got, cube32.delta_r2_i128([0, delta, 0], [0; 3]));

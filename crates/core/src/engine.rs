@@ -309,15 +309,12 @@ impl AntonSimulation {
         let pos = &mut self.vsite_pos;
         self.state.decode_positions_into(&self.system.pbox, pos);
         let pbox = self.system.pbox;
-        let e = pbox.edge();
         for v in &self.system.topology.virtual_sites {
             let ra = pos[v.a as usize];
             let dab = pbox.min_image(pos[v.b as usize], ra);
             let dac = pbox.min_image(pos[v.c as usize], ra);
             let p = ra + (dab + dac) * (0.5 * v.gamma);
-            let w = pbox.wrap(p);
-            self.state
-                .set_position_frac(v.site as usize, [w.x / e.x, w.y / e.y, w.z / e.z]);
+            self.state.set_position(&pbox, v.site as usize, p);
         }
     }
 
@@ -422,14 +419,11 @@ impl AntonSimulation {
             SHAKE_MAX_ITERS,
         );
         // Write back: positions and constrained velocities.
-        let e = pbox.edge();
         let dt = self.system.params.dt_fs;
         for &a in &self.constrained {
             let i = a as usize;
             let (p, p_ref) = (self.pos[i], self.pos_ref[i]);
-            let w = pbox.wrap(p);
-            self.state
-                .set_position_frac(i, [w.x / e.x, w.y / e.y, w.z / e.z]);
+            self.state.set_position(&pbox, i, p);
             let v = pbox.min_image(p, p_ref) * (1.0 / dt);
             self.state.velocities[i] = [
                 rne_f64_to_i64(v.x * VEL_SCALE),

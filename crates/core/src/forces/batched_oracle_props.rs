@@ -293,7 +293,7 @@ fn queued_pairs_equal_the_all_pairs_padded_oracle() {
             cells.iter().product::<usize>(),
             "case {case}"
         );
-        let raw = |a: usize| state.positions[a].0.map(|c| c.raw());
+        let raw = |a: usize| state.positions[a].0.map(|c| c.0);
         let mut want_pairs = Vec::new();
         let mut want = RawForces::zeroed(sys.n_atoms());
         for i in 0..sys.n_atoms() {
@@ -386,7 +386,7 @@ fn mover_pairs_keep_forces_bitwise_invariant() {
     // The solvent atom nearest the +x face.
     let seam = (chain_len..n)
         .filter(|&s| s != a && s != b)
-        .max_by_key(|&s| home.positions[s].0[0].raw())
+        .max_by_key(|&s| home.positions[s].0[0].0)
         .unwrap();
     let movers = [hot as usize, a, b, seam];
 
@@ -498,12 +498,12 @@ fn mover_pairs_keep_forces_bitwise_invariant() {
         // An excluded partner of the far mover inside the cutoff now that
         // was outside the padded cutoff at the epoch: the scan met it and
         // dropped it.
-        let raw = |p: &FxVec3| p.0.map(|c| c.raw());
+        let raw = |p: &FxVec3| p.0.map(|c| c.0);
         if !schedules[0][step as usize] {
             let hot_now = raw(&state.positions[hot as usize]);
             let hot_then = raw(&epoch[hot as usize]);
             let (_, moved2) = pipe.ladder.delta_r2(hot_now, hot_then);
-            saw_far |= moved2 > Q20::from_f64(PAIRLIST_SLACK * PAIRLIST_SLACK).raw();
+            saw_far |= moved2 > Q20::from_f64(PAIRLIST_SLACK * PAIRLIST_SLACK).0;
             saw_skipped_exclusion |= excluded.iter().any(|&j| {
                 let (_, r2) = pipe
                     .ladder
@@ -528,7 +528,7 @@ fn mover_pairs_keep_forces_bitwise_invariant() {
     assert!(saw_14, "no 1-4 lane in the mover queue");
     assert!(saw_skipped_exclusion, "no excluded partner met by the scan");
     assert!(saw_far, "no mover displaced by more than the slack");
-    let seam_x = |st: &FixedState| st.positions[seam].0[0].raw();
+    let seam_x = |st: &FixedState| st.positions[seam].0[0].0;
     assert!(
         seam_x(&home) > 0 && seam_x(&state) < 0,
         "the seam mover did not cross the +x face"

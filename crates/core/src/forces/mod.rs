@@ -56,6 +56,7 @@ use anton_machine::perf::ExchangeCounters;
 use anton_machine::{modeled_burst_us, Ppip};
 use anton_systems::System;
 use anton_trace::{Phase, TraceSink};
+use std::num::Wrapping;
 use std::sync::Arc;
 
 /// How force work is partitioned (never affects results, bitwise).
@@ -263,14 +264,14 @@ impl ForcePipeline {
             ranks: RankSet::build(sys, decomposition, &policy, &gse),
             gse,
             corr_kernel: DirectKernel::reference(beta, sys.params.cutoff),
-            rc2_q20: Q20::from_f64(sys.params.cutoff * sys.params.cutoff).raw(),
+            rc2_q20: Q20::from_f64(sys.params.cutoff * sys.params.cutoff).0,
             ladder,
             policy,
             pool: DetPool::new(threads),
             counters: ExchangeCounters::default(),
             trace: TraceSink::Off,
-            rc_pad2_q20,
-            r2_lb_max: (rc_pad2_q20 << 20) + (1 << 27),
+            rc_pad2_q20: rc_pad2_q20.0,
+            r2_lb_max: ((rc_pad2_q20 << 20) + Wrapping(1 << 27)).0,
             cache: MatchCache::new(ladder, PAIRLIST_SLACK),
             mover_queue: PairQueue::default(),
             scratch: Vec::new(),

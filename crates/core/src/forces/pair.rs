@@ -320,9 +320,10 @@ impl ForcePipeline {
     /// pair was matched. Coincident pairs (r² = 0) are *kept* here — the
     /// evaluator's per-step mask makes the final call either way, so the
     /// match stage only has to be conservative.
-    // The argument list is the tile-pair tuple the cell walk produces;
-    // bundling it into a struct would only rename the call sites.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the tile-pair tuple the cell walk produces; a struct would only rename the call sites"
+    )]
     fn match_tile_pair(
         &self,
         sys: &System,

@@ -48,6 +48,8 @@
 //! println!("E_total = {} kcal/mol", sim.total_energy());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod batch;
 pub mod engine;
 pub mod forces;

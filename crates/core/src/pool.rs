@@ -57,6 +57,10 @@ impl DetPool {
         }
         let chunk = items.len().div_ceil(self.threads);
         let f = &f;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D5: the one compute fan-out; workers write disjoint items and every merge is the caller's, in item order"
+        )]
         std::thread::scope(|s| {
             for (c, slice) in items.chunks_mut(chunk).enumerate() {
                 let base = c * chunk;

@@ -105,7 +105,7 @@ pub struct RankSet {
 /// Raw signed fraction bits of one position.
 #[inline]
 pub(crate) fn raw_bits(p: &FxVec3) -> [i32; 3] {
-    p.0.map(|c| c.raw())
+    p.0.map(|c| c.0)
 }
 
 /// Tile of atom `a` at `positions`: the tiling's cell of its binning

@@ -1,5 +1,7 @@
 //! Fixed-point simulation state.
 
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
+
 use anton_ckpt::{CkptError, Reader, Writer};
 use anton_fixpoint::rounding::rne_f64_to_i64;
 use anton_fixpoint::{Fx32, FxVec3};
@@ -11,20 +13,32 @@ use anton_geometry::{PeriodicBox, Vec3};
 
 /// Fraction bits of velocity raw values (Å/fs).
 pub const VEL_FRAC: u32 = 40;
-// detlint::boundary(reason = "the velocity word's f64 scale, read only where a velocity is quantized or decoded")
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "D1 boundary: the velocity word's f64 scale, exact (a power of two), read only where a velocity is quantized or decoded"
+)]
 pub const VEL_SCALE: f64 = (1u64 << VEL_FRAC) as f64;
 /// Fraction bits of force raw values (kcal/mol/Å).
 pub const FORCE_FRAC: u32 = 24;
-// detlint::boundary(reason = "the force word's f64 scale, read only where a force is quantized or decoded")
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "D1 boundary: the force word's f64 scale, exact (a power of two), read only where a force is quantized or decoded"
+)]
 pub const FORCE_SCALE: f64 = (1u64 << FORCE_FRAC) as f64;
 /// Fraction bits of energy raw values (kcal/mol).
 pub const ENERGY_FRAC: u32 = 32;
-// detlint::boundary(reason = "the energy word's f64 scale, read only where an energy is quantized or decoded")
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "D1 boundary: the energy word's f64 scale, exact (a power of two), read only where an energy is quantized or decoded"
+)]
 pub const ENERGY_SCALE: f64 = (1u64 << ENERGY_FRAC) as f64;
 /// Fraction bits of the pair ladder's displacement words (Å), which
 /// [`Q20Ladder`](crate::batch::Q20Ladder) forms and the kernels decode.
 pub const DISP_FRAC: u32 = 20;
-// detlint::boundary(reason = "the displacement word's f64 scale, read only where a kernel decodes a ladder displacement")
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "D1 boundary: the displacement word's f64 scale, exact (a power of two), read only where a kernel decodes a ladder displacement"
+)]
 pub const DISP_SCALE: f64 = (1u64 << DISP_FRAC) as f64;
 
 /// The complete dynamic state: per-axis box-fraction positions ([`FxVec3`],
@@ -40,7 +54,10 @@ pub struct FixedState {
 
 impl FixedState {
     /// Quantize f64 positions/velocities onto the fixed grids.
-    // detlint::boundary(reason = "setup-time f64 -> fixed quantization edge; every component rounds via rne_f64_to_i64 / from_unit_frac")
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "D1 boundary: setup-time f64 -> fixed quantization edge; every component rounds via rne_f64_to_i64 / from_unit_frac"
+    )]
     pub fn from_f64(pbox: &PeriodicBox, positions: &[Vec3], velocities: &[Vec3]) -> FixedState {
         assert_eq!(positions.len(), velocities.len());
         let positions = positions
@@ -65,7 +82,10 @@ impl FixedState {
 
     /// One f64 position's fraction word, as [`Self::from_f64`] forms it:
     /// wrapped into the box, then rounded per axis.
-    // detlint::boundary(reason = "setup-time f64 -> fraction quantization edge; rounds via from_unit_frac")
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "D1 boundary: f64 -> fraction quantization edge; rounds via from_unit_frac"
+    )]
     pub(crate) fn quantize_position(pbox: &PeriodicBox, p: Vec3) -> FxVec3 {
         let e = pbox.edge();
         let w = pbox.wrap(p);
@@ -77,6 +97,10 @@ impl FixedState {
     }
 
     /// Exact Cartesian decode of one position (deterministic).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "D1 boundary: an exact, read-only decode; the fraction times the edge is never accumulated back"
+    )]
     #[inline]
     pub fn decode_position(&self, pbox: &PeriodicBox, i: usize) -> Vec3 {
         let e = pbox.edge();
@@ -100,7 +124,10 @@ impl FixedState {
     }
 
     /// Velocity of atom `i` in Å/fs.
-    // detlint::boundary(reason = "exact Q40 -> f64 decode for kernel interiors and diagnostics; read-only")
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "D1 boundary: exact Q40 -> f64 decode for kernel interiors and diagnostics; read-only"
+    )]
     #[inline]
     pub fn velocity_f64(&self, i: usize) -> Vec3 {
         Vec3::new(
@@ -119,11 +146,12 @@ impl FixedState {
         }
     }
 
-    /// Overwrite a position from a freshly computed fraction (virtual sites).
-    // detlint::boundary(reason = "virtual-site f64 -> fraction quantization edge; rounds via from_unit_frac")
+    /// Overwrite one position from a freshly computed Cartesian one
+    /// (virtual sites, the constraint write-back), quantized as
+    /// [`Self::from_f64`] does.
     #[inline]
-    pub fn set_position_frac(&mut self, i: usize, frac: [f64; 3]) {
-        self.positions[i] = FxVec3::from_unit_frac(frac);
+    pub fn set_position(&mut self, pbox: &PeriodicBox, i: usize, p: Vec3) {
+        self.positions[i] = Self::quantize_position(pbox, p);
     }
 
     /// Apply a quantized position increment (drift), wrapping periodically.
@@ -147,7 +175,7 @@ const VEL_BYTES: usize = 24;
 fn write_positions(w: &mut Writer, positions: &[FxVec3]) {
     for p in positions {
         for a in p.0 {
-            w.i32(a.raw());
+            w.i32(a.0);
         }
     }
 }

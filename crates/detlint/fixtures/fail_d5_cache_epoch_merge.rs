@@ -1,8 +1,8 @@
-// Fixture: linted as crates/core/src/bad.rs — D5 fires when the match-cache
-// rebuild decision is derived from per-thread displacement maxima draining
-// off a channel: the fold sees slab results in thread-completion order, so
-// ties between equal maxima (and any non-associative combine swapped in
-// later) make the cache epoch a function of scheduling, not the trajectory.
+// Fixture: linted as crates/core/src/bad.rs — the match-cache rebuild
+// decision derived from per-thread displacement maxima draining off a
+// channel: the fold sees slab results in thread-completion order, so the
+// cache epoch becomes a function of scheduling, not the trajectory. D5
+// bans the `Receiver` type.
 
 pub fn rebuild_epoch(rx: &std::sync::mpsc::Receiver<i64>, threshold: i64) -> bool {
     let max_disp = rx.try_iter().fold(0i64, i64::max);
@@ -10,6 +10,6 @@ pub fn rebuild_epoch(rx: &std::sync::mpsc::Receiver<i64>, threshold: i64) -> boo
 }
 
 pub fn slabs_reported(rx: &std::sync::mpsc::Receiver<i64>) -> usize {
-    // Order-insensitive combinators stay fine even on a channel drain.
+    // Even an order-insensitive drain is refused: the ban is on the type.
     rx.try_iter().count()
 }

@@ -1,12 +1,12 @@
-// Fixture: linted as crates/core/src/bad.rs — D5 fires when a std::thread
-// fan-out or channel drain feeds an order-sensitive float reduction: the
-// accumulation order is the thread finish order.
+// Fixture: linted as crates/core/src/bad.rs — a channel drain feeding an
+// order-sensitive float reduction: the accumulation order is the thread
+// finish order. D5 bans the `Receiver` type outright.
 
 pub fn total_energy(rx: &std::sync::mpsc::Receiver<f64>) -> f64 {
     rx.try_iter().sum()
 }
 
 pub fn drained(rx: &std::sync::mpsc::Receiver<f64>) -> usize {
-    // Order-insensitive combinators are fine even on a channel drain.
+    // Even an order-insensitive drain is refused: the ban is on the type.
     rx.try_iter().count()
 }

@@ -1,7 +1,7 @@
-// Fixture: linted as crates/core/src/bad.rs — D7 fires on a match-batch
-// kernel doing bare arithmetic on raw fixed-point lanes: the unchecked ops
-// panic in debug and silently wrap in release, off the sanctioned
-// two's-complement path the batch pipeline is audited against.
+// Fixture: linted as crates/core/src/bad.rs — a match-batch kernel doing
+// bare integer arithmetic on raw fixed-point lanes. `raw()` returns a
+// `Wrapping`, so each op is refused by type; the comparison-only cutoff
+// test compiles.
 
 use anton_fixpoint::{Fx32, Q20};
 

@@ -1,8 +1,7 @@
-// Fixture: linted as crates/core/src/bad.rs — D7 fires on bare arithmetic
-// over raw Q20 displacement components in a match-cache monitor: outside
-// the fixpoint wrappers the subtraction panics in debug and wraps in
-// release, and the doubled threshold comparison silently loses the top bit
-// for displacements near the Q20 headroom.
+// Fixture: linted as crates/core/src/bad.rs — bare integer arithmetic over
+// raw Q20 displacement components in a match-cache monitor: the
+// subtraction, the doubled threshold and the shift are refused by type
+// (`raw()` returns a `Wrapping`); the epoch-equality comparison compiles.
 
 use anton_fixpoint::{Fx32, Q20};
 

@@ -1,7 +1,7 @@
-// Fixture: linted as crates/core/src/bad.rs — D7 fires on unchecked
-// arithmetic adjacent to a raw fixed-point read: outside fixpoint's
-// wrapper modules the bare ops panic in debug and silently wrap in
-// release, off the sanctioned two's-complement path.
+// Fixture: linted as crates/core/src/bad.rs — bare arithmetic on a raw
+// fixed-point word, used as if it were a plain integer. `raw()` returns a
+// `Wrapping`, so `+ - * <<` on it can only be the two's-complement wrap,
+// and code that needs an unchecked integer result does not type-check.
 
 use anton_fixpoint::{Fx32, Q20};
 
@@ -26,5 +26,5 @@ pub fn compare_is_fine(a: Fx32, b: Fx32) -> bool {
 }
 
 pub fn index_is_fine(cells: &[u32], q: Q20) -> u32 {
-    cells[q.raw() as usize]
+    cells[q.raw().0 as usize]
 }

@@ -1,14 +1,16 @@
-// Fixture: linted as crates/core/src/bad.rs — META fires on malformed
-// directives so a typo can never silently disable a rule.
+// Fixture: linted as crates/core/src/bad.rs — malformed escapes: a typo
+// cannot silently disable a rule, and every escape says why and must fire.
 
-// detlint::allow(D9, reason = "no such rule")
+#[expect(clippy::disalowed_methods, reason = "no such lint")]
 pub fn a() {}
 
-// detlint::allow(D4)
+#[allow(clippy::needless_range_loop)]
 pub fn b() {}
 
-// detlint::boundary(because = "wrong key")
-pub fn c() {}
+#[expect(clippy::float_arithmetic)]
+pub fn c(x: f64) -> f64 {
+    x * x
+}
 
-// detlint::permit(D4, reason = "unknown verb")
+#[expect(clippy::disallowed_methods, reason = "an escape that never fires")]
 pub fn d() {}

@@ -1,6 +1,6 @@
 // Fixture: linted as crates/trace/src/bad.rs — the trace crate sits on the
-// simulation path, so an unsanctioned wall-clock read (no allow directive)
-// is a D4 violation like anywhere else in the deterministic core.
+// simulation path, so an unsanctioned wall-clock read (no audited expect)
+// is refused like anywhere else in the deterministic core.
 
 use std::time::Instant;
 

@@ -1,11 +1,12 @@
-// Fixture: linted as crates/ewald/src/good.rs — a well-formed allow
-// suppresses exactly its rule on the directive line and the next code line.
+// Fixture: linted as crates/trace/src/clock.rs, an audited file — a
+// reasoned expect silences exactly its lint, and detlint records it with
+// its reason.
 
-// detlint::allow(D4, reason = "coarse profiling timer; result never feeds the trajectory")
+#[expect(clippy::disallowed_types, reason = "coarse profiling timer; result never feeds the trajectory")]
 use std::time::Instant;
 
 pub fn profiled() -> u128 {
-    // detlint::allow(D4, reason = "coarse profiling timer; result never feeds the trajectory")
+    #[expect(clippy::disallowed_types, clippy::disallowed_methods, reason = "coarse profiling timer; result never feeds the trajectory")]
     let t0 = Instant::now();
     t0.elapsed().as_nanos()
 }

@@ -1,7 +1,12 @@
-// Fixture: linted as crates/fixpoint/src/fx32.rs — a declared quantization
-// boundary admits D1 floats and D3 casts for the whole following item.
+// Fixture: linted as crates/fixpoint/src/fx32.rs — a reasoned expect of the
+// float and cast lints marks a quantization boundary: clippy admits the
+// escape while it fires, and detlint admits the item's f64 tokens.
 
-// detlint::boundary(reason = "documented f64 -> fixed quantization edge")
+#[expect(
+    clippy::float_arithmetic,
+    clippy::cast_possible_truncation,
+    reason = "documented f64 -> fixed quantization edge"
+)]
 pub fn from_f64(x: f64) -> i32 {
     let scaled = x * (1u64 << 31) as f64;
     scaled as i64 as i32

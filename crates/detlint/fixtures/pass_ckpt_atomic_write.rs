@@ -1,7 +1,7 @@
 // Fixture: linted as crates/ckpt/src/good.rs — the sanctioned checkpoint
 // store shape. File names derive from the step counter (deterministic,
 // zero-padded) and writes go through tmp + fsync + atomic rename: nothing
-// here reads a clock, so nothing needs an allow.
+// here reads a clock, so nothing needs an escape.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};

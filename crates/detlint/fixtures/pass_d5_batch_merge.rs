@@ -1,8 +1,8 @@
-// Fixture: linted as crates/core/src/good.rs — the batched match/evaluate
-// fan-out in its sanctioned shape: scoped workers fill disjoint per-rank
-// batch queues (private force buffers included), then the caller walks the
-// queues serially in fixed rank order and merges with wrapping adds. No
-// reduction ever sees data in thread-completion order.
+// Fixture: linted as crates/core/src/pool.rs, the audited pool — the
+// batched match/evaluate fan-out in its sanctioned shape: scoped workers
+// fill disjoint per-rank batch queues (private force buffers included),
+// then the caller walks the queues serially in fixed rank order and merges
+// with wrapping adds. No reduction sees data in thread-completion order.
 
 pub struct RankBatches {
     pub lanes: Vec<[i64; 8]>,
@@ -10,6 +10,10 @@ pub struct RankBatches {
 }
 
 pub fn fanout_and_merge(ranks: &mut [RankBatches], out: &mut [i64]) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the audited fan-out: workers write disjoint buffers, the caller merges in rank order"
+    )]
     std::thread::scope(|s| {
         for rank in ranks.iter_mut() {
             s.spawn(move || {

@@ -1,10 +1,14 @@
-// Fixture: linted as crates/core/src/good.rs — the displacement monitor in
-// its sanctioned shape: scoped workers write each slab's maximum into its
-// own pre-allocated slot, then the caller folds the slots serially in slab
-// order. The rebuild decision is a pure function of the trajectory — the
-// same epoch schedule on every node count, thread count, and rerun.
+// Fixture: linted as crates/core/src/pool.rs, the audited pool — the
+// displacement monitor in its sanctioned shape: scoped workers write each
+// slab's maximum into its own pre-allocated slot, then the caller folds
+// the slots serially in slab order. The rebuild decision is a pure
+// function of the trajectory on every node count, thread count and rerun.
 
 pub fn slab_maxima(slabs: &mut [(Vec<i64>, i64)]) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the audited fan-out: workers write disjoint buffers, the caller merges in rank order"
+    )]
     std::thread::scope(|s| {
         for (disps, max_out) in slabs.iter_mut() {
             s.spawn(move || {

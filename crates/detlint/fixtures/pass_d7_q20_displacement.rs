@@ -1,18 +1,16 @@
 // Fixture: linted as crates/core/src/good.rs — the displacement monitor in
 // its sanctioned shape: minimum-image displacements via wrapping_sub, the
-// doubled-threshold test via the audited shift with its headroom argument,
-// and raw reads confined to comparisons.
+// doubled threshold on the `Wrapping` word, raw reads in comparisons.
 
 use anton_fixpoint::{Fx32, Q20};
 
 pub fn displacement(cur: Fx32, reference: Fx32) -> Fx32 {
     // Wrapping subtraction *is* the minimum-image convention in box-fraction
-    // coordinates; no raw arithmetic escapes the wrapper.
+    // coordinates.
     cur.wrapping_sub(reference)
 }
 
 pub fn crossed(max_disp: Q20, slack: Q20) -> bool {
-    // detlint::allow(D7, reason = "2*max_disp with max_disp bounded by the pairlist slack, orders of magnitude under the Q20 headroom; audited in DESIGN.md §15")
     (max_disp.raw() << 1) >= slack.raw()
 }
 

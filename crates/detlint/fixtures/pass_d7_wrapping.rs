@@ -1,7 +1,6 @@
-// Fixture: linted as crates/core/src/good.rs — the sanctioned shapes: all
-// arithmetic on fixed-point values goes through the fixpoint wrappers
-// (wrapping_add/sub/neg, mul, rne_shr_*); raw reads only feed comparisons,
-// indexing, serialization, or explicitly allowed audited sites.
+// Fixture: linted as crates/core/src/good.rs — the sanctioned shapes: the
+// fixpoint wrappers, or arithmetic on the `Wrapping` word `raw()` returns,
+// which is the two's-complement wrap by type.
 
 use anton_fixpoint::{Fx32, Q20};
 
@@ -13,15 +12,14 @@ pub fn minimum_image(a: Fx32, b: Fx32) -> Fx32 {
     a.wrapping_sub(b)
 }
 
-pub fn product(a: Q20, b: Q20) -> Q20 {
-    a.mul(b)
+pub fn sum(a: Q20, b: Q20) -> Q20 {
+    Q20::from_raw((a.raw() + b.raw()).0)
 }
 
-pub fn bucket(q: Q20, shift: u32) -> usize {
-    (q.raw() >> shift) as usize
+pub fn bucket(q: Q20, shift: usize) -> usize {
+    (q.raw() >> shift).0 as usize
 }
 
-pub fn audited(q: Q20) -> i64 {
-    // detlint::allow(D7, reason = "doubling a Q20 whose magnitude is bounded by the box edge; audited against the Q20 headroom analysis in DESIGN.md")
-    q.raw() << 1
+pub fn doubled(q: Q20) -> i64 {
+    (q.raw() << 1).0
 }

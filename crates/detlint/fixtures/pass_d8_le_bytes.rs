@@ -1,7 +1,7 @@
 // Fixture: linted as crates/ckpt/src/good.rs — the sanctioned payload
 // shape: every integer crosses into bytes through an explicit little-
-// endian encode, and the one untyped byte view (UTF-8 text) carries an
-// audited allow.
+// endian encode, and UTF-8 text (`str::as_bytes`) needs no escape: it has
+// no host-endian structure.
 
 pub fn encode_step(step: u64, out: &mut Vec<u8>) {
     out.extend_from_slice(&step.to_le_bytes());
@@ -12,8 +12,7 @@ pub fn decode_step(b: [u8; 8]) -> u64 {
 }
 
 pub fn hash_name(h: &mut u64, name: &str) {
-    // detlint::allow(D8, reason = "str::as_bytes is UTF-8: a byte sequence with no host-endian structure")
     for &b in name.as_bytes() {
-        *h = (*h ^ b as u64).wrapping_mul(0x100000001b3);
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x100000001b3);
     }
 }

@@ -1,4 +1,4 @@
-// Fixture: linted as crates/core/src/good.rs — rule-triggering identifiers
+// Fixture: linted as crates/core/src/state.rs — rule-triggering identifiers
 // inside raw strings, ordinary strings, and nested block comments are
 // *text*, not code: none of these may fire, and the lexer must come out of
 // every literal in sync so the real code after them still lints correctly.
@@ -21,4 +21,8 @@ pub fn after_comments(x: u64) -> u64 {
 
 pub fn byte_strings() -> (&'static [u8], u8) {
     (br#"SystemTime inside bytes"#, b'"')
+}
+
+pub fn escapes_as_text() -> &'static str {
+    "#[expect(clippy::disallowed_types, reason = \"text, not an attribute\")] 2.5f64"
 }

@@ -1,16 +1,16 @@
-// Fixture: linted as crates/trace/src/good.rs — the sanctioned trace shape.
-// The single wall-clock read sits behind an audited detlint::allow(D4);
-// per-rank lanes are filled by scoped workers (private buffers, integer
-// timestamps only) and drained serially in fixed rank order.
+// Fixture: linted as crates/trace/src/clock.rs — the sanctioned trace
+// shape. The single wall-clock read sits behind the audited expect;
+// per-rank lanes hold integer timestamps only and drain serially in fixed
+// rank order.
 
 pub struct TraceClock {
-    // detlint::allow(D4, reason = "trace clock origin: measured ns are observability payload only; no trace value ever flows back into simulation state")
+    #[expect(clippy::disallowed_types, reason = "trace clock origin: measured ns are observability payload only; no trace value ever flows back into simulation state")]
     origin: std::time::Instant,
 }
 
 impl TraceClock {
     pub fn now_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
+        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 
@@ -18,20 +18,12 @@ pub struct Lane {
     pub entries: Vec<(u64, u64)>,
 }
 
-pub fn record_and_merge(lanes: &mut [Lane], clock: &TraceClock) -> Vec<(u32, u64, u64)> {
-    std::thread::scope(|s| {
-        for lane in lanes.iter_mut() {
-            s.spawn(move || {
-                let t = clock.now_ns();
-                lane.entries.push((t, clock.now_ns()));
-            });
-        }
-    });
+pub fn merge(lanes: &mut [Lane]) -> Vec<(usize, u64, u64)> {
     // Deterministic merge: slice order is rank order, never finish order.
     let mut spans = Vec::new();
     for (rank, lane) in lanes.iter_mut().enumerate() {
         for (start, end) in lane.entries.drain(..) {
-            spans.push((rank as u32, start, end));
+            spans.push((rank, start, end));
         }
     }
     spans

@@ -1,54 +1,47 @@
-//! # detlint — determinism static analysis for the Anton workspace
+//! # detlint — the determinism rules clippy and the types cannot state
 //!
-//! Bitwise reproducibility is a core claim of the Anton design (DESIGN.md):
-//! the simulation path does all accumulation in two's-complement fixed point,
-//! so results are independent of summation order, thread count and host.
-//! That property is easy to destroy with one stray `f64`, one `HashMap`
-//! iteration, or one `Instant::now()` branch. detlint is the tier-1 gate
-//! that keeps those out.
+//! Bitwise reproducibility is a core claim of the Anton design (DESIGN.md
+//! §8): the simulation path does all accumulation in two's-complement fixed
+//! point, so results are independent of summation order, thread count and
+//! host. The policy that keeps it so is stated where a tool can check it:
 //!
-//! ## Rules
+//! | id | rule | enforcer |
+//! |----|------|----------|
+//! | D1 | no float arithmetic in the fixed-point core | `clippy::float_arithmetic`, denied in `fixpoint`, `core/src/state.rs`, `analysis/src/verify.rs` |
+//! | D1 | no `f32`/`f64`/float literal in [`policy::D1_FILES`] | detlint ([`lint_source`]) |
+//! | D2 | no `HashMap`/`HashSet` | `clippy.toml` `disallowed-types` |
+//! | D3 | no lossy integer cast in `fixpoint` | `clippy::cast_possible_truncation`, `cast_possible_wrap`, `cast_sign_loss` |
+//! | D4 | no wall clock or thread topology | `clippy.toml` `disallowed-types` / `disallowed-methods` |
+//! | D5 | no thread fan-out or channel drain outside the audited pools | `clippy.toml` `disallowed-methods` / `disallowed-types` |
+//! | D6 | a ban escape only in [`policy::NONDET_AUDITED_FILES`] | detlint ([`lint_source`]) |
+//! | D7 | raw fixed-point words wrap | the type: `Fx32::raw`/`Q::raw` return `Wrapping` |
+//! | D8 | no native-endian byte layout | `clippy.toml` `disallowed-methods` |
+//! | META | every escape says why | `clippy::allow_attributes_without_reason`, `#[expect]` |
 //!
-//! | id | policed code | what it flags |
-//! |----|--------------|---------------|
-//! | D1 | fixed-point core + bit-exact state ([`policy::D1_FILES`]) | float literals, `f32`/`f64` |
-//! | D2 | deterministic crates + `systems` | `HashMap`/`HashSet` (unordered iteration) |
-//! | D3 | `fixpoint` outside `rounding.rs` | lossy integer `as` casts |
-//! | D4 | deterministic crates | `Instant`, `SystemTime`, thread-topology reads |
-//! | D5 | deterministic crates | rayon reductions (`par_iter().sum()` etc.) |
-//! | D6 | wherever D2, D4 or D5 applies | a `detlint::allow` of one of them in a file [`policy::NONDET_AUDITED_FILES`] does not name |
-//! | D7 | deterministic crates outside `fixpoint` | unchecked `+ - * <<` on raw fixed-point values (`.raw()`) |
-//! | D8 | `ckpt` + `trace` payload paths | native-endian byte serialization (`to_ne_bytes`, `transmute`, `as_bytes`, ...) |
-//! | META | everywhere | malformed detlint directives |
+//! The bans bite in the crates whose root carries [`policy::BANS_ATTR`];
+//! test code is exempt through its `cfg_attr(not(test), ..)`.
 //!
-//! Every rule is lexical and per-file ([`lint_source`]): it reads one
-//! token stream and one table in [`policy`]. The workspace result
-//! ([`lint_sources`]) is the concatenation, sorted by path.
+//! detlint is a library and a tier-1 test suite, not a CLI: the fixture
+//! tests drive [`lint_source`] and, through [`clippy::run`], clippy itself
+//! on throw-away crates built from `fixtures/`; `workspace_is_clean` runs
+//! both over the real tree.
 //!
-//! `#[cfg(test)]` regions are exempt, as are `tests/`, `benches/`,
-//! `examples/` and `src/bin` trees: the rules police shipped simulation
-//! code (`crates/<c>/src/**`) only.
+//! ## Boundaries and escapes
 //!
-//! ## Escape hatches
-//!
-//! * `// detlint::allow(D7, reason = "...")` — suppresses one rule on the
-//!   directive's line and the next code line. The reason is mandatory.
-//!   Allowing D2, D4 or D5 is itself a violation (D6) outside the audited
-//!   files, and D6 has no allow: admitting a wall-clock, hash-order or
-//!   reduction-order site takes an edit to `policy.rs`.
-//! * `// detlint::boundary(reason = "...")` — declares the next item an
-//!   audited quantization boundary: D1 and D3 are permitted inside it.
-//!   This is how the `from_f64`/`to_f64` conversions are marked. In a file
-//!   where neither D1 nor D3 applies the directive is malformed.
-//!
-//! Malformed directives (unknown rule id, missing reason) are themselves
-//! violations (META), so a typo cannot silently disable a rule.
+//! * A D1 boundary is the item under a reasoned
+//!   `#[expect(clippy::float_arithmetic | clippy::cast_precision_loss, reason = "..")]`.
+//!   Clippy fails the build when the escape stops firing; detlint admits
+//!   `f32`/`f64` and float literals inside the item.
+//! * A ban escape is a reasoned `#[expect(clippy::disallowed_*, reason = "..")]`.
+//!   Outside the audited files it is a D6 violation (any `allow`, `expect`
+//!   or `warn` of the two lints, `cfg_attr`-wrapped or not), and D6 has no
+//!   escape: admitting a site takes an edit to `policy.rs`.
 
+pub mod clippy;
 pub mod lexer;
 pub mod lint;
 pub mod policy;
-pub mod report;
 pub mod rules;
 
 pub use lint::{lint_sources, lint_workspace, WorkspaceLint};
-pub use rules::{lint_source, Allow, Boundary, FileLint, Violation};
+pub use rules::{lint_source, Boundary, Escape, FileLint, Violation};

@@ -1,7 +1,7 @@
 //! Workspace walking and aggregation: every rule is per-file, so the
 //! workspace result is the sorted concatenation of the per-file ones.
 
-use crate::rules::{lint_source, Allow, Boundary, Violation};
+use crate::rules::{lint_source, Escape, Violation};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -12,8 +12,7 @@ pub struct WorkspaceLint {
     /// Workspace-relative paths of every `.rs` file scanned, sorted.
     pub files: Vec<String>,
     pub violations: Vec<Violation>,
-    pub allows: Vec<Allow>,
-    pub boundaries: Vec<Boundary>,
+    pub escapes: Vec<Escape>,
 }
 
 /// Directories never scanned: build output, the vendored dependency
@@ -56,8 +55,7 @@ pub fn lint_sources(files: &[(String, String)]) -> WorkspaceLint {
         let lint = lint_source(rel, src);
         ws.files.push(rel.to_string());
         ws.violations.extend(lint.violations);
-        ws.allows.extend(lint.allows);
-        ws.boundaries.extend(lint.boundaries);
+        ws.escapes.extend(lint.escapes);
     }
 
     ws

@@ -19,6 +19,8 @@
 //!   force-error references of Table 4.
 //! * [`mesh`] — shared mesh/k-vector bookkeeping.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod direct;
 pub mod exact;
 pub mod gse;

@@ -17,6 +17,8 @@
 //!   small messages (hundreds per node on the 512-node machine), which the
 //!   model counts for the performance model.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod complex;
 pub mod distributed;
 pub mod fft1d;

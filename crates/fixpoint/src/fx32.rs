@@ -1,5 +1,7 @@
 //! 32-bit signed fraction in `[-1, 1)` with wrapping (periodic) arithmetic.
 
+use core::num::Wrapping;
+
 /// A 32-bit signed fixed-point fraction: `value = raw * 2^-31`, in `[-1, 1)`.
 ///
 /// Addition and subtraction wrap in the natural two's-complement way, exactly
@@ -16,14 +18,20 @@ impl Fx32 {
     /// Number of fraction bits.
     pub const FRAC: u32 = 31;
     /// Smallest representable increment (2^-31).
-    // detlint::boundary(reason = "grid-spacing constant used only when quantizing at the f64 edge")
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "D1 boundary: the grid spacing, exact in f64 (a power of two), read only when quantizing or decoding at the f64 edge"
+    )]
     pub const EPSILON: f64 = 1.0 / (1u64 << 31) as f64;
 
     /// Quantize an `f64` in (approximately) `[-1, 1)` to the fraction grid
     /// with round-to-nearest/even, wrapping values outside the range onto the
     /// periodic interval.
-    // detlint::boundary(reason = "the f64 -> fraction quantization edge; rounds via rne_f64 before any accumulation")
-    #[allow(clippy::float_arithmetic, clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        reason = "D1 boundary: the f64 -> fraction quantization edge; rounds via rne_f64 before any accumulation"
+    )]
     #[inline]
     pub fn from_f64_wrapped(x: f64) -> Fx32 {
         // Reduce to [-1, 1) first so the scaled value fits comfortably in i64.
@@ -33,16 +41,20 @@ impl Fx32 {
     }
 
     /// The real value represented, in `[-1, 1)`.
-    // detlint::boundary(reason = "exact fraction -> f64 decode (31 bits fit a double); read-only, never accumulated back")
-    #[allow(clippy::float_arithmetic)]
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "D1 boundary: exact fraction -> f64 decode (31 bits fit a double); read-only, never accumulated back"
+    )]
     #[inline]
     pub fn to_f64(self) -> f64 {
         self.0 as f64 * Self::EPSILON
     }
 
+    /// The raw word as a [`Wrapping`]: `+ - * <<` on it are the
+    /// two's-complement wrap by type, never a debug-build overflow panic.
     #[inline]
-    pub fn raw(self) -> i32 {
-        self.0
+    pub fn raw(self) -> Wrapping<i32> {
+        Wrapping(self.0)
     }
 
     #[inline]
@@ -68,8 +80,6 @@ impl core::fmt::Debug for Fx32 {
 }
 
 #[cfg(test)]
-// Tests measure quantization error against f64 references by design.
-#[allow(clippy::float_arithmetic)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -83,7 +93,7 @@ mod tests {
         assert!((b.to_f64() + 0.75).abs() < 2.0 * Fx32::EPSILON);
         // -1.0 is representable exactly.
         let c = Fx32::from_f64_wrapped(-1.0);
-        assert_eq!(c.raw(), i32::MIN);
+        assert_eq!(c.raw().0, i32::MIN);
     }
 
     #[test]

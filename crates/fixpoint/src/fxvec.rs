@@ -14,8 +14,10 @@ impl FxVec3 {
     /// Build from box-fraction coordinates in `[0, 1)` (the conventional MD
     /// fractional coordinate), mapping onto the symmetric `[-1, 1)` fraction
     /// representation used internally.
-    // detlint::boundary(reason = "per-axis f64 -> fraction quantization edge; delegates to Fx32::from_f64_wrapped")
-    #[allow(clippy::float_arithmetic)]
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "D1 boundary: per-axis f64 -> fraction quantization edge; delegates to Fx32::from_f64_wrapped"
+    )]
     #[inline]
     pub fn from_unit_frac(f: [f64; 3]) -> FxVec3 {
         FxVec3([
@@ -26,8 +28,10 @@ impl FxVec3 {
     }
 
     /// Fractional coordinates in `[0, 1)`.
-    // detlint::boundary(reason = "exact fraction -> f64 decode; read-only, never accumulated back")
-    #[allow(clippy::float_arithmetic)]
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "D1 boundary: exact fraction -> f64 decode; read-only, never accumulated back"
+    )]
     #[inline]
     pub fn to_unit_frac(self) -> [f64; 3] {
         let f = |a: Fx32| (a.to_f64() + 1.0) / 2.0;

@@ -34,6 +34,17 @@
 //!   ([`rne_shr_i64`], [`rne_shr_i128`]) drop fraction bits of an integer
 //!   product; [`rounding::rne_f64_to_i64`] is the one f64 → word rounding.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
+
 pub mod fxvec;
 pub mod q;
 pub mod rounding;

@@ -1,6 +1,7 @@
 //! 64-bit Q-format fixed point with a const-generic fraction width.
 
 use crate::rounding::rne_f64;
+use core::num::Wrapping;
 
 /// A signed Q-format fixed-point value with `FRAC` fraction bits stored in an
 /// `i64`: `value = raw * 2^-FRAC`.
@@ -17,13 +18,19 @@ impl<const FRAC: u32> Q<FRAC> {
     pub const ZERO: Self = Q(0);
     pub const ONE: Self = Q(1i64 << FRAC);
     /// Smallest representable increment.
-    // detlint::boundary(reason = "grid-spacing constant used only when quantizing at the f64 edge")
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "D1 boundary: the grid spacing, exact in f64 (a power of two), read only when quantizing or decoding at the f64 edge"
+    )]
     pub const EPSILON: f64 = 1.0 / (1u128 << FRAC) as f64;
 
     /// Quantize an `f64` with round-to-nearest/even. Debug-asserts that the
     /// value is representable.
-    // detlint::boundary(reason = "the f64 -> Q quantization edge; rounds via rne_f64 before any accumulation")
-    #[allow(clippy::float_arithmetic, clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::float_arithmetic,
+        clippy::cast_possible_truncation,
+        reason = "D1 boundary: the f64 -> Q quantization edge; rounds via rne_f64 before any accumulation"
+    )]
     #[inline]
     pub fn from_f64(x: f64) -> Self {
         let scaled = rne_f64(x * (1u128 << FRAC) as f64);
@@ -34,16 +41,20 @@ impl<const FRAC: u32> Q<FRAC> {
         Q(scaled as i64)
     }
 
-    // detlint::boundary(reason = "Q -> f64 decode for diagnostics and kernel interiors; read-only, never accumulated back")
-    #[allow(clippy::float_arithmetic)]
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "D1 boundary: Q -> f64 decode for diagnostics and kernel interiors; read-only, never accumulated back"
+    )]
     #[inline]
     pub fn to_f64(self) -> f64 {
         self.0 as f64 * Self::EPSILON
     }
 
+    /// The raw word as a [`Wrapping`]: `+ - * <<` on it are the
+    /// two's-complement wrap by type, never a debug-build overflow panic.
     #[inline]
-    pub fn raw(self) -> i64 {
-        self.0
+    pub fn raw(self) -> Wrapping<i64> {
+        Wrapping(self.0)
     }
 
     #[inline]
@@ -69,8 +80,6 @@ impl<const FRAC: u32> core::fmt::Debug for Q<FRAC> {
 }
 
 #[cfg(test)]
-// Tests measure quantization error against f64 references by design.
-#[allow(clippy::float_arithmetic)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -105,7 +114,7 @@ mod tests {
             let forward = vals.iter().fold(Q20::ZERO, |s, &v| s.wrapping_add(Q20::from_raw(v)));
             let backward = vals.iter().rev().fold(Q20::ZERO, |s, &v| s.wrapping_add(Q20::from_raw(v)));
             prop_assert_eq!(forward, backward);
-            prop_assert_eq!(forward.raw() as i128, exact);
+            prop_assert_eq!(forward.raw().0 as i128, exact);
         }
     }
 }

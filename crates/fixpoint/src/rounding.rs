@@ -52,9 +52,10 @@ pub fn rne_shr_i64_bounded(x: i64, n: u32) -> i64 {
 /// The caller is responsible for choosing scales such that the rounded result
 /// fits in 64 bits; in debug builds an overflow panics, in release builds it
 /// wraps (mirroring the ASIC's wrap-tolerant accumulation).
-// The audited narrowing: callers size their Q formats so the result fits,
-// and the debug_assert below catches violations (see module docs).
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "D3: the audited narrowing; callers size their Q formats so the result fits, and the debug_assert catches violations"
+)]
 #[inline]
 pub fn rne_shr_i128(x: i128, n: u32) -> i64 {
     debug_assert!(n < 128);
@@ -78,16 +79,20 @@ pub fn rne_shr_i128(x: i128, n: u32) -> i64 {
 ///
 /// Used only at the boundary between floating-point setup code and the
 /// fixed-point simulation state; never inside the deterministic core.
-// This *is* the float quantization boundary, so the float-ban lints do not
-// apply inside it; adding 2^52 to a non-negative x < 2^52 forces the
-// fraction bits out of the mantissa, and IEEE's default round-to-nearest/
-// even mode (the only mode Rust exposes) does the tie-breaking in hardware.
+// This *is* the float quantization boundary. Adding 2^52 to a non-negative
+// x < 2^52 forces the fraction bits out of the mantissa, and IEEE's default
+// round-to-nearest/even mode (the only mode Rust exposes) does the
+// tie-breaking in hardware.
 // Two additions replace the round()/trunc() libm calls this sat on before —
 // it is the single hottest scalar in the PPIP evaluate path — and
 // `rne_f64_reference` in the tests pins the substitution bit-for-bit.
 // The negated comparison is load-bearing: NaN fails `<`, so the `!` routes
 // NaN (and ±inf) to the identity arm, exactly as round()/trunc() behaved.
-#[allow(clippy::float_arithmetic, clippy::neg_cmp_op_on_partial_ord)]
+#[expect(
+    clippy::float_arithmetic,
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "D1 boundary: the f64 rounding itself; the negated comparison routes NaN to the identity arm"
+)]
 #[inline]
 pub fn rne_f64(x: f64) -> f64 {
     const MAGIC: f64 = 4_503_599_627_370_496.0; // 2^52
@@ -122,12 +127,11 @@ pub fn rne_f64(x: f64) -> f64 {
 /// conversion. The one branch left is the magnitude guard, which a caller
 /// whose values fit its Q format never takes.
 /// `rne_f64_to_i64_matches_the_cast_of_rne_f64` pins the equality.
-// The same float quantization boundary as `rne_f64` (see there); the cast
-// reinterprets the IEEE bit pattern, it does not convert a value.
-#[allow(
+#[expect(
     clippy::float_arithmetic,
     clippy::cast_possible_truncation,
-    clippy::cast_possible_wrap
+    clippy::cast_possible_wrap,
+    reason = "D1 boundary: the same rounding as rne_f64; the u64 -> i64 cast reinterprets the IEEE bit pattern, it does not convert a value"
 )]
 #[inline]
 pub fn rne_f64_to_i64(x: f64) -> i64 {
@@ -146,7 +150,6 @@ mod tests {
 
     /// The retired round()/trunc() implementation, kept as the oracle for
     /// the magic-number fast path.
-    #[allow(clippy::float_arithmetic, clippy::cast_possible_truncation)]
     fn rne_f64_reference(x: f64) -> f64 {
         let r = x.round();
         if (x - x.trunc()).abs() == 0.5 && (r as i64) % 2 != 0 {
@@ -175,7 +178,6 @@ mod tests {
     /// both sides of its 2⁵¹ guard, of `rne_f64`'s 2⁵² one, and the
     /// saturating inputs.
     #[test]
-    #[allow(clippy::cast_possible_truncation, clippy::float_arithmetic)]
     fn rne_f64_to_i64_matches_the_cast_of_rne_f64() {
         let two52 = (2.0f64).powi(52);
         let mut probes = rne_probes();
@@ -211,7 +213,6 @@ mod tests {
     }
 
     /// The dense magnitude sweep both `rne_f64` pins run over.
-    #[allow(clippy::float_arithmetic)]
     fn rne_probes() -> Vec<f64> {
         let mut probes: Vec<f64> = vec![0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5];
         for e in -8..60 {
@@ -261,7 +262,6 @@ mod tests {
     fn rne_shr_matches_f64_rounding() {
         for x in -4096i64..4096 {
             let got = rne_shr_i64(x, 4);
-            #[allow(clippy::cast_possible_truncation)] // reference value fits i64
             let want = rne_f64(x as f64 / 16.0) as i64;
             assert_eq!(got, want, "x={x}");
         }

@@ -47,6 +47,10 @@ pub fn serve(cfg: &DaemonConfig) -> Result<(), FleetError> {
     }
     let listener = UnixListener::bind(&cfg.socket)?;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D5: workers run whole jobs, each a single-threaded deterministic engine; no value merges across threads"
+    )]
     std::thread::scope(|s| {
         for _ in 0..cfg.fleet.workers.max(1) {
             s.spawn(|| fleet.worker_loop(RunMode::Serve));

@@ -22,6 +22,8 @@
 //!   only; everything below it is platform-neutral)
 //! - [`error`]: the typed failure vocabulary
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod client;
 pub mod daemon;
 pub mod error;

@@ -295,6 +295,10 @@ impl Fleet {
     /// Batch mode: run `cfg.workers` workers until every job is done.
     pub fn run_to_completion(&self) {
         let n = self.cfg.workers.max(1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D5: workers run whole jobs, each a single-threaded deterministic engine; no value merges across threads"
+        )]
         std::thread::scope(|s| {
             for _ in 0..n {
                 s.spawn(|| self.worker_loop(RunMode::Drain));

@@ -73,7 +73,6 @@ impl JobSpec {
         JobId(
             Fingerprint::new()
                 .field("fleet_job_version", 1)
-                // detlint::allow(D8, reason = "job names are &str, so these bytes are UTF-8 — identical on every architecture; no integer layout is involved")
                 .field("name_fnv", fnv1a(self.name.as_bytes()))
                 .field("n_waters", self.n_waters as u64)
                 .field("box_edge", self.box_edge.to_bits())

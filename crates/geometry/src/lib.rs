@@ -13,6 +13,8 @@
 //! * [`voxel`] — numeric volume integration of arbitrary spatial predicates,
 //!   used to measure the import-region volumes of paper Figure 3.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod cells;
 pub mod mat3;
 pub mod pbc;

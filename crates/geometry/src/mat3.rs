@@ -52,9 +52,10 @@ impl Mat3 {
         )
     }
 
-    // Not `impl Add`: keeping matrix ops as named methods mirrors
-    // `mul_mat`/`mul_vec` and avoids operator overloading in hot paths.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "not `impl Add`: matrix ops stay named methods, like `mul_mat`/`mul_vec`"
+    )]
     pub fn add(self, o: Mat3) -> Mat3 {
         let mut r = self.0;
         for (i, row) in r.iter_mut().enumerate() {
@@ -89,9 +90,10 @@ impl Mat3 {
     /// Eigen-decomposition of a *symmetric* matrix by cyclic Jacobi rotation.
     /// Returns `(eigenvalues, eigenvectors)` with eigenvectors as the columns
     /// of the returned matrix, sorted by descending eigenvalue.
-    // Jacobi rotations address row/column pairs (p, q) of two arrays at
-    // once; index loops are clearer than split_at_mut acrobatics here.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "Jacobi rotations address row/column pairs (p, q) of two arrays at once"
+    )]
     pub fn sym_eigen(self) -> ([f64; 3], Mat3) {
         let mut a = self.0;
         let mut v = Mat3::IDENTITY.0;

@@ -18,6 +18,8 @@
 //!   column of the paper's Table 2 (see DESIGN.md §6); everything else is
 //!   prediction.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod config;
 pub mod exchange;
 pub mod flex;

@@ -268,9 +268,10 @@ pub fn remez_cubic(g: impl Fn(f64) -> f64, tol: f64) -> [f64; 4] {
 }
 
 /// Solve a 5×5 linear system by Gaussian elimination with partial pivoting.
-// Gaussian elimination touches rows r and col simultaneously; index loops
-// beat split_at_mut gymnastics for a fixed 5x5 system.
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "elimination touches rows r and col at once in a fixed 5x5 system"
+)]
 fn solve5(mut m: [[f64; 5]; 5], mut b: [f64; 5]) -> [f64; 5] {
     for col in 0..5 {
         let piv = (col..5)

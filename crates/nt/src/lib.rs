@@ -17,6 +17,8 @@
 //!   exactly-once assignment of box pairs to nodes used by the Anton
 //!   engine, validated against brute force.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod assign;
 pub mod match_efficiency;
 pub mod regions;

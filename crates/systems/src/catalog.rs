@@ -130,9 +130,10 @@ pub const TABLE4: [Table4Entry; 6] = [
 /// `extra_tail` forces that many additional heavy atoms onto the protein
 /// (BPTI's 892 = 111×8 + 4); further tail atoms are added automatically so
 /// the water particle count divides evenly.
-// The parameter list mirrors the per-system columns of Table 4; a builder
-// struct would just rename the same nine knobs.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the per-system columns of Table 4; a builder would rename the same nine knobs"
+)]
 pub fn build_solvated(
     name: &str,
     total_atoms: usize,

@@ -20,6 +20,8 @@
 //! * [`velocities`] — Maxwell–Boltzmann initialization with seeded RNG and
 //!   zero net momentum.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod catalog;
 pub mod go_model;
 pub mod protein;

@@ -25,7 +25,8 @@ pub struct Buckets {
     pbox: PeriodicBox,
     cell: f64,
     // BTreeMap, not HashMap: assembly must be reproducible, and an ordered
-    // map keeps any future iteration over buckets deterministic (detlint D2).
+    // map keeps any future iteration over buckets deterministic (rule D2,
+    // which clippy.toml bans by path).
     map: BTreeMap<(i32, i32, i32), Vec<u32>>,
     points: Vec<Vec3>,
     charges: Vec<f64>,

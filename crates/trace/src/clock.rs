@@ -2,24 +2,29 @@
 //!
 //! The determinism policy (DESIGN.md §8, rule D4) bans wall-clock reads on
 //! the simulation path because host time must never influence simulation
-//! state. Tracing needs *measured* nanoseconds, so this file is the one
-//! `detlint`'s `policy::NONDET_AUDITED_FILES` names (rule D6): a monotonic
+//! state: clippy refuses `std::time::Instant` in every policed crate.
+//! Tracing needs *measured* nanoseconds, so this file is one of those
+//! detlint's `policy::NONDET_AUDITED_FILES` names (rule D6): a monotonic
 //! clock whose readings flow only into trace events — observability output
 //! — with no path from a timestamp back to an accumulator, a position or a
-//! velocity. Each `Instant` mention below carries a `detlint::allow(D4)`
-//! with this argument; anywhere else that directive is itself a violation.
+//! velocity. The file-wide `expect` below carries that argument; anywhere
+//! else such an escape is itself a violation.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "D4: the trace clock origin; measured ns are observability payload only and never flow back into simulation state"
+)]
 
 /// Monotonic nanosecond clock, origin fixed at construction.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceClock {
-    // detlint::allow(D4, reason = "trace clock origin: measured ns are observability payload only; no trace value ever flows back into simulation state")
     origin: std::time::Instant,
 }
 
 impl TraceClock {
     pub fn new() -> TraceClock {
         TraceClock {
-            // detlint::allow(D4, reason = "trace clock origin: measured ns are observability payload only; no trace value ever flows back into simulation state")
             origin: std::time::Instant::now(),
         }
     }

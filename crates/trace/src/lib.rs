@@ -30,10 +30,12 @@
 //!    any clock read or formatting; the instrumented hot loops pay one
 //!    predictable branch.
 //!
-//! The wall-clock read itself lives behind a sanctioned
-//! `detlint::allow(D4)` boundary in [`clock`] — the one place on the
-//! simulation path allowed to observe host time, because its output is
-//! observability-only by construction.
+//! The wall-clock read itself lives behind the audited
+//! `#[expect(clippy::disallowed_types)]` in [`clock`] (rule D4) — the one
+//! place on the simulation path allowed to observe host time, because its
+//! output is observability-only by construction.
+
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod chrome;
 pub mod clock;
