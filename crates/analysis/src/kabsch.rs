@@ -54,28 +54,22 @@ pub fn kabsch_rotation(mobile: &[Vec3], target: &[Vec3]) -> Mat3 {
     r
 }
 
-/// Superpose `mobile` onto `target`: returns transformed copies of `mobile`.
-pub fn superpose(mobile: &[Vec3], target: &[Vec3]) -> Vec<Vec3> {
-    let r = kabsch_rotation(mobile, target);
-    let cm = centroid(mobile);
-    let ct = centroid(target);
-    mobile.iter().map(|&p| r.mul_vec(p - cm) + ct).collect()
-}
-
-/// RMSD after optimal superposition.
-pub fn rmsd(mobile: &[Vec3], target: &[Vec3]) -> f64 {
-    let s = superpose(mobile, target);
-    (s.iter()
-        .zip(target)
-        .map(|(a, b)| (*a - *b).norm2())
-        .sum::<f64>()
-        / s.len() as f64)
-        .sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// RMSD after optimal superposition of `mobile` onto `target`.
+    fn rmsd(mobile: &[Vec3], target: &[Vec3]) -> f64 {
+        let r = kabsch_rotation(mobile, target);
+        let (cm, ct) = (centroid(mobile), centroid(target));
+        (mobile
+            .iter()
+            .zip(target)
+            .map(|(&p, t)| (r.mul_vec(p - cm) + ct - *t).norm2())
+            .sum::<f64>()
+            / mobile.len() as f64)
+            .sqrt()
+    }
 
     fn test_points() -> Vec<Vec3> {
         vec![

@@ -11,7 +11,7 @@
 //! * [`verify`] / [`battery`] — the closed-form invariant verifier: exact
 //!   integer identities (third law, force consistency, mesh charge,
 //!   exchange census) plus bounded NVE momentum/energy checks, sampled by
-//!   its caller against a live engine after `run_cycle` (DESIGN.md §16).
+//!   its caller against a live engine after `run_cycle` (DESIGN.md §15).
 //! * [`artifacts`] — deterministic, schema-versioned CSV tables for the
 //!   paper-shaped results (Table 2/4, scaling and trace figures).
 

@@ -9,7 +9,6 @@
 //! conditions), which captures fast librations only — S² values sit higher
 //! than the paper's, but the three-way comparison structure is the point.
 
-use anton_analysis::kabsch::superpose;
 use anton_analysis::order_parameters;
 use anton_core::AntonSimulation;
 use anton_geometry::{PeriodicBox, Vec3};
@@ -158,5 +157,4 @@ pub fn run() {
         stride,
         sys.params.dt_fs * sys.params.longrange_every as f64
     );
-    let _ = superpose; // part of the public analysis API exercised in tests
 }

@@ -45,7 +45,6 @@ fn profile_x86(cutoff: f64, mesh: usize, full: bool) -> [f64; 7] {
         sim.run_cycle();
     }
     let mut prof = sim.profile;
-    prof.steps = sim.step_count().min(steps as u64 * 2);
     // Report per *inner* step, with the long-range tasks amortized over the
     // RESPA cycle like the paper's per-step numbers.
     prof.steps = (steps * 2) as u64;

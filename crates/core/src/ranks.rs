@@ -305,8 +305,8 @@ impl RankSet {
     }
 
     /// Atoms currently binned in one tile (valid after [`Self::rebin`]).
-    #[inline]
-    pub fn tile_members(&self, tile: usize) -> &[u32] {
+    #[cfg(test)]
+    pub(crate) fn tile_members(&self, tile: usize) -> &[u32] {
         self.tiles.tile(tile).atom
     }
 

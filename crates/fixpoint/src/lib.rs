@@ -22,12 +22,11 @@
 //!   per-axis as `Fx32` *fractions of the periodic box* ([`FxVec3`]), so
 //!   two's-complement wraparound implements periodic boundary conditions
 //!   and a wrapping subtraction is the minimum-image convention.
-//! * [`Q`] — a 64-bit Q-format word with a const-generic number of
-//!   fraction bits: quantize from and decode to `f64`, and the wrapping
-//!   sum the associativity tests pin. The engine keeps its force,
-//!   energy and velocity words as raw `i64`s, each with a `*_FRAC` of its
-//!   own, and forms every displacement and r² on one integer ladder,
-//!   `anton_core::batch::Q20Ladder`.
+//! * [`Q20`] — a 64-bit word with 20 fraction bits: quantize from and
+//!   decode to `f64`, and the wrapping sum the associativity tests pin.
+//!   The engine keeps its force, energy and velocity words as raw `i64`s,
+//!   each with a `*_FRAC` of its own, and forms every displacement and r²
+//!   on one integer ladder, `anton_core::batch::Q20Ladder`.
 //! * Rounding primitives implementing the ASIC's round-to-nearest/even rule
 //!   (paper Figure 4 caption), which is odd-symmetric — a property the exact
 //!   time-reversibility of the integrator depends on. The shifts
@@ -53,7 +52,7 @@ mod fx32;
 
 pub use fx32::Fx32;
 pub use fxvec::FxVec3;
-pub use q::{Q, Q20};
+pub use q::Q20;
 pub use rounding::{rne_shr_i128, rne_shr_i64};
 
 #[cfg(test)]

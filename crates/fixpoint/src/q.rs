@@ -1,28 +1,29 @@
-//! 64-bit Q-format fixed point with a const-generic fraction width.
+//! 64-bit Q20 fixed point: the engine's length and squared-length word.
 
 use crate::rounding::rne_f64;
 use core::num::Wrapping;
 
-/// A signed Q-format fixed-point value with `FRAC` fraction bits stored in an
-/// `i64`: `value = raw * 2^-FRAC`.
+/// A signed fixed-point value with [`Q20::FRAC`] fraction bits stored in an
+/// `i64`: `value = raw * 2^-20`. The engine's Q20 words are lengths (Å:
+/// half-edges, displacements) and squared lengths (Å²); its other
+/// fixed-point words are raw `i64`s with their own scales beside them in
+/// `anton_core::state`.
 ///
-/// Addition and subtraction wrap (associative, order-free). Different
-/// physical quantities use different `FRAC` widths, mirroring how each
-/// datapath on the Anton ASIC was sized individually (paper Figure 4).
+/// Addition and subtraction wrap (associative, order-free).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Q<const FRAC: u32>(pub i64);
+pub struct Q20(pub i64);
 
-pub type Q20 = Q<20>;
-
-impl<const FRAC: u32> Q<FRAC> {
-    pub const ZERO: Self = Q(0);
-    pub const ONE: Self = Q(1i64 << FRAC);
+impl Q20 {
+    /// Fraction bits.
+    pub const FRAC: u32 = 20;
+    pub const ZERO: Self = Q20(0);
+    pub const ONE: Self = Q20(1i64 << Self::FRAC);
     /// Smallest representable increment.
     #[expect(
         clippy::cast_precision_loss,
         reason = "D1 boundary: the grid spacing, exact in f64 (a power of two), read only when quantizing or decoding at the f64 edge"
     )]
-    pub const EPSILON: f64 = 1.0 / (1u128 << FRAC) as f64;
+    pub const EPSILON: f64 = 1.0 / (1u128 << Self::FRAC) as f64;
 
     /// Quantize an `f64` with round-to-nearest/even. Debug-asserts that the
     /// value is representable.
@@ -33,12 +34,12 @@ impl<const FRAC: u32> Q<FRAC> {
     )]
     #[inline]
     pub fn from_f64(x: f64) -> Self {
-        let scaled = rne_f64(x * (1u128 << FRAC) as f64);
+        let scaled = rne_f64(x * (1u128 << Self::FRAC) as f64);
         debug_assert!(
             scaled >= i64::MIN as f64 && scaled <= i64::MAX as f64,
-            "Q<{FRAC}>::from_f64 overflow: {x}"
+            "Q20::from_f64 overflow: {x}"
         );
-        Q(scaled as i64)
+        Q20(scaled as i64)
     }
 
     #[expect(
@@ -59,23 +60,23 @@ impl<const FRAC: u32> Q<FRAC> {
 
     #[inline]
     pub fn from_raw(raw: i64) -> Self {
-        Q(raw)
+        Q20(raw)
     }
 
     #[inline]
     pub fn wrapping_add(self, rhs: Self) -> Self {
-        Q(self.0.wrapping_add(rhs.0))
+        Q20(self.0.wrapping_add(rhs.0))
     }
 
     #[inline]
     pub fn wrapping_sub(self, rhs: Self) -> Self {
-        Q(self.0.wrapping_sub(rhs.0))
+        Q20(self.0.wrapping_sub(rhs.0))
     }
 }
 
-impl<const FRAC: u32> core::fmt::Debug for Q<FRAC> {
+impl core::fmt::Debug for Q20 {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "Q<{}>({:.9})", FRAC, self.to_f64())
+        write!(f, "Q20({:.9})", self.to_f64())
     }
 }
 

@@ -15,7 +15,7 @@ fn main() {
 
 #[cfg(unix)]
 fn run(args: Vec<String>) -> i32 {
-    use anton_fleet::{FleetClient, JobId, JobSpec};
+    use anton_fleet::{FleetClient, JobId};
 
     let mut socket = None;
     let mut rest = Vec::new();
@@ -52,25 +52,9 @@ fn run(args: Vec<String>) -> i32 {
             println!("pong: {jobs} jobs, queue revision {revision}");
         }),
         "submit" => {
-            if rest.len() < 10 {
+            let Some(spec) = submit_spec(&rest) else {
                 usage();
                 return 2;
-            }
-            let num = |i: usize| -> u64 { rest[i].parse().expect("numeric argument") };
-            let fnum = |i: usize| -> f64 { rest[i].parse().expect("numeric argument") };
-            let spec = JobSpec {
-                name: rest[1].clone(),
-                n_waters: num(2) as u32,
-                box_edge: fnum(3),
-                placement_seed: num(4),
-                temperature_k: fnum(5),
-                velocity_seed: num(6),
-                cutoff: fnum(7),
-                mesh: num(8) as u32,
-                cycles: num(9),
-                priority: rest.get(10).map(|s| s.parse().unwrap_or(0)).unwrap_or(0),
-                nodes: 0,
-                threads: 1,
             };
             client.submit(spec).map(|(id, fresh, position)| {
                 let tag = if fresh { "submitted" } else { "already queued" };
@@ -125,6 +109,33 @@ fn run(args: Vec<String>) -> i32 {
             1
         }
     }
+}
+
+/// The spec of `submit NAME WATERS BOX SEED TEMP VSEED CUTOFF MESH CYCLES
+/// [PRIORITY]`, or `None` when an argument is missing, extra, not a number
+/// or out of its field's range.
+#[cfg(unix)]
+fn submit_spec(rest: &[String]) -> Option<anton_fleet::JobSpec> {
+    fn arg<T: std::str::FromStr>(rest: &[String], i: usize) -> Option<T> {
+        rest.get(i)?.parse().ok()
+    }
+    if !(10..=11).contains(&rest.len()) {
+        return None;
+    }
+    Some(anton_fleet::JobSpec {
+        name: rest[1].clone(),
+        n_waters: arg(rest, 2)?,
+        box_edge: arg(rest, 3)?,
+        placement_seed: arg(rest, 4)?,
+        temperature_k: arg(rest, 5)?,
+        velocity_seed: arg(rest, 6)?,
+        cutoff: arg(rest, 7)?,
+        mesh: arg(rest, 8)?,
+        cycles: arg(rest, 9)?,
+        priority: if rest.len() == 11 { arg(rest, 10)? } else { 0 },
+        nodes: 0,
+        threads: 1,
+    })
 }
 
 #[cfg(unix)]

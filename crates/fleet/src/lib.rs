@@ -10,7 +10,7 @@
 //! count, schedule, or daemon crashes* — scheduling decides when cycles
 //! run, never what they compute.
 //!
-//! Layer map (DESIGN.md §17):
+//! Layer map (DESIGN.md §16):
 //!
 //! - [`spec`]: job descriptions and content-derived job ids
 //! - [`wire`]: the framed, checksummed socket protocol

@@ -12,7 +12,9 @@
 use crate::error::FleetError;
 use crate::wire::string_field;
 use anton_ckpt::{fnv1a, Fingerprint, Reader, Writer};
+use anton_core::batch::Q20Ladder;
 use anton_core::{AntonSimulation, Decomposition, SimulationBuilder};
+use anton_fixpoint::Q20;
 use anton_systems::spec::RunParams;
 use anton_systems::{water_box, System};
 use std::fmt;
@@ -67,6 +69,13 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// Largest simulated machine a job may ask for: the paper's 512 nodes.
+    const MAX_NODES: u32 = 512;
+    /// Largest worker pool a job may ask for. The pool fans out up to one
+    /// OS thread per rank on every phase, and the result is bitwise the
+    /// same on any count.
+    const MAX_THREADS: u32 = 64;
+
     /// The content fingerprint identifying this job. Every field is mixed
     /// with its label; float fields enter as their exact bit patterns.
     pub fn job_id(&self) -> JobId {
@@ -101,6 +110,20 @@ impl JobSpec {
         if self.cycles == 0 {
             return fail("cycles must be at least 1".into());
         }
+        if self.nodes != 0 && !(self.nodes.is_power_of_two() && self.nodes <= Self::MAX_NODES) {
+            return fail(format!(
+                "nodes {} is neither 0 (single rank) nor a power of two up to {}",
+                self.nodes,
+                Self::MAX_NODES
+            ));
+        }
+        if self.threads > Self::MAX_THREADS {
+            return fail(format!(
+                "threads {} above the cap of {}",
+                self.threads,
+                Self::MAX_THREADS
+            ));
+        }
         if !self.mesh.is_power_of_two() || !(8..=128).contains(&self.mesh) {
             return fail(format!(
                 "mesh {} is not a power of two in 8..=128",
@@ -121,6 +144,14 @@ impl JobSpec {
             return fail(format!(
                 "cutoff {} incompatible with box edge {} (minimum image)",
                 self.cutoff, self.box_edge
+            ));
+        }
+        // The half-edge word the engine's pair ladder is built on, formed
+        // as `ForcePipeline::new` forms it.
+        if Q20::from_f64(self.box_edge / 2.0).0 >= Q20Ladder::HALF_EDGE_BOUND {
+            return fail(format!(
+                "box edge {} Å: the pair ladder needs a half-edge under 1024 Å",
+                self.box_edge
             ));
         }
         // Placement density guard: the waterbox builder dart-throws against
@@ -257,6 +288,31 @@ mod tests {
         let mut bad = sample();
         bad.temperature_k = f64::NAN;
         assert_eq!(bad.validate().unwrap_err().kind(), "spec_invalid");
+        // Each of these would panic inside the worker that builds it.
+        for nodes in [3, 12, 1024] {
+            let mut bad = sample();
+            bad.nodes = nodes;
+            assert_eq!(
+                bad.validate().unwrap_err().kind(),
+                "spec_invalid",
+                "nodes {nodes}"
+            );
+        }
+        let mut ok = sample();
+        ok.nodes = JobSpec::MAX_NODES;
+        assert!(ok.validate().is_ok());
+        let mut bad = sample();
+        bad.threads = JobSpec::MAX_THREADS + 1;
+        assert_eq!(bad.validate().unwrap_err().kind(), "spec_invalid");
+        // 2047.9999995 Å rounds to a half-edge of exactly 2^30 raw Q20; one
+        // waters keeps it under the density guard.
+        let mut bad = sample();
+        bad.box_edge = 2047.9999995;
+        bad.n_waters = 1;
+        assert_eq!(bad.validate().unwrap_err().kind(), "spec_invalid");
+        let mut ok = bad.clone();
+        ok.box_edge = 2047.999999;
+        assert!(ok.validate().is_ok());
     }
 
     #[test]

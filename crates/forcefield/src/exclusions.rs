@@ -26,14 +26,6 @@ impl ExclusionPolicy {
             lj_14: 0.5,
         }
     }
-
-    /// OPLS-style scaling (both halved).
-    pub fn opls_like() -> ExclusionPolicy {
-        ExclusionPolicy {
-            elec_14: 0.5,
-            lj_14: 0.5,
-        }
-    }
 }
 
 /// How the range-limited phase treats one atom pair.
@@ -271,7 +263,10 @@ mod tests {
         let ring = Exclusions::from_bond_graph(
             7,
             &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (5, 6)],
-            ExclusionPolicy::opls_like(),
+            ExclusionPolicy {
+                elec_14: 0.5,
+                lj_14: 0.5,
+            },
         );
         let water = Exclusions::from_bond_graph(
             7,

@@ -21,11 +21,6 @@ impl Domain {
         Domain { lo, hi }
     }
 
-    /// A cube of half-extent `h` centered at the origin.
-    pub fn centered_cube(h: f64) -> Domain {
-        Domain::new(Vec3::splat(-h), Vec3::splat(h))
-    }
-
     pub fn volume(&self) -> f64 {
         let d = self.hi - self.lo;
         d.x * d.y * d.z
@@ -61,14 +56,16 @@ mod tests {
     #[test]
     fn sphere_volume_grid() {
         let r: f64 = 2.0;
-        let v = grid_volume(Domain::centered_cube(2.5), 160, |p| p.norm2() <= r * r);
+        let v = grid_volume(Domain::new(Vec3::splat(-2.5), Vec3::splat(2.5)), 160, |p| {
+            p.norm2() <= r * r
+        });
         let exact = 4.0 / 3.0 * std::f64::consts::PI * r.powi(3);
         assert!((v - exact).abs() / exact < 0.01, "v={v} exact={exact}");
     }
 
     #[test]
     fn box_volume_exact() {
-        let v = grid_volume(Domain::centered_cube(2.0), 64, |p| {
+        let v = grid_volume(Domain::new(Vec3::splat(-2.0), Vec3::splat(2.0)), 64, |p| {
             p.x.abs() <= 1.0 && p.y.abs() <= 1.0 && p.z.abs() <= 1.0
         });
         assert!((v - 8.0).abs() < 0.1);

@@ -304,9 +304,10 @@ pub fn build_globule(n_residues: usize, center: Vec3) -> Vec<ProteinChain> {
     chains
 }
 
-/// Radius of the sphere a globule of `n_residues` occupies (used for
-/// box-size sanity checks).
-pub fn globule_radius(n_residues: usize) -> f64 {
+/// Radius of the sphere a globule of `n_residues` occupies (the box-size
+/// sanity checks of the tests).
+#[cfg(test)]
+pub(crate) fn globule_radius(n_residues: usize) -> f64 {
     build_globule(n_residues, Vec3::ZERO)
         .iter()
         .flat_map(|c| c.positions.iter())
