@@ -1,22 +1,29 @@
-//! Paper-artifact table builders: deterministic CSV renderings of the
+//! The paper-artifact tables: deterministic CSV renderings of the
 //! Table 2 / Table 4 performance-model columns and the Figure 5–7-shaped
-//! scaling/trace/fleet results, built by the process that measured them
-//! from its in-memory rows ([`Row`], [`TraceRow`], [`CkptStats`], the
-//! fleet's `JobStatusView`s).
+//! sweep, trace and fleet results.
 //!
-//! Only model-derived and counted quantities are exported — wall-clock
-//! fields (`measured_ns`, `serialize_us`) are deliberately excluded so the
-//! rendered bytes are a pure function of the configuration. `paper tables`,
-//! `scaling` and `fleet_drill` rewrite `results/TABLE_*.csv`; CI diffs the
-//! bytes.
+//! [`build_tables`] builds all six `results/TABLE_*.csv` in one process —
+//! the two model tables, the node/thread sweep with its traced rows and
+//! checkpoint probe, and the fleet's canonical pass — and asserts every
+//! invariant those runs must hold on the way. Only model-derived and
+//! counted quantities are exported; wall-clock fields (`measured_ns`) are
+//! left out, so the rendered bytes are a pure function of the code.
+//! `paper tables` writes them, and `tests/artifacts_golden.rs` holds every
+//! byte to the committed files.
 
+use crate::water_box;
 use anton_analysis::artifacts::{micro_from_f64, Cell, Table};
-use anton_core::system_stats;
-use anton_fleet::{JobSpec, JobStatusView};
-use anton_machine::perf::{dhfr_stats, SystemStats};
-use anton_machine::PerfModel;
-use anton_systems::{table4_system, Table4Entry, TABLE4};
-use anton_trace::PhaseRow;
+use anton_analysis::battery::Verifier;
+use anton_analysis::verify::check_census_invariance;
+use anton_ckpt::CheckpointStore;
+use anton_core::{system_stats, AntonSimulation, Decomposition, SimulationBuilder};
+use anton_fleet::{Fleet, FleetConfig, JobPhase, JobSpec, JobStatusView};
+use anton_machine::perf::{dhfr_stats, ExchangeCounters, SystemStats};
+use anton_machine::{MachineConfig, PerfModel};
+use anton_systems::spec::RunParams;
+use anton_systems::{table4_system, System, Table4Entry, TABLE4};
+use anton_trace::{chrome_trace_json, phase_summary, PhaseRow};
+use std::path::{Path, PathBuf};
 
 /// One electrostatics parameter set of Table 2 on 512 Anton nodes.
 pub struct Table2Setting {
@@ -57,7 +64,7 @@ pub fn table2_settings() -> [Table2Setting; 2] {
     ]
 }
 
-pub fn table2() -> Table {
+fn table2() -> Table {
     let mut t = Table::new(
         "TABLE_2",
         "DHFR per-step task profile on 512 Anton nodes: calibrated model vs paper (us)",
@@ -100,7 +107,7 @@ pub fn table4_rows() -> Vec<Table4Row> {
         .collect()
 }
 
-pub fn table4() -> Table {
+fn table4() -> Table {
     let mut t = Table::new(
         "TABLE_4",
         "Benchmark systems: 512-node modeled rate vs paper (us/day)",
@@ -131,31 +138,286 @@ pub fn table4() -> Table {
     t
 }
 
-/// One counted + modeled configuration of the scaling sweep.
-pub struct Row {
-    pub nodes: usize,
-    pub threads: usize,
-    pub links_per_rank: u64,
-    pub kb_per_step_rank: f64,
-    pub mean_hops: f64,
-    pub modeled_comm_us: f64,
-    pub fft_msgs_per_rank_lr: f64,
-    pub fft_kb_per_rank_lr: f64,
-    pub halo_kb_per_rank_lr: f64,
-    /// Match-stage census over the whole run (candidates examined, pairs
-    /// surviving the exact cutoff, batches evaluated). The pair count is a
-    /// pure function of the trajectory — identical in every row — while
-    /// candidates and batches depend on the decomposition's tiling.
-    pub match_candidates: u64,
-    pub match_pairs: u64,
-    pub match_batches: u64,
-    /// Persistent match-cache census: how many short-range evaluations
-    /// rebuilt the tile/batch structure vs reused it. The schedule is a
-    /// pure function of the trajectory (exact fixed-point mover test), so
-    /// both counts are identical in every row.
-    pub rebuild_steps: u64,
-    pub reuse_steps: u64,
-    pub checksum: u64,
+/// Everything [`build_tables`] produces.
+pub struct Artifacts {
+    /// The six exported tables, in the order `paper tables` writes them.
+    pub tables: Vec<Table>,
+    /// The traced sweep rows. Their phase summaries keep the measured
+    /// wall-clock inside each phase's spans, which the tables leave out.
+    pub traced: Vec<TraceRow>,
+    /// Chrome-trace JSON of the 8-node traced row (chrome://tracing or
+    /// Perfetto).
+    pub chrome_trace: String,
+}
+
+/// Build all six exported tables in process. The sweep and the fleet pass
+/// assert their invariants as they run, so a panic here is a determinism
+/// or correctness failure. The error is a scratch-directory or checkpoint
+/// write failure; scratch state lives under the temp dir and is removed on
+/// success.
+pub fn build_tables() -> Result<Artifacts, String> {
+    let scratch = scratch_dir()?;
+    let sys = sweep_system();
+    let rows = sweep(&sys);
+    let (traced, ckpt, chrome_trace) = traced_pass(&sys, &scratch)?;
+    assert!(
+        traced.iter().all(|r| r.checksum == rows[0].checksum),
+        "traced rows diverged from the untraced sweep"
+    );
+    let fleet = fleet_pass(&scratch.join("fleet"))?;
+    let _ = std::fs::remove_dir_all(&scratch);
+    Ok(Artifacts {
+        tables: vec![
+            table2(),
+            table4(),
+            scaling_table(sys.n_atoms(), &rows),
+            trace_phases_table(&traced),
+            ckpt_table(&ckpt),
+            fleet,
+        ],
+        traced,
+        chrome_trace,
+    })
+}
+
+/// An emptied scratch directory private to this process.
+fn scratch_dir() -> Result<PathBuf, String> {
+    let dir = std::env::temp_dir().join(format!("anton-tables-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    Ok(dir)
+}
+
+/// The sweep's system: 340 TIP3P waters in a 22 Å cube, the golden tier's
+/// box.
+fn sweep_system() -> System {
+    water_box("scaling-water", 22.0, 340, RunParams::paper(7.5, 16))
+}
+
+/// Outer cycles per sweep row.
+const SWEEP_CYCLES: usize = 8;
+
+/// One simulated node count on `threads` host threads: the one-rank plan
+/// only for 1 × 1, so the single-node rows on several threads run the
+/// `Nodes(1)` plan.
+fn sweep_builder(sys: &System, nodes: usize, threads: usize) -> SimulationBuilder {
+    let decomposition = if nodes == 1 && threads == 1 {
+        Decomposition::SingleRank
+    } else {
+        Decomposition::Nodes(nodes)
+    };
+    AntonSimulation::builder(sys.clone())
+        .velocities_from_temperature(300.0, 7)
+        .decomposition(decomposition)
+        .threads(threads)
+}
+
+/// Run the identity battery over a finished simulation: every force word
+/// and energy scalar recomputes bitwise, and the exchange census holds.
+fn assert_battery_clean(sim: &AntonSimulation) {
+    let mut verifier = Verifier::new(sim);
+    verifier.sample(sim);
+    verifier.assert_clean();
+}
+
+/// The node/thread sweep: 1/8/64 simulated nodes × 1/2/4 threads, with the
+/// modeled torus communication of each plan. Every row must end on the
+/// same state checksum, pair census and match-cache rebuild schedule
+/// (paper §4: the trajectory is a pure function of the system).
+fn sweep(sys: &System) -> Vec<Row> {
+    let mut rows = Vec::new();
+    let mut counters: Vec<ExchangeCounters> = Vec::new();
+    for nodes in [1usize, 8, 64] {
+        for threads in [1usize, 2, 4] {
+            let mut sim = sweep_builder(sys, nodes, threads).build();
+            sim.run_cycles(SWEEP_CYCLES);
+            assert_battery_clean(&sim);
+            let c = sim.pipeline.counters;
+            let mut row = Row {
+                nodes,
+                threads,
+                links_per_rank: 0,
+                kb_per_step_rank: 0.0,
+                mean_hops: 0.0,
+                modeled_comm_us: 0.0,
+                fft_msgs_per_rank_lr: 0.0,
+                fft_kb_per_rank_lr: 0.0,
+                halo_kb_per_rank_lr: 0.0,
+                match_candidates: c.match_candidates,
+                match_pairs: c.match_pairs,
+                match_batches: c.match_batches,
+                rebuild_steps: c.rebuild_steps,
+                reuse_steps: c.reuse_steps,
+                checksum: sim.state.checksum(),
+            };
+            if let Some(plan) = sim.pipeline.rank_set().and_then(|rs| rs.plan()) {
+                let n = plan.rank_count();
+                row.links_per_rank = plan.max_links_per_rank() as u64;
+                row.kb_per_step_rank = c.per_rank_step_bytes(n) / 1024.0;
+                row.mean_hops = c.mean_hops();
+                row.modeled_comm_us = c.modeled_step_comm_us(&MachineConfig::with_nodes(n), n);
+                row.fft_msgs_per_rank_lr = c.fft_messages_per_rank_lr_step(n);
+                row.fft_kb_per_rank_lr = c.fft_bytes_per_rank_lr_step(n) / 1024.0;
+                row.halo_kb_per_rank_lr = c.mesh_halo_bytes_per_rank_lr_step(n) / 1024.0;
+            }
+            rows.push(row);
+            counters.push(c);
+        }
+    }
+    let first = &rows[0];
+    for (r, c) in rows.iter().zip(&counters).skip(1) {
+        let at = format!("nodes={} threads={}", r.nodes, r.threads);
+        assert_eq!(r.checksum, first.checksum, "trajectory diverged: {at}");
+        // Candidates and batches depend on the tiling; the surviving pairs
+        // and the rebuild schedule (an exact fixed-point mover test) are
+        // functions of the trajectory alone.
+        assert_eq!(
+            r.match_pairs, first.match_pairs,
+            "pair census diverged: {at}"
+        );
+        assert_eq!(
+            (r.rebuild_steps, r.reuse_steps),
+            (first.rebuild_steps, first.reuse_steps),
+            "match-cache rebuild schedule diverged: {at}"
+        );
+        let skew = check_census_invariance(SWEEP_CYCLES as u64, &counters[0], c);
+        assert!(
+            skew.is_empty(),
+            "census invariance violated: {at}: {skew:?}"
+        );
+    }
+    rows
+}
+
+/// Re-run four decompositions traced. (1, 4) is the thread fan-out probe:
+/// one node, so its dispatch spans are pure pool overhead. The 8-node row
+/// doubles as the checkpoint probe: a rotated checkpoint every 4 cycles,
+/// which, like tracing, must leave the trajectory untouched.
+fn traced_pass(sys: &System, scratch: &Path) -> Result<(Vec<TraceRow>, CkptStats, String), String> {
+    let mut rows = Vec::new();
+    let mut ckpt = CkptStats::default();
+    let mut chrome_trace = String::new();
+    for (nodes, threads) in [(1usize, 1usize), (1, 4), (8, 2), (64, 4)] {
+        let mut sim = sweep_builder(sys, nodes, threads).tracing(true).build();
+        let store = if nodes == 8 {
+            let dir = scratch.join("ckpt");
+            Some(CheckpointStore::create(&dir, 2).map_err(|e| format!("{}: {e}", dir.display()))?)
+        } else {
+            None
+        };
+        for cycle in 1..=SWEEP_CYCLES {
+            sim.run_cycle();
+            if let Some(store) = store.as_ref().filter(|_| cycle % 4 == 0) {
+                ckpt.bytes_written += sim
+                    .write_checkpoint(store)
+                    .map_err(|e| format!("checkpoint at cycle {cycle}: {e}"))?;
+                ckpt.files += 1;
+            }
+        }
+        let buf = sim.trace().buf().expect("tracing was enabled");
+        assert_eq!(buf.dropped_spans(), 0, "trace span capacity exceeded");
+        assert_eq!(buf.dropped_counters(), 0, "trace counter capacity exceeded");
+        if nodes == 8 {
+            chrome_trace = chrome_trace_json(buf);
+        }
+        let phases = phase_summary(buf);
+        assert_battery_clean(&sim);
+        rows.push(TraceRow {
+            nodes,
+            threads,
+            checksum: sim.state.checksum(),
+            phases,
+        });
+    }
+    Ok((rows, ckpt, chrome_trace))
+}
+
+/// The fleet pass's fixed shape: one worker, three cycles per slice.
+const FLEET_QUANTUM: u64 = 3;
+
+/// The fleet pass's mixed corpus: sizes, temperatures, priorities and
+/// lengths all differ, and one member runs 8 nodes on 2 threads.
+fn fleet_specs() -> Vec<JobSpec> {
+    let spec =
+        |name: &str, n_waters, box_edge, temperature_k, cycles, priority: u32, nodes, threads| {
+            JobSpec {
+                name: name.into(),
+                n_waters,
+                box_edge,
+                placement_seed: 3,
+                temperature_k,
+                velocity_seed: 7 + u64::from(priority),
+                cutoff: 6.5,
+                mesh: 16,
+                cycles,
+                priority,
+                nodes,
+                threads,
+            }
+        };
+    vec![
+        spec("drill-hot-small", 20, 13.5, 320.0, 6, 3, 0, 1),
+        spec("drill-mid", 30, 15.0, 300.0, 8, 2, 0, 1),
+        spec("drill-wide", 40, 16.0, 300.0, 5, 1, 8, 2),
+        spec("drill-cool", 24, 14.0, 285.0, 7, 0, 0, 1),
+    ]
+}
+
+/// The fleet's canonical pass: drain the corpus under checkpoint
+/// preemption and require every job to end on its uninterrupted solo
+/// checksum with a clean battery.
+fn fleet_pass(state_dir: &Path) -> Result<Table, String> {
+    let specs = fleet_specs();
+    let mut cfg = FleetConfig::new(state_dir);
+    cfg.quantum = FLEET_QUANTUM;
+    cfg.workers = 1;
+    let fleet = Fleet::create(cfg).map_err(|e| format!("fleet: {e}"))?;
+    for s in &specs {
+        fleet
+            .submit(s.clone())
+            .map_err(|e| format!("submit {}: {e}", s.name))?;
+    }
+    fleet.run_to_completion();
+    let views = fleet.list();
+    for s in &specs {
+        let v = views
+            .iter()
+            .find(|v| v.id == s.job_id())
+            .expect("submitted job is listed");
+        let mut solo = s.builder().expect("fleet spec builds").build();
+        solo.run_cycles(s.cycles as usize);
+        assert_eq!(v.phase, JobPhase::Done, "{} did not finish", s.name);
+        assert_eq!(
+            v.final_checksum,
+            solo.state.checksum(),
+            "{} diverged from solo",
+            s.name
+        );
+        assert_eq!(v.violations, 0, "{}: battery violations", s.name);
+    }
+    Ok(fleet_table(FLEET_QUANTUM, &views, &specs))
+}
+
+/// One counted + modeled configuration of the sweep.
+struct Row {
+    nodes: usize,
+    threads: usize,
+    links_per_rank: u64,
+    kb_per_step_rank: f64,
+    mean_hops: f64,
+    modeled_comm_us: f64,
+    fft_msgs_per_rank_lr: f64,
+    fft_kb_per_rank_lr: f64,
+    halo_kb_per_rank_lr: f64,
+    /// Match-stage census over the whole run: candidates examined, pairs
+    /// surviving the exact cutoff, batches evaluated.
+    match_candidates: u64,
+    match_pairs: u64,
+    match_batches: u64,
+    /// Short-range evaluations that rebuilt the match cache vs reused it.
+    rebuild_steps: u64,
+    reuse_steps: u64,
+    checksum: u64,
 }
 
 /// One traced configuration: the per-phase summary of its trace buffer.
@@ -166,20 +428,18 @@ pub struct TraceRow {
     pub phases: Vec<PhaseRow>,
 }
 
-/// Checkpoint cost of the traced 8-node row: file/byte counts are exact
-/// (the snapshot encoding is deterministic), serialize+write time is
-/// measured wall-clock from the `checkpoint` trace phase.
+/// The checkpoint probe of the traced 8-node row: file count and exact
+/// bytes written (the snapshot encoding is deterministic).
 #[derive(Default)]
-pub struct CkptStats {
-    pub files: u64,
-    pub bytes_written: u64,
-    pub serialize_us: f64,
+struct CkptStats {
+    files: u64,
+    bytes_written: u64,
 }
 
-/// The deterministic columns of the scaling sweep (Figure 5-shaped): the
-/// modeled communication profile and the exact exchange census per
-/// (nodes, threads) point. Measured wall-clock columns are excluded.
-pub fn scaling_table(atoms: usize, rows: &[Row]) -> Table {
+/// The deterministic columns of the sweep (Figure 5-shaped): the modeled
+/// communication profile and the exact exchange census per (nodes,
+/// threads) point.
+fn scaling_table(atoms: usize, rows: &[Row]) -> Table {
     let mut t = Table::new(
         "TABLE_scaling",
         "Scaling sweep, deterministic columns: modeled comm profile + exact census per decomposition",
@@ -228,7 +488,7 @@ pub fn scaling_table(atoms: usize, rows: &[Row]) -> Table {
 /// Per-phase span/message/byte census of the traced pass (Figure 6/7
 /// shape): everything the trace models deterministically, without the
 /// measured `measured_ns` column.
-pub fn trace_phases_table(rows: &[TraceRow]) -> Table {
+fn trace_phases_table(rows: &[TraceRow]) -> Table {
     let mut t = Table::new(
         "TABLE_trace_phases",
         "Traced pass, deterministic columns: per-phase spans, modeled messages/bytes/us",
@@ -260,9 +520,8 @@ pub fn trace_phases_table(rows: &[TraceRow]) -> Table {
     t
 }
 
-/// The checkpoint probe of the traced pass: file count and exact bytes
-/// written (the serialize time is measured and therefore excluded).
-pub fn ckpt_table(ckpt: &CkptStats) -> Table {
+/// The checkpoint probe of the traced pass.
+fn ckpt_table(ckpt: &CkptStats) -> Table {
     let mut t = Table::new(
         "TABLE_ckpt",
         "Checkpoint probe of the traced 8-node pass: exact write census",
@@ -275,13 +534,13 @@ pub fn ckpt_table(ckpt: &CkptStats) -> Table {
     t
 }
 
-/// The fleet drill's canonical-pass census: per-job preemption, resume,
+/// The fleet's canonical-pass census: per-job preemption, resume,
 /// and checkpoint-byte counters plus the pinned trajectory checksums and
 /// content-fingerprint job ids, with a TOTAL row whose checksum column
 /// carries the whole-fleet identity (FNV-1a over the per-job final
 /// checksums in schedule order). Every column is an exact integer of the
 /// canonical pass.
-pub fn fleet_table(quantum: u64, views: &[JobStatusView], specs: &[JobSpec]) -> Table {
+fn fleet_table(quantum: u64, views: &[JobStatusView], specs: &[JobSpec]) -> Table {
     let mut t = Table::new(
         "TABLE_fleet",
         "Fleet drill canonical pass: per-job slice census under checkpoint preemption",

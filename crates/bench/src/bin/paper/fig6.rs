@@ -5,9 +5,12 @@
 //! `cargo run --release -p anton-bench --bin paper -- fig6 [--full]`
 //!
 //! The paper compares 1 µs trajectories; on one core we sample far shorter
-//! windows (default ~2,000 frames of a 56-residue chain in vacuum-box
-//! conditions), which captures fast librations only — S² values sit higher
-//! than the paper's, but the three-way comparison structure is the point.
+//! windows (default 1,500 frames of a 56-residue chain in vacuum-box
+//! conditions), which capture fast librations only. Each engine's
+//! temperature after equilibration and at the end of the window is
+//! printed, so a trajectory that blew up shows in the output itself: at the
+//! default window both do, and the comparison does not reproduce the
+//! paper's (EXPERIMENTS.md).
 
 use anton_analysis::order_parameters;
 use anton_core::AntonSimulation;
@@ -58,6 +61,16 @@ fn collect_frames(
     out
 }
 
+/// A temperature for the summary line: fixed-point while physical,
+/// scientific once a trajectory has blown up.
+fn kelvin(t: f64) -> String {
+    if t.abs() < 1e5 {
+        format!("{t:.1}")
+    } else {
+        format!("{t:.2e}")
+    }
+}
+
 pub fn run() {
     let full = anton_bench::full_mode();
     let frames = if full { 12_000 } else { 1_500 };
@@ -76,6 +89,7 @@ pub fn run() {
         })
         .build();
     anton.run_cycles(100); // equilibrate
+    let anton_equilibrated_k = anton.temperature_k();
     let anton_frames = collect_frames(
         || {
             anton.run_cycles(stride);
@@ -87,6 +101,7 @@ pub fn run() {
         frames,
     );
     let s2_anton = order_parameters(&anton_frames);
+    let anton_final_k = anton.temperature_k();
 
     // --- Reference engine trajectory (independent seed → independent
     // trajectory, like the paper's Anton-vs-Desmond comparison).
@@ -102,6 +117,7 @@ pub fn run() {
     for _ in 0..100 {
         refsim.run_cycle();
     }
+    let ref_equilibrated_k = refsim.temperature_k();
     let ref_frames = collect_frames(
         || {
             for _ in 0..stride {
@@ -115,6 +131,7 @@ pub fn run() {
         frames,
     );
     let s2_ref = order_parameters(&ref_frames);
+    let ref_final_k = refsim.temperature_k();
 
     // --- Synthetic "NMR" profile: the reference-engine values plus
     // measurement noise (substitution for Hall & Fushman 2006; DESIGN.md §2).
@@ -150,6 +167,14 @@ pub fn run() {
     println!(
         "S² rms difference Anton vs \"NMR\"   : {:.4}",
         rmsd(&s2_anton, &s2_nmr)
+    );
+    println!(
+        "temperature after equilibration / at end of window (target 300 K): \
+         Anton {} / {} K, reference {} / {} K",
+        kelvin(anton_equilibrated_k),
+        kelvin(anton_final_k),
+        kelvin(ref_equilibrated_k),
+        kelvin(ref_final_k)
     );
     println!(
         "(window: {} frames x {} cycles x {} fs; the paper used 1 µs trajectories)",

@@ -5,8 +5,10 @@
 //!
 //! `<name>` is one of `table1 table2 table3 fig3 fig4 fig5_table4 fig6 fig7
 //! section5_1 bpti ablations`, each printing a paper-vs-measured
-//! comparison, or `tables`, which rewrites the two model-only artifacts
-//! `results/TABLE_2.csv` and `results/TABLE_4.csv`.
+//! comparison, or `tables`, which builds and rewrites the six
+//! `results/TABLE_*.csv` (see `anton_bench::artifacts`) plus the gitignored
+//! `results/TRACE_chrome.json` of the traced 8-node run, and prints each
+//! traced run's phase summary with its measured wall-clock.
 
 mod ablations;
 mod bpti;
@@ -20,7 +22,9 @@ mod table1;
 mod table2;
 mod table3;
 
-use anton_bench::artifacts::{table2, table4};
+use anton_bench::artifacts::build_tables;
+use anton_bench::write_artifact;
+use anton_trace::summary_table;
 
 const SECTIONS: [(&str, fn()); 11] = [
     ("table1", table1::run),
@@ -36,20 +40,30 @@ const SECTIONS: [(&str, fn()); 11] = [
     ("ablations", ablations::run),
 ];
 
-fn tables() {
-    for t in [table2(), table4()] {
-        if let Err(e) = anton_bench::write_artifact(&format!("{}.csv", t.name), &t.render_csv()) {
-            eprintln!("paper tables: {e}");
-            std::process::exit(1);
-        }
+fn tables() -> Result<(), String> {
+    let built = build_tables()?;
+    for row in &built.traced {
+        println!(
+            "--- traced: {} nodes, {} threads ---",
+            row.nodes, row.threads
+        );
+        print!("{}", summary_table(&row.phases));
     }
+    for t in &built.tables {
+        write_artifact(&format!("{}.csv", t.name), &t.render_csv())?;
+    }
+    write_artifact("TRACE_chrome.json", &built.chrome_trace)
 }
 
 fn main() {
     let name = std::env::args().skip(1).find(|a| !a.starts_with("--"));
     let name = name.as_deref().unwrap_or_default();
     if name == "tables" {
-        return tables();
+        if let Err(e) = tables() {
+            eprintln!("paper tables: {e}");
+            std::process::exit(1);
+        }
+        return;
     }
     match SECTIONS.iter().find(|(section, _)| *section == name) {
         Some((_, run)) => run(),

@@ -1,11 +1,10 @@
-//! Shared harness utilities for the experiment binaries.
+//! Shared harness utilities for the experiment binary.
 //!
-//! Four binaries live under `src/bin/`: `paper <name>` regenerates one
-//! table or figure of the paper (see DESIGN.md §5 for the index) and
-//! prints a paper-vs-measured comparison; `scaling`, `ckpt_drill` and
-//! `fleet_drill` run the invariance sweep and the two crash drills. Each
-//! renders its own artifacts under `results/` from the numbers it holds in
-//! memory. `--full` selects paper-scale workloads; the default sizes
+//! One binary lives under `src/bin/`: `paper <name>` regenerates one table
+//! or figure of the paper (see DESIGN.md §5 for the index) and prints a
+//! paper-vs-measured comparison, and `paper tables` writes the six
+//! `results/TABLE_*.csv` that [`artifacts::build_tables`] builds in
+//! process. `--full` selects paper-scale workloads; the default sizes
 //! finish in minutes on one core.
 
 use anton_core::AntonSimulation;
@@ -14,7 +13,6 @@ use anton_systems::System;
 use std::path::{Path, PathBuf};
 
 pub mod artifacts;
-pub mod report;
 
 /// The workspace `results/` directory (compile-time anchored, so binaries
 /// and tests agree regardless of the invocation directory).
@@ -39,7 +37,7 @@ fn write_artifact_in(dir: &Path, name: &str, contents: &str) -> Result<(), Strin
 }
 
 /// A TIP3P water box at the harness's fixed placement seed: the system
-/// behind the scaling sweep, the checkpoint drill and the drift window.
+/// behind the node/thread sweep and the drift window.
 pub fn water_box(name: &str, edge: f64, waters: usize, params: RunParams) -> System {
     anton_systems::water_box(name, edge, waters, 3, params)
         .expect("the harness's boxes hold their waters under their cutoffs")

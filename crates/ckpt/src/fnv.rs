@@ -1,5 +1,5 @@
 //! FNV-1a 64-bit: the workspace's canonical cheap checksum. The same
-//! constants hash state bytes in the golden tests and the scaling bench,
+//! constants hash state bytes in the golden tests and the artifact tables,
 //! so a checkpoint's payload checksum is directly comparable to the
 //! `state_checksum` values those artifacts record.
 

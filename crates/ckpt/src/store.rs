@@ -186,6 +186,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::HEADER_LEN;
 
     fn sample(step: u64) -> Snapshot {
         Snapshot {
@@ -236,21 +237,44 @@ mod tests {
         let _ = fs::remove_dir_all(&store.dir);
     }
 
+    /// Every damaged newest file — one flipped payload bit, a truncation at
+    /// each boundary the format cares about, and any one flipped bit of the
+    /// 64-byte header — must fail to load with a typed corruption error,
+    /// and `latest_valid` must fall back to the previous file.
     #[test]
     fn corrupted_newest_falls_back_to_previous_valid() {
         let store = temp_store("fallback", 4);
         store.write(&sample(16)).unwrap();
         store.write(&sample(32)).unwrap();
-        // Flip one payload bit in the newest file.
         let newest = store.checkpoint_path(32);
-        let mut bytes = fs::read(&newest).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        fs::write(&newest, &bytes).unwrap();
-        assert_eq!(load_file(&newest).unwrap_err().kind(), "checksum_mismatch");
-        let (path, snap) = store.latest_valid().unwrap();
-        assert_eq!(path, store.checkpoint_path(16));
-        assert_eq!(snap.step, 16);
+        let original = fs::read(&newest).unwrap();
+        let len = original.len();
+        assert!(len > 72 + 1, "sample too small to cut at every boundary");
+
+        let mut injections: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut payload_flip = original.clone();
+        payload_flip[len - 1] ^= 0x01;
+        injections.push(("payload bit flip".into(), payload_flip));
+        for cut in [0, 1, 7, 8, 12, 56, 63, 64, 72, len - 1] {
+            injections.push((format!("truncation to {cut}"), original[..cut].to_vec()));
+        }
+        for bit in 0..HEADER_LEN * 8 {
+            let mut flipped = original.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            injections.push((format!("header bit {bit}"), flipped));
+        }
+        for (label, bytes) in &injections {
+            fs::write(&newest, bytes).unwrap();
+            match load_file(&newest) {
+                Err(e) if e.is_corruption() || matches!(e, CkptError::BadVersion { .. }) => {}
+                other => panic!("{label}: want a typed corruption error, got {other:?}"),
+            }
+            let (path, snap) = store.latest_valid().unwrap();
+            assert_eq!(path, store.checkpoint_path(16), "{label}");
+            assert_eq!(snap.step, 16, "{label}");
+        }
+        fs::write(&newest, &original).unwrap();
+        assert_eq!(store.latest_valid().unwrap().1.step, 32);
         let _ = fs::remove_dir_all(&store.dir);
     }
 

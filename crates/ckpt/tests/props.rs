@@ -66,7 +66,7 @@ proptest! {
 
     /// Single-bit-flip corpus: flipping any one bit anywhere in an
     /// encoded checkpoint makes it unloadable, with a typed error — the
-    /// guarantee `ckpt_drill` later exercises against real files.
+    /// guarantee `store::tests` exercises against real files.
     #[test]
     fn every_single_bit_flip_is_detected(
         step in 0u64..1_000_000u64,

@@ -1141,8 +1141,8 @@ mod tests {
         }
     }
 
-    /// The modelled machine's counters, which only the `scaling` binary
-    /// read before: after 4 cycles of `solvated_mini` (its constraint
+    /// The modelled machine's counters, which otherwise only the artifact
+    /// tables read: after 4 cycles of `solvated_mini` (its constraint
     /// groups exercise home-box co-location) under `Nodes(2)`, `Nodes(8)`
     /// and `Nodes(64)`, every counter word of the three plans is pinned to
     /// one FNV and the state bytes to another, on 1 and 2 threads.

@@ -2,8 +2,8 @@
 //! state, mirroring `crates/ckpt/tests/props.rs`: random round-trips,
 //! single-bit-flip corpora, and truncation sweeps. Every flip anywhere in
 //! an encoded frame or queue snapshot must surface as a typed error —
-//! the guarantee `fleet_drill` later exercises against a live daemon and
-//! real queue files.
+//! the guarantee `tests/kill.rs` exercises against a live daemon and real
+//! queue files.
 
 use anton_fleet::queue::{JobPhase, JobRecord, PhaseTotals, QueueState};
 use anton_fleet::wire::{decode_frame, encode_frame, FrameKind, Request, Response};

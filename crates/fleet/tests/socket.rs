@@ -1,7 +1,7 @@
 //! End-to-end daemon/client exercise over a real Unix socket: submit,
 //! idempotent resubmit, poll to completion, summaries, error relay, and
-//! clean shutdown — all in-process (the kill -9 variants live in the
-//! `fleet_drill` bench, which needs real processes).
+//! clean shutdown — all in-process (the kill -9 variants are
+//! `tests/kill.rs`, which runs the real `fleetd`).
 
 #![cfg(unix)]
 

@@ -39,8 +39,8 @@ const GOLDEN_CYCLE_CHECKSUMS: [u64; CYCLES] =
 /// artifacts.
 const GOLDEN_FINAL_CHECKSUM: u64 = 0xc2212d9714372970;
 
-/// The same 1020-atom waterbox the scaling benchmark measures: 340 TIP3P
-/// waters in a 22 Å cube under the paper's run parameters.
+/// The same 1020-atom waterbox the artifact tables' node/thread sweep
+/// runs: 340 TIP3P waters in a 22 Å cube under the paper's run parameters.
 fn golden_waterbox() -> System {
     anton_systems::water_box("golden-water", 22.0, 340, 3, RunParams::paper(7.5, 16)).unwrap()
 }
@@ -207,6 +207,59 @@ fn golden_resume_8_nodes() {
 #[test]
 fn golden_resume_64_nodes() {
     assert_resume_golden(64);
+}
+
+/// Recovery past a damaged checkpoint: the golden run under `Nodes(8)` on
+/// two threads checkpoints after cycles 1 and 2 and "crashes"; one bit of
+/// the newest file is then flipped. Resume must skip it, land one cycle
+/// earlier, and still finish on the golden checksums with a clean battery.
+#[test]
+fn golden_resume_falls_back_past_a_corrupted_newest_checkpoint() {
+    let (nodes, threads) = (8, 2);
+    let k = golden_waterbox().params.longrange_every.max(1) as u64;
+    let dir = scratch_ckpt_dir("corrupt", nodes, threads, false);
+    let builder = || {
+        AntonSimulation::builder(golden_waterbox())
+            .velocities_from_temperature(300.0, 7)
+            .decomposition(Decomposition::Nodes(nodes))
+            .threads(threads)
+    };
+    {
+        let store = CheckpointStore::create(&dir, 3).expect("scratch store");
+        let mut sim = builder().build();
+        for _ in 1..CYCLES {
+            sim.run_cycle();
+            sim.write_checkpoint(&store).expect("checkpoint write");
+        }
+        let files = store.list().expect("list store");
+        assert_eq!(files.len(), CYCLES - 1);
+        let (_, newest) = files.last().expect("a checkpoint was written");
+        let mut bytes = std::fs::read(newest).expect("read newest checkpoint");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(newest, &bytes).expect("corrupt newest checkpoint");
+    }
+    let mut sim = builder()
+        .resume_from(&dir)
+        .unwrap_or_else(|e| panic!("resume failed: {e}"));
+    assert_eq!(
+        sim.step_count(),
+        (CYCLES as u64 - 2) * k,
+        "resume did not fall back to the previous checkpoint"
+    );
+    let mut verifier = Verifier::new(&sim);
+    for want in &GOLDEN_CYCLE_CHECKSUMS[CYCLES - 2..] {
+        sim.run_cycle();
+        verifier.sample(&sim);
+        assert_eq!(
+            sim.state.checksum(),
+            *want,
+            "fallback resume diverged from golden"
+        );
+    }
+    assert_eq!(sim.state.checksum(), GOLDEN_FINAL_CHECKSUM);
+    verifier.assert_clean();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
