@@ -6,8 +6,9 @@
 //! time. The match units never store a pair — they emit *which* two atoms
 //! meet, and the pipeline forms r² and the kernel parameters from the
 //! per-atom tile records. This module is the software shape of that stage:
-//! a [`PairQueue`] lists cutoff survivors as slot pairs (a pure identity,
-//! no r², no parameters; 1-4 pairs apart), [`CellTiling`] is the one
+//! a [`PairQueue`] lists cutoff survivors as rows of tile slots, each i
+//! slot named once per row (a pure identity, no r², no parameters; 1-4
+//! pairs apart as slot pairs), [`CellTiling`] is the one
 //! power-of-two binning rule both work plans tile atoms by (and the static
 //! tile-pair list the one-rank plan streams), and [`Q20Ladder`] is the one
 //! displacement/r² ladder both
@@ -24,16 +25,23 @@ use anton_machine::MATCH_WIDTH;
 /// The match stage's output, kept between match-cache rebuilds: every
 /// padded-cutoff survivor as the flat tile-pool slots of its two atoms
 /// ([`PosTiles`](anton_geometry::PosTiles) slots, stable between
-/// rebuilds), 8 B a pair, in enumeration order, with 1-4 pairs listed apart
-/// from plain ones. Nothing position- or parameter-dependent is stored:
-/// the evaluator re-forms the displacement and r² from the refreshed tile
-/// positions every step, gathers charge, LJ type and atom id by slot, and
-/// groups the in-cutoff pairs into 8-lane kernel calls itself. The buffers
-/// are retained across [`PairQueue::begin`] calls.
+/// rebuilds), in enumeration order. Plain pairs are stored as compressed
+/// rows, the plate-order shape of the paper's HTIS (§3.1): a row names its
+/// i slot once and then lists its j slots, so a pair costs 4 B plus its
+/// share of an 8 B row header. The 1-4 pairs are few and take their own
+/// multipliers, so they stay a slot-pair list. Nothing position- or
+/// parameter-dependent is stored: the evaluator re-forms the displacement
+/// and r² from the refreshed tile positions every step, gathers charge,
+/// LJ type and atom id by slot, and groups the in-cutoff pairs into 8-lane
+/// kernel calls itself. The buffers are retained across
+/// [`PairQueue::begin`] calls.
 #[derive(Debug, Default)]
 pub(crate) struct PairQueue {
-    /// Plain pairs (unit multipliers).
-    pub(crate) plain: Vec<[u32; 2]>,
+    /// One `[i slot, end]` per non-empty row: the row's j slots are
+    /// `js[previous end..end]` (the first row starts at 0).
+    pub(crate) rows: Vec<[u32; 2]>,
+    /// The plain pairs' j slots, row after row (unit multipliers).
+    pub(crate) js: Vec<u32>,
     /// 1-4 pairs (scaled by the exclusion policy's 1-4 multipliers).
     pub(crate) one_four: Vec<[u32; 2]>,
     /// Candidate pairs examined by the pass that filled the queue.
@@ -43,27 +51,62 @@ pub(crate) struct PairQueue {
 impl PairQueue {
     /// Reset for a new match pass, keeping capacity.
     pub(crate) fn begin(&mut self) {
-        self.plain.clear();
+        self.rows.clear();
+        self.js.clear();
         self.one_four.clear();
         self.candidates = 0;
     }
 
-    /// Append one padded-cutoff survivor: the two atoms' flat tile slots
-    /// and whether the pair is 1-4.
+    /// Append one padded-cutoff survivor of the open row, whose i slot is
+    /// `si`: a plain pair joins the row, a 1-4 pair its own list.
     #[inline]
     pub(crate) fn push(&mut self, si: u32, sj: u32, one_four: bool) {
-        let list = if one_four {
-            &mut self.one_four
+        if one_four {
+            self.one_four.push([si, sj]);
         } else {
-            &mut self.plain
-        };
-        list.push([si, sj]);
+            self.js.push(sj);
+        }
+    }
+
+    /// Close the open row under i slot `si`; a row with no plain pair is
+    /// not stored.
+    #[inline]
+    pub(crate) fn end_row(&mut self, si: u32) {
+        let end = self.js.len() as u32;
+        if end > self.rows.last().map_or(0, |r| r[1]) {
+            self.rows.push([si, end]);
+        }
+    }
+
+    /// The plain rows as `(i slot, j slots)`, in push order.
+    pub(crate) fn plain_rows(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        let mut start = 0;
+        self.rows.iter().map(move |&[si, end]| {
+            let js = &self.js[start as usize..end as usize];
+            start = end;
+            (si, js)
+        })
+    }
+
+    /// The 1-4 pairs as rows of one j slot each.
+    pub(crate) fn one_four_rows(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        self.one_four
+            .iter()
+            .map(|[si, sj]| (*si, std::slice::from_ref(sj)))
+    }
+
+    /// Every queued pair as `[i slot, j slot]`: the plain rows, then the
+    /// 1-4 pairs.
+    #[cfg(test)]
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = [u32; 2]> + '_ {
+        (self.plain_rows().chain(self.one_four_rows()))
+            .flat_map(|(si, js)| js.iter().map(move |&sj| [si, sj]))
     }
 
     /// The queue's pairs at eight to a match batch, the unit the census
     /// counts.
     pub(crate) fn batches(&self) -> u64 {
-        (self.plain.len() + self.one_four.len()).div_ceil(MATCH_WIDTH) as u64
+        (self.js.len() + self.one_four.len()).div_ceil(MATCH_WIDTH) as u64
     }
 }
 
@@ -381,36 +424,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn queue_lists_pairs_by_class_in_push_order() {
+    fn queue_stores_non_empty_rows_with_one_four_pairs_apart() {
         let mut q = PairQueue::default();
         q.begin();
         q.candidates = 40;
-        for p in 0..11u32 {
-            q.push(p + 1000, p + 2000, p == 3 || p == 9);
+        q.push(7, 100, false);
+        q.push(7, 101, true);
+        q.push(7, 102, false);
+        q.end_row(7);
+        // A row of 1-4 pairs only, and a row of nothing: neither is stored.
+        q.push(8, 200, true);
+        q.end_row(8);
+        q.end_row(9);
+        // One i slot may head several rows.
+        q.push(7, 300, false);
+        q.end_row(7);
+        assert_eq!(q.rows, [[7, 2], [7, 3]]);
+        assert_eq!(q.js, [100, 102, 300]);
+        assert_eq!(q.one_four, [[7, 101], [8, 200]]);
+        let rows: Vec<(u32, &[u32])> = q.plain_rows().collect();
+        assert_eq!(rows, [(7, &[100, 102][..]), (7, &[300][..])]);
+        let pairs: Vec<[u32; 2]> = q.pairs().collect();
+        assert_eq!(pairs, [[7, 100], [7, 102], [7, 300], [7, 101], [8, 200]]);
+        // Batches count row pairs and 1-4 pairs together, eight a batch.
+        assert_eq!(q.batches(), 1);
+        for sj in 0..11 {
+            q.push(10, sj, sj % 4 == 0);
         }
-        // Each class keeps push order; the slots stay as pushed.
-        let plain: Vec<[u32; 2]> = (0..11)
-            .filter(|&p| p != 3 && p != 9)
-            .map(|p| [p + 1000, p + 2000])
-            .collect();
-        assert_eq!(q.plain, plain);
-        assert_eq!(q.one_four, [[1003, 2003], [1009, 2009]]);
-        // 11 pairs fill two 8-lane batches, whatever their classes.
-        assert_eq!(q.batches(), 2);
-        q.push(7, 8, true);
-        q.push(9, 10, true);
-        q.push(11, 12, false);
-        q.push(13, 14, false);
-        q.push(15, 16, false);
+        q.end_row(10);
         assert_eq!(q.batches(), 2, "16 pairs are exactly two batches");
-        q.push(17, 18, true);
+        q.push(11, 0, true);
+        q.end_row(11);
         assert_eq!(q.batches(), 3);
         // begin() resets, keeping nothing from the previous pass.
         q.begin();
-        assert!(q.plain.is_empty() && q.one_four.is_empty());
+        assert!(q.rows.is_empty() && q.js.is_empty() && q.one_four.is_empty());
         assert_eq!((q.candidates, q.batches()), (0, 0));
         q.push(5, 6, false);
-        assert_eq!(q.plain, [[5, 6]]);
+        q.end_row(5);
+        assert_eq!(
+            (q.rows.as_slice(), q.js.as_slice()),
+            (&[[5, 1]][..], &[6][..])
+        );
         assert_eq!(q.batches(), 1);
     }
 

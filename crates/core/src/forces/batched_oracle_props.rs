@@ -42,7 +42,7 @@ fn oracle_pairs(pipe: &ForcePipeline, sys: &System, state: &FixedState) -> Vec<(
 fn queued_pairs(pipe: &ForcePipeline, keep: impl Fn(i64) -> bool) -> Vec<(u32, u32)> {
     let live = |q: &PairQueue, tiles: &PosTiles| -> Vec<(u32, u32)> {
         let mut v = Vec::new();
-        for &[si, sj] in q.plain.iter().chain(&q.one_four) {
+        for [si, sj] in q.pairs() {
             let (_, r2) = pipe
                 .ladder
                 .delta_r2_i128(tiles.raw_at(si), tiles.raw_at(sj));
@@ -156,16 +156,15 @@ fn batched_path_is_bitwise_the_scalar_oracle_on_a_solvated_protein() {
     let mut live_14 = 0;
     let mut type_pairs = std::collections::BTreeSet::new();
     for q in pipe.scratch.iter().map(|s| &s.queue) {
-        for (list, one_four) in [(&q.plain, false), (&q.one_four, true)] {
-            for &[si, sj] in list {
-                let (_, r2) = pipe.ladder.delta_r2(tiles.raw_at(si), tiles.raw_at(sj));
-                if r2 > pipe.rc2_q20 || r2 == 0 {
-                    continue;
-                }
-                live_14 += usize::from(one_four);
-                let (ti, tj) = (tiles.all().ty[si as usize], tiles.all().ty[sj as usize]);
-                type_pairs.insert((ti.min(tj), ti.max(tj)));
+        // `pairs()` lists the row pairs first, then the 1-4 pairs.
+        for (k, [si, sj]) in q.pairs().enumerate() {
+            let (_, r2) = pipe.ladder.delta_r2(tiles.raw_at(si), tiles.raw_at(sj));
+            if r2 > pipe.rc2_q20 || r2 == 0 {
+                continue;
             }
+            live_14 += usize::from(k >= q.js.len());
+            let (ti, tj) = (tiles.all().ty[si as usize], tiles.all().ty[sj as usize]);
+            type_pairs.insert((ti.min(tj), ti.max(tj)));
         }
     }
     assert!(live_14 >= 1, "no live 1-4 lane");
@@ -489,7 +488,7 @@ fn mover_pairs_keep_forces_bitwise_invariant() {
             "step {step}: the mover set"
         );
         let q = &pipe.mover_queue;
-        for &[si, sj] in q.plain.iter().chain(&q.one_four) {
+        for [si, sj] in q.pairs() {
             let (i, j) = (tiles.atom_at(si), tiles.atom_at(sj));
             assert_ne!(top.exclusions.class(i, j), PairClass::Excluded);
             saw_pair |= (i.min(j), i.max(j)) == (a as u32, b as u32);

@@ -14,9 +14,12 @@
 //! tile pairs were dealt to ranks.
 //!
 //! No stage stores a pair. The tiles hold per-atom records (position,
-//! charge, LJ type, atom id); the match stage emits which two slots meet;
-//! the evaluator is gather → ladder → PPIP → scatter, forming r² and the
-//! kernel parameters from the two records every step (paper §2.2, §3.2.1).
+//! charge, LJ type, atom id); the match stage emits which slots meet, as
+//! rows — one i slot, then every j slot it meets in the rank's tile pairs
+//! (paper §3.1's plate atoms, named once); the evaluator is gather →
+//! ladder → PPIP → scatter, reading the i position once per row and
+//! forming r² and the kernel parameters from the two records every step
+//! (paper §2.2, §3.2.1).
 
 use super::{ForcePipeline, RawForces};
 use crate::batch::PairQueue;
@@ -229,6 +232,7 @@ impl ForcePipeline {
                     q.push(sm, sj, class == PairClass::OneFour);
                 }
             }
+            q.end_row(sm);
         }
     }
 
@@ -280,38 +284,50 @@ impl ForcePipeline {
     /// Refill one rank's persistent match queue from the shared tiles (the
     /// rebuild arm of [`Self::rank_pairs_batched`], span-free so
     /// checkpoint restore can replay the fill deterministically on the
-    /// trunk).
+    /// trunk). The rank's tile pairs are walked in runs of equal first
+    /// tile — both plans emit them that way: `CellTiling::pairs` is
+    /// a-major, the NT plan tower-major — and each slot of the run's tile
+    /// streams every partner tile of the run before its row is closed, so
+    /// a slot heads one row per run.
     fn fill_rank_queue(&self, sys: &System, r: usize, queue: &mut PairQueue) {
         queue.begin();
         let tiles = self.ranks.tiles();
-        for &(ca, cb) in &self.ranks.ranks[r].tile_pairs {
-            let (ca, cb) = (ca as usize, cb as usize);
-            self.match_tile_pair(
-                sys,
-                tiles.tile(ca),
-                tiles.tile(cb),
-                ca == cb,
-                tiles.tile_start(ca) as u32,
-                tiles.tile_start(cb) as u32,
-                queue,
-            );
+        for run in self.ranks.ranks[r].tile_pairs.chunk_by(|p, q| p.0 == q.0) {
+            let ca = run[0].0 as usize;
+            let (a, sa0) = (tiles.tile(ca), tiles.tile_start(ca) as u32);
+            for si in 0..a.len() {
+                for &(_, cb) in run {
+                    let cb = cb as usize;
+                    self.match_row(
+                        sys,
+                        a,
+                        tiles.tile(cb),
+                        ca == cb,
+                        sa0,
+                        tiles.tile_start(cb) as u32,
+                        si,
+                        queue,
+                    );
+                }
+                queue.end_row(sa0 + si as u32);
+            }
         }
     }
 
-    /// Stream one tile pair through a match unit, one row of `b` per slot
-    /// of `a`, a block of [`MATCH_BLOCK`] candidates at a time, in two
-    /// passes. The first is the ASIC match unit's reduced-precision
-    /// compare — the integer lower bound of [`Q20Ladder`] on every
-    /// candidate of the block, no data-dependent branch, survivors' slot
-    /// indices compacted into a stack buffer. The second runs on survivors
-    /// only: exact Q20 r² against the *padded* cutoff
-    /// `(rc + PAIRLIST_SLACK)²`, then the exclusion class — excluded pairs
-    /// are dropped, 1-4 pairs flagged. `same` marks a tile paired with
-    /// itself, where slots enumerate `si < sj`. `sa0`/`sb0` are the tiles'
-    /// first flat slots in the owning tile pool. What the stage emits is
-    /// the pair's *identity* only — its two flat slots and the 1-4 bit; r²
-    /// and the kernel parameters are the evaluator's to form, every step,
-    /// from the per-atom tile records.
+    /// Stream slot `si` of tile `a` against tile `b` through a match unit,
+    /// into the queue's open row, a block of [`MATCH_BLOCK`] candidates at
+    /// a time, in two passes. The first is the ASIC match unit's
+    /// reduced-precision compare — the integer lower bound of
+    /// [`Q20Ladder`] on every candidate of the block, no data-dependent
+    /// branch, survivors' slot indices compacted into a stack buffer. The
+    /// second runs on survivors only: exact Q20 r² against the *padded*
+    /// cutoff `(rc + PAIRLIST_SLACK)²`, then the exclusion class —
+    /// excluded pairs are dropped, 1-4 pairs flagged. `same` marks a tile
+    /// paired with itself, where slots enumerate `si < sj`. `sa0`/`sb0`
+    /// are the tiles' first flat slots in the owning tile pool. What the
+    /// stage emits is the pair's *identity* only — the j slot (the row
+    /// names the i slot) and the 1-4 bit; r² and the kernel parameters are
+    /// the evaluator's to form, every step, from the per-atom tile records.
     ///
     /// Matching at the padded radius makes the queued set hold every
     /// in-cutoff pair of two non-movers for as long as the cache is reused;
@@ -324,7 +340,7 @@ impl ForcePipeline {
         clippy::too_many_arguments,
         reason = "the tile-pair tuple the cell walk produces; a struct would only rename the call sites"
     )]
-    fn match_tile_pair(
+    fn match_row(
         &self,
         sys: &System,
         a: TileView<'_>,
@@ -332,50 +348,49 @@ impl ForcePipeline {
         same: bool,
         sa0: u32,
         sb0: u32,
+        si: usize,
         q: &mut PairQueue,
     ) {
         let exclusions = &sys.topology.exclusions;
+        let pi = [a.x[si], a.y[si], a.z[si]];
+        let ai = a.atom[si];
+        let sj0 = if same { si + 1 } else { 0 };
+        q.candidates += (b.len() - sj0) as u64;
         let mut kept = [0u32; MATCH_BLOCK];
-        for si in 0..a.len() {
-            let pi = [a.x[si], a.y[si], a.z[si]];
-            let ai = a.atom[si];
-            let sj0 = if same { si + 1 } else { 0 };
-            q.candidates += (b.len() - sj0) as u64;
-            for block in (sj0..b.len()).step_by(MATCH_BLOCK) {
-                let end = (block + MATCH_BLOCK).min(b.len());
-                let row = b.x[block..end]
-                    .iter()
-                    .zip(&b.y[block..end])
-                    .zip(&b.z[block..end]);
-                let mut n = 0;
-                for (sj, ((&x, &y), &z)) in (block as u32..).zip(row) {
-                    let lb = self.ladder.r2_lower_bound_q40(pi, [x, y, z]);
-                    kept[n] = sj;
-                    n += usize::from(lb <= self.r2_lb_max);
+        for block in (sj0..b.len()).step_by(MATCH_BLOCK) {
+            let end = (block + MATCH_BLOCK).min(b.len());
+            let row = b.x[block..end]
+                .iter()
+                .zip(&b.y[block..end])
+                .zip(&b.z[block..end]);
+            let mut n = 0;
+            for (sj, ((&x, &y), &z)) in (block as u32..).zip(row) {
+                let lb = self.ladder.r2_lower_bound_q40(pi, [x, y, z]);
+                kept[n] = sj;
+                n += usize::from(lb <= self.r2_lb_max);
+            }
+            for &sj in &kept[..n] {
+                let sj = sj as usize;
+                let (_, r2) = self.ladder.delta_r2(pi, [b.x[sj], b.y[sj], b.z[sj]]);
+                if r2 > self.rc_pad2_q20 {
+                    continue;
                 }
-                for &sj in &kept[..n] {
-                    let sj = sj as usize;
-                    let (_, r2) = self.ladder.delta_r2(pi, [b.x[sj], b.y[sj], b.z[sj]]);
-                    if r2 > self.rc_pad2_q20 {
-                        continue;
-                    }
-                    let class = exclusions.class(ai, b.atom[sj]);
-                    if class == PairClass::Excluded {
-                        continue;
-                    }
-                    q.push(
-                        sa0 + si as u32,
-                        sb0 + sj as u32,
-                        class == PairClass::OneFour,
-                    );
+                let class = exclusions.class(ai, b.atom[sj]);
+                if class == PairClass::Excluded {
+                    continue;
                 }
+                q.push(
+                    sa0 + si as u32,
+                    sb0 + sj as u32,
+                    class == PairClass::OneFour,
+                );
             }
         }
     }
 
     /// Replay a queue against the *current* tile positions: its plain
-    /// pairs at unit multipliers, then its 1-4 pairs at the exclusion
-    /// policy's 1-4 multipliers, each list through
+    /// rows at unit multipliers, then its 1-4 pairs (as rows of one) at
+    /// the exclusion policy's 1-4 multipliers, each through
     /// [`Self::evaluate_pairs`]. Returns the number of live (in-cutoff)
     /// pairs.
     pub(super) fn evaluate_queue<const ENERGY: bool>(
@@ -389,15 +404,22 @@ impl ForcePipeline {
                 .scales(class)
                 .expect("only excluded pairs have no multipliers")
         };
-        self.evaluate_pairs::<ENERGY>(sys, &queue.plain, scales(PairClass::Plain), out)
-            + self.evaluate_pairs::<ENERGY>(sys, &queue.one_four, scales(PairClass::OneFour), out)
+        self.evaluate_pairs::<ENERGY>(sys, queue.plain_rows(), scales(PairClass::Plain), out)
+            + self.evaluate_pairs::<ENERGY>(
+                sys,
+                queue.one_four_rows(),
+                scales(PairClass::OneFour),
+                out,
+            )
     }
 
-    /// Evaluate slot pairs of one class against the current tile
-    /// positions, as a gather → ladder → PPIP → scatter pipeline with no
-    /// per-pair state, in two passes over fixed-width work:
+    /// Evaluate rows of slot pairs of one class — an i slot and its j
+    /// slots — against the current tile positions, as a gather → ladder →
+    /// PPIP → scatter pipeline with no per-pair state, in two passes over
+    /// fixed-width work:
     ///
-    /// * *Ladder.* Per pair, the [`Q20Ladder`] the match stage ran (bit for
+    /// * *Ladder.* The i position is read once per row. Per pair, the
+    ///   [`Q20Ladder`] the match stage ran (bit for
     ///   bit the scalar oracle's 128-bit one) re-derives displacement and
     ///   r² straight-line, and the exact `r² ≤ rc²`, `r² ≠ 0` cutoff test
     ///   decides whether the pair is live. Every pair is written to a stack
@@ -425,10 +447,10 @@ impl ForcePipeline {
     /// positions produces identical accumulators. Returns the number of
     /// live (in-cutoff) pairs, which is likewise rebuild-schedule
     /// independent.
-    pub(super) fn evaluate_pairs<const ENERGY: bool>(
+    pub(super) fn evaluate_pairs<'q, const ENERGY: bool>(
         &self,
         sys: &System,
-        pairs: &[[u32; 2]],
+        rows: impl Iterator<Item = (u32, &'q [u32])>,
         (se, sl): (f64, f64),
         out: &mut RawForces,
     ) -> u64 {
@@ -475,14 +497,17 @@ impl ForcePipeline {
         let mut live = [LiveLane::default(); LIVE_CHUNK];
         let mut n = 0;
         let mut live_pairs = 0u64;
-        for &[si, sj] in pairs {
-            let (d, r2) = self.ladder.delta_r2(raw(si), raw(sj));
-            live[n] = LiveLane { d, r2, si, sj };
-            n += usize::from((r2 <= self.rc2_q20) & (r2 != 0));
-            if n == LIVE_CHUNK {
-                live.chunks_exact(MATCH_WIDTH).for_each(&mut drain);
-                live_pairs += LIVE_CHUNK as u64;
-                n = 0;
+        for (si, js) in rows {
+            let pi = raw(si);
+            for &sj in js {
+                let (d, r2) = self.ladder.delta_r2(pi, raw(sj));
+                live[n] = LiveLane { d, r2, si, sj };
+                n += usize::from((r2 <= self.rc2_q20) & (r2 != 0));
+                if n == LIVE_CHUNK {
+                    live.chunks_exact(MATCH_WIDTH).for_each(&mut drain);
+                    live_pairs += LIVE_CHUNK as u64;
+                    n = 0;
+                }
             }
         }
         live[..n].chunks(MATCH_WIDTH).for_each(drain);

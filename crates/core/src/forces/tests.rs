@@ -5,6 +5,7 @@
 //! the per-atom-pair NT enumeration, and the per-pair correction kernel.
 
 use super::*;
+use crate::batch::PairQueue;
 use crate::ranks::raw_bits;
 use crate::state::{FixedState, DISP_SCALE, ENERGY_SCALE, FORCE_FRAC, FORCE_SCALE};
 use anton_fixpoint::rounding::rne_f64;
@@ -23,7 +24,7 @@ impl ForcePipeline {
     /// The scalar *reference oracle* for the batched match/evaluate
     /// pipeline, on the ladder's 128-bit form
     /// ([`Q20Ladder::delta_r2_i128`]); production streams tile pairs
-    /// through `match_tile_pair` + `evaluate_pairs`, whose 64-bit
+    /// through `match_row` + `evaluate_pairs`, whose 64-bit
     /// [`Q20Ladder::delta_r2`] yields the same words.
     #[inline]
     pub(super) fn pair_contribution(
@@ -479,13 +480,24 @@ fn batched_corrections_match_scalar_oracle() {
     assert_ne!(batched.e_correction, 0);
 }
 
+/// A queue built by hand from `(i slot, j slots, 1-4)` rows.
+fn queue_of(rows: &[(u32, &[u32], bool)]) -> PairQueue {
+    let mut q = PairQueue::default();
+    for &(si, js, one_four) in rows {
+        for &sj in js {
+            q.push(si, sj, one_four);
+        }
+        q.end_row(si);
+    }
+    q
+}
+
 /// The evaluator's exact cutoff test drops a queued pair whose two atoms
-/// coincide (r² = 0), in either list: a queue holding one live plain pair
-/// among coincident ones adds exactly that pair, to every accumulator and
-/// to the live-pair count.
+/// coincide (r² = 0), in a row or among the 1-4 pairs: a queue holding
+/// one live plain pair among coincident ones adds exactly that pair, to
+/// every accumulator and to the live-pair count.
 #[test]
 fn coincident_lanes_contribute_nothing() {
-    use crate::batch::PairQueue;
     let sys = water_system(60, 33);
     let state = state_of(&sys);
     let n = sys.n_atoms();
@@ -509,17 +521,10 @@ fn coincident_lanes_contribute_nothing() {
     let mut want = RawForces::zeroed(n);
     pipe.apply_pair(&sys, &state, i as usize, j as usize, &mut want);
 
-    let clean = PairQueue {
-        plain: vec![[a, b]],
-        ..PairQueue::default()
-    };
+    let clean = queue_of(&[(a, &[b], false)]);
     // A coincident pair before and after the live one, and one among the
     // 1-4 pairs.
-    let noisy = PairQueue {
-        plain: vec![[a, a], [a, b], [b, b]],
-        one_four: vec![[b, b]],
-        candidates: 0,
-    };
+    let noisy = queue_of(&[(a, &[a, b], false), (b, &[b], false), (b, &[b], true)]);
     for (name, queue) in [("clean", clean), ("noisy", noisy)] {
         let mut got = RawForces::zeroed(n);
         let live = pipe.evaluate_queue::<true>(&sys, &queue, &mut got);
@@ -527,6 +532,98 @@ fn coincident_lanes_contribute_nothing() {
         assert_eq!(got, want, "{name}");
     }
     assert_ne!(want.e_range_limited, 0);
+}
+
+/// Rows of any length evaluate as their pairs one at a time: a queue
+/// built by hand — rows of 0, 1, 255, 256 and 257 j slots around
+/// `LIVE_CHUNK`, one i slot heading two rows apart, and a row with no
+/// live pair — adds bitwise what the scalar `apply_pair` oracle adds over
+/// the same pairs, and counts the same live pairs.
+#[test]
+fn hand_built_rows_match_the_scalar_oracle() {
+    let sys = water_system(150, 35);
+    let state = state_of(&sys);
+    let n = sys.n_atoms();
+    let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+    pipe.range_limited(&sys, &state, &mut RawForces::zeroed(n));
+    let tiles = pipe.ranks.tiles();
+    let atom = |s: u32| tiles.atom_at(s) as usize;
+    let slots = 0..tiles.len() as u32;
+    // The plain partners of slot `si`, live (in cutoff) or not.
+    let partners = |si: u32, live: bool| -> Vec<u32> {
+        (slots.clone())
+            .filter(|&sj| {
+                sj != si
+                    && sys
+                        .topology
+                        .exclusions
+                        .class(atom(si) as u32, atom(sj) as u32)
+                        == PairClass::Plain
+                    && pipe
+                        .pair_contribution(&sys, &state, atom(si), atom(sj))
+                        .is_some()
+                        == live
+            })
+            .collect()
+    };
+    // `len` j slots cycling through `from`.
+    let cycle =
+        |from: &[u32], len: usize| -> Vec<u32> { from.iter().copied().cycle().take(len).collect() };
+    let (live0, live1, dead1) = (partners(0, true), partners(1, true), partners(1, false));
+    let every1: Vec<u32> = (live1.iter().chain(&dead1)).copied().collect();
+    // Out of cutoff, and coincident.
+    let dead2: Vec<u32> = partners(2, false).into_iter().chain([2]).collect();
+    let live3 = partners(3, true);
+    assert!(!live0.is_empty() && !every1.is_empty() && !live3.is_empty());
+    let (long0, long1, longer0) = (cycle(&live0, 255), cycle(&every1, 256), cycle(&live0, 257));
+    let rows: [(u32, &[u32], bool); 6] = [
+        (0, &long0, false),
+        (4, &[], false),
+        (1, &long1, false),
+        (2, &dead2, false),
+        (3, &live3[..1], false),
+        (0, &longer0, false),
+    ];
+    let queue = queue_of(&rows);
+    assert_eq!(queue.rows.len(), 5, "the empty row is not stored");
+
+    let mut want = RawForces::zeroed(n);
+    let mut want_live = 0;
+    for (si, js, _) in rows {
+        for &sj in js.iter().filter(|&&sj| sj != si) {
+            let (i, j) = (atom(si), atom(sj));
+            want_live += u64::from(pipe.pair_contribution(&sys, &state, i, j).is_some());
+            pipe.apply_pair(&sys, &state, i, j, &mut want);
+        }
+    }
+    let mut got = RawForces::zeroed(n);
+    let live = pipe.evaluate_queue::<true>(&sys, &queue, &mut got);
+    assert_eq!((live, got), (want_live, want));
+    assert!(want_live > 2 * 256, "the live lanes fill LIVE_CHUNK twice");
+}
+
+/// A queue stores a row pair in 4 B plus its share of an 8 B row header:
+/// over every queue of the `water_small` benchmark box under
+/// `SingleRank`, the bytes per queued pair stay at most 4.5. Slot pairs
+/// (8 B each) fail this.
+#[test]
+fn queues_store_at_most_four_and_a_half_bytes_a_pair() {
+    let sys =
+        anton_systems::water_box("water_small", 22.0, 340, 42, RunParams::paper(7.5, 16)).unwrap();
+    let state = state_of(&sys);
+    let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+    pipe.range_limited(&sys, &state, &mut RawForces::zeroed(sys.n_atoms()));
+    let queues = (pipe.scratch.iter().map(|s| &s.queue)).chain([&pipe.mover_queue]);
+    let (mut bytes, mut pairs) = (0, 0);
+    for q in queues {
+        bytes += q.rows.len() * 8 + q.js.len() * 4 + q.one_four.len() * 8;
+        pairs += q.js.len() + q.one_four.len();
+    }
+    assert!(pairs > 0);
+    assert!(
+        2 * bytes <= 9 * pairs,
+        "{bytes} B over {pairs} queued pairs is more than 4.5 B a pair"
+    );
 }
 
 /// A box whose half-edge reaches 2³⁰ raw Q20 would wrap the pair

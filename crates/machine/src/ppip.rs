@@ -33,8 +33,8 @@ pub const MATCH_WIDTH: usize = 8;
 /// per-lane Q20 r², charge products, and LJ coefficients, plus a survivor
 /// mask (bit `k` set = lane `k` holds a real pair). This is the evaluator's
 /// *staging* record, formed in the pipeline and never stored: the engine's
-/// match cache keeps only which two atoms meet (a list of tile-slot pairs,
-/// `anton_core::batch::PairQueue`), and every step re-derives r² from the
+/// match cache keeps only which atoms meet (rows of tile slots, one i slot
+/// and its j slots, `anton_core::batch::PairQueue`), and every step re-derives r² from the
 /// current positions, gathers the per-atom parameters and stages the
 /// in-cutoff pairs into one of these on the stack, handing it to the
 /// kernel each time it holds eight — so every call but the last of a list
