@@ -2,7 +2,6 @@
 //! deterministic constraints and optional Berendsen coupling.
 
 use crate::forces::{Decomposition, ForcePipeline, RawForces};
-use crate::pool::threads_from_env;
 use crate::state::{
     positions_from_bytes, positions_to_bytes, FixedState, FORCE_SCALE, VEL_FRAC, VEL_SCALE,
 };
@@ -46,9 +45,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Worker-thread count for the per-rank fan-out (default: the
-    /// `ANTON_THREADS` environment variable, else 1). Never affects
-    /// results — trajectories are bitwise invariant across thread counts.
+    /// Thread count for the per-rank fan-out (default 1); the only way to
+    /// set it. Never affects results — trajectories are bitwise invariant
+    /// across thread counts — but it enters the config fingerprint, so a
+    /// checkpoint resumes only under the count it was written with.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -214,7 +214,7 @@ impl AntonSimulation {
             system,
             velocities: None,
             decomposition: Decomposition::SingleRank,
-            threads: threads_from_env(),
+            threads: 1,
             thermostat: Thermostat::None,
             tracing: false,
         }
@@ -718,24 +718,26 @@ mod tests {
     /// Paper §4 "Parallel invariance": identical trajectories on any node
     /// count (the paper verified 128-node vs 512-node bitwise identity over
     /// 2.7 billion steps; we verify several decompositions over a shorter
-    /// window).
+    /// window). The decomposed runs fan out over 4 threads against the
+    /// one-thread `SingleRank` reference.
     #[test]
     fn trajectories_are_bitwise_invariant_across_node_counts() {
-        let run = |decomposition| {
+        let run = |decomposition, threads| {
             let sys = water_system(80, 5);
             let mut sim = AntonSimulation::builder(sys)
                 .velocities_from_temperature(300.0, 9)
                 .decomposition(decomposition)
+                .threads(threads)
                 .build();
             sim.run_cycles(4);
             sim.state
         };
-        let reference = run(Decomposition::SingleRank);
+        let reference = run(Decomposition::SingleRank, 1);
         for nodes in [2usize, 8, 64] {
             assert_eq!(
-                run(Decomposition::Nodes(nodes)),
+                run(Decomposition::Nodes(nodes), 4),
                 reference,
-                "trajectory diverged on {nodes} nodes"
+                "trajectory diverged on {nodes} nodes × 4 threads"
             );
         }
     }

@@ -1,5 +1,5 @@
 //! The mesh phase: per-rank spread, mesh merge, FFT trunk, per-rank
-//! interpolate — with the correction stream overlapped on the pool.
+//! correction pairs, per-rank interpolate.
 
 use super::{ForcePipeline, RawForces};
 use crate::state::{FixedState, FORCE_FRAC};
@@ -33,10 +33,9 @@ impl ForcePipeline {
     /// rank spreads its mesh tiles' atoms into a *private* charge mesh;
     /// the meshes merge in fixed rank order with wrapping adds; the
     /// distributed fixed-point FFT trunk (forward → Green multiply →
-    /// inverse) runs on the calling thread *overlapped* with the per-rank
-    /// correction pairs — the software analogue of the concurrent HTIS and
-    /// flexible chains of §3.2 — and each rank then interpolates its
-    /// atoms' forces from the shared potential mesh. Every phase either
+    /// inverse) runs on the calling thread; each rank then evaluates its
+    /// correction pairs and interpolates its atoms' forces from the shared
+    /// potential mesh. Every phase either
     /// partitions work (disjoint FFT pencils, disjoint atoms) or
     /// accumulates quantized summands with wrapping adds, so the result is
     /// bitwise invariant to the plan and the thread count. When a machine
@@ -74,9 +73,9 @@ impl ForcePipeline {
         // and turned into spans once `self` is mutable again.
         let mut merge_span = (0u64, 0u64);
         let mut fft_marks = [0u64; 4];
-        // Trunk wall time of each pool fan-out (spread; overlapped
-        // FFT+corrections; interpolate) — the dispatch/join overhead is
-        // this span minus the rank spans it encloses.
+        // Trunk wall time of each pool fan-out (spread; corrections;
+        // interpolate) — the dispatch/join overhead is this span minus the
+        // rank spans it encloses.
         let mut dispatch_marks = [(0u64, 0u64); 3];
         {
             let this = &*self;
@@ -106,27 +105,21 @@ impl ForcePipeline {
                 }
             }
             merge_span.1 = this.trace.now_ns();
-            // 3. FFT trunk on the calling thread, overlapped with the
-            //    per-rank correction pairs on the pool.
-            let marks = &mut fft_marks;
+            // 3. FFT trunk on the calling thread.
+            this.gse.transform_marked(&mut gs, &mut |stage| {
+                fft_marks[stage as usize] = this.trace.now_ns();
+            });
+            // 4. Per-rank correction pairs.
             dispatch_marks[1].0 = this.trace.now_ns();
-            this.pool.run_overlapped(
-                &mut lr,
-                |r, s| {
-                    let t = this.trace.now_ns();
-                    this.correction_stream_into(state, &rs.ranks[r].corrections, &mut s.forces);
-                    if this.trace.is_on() {
-                        s.lane.push(Phase::Correction, t, this.trace.now_ns());
-                    }
-                },
-                || {
-                    this.gse.transform_marked(&mut gs, &mut |stage| {
-                        marks[stage as usize] = this.trace.now_ns();
-                    })
-                },
-            );
+            this.pool.run(&mut lr, |r, s| {
+                let t = this.trace.now_ns();
+                this.correction_stream_into(state, &rs.ranks[r].corrections, &mut s.forces);
+                if this.trace.is_on() {
+                    s.lane.push(Phase::Correction, t, this.trace.now_ns());
+                }
+            });
             dispatch_marks[1].1 = this.trace.now_ns();
-            // 4. Per-rank force interpolation from the shared potential.
+            // 5. Per-rank force interpolation from the shared potential.
             dispatch_marks[2].0 = this.trace.now_ns();
             this.pool.run(&mut lr, |r, s| {
                 let t = this.trace.now_ns();

@@ -14,9 +14,9 @@
 //! rank of [`Decomposition::SingleRank`] or the node grid of
 //! [`Decomposition::Nodes`]. Each rank computes its tile pairs, statically
 //! assigned bonded terms, correction pairs and its share of the GSE mesh
-//! phase into *private* accumulators (driven by a pinned-size
-//! [`DetPool`]), and the rank buffers are merged serially in fixed rank
-//! order. No atomics, no cross-thread reductions — thread scheduling can
+//! phase into *private* accumulators (fanned out over scoped threads by
+//! [`DetPool::run`]), and the rank buffers are merged serially in fixed
+//! rank order. No atomics, no cross-thread reductions — thread scheduling can
 //! only change when a rank buffer is filled, never its contents, so
 //! trajectories are bitwise invariant across plans *and* worker-thread
 //! counts.
@@ -27,7 +27,7 @@
 //! * `pair` — re-bin, tile rebuild/refresh, per-rank match + evaluate,
 //!   and the persistent match cache;
 //! * `mesh` — per-rank spread, mesh merge, FFT trunk, per-rank
-//!   interpolate;
+//!   correction pairs and interpolate;
 //! * `flexible` — bonded terms and the packed correction stream.
 
 mod flexible;

@@ -18,8 +18,8 @@
 //!   identical on 1, 2, 8, 64, … nodes. The rank fan-out ([`ranks`],
 //!   [`pool`]) extends the same guarantee to host worker threads: each rank
 //!   fills a private accumulator and the buffers merge in fixed rank order,
-//!   so 1, 2, or 4 threads (`ANTON_THREADS` or
-//!   [`SimulationBuilder::threads`]) produce identical bits.
+//!   so any thread count set by [`SimulationBuilder::threads`] (default 1)
+//!   produces identical bits.
 //! * **Exact reversibility** — without constraints or temperature control,
 //!   negating all velocities and re-running recovers the initial state
 //!   bit-for-bit (fixed-point velocity Verlet with round-to-nearest/even,
@@ -62,7 +62,7 @@ pub use anton_ckpt::{CheckpointStore, CkptError, Snapshot};
 pub use anton_trace::{Phase as TracePhase, TraceSink};
 pub use engine::{AntonSimulation, SimulationBuilder};
 pub use forces::{Decomposition, ForcePipeline, RawForces};
-pub use pool::{threads_from_env, DetPool};
+pub use pool::DetPool;
 pub use ranks::{Rank, RankSet};
 pub use state::FixedState;
 pub use stats::system_stats;

@@ -1,23 +1,16 @@
-//! A pinned-size deterministic thread pool for per-rank fan-out.
+//! Deterministic per-rank fan-out over scoped threads.
 //!
-//! Parallelism here never touches results: every work item (a rank's
-//! private accumulator) is processed by exactly one worker, the partition
-//! of items into workers is a pure function of the item count and the pool
-//! size, and nothing is reduced across threads — the caller merges the
-//! item buffers afterward in a fixed, rank-indexed order (the sanctioned
-//! pattern of DESIGN.md §8). Thread scheduling can therefore only change
-//! *when* a buffer is filled, never *what* it contains.
+//! Each [`DetPool::run`] call spawns up to `threads` scoped threads for
+//! that one fan-out and joins them before it returns; nothing outlives the
+//! call. Parallelism here never touches results: every work item (a rank's
+//! private accumulator) is processed by exactly one thread, the partition
+//! of items into threads is a pure function of the item count and the
+//! thread count, and nothing is reduced across threads — the caller merges
+//! the item buffers afterward in a fixed, rank-indexed order (the
+//! sanctioned pattern of DESIGN.md §8). Thread scheduling can therefore
+//! only change *when* a buffer is filled, never *what* it contains.
 
-/// Worker-thread count from the `ANTON_THREADS` environment variable
-/// (a run configuration input, like a command-line flag); defaults to 1.
-pub fn threads_from_env() -> usize {
-    match std::env::var("ANTON_THREADS") {
-        Ok(s) => s.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => 1,
-    }
-}
-
-/// A fixed-size pool of scoped worker threads.
+/// The thread count of a per-rank fan-out.
 #[derive(Clone, Copy, Debug)]
 pub struct DetPool {
     threads: usize,
@@ -31,29 +24,14 @@ impl DetPool {
     }
 
     /// Apply `f(index, item)` to every item, fanning contiguous chunks of
-    /// the slice out to workers. With one thread (the default) no threads
-    /// are spawned at all.
+    /// the slice out to scoped threads. With one thread (the default) or
+    /// at most one item no thread is spawned at all.
     pub fn run<T: Send>(&self, items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-        self.run_overlapped(items, f, || {});
-    }
-
-    /// Like [`Self::run`], but additionally executes `main` on the calling
-    /// thread while the workers process `items` — the engine overlaps the
-    /// FFT trunk of the mesh phase with per-rank correction work this way,
-    /// mirroring the paper's concurrent HTIS and flexible-subsystem chains
-    /// (§3.2). `main` and the workers must write disjoint buffers.
-    pub fn run_overlapped<T: Send, R>(
-        &self,
-        items: &mut [T],
-        f: impl Fn(usize, &mut T) + Sync,
-        main: impl FnOnce() -> R,
-    ) -> R {
         if self.threads == 1 || items.len() <= 1 {
-            let r = main();
             for (i, item) in items.iter_mut().enumerate() {
                 f(i, item);
             }
-            return r;
+            return;
         }
         let chunk = items.len().div_ceil(self.threads);
         let f = &f;
@@ -70,8 +48,7 @@ impl DetPool {
                     }
                 });
             }
-            main()
-        })
+        });
     }
 }
 
@@ -109,23 +86,5 @@ mod tests {
         for threads in 2..=4 {
             assert_eq!(fill(threads), one, "pool size {threads} diverged");
         }
-    }
-
-    #[test]
-    fn overlapped_main_runs_and_returns() {
-        for threads in [1usize, 3] {
-            let mut buf = vec![0u8; 7];
-            let r = DetPool::new(threads).run_overlapped(&mut buf, |_, b| *b = 1, || 42usize);
-            assert_eq!(r, 42);
-            assert!(buf.iter().all(|&b| b == 1));
-        }
-    }
-
-    #[test]
-    fn env_parse_is_defensive() {
-        // Only exercises the parsing contract, not the process environment.
-        assert_eq!("4".trim().parse::<usize>().unwrap_or(1).max(1), 4);
-        assert_eq!("zero".trim().parse::<usize>().unwrap_or(1).max(1), 1);
-        assert_eq!("0".trim().parse::<usize>().unwrap_or(1).max(1), 1);
     }
 }

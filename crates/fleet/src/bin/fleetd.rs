@@ -53,6 +53,9 @@ fn run(args: Vec<String>) -> i32 {
     fleet.quantum = quantum.max(1);
     fleet.workers = workers.max(1);
     fleet.keep = keep.max(1);
+    if let Err(e) = fleet.validate() {
+        fail(&e.to_string());
+    }
     let cfg = DaemonConfig {
         socket: socket.into(),
         fleet,

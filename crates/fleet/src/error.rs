@@ -25,6 +25,9 @@ pub enum FleetError {
     UnknownJob { id: u64 },
     /// A submitted spec failed validation before entering the queue.
     SpecInvalid { reason: String },
+    /// A fleet configured with more slice workers than the cap, refused
+    /// before any worker thread exists.
+    TooManyWorkers { workers: usize, max: usize },
     /// The peer answered a request with a wire-level error response.
     Remote { kind: String, message: String },
     /// The peer answered with a response kind the request cannot produce.
@@ -48,6 +51,7 @@ impl FleetError {
             FleetError::BadTag { .. } => "bad_tag",
             FleetError::UnknownJob { .. } => "unknown_job",
             FleetError::SpecInvalid { .. } => "spec_invalid",
+            FleetError::TooManyWorkers { .. } => "too_many_workers",
             FleetError::Remote { .. } => "remote",
             FleetError::UnexpectedResponse { .. } => "unexpected_response",
             FleetError::Ckpt(e) => e.kind(),
@@ -77,6 +81,9 @@ impl fmt::Display for FleetError {
             FleetError::BadTag { what, got } => write!(f, "{what}: unknown tag {got}"),
             FleetError::UnknownJob { id } => write!(f, "unknown job {id:016x}"),
             FleetError::SpecInvalid { reason } => write!(f, "invalid job spec: {reason}"),
+            FleetError::TooManyWorkers { workers, max } => {
+                write!(f, "workers {workers} above the cap of {max}")
+            }
             FleetError::Remote { kind, message } => {
                 write!(f, "daemon error [{kind}]: {message}")
             }
@@ -130,6 +137,12 @@ mod tests {
         assert_eq!(u.kind(), "unknown_job");
         assert!(!u.is_corruption());
         assert!(!FleetError::SpecInvalid { reason: "x".into() }.is_corruption());
+        let w = FleetError::TooManyWorkers {
+            workers: 65,
+            max: 64,
+        };
+        assert_eq!(w.kind(), "too_many_workers");
+        assert!(!w.is_corruption());
         // Codec and checkpoint errors keep their own tag and classification.
         assert!(FleetError::Ckpt(CkptError::BadMagic).is_corruption());
         assert_eq!(FleetError::Ckpt(CkptError::BadMagic).kind(), "bad_magic");

@@ -49,6 +49,10 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
+    /// Most slice workers a fleet may run, each an OS thread: the cap
+    /// [`JobSpec`] puts on one job's pool.
+    pub const MAX_WORKERS: usize = JobSpec::MAX_THREADS as usize;
+
     pub fn new(state_dir: impl Into<PathBuf>) -> FleetConfig {
         FleetConfig {
             state_dir: state_dir.into(),
@@ -65,6 +69,18 @@ impl FleetConfig {
 
     fn queue_dir(&self) -> PathBuf {
         self.state_dir.join("queue")
+    }
+
+    /// Refuse a layout no fleet may run: more workers than
+    /// [`Self::MAX_WORKERS`].
+    pub fn validate(&self) -> Result<(), FleetError> {
+        if self.workers > Self::MAX_WORKERS {
+            return Err(FleetError::TooManyWorkers {
+                workers: self.workers,
+                max: Self::MAX_WORKERS,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -116,8 +132,10 @@ impl Fleet {
     /// takes the newest valid queue snapshot — a corrupted newest file
     /// falls back to the previous one — and reconciles each unfinished
     /// job's progress against its own checkpoint store, which is the
-    /// authority after a crash.
+    /// authority after a crash. A config that fails
+    /// [`FleetConfig::validate`] is refused before anything is touched.
     pub fn create(cfg: FleetConfig) -> Result<Fleet, FleetError> {
+        cfg.validate()?;
         let store = QueueStore::create(cfg.queue_dir())?;
         let mut queue = store.recover()?.unwrap_or_default();
         for (id, rec) in queue.jobs.iter_mut() {
@@ -529,6 +547,28 @@ mod tests {
             assert_eq!(view.final_checksum, golden);
             cleanup(&fleet);
         }
+    }
+
+    /// The worker cap is checked before the state directory is touched,
+    /// and `create` starts no worker either way: only `run_to_completion`
+    /// and the daemon do.
+    #[test]
+    fn create_refuses_workers_above_the_cap() {
+        let dir =
+            std::env::temp_dir().join(format!("anton-fleet-sched-test-{}-cap", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = FleetConfig::new(&dir);
+        cfg.workers = 65;
+        let Err(err) = Fleet::create(cfg.clone()) else {
+            panic!("65 workers accepted");
+        };
+        assert_eq!(err.kind(), "too_many_workers");
+        assert!(err.to_string().contains("65"), "{err}");
+        assert!(!dir.exists(), "refused fleet touched its state dir");
+        cfg.workers = 64;
+        let fleet = Fleet::create(cfg).unwrap();
+        assert_eq!(fleet.config().workers, FleetConfig::MAX_WORKERS);
+        cleanup(&fleet);
     }
 
     #[test]

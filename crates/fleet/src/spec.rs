@@ -74,7 +74,7 @@ impl JobSpec {
     /// Largest worker pool a job may ask for. The pool fans out up to one
     /// OS thread per rank on every phase, and the result is bitwise the
     /// same on any count.
-    const MAX_THREADS: u32 = 64;
+    pub(crate) const MAX_THREADS: u32 = 64;
 
     /// The content fingerprint identifying this job. Every field is mixed
     /// with its label; float fields enter as their exact bit patterns.

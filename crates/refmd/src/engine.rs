@@ -53,38 +53,8 @@ impl RefSimulation {
 
     /// Recompute both force classes at the current positions.
     pub fn refresh_forces(&mut self) {
-        for v in &self.system.topology.virtual_sites {
-            self.positions[v.site as usize] = vsite_position(v, &self.positions);
-        }
-        for f in self.short_forces.iter_mut() {
-            *f = Vec3::ZERO;
-        }
-        let short = self.evaluator.short_range(
-            &self.system,
-            &self.positions,
-            &mut self.short_forces,
-            &mut self.profile,
-        );
-        for f in self.long_forces.iter_mut() {
-            *f = Vec3::ZERO;
-        }
-        let long = self.evaluator.long_range(
-            &self.system,
-            &self.positions,
-            &mut self.long_forces,
-            &mut self.profile,
-        );
-        // Spread virtual-site forces within each class (linear operation).
-        for v in &self.system.topology.virtual_sites {
-            vsite_spread_force(v, &mut self.short_forces);
-            vsite_spread_force(v, &mut self.long_forces);
-        }
-        self.energies = Energies {
-            bonded: short.bonded,
-            range_limited: short.range_limited,
-            reciprocal: long.reciprocal,
-            correction: long.correction,
-        };
+        self.refresh_short();
+        self.refresh_long();
     }
 
     #[inline]
@@ -115,23 +85,7 @@ impl RefSimulation {
             self.inner_step(dt);
         }
         // Recompute long-range forces at the new positions.
-        for f in self.long_forces.iter_mut() {
-            *f = Vec3::ZERO;
-        }
-        for v in &self.system.topology.virtual_sites {
-            self.positions[v.site as usize] = vsite_position(v, &self.positions);
-        }
-        let long = self.evaluator.long_range(
-            &self.system,
-            &self.positions,
-            &mut self.long_forces,
-            &mut self.profile,
-        );
-        for v in &self.system.topology.virtual_sites {
-            vsite_spread_force(v, &mut self.long_forces);
-        }
-        self.energies.reciprocal = long.reciprocal;
-        self.energies.correction = long.correction;
+        self.refresh_long();
         self.kick(Which::Long, k as f64 * dt / 2.0);
 
         if let Thermostat::Berendsen { target_k, tau_fs } = self.thermostat {
@@ -225,6 +179,28 @@ impl RefSimulation {
         }
         self.energies.bonded = short.bonded;
         self.energies.range_limited = short.range_limited;
+    }
+
+    /// Place virtual sites, then evaluate the long-range class and spread
+    /// its site forces, as [`Self::refresh_short`] does for the short one.
+    fn refresh_long(&mut self) {
+        for v in &self.system.topology.virtual_sites {
+            self.positions[v.site as usize] = vsite_position(v, &self.positions);
+        }
+        for f in self.long_forces.iter_mut() {
+            *f = Vec3::ZERO;
+        }
+        let long = self.evaluator.long_range(
+            &self.system,
+            &self.positions,
+            &mut self.long_forces,
+            &mut self.profile,
+        );
+        for v in &self.system.topology.virtual_sites {
+            vsite_spread_force(v, &mut self.long_forces);
+        }
+        self.energies.reciprocal = long.reciprocal;
+        self.energies.correction = long.correction;
     }
 
     pub fn step_count(&self) -> u64 {

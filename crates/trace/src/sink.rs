@@ -197,8 +197,8 @@ impl TraceSink {
     }
 
     /// Record a span with both endpoints already measured (used for the FFT
-    /// trunk, whose stage marks are collected inside the overlapped
-    /// closure).
+    /// trunk, whose stage marks are collected while the pipeline is
+    /// borrowed shared).
     #[inline]
     pub fn push_span(&mut self, phase: Phase, rank: u32, start_ns: u64, end_ns: u64) {
         if let TraceSink::On(b) = self {

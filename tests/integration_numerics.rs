@@ -43,20 +43,21 @@ fn full_engine_is_deterministic_across_runs() {
 
 #[test]
 fn full_engine_is_parallel_invariant_with_all_force_classes() {
-    let run = |d| {
+    let run = |d, threads| {
         let mut sim = AntonSimulation::builder(mini_protein_system(5))
             .velocities_from_temperature(300.0, 13)
             .decomposition(d)
+            .threads(threads)
             .build();
         sim.run_cycles(4);
         sim.state
     };
-    let reference = run(Decomposition::SingleRank);
+    let reference = run(Decomposition::SingleRank, 1);
     for nodes in [2usize, 16, 128] {
         assert_eq!(
-            run(Decomposition::Nodes(nodes)),
+            run(Decomposition::Nodes(nodes), 4),
             reference,
-            "protein-in-water trajectory diverged on {nodes} simulated nodes"
+            "protein-in-water trajectory diverged on {nodes} simulated nodes × 4 threads"
         );
     }
 }
