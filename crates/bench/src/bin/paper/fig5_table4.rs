@@ -133,7 +133,7 @@ fn numerical_error(sys: &anton_systems::System, sim: &AntonSimulation) -> f64 {
         let Some((se, sl)) = policy.scales(top.exclusions.class(i as u32, j as u32)) else {
             return;
         };
-        let raw = |a: usize| state.positions[a].0.map(|c| c.0);
+        let raw = |a: usize| state.positions[a].raw_bits();
         let (d, r2q) = pipe.ladder.delta_r2(raw(i), raw(j));
         if r2q > pipe.rc2_q20 || r2q == 0 {
             return;

@@ -17,7 +17,6 @@
 //! enumeration order, and forces accumulate in wrapping integers, so the
 //! order the evaluator visits them in is immaterial.
 
-use crate::ranks::raw_bits;
 use anton_fixpoint::rounding::rne_shr_i64_bounded;
 use anton_fixpoint::{FxVec3, Q20};
 use anton_machine::MATCH_WIDTH;
@@ -129,21 +128,32 @@ pub struct Q20Ladder {
 }
 
 impl Q20Ladder {
-    /// Exclusive bound on a half-edge, raw Q20 (1024 Å).
-    pub const HALF_EDGE_BOUND: i64 = 1 << 30;
+    /// Exclusive bound on a half-edge (1024 Å).
+    pub const HALF_EDGE_BOUND: Q20 = Q20::from_raw(1 << 30);
+
+    /// The half-edge word of a box edge of `edge` Å, as the ladder is
+    /// built on it, or `None` when [`Self::new`] would refuse it.
+    pub fn half_edge(edge: f64) -> Option<Q20> {
+        Some(Q20::from_f64(edge / 2.0)).filter(|&h| Self::admits(h))
+    }
 
     /// Panics when a half-edge is outside `(0, 1024 Å)`: beyond it the
     /// 64-bit products would wrap and silently change forces.
     pub fn new(half_edge_q20: [Q20; 3]) -> Q20Ladder {
-        let half_edge = half_edge_q20.map(|h| h.0);
-        for h in half_edge {
+        for h in half_edge_q20 {
             assert!(
-                h > 0 && h < Self::HALF_EDGE_BOUND,
-                "box half-edge {h} (raw Q20) outside (0, 2^30): the pair ladder's \
+                Self::admits(h),
+                "box half-edge {h:?} outside (0, 1024 Å): the pair ladder's \
                  64-bit products need every half-edge under 1024 Å"
             );
         }
-        Q20Ladder { half_edge }
+        Q20Ladder {
+            half_edge: half_edge_q20.map(|h| h.raw().0),
+        }
+    }
+
+    fn admits(h: Q20) -> bool {
+        Q20::default() < h && h < Self::HALF_EDGE_BOUND
     }
 
     /// Minimum-image displacement `a − b` in Q20 Å and its r² in Q20 Å².
@@ -240,7 +250,7 @@ impl MatchCache {
         MatchCache {
             ref_pos: Vec::new(),
             ladder,
-            thresh2_q20: Q20::from_f64(thresh * thresh).0,
+            thresh2_q20: Q20::from_f64(thresh * thresh).raw().0,
             movers: Vec::new(),
         }
     }
@@ -258,7 +268,7 @@ impl MatchCache {
             return false;
         }
         for (atom, (now, reference)) in (0u32..).zip(positions.iter().zip(&self.ref_pos)) {
-            let (_, r2) = self.ladder.delta_r2(raw_bits(now), raw_bits(reference));
+            let (_, r2) = self.ladder.delta_r2(now.raw_bits(), reference.raw_bits());
             if 4 * r2 >= self.thresh2_q20 {
                 if self.movers.len() == MOVER_CAP {
                     self.movers.clear();
@@ -679,7 +689,7 @@ mod tests {
 
     #[test]
     fn ladder_matches_the_128_bit_oracle() {
-        let bound = Q20Ladder::HALF_EDGE_BOUND;
+        let bound = Q20Ladder::HALF_EDGE_BOUND.raw().0;
         let at = |raw: i64| Q20::from_raw(raw);
         // Extremes: the widest delta against the widest admitted box, on
         // one axis and on all three.
@@ -708,7 +718,7 @@ mod tests {
         let cube32 = Q20Ladder::new([Q20::from_f64(16.0); 3]);
         for ang in [8i32, 9] {
             let on = ang << 27;
-            let r2_on = Q20::from_f64(f64::from(ang * ang)).0;
+            let r2_on = Q20::from_f64(f64::from(ang * ang)).raw().0;
             for (delta, want_over) in [(on, false), (on + (1 << 7), true), (-on, false)] {
                 let got = cube32.delta_r2([0, delta, 0], [0; 3]);
                 assert_eq!(got, cube32.delta_r2_i128([0, delta, 0], [0; 3]));
@@ -740,7 +750,7 @@ mod tests {
     #[should_panic(expected = "half-edge")]
     fn ladder_rejects_a_half_edge_at_the_bound() {
         let ok = Q20::from_f64(30.0);
-        Q20Ladder::new([ok, Q20::from_raw(Q20Ladder::HALF_EDGE_BOUND), ok]);
+        Q20Ladder::new([ok, Q20Ladder::HALF_EDGE_BOUND, ok]);
     }
 
     #[test]

@@ -383,12 +383,9 @@ impl AntonSimulation {
                 continue;
             }
             let v = self.state.velocities[i];
-            let d = [
-                rne_f64_to_i64(v[0] as f64 * self.drift_c[0]),
-                rne_f64_to_i64(v[1] as f64 * self.drift_c[1]),
-                rne_f64_to_i64(v[2] as f64 * self.drift_c[2]),
-            ];
-            self.state.drift(i, d);
+            let d = [0, 1, 2].map(|k| rne_f64_to_i64(v[k] as f64 * self.drift_c[k]));
+            let p = &mut self.state.positions[i];
+            *p = p.wrapping_add_raw(d);
         }
     }
 

@@ -6,7 +6,7 @@ use super::tests::{solvated_mini, state_of, water_box, water_system};
 use super::*;
 use crate::batch::PairQueue;
 use crate::state::FixedState;
-use anton_fixpoint::{Fx32, FxVec3, Q20};
+use anton_fixpoint::{FxVec3, Q20};
 use anton_forcefield::PairClass;
 use anton_geometry::{CellGrid, PeriodicBox, PosTiles};
 use proptest::prelude::*;
@@ -209,24 +209,26 @@ fn cached_matches_fresh(sys: &System) {
     // Constant per-atom drift (splitmix-style hash): each axis moves
     // ~0.03–0.05 Å per step, so the monitor (threshold ~0.495 Å of
     // accumulated displacement) trips every ~6–8 steps.
-    let drift = |atom: usize, axis: usize| -> Fx32 {
+    let drift = |atom: usize, axis: usize| -> i64 {
         let mut h = (atom as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((axis as u64).wrapping_mul(0xd1b5_4a32_d192_ed03));
         h ^= h >> 31;
         h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         h ^= h >> 27;
-        let mag = 7_000_000 + (h % 5_000_000) as i32;
-        Fx32(if h >> 63 == 1 { -mag } else { mag })
+        let mag = 7_000_000 + (h % 5_000_000) as i64;
+        if h >> 63 == 1 {
+            -mag
+        } else {
+            mag
+        }
     };
 
     let mut schedules: Vec<Vec<bool>> = vec![Vec::new(); cached.len()];
     for step in 0..20u32 {
         if step > 0 {
             for (a, p) in state.positions.iter_mut().enumerate() {
-                for k in 0..3 {
-                    p.0[k] = p.0[k].wrapping_add(drift(a, k));
-                }
+                *p = p.wrapping_add_raw([0, 1, 2].map(|k| drift(a, k)));
             }
         }
         fresh.invalidate_match_cache();
@@ -292,7 +294,7 @@ fn queued_pairs_equal_the_all_pairs_padded_oracle() {
             cells.iter().product::<usize>(),
             "case {case}"
         );
-        let raw = |a: usize| state.positions[a].0.map(|c| c.0);
+        let raw = |a: usize| state.positions[a].raw_bits();
         let mut want_pairs = Vec::new();
         let mut want = RawForces::zeroed(sys.n_atoms());
         for i in 0..sys.n_atoms() {
@@ -327,10 +329,8 @@ fn queued_pairs_equal_the_all_pairs_padded_oracle() {
 
 /// Shift one position by `d` Å (per axis), wrapping through the seam.
 fn shift(p: &mut FxVec3, d: [f64; 3], edge: Vec3) {
-    for (k, e) in [edge.x, edge.y, edge.z].into_iter().enumerate() {
-        let raw = (d[k] / e * 2f64.powi(32)).round() as i64;
-        p.0[k] = p.0[k].wrapping_add(Fx32(raw as i32));
-    }
+    let e = [edge.x, edge.y, edge.z];
+    *p = p.wrapping_add_raw([0, 1, 2].map(|k| (d[k] / e[k] * 2f64.powi(32)).round() as i64));
 }
 
 /// The mover scan's defining property: a solvated protein whose bulk
@@ -385,7 +385,7 @@ fn mover_pairs_keep_forces_bitwise_invariant() {
     // The solvent atom nearest the +x face.
     let seam = (chain_len..n)
         .filter(|&s| s != a && s != b)
-        .max_by_key(|&s| home.positions[s].0[0].0)
+        .max_by_key(|&s| home.positions[s].raw_bits()[0])
         .unwrap();
     let movers = [hot as usize, a, b, seam];
 
@@ -497,17 +497,16 @@ fn mover_pairs_keep_forces_bitwise_invariant() {
         // An excluded partner of the far mover inside the cutoff now that
         // was outside the padded cutoff at the epoch: the scan met it and
         // dropped it.
-        let raw = |p: &FxVec3| p.0.map(|c| c.0);
         if !schedules[0][step as usize] {
-            let hot_now = raw(&state.positions[hot as usize]);
-            let hot_then = raw(&epoch[hot as usize]);
+            let hot_now = state.positions[hot as usize].raw_bits();
+            let hot_then = epoch[hot as usize].raw_bits();
             let (_, moved2) = pipe.ladder.delta_r2(hot_now, hot_then);
-            saw_far |= moved2 > Q20::from_f64(PAIRLIST_SLACK * PAIRLIST_SLACK).0;
+            saw_far |= moved2 > Q20::from_f64(PAIRLIST_SLACK * PAIRLIST_SLACK).raw().0;
             saw_skipped_exclusion |= excluded.iter().any(|&j| {
                 let (_, r2) = pipe
                     .ladder
-                    .delta_r2(hot_now, raw(&state.positions[j as usize]));
-                let (_, r2_then) = pipe.ladder.delta_r2(hot_then, raw(&epoch[j as usize]));
+                    .delta_r2(hot_now, state.positions[j as usize].raw_bits());
+                let (_, r2_then) = pipe.ladder.delta_r2(hot_then, epoch[j as usize].raw_bits());
                 r2 <= pipe.rc2_q20 && r2_then > pipe.rc_pad2_q20
             });
         }
@@ -527,7 +526,7 @@ fn mover_pairs_keep_forces_bitwise_invariant() {
     assert!(saw_14, "no 1-4 lane in the mover queue");
     assert!(saw_skipped_exclusion, "no excluded partner met by the scan");
     assert!(saw_far, "no mover displaced by more than the slack");
-    let seam_x = |st: &FixedState| st.positions[seam].0[0].0;
+    let seam_x = |st: &FixedState| st.positions[seam].raw_bits()[0];
     assert!(
         seam_x(&home) > 0 && seam_x(&state) < 0,
         "the seam mover did not cross the +x face"

@@ -3,7 +3,6 @@
 //! from the plan's static work lists.
 
 use super::{ForcePipeline, RawForces};
-use crate::ranks::raw_bits;
 use crate::ranks::Rank;
 use crate::state::{FixedState, DISP_SCALE, ENERGY_SCALE, FORCE_SCALE};
 use anton_fixpoint::rounding::rne_f64_to_i64;
@@ -81,7 +80,7 @@ impl ForcePipeline {
         for &(i, j, qq) in pairs {
             let (d, _) = self
                 .ladder
-                .delta_r2(raw_bits(&pos[i as usize]), raw_bits(&pos[j as usize]));
+                .delta_r2(pos[i as usize].raw_bits(), pos[j as usize].raw_bits());
             // The kernel's r² is formed in f64 from the ladder's `d`.
             let r2 = (d[0] as f64 / DISP_SCALE).powi(2)
                 + (d[1] as f64 / DISP_SCALE).powi(2)

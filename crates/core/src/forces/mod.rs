@@ -242,11 +242,10 @@ impl ForcePipeline {
         let e = sys.pbox.edge();
         // First, so a box too large for the pair ladder is refused before
         // anything is built on it.
-        let ladder = Q20Ladder::new([
-            Q20::from_f64(e.x / 2.0),
-            Q20::from_f64(e.y / 2.0),
-            Q20::from_f64(e.z / 2.0),
-        ]);
+        let ladder = Q20Ladder::new(
+            [e.x, e.y, e.z]
+                .map(|x| Q20Ladder::half_edge(x).expect("box half-edge outside (0, 1024 Å)")),
+        );
         let gse = GseFixed::with_nodes(
             Mesh::new(sys.params.mesh, sys.pbox),
             GseParams::auto(sys.params.cutoff, sys.params.spread_cutoff),
@@ -264,7 +263,7 @@ impl ForcePipeline {
             ranks: RankSet::build(sys, decomposition, &policy, &gse),
             gse,
             corr_kernel: DirectKernel::reference(beta, sys.params.cutoff),
-            rc2_q20: Q20::from_f64(sys.params.cutoff * sys.params.cutoff).0,
+            rc2_q20: Q20::from_f64(sys.params.cutoff * sys.params.cutoff).raw().0,
             ladder,
             policy,
             pool: DetPool::new(threads),

@@ -23,7 +23,6 @@
 
 use super::{ForcePipeline, RawForces};
 use crate::batch::PairQueue;
-use crate::ranks::raw_bits;
 use crate::state::{FixedState, ENERGY_SCALE};
 use anton_fixpoint::rounding::rne_f64_to_i64;
 use anton_fixpoint::FxVec3;
@@ -216,14 +215,14 @@ impl ForcePipeline {
         let tiles = self.ranks.tiles();
         for &m in movers {
             let sm = tiles.slot_of(m);
-            let (now, then) = (tiles.raw_at(sm), raw_bits(&epoch[m as usize]));
+            let (now, then) = (tiles.raw_at(sm), epoch[m as usize].raw_bits());
             for sj in 0..tiles.len() as u32 {
                 let (_, r2) = self.ladder.delta_r2(now, tiles.raw_at(sj));
                 if r2 > self.rc2_q20 {
                     continue;
                 }
                 let aj = tiles.atom_at(sj);
-                let (_, r2_epoch) = self.ladder.delta_r2(then, raw_bits(&epoch[aj as usize]));
+                let (_, r2_epoch) = self.ladder.delta_r2(then, epoch[aj as usize].raw_bits());
                 if r2_epoch <= self.rc_pad2_q20 || (aj < m && movers.binary_search(&aj).is_ok()) {
                     continue;
                 }

@@ -6,7 +6,6 @@
 
 use super::*;
 use crate::batch::PairQueue;
-use crate::ranks::raw_bits;
 use crate::state::{FixedState, DISP_SCALE, ENERGY_SCALE, FORCE_FRAC, FORCE_SCALE};
 use anton_fixpoint::rounding::rne_f64;
 use anton_forcefield::water::TIP3P;
@@ -209,7 +208,7 @@ pub(super) fn state_of(sys: &System) -> FixedState {
 /// the reference every oracle here forms them on.
 fn delta_r2_i128(pipe: &ForcePipeline, state: &FixedState, i: usize, j: usize) -> ([i64; 3], i64) {
     let p = &state.positions;
-    pipe.ladder.delta_r2_i128(raw_bits(&p[i]), raw_bits(&p[j]))
+    pipe.ladder.delta_r2_i128(p[i].raw_bits(), p[j].raw_bits())
 }
 
 /// The paper's parallel-invariance claim, at force granularity: the NT

@@ -102,18 +102,12 @@ pub struct RankSet {
     tiles: PosTiles,
 }
 
-/// Raw signed fraction bits of one position.
-#[inline]
-pub(crate) fn raw_bits(p: &FxVec3) -> [i32; 3] {
-    p.0.map(|c| c.0)
-}
-
 /// Tile of atom `a` at `positions`: the tiling's cell of its binning
 /// atom.
 #[inline]
 fn tile_key(tiling: &CellTiling, leader: &[u32], positions: &[FxVec3], a: usize) -> usize {
     let b = leader.get(a).map_or(a, |&l| l as usize);
-    tiling.cell_of(raw_bits(&positions[b]))
+    tiling.cell_of(positions[b].raw_bits())
 }
 
 impl RankSet {
@@ -267,7 +261,7 @@ impl RankSet {
             |a| tile_key(tiling, leader, positions, a),
             |a| {
                 let a = a as usize;
-                (raw_bits(&positions[a]), top.charge[a], top.lj_type[a])
+                (positions[a].raw_bits(), top.charge[a], top.lj_type[a])
             },
         );
         self.meter_step(c);
@@ -277,7 +271,7 @@ impl RankSet {
     /// in the tile and slot [`Self::rebin`] last gave it.
     pub(crate) fn refresh(&mut self, positions: &[FxVec3]) {
         self.tiles
-            .refresh_positions(|a| raw_bits(&positions[a as usize]));
+            .refresh_positions(|a| positions[a as usize].raw_bits());
     }
 
     /// Meter one exchange step over the *frozen* binning: between
@@ -359,7 +353,6 @@ mod tests {
     use super::*;
     use anton_ewald::gse::GseParams;
     use anton_ewald::Mesh;
-    use anton_fixpoint::Fx32;
     use anton_forcefield::water::TIP3P;
     use anton_geometry::Vec3;
     use anton_systems::catalog::build_solvated;
@@ -407,11 +400,11 @@ mod tests {
                 }
             }
             for &w in words.iter().chain(&random) {
-                let p = FxVec3([Fx32(w); 3]);
+                let p = FxVec3::from_raw_bits([w; 3]);
                 let [x, y, z] = box_of_frac(dims, p.to_unit_frac()).map(|c| c as i32);
                 let want = grid.index(anton_geometry::IVec3::new(x, y, z));
                 assert_eq!(
-                    tiling.cell_of(raw_bits(&p)),
+                    tiling.cell_of(p.raw_bits()),
                     want,
                     "word {w:#x} on {dims:?}"
                 );

@@ -4,7 +4,7 @@
 
 use anton_ckpt::{CkptError, Reader, Writer};
 use anton_fixpoint::rounding::rne_f64_to_i64;
-use anton_fixpoint::{Fx32, FxVec3};
+use anton_fixpoint::FxVec3;
 use anton_geometry::{PeriodicBox, Vec3};
 
 // Each word is a raw `i64` with its own fraction bits and `2^FRAC` as an
@@ -153,15 +153,6 @@ impl FixedState {
     pub fn set_position(&mut self, pbox: &PeriodicBox, i: usize, p: Vec3) {
         self.positions[i] = Self::quantize_position(pbox, p);
     }
-
-    /// Apply a quantized position increment (drift), wrapping periodically.
-    #[inline]
-    pub fn drift(&mut self, i: usize, d_frac_raw: [i64; 3]) {
-        let p = &mut self.positions[i];
-        p.0[0] = p.0[0].wrapping_add(Fx32(d_frac_raw[0] as i32));
-        p.0[1] = p.0[1].wrapping_add(Fx32(d_frac_raw[1] as i32));
-        p.0[2] = p.0[2].wrapping_add(Fx32(d_frac_raw[2] as i32));
-    }
 }
 
 /// Encoded bytes per atom of a position block (`3 × i32`).
@@ -174,8 +165,8 @@ const VEL_BYTES: usize = 24;
 /// reference-epoch section.
 fn write_positions(w: &mut Writer, positions: &[FxVec3]) {
     for p in positions {
-        for a in p.0 {
-            w.i32(a.0);
+        for a in p.raw_bits() {
+            w.i32(a);
         }
     }
 }
@@ -183,7 +174,7 @@ fn write_positions(w: &mut Writer, positions: &[FxVec3]) {
 /// Read back `n` positions written by [`write_positions`].
 fn read_positions(r: &mut Reader<'_>, n: usize) -> Result<Vec<FxVec3>, CkptError> {
     (0..n)
-        .map(|_| Ok(FxVec3([Fx32(r.i32()?), Fx32(r.i32()?), Fx32(r.i32()?)])))
+        .map(|_| Ok(FxVec3::from_raw_bits([r.i32()?, r.i32()?, r.i32()?])))
         .collect()
 }
 
@@ -266,6 +257,7 @@ impl FixedState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_fixpoint::Fx32;
 
     #[test]
     fn checkpoint_roundtrip_is_exact() {
@@ -358,7 +350,7 @@ mod tests {
             &[Vec3::ZERO; 2],
         );
         let ladder = crate::batch::Q20Ladder::new([anton_fixpoint::Q20::from_f64(10.0); 3]);
-        let raw = |i: usize| crate::ranks::raw_bits(&st.positions[i]);
+        let raw = |i: usize| st.positions[i].raw_bits();
         let (d, _) = ladder.delta_r2(raw(0), raw(1));
         let dx = d[0] as f64 / DISP_SCALE;
         assert!((dx + 1.0).abs() < 1e-4, "dx = {dx}");

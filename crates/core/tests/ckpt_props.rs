@@ -3,7 +3,7 @@
 //! the typed-error contract holds for any corrupted length prefix.
 
 use anton_core::{CkptError, FixedState};
-use anton_fixpoint::{Fx32, FxVec3};
+use anton_fixpoint::FxVec3;
 use proptest::prelude::*;
 
 /// Build a state from raw fixed-point words (the format is raw words, so
@@ -11,7 +11,7 @@ use proptest::prelude::*;
 fn state_from_raw(pos: &[i32], vel: &[i64]) -> FixedState {
     let n = pos.len() / 3;
     let positions = (0..n)
-        .map(|i| FxVec3([Fx32(pos[3 * i]), Fx32(pos[3 * i + 1]), Fx32(pos[3 * i + 2])]))
+        .map(|i| FxVec3::from_raw_bits([pos[3 * i], pos[3 * i + 1], pos[3 * i + 2]]))
         .collect();
     let velocities = (0..n)
         .map(|i| [vel[3 * i], vel[3 * i + 1], vel[3 * i + 2]])

@@ -14,7 +14,7 @@
 //! | D4 | no wall clock or thread topology | `clippy.toml` `disallowed-types` / `disallowed-methods` |
 //! | D5 | no thread fan-out or channel drain outside the audited pools | `clippy.toml` `disallowed-methods` / `disallowed-types` |
 //! | D6 | a ban escape only in [`policy::NONDET_AUDITED_FILES`] | detlint ([`lint_source`]) |
-//! | D7 | raw fixed-point words wrap | the type: `Fx32::raw`/`Q20::raw` return `Wrapping` |
+//! | D7 | raw fixed-point words wrap | the types: `Fx32`/`Q20`/`FxVec3` fields are private to `fixpoint`, `Fx32::raw`/`Q20::raw` return `Wrapping` |
 //! | D8 | no native-endian byte layout | `clippy.toml` `disallowed-methods` |
 //! | META | every escape says why | `clippy::allow_attributes_without_reason`, `#[expect]` |
 //!

@@ -616,21 +616,26 @@ fn allow_for_the_wrong_rule_does_not_suppress() {
 }
 
 // ---------------------------------------------------------------------------
-// D7: raw words are `Wrapping`
+// D7: raw words are `Wrapping`, and their fields are the fixpoint crate's
 // ---------------------------------------------------------------------------
 
 #[test]
 fn d7_flags_unchecked_raw_fixed_point_arithmetic() {
     let hits = clippy_hits("crates/core/src/bad.rs", "fail_d7_raw_arith.rs");
     let lines: Vec<u32> = hits.iter().map(|(_, l)| *l).collect();
-    assert_eq!(lines, [9, 13, 17, 21], "{hits:?}");
+    assert_eq!(lines, [10, 14, 18, 22, 26, 30, 34, 38, 42], "{hits:?}");
     assert!(hits.iter().all(|(c, _)| c.starts_with('E')), "{hits:?}");
+    // The field read and the two constructors are refused as private.
+    assert_eq!(
+        hits[6..],
+        expect(&[("E0616", 34), ("E0423", 38), ("E0423", 42)])
+    );
 }
 
 #[test]
 fn d7_exempts_fixpoint_wrappers_and_sanctioned_shapes() {
-    // The wrappers, and arithmetic on the `Wrapping` word itself, compile
-    // clean.
+    // The wrappers and position methods, and arithmetic on the `Wrapping`
+    // word itself, compile clean.
     assert_eq!(
         clippy_hits("crates/core/src/good.rs", "pass_d7_wrapping.rs"),
         []

@@ -11,12 +11,9 @@ use core::num::Wrapping;
 /// yields the minimum-image displacement whenever the true separation is less
 /// than half a box edge.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Fx32(pub i32);
+pub struct Fx32(pub(crate) i32);
 
 impl Fx32 {
-    pub const ZERO: Fx32 = Fx32(0);
-    /// Number of fraction bits.
-    pub const FRAC: u32 = 31;
     /// Smallest representable increment (2^-31).
     #[expect(
         clippy::cast_precision_loss,
@@ -119,6 +116,24 @@ mod tests {
         fn subtraction_is_add_of_neg(a in any::<i32>(), b in any::<i32>()) {
             let (a, b) = (Fx32(a), Fx32(b));
             prop_assert_eq!(a.wrapping_sub(b), a.wrapping_add(b.wrapping_neg()));
+        }
+
+        #[test]
+        fn position_raw_bits_roundtrip(x in any::<i32>(), y in any::<i32>(), z in any::<i32>()) {
+            let p = crate::FxVec3([Fx32(x), Fx32(y), Fx32(z)]);
+            prop_assert_eq!(p.raw_bits(), [x, y, z]);
+            prop_assert_eq!(crate::FxVec3::from_raw_bits(p.raw_bits()), p);
+        }
+
+        #[test]
+        fn position_delta_wraps_mod_2_32(x in any::<i32>(), dx in any::<i64>(), dy in any::<i64>(), dz in any::<i64>()) {
+            // Any i64 delta, |d| >= 2^31 included: only d mod 2^32 moves a word.
+            let d = [dx, dy, dz];
+            let got = crate::FxVec3([Fx32(x); 3]).wrapping_add_raw(d).raw_bits();
+            for k in 0..3 {
+                let want = (i128::from(x) + i128::from(d[k])).rem_euclid(1 << 32);
+                prop_assert_eq!(i128::from(got[k] as u32), want);
+            }
         }
 
         #[test]

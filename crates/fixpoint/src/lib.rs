@@ -16,7 +16,9 @@
 //!    wraps to `-3/4`, yet adding `-5/8` recovers the true sum `5/8` — is a
 //!    unit test in this crate.
 //!
-//! The crate provides words and one rounding rule, not an algebra:
+//! The crate provides words and one rounding rule, not an algebra. Word
+//! fields are private, so every way to a word's bits is a method here, and
+//! `raw` returns a `Wrapping`, on which `+ - * <<` wrap by type:
 //!
 //! * [`Fx32`] — a 32-bit fraction in `[-1, 1)`. Atom positions are stored
 //!   per-axis as `Fx32` *fractions of the periodic box* ([`FxVec3`]), so

@@ -9,15 +9,13 @@ use core::num::Wrapping;
 /// fixed-point words are raw `i64`s with their own scales beside them in
 /// `anton_core::state`.
 ///
-/// Addition and subtraction wrap (associative, order-free).
+/// Addition wraps (associative, order-free).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Q20(pub i64);
+pub struct Q20(pub(crate) i64);
 
 impl Q20 {
     /// Fraction bits.
     pub const FRAC: u32 = 20;
-    pub const ZERO: Self = Q20(0);
-    pub const ONE: Self = Q20(1i64 << Self::FRAC);
     /// Smallest representable increment.
     #[expect(
         clippy::cast_precision_loss,
@@ -59,18 +57,13 @@ impl Q20 {
     }
 
     #[inline]
-    pub fn from_raw(raw: i64) -> Self {
+    pub const fn from_raw(raw: i64) -> Self {
         Q20(raw)
     }
 
     #[inline]
     pub fn wrapping_add(self, rhs: Self) -> Self {
         Q20(self.0.wrapping_add(rhs.0))
-    }
-
-    #[inline]
-    pub fn wrapping_sub(self, rhs: Self) -> Self {
-        Q20(self.0.wrapping_sub(rhs.0))
     }
 }
 
@@ -89,7 +82,7 @@ mod tests {
     fn roundtrip() {
         let x = Q20::from_f64(13.25);
         assert_eq!(x.to_f64(), 13.25);
-        assert_eq!(Q20::ONE.to_f64(), 1.0);
+        assert_eq!(Q20::from_f64(1.0).to_f64(), 1.0);
     }
 
     proptest! {
@@ -112,8 +105,8 @@ mod tests {
             // exact i128 sum.
             let exact: i128 = vals.iter().map(|&v| v as i128).sum();
             prop_assume!(exact >= i64::MIN as i128 && exact <= i64::MAX as i128);
-            let forward = vals.iter().fold(Q20::ZERO, |s, &v| s.wrapping_add(Q20::from_raw(v)));
-            let backward = vals.iter().rev().fold(Q20::ZERO, |s, &v| s.wrapping_add(Q20::from_raw(v)));
+            let forward = vals.iter().fold(Q20::default(), |s, &v| s.wrapping_add(Q20::from_raw(v)));
+            let backward = vals.iter().rev().fold(Q20::default(), |s, &v| s.wrapping_add(Q20::from_raw(v)));
             prop_assert_eq!(forward, backward);
             prop_assert_eq!(forward.raw().0 as i128, exact);
         }

@@ -14,7 +14,6 @@ use crate::wire::string_field;
 use anton_ckpt::{fnv1a, Fingerprint, Reader, Writer};
 use anton_core::batch::Q20Ladder;
 use anton_core::{AntonSimulation, Decomposition, SimulationBuilder};
-use anton_fixpoint::Q20;
 use anton_systems::spec::RunParams;
 use anton_systems::{water_box, System};
 use std::fmt;
@@ -146,9 +145,7 @@ impl JobSpec {
                 self.cutoff, self.box_edge
             ));
         }
-        // The half-edge word the engine's pair ladder is built on, formed
-        // as `ForcePipeline::new` forms it.
-        if Q20::from_f64(self.box_edge / 2.0).0 >= Q20Ladder::HALF_EDGE_BOUND {
+        if Q20Ladder::half_edge(self.box_edge).is_none() {
             return fail(format!(
                 "box edge {} Å: the pair ladder needs a half-edge under 1024 Å",
                 self.box_edge
