@@ -16,12 +16,12 @@
 //!   verification ladder, in which **every bit is covered** by the magic
 //!   check or one of two FNV-1a checksums (header and payload), so any
 //!   single bit flip or truncation is detected at load time — the
-//!   checkpoint file header ([`header`]) and the `anton-fleet` socket
-//!   frame are its two instances;
-//! * the snapshot payload ([`snapshot`]): step counter, config
+//!   checkpoint file and the `anton-fleet` socket frame are its two
+//!   instances;
+//! * the checkpoint file ([`snapshot`]): step counter, config
 //!   fingerprint, the engine's raw state bytes (opaque here — the engine
-//!   owns their interpretation), exchange counters, and trace
-//!   drop counts;
+//!   owns their interpretation), exchange counters, trace drop counts
+//!   and the match-cache reference epoch;
 //! * an on-disk store ([`store`]) with atomic temp-file+rename writes,
 //!   deterministic step-derived file names, last-K rotation, and
 //!   newest-valid fallback recovery — owned by whoever runs the
@@ -39,7 +39,6 @@ pub mod codec;
 pub mod error;
 pub mod fingerprint;
 pub mod fnv;
-pub mod header;
 pub mod snapshot;
 pub mod store;
 
@@ -47,6 +46,5 @@ pub use codec::{FrameFormat, FrameHeader, Reader, Writer};
 pub use error::CkptError;
 pub use fingerprint::Fingerprint;
 pub use fnv::{fnv1a, Fnv64};
-pub use header::{Header, HEADER_LEN, MAGIC, VERSION};
-pub use snapshot::Snapshot;
+pub use snapshot::{Snapshot, HEADER_LEN, MAGIC, VERSION};
 pub use store::{atomic_write_bytes, load_file, CheckpointStore, WriteReceipt};

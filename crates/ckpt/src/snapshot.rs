@@ -1,7 +1,22 @@
-//! The snapshot payload: what a checkpoint actually carries.
+//! The checkpoint file: the sealed frame of [`crate::codec`] with three
+//! meta words around the snapshot payload. The header is 64 bytes, all
+//! little-endian; coverage and verification order are the codec's:
 //!
-//! Payload layout after the [`Header`](crate::header::Header) (all
-//! little-endian, lengths explicit so the decoder never infers):
+//! ```text
+//! offset  size  field
+//!      0     8  magic            b"ANTCKPT1"
+//!      8     4  version          u32 (see [`VERSION`])
+//!     12     4  flags            u32 (the frame tag; reserved, 0)
+//!     16     8  step             u64 inner-step counter at capture
+//!     24     8  n_atoms          u64
+//!     32     8  fingerprint      u64 config fingerprint (see fingerprint.rs)
+//!     40     8  payload_len      u64 bytes following the header
+//!     48     8  payload_fnv      u64 FNV-1a of the payload bytes
+//!     56     8  header_fnv       u64 FNV-1a of header bytes 0..56
+//! ```
+//!
+//! Payload layout after the header (all little-endian, lengths explicit so
+//! the decoder never infers):
 //!
 //! ```text
 //! u64                 state_len
@@ -17,9 +32,24 @@
 //! against the header's `n_atoms` on restore), keeping the dependency
 //! arrow pointing from the engine down to the format, never back.
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{FrameFormat, Reader, Writer};
 use crate::error::CkptError;
-use crate::header::{Header, HEADER_LEN};
+
+/// File magic: "ANTon ChecKPoinT", format generation 1.
+pub const MAGIC: [u8; 8] = *b"ANTCKPT1";
+/// Current format version. Version 2 widened the exchange-counter block
+/// from 13 to 16 words (match-stage batch census). Version 3 widened it
+/// again to 18 words (rebuild/reuse census) and appended the match-cache
+/// reference-epoch section to the payload.
+pub const VERSION: u32 = 3;
+/// Total encoded header size in bytes.
+pub const HEADER_LEN: usize = FrameFormat::<3>::HEADER_LEN;
+
+/// The checkpoint frame; its meta words are (step, n_atoms, fingerprint).
+const FRAME: FrameFormat<3> = FrameFormat {
+    magic: MAGIC,
+    version: VERSION,
+};
 
 /// A complete, self-describing simulation snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,12 +97,8 @@ impl Snapshot {
     /// encoding is a pure function of the snapshot — byte-identical runs
     /// write byte-identical checkpoints.
     pub fn encode(&self) -> Vec<u8> {
-        Header::seal(
-            self.step,
-            self.n_atoms,
-            self.fingerprint,
-            &self.encode_payload(),
-        )
+        let meta = [self.step, self.n_atoms, self.fingerprint];
+        FRAME.seal(0, meta, &self.encode_payload())
     }
 
     /// Decode and fully verify a file image produced by [`Self::encode`].
@@ -83,9 +109,9 @@ impl Snapshot {
     /// the payload checksum), then the payload structure. No length field
     /// is trusted before the checksum guarding it has been verified.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, CkptError> {
-        let header = Header::decode(bytes)?;
-        let body = &bytes[HEADER_LEN..];
+        let (header, body) = FRAME.open_header(bytes)?;
         header.verify_payload(body)?;
+        let [step, n_atoms, fingerprint] = header.meta;
         let mut r = Reader::new(body);
         let state = r.section()?.to_vec();
         // The count is not trusted to size anything: the reads stop with
@@ -96,9 +122,9 @@ impl Snapshot {
         let match_ref = r.section()?.to_vec();
         r.expect_end("payload structure")?;
         Ok(Snapshot {
-            step: header.step,
-            fingerprint: header.fingerprint,
-            n_atoms: header.n_atoms,
+            step,
+            fingerprint,
+            n_atoms,
             state,
             counters,
             trace_dropped,

@@ -186,7 +186,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::HEADER_LEN;
+    use crate::snapshot::HEADER_LEN;
 
     fn sample(step: u64) -> Snapshot {
         Snapshot {

@@ -1,9 +1,9 @@
 //! Property tests for the checkpoint format: serialize/deserialize
-//! round-trips of random headers and snapshots, and a single-bit-flip
+//! round-trips of random snapshots and their headers, and a single-bit-flip
 //! corpus asserting every flip anywhere in an encoded checkpoint is
 //! detected by the magic/version checks or one of the two checksums.
 
-use anton_ckpt::{CkptError, Header, Snapshot, HEADER_LEN, VERSION};
+use anton_ckpt::{fnv1a, CkptError, FrameFormat, Snapshot, HEADER_LEN, MAGIC, VERSION};
 use proptest::prelude::*;
 
 fn snapshot(step: u64, n_atoms: u64, state: Vec<u8>, counters: Vec<u64>, dropped: u64) -> Snapshot {
@@ -24,44 +24,32 @@ fn snapshot(step: u64, n_atoms: u64, state: Vec<u8>, counters: Vec<u64>, dropped
 }
 
 proptest! {
-    /// Header encode/decode is the identity on the decoded fields.
-    #[test]
-    fn header_roundtrip(
-        step in 0u64..u64::MAX,
-        n_atoms in 0u64..u64::MAX,
-        fingerprint in 0u64..u64::MAX,
-        payload_len in 0u64..u64::MAX,
-        payload_fnv in 0u64..u64::MAX,
-        flags in 0u32..u32::MAX,
-    ) {
-        let h = Header {
-            version: VERSION,
-            flags,
-            step,
-            n_atoms,
-            fingerprint,
-            payload_len,
-            payload_fnv,
-        };
-        let decoded = Header::decode(&h.encode());
-        prop_assert_eq!(decoded.unwrap(), h);
-    }
-
     /// Snapshot encode/decode is the identity for arbitrary payload
-    /// shapes, including empty state and empty counters.
+    /// shapes, including empty state and empty counters, and the header
+    /// carries step, atom count and fingerprint over their full ranges as
+    /// the checkpoint frame's meta words, with tag 0 and the payload's
+    /// length and checksum.
     #[test]
     fn snapshot_roundtrip(
-        step in 0u64..1_000_000u64,
-        n_atoms in 0u64..100_000u64,
+        step in 0u64..u64::MAX,
+        n_atoms in 0u64..u64::MAX,
         state in proptest::collection::vec(0u8..=255, 0..512),
         counters in proptest::collection::vec(0u64..u64::MAX, 0..20),
         dropped in 0u64..1000u64,
     ) {
         let s = snapshot(step, n_atoms, state, counters, dropped);
-        let decoded = Snapshot::decode(&s.encode());
+        let encoded = s.encode();
+        let decoded = Snapshot::decode(&encoded);
         prop_assert_eq!(decoded.unwrap(), s.clone());
         // Determinism of the encoding itself.
-        prop_assert_eq!(s.encode(), s.encode());
+        prop_assert_eq!(&encoded, &s.encode());
+        let frame = FrameFormat::<3> { magic: MAGIC, version: VERSION };
+        let (header, payload) = frame.open_header(&encoded).unwrap();
+        prop_assert_eq!(header.meta, [s.step, s.n_atoms, s.fingerprint]);
+        prop_assert_eq!(header.tag, 0);
+        prop_assert_eq!(header.payload_len, payload.len() as u64);
+        prop_assert_eq!(header.payload_fnv, fnv1a(payload));
+        prop_assert_eq!(frame.encode_header(&header), &encoded[..HEADER_LEN]);
     }
 
     /// Single-bit-flip corpus: flipping any one bit anywhere in an

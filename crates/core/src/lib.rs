@@ -59,6 +59,7 @@ pub mod state;
 pub mod stats;
 
 pub use anton_ckpt::{CheckpointStore, CkptError, Snapshot};
+pub use anton_machine::ExchangeCounters;
 pub use anton_trace::{Phase as TracePhase, TraceSink};
 pub use engine::{AntonSimulation, SimulationBuilder};
 pub use forces::{Decomposition, ForcePipeline, RawForces};

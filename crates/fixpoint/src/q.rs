@@ -9,7 +9,8 @@ use core::num::Wrapping;
 /// fixed-point words are raw `i64`s with their own scales beside them in
 /// `anton_core::state`.
 ///
-/// Addition wraps (associative, order-free).
+/// Sums are taken on the raw word ([`Q20::raw`]), whose addition wraps:
+/// associative and order-free.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Q20(pub(crate) i64);
 
@@ -60,11 +61,6 @@ impl Q20 {
     pub const fn from_raw(raw: i64) -> Self {
         Q20(raw)
     }
-
-    #[inline]
-    pub fn wrapping_add(self, rhs: Self) -> Self {
-        Q20(self.0.wrapping_add(rhs.0))
-    }
 }
 
 impl core::fmt::Debug for Q20 {
@@ -85,11 +81,16 @@ mod tests {
         assert_eq!(Q20::from_f64(1.0).to_f64(), 1.0);
     }
 
+    /// The sum of two words, as callers form it: on the raw `Wrapping`.
+    fn add(a: Q20, b: Q20) -> Q20 {
+        Q20::from_raw((a.raw() + b.raw()).0)
+    }
+
     proptest! {
         #[test]
         fn add_associative(a in any::<i64>(), b in any::<i64>(), c in any::<i64>()) {
             let (a, b, c) = (Q20::from_raw(a), Q20::from_raw(b), Q20::from_raw(c));
-            prop_assert_eq!(a.wrapping_add(b).wrapping_add(c), a.wrapping_add(b.wrapping_add(c)));
+            prop_assert_eq!(add(add(a, b), c), add(a, add(b, c)));
         }
 
         #[test]
@@ -105,8 +106,8 @@ mod tests {
             // exact i128 sum.
             let exact: i128 = vals.iter().map(|&v| v as i128).sum();
             prop_assume!(exact >= i64::MIN as i128 && exact <= i64::MAX as i128);
-            let forward = vals.iter().fold(Q20::default(), |s, &v| s.wrapping_add(Q20::from_raw(v)));
-            let backward = vals.iter().rev().fold(Q20::default(), |s, &v| s.wrapping_add(Q20::from_raw(v)));
+            let forward = vals.iter().fold(Q20::default(), |s, &v| add(s, Q20::from_raw(v)));
+            let backward = vals.iter().rev().fold(Q20::default(), |s, &v| add(s, Q20::from_raw(v)));
             prop_assert_eq!(forward, backward);
             prop_assert_eq!(forward.raw().0 as i128, exact);
         }

@@ -69,19 +69,9 @@ fn run(args: Vec<String>) -> i32 {
             if verb == "status" {
                 client.status(id).map(|v| print_view(&v))
             } else {
-                client.summary(id).map(|(v, phases)| {
+                client.summary(id).map(|(v, counters)| {
                     print_view(&v);
-                    for p in &phases {
-                        if p.spans > 0 {
-                            println!(
-                                "  {:<16} spans {:<8} messages {:<8} bytes {}",
-                                p.phase_name(),
-                                p.spans,
-                                p.messages,
-                                p.bytes
-                            );
-                        }
-                    }
+                    println!("{counters:#?}");
                 })
             }
         }

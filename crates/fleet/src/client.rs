@@ -3,9 +3,10 @@
 #![cfg(unix)]
 
 use crate::error::FleetError;
-use crate::queue::{JobStatusView, PhaseTotals};
+use crate::queue::JobStatusView;
 use crate::spec::{JobId, JobSpec};
 use crate::wire::{read_frame, write_frame, FrameKind, Request, Response};
+use anton_core::ExchangeCounters;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -98,9 +99,10 @@ impl FleetClient {
         }
     }
 
-    pub fn summary(&mut self, id: JobId) -> Result<(JobStatusView, Vec<PhaseTotals>), FleetError> {
+    /// A job's status and its census ([`crate::Fleet::summary`]).
+    pub fn summary(&mut self, id: JobId) -> Result<(JobStatusView, ExchangeCounters), FleetError> {
         match self.request(&Request::Summary(id))? {
-            Response::Summary { status, phases } => Ok((status, phases)),
+            Response::Summary { status, counters } => Ok((status, counters)),
             other => unexpected("summary", &other),
         }
     }

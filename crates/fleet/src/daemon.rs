@@ -122,7 +122,7 @@ fn answer(fleet: &Fleet, req: Request) -> (Response, bool) {
         },
         Request::List => (Response::Jobs(fleet.list()), false),
         Request::Summary(id) => match fleet.summary(id) {
-            Ok((status, phases)) => (Response::Summary { status, phases }, false),
+            Ok((status, counters)) => (Response::Summary { status, counters }, false),
             Err(e) => (error_response(&e), false),
         },
         Request::Shutdown => (Response::ShuttingDown, true),

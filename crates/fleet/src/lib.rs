@@ -8,7 +8,10 @@
 //! resume is bitwise exact (DESIGN.md §12), every job's trajectory is
 //! identical to an uninterrupted solo run *regardless of quantum, worker
 //! count, schedule, or daemon crashes* — scheduling decides when cycles
-//! run, never what they compute.
+//! run, never what they compute. What a job did is reported from the
+//! engine's own census, the exchange counters every checkpoint carries
+//! (steps, cache rebuilds and reuses, matched pairs, moved bytes), which
+//! is the same for every slicing of the job; fleet engines run untraced.
 //!
 //! Layer map (DESIGN.md §16):
 //!
@@ -37,7 +40,7 @@ pub use client::FleetClient;
 #[cfg(unix)]
 pub use daemon::{serve, DaemonConfig};
 pub use error::FleetError;
-pub use queue::{JobPhase, JobRecord, JobStatusView, PhaseTotals, QueueState, QueueStore};
+pub use queue::{JobPhase, JobRecord, JobStatusView, QueueState, QueueStore};
 pub use scheduler::{Fleet, FleetConfig, RunMode};
 pub use spec::{JobId, JobSpec};
 pub use wire::{Request, Response};

@@ -14,25 +14,31 @@
 //! writes, last-K rotation, and newest-valid fallback recovery without a
 //! second on-disk format. The snapshot `step` field carries the queue
 //! *revision* (bumped on every mutation), `n_atoms` carries the job count,
-//! and the fingerprint is a fixed schema tag.
+//! and the fingerprint is a fixed schema tag per format version. Version 1
+//! records also carried per-phase trace totals; they still recover, and the
+//! totals are read and dropped.
 
 use crate::error::FleetError;
 use crate::spec::{JobId, JobSpec};
 use crate::wire::{list_field, string_field};
 use anton_ckpt::{CheckpointStore, CkptError, Fingerprint, Reader, Snapshot, Writer};
-use anton_trace::Phase;
 use std::collections::BTreeMap;
 
-/// Persisted queue-state schema version.
-pub const QUEUE_STATE_VERSION: u32 = 1;
+/// Persisted queue-state schema version. Version 2 dropped version 1's
+/// per-phase trace totals and added [`JobRecord::engine_builds`].
+pub const QUEUE_STATE_VERSION: u32 = 2;
+
+/// The oldest queue-state version [`QueueState::decode`] still reads.
+const OLDEST_READABLE_VERSION: u32 = 1;
 
 /// Rotated queue snapshots to keep on disk.
 pub const QUEUE_KEEP: usize = 4;
 
-/// Fixed schema fingerprint stamped into every queue snapshot header.
-pub fn queue_fingerprint() -> u64 {
+/// Fixed schema fingerprint stamped into every queue snapshot header of
+/// format `version`.
+pub fn queue_fingerprint(version: u32) -> u64 {
     Fingerprint::new()
-        .field("fleet_queue_state", QUEUE_STATE_VERSION as u64)
+        .field("fleet_queue_state", version as u64)
         .finish()
 }
 
@@ -74,46 +80,6 @@ impl JobPhase {
     }
 }
 
-/// Integer trace totals for one engine phase of one job, accumulated
-/// across every slice the job has run. Wall-clock fields from the trace
-/// summary are deliberately dropped: only schedule-invariant counters
-/// (spans, messages, bytes) are persisted and reported.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PhaseTotals {
-    /// Index into [`Phase::ALL`].
-    pub phase: u32,
-    pub spans: u64,
-    pub messages: u64,
-    pub bytes: u64,
-}
-
-impl PhaseTotals {
-    /// Phase name for display (falls back on an out-of-range index rather
-    /// than failing: the vocabulary may grow).
-    pub fn phase_name(&self) -> &'static str {
-        Phase::ALL
-            .get(self.phase as usize)
-            .map(|p| p.name())
-            .unwrap_or("unknown")
-    }
-
-    pub fn encode_into(&self, w: &mut Writer) {
-        w.u32(self.phase);
-        w.u64(self.spans);
-        w.u64(self.messages);
-        w.u64(self.bytes);
-    }
-
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<PhaseTotals, FleetError> {
-        Ok(PhaseTotals {
-            phase: r.u32()?,
-            spans: r.u64()?,
-            messages: r.u64()?,
-            bytes: r.u64()?,
-        })
-    }
-}
-
 /// The status record the daemon reports for one job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobStatusView {
@@ -128,6 +94,10 @@ pub struct JobStatusView {
     /// Slices that continued the job after a preemption, from the resident
     /// engine or the store.
     pub resumes: u64,
+    /// Slices that built their engine, fresh or from the store, instead of
+    /// continuing a worker's resident one. The one field that depends on
+    /// how workers interleave.
+    pub engine_builds: u64,
     /// Bytes of the job's most recent checkpoint file.
     pub ckpt_bytes: u64,
     /// FNV-1a over the final state bytes; 0 until the job is done.
@@ -148,6 +118,7 @@ impl JobStatusView {
         w.u64(self.cycles_done);
         w.u64(self.preemptions);
         w.u64(self.resumes);
+        w.u64(self.engine_builds);
         w.u64(self.ckpt_bytes);
         w.u64(self.final_checksum);
         w.u64(self.violations);
@@ -164,6 +135,7 @@ impl JobStatusView {
             cycles_done: r.u64()?,
             preemptions: r.u64()?,
             resumes: r.u64()?,
+            engine_builds: r.u64()?,
             ckpt_bytes: r.u64()?,
             final_checksum: r.u64()?,
             violations: r.u64()?,
@@ -186,8 +158,9 @@ pub struct JobRecord {
     pub final_checksum: u64,
     pub violations: u64,
     pub battery_samples: u64,
-    /// One accumulator per [`Phase::ALL`] entry, in phase-index order.
-    pub phases: Vec<PhaseTotals>,
+    /// Slices that built their engine rather than continuing a resident
+    /// one ([`JobStatusView::engine_builds`]); 0 for a version 1 record.
+    pub engine_builds: u64,
 }
 
 impl JobRecord {
@@ -202,15 +175,7 @@ impl JobRecord {
             final_checksum: 0,
             violations: 0,
             battery_samples: 0,
-            phases: Phase::ALL
-                .iter()
-                .map(|p| PhaseTotals {
-                    phase: p.index() as u32,
-                    spans: 0,
-                    messages: 0,
-                    bytes: 0,
-                })
-                .collect(),
+            engine_builds: 0,
         }
     }
 
@@ -224,6 +189,7 @@ impl JobRecord {
             cycles_done: self.cycles_done,
             preemptions: self.preemptions,
             resumes: self.resumes,
+            engine_builds: self.engine_builds,
             ckpt_bytes: self.ckpt_bytes,
             final_checksum: self.final_checksum,
             violations: self.violations,
@@ -248,42 +214,34 @@ impl JobRecord {
         w.u64(self.final_checksum);
         w.u64(self.violations);
         w.u64(self.battery_samples);
-        w.u32(self.phases.len() as u32);
-        for p in &self.phases {
-            p.encode_into(w);
-        }
+        w.u64(self.engine_builds);
     }
 
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<JobRecord, FleetError> {
-        let spec = JobSpec::decode_from(r)?;
-        let phase = JobPhase::from_tag(r.u8()?)?;
-        let cycles_done = r.u64()?;
-        let preemptions = r.u64()?;
-        let resumes = r.u64()?;
-        let ckpt_bytes = r.u64()?;
-        let final_checksum = r.u64()?;
-        let violations = r.u64()?;
-        let battery_samples = r.u64()?;
-        let n = r.u32()?;
-        let phases = list_field(
-            r,
-            "phase accumulator list",
-            n.into(),
-            1024,
-            PhaseTotals::decode_from,
-        )?;
-        Ok(JobRecord {
-            spec,
-            phase,
-            cycles_done,
-            preemptions,
-            resumes,
-            ckpt_bytes,
-            final_checksum,
-            violations,
-            battery_samples,
-            phases,
-        })
+    /// Decode a record of queue format `version` (either readable one).
+    pub fn decode_from(r: &mut Reader<'_>, version: u32) -> Result<JobRecord, FleetError> {
+        let mut rec = JobRecord {
+            spec: JobSpec::decode_from(r)?,
+            phase: JobPhase::from_tag(r.u8()?)?,
+            cycles_done: r.u64()?,
+            preemptions: r.u64()?,
+            resumes: r.u64()?,
+            ckpt_bytes: r.u64()?,
+            final_checksum: r.u64()?,
+            violations: r.u64()?,
+            battery_samples: r.u64()?,
+            engine_builds: 0,
+        };
+        if version == OLDEST_READABLE_VERSION {
+            // Version 1's per-phase trace totals: (phase u32, spans,
+            // messages, bytes u64), read and dropped.
+            let n = r.u32()?;
+            list_field(r, "phase accumulator list", n.into(), 1024, |r| {
+                Ok((r.u32()?, r.u64()?, r.u64()?, r.u64()?))
+            })?;
+        } else {
+            rec.engine_builds = r.u64()?;
+        }
+        Ok(rec)
     }
 }
 
@@ -366,7 +324,7 @@ impl QueueState {
     pub fn decode(bytes: &[u8]) -> Result<QueueState, FleetError> {
         let mut r = Reader::new(bytes);
         let version = r.u32()?;
-        if version != QUEUE_STATE_VERSION {
+        if !(OLDEST_READABLE_VERSION..=QUEUE_STATE_VERSION).contains(&version) {
             return Err(CkptError::BadVersion {
                 got: version,
                 expected: QUEUE_STATE_VERSION,
@@ -377,7 +335,7 @@ impl QueueState {
         let n = r.u64()?;
         let jobs = list_field(&mut r, "queue job count", n, 1_000_000, |r| {
             let stored_id = r.u64()?;
-            let rec = JobRecord::decode_from(r)?;
+            let rec = JobRecord::decode_from(r, version)?;
             let computed = rec.spec.job_id();
             if computed.0 != stored_id {
                 // The record's key must be the fingerprint of its own spec;
@@ -402,7 +360,7 @@ impl QueueState {
     pub fn to_snapshot(&self) -> Snapshot {
         Snapshot {
             step: self.revision,
-            fingerprint: queue_fingerprint(),
+            fingerprint: queue_fingerprint(QUEUE_STATE_VERSION),
             n_atoms: self.jobs.len() as u64,
             state: self.encode(),
             counters: Vec::new(),
@@ -411,9 +369,11 @@ impl QueueState {
         }
     }
 
-    /// Recover from a snapshot written by [`Self::to_snapshot`].
+    /// Recover from a snapshot written by [`Self::to_snapshot`] at any
+    /// readable version: the header's schema tag must be the one of the
+    /// version the state bytes declare.
     pub fn from_snapshot(snap: &Snapshot) -> Result<QueueState, FleetError> {
-        let expected = queue_fingerprint();
+        let expected = queue_fingerprint(Reader::new(&snap.state).u32()?);
         if snap.fingerprint != expected {
             return Err(CkptError::ChecksumMismatch {
                 what: "queue snapshot fingerprint",
@@ -488,6 +448,7 @@ pub(crate) mod tests {
             cycles_done: 3,
             preemptions: 2,
             resumes: 2,
+            engine_builds: 1,
             ckpt_bytes: 4096,
             final_checksum: 0,
             violations: 0,
@@ -571,9 +532,7 @@ pub(crate) mod tests {
         let bytes = q.encode();
         assert_eq!(bytes, q.encode(), "encoding must be deterministic");
         // Format pin: the encoded bytes themselves, not just the round trip.
-        // A record carries one accumulator per trace phase, so the words
-        // move when the phase vocabulary grows (last: `mover_scan`).
-        assert_eq!(anton_ckpt::fnv1a(&bytes), 0x2c55_bd21_27ec_1905);
+        assert_eq!(anton_ckpt::fnv1a(&bytes), 0x7761_325f_44f7_0792);
         let back = QueueState::decode(&bytes).unwrap();
         assert_eq!(back, q);
     }

@@ -16,7 +16,9 @@
 //! none while it is parked.
 //!
 //! **Crash safety.** Every slice writes its checkpoint, resident or not, so
-//! the only authority on a job's progress is its newest valid checkpoint.
+//! the only authority on a job's progress — and on its census, the
+//! engine's `ExchangeCounters` the checkpoint carries — is its newest valid
+//! checkpoint.
 //! The persisted queue record is a (possibly slightly stale) index — if
 //! the daemon dies between a slice's checkpoint write and its queue
 //! commit, recovery resumes from the checkpoint and the record catches up
@@ -24,12 +26,11 @@
 //! bitwise-identically from the last checkpoint.
 
 use crate::error::FleetError;
-use crate::queue::{JobPhase, JobRecord, JobStatusView, PhaseTotals, QueueState, QueueStore};
+use crate::queue::{JobPhase, JobRecord, JobStatusView, QueueState, QueueStore};
 use crate::spec::{JobId, JobSpec};
 use anton_analysis::battery::Verifier;
-use anton_ckpt::CheckpointStore;
-use anton_core::AntonSimulation;
-use anton_trace::{phase_summary, TraceSink};
+use anton_ckpt::{CheckpointStore, CkptError, Snapshot};
+use anton_core::{AntonSimulation, ExchangeCounters};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -98,12 +99,13 @@ struct SliceOutcome {
     cycles_done: u64,
     done: bool,
     resumed: bool,
+    /// The slice built its engine, fresh or from the store, rather than
+    /// continuing the worker's resident one.
+    built: bool,
     ckpt_bytes: u64,
     final_checksum: u64,
     violations: u64,
     battery_samples: u64,
-    /// Per-phase (index, spans, messages, bytes) deltas from this slice.
-    phase_deltas: Vec<(u32, u64, u64, u64)>,
 }
 
 /// Mutable scheduler state, always accessed under the fleet lock.
@@ -142,8 +144,7 @@ impl Fleet {
             if rec.phase == JobPhase::Done {
                 continue;
             }
-            let probe = CheckpointStore::open(cfg.job_dir(*id), cfg.keep.max(1)).latest_valid();
-            if let Ok((_, snap)) = probe {
+            if let Some(snap) = newest_checkpoint(&cfg, *id) {
                 rec.cycles_done = snap.step / rec.spec.steps_per_cycle().max(1);
             }
         }
@@ -201,14 +202,22 @@ impl Fleet {
         self.lock().queue.views()
     }
 
-    pub fn summary(&self, id: JobId) -> Result<(JobStatusView, Vec<PhaseTotals>), FleetError> {
-        let g = self.lock();
-        let rec = g
-            .queue
-            .jobs
-            .get(&id)
-            .ok_or(FleetError::UnknownJob { id: id.0 })?;
-        Ok((rec.view(), rec.phases.clone()))
+    /// A job's status and its census: the engine's exchange counters at
+    /// the job's newest valid checkpoint (zeros before its first slice),
+    /// read outside the queue lock. The census is a pure function of the
+    /// spec and the cycles run, the same for every slicing of the job.
+    pub fn summary(&self, id: JobId) -> Result<(JobStatusView, ExchangeCounters), FleetError> {
+        let view = self.status(id)?;
+        let Some(snap) = newest_checkpoint(&self.cfg, id) else {
+            return Ok((view, ExchangeCounters::default()));
+        };
+        let counters =
+            ExchangeCounters::from_words(&snap.counters).ok_or(CkptError::LengthMismatch {
+                what: "checkpoint exchange counters",
+                expected: ExchangeCounters::WORDS as u64,
+                got: snap.counters.len() as u64,
+            })?;
+        Ok((view, counters))
     }
 
     /// (total jobs, queue revision) — the liveness headline.
@@ -332,6 +341,7 @@ fn apply_outcome(rec: &mut JobRecord, out: &SliceOutcome) {
     if out.resumed {
         rec.resumes += 1;
     }
+    rec.engine_builds += u64::from(out.built);
     if out.done {
         rec.phase = JobPhase::Done;
         rec.final_checksum = out.final_checksum;
@@ -341,20 +351,15 @@ fn apply_outcome(rec: &mut JobRecord, out: &SliceOutcome) {
         rec.phase = JobPhase::Queued;
         rec.preemptions += 1;
     }
-    for &(idx, spans, messages, bytes) in &out.phase_deltas {
-        if let Some(t) = rec.phases.iter_mut().find(|t| t.phase == idx) {
-            t.spans += spans;
-            t.messages += messages;
-            t.bytes += bytes;
-        } else {
-            rec.phases.push(PhaseTotals {
-                phase: idx,
-                spans,
-                messages,
-                bytes,
-            });
-        }
-    }
+}
+
+/// The job's newest checkpoint that verifies, or `None` before its first
+/// slice: the authority on its progress and its census.
+fn newest_checkpoint(cfg: &FleetConfig, id: JobId) -> Option<Snapshot> {
+    CheckpointStore::open(cfg.job_dir(id), cfg.keep.max(1))
+        .latest_valid()
+        .ok()
+        .map(|(_, snap)| snap)
 }
 
 /// The resident engine, if it may continue the claimed job: it must be
@@ -384,18 +389,9 @@ fn run_job_slice(
     // checkpoint that verifies only when no engine was kept (none means
     // this is the job's first slice).
     let store = CheckpointStore::create(cfg.job_dir(id), cfg.keep)?;
+    let built = kept.is_none();
     let (mut sim, resumed) = match kept {
-        Some(mut sim) => {
-            // A fresh buffer carrying the drop counts, exactly what a store
-            // resume installs: the phase deltas below stay this slice's, and
-            // the checkpoint (which stores the counts) keeps its bytes.
-            if let Some(buf) = sim.trace().buf() {
-                let mut sink = TraceSink::on();
-                sink.set_dropped(buf.dropped_spans(), buf.dropped_counters());
-                *sim.trace_mut() = sink;
-            }
-            (sim, true)
-        }
+        Some(sim) => (sim, true),
         None => {
             let builder = spec.builder()?;
             match store.latest_valid() {
@@ -425,26 +421,15 @@ fn run_job_slice(
         (0, 0, 0)
     };
 
-    let phase_deltas = sim
-        .trace()
-        .buf()
-        .map(|buf| {
-            phase_summary(buf)
-                .iter()
-                .map(|row| (row.phase.index() as u32, row.spans, row.messages, row.bytes))
-                .collect()
-        })
-        .unwrap_or_default();
-
     let outcome = SliceOutcome {
         cycles_done,
         done,
         resumed,
+        built,
         ckpt_bytes,
         final_checksum,
         violations,
         battery_samples,
-        phase_deltas,
     };
     Ok((outcome, sim))
 }
@@ -667,7 +652,7 @@ mod tests {
         while !out.done {
             garble_store(cfg, id);
             (out, sim) = run_job_slice(cfg, id, &s, Some(sim)).unwrap();
-            assert!(out.resumed);
+            assert!(out.resumed && !out.built);
         }
         assert_eq!(out.cycles_done, 3);
         assert_eq!(out.final_checksum, golden);
@@ -705,35 +690,28 @@ mod tests {
         assert!(reusable(None, id, 0).is_none());
     }
 
-    /// Each slice reports its own phase spans: over a 1-worker fleet every
-    /// inner step is counted once, and the only force refresh outside a
-    /// cycle is the fresh build's — every continuation was resident.
+    /// With one worker every continuation is resident: each job builds its
+    /// engine once, and its census counts every inner step once plus the
+    /// one force refresh of that build.
     #[test]
-    fn slice_phase_totals_count_every_step_once_and_one_refresh() {
-        use anton_trace::Phase;
-        let fleet = temp_fleet("phases", 1, 1);
-        let specs = [spec("ph-a", 3, 1), spec("ph-b", 2, 0)];
+    fn one_worker_builds_each_engine_once() {
+        let fleet = temp_fleet("builds", 1, 1);
+        let specs = [spec("build-a", 3, 1), spec("build-b", 2, 0)];
         for s in &specs {
             fleet.submit(s.clone()).unwrap();
         }
         fleet.run_to_completion();
         for s in &specs {
-            let (view, phases) = fleet.summary(s.job_id()).unwrap();
+            let (view, census) = fleet.summary(s.job_id()).unwrap();
             assert_eq!(view.phase, JobPhase::Done);
             assert_eq!(view.resumes, s.cycles - 1, "{}", s.name);
-            let spans = |p: Phase| {
-                phases
-                    .iter()
-                    .find(|t| t.phase == p.index() as u32)
-                    .map_or(0, |t| t.spans)
-            };
+            assert_eq!(view.engine_builds, 1, "{}", s.name);
             assert_eq!(
-                spans(Phase::Step),
-                s.cycles * s.steps_per_cycle(),
+                census.rebuild_steps + census.reuse_steps,
+                s.cycles * s.steps_per_cycle() + 1,
                 "{}",
                 s.name
             );
-            assert_eq!(spans(Phase::Reciprocal), s.cycles + 1, "{}", s.name);
         }
         cleanup(&fleet);
     }

@@ -190,8 +190,7 @@ impl JobSpec {
         Ok(AntonSimulation::builder(sys)
             .velocities_from_temperature(self.temperature_k, self.velocity_seed)
             .decomposition(decomposition)
-            .threads(self.threads.max(1) as usize)
-            .tracing(true))
+            .threads(self.threads.max(1) as usize))
     }
 
     /// Steps per outer cycle for this spec's run parameters.

@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"ANTFLET1"
-//! 8       4     protocol version (1)
+//! 8       4     protocol version (2)
 //! 12      4     frame kind (the frame tag: 1 = request, 2 = response)
 //! 16      8     payload_len
 //! 24      8     payload FNV-1a
@@ -23,15 +23,18 @@
 //! before any allocation so a damaged length can never balloon a peer.
 
 use crate::error::FleetError;
-use crate::queue::{JobStatusView, PhaseTotals};
+use crate::queue::JobStatusView;
 use crate::spec::{JobId, JobSpec};
 use anton_ckpt::{CkptError, FrameFormat, FrameHeader, Reader, Writer};
+use anton_core::ExchangeCounters;
 use std::io::{Read, Write};
 
 /// Frame magic: `ANTFLET1`.
 pub const MAGIC: [u8; 8] = *b"ANTFLET1";
-/// Wire protocol version.
-pub const VERSION: u32 = 1;
+/// Wire protocol version. Version 2 carries a job's census (its
+/// checkpointed exchange counters) in `Summary` where version 1 carried
+/// per-phase trace totals, and `engine_builds` in every status record.
+pub const VERSION: u32 = 2;
 /// Fixed frame header length in bytes.
 pub const FRAME_HEADER_LEN: usize = FrameFormat::<0>::HEADER_LEN;
 /// Maximum payload a frame may declare (refused before allocation).
@@ -159,7 +162,7 @@ pub enum Request {
     Status(JobId),
     /// Every job's status record, in deterministic schedule order.
     List,
-    /// One job's status plus its per-phase trace totals.
+    /// One job's status plus its census.
     Summary(JobId),
     /// Drain current slices and stop the daemon.
     Shutdown,
@@ -227,9 +230,11 @@ pub enum Response {
     },
     Status(JobStatusView),
     Jobs(Vec<JobStatusView>),
+    /// A job's status and its census, the exchange counters of its newest
+    /// checkpoint, carried as the checkpoint carries them.
     Summary {
         status: JobStatusView,
-        phases: Vec<PhaseTotals>,
+        counters: ExchangeCounters,
     },
     /// Typed failure relayed over the wire.
     Error {
@@ -282,12 +287,12 @@ impl Response {
                     v.encode_into(&mut w);
                 }
             }
-            Response::Summary { status, phases } => {
+            Response::Summary { status, counters } => {
                 w.u32(5);
                 status.encode_into(&mut w);
-                w.u64(phases.len() as u64);
-                for p in phases {
-                    p.encode_into(&mut w);
+                w.u64(ExchangeCounters::WORDS as u64);
+                for word in counters.to_words() {
+                    w.u64(word);
                 }
             }
             Response::Error { kind, message } => {
@@ -321,8 +326,14 @@ impl Response {
             5 => {
                 let status = JobStatusView::decode_from(&mut r)?;
                 let n = r.u64()?;
-                let phases = list_field(&mut r, "phase totals", n, 1024, PhaseTotals::decode_from)?;
-                Response::Summary { status, phases }
+                let words = list_field(&mut r, "census words", n, 1024, |r| Ok(r.u64()?))?;
+                let counters =
+                    ExchangeCounters::from_words(&words).ok_or(CkptError::LengthMismatch {
+                        what: "census words",
+                        expected: ExchangeCounters::WORDS as u64,
+                        got: n,
+                    })?;
+                Response::Summary { status, counters }
             }
             6 => Response::Error {
                 kind: string_field(&mut r, "error kind")?,
@@ -368,7 +379,7 @@ mod tests {
         let payload = Request::Submit(spec()).encode();
         let frame = encode_frame(FrameKind::Request, &payload);
         // Format pin: the encoded bytes themselves, not just the round trip.
-        assert_eq!(fnv1a(&frame), 0x05d2_365e_68a2_1083);
+        assert_eq!(fnv1a(&frame), 0xc873_4992_52ac_1002);
         let (kind, body) = decode_frame(&frame).unwrap();
         assert_eq!(kind, FrameKind::Request);
         assert_eq!(body, &payload[..]);
@@ -460,20 +471,7 @@ mod tests {
             Response::Jobs(vec![view.clone(), view.clone()]),
             Response::Summary {
                 status: view,
-                phases: vec![
-                    PhaseTotals {
-                        phase: 0,
-                        spans: 1,
-                        messages: 2,
-                        bytes: 3,
-                    },
-                    PhaseTotals {
-                        phase: 4,
-                        spans: 5,
-                        messages: 6,
-                        bytes: 7,
-                    },
-                ],
+                counters: census(),
             },
             Response::Error {
                 kind: "unknown_job".into(),
@@ -487,7 +485,30 @@ mod tests {
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
         }
         // Format pin over every response encoding, in order.
-        assert_eq!(pin.finish(), 0x55b1_b7d1_dda6_57f3);
+        assert_eq!(pin.finish(), 0x1dab_3b30_2a0c_03c2);
+    }
+
+    /// A census whose every word differs, so a swapped or dropped word
+    /// shows.
+    fn census() -> ExchangeCounters {
+        let words: Vec<u64> = (1..=ExchangeCounters::WORDS as u64).collect();
+        ExchangeCounters::from_words(&words).unwrap()
+    }
+
+    #[test]
+    fn a_summary_with_the_wrong_census_word_count_is_a_typed_error() {
+        let view = crate::queue::tests::sample_view();
+        for n in [ExchangeCounters::WORDS - 1, ExchangeCounters::WORDS + 1] {
+            let mut w = Writer::new();
+            w.u32(5);
+            view.encode_into(&mut w);
+            w.u64(n as u64);
+            for word in 0..n as u64 {
+                w.u64(word);
+            }
+            let err = Response::decode(&w.finish()).unwrap_err();
+            assert_eq!(err.kind(), "length_mismatch", "{n} words: {err}");
+        }
     }
 
     #[test]

@@ -4,17 +4,28 @@
 //! For every (quantum, workers) point in the acceptance grid — quantum ∈
 //! {1, 3, 7} × workers ∈ {1, 4} — every job a fleet drains must end at
 //! exactly the state checksum of an uninterrupted solo run of the same
-//! spec, with a clean analysis battery. A seeded random-spec sweep then
+//! spec, with a clean analysis battery, and report exactly that run's
+//! census (its exchange counters). A seeded random-spec sweep then
 //! varies the physics knobs (box, seeds, temperature, priorities, thread
 //! counts) to show the property is not an artifact of one hand-picked
 //! workload.
 
+use anton_core::ExchangeCounters;
 use anton_fleet::{Fleet, FleetConfig, JobPhase, JobSpec};
 
-fn solo_checksum(spec: &JobSpec) -> u64 {
+/// An uninterrupted solo run's final checksum and census words.
+fn solo(spec: &JobSpec) -> (u64, [u64; ExchangeCounters::WORDS]) {
     let mut sim = spec.builder().unwrap().build();
     sim.run_cycles(spec.cycles as usize);
-    sim.state.checksum()
+    (sim.state.checksum(), sim.pipeline.counters.to_words())
+}
+
+/// Every job's `summary` census, as checkpoint words, in `specs` order.
+fn census_words(fleet: &Fleet, specs: &[JobSpec]) -> Vec<[u64; ExchangeCounters::WORDS]> {
+    specs
+        .iter()
+        .map(|s| fleet.summary(s.job_id()).unwrap().1.to_words())
+        .collect()
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -24,7 +35,10 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn drain(specs: &[JobSpec], quantum: u64, workers: usize, tag: &str) -> Vec<(JobSpec, u64, u64)> {
+/// Per job: its final checksum, its battery violations and its census.
+type Drained = (u64, u64, [u64; ExchangeCounters::WORDS]);
+
+fn drain(specs: &[JobSpec], quantum: u64, workers: usize, tag: &str) -> Vec<Drained> {
     let mut cfg = FleetConfig::new(temp_dir(tag));
     cfg.quantum = quantum;
     cfg.workers = workers;
@@ -36,11 +50,12 @@ fn drain(specs: &[JobSpec], quantum: u64, workers: usize, tag: &str) -> Vec<(Job
     fleet.run_to_completion();
     let out = specs
         .iter()
-        .map(|s| {
+        .zip(census_words(&fleet, specs))
+        .map(|(s, census)| {
             let v = fleet.status(s.job_id()).unwrap();
             assert_eq!(v.phase, JobPhase::Done, "{} did not finish", s.name);
             assert_eq!(v.cycles_done, s.cycles, "{} cycle count", s.name);
-            (s.clone(), v.final_checksum, v.violations)
+            (v.final_checksum, v.violations, census)
         })
         .collect();
     let _ = std::fs::remove_dir_all(&fleet.config().state_dir);
@@ -65,19 +80,22 @@ fn base_spec(name: &str, cycles: u64, priority: u32) -> JobSpec {
 }
 
 /// The acceptance grid: quantum {1,3,7} × workers {1,4}, two jobs with
-/// different lengths and priorities, every cell bitwise-equal to solo.
+/// different lengths and priorities, every cell bitwise-equal to solo in
+/// state and in census.
 #[test]
 fn preemption_invariance_grid() {
     let specs = [base_spec("grid-a", 7, 1), base_spec("grid-b", 4, 3)];
-    let goldens: Vec<u64> = specs.iter().map(solo_checksum).collect();
+    let goldens: Vec<_> = specs.iter().map(solo).collect();
     for &quantum in &[1u64, 3, 7] {
         for &workers in &[1usize, 4] {
             let tag = format!("grid-q{quantum}-w{workers}");
-            for ((spec, checksum, violations), golden) in
-                drain(&specs, quantum, workers, &tag).iter().zip(&goldens)
+            let drained = drain(&specs, quantum, workers, &tag);
+            for ((spec, (checksum, violations, census)), golden) in
+                specs.iter().zip(&drained).zip(&goldens)
             {
                 assert_eq!(
-                    checksum, golden,
+                    (*checksum, *census),
+                    *golden,
                     "{}: quantum {quantum} workers {workers} diverged from solo",
                     spec.name
                 );
@@ -88,10 +106,12 @@ fn preemption_invariance_grid() {
 }
 
 /// Preemption/resume counters are a pure function of (cycles, quantum) —
-/// never of the worker count or interleaving.
+/// never of the worker count or interleaving — and the census is the solo
+/// run's.
 #[test]
 fn slice_counters_are_schedule_invariant() {
     let specs = [base_spec("count-a", 5, 0), base_spec("count-b", 3, 2)];
+    let solo_census: Vec<_> = specs.iter().map(|s| solo(s).1).collect();
     for &workers in &[1usize, 4] {
         let quantum = 2u64;
         let mut cfg = FleetConfig::new(temp_dir(&format!("count-w{workers}")));
@@ -108,6 +128,11 @@ fn slice_counters_are_schedule_invariant() {
             assert_eq!(v.preemptions, slices - 1, "{} workers={workers}", s.name);
             assert_eq!(v.resumes, slices - 1, "{} workers={workers}", s.name);
         }
+        assert_eq!(
+            census_words(&fleet, &specs),
+            solo_census,
+            "workers={workers}"
+        );
         let _ = std::fs::remove_dir_all(&fleet.config().state_dir);
     }
 }
@@ -148,10 +173,10 @@ fn preemption_invariance_random_specs() {
             })
             .collect();
         let quantum = 1 + splitmix(&mut rng) % 3;
-        let goldens: Vec<u64> = specs.iter().map(solo_checksum).collect();
+        let goldens: Vec<u64> = specs.iter().map(|s| solo(s).0).collect();
         let tag = format!("rand-{round}");
-        for ((spec, checksum, violations), golden) in
-            drain(&specs, quantum, 2, &tag).iter().zip(&goldens)
+        let drained = drain(&specs, quantum, 2, &tag);
+        for ((spec, (checksum, violations, _)), golden) in specs.iter().zip(&drained).zip(&goldens)
         {
             assert_eq!(
                 checksum, golden,

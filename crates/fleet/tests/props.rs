@@ -5,7 +5,8 @@
 //! the guarantee `tests/kill.rs` exercises against a live daemon and real
 //! queue files.
 
-use anton_fleet::queue::{JobPhase, JobRecord, PhaseTotals, QueueState};
+use anton_core::ExchangeCounters;
+use anton_fleet::queue::{JobPhase, QueueState};
 use anton_fleet::wire::{decode_frame, encode_frame, FrameKind, Request, Response};
 use anton_fleet::{FleetError, JobSpec};
 use proptest::prelude::*;
@@ -58,14 +59,18 @@ fn queue(
         rec.final_checksum = ckpt_bytes.wrapping_mul(0x9e3779b97f4a7c15);
         rec.violations = 0;
         rec.battery_samples = 1;
-        for (j, t) in rec.phases.iter_mut().enumerate() {
-            t.spans = cycles_done.wrapping_add(j as u64);
-            t.messages = preemptions.wrapping_mul(j as u64);
-            t.bytes = ckpt_bytes.wrapping_add(j as u64 * 64);
-        }
+        rec.engine_builds = preemptions / 2 + 1;
     }
     q.revision = revision;
     q
+}
+
+/// A census whose words all differ and span the full `u64` range.
+fn census(seed: u64, step: u64) -> ExchangeCounters {
+    let words: Vec<u64> = (0..ExchangeCounters::WORDS as u64)
+        .map(|k| seed.rotate_left(k as u32 * 7) ^ step.wrapping_mul(k + 1))
+        .collect();
+    ExchangeCounters::from_words(&words).unwrap()
 }
 
 proptest! {
@@ -110,7 +115,7 @@ proptest! {
             1 => Response::Jobs(views),
             2 => Response::Summary {
                 status: views[0].clone(),
-                phases: q.jobs.values().next().unwrap().phases.clone(),
+                counters: census(ckpt_bytes, cycles_done),
             },
             _ => Response::Error {
                 kind: "spec_invalid".into(),
@@ -239,33 +244,4 @@ fn decode_preserves_schedule_order() {
     let back = QueueState::decode(&q.encode()).unwrap();
     assert_eq!(back.schedule_order(), q.schedule_order());
     assert_eq!(back.views(), q.views());
-}
-
-/// Phase accumulators survive the round trip in phase-index order.
-#[test]
-fn phase_totals_roundtrip_in_order() {
-    let mut q = queue(&[11], 3, 1, 512, 2);
-    let rec = q.jobs.values_mut().next().unwrap();
-    rec.phases = vec![
-        PhaseTotals {
-            phase: 0,
-            spans: 10,
-            messages: 0,
-            bytes: 0,
-        },
-        PhaseTotals {
-            phase: 3,
-            spans: 7,
-            messages: 2,
-            bytes: 99,
-        },
-    ];
-    let back = QueueState::decode(&q.encode()).unwrap();
-    let rec = back.jobs.values().next().unwrap();
-    assert_eq!(rec.phases.len(), 2);
-    assert_eq!(rec.phases[1].phase, 3);
-    assert_eq!(rec.phases[1].bytes, 99);
-    // JobRecord construction pre-sizes one accumulator per engine phase.
-    let fresh = JobRecord::new(rec.spec.clone());
-    assert_eq!(fresh.phases.len(), anton_trace::Phase::ALL.len());
 }

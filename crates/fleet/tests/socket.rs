@@ -1,5 +1,5 @@
 //! End-to-end daemon/client exercise over a real Unix socket: submit,
-//! idempotent resubmit, poll to completion, summaries, error relay, and
+//! idempotent resubmit, poll to completion, censuses, error relay, and
 //! clean shutdown — all in-process (the kill -9 variants are
 //! `tests/kill.rs`, which runs the real `fleetd`).
 
@@ -77,23 +77,24 @@ fn daemon_serves_a_fleet_end_to_end() {
         "jobs still unfinished: {views:?}"
     );
 
-    // Completed jobs report solo-identical checksums and clean batteries.
+    // Completed jobs report solo-identical checksums, clean batteries, and
+    // over the wire the solo run's census: one force evaluation per inner
+    // step plus the one of the first build.
     for (s, id) in [(&a, id_a), (&b, id_b)] {
         let mut sim = s.builder().unwrap().build();
         sim.run_cycles(s.cycles as usize);
         let golden = sim.state.checksum();
-        let (view, phases) = client.summary(id).unwrap();
+        let (view, census) = client.summary(id).unwrap();
         assert_eq!(view.final_checksum, golden, "{}", s.name);
         assert_eq!(view.violations, 0, "{}", s.name);
         assert!(view.battery_samples > 0, "{}", s.name);
-        // The per-phase trace totals accumulated across slices: the step
-        // phase must have recorded every step of every slice.
-        let steps: u64 = phases
-            .iter()
-            .filter(|p| p.phase == 0)
-            .map(|p| p.spans)
-            .sum();
-        assert!(steps > 0, "{}: no step spans accumulated", s.name);
+        assert_eq!(census, sim.pipeline.counters, "{}", s.name);
+        assert_eq!(
+            census.rebuild_steps + census.reuse_steps,
+            s.cycles * s.steps_per_cycle() + 1,
+            "{}",
+            s.name
+        );
     }
 
     client.shutdown().unwrap();

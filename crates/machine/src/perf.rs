@@ -72,7 +72,7 @@ impl SystemStats {
 /// (charge-halo exchange plus the distributed FFT's pencil messages on
 /// long-range steps). Hop-weighted byte counts capture link occupancy under
 /// dimension-order routing (a 3-hop message consumes three links' bandwidth).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExchangeCounters {
     pub steps: u64,
     pub import_messages: u64,

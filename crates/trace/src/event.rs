@@ -122,9 +122,10 @@ impl Phase {
         }
     }
 
-    /// Index into [`Phase::ALL`].
+    /// Index into [`Phase::ALL`]: the discriminant, since `ALL` lists the
+    /// variants in declaration order.
     pub fn index(self) -> usize {
-        Phase::ALL.iter().position(|&p| p == self).unwrap_or(0)
+        self as usize
     }
 }
 
@@ -177,8 +178,8 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), Phase::ALL.len(), "duplicate phase name");
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            assert_eq!(p.index(), i);
+        for i in 0..Phase::ALL.len() {
+            assert_eq!(Phase::ALL[i].index(), i, "{}", Phase::ALL[i].name());
         }
     }
 
